@@ -72,6 +72,7 @@ class Job:
 
 @dataclass(frozen=True)
 class IntervalResult:
+    job_id: int
     distances: list[float]
     solutions: list[SolutionPoint]
     lower_distance: float
@@ -129,6 +130,7 @@ def solve_interval(problem: ProblemDef, config: AlmConfig, job: Job
     dists: list[float] = []
     remaining = job.delta_L0
     budget = 10 * job.N + 20  # safety against pathological step cutting
+    failure: str | None = None
     try:
         while remaining > 1e-12 * job.delta_L0 and len(dists) < budget:
             res = alm.step(problem, config, sols[-1], dw,
@@ -138,15 +140,12 @@ def solve_interval(problem: ProblemDef, config: AlmConfig, job: Job
             sols.append(res.w_new)
             remaining -= res.achieved_length
     except alm.StepError as exc:
-        return IntervalResult(
-            distances=dists, solutions=sols,
-            lower_distance=alm.point_distance(sols[-1], sols[0], psi, ptp),
-            closing_distance=alm.point_distance(job.w_ref, sols[-1], psi, ptp),
-            success=False, message=str(exc))
-    lower = alm.point_distance(sols[-1], sols[0], psi, ptp)
-    closing = alm.point_distance(job.w_ref, sols[-1], psi, ptp)
-    return IntervalResult(distances=dists, solutions=sols,
-                          lower_distance=lower, closing_distance=closing)
+        failure = str(exc)
+    return IntervalResult(
+        job_id=job.id, distances=dists, solutions=sols,
+        lower_distance=alm.point_distance(sols[-1], sols[0], psi, ptp),
+        closing_distance=alm.point_distance(job.w_ref, sols[-1], psi, ptp),
+        success=failure is None, message=failure or "")
 
 
 def serial_solve(problem: ProblemDef, config: AlmConfig,

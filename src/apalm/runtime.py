@@ -28,40 +28,24 @@ PROCESS = "process"
 
 
 def run_worker(problem: ProblemDef, config: AlmConfig, endpoint) -> int:
-    """Worker loop: receive stop-or-job, solve, send data; exit on stop.
+    """Worker loop: receive a job, solve it, send its result; exit on stop.
 
     Returns the number of jobs executed.
     """
     done = 0
-    while True:
-        msg = endpoint.recv()
-        if isinstance(msg, tp.StopMessage):
-            if msg.stop:
-                return done
-            job_msg = endpoint.recv()
-        else:
+    while (job := endpoint.recv()) is not None:
+        if not isinstance(job, Job):
             raise tp.ProtocolError(
-                f"expected stop message, got {type(msg).__name__}")
-        if not isinstance(job_msg, tp.JobMessage):
-            raise tp.ProtocolError(
-                f"expected job message, got {type(job_msg).__name__}")
-        job = Job(id=job_msg.id, branch=job_msg.branch, xi_lo=0.0, xi_hi=1.0,
-                  delta_L0=job_msg.delta_L0, w_start=job_msg.w_start,
-                  w_prev=job_msg.w_prev, w_ref=job_msg.w_ref, level=0,
-                  N=job_msg.N)
-        result = eng.solve_interval(problem, config, job)
-        endpoint.send(tp.DataMessage(
-            job_id=job.id, distances=result.distances,
-            solutions=result.solutions, lower_distance=result.lower_distance,
-            closing_distance=result.closing_distance, success=result.success,
-            message=result.message))
+                f"expected job message, got {type(job).__name__}")
+        endpoint.send(eng.solve_interval(problem, config, job))
         done += 1
+    return done
 
 
 def run_manager(state: QueueEngine, endpoints: list) -> None:
     """Dispatch loop: keep idle workers fed until the queue drains.
 
-    Each endpoint gets a reader thread funnelling its data messages into one
+    Each endpoint gets a reader thread funnelling its results into one
     result queue, so arrival order does not matter. A worker disconnect
     marks its in-flight job as failed and the run continues without it.
     """
@@ -90,13 +74,8 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
         while state.queue and idle:
             widx = idle.pop(0)
             job = state.pop()
-            ep = endpoints[widx]
             try:
-                ep.send(tp.StopMessage(stop=False))
-                ep.send(tp.JobMessage(
-                    id=job.id, branch=job.branch, delta_L0=job.delta_L0,
-                    N=job.N, w_start=job.w_start, w_prev=job.w_prev,
-                    w_ref=job.w_ref))
+                endpoints[widx].send(job)
             except tp.EndpointClosed as exc:
                 live.discard(widx)
                 state.submit_failure(job, f"worker {widx} send failed: {exc}")
@@ -115,69 +94,34 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
                 raise tp.EndpointClosed("all workers lost with queue pending")
             dispatch()
             continue
-        if not isinstance(payload, tp.DataMessage):
+        if not isinstance(payload, IntervalResult):
             raise tp.ProtocolError(
                 f"manager expected data, got {type(payload).__name__}")
         job = inflight.pop(widx)
         if payload.job_id != job.id:
             raise tp.ProtocolError(
                 f"job id mismatch: sent {job.id}, got {payload.job_id}")
-        state.submit(job, IntervalResult(
-            distances=payload.distances, solutions=payload.solutions,
-            lower_distance=payload.lower_distance,
-            closing_distance=payload.closing_distance,
-            success=payload.success, message=payload.message))
+        state.submit(job, payload)
         idle.append(widx)
         dispatch()
 
     for widx in sorted(live):
         try:
-            endpoints[widx].send(tp.StopMessage(stop=True))
+            endpoints[widx].send(None)
         except tp.EndpointClosed:
             pass
 
 
-def _spawn_thread_workers(problem, config, worker_count):
-    endpoints = []
-    workers = []
-    for _ in range(worker_count):
-        manager_ep, worker_ep = tp.channel_pair()
-
-        def worker_main(ep=worker_ep):
-            try:
-                run_worker(problem, config, ep)
-            finally:
-                # unblock the manager-side reader thread so it can exit
-                ep.close()
-
-        t = threading.Thread(target=worker_main, daemon=True)
-        t.start()
-        endpoints.append(manager_ep)
-        workers.append(t)
-    return endpoints, workers
-
-
-def _process_worker_main(problem, config, sock):
+def _worker_main(problem, config, sock):
+    ep = tp.SocketEndpoint(sock)
     try:
-        run_worker(problem, config, tp.SocketEndpoint(sock))
+        run_worker(problem, config, ep)
     except (tp.EndpointClosed, tp.ProtocolError) as exc:
         log.error("worker exiting on protocol error: %s", exc)
         raise SystemExit(1)
-
-
-def _spawn_process_workers(problem, config, worker_count):
-    ctx = multiprocessing.get_context("fork")
-    endpoints = []
-    workers = []
-    for _ in range(worker_count):
-        parent_sock, child_sock = socket.socketpair()
-        p = ctx.Process(target=_process_worker_main,
-                        args=(problem, config, child_sock), daemon=True)
-        p.start()
-        child_sock.close()
-        endpoints.append(tp.SocketEndpoint(parent_sock))
-        workers.append(p)
-    return endpoints, workers
+    finally:
+        # unblock the manager-side reader so it can exit
+        ep.close()
 
 
 def apalm(problem: ProblemDef, config: AlmConfig, engine: EngineConfig,
@@ -185,8 +129,8 @@ def apalm(problem: ProblemDef, config: AlmConfig, engine: EngineConfig,
     """Adaptive parallel arc-length method.
 
     Serial solve and map initialization run on the manager; queued intervals
-    are executed by worker_count workers over the chosen transport. Result
-    contract matches the serial aalm run.
+    are executed by worker_count workers, threads or forked processes, each
+    over its own socket pair. Result contract matches the serial aalm run.
     """
     if worker_count < 1:
         raise ValueError("worker_count must be >= 1")
@@ -194,12 +138,21 @@ def apalm(problem: ProblemDef, config: AlmConfig, engine: EngineConfig,
         raise ValueError(f"unknown transport {transport!r}")
     state = QueueEngine(problem, config, engine)
     state.initialize()
-    if transport == THREAD:
-        endpoints, workers = _spawn_thread_workers(problem, config,
-                                                   worker_count)
-    else:
-        endpoints, workers = _spawn_process_workers(problem, config,
-                                                    worker_count)
+    worker_cls = (threading.Thread if transport == THREAD
+                  else multiprocessing.get_context("fork").Process)
+    endpoints = []
+    workers = []
+    for _ in range(worker_count):
+        parent_sock, child_sock = socket.socketpair()
+        w = worker_cls(target=_worker_main,
+                       args=(problem, config, child_sock), daemon=True)
+        w.start()
+        if transport == PROCESS:
+            # Only the raw fd: the child shares this socket, and
+            # SocketEndpoint.close() would shut it down under the child.
+            child_sock.close()
+        endpoints.append(tp.SocketEndpoint(parent_sock))
+        workers.append(w)
     t0 = time.perf_counter()
     try:
         run_manager(state, endpoints)
@@ -208,7 +161,5 @@ def apalm(problem: ProblemDef, config: AlmConfig, engine: EngineConfig,
         for w in workers:
             w.join(timeout=30)
         for ep in endpoints:
-            close = getattr(ep, "close", None)
-            if close:
-                close()
+            ep.close()
     return state

@@ -1,28 +1,34 @@
-"""Wire messages and transports for the manager-worker runtime.
+"""Wire format and socket endpoint for the manager-worker runtime.
 
 Frames are [u8 version][u64 length][payload], little-endian, fixed-width
-floats. Both the in-process channel transport and the socket transport
-carry the same encoded bytes, so runs replay bit-exactly across them.
+floats. A payload is one engine message: a `Job` (manager to worker), an
+`IntervalResult` (worker to manager) or `None`, the one-byte stop. Thread
+and process workers use the same endpoint over a socket pair, so both carry
+the same encoded bytes and runs replay bit-exactly across them.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import IntervalResult, Job
 from .problems import SolutionPoint
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 MSG_STOP = 0
 MSG_JOB = 1
 MSG_DATA = 2
 
 _HEADER = struct.Struct("<BQ")
+_JOB = struct.Struct("<BQQddQdQB")
+
+# The benchmark tracer (perfbench/tracing.py) matches messages on these names.
+JobMessage = Job
+DataMessage = IntervalResult
 
 
 class ProtocolError(RuntimeError):
@@ -31,33 +37,6 @@ class ProtocolError(RuntimeError):
 
 class EndpointClosed(RuntimeError):
     """Peer endpoint is gone."""
-
-
-@dataclass(frozen=True)
-class StopMessage:
-    stop: bool
-
-
-@dataclass(frozen=True)
-class JobMessage:
-    id: int
-    branch: int
-    delta_L0: float
-    N: int
-    w_start: SolutionPoint
-    w_prev: SolutionPoint | None
-    w_ref: SolutionPoint
-
-
-@dataclass(frozen=True)
-class DataMessage:
-    job_id: int
-    distances: list[float]
-    solutions: list[SolutionPoint]
-    lower_distance: float
-    closing_distance: float
-    success: bool
-    message: str = ""
 
 
 def _pack_point(w: SolutionPoint) -> bytes:
@@ -74,18 +53,19 @@ def _unpack_point(buf: memoryview, off: int) -> tuple[SolutionPoint, int]:
     return SolutionPoint(u, lam), off + 8
 
 
-def encode(msg) -> bytes:
-    if isinstance(msg, StopMessage):
-        return struct.pack("<BB", MSG_STOP, int(msg.stop))
-    if isinstance(msg, JobMessage):
-        parts = [struct.pack("<BQQdQB", MSG_JOB, msg.id, msg.branch,
-                             msg.delta_L0, msg.N, msg.w_prev is not None)]
-        parts.append(_pack_point(msg.w_start))
+def encode(msg: Job | IntervalResult | None) -> bytes:
+    if msg is None:
+        return bytes([MSG_STOP])
+    if isinstance(msg, Job):
+        parts = [_JOB.pack(MSG_JOB, msg.id, msg.branch, msg.xi_lo, msg.xi_hi,
+                           msg.level, msg.delta_L0, msg.N,
+                           msg.w_prev is not None),
+                 _pack_point(msg.w_start)]
         if msg.w_prev is not None:
             parts.append(_pack_point(msg.w_prev))
         parts.append(_pack_point(msg.w_ref))
         return b"".join(parts)
-    if isinstance(msg, DataMessage):
+    if isinstance(msg, IntervalResult):
         d = np.ascontiguousarray(msg.distances, dtype="<f8")
         note = msg.message.encode("utf-8")
         parts = [struct.pack("<BQB", MSG_DATA, msg.job_id, int(msg.success)),
@@ -99,25 +79,26 @@ def encode(msg) -> bytes:
     raise ProtocolError(f"cannot encode {type(msg).__name__}")
 
 
-def decode(payload: bytes):
+def decode(payload: bytes) -> Job | IntervalResult | None:
     buf = memoryview(payload)
     if len(buf) < 1:
         raise ProtocolError("empty payload")
     kind = buf[0]
     if kind == MSG_STOP:
-        if len(buf) != 2:
+        if len(buf) != 1:
             raise ProtocolError("bad stop message size")
-        return StopMessage(stop=bool(buf[1]))
+        return None
     if kind == MSG_JOB:
-        _, jid, branch, dl0, n, has_prev = struct.unpack_from("<BQQdQB", buf, 0)
-        off = struct.calcsize("<BQQdQB")
-        w_start, off = _unpack_point(buf, off)
+        (_, jid, branch, xi_lo, xi_hi, level, dl0, n,
+         has_prev) = _JOB.unpack_from(buf, 0)
+        w_start, off = _unpack_point(buf, _JOB.size)
         w_prev = None
         if has_prev:
             w_prev, off = _unpack_point(buf, off)
         w_ref, off = _unpack_point(buf, off)
-        return JobMessage(id=jid, branch=branch, delta_L0=dl0, N=n,
-                          w_start=w_start, w_prev=w_prev, w_ref=w_ref)
+        return Job(id=jid, branch=branch, xi_lo=xi_lo, xi_hi=xi_hi,
+                   delta_L0=dl0, w_start=w_start, w_prev=w_prev, w_ref=w_ref,
+                   level=level, N=n)
     if kind == MSG_DATA:
         _, jid, success = struct.unpack_from("<BQB", buf, 0)
         off = struct.calcsize("<BQB")
@@ -136,52 +117,14 @@ def decode(payload: bytes):
         (nmsg,) = struct.unpack_from("<Q", buf, off)
         off += 8
         note = bytes(buf[off:off + nmsg]).decode("utf-8")
-        return DataMessage(job_id=jid, distances=dists, solutions=sols,
-                           lower_distance=lower, closing_distance=closing,
-                           success=bool(success), message=note)
+        return IntervalResult(job_id=jid, distances=dists, solutions=sols,
+                              lower_distance=lower, closing_distance=closing,
+                              success=bool(success), message=note)
     raise ProtocolError(f"unknown message kind {kind}")
 
 
 def frame(payload: bytes) -> bytes:
     return _HEADER.pack(PROTOCOL_VERSION, len(payload)) + payload
-
-
-class ChannelEndpoint:
-    """In-process endpoint over a pair of queues carrying encoded frames."""
-
-    def __init__(self, inbox: queue.Queue, outbox: queue.Queue):
-        self._inbox = inbox
-        self._outbox = outbox
-
-    def send(self, msg) -> None:
-        self._outbox.put(frame(encode(msg)))
-
-    def recv(self):
-        data = self._inbox.get()
-        if data is None:
-            raise EndpointClosed("channel closed")
-        return decode(_strip_frame(data))
-
-    def close(self) -> None:
-        self._outbox.put(None)
-
-
-def channel_pair() -> tuple[ChannelEndpoint, ChannelEndpoint]:
-    a_to_b: queue.Queue = queue.Queue()
-    b_to_a: queue.Queue = queue.Queue()
-    return (ChannelEndpoint(b_to_a, a_to_b), ChannelEndpoint(a_to_b, b_to_a))
-
-
-def _strip_frame(data: bytes) -> bytes:
-    if len(data) < _HEADER.size:
-        raise ProtocolError("short frame")
-    version, length = _HEADER.unpack_from(data, 0)
-    if version != PROTOCOL_VERSION:
-        raise ProtocolError(f"unsupported protocol version {version}")
-    payload = data[_HEADER.size:]
-    if len(payload) != length:
-        raise ProtocolError("frame length mismatch")
-    return payload
 
 
 class SocketEndpoint:
@@ -190,7 +133,7 @@ class SocketEndpoint:
     def __init__(self, sock: socket.socket):
         self._sock = sock
 
-    def send(self, msg) -> None:
+    def send(self, msg: Job | IntervalResult | None) -> None:
         try:
             self._sock.sendall(frame(encode(msg)))
         except OSError as exc:
@@ -209,7 +152,7 @@ class SocketEndpoint:
             n -= len(chunk)
         return b"".join(chunks)
 
-    def recv(self):
+    def recv(self) -> Job | IntervalResult | None:
         header = self._read_exact(_HEADER.size)
         version, length = _HEADER.unpack(header)
         if version != PROTOCOL_VERSION:

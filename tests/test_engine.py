@@ -195,7 +195,8 @@ class TestQueueEngine:
         state.initialize()
         n_points = sum(len(m) for m in state.maps.values())
         job = state.pop()
-        res = IntervalResult(distances=[], solutions=[job.w_start],
+        res = IntervalResult(job_id=job.id, distances=[],
+                             solutions=[job.w_start],
                              lower_distance=0.0, closing_distance=0.0,
                              success=False, message="synthetic failure")
         state.submit(job, res)

@@ -1,4 +1,6 @@
 import math
+import queue
+import socket
 import threading
 
 import numpy as np
@@ -6,63 +8,86 @@ import pytest
 
 from apalm import transport as tp
 from apalm.alm import AlmConfig
-from apalm.engine import EngineConfig, QueueEngine, aalm
+from apalm.engine import EngineConfig, IntervalResult, Job, QueueEngine, aalm
 from apalm.problems import SolutionPoint, make_builtin
 from apalm.runtime import apalm, run_manager, run_worker
-from apalm.transport import (DataMessage, JobMessage, ProtocolError,
-                             StopMessage, channel_pair)
+from apalm.transport import ProtocolError, SocketEndpoint
 
 
 def crisfield(psi=1.0):
     return AlmConfig(constraint="crisfield", psi=psi, newton_tol=1e-12)
 
 
-def linear_job_msg(job_id=0):
-    return JobMessage(id=job_id, branch=0, delta_L0=math.sqrt(2.0), N=2,
-                      w_start=SolutionPoint(np.zeros(1), 0.0), w_prev=None,
-                      w_ref=SolutionPoint(np.ones(1), 1.0))
+def endpoint_pair():
+    s1, s2 = socket.socketpair()
+    return SocketEndpoint(s1), SocketEndpoint(s2)
+
+
+@pytest.fixture
+def pair():
+    manager, worker = endpoint_pair()
+    yield manager, worker
+    manager.close()
+    worker.close()
+
+
+def linear_job(job_id=0):
+    return Job(id=job_id, branch=0, xi_lo=0.0, xi_hi=1.0,
+               delta_L0=math.sqrt(2.0),
+               w_start=SolutionPoint(np.zeros(1), 0.0), w_prev=None,
+               w_ref=SolutionPoint(np.ones(1), 1.0), level=1, N=2)
 
 
 class TestRunWorker:
-    def test_immediate_stop(self):
-        manager, worker = channel_pair()
-        manager.send(StopMessage(stop=True))
+    def test_immediate_stop(self, pair):
+        manager, worker = pair
+        manager.send(None)
         assert run_worker(make_builtin("linear1d"), crisfield(), worker) == 0
 
-    def test_single_job(self):
-        manager, worker = channel_pair()
-        manager.send(StopMessage(stop=False))
-        manager.send(linear_job_msg(job_id=5))
-        manager.send(StopMessage(stop=True))
+    def test_single_job(self, pair):
+        manager, worker = pair
+        manager.send(linear_job(job_id=5))
+        manager.send(None)
         done = run_worker(make_builtin("linear1d"), crisfield(), worker)
         assert done == 1
         data = manager.recv()
-        assert isinstance(data, DataMessage)
+        assert isinstance(data, IntervalResult)
         assert data.job_id == 5
         assert data.success
         assert data.closing_distance <= 1e-10
         assert data.distances == pytest.approx([math.sqrt(2) / 2] * 2)
 
-    def test_two_jobs_ids_match(self):
-        manager, worker = channel_pair()
+    def test_two_jobs_ids_match(self, pair):
+        manager, worker = pair
         for jid in (3, 4):
-            manager.send(StopMessage(stop=False))
-            manager.send(linear_job_msg(job_id=jid))
-        manager.send(StopMessage(stop=True))
+            manager.send(linear_job(job_id=jid))
+        manager.send(None)
         done = run_worker(make_builtin("linear1d"), crisfield(), worker)
         assert done == 2
         assert [manager.recv().job_id for _ in range(2)] == [3, 4]
 
-    def test_job_without_handshake_rejected(self):
-        manager, worker = channel_pair()
-        manager.send(linear_job_msg())
+    def test_job_without_handshake_rejected(self, pair):
+        # the version byte of each frame header is the only handshake left:
+        # a job framed by a version-1 manager is not solved
+        manager, worker = pair
+        manager._sock.sendall(
+            bytes([1]) + tp.frame(tp.encode(linear_job()))[1:])
         with pytest.raises(ProtocolError):
             run_worker(make_builtin("linear1d"), crisfield(), worker)
 
-    def test_double_stop_header_rejected(self):
-        manager, worker = channel_pair()
-        manager.send(StopMessage(stop=False))
-        manager.send(StopMessage(stop=False))
+    def test_double_stop_header_rejected(self, pair):
+        # a stop payload is one byte; a doubled one is not taken as a stop
+        manager, worker = pair
+        manager._sock.sendall(tp.frame(bytes([tp.MSG_STOP] * 2)))
+        with pytest.raises(ProtocolError):
+            run_worker(make_builtin("linear1d"), crisfield(), worker)
+
+    def test_non_job_frame_rejected(self, pair):
+        manager, worker = pair
+        manager.send(IntervalResult(
+            job_id=0, distances=[],
+            solutions=[SolutionPoint(np.zeros(1), 0.0)],
+            lower_distance=0.0, closing_distance=0.0))
         with pytest.raises(ProtocolError):
             run_worker(make_builtin("linear1d"), crisfield(), worker)
 
@@ -78,19 +103,20 @@ def fresh_state(problem_name="linear1d", **eng):
 
 class TestRunManager:
     def _with_workers(self, state, problem, n):
-        endpoints = []
+        pairs = [endpoint_pair() for _ in range(n)]
         threads = []
-        for _ in range(n):
-            m_ep, w_ep = channel_pair()
+        for _, w_ep in pairs:
             t = threading.Thread(target=run_worker,
                                  args=(problem, state.config, w_ep),
                                  daemon=True)
             t.start()
-            endpoints.append(m_ep)
             threads.append(t)
-        run_manager(state, endpoints)
+        run_manager(state, [m_ep for m_ep, _ in pairs])
         for t in threads:
             t.join(timeout=10)
+        for m_ep, w_ep in pairs:
+            w_ep.close()
+            m_ep.close()
         return state
 
     def test_empty_queue_stops_workers(self):
@@ -109,18 +135,20 @@ class TestRunManager:
     def test_worker_disconnect_marks_job_failed(self):
         class DeadEndpoint:
             def send(self, msg):
-                pass  # accept the handshake, then never answer
+                pass  # accept the job, then never answer
 
             def recv(self):
                 raise tp.EndpointClosed("synthetic disconnect")
 
         p, state = fresh_state()
-        m_ep, w_ep = channel_pair()
+        m_ep, w_ep = endpoint_pair()
         t = threading.Thread(target=run_worker, args=(p, state.config, w_ep),
                              daemon=True)
         t.start()
         run_manager(state, [DeadEndpoint(), m_ep])
         t.join(timeout=10)
+        w_ep.close()
+        m_ep.close()
         assert state.stats.jobs_failed >= 1
         assert state.stats.jobs_done == 4
         assert state.stats.warnings
@@ -136,6 +164,23 @@ class TestRunManager:
         p, state = fresh_state()
         with pytest.raises(tp.EndpointClosed):
             run_manager(state, [DeadEndpoint()])
+
+    def test_reply_for_other_job_rejected(self):
+        class WrongIdEndpoint:
+            def __init__(self):
+                self.replies = queue.Queue()
+
+            def send(self, job):
+                self.replies.put(IntervalResult(
+                    job_id=job.id + 1, distances=[], solutions=[job.w_start],
+                    lower_distance=0.0, closing_distance=0.0))
+
+            def recv(self):
+                return self.replies.get()
+
+        p, state = fresh_state()
+        with pytest.raises(ProtocolError):
+            run_manager(state, [WrongIdEndpoint()])
 
 
 def rows_equal(a, b):

@@ -1,15 +1,17 @@
 import socket
+import struct
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apalm.engine import IntervalResult, Job
 from apalm.problems import SolutionPoint
-from apalm.transport import (PROTOCOL_VERSION, ChannelEndpoint, DataMessage,
-                             EndpointClosed, JobMessage, ProtocolError,
-                             SocketEndpoint, StopMessage, channel_pair,
-                             decode, encode, frame)
+from apalm.transport import (MSG_STOP, PROTOCOL_VERSION, EndpointClosed,
+                             ProtocolError, SocketEndpoint, decode, encode,
+                             frame)
 
 
 def pt(*u, lam=0.0):
@@ -20,36 +22,55 @@ def points_equal(a, b):
     return np.array_equal(a.u, b.u) and a.lam == b.lam
 
 
+def endpoint_pair():
+    s1, s2 = socket.socketpair()
+    return SocketEndpoint(s1), SocketEndpoint(s2)
+
+
+def job(job_id=0, w_prev=None):
+    return Job(id=job_id, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=1.0,
+               w_start=pt(0.0), w_prev=w_prev, w_ref=pt(1.0), level=1, N=2)
+
+
 class TestRoundTrip:
-    @pytest.mark.parametrize("flag", [True, False])
-    def test_stop(self, flag):
-        msg = decode(encode(StopMessage(stop=flag)))
-        assert msg == StopMessage(stop=flag)
+    @pytest.mark.parametrize("over_socket", [False, True])
+    def test_stop(self, over_socket):
+        assert encode(None) == bytes([MSG_STOP])
+        if over_socket:
+            a, b = endpoint_pair()
+            a.send(None)
+            assert b.recv() is None
+            a.close()
+            b.close()
+        else:
+            assert decode(encode(None)) is None
 
     def test_job_with_prev(self):
-        msg = JobMessage(id=7, branch=1, delta_L0=0.25, N=2,
-                         w_start=pt(1.0, 2.0, lam=0.5),
-                         w_prev=pt(0.5, 1.5, lam=0.25),
-                         w_ref=pt(2.0, 3.0, lam=1.0))
+        msg = Job(id=7, branch=1, xi_lo=0.25, xi_hi=0.5, delta_L0=0.25,
+                  w_start=pt(1.0, 2.0, lam=0.5),
+                  w_prev=pt(0.5, 1.5, lam=0.25),
+                  w_ref=pt(2.0, 3.0, lam=1.0), level=3, N=2)
         out = decode(encode(msg))
-        assert (out.id, out.branch, out.delta_L0, out.N) == (7, 1, 0.25, 2)
+        assert (out.id, out.branch, out.xi_lo, out.xi_hi, out.delta_L0,
+                out.level, out.N) == (7, 1, 0.25, 0.5, 0.25, 3, 2)
         assert points_equal(out.w_start, msg.w_start)
         assert points_equal(out.w_prev, msg.w_prev)
         assert points_equal(out.w_ref, msg.w_ref)
 
     def test_job_without_prev(self):
-        msg = JobMessage(id=0, branch=0, delta_L0=1.0, N=3,
-                         w_start=pt(0.0), w_prev=None, w_ref=pt(1.0, lam=1.0))
+        msg = Job(id=0, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=1.0,
+                  w_start=pt(0.0), w_prev=None, w_ref=pt(1.0, lam=1.0),
+                  level=1, N=3)
         out = decode(encode(msg))
         assert out.w_prev is None
         assert points_equal(out.w_ref, msg.w_ref)
 
     def test_data(self):
-        msg = DataMessage(job_id=3, distances=[0.5, 0.25],
-                          solutions=[pt(0.0), pt(0.5, lam=0.5),
-                                     pt(0.75, lam=0.75)],
-                          lower_distance=0.74, closing_distance=0.01,
-                          success=True, message="")
+        msg = IntervalResult(job_id=3, distances=[0.5, 0.25],
+                             solutions=[pt(0.0), pt(0.5, lam=0.5),
+                                        pt(0.75, lam=0.75)],
+                             lower_distance=0.74, closing_distance=0.01,
+                             success=True, message="")
         out = decode(encode(msg))
         assert out.job_id == 3
         assert out.distances == [0.5, 0.25]
@@ -61,41 +82,52 @@ class TestRoundTrip:
         assert out.success
 
     def test_data_failure_with_note(self):
-        msg = DataMessage(job_id=9, distances=[], solutions=[pt(0.0)],
-                          lower_distance=0.0, closing_distance=0.0,
-                          success=False, message="newton diverged: état")
+        msg = IntervalResult(job_id=9, distances=[], solutions=[pt(0.0)],
+                             lower_distance=0.0, closing_distance=0.0,
+                             success=False, message="newton diverged: état")
         out = decode(encode(msg))
         assert not out.success
         assert out.message == "newton diverged: état"
 
     def test_encoding_is_deterministic(self):
-        msg = DataMessage(job_id=1, distances=[0.1], solutions=[pt(1.0)],
-                          lower_distance=0.1, closing_distance=0.0,
-                          success=True)
+        msg = IntervalResult(job_id=1, distances=[0.1], solutions=[pt(1.0)],
+                             lower_distance=0.1, closing_distance=0.0,
+                             success=True)
         assert encode(msg) == encode(msg)
 
 
 class TestFrame:
     def test_header_layout(self):
-        payload = encode(StopMessage(stop=True))
+        payload = encode(None)
         data = frame(payload)
         assert data[0] == PROTOCOL_VERSION
         assert int.from_bytes(data[1:9], "little") == len(payload)
         assert data[9:] == payload
 
     def test_bad_version_rejected(self):
-        a, b = channel_pair()
-        payload = encode(StopMessage(stop=True))
-        bad = bytes([99]) + frame(payload)[1:]
-        a._outbox.put(bad)
+        s1, s2 = socket.socketpair()
+        s1.sendall(bytes([99]) + frame(encode(None))[1:])
         with pytest.raises(ProtocolError):
-            b.recv()
+            SocketEndpoint(s2).recv()
+        s1.close()
+        s2.close()
+
+    def test_version_1_rejected(self):
+        s1, s2 = socket.socketpair()
+        s1.sendall(bytes([1]) + frame(encode(job()))[1:])
+        with pytest.raises(ProtocolError):
+            SocketEndpoint(s2).recv()
+        s1.close()
+        s2.close()
 
     def test_length_mismatch_rejected(self):
-        a, b = channel_pair()
-        a._outbox.put(frame(encode(StopMessage(stop=True)))[:-1])
-        with pytest.raises(ProtocolError):
-            b.recv()
+        # a frame cut short by the peer closing is a lost peer
+        s1, s2 = socket.socketpair()
+        s1.sendall(frame(encode(job()))[:-1])
+        s1.close()
+        with pytest.raises(EndpointClosed):
+            SocketEndpoint(s2).recv()
+        s2.close()
 
 
 class TestDecodeErrors:
@@ -109,7 +141,7 @@ class TestDecodeErrors:
 
     def test_oversized_stop(self):
         with pytest.raises(ProtocolError):
-            decode(bytes([0, 1, 2]))
+            decode(bytes([MSG_STOP, 0]))
 
     def test_encode_unknown_type(self):
         with pytest.raises(ProtocolError):
@@ -117,36 +149,35 @@ class TestDecodeErrors:
 
 
 class TestChannelEndpoint:
-    def test_ping_pong(self):
-        a, b = channel_pair()
-        a.send(StopMessage(stop=False))
-        assert b.recv() == StopMessage(stop=False)
-        b.send(DataMessage(job_id=0, distances=[], solutions=[pt(0.0)],
-                           lower_distance=0.0, closing_distance=0.0,
-                           success=True))
-        assert a.recv().job_id == 0
+    """A socket-pair endpoint as the in-process channel to a thread worker."""
 
     def test_close_raises_on_peer(self):
-        a, b = channel_pair()
-        a.close()
-        with pytest.raises(EndpointClosed):
-            b.recv()
+        # closing one end wakes a peer already blocked in recv, as a
+        # thread worker is when the manager shuts its endpoint down
+        a, b = endpoint_pair()
+        raised = []
 
-    def test_fifo_ordering(self):
-        a, b = channel_pair()
-        for i in range(5):
-            a.send(JobMessage(id=i, branch=0, delta_L0=1.0, N=2,
-                              w_start=pt(0.0), w_prev=None, w_ref=pt(1.0)))
-        assert [b.recv().id for _ in range(5)] == list(range(5))
+        def blocked_recv():
+            try:
+                b.recv()
+            except EndpointClosed:
+                raised.append(True)
+
+        t = threading.Thread(target=blocked_recv, daemon=True)
+        t.start()
+        a.close()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert raised == [True]
+        b.close()
 
 
 class TestSocketEndpoint:
     def test_round_trip_over_socketpair(self):
-        s1, s2 = socket.socketpair()
-        a, b = SocketEndpoint(s1), SocketEndpoint(s2)
-        msg = JobMessage(id=42, branch=0, delta_L0=0.5, N=2,
-                         w_start=pt(1.0, lam=1.0), w_prev=pt(0.0),
-                         w_ref=pt(2.0, lam=2.0))
+        a, b = endpoint_pair()
+        msg = Job(id=42, branch=0, xi_lo=0.5, xi_hi=0.75, delta_L0=0.5,
+                  w_start=pt(1.0, lam=1.0), w_prev=pt(0.0),
+                  w_ref=pt(2.0, lam=2.0), level=2, N=2)
         a.send(msg)
         out = b.recv()
         assert out.id == 42
@@ -154,22 +185,38 @@ class TestSocketEndpoint:
         a.close()
         b.close()
 
+    def test_ping_pong(self):
+        a, b = endpoint_pair()
+        a.send(job(job_id=0))
+        assert b.recv().id == 0
+        b.send(IntervalResult(job_id=0, distances=[], solutions=[pt(0.0)],
+                              lower_distance=0.0, closing_distance=0.0,
+                              success=True))
+        assert a.recv().job_id == 0
+        a.close()
+        b.close()
+
+    def test_fifo_ordering(self):
+        a, b = endpoint_pair()
+        for i in range(5):
+            a.send(job(job_id=i))
+        assert [b.recv().id for _ in range(5)] == list(range(5))
+        a.close()
+        b.close()
+
     def test_peer_close_raises(self):
-        s1, s2 = socket.socketpair()
-        a, b = SocketEndpoint(s1), SocketEndpoint(s2)
+        a, b = endpoint_pair()
         a.close()
         with pytest.raises(EndpointClosed):
             b.recv()
         b.close()
 
-    def test_same_bytes_as_channel(self):
-        # both transports move identical encoded frames
-        msg = DataMessage(job_id=5, distances=[0.25, 0.25],
-                          solutions=[pt(0.0), pt(0.25), pt(0.5)],
-                          lower_distance=0.5, closing_distance=0.0,
-                          success=True)
-        s1, s2 = socket.socketpair()
-        a, b = SocketEndpoint(s1), SocketEndpoint(s2)
+    def test_wire_bytes_are_framed_encoding(self):
+        msg = IntervalResult(job_id=5, distances=[0.25, 0.25],
+                             solutions=[pt(0.0), pt(0.25), pt(0.5)],
+                             lower_distance=0.5, closing_distance=0.0,
+                             success=True)
+        a, b = endpoint_pair()
         a.send(msg)
         raw = b._read_exact(9)
         version, length = raw[0], int.from_bytes(raw[1:9], "little")
@@ -184,20 +231,43 @@ finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
 @st.composite
+def points(draw, n_dof):
+    return SolutionPoint(
+        np.array(draw(st.lists(finite, min_size=n_dof, max_size=n_dof))),
+        draw(finite))
+
+
+@st.composite
 def data_messages(draw):
     n_dof = draw(st.integers(1, 4))
     n_sol = draw(st.integers(1, 5))
-    sols = [SolutionPoint(
-        np.array(draw(st.lists(finite, min_size=n_dof, max_size=n_dof))),
-        draw(finite)) for _ in range(n_sol)]
-    return DataMessage(
-        job_id=draw(st.integers(0, 2**32)),
+    return IntervalResult(
+        job_id=draw(st.integers(0, 2**64 - 1)),
         distances=draw(st.lists(finite, max_size=6)),
-        solutions=sols,
+        solutions=[draw(points(n_dof)) for _ in range(n_sol)],
         lower_distance=draw(finite),
         closing_distance=draw(finite),
         success=draw(st.booleans()),
         message=draw(st.text(max_size=40)))
+
+
+@st.composite
+def jobs(draw):
+    n_dof = draw(st.integers(1, 4))
+    u64 = st.integers(0, 2**64 - 1)
+    return Job(id=draw(u64), branch=draw(u64), xi_lo=draw(finite),
+               xi_hi=draw(finite), delta_L0=draw(finite),
+               w_start=draw(points(n_dof)),
+               w_prev=draw(st.none() | points(n_dof)),
+               w_ref=draw(points(n_dof)), level=draw(u64), N=draw(u64))
+
+
+def same_bits(x, y):
+    return struct.pack("<d", x) == struct.pack("<d", y)
+
+
+def same_point_bits(a, b):
+    return a.u.tobytes() == b.u.tobytes() and same_bits(a.lam, b.lam)
 
 
 @given(data_messages())
@@ -212,3 +282,20 @@ def test_data_round_trip_property(msg):
     for a, b in zip(out.solutions, msg.solutions):
         assert np.array_equal(a.u, b.u)
         assert a.lam == b.lam or (np.isnan(a.lam) and np.isnan(b.lam))
+
+
+@given(jobs())
+@settings(max_examples=60, deadline=None)
+def test_job_round_trip_property(msg):
+    out = decode(encode(msg))
+    assert isinstance(out, Job)
+    assert (out.id, out.branch, out.level, out.N) == (
+        msg.id, msg.branch, msg.level, msg.N)
+    for field in ("xi_lo", "xi_hi", "delta_L0"):
+        assert same_bits(getattr(out, field), getattr(msg, field))
+    assert same_point_bits(out.w_start, msg.w_start)
+    assert same_point_bits(out.w_ref, msg.w_ref)
+    if msg.w_prev is None:
+        assert out.w_prev is None
+    else:
+        assert same_point_bits(out.w_prev, msg.w_prev)
