@@ -1,15 +1,18 @@
 """Per-branch discrete curve maps: xi <-> s <-> (w, w_prev, level).
 
 The parametric coordinate xi is the stable key: jobs reference entries by
-their exact stored xi value, never by approximate comparison. Curve-length
-coordinates s may shift when an interval is stretched; xi never moves for
-pre-existing entries.
+their exact stored xi value, never by approximate comparison. Each entry
+stores ds, the arc length from the previous key (0 at the branch start);
+the curve-length coordinate s is the running sum of ds in xi order, formed
+by `collect`. An insertion into an interval changes only that interval's
+new points and the ds of its end, so neither xi nor s depends on the order
+in which intervals are inserted.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .problems import SolutionPoint
 
@@ -25,7 +28,7 @@ class LookupError_(KeyError):
 @dataclass
 class CurveEntry:
     xi: float
-    s: float
+    ds: float  # arc length from the previous key; 0 at the branch start
     w: SolutionPoint
     w_prev: SolutionPoint | None
     level: int
@@ -74,31 +77,17 @@ class CurveMap:
             raise CurveStructureError("need at least one solution")
         if s_coords[0] != 0.0:
             raise CurveStructureError("s_coords must start at 0")
-        if any(b <= a for a, b in zip(s_coords, s_coords[1:])):
-            raise CurveStructureError("s_coords must be strictly increasing")
         m = cls(branch)
         s_total = s_coords[-1]
         for i, (w, s) in enumerate(zip(solutions, s_coords)):
             xi = s / s_total if s_total > 0 else 0.0
+            ds = s - s_coords[i - 1] if i > 0 else 0.0
             w_prev = solutions[i - 1] if i > 0 else w_prev0
-            m._add(CurveEntry(xi=xi, s=float(s), w=w, w_prev=w_prev, level=0))
+            m._keys.append(xi)
+            m._entries[xi] = CurveEntry(xi=xi, ds=ds, w=w, w_prev=w_prev,
+                                        level=0)
+        m.validate_monotone()
         return m
-
-    def _add(self, entry: CurveEntry) -> None:
-        if entry.xi in self._entries:
-            raise CurveStructureError(f"duplicate xi key {entry.xi!r}")
-        idx = bisect.bisect_left(self._keys, entry.xi)
-        # Strict double monotonicity against the neighbours.
-        if idx > 0:
-            left = self._entries[self._keys[idx - 1]]
-            if not left.s < entry.s:
-                raise CurveStructureError("s not increasing with xi")
-        if idx < len(self._keys):
-            right = self._entries[self._keys[idx]]
-            if not entry.s < right.s:
-                raise CurveStructureError("s not increasing with xi")
-        self._keys.insert(idx, entry.xi)
-        self._entries[entry.xi] = entry
 
     # -- access ------------------------------------------------------------
 
@@ -116,109 +105,104 @@ class CurveMap:
 
     def collect(self) -> list[tuple[int, float, float, int, SolutionPoint]]:
         """All entries as (branch, xi, s, level, w), sorted by xi."""
-        return [
-            (self.branch, k, self._entries[k].s, self._entries[k].level,
-             self._entries[k].w)
-            for k in self._keys
-        ]
-
-    def validate_monotone(self) -> None:
-        """Raise unless both xi and s sequences are strictly increasing."""
-        prev_s = None
-        prev_xi = None
+        rows = []
+        s = 0.0
         for k in self._keys:
             e = self._entries[k]
-            if prev_xi is not None and not (prev_xi < e.xi and prev_s < e.s):
-                raise CurveStructureError(
-                    f"monotonicity violated at xi={e.xi!r}"
-                )
-            prev_xi, prev_s = e.xi, e.s
+            s += e.ds
+            rows.append((self.branch, k, s, e.level, e.w))
+        return rows
+
+    def validate_monotone(self) -> None:
+        """Raise unless xi strictly increases and every ds after the first
+        entry is positive."""
+        for a, b in zip(self._keys, self._keys[1:]):
+            if not (a < b and self._entries[b].ds > 0):
+                raise CurveStructureError(f"monotonicity violated at xi={b!r}")
 
     # -- insertion ---------------------------------------------------------
 
     def insert_interior(self, parent: IntervalDescriptor, result) -> None:
         """Store a converged interval's interior fine points.
 
-        Points k = 1..M-1 get s from cumulative distances and xi by
-        proportional rescaling within the parent; the fine end-point is not
-        stored and no existing coordinate changes.
+        Points k = 1..M-1 get xi by proportional rescaling of their
+        distances within the parent's length hi.ds; the fine end-point is
+        not stored, and hi.ds becomes what the stored distances leave of it.
         """
-        lo = self.lookup(parent.xi_lo)
-        hi = self.lookup(parent.xi_hi)
-        span_s = hi.s - lo.s
-        span_xi = hi.xi - lo.xi
-        s = lo.s
-        xi = lo.xi
-        w_prev = lo.w
-        dists = list(result.distances)
-        sols = list(result.solutions)
-        for k in range(1, len(sols) - 1):
-            s = s + dists[k - 1]
-            xi = xi + span_xi * dists[k - 1] / span_s
-            if not (s < hi.s and xi < hi.xi):
-                raise CurveStructureError(
-                    "interior insertion exceeds parent end"
-                )
-            self._add(CurveEntry(xi=xi, s=s, w=sols[k], w_prev=w_prev,
-                                 level=parent.level))
-            w_prev = sols[k]
+        width = self.lookup(parent.xi_hi).ds
+        dists = result.distances[:-1]
+        self._insert(parent, result.solutions[1:-1], dists, width,
+                     width - sum(dists))
 
     def insert_stretch(self, parent: IntervalDescriptor, result,
                        refine_lower: bool, refine_upper: bool
                        ) -> list[IntervalDescriptor]:
-        """Store all fine points and stretch downstream curve coordinates.
+        """Store all fine points; hi.ds becomes the closing distance.
 
-        Every entry at or beyond the old parent end shifts in s by
-        (sum d_k + delta_L) - width, which equals the closing distance when
-        no step cut occurred. Fine xi values are assigned chord-length style
-        with the post-stretch length as denominator, so the last fine point
-        stays strictly inside the parent. Returns the child intervals to
+        Fine xi values are assigned chord-length style with the fine length
+        sum d_k + delta_L as denominator, so the last fine point stays
+        strictly inside the parent. A closing distance below 1e-12 of the
+        parent's length is degenerate: the fine end-point is then not stored
+        and its distance goes to hi.ds. Returns the child intervals to
         queue: the fine subintervals if refine_lower, the closing
         subinterval if refine_upper (suppressed when degenerate).
         """
-        lo = self.lookup(parent.xi_lo)
-        hi = self.lookup(parent.xi_hi)
-        dists = list(result.distances)
-        sols = list(result.solutions)
+        dists = result.distances
         dl_close = float(result.closing_distance)
-        width = hi.s - lo.s
-        span_xi = hi.xi - lo.xi
         total = sum(dists) + dl_close
-        suppress_closing = dl_close <= 1e-12 * width
-        shift = total - width
-
-        # Shift everything at or beyond the old parent end first, so the
-        # new fine points never collide with a stale downstream coordinate.
-        if shift != 0.0:
-            at_or_beyond = self._keys[bisect.bisect_left(self._keys, hi.xi):]
-            for key in reversed(at_or_beyond) if shift < 0 else at_or_beyond:
-                self._entries[key].s += shift
-
-        children: list[IntervalDescriptor] = []
+        suppress_closing = dl_close <= 1e-12 * self.lookup(parent.xi_hi).ds
+        if suppress_closing and dists:
+            closing = dists[-1] + dl_close
+            stored = dists[:-1]
+        else:
+            closing = dl_close
+            stored = dists
+        keys = self._insert(parent, result.solutions[1:len(stored) + 1],
+                            stored, total, closing)
         child_level = parent.level + 1
-        s = lo.s
-        xi = lo.xi
-        w_prev = lo.w
-        last = len(sols) - 1
-        for k in range(1, len(sols)):
-            if k == last and suppress_closing:
-                break  # fine end-point coincides with the retained end
-            s_new = s + dists[k - 1]
-            xi_new = xi + span_xi * dists[k - 1] / total
-            self._add(CurveEntry(xi=xi_new, s=s_new, w=sols[k], w_prev=w_prev,
-                                 level=parent.level))
-            if refine_lower:
-                children.append(IntervalDescriptor(
-                    branch=self.branch, xi_lo=xi, xi_hi=xi_new,
-                    delta_L0=dists[k - 1], level=child_level))
-            s, xi, w_prev = s_new, xi_new, sols[k]
-        if suppress_closing:
-            if refine_lower and last >= 1:
-                children.append(IntervalDescriptor(
-                    branch=self.branch, xi_lo=xi, xi_hi=hi.xi,
-                    delta_L0=dists[last - 1], level=child_level))
-        elif refine_upper:
+        children = []
+        if refine_lower:
+            children = [
+                IntervalDescriptor(branch=self.branch, xi_lo=a, xi_hi=b,
+                                   delta_L0=d, level=child_level)
+                for a, b, d in zip(keys, keys[1:], dists)]
+        if refine_upper and not suppress_closing:
             children.append(IntervalDescriptor(
-                branch=self.branch, xi_lo=xi, xi_hi=hi.xi,
+                branch=self.branch, xi_lo=keys[-2], xi_hi=keys[-1],
                 delta_L0=dl_close, level=child_level))
         return children
+
+    def _insert(self, parent: IntervalDescriptor, sols: list[SolutionPoint],
+                dists: list[float], denom: float, closing: float
+                ) -> list[float]:
+        """Store sols between the parent's keys; hi.ds becomes closing.
+
+        Fine xi advance by (hi.xi - lo.xi) * d_k / denom. Every check runs
+        before the map changes, so a CurveStructureError leaves it as it
+        was. Returns the keys from lo.xi to hi.xi.
+        """
+        lo = self.lookup(parent.xi_lo)
+        hi = self.lookup(parent.xi_hi)
+        idx = bisect.bisect_right(self._keys, lo.xi)
+        if self._keys[idx] != hi.xi:
+            raise CurveStructureError(
+                f"[{lo.xi!r}, {hi.xi!r}] is not between adjacent keys")
+        span_xi = hi.xi - lo.xi
+        keys = [lo.xi]
+        for d in dists:
+            keys.append(keys[-1] + span_xi * d / denom)
+        keys.append(hi.xi)
+        if not all(a < b for a, b in zip(keys, keys[1:])):
+            raise CurveStructureError(
+                f"fine xi not strictly inside [{lo.xi!r}, {hi.xi!r}]")
+        if not (all(d > 0 for d in dists) and closing > 0):
+            raise CurveStructureError(
+                f"non-positive arc length inside [{lo.xi!r}, {hi.xi!r}]")
+        w_prev = lo.w
+        for xi, d, w in zip(keys[1:], dists, sols):
+            self._entries[xi] = CurveEntry(xi=xi, ds=d, w=w, w_prev=w_prev,
+                                           level=parent.level)
+            w_prev = w
+        self._keys[idx:idx] = keys[1:-1]
+        hi.ds = closing
+        return keys

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import alm
 from .alm import AlmConfig, Increment
-from .curvemap import CurveMap, IntervalDescriptor
+from .curvemap import CurveMap, CurveStructureError, IntervalDescriptor
 from .problems import ProblemDef, SolutionPoint
 
 log = logging.getLogger(__name__)
@@ -232,7 +232,7 @@ def initialize_map(branches: list[BranchData]
         for lo, hi in zip(keys, keys[1:]):
             queue.append(IntervalDescriptor(
                 branch=b.branch, xi_lo=lo, xi_hi=hi,
-                delta_L0=m.lookup(hi).s - m.lookup(lo).s, level=1))
+                delta_L0=m.lookup(hi).ds, level=1))
     return maps, queue
 
 
@@ -298,30 +298,35 @@ class QueueEngine:
         self.stats.jobs_done += 1
         if not result.success:
             # Retain the coarse data; warn, do not requeue.
-            self.stats.jobs_failed += 1
-            self.stats.warnings.append(
-                f"job {job.id} on branch {desc.branch} failed: "
-                f"{result.message}")
-            log.warning(self.stats.warnings[-1])
+            self._fail(f"job {job.id} on branch {desc.branch} failed: "
+                       f"{result.message}")
             return
         errors = compute_errors(desc.delta_L0, result.distances,
                                 result.lower_distance,
                                 result.closing_distance)
+        refine_lower = errors.lower > self.engine.tol_lower
+        refine_upper = errors.upper > self.engine.tol_upper
+        children = []
+        try:
+            if not refine_lower and not refine_upper:
+                m.insert_interior(desc, result)
+            else:
+                children = m.insert_stretch(desc, result, refine_lower,
+                                            refine_upper)
+        except CurveStructureError as exc:
+            # The map is unchanged: keep the coarse data, as for a failed
+            # solve.
+            self._fail(f"job {job.id} on branch {desc.branch} rejected: "
+                       f"{exc}")
+            return
         self.stats.error_log.append(errors)
         self.stats.interval_log.append(
             (desc.delta_L0, sum(result.distances), result.lower_distance,
              result.closing_distance))
-        refine_lower = errors.lower > self.engine.tol_lower
-        refine_upper = errors.upper > self.engine.tol_upper
-        if not refine_lower and not refine_upper:
-            m.insert_interior(desc, result)
-        else:
-            children = m.insert_stretch(desc, result, refine_lower,
-                                        refine_upper)
-            for child in children:
-                if child.level <= self.engine.max_level:
-                    self.queue.append(child)
-                    self.stats.children_spawned += 1
+        for child in children:
+            if child.level <= self.engine.max_level:
+                self.queue.append(child)
+                self.stats.children_spawned += 1
         lvl = desc.level
         self.stats.level_counts[lvl] = self.stats.level_counts.get(lvl, 0) + 1
         self.stats.submits += 1
@@ -331,9 +336,12 @@ class QueueEngine:
         """Record a job lost to a worker failure; coarse data is retained."""
         self._descriptors.pop(job.id, None)
         self.stats.jobs_done += 1
+        self._fail(f"job {job.id} lost: {message}")
+
+    def _fail(self, warning: str) -> None:
         self.stats.jobs_failed += 1
-        self.stats.warnings.append(f"job {job.id} lost: {message}")
-        log.warning(self.stats.warnings[-1])
+        self.stats.warnings.append(warning)
+        log.warning(warning)
 
     def run_serial_queue(self) -> None:
         t0 = time.perf_counter()

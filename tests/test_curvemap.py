@@ -21,6 +21,11 @@ class FakeResult:
     closing_distance: float = 0.0
 
 
+def s_at(m, xi):
+    """The s that collect() reports for key xi."""
+    return {k: s for _, k, s, _, _ in m.collect()}[xi]
+
+
 def make_map(s_coords, branch=0):
     sols = [pt(float(i)) for i in range(len(s_coords))]
     return CurveMap.from_serial(branch, sols, list(s_coords))
@@ -60,12 +65,12 @@ class TestLookup:
     def test_fresh_map(self):
         m = make_map([0.0, 1.0, 2.0])
         e = m.lookup(0.0)
-        assert e.s == 0.0 and e.level == 0 and e.w_prev is None
+        assert s_at(m, 0.0) == 0.0 and e.level == 0 and e.w_prev is None
 
     def test_mid_entry(self):
         m = make_map([0.0, 1.0, 2.0])
         e = m.lookup(0.5)
-        assert e.s == 1.0 and e.w_prev is not None
+        assert s_at(m, 0.5) == 1.0 and e.w_prev is not None
 
     def test_unknown_key(self):
         m = make_map([0.0, 1.0])
@@ -92,7 +97,7 @@ class TestInsertInterior:
         keys = m.xi_keys()
         assert 0.28 in [pytest.approx(k) for k in keys]
         e = m.lookup(keys[2])
-        assert e.s == pytest.approx(2.8)
+        assert s_at(m, keys[2]) == pytest.approx(2.8)
         assert e.xi == pytest.approx(0.28)
         assert e.level == 1
 
@@ -102,7 +107,8 @@ class TestInsertInterior:
                          solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)])
         m.insert_interior(parent_2_4(m), res)
         e = m.lookup(m.xi_keys()[2])
-        assert (e.s, e.xi) == (pytest.approx(3.0), pytest.approx(0.3))
+        assert (s_at(m, e.xi), e.xi) == (pytest.approx(3.0),
+                                         pytest.approx(0.3))
 
     def test_cumulative_three_steps(self):
         m = make_map_0_10()
@@ -111,19 +117,19 @@ class TestInsertInterior:
                                     pt(12.0)])
         m.insert_interior(parent_2_4(m), res)
         keys = m.xi_keys()
-        assert m.lookup(keys[2]).s == pytest.approx(2.5)
+        assert s_at(m, keys[2]) == pytest.approx(2.5)
         assert m.lookup(keys[2]).xi == pytest.approx(0.25)
-        assert m.lookup(keys[3]).s == pytest.approx(3.0)
+        assert s_at(m, keys[3]) == pytest.approx(3.0)
         assert m.lookup(keys[3]).xi == pytest.approx(0.30)
 
     def test_no_existing_coordinate_changes(self):
         m = make_map_0_10()
-        before = [(k, m.lookup(k).s) for k in m.xi_keys()]
+        before = [(k, s_at(m, k)) for k in m.xi_keys()]
         res = FakeResult(distances=[0.8, 1.2],
                          solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)])
         m.insert_interior(parent_2_4(m), res)
         for k, s in before:
-            assert m.lookup(k).s == s
+            assert s_at(m, k) == s
 
     def test_fine_endpoint_not_stored(self):
         m = make_map_0_10()
@@ -143,14 +149,15 @@ class TestInsertStretch:
                                     refine_upper=True)
         keys = m.xi_keys()
         # fine points: chord-length xi with the post-stretch total 2.3
-        assert m.lookup(keys[2]).s == pytest.approx(3.0)
+        assert s_at(m, keys[2]) == pytest.approx(3.0)
         assert m.lookup(keys[2]).xi == pytest.approx(0.2 + 0.2 * 1.0 / 2.3)
-        assert m.lookup(keys[3]).s == pytest.approx(4.0)
+        assert s_at(m, keys[3]) == pytest.approx(4.0)
         assert m.lookup(keys[3]).xi == pytest.approx(0.2 + 0.2 * 2.0 / 2.3)
-        # old end keeps xi = 0.4 but shifts to s = 4.3; later points shift too
-        assert m.lookup(0.4).s == pytest.approx(4.3)
-        assert m.lookup(0.6).s == pytest.approx(6.3)
-        assert m.lookup(1.0).s == pytest.approx(10.3)
+        # old end keeps xi = 0.4; its ds becomes the closing 0.3, so s = 4.3
+        # there and every later s grows by 0.3 too
+        assert s_at(m, 0.4) == pytest.approx(4.3)
+        assert s_at(m, 0.6) == pytest.approx(6.3)
+        assert s_at(m, 1.0) == pytest.approx(10.3)
         # both tolerances exceeded with N = 2: three children
         assert len(children) == 3
         assert children[-1].delta_L0 == pytest.approx(0.3)
@@ -164,9 +171,9 @@ class TestInsertStretch:
         children = m.insert_stretch(parent_2_4(m), res, refine_lower=True,
                                     refine_upper=True)
         keys = m.xi_keys()
-        assert m.lookup(keys[2]).s == pytest.approx(3.0)
+        assert s_at(m, keys[2]) == pytest.approx(3.0)
         assert m.lookup(keys[2]).xi == pytest.approx(0.3)
-        assert m.lookup(0.4).s == pytest.approx(4.0)  # no shift
+        assert s_at(m, 0.4) == pytest.approx(4.0)  # no shift
         # the would-be closing child is suppressed; two fine children remain
         assert len(children) == 2
         assert children[-1].xi_hi == 0.4
@@ -197,6 +204,49 @@ class TestInsertStretch:
                          closing_distance=0.5)
         m.insert_stretch(parent_2_4(m), res, True, True)
         assert m.xi_keys()[-1] == 1.0
+
+
+def row_bits(rows):
+    return [(b, xi.hex(), s.hex(), level, w.u.tobytes(), w.lam.hex())
+            for b, xi, s, level, w in rows]
+
+
+class TestRejectedInsertion:
+    """A fine path that does not fit the parent raises before any write."""
+
+    def test_interior_overrun_leaves_map_unchanged(self):
+        m = make_map_0_10()
+        before = row_bits(m.collect())
+        # the stored distances 1.5 + 1.0 exceed the parent's length 2.0
+        res = FakeResult(distances=[1.5, 1.0, 0.5],
+                         solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0),
+                                    pt(12.0)])
+        with pytest.raises(CurveStructureError):
+            m.insert_interior(parent_2_4(m), res)
+        assert row_bits(m.collect()) == before
+
+    def test_stretch_overrun_leaves_map_unchanged(self):
+        m = make_map_0_10()
+        before = row_bits(m.collect())
+        # the closing distance is 3e-12 of the fine length 2e5, below the xi
+        # resolution: the last fine xi rounds onto the parent's end 0.4
+        res = FakeResult(distances=[1e5, 1e5],
+                         solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)],
+                         closing_distance=3e-12)
+        with pytest.raises(CurveStructureError):
+            m.insert_stretch(parent_2_4(m), res, True, True)
+        assert row_bits(m.collect()) == before
+
+    def test_parent_spanning_a_key_leaves_map_unchanged(self):
+        m = make_map_0_10()
+        before = row_bits(m.collect())
+        # [0.2, 0.6] holds the key 0.4, so it is no unrefined interval
+        parent = IntervalDescriptor(0, 0.2, 0.6, 4.0, level=1)
+        res = FakeResult(distances=[1.0, 1.0],
+                         solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)])
+        with pytest.raises(CurveStructureError):
+            m.insert_interior(parent, res)
+        assert row_bits(m.collect()) == before
 
 
 class TestCollect:
@@ -254,7 +304,7 @@ def test_monotonicity_under_random_insertions(seq):
         keys = m.xi_keys()
         i = pick % (len(keys) - 1)
         lo, hi = keys[i], keys[i + 1]
-        width = m.lookup(hi).s - m.lookup(lo).s
+        width = m.lookup(hi).ds
         level = max(m.lookup(lo).level, m.lookup(hi).level) + 1
         parent = IntervalDescriptor(0, lo, hi, width, level)
         if is_stretch:

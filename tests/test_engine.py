@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -290,3 +291,49 @@ class TestEngineConfigValidation:
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             EngineConfig(**kw)
+
+
+# Configs whose finest intervals reach the Newton noise floor, where some
+# fine paths no longer fit their parent (cubic1d, psi = 1, newton_tol 1e-10).
+NOISE_FLOOR_CONFIGS = [  # (steps, delta_L, tol, max_level)
+    (50, 0.12, 1e-4, 5),
+    (15, 0.4, 1e-6, 5),
+    (15, 0.4, 1e-4, 8),
+    (400, 0.015, 1e-6, 5),
+]
+
+
+@pytest.mark.parametrize("steps,delta_L,tol,max_level", NOISE_FLOOR_CONFIGS)
+def test_rejected_insertion_costs_one_job(steps, delta_L, tol, max_level):
+    state = aalm(make_builtin("cubic1d"), crisfield(1.0, tol=1e-10),
+                 EngineConfig(delta_L=delta_L, steps=steps, tol_lower=tol,
+                              tol_upper=tol, max_level=max_level))
+    for m in state.maps.values():
+        m.validate_monotone()
+    stats = state.stats
+    assert stats.jobs_failed >= 1
+    assert len(stats.warnings) == stats.jobs_failed
+    assert stats.submits == stats.jobs_done - stats.jobs_failed
+
+
+def row_bits(rows):
+    return [(b, xi.hex(), s.hex(), level, w.u.tobytes(), w.lam.hex())
+            for b, xi, s, level, w in rows]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_shuffled_arrival_matches_aalm_bitwise(seed):
+    """Submitting results in any order gives aalm's cloud, bit for bit."""
+    p = make_builtin("cubic1d")
+    cfg = crisfield(1.0, tol=1e-10)
+    eng = EngineConfig(delta_L=0.4, steps=15, tol_lower=1e-4, tol_upper=1e-4)
+    state = QueueEngine(p, cfg, eng)
+    state.initialize()
+    rng = random.Random(seed)
+    pending = []
+    while state.queue or pending:
+        while state.queue and len(pending) < 4:
+            job = state.pop()
+            pending.append((job, solve_interval(p, cfg, job)))
+        state.submit(*pending.pop(rng.randrange(len(pending))))
+    assert row_bits(state.collect()) == row_bits(aalm(p, cfg, eng).collect())

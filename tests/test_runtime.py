@@ -207,11 +207,12 @@ class TestApalm:
         assert rows_equal(serial.collect(), parallel.collect())
         assert parallel.stats.jobs_done == serial.stats.jobs_done
 
-    def test_process_matches_serial_bitwise(self):
+    @pytest.mark.parametrize("tol", [1e-2, 1e-4])
+    def test_process_matches_serial_bitwise(self, tol):
         p = make_builtin("cubic1d")
         cfg = crisfield()
-        eng = EngineConfig(delta_L=0.4, steps=15, tol_lower=1e-2,
-                           tol_upper=1e-2)
+        eng = EngineConfig(delta_L=0.4, steps=15, tol_lower=tol,
+                           tol_upper=tol)
         serial = aalm(p, cfg, eng)
         parallel = apalm(p, cfg, eng, worker_count=3, transport="process")
         assert rows_equal(serial.collect(), parallel.collect())
