@@ -8,7 +8,7 @@ deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .alm import AlmConfig
 from .engine import EngineConfig
@@ -30,11 +30,8 @@ class RunConfig:
     observable_index: int = 0
 
 
-_ALM_KEYS = {"constraint", "psi", "newton_tol", "max_newton_iters",
-             "max_step_cuts", "bif_tol", "branch_perturbation", "step_delay"}
-_ENGINE_KEYS = {"delta_L", "steps", "subintervals", "tol_lower", "tol_upper",
-                "max_level", "bifurcation_enabled", "branch_delta_L",
-                "branch_steps", "max_branches"}
+_ALM_KEYS = {f.name for f in fields(AlmConfig)}
+_ENGINE_KEYS = {f.name for f in fields(EngineConfig)}
 _TOP_KEYS = {"problem", "alm", "engine", "workers", "transport", "output",
              "observable_index"}
 _PROBLEM_KEYS = {"name", "params"}

@@ -157,7 +157,6 @@ def serial_solve(problem: ProblemDef, config: AlmConfig,
     triggers bisection; located bifurcation points spawn new branches via an
     eigenvector perturbation, each serially solved in turn.
     """
-    psi, ptp = config.psi, problem.load_norm_sq
     w0 = SolutionPoint(np.zeros(problem.n_dof), 0.0)
     pending: deque[tuple[SolutionPoint, Increment | None, float, int, str]] = deque()
     pending.append((w0, None, engine.delta_L, engine.steps, "main"))
@@ -176,7 +175,7 @@ def serial_solve(problem: ProblemDef, config: AlmConfig,
                     f"serial solve failed on branch {len(branches)} at "
                     f"s={ss[-1]:.6g}: {exc}")
             w_new = res.w_new
-            ss.append(ss[-1] + alm.point_distance(w_new, ws[-1], psi, ptp))
+            ss.append(ss[-1] + res.achieved_length)
             dw = alm.increment_between(w_new, ws[-1])
             ws.append(w_new)
             if engine.bifurcation_enabled:
@@ -288,6 +287,10 @@ class QueueEngine:
         self._descriptors[job.id] = desc
         self._next_id += 1
         return job
+
+    def requeue(self, job: Job) -> None:
+        """Undo pop: put the job's interval back at the front of the queue."""
+        self.queue.appendleft(self._descriptors.pop(job.id))
 
     def submit(self, job: Job, result: IntervalResult) -> None:
         """Insert a job's solutions and queue children where errors demand."""

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-import queue
 import socket
 import threading
 import time
+from multiprocessing.connection import wait
 
 from . import engine as eng
 from . import transport as tp
@@ -45,69 +45,60 @@ def run_worker(problem: ProblemDef, config: AlmConfig, endpoint) -> int:
 def run_manager(state: QueueEngine, endpoints: list) -> None:
     """Dispatch loop: keep idle workers fed until the queue drains.
 
-    Each endpoint gets a reader thread funnelling its results into one
-    result queue, so arrival order does not matter. A worker disconnect
-    marks its in-flight job as failed and the run continues without it.
+    The manager waits on all worker sockets at once and takes replies in
+    whatever order they arrive. A worker lost mid-job costs that job; a
+    worker found gone at dispatch costs none, as its job goes back to the
+    front of the queue. Raises EndpointClosed if every worker is lost while
+    work is still queued.
     """
-    results: queue.Queue = queue.Queue()
-
-    def reader(idx: int, ep) -> None:
-        while True:
-            try:
-                msg = ep.recv()
-            except (tp.EndpointClosed, tp.ProtocolError) as exc:
-                results.put((idx, exc))
-                return
-            results.put((idx, msg))
-
-    threads = []
-    for i, ep in enumerate(endpoints):
-        t = threading.Thread(target=reader, args=(i, ep), daemon=True)
-        t.start()
-        threads.append(t)
-
-    idle = list(range(len(endpoints)))
-    live = set(range(len(endpoints)))
-    inflight: dict[int, Job] = {}
+    idle = list(endpoints)
+    inflight: dict = {}  # endpoint -> its job; live = idle + in flight
 
     def dispatch() -> None:
         while state.queue and idle:
-            widx = idle.pop(0)
+            ep = idle.pop(0)
             job = state.pop()
             try:
-                endpoints[widx].send(job)
+                ep.send(job)
             except tp.EndpointClosed as exc:
-                live.discard(widx)
-                state.submit_failure(job, f"worker {widx} send failed: {exc}")
+                state.requeue(job)
+                log.warning("worker %d send failed, job %d requeued: %s",
+                            endpoints.index(ep), job.id, exc)
                 continue
-            inflight[widx] = job
+            inflight[ep] = job
 
     dispatch()
     while inflight:
-        widx, payload = results.get()
-        if isinstance(payload, Exception):
-            live.discard(widx)
-            job = inflight.pop(widx, None)
-            if job is not None:
-                state.submit_failure(job, f"worker {widx} lost: {payload}")
-            if not live and state.queue:
-                raise tp.EndpointClosed("all workers lost with queue pending")
-            dispatch()
-            continue
-        if not isinstance(payload, IntervalResult):
-            raise tp.ProtocolError(
-                f"manager expected data, got {type(payload).__name__}")
-        job = inflight.pop(widx)
-        if payload.job_id != job.id:
-            raise tp.ProtocolError(
-                f"job id mismatch: sent {job.id}, got {payload.job_id}")
-        state.submit(job, payload)
-        idle.append(widx)
+        # Idle endpoints are watched too: a worker lost between jobs is
+        # dropped before a job is sent to it.
+        for ep in wait(idle + list(inflight)):
+            try:
+                payload = ep.recv()
+            except (tp.EndpointClosed, tp.ProtocolError) as exc:
+                if ep in idle:
+                    idle.remove(ep)
+                job = inflight.pop(ep, None)
+                if job is not None:
+                    state.submit_failure(
+                        job, f"worker {endpoints.index(ep)} lost: {exc}")
+                continue
+            job = inflight.pop(ep, None)
+            if not isinstance(payload, IntervalResult) or job is None:
+                raise tp.ProtocolError(
+                    f"manager expected data for a job, got "
+                    f"{type(payload).__name__}")
+            if payload.job_id != job.id:
+                raise tp.ProtocolError(
+                    f"job id mismatch: sent {job.id}, got {payload.job_id}")
+            state.submit(job, payload)
+            idle.append(ep)
         dispatch()
+    if state.queue:
+        raise tp.EndpointClosed("all workers lost with queue pending")
 
-    for widx in sorted(live):
+    for ep in idle:
         try:
-            endpoints[widx].send(None)
+            ep.send(None)
         except tp.EndpointClosed:
             pass
 
@@ -120,7 +111,6 @@ def _worker_main(problem, config, sock):
         log.error("worker exiting on protocol error: %s", exc)
         raise SystemExit(1)
     finally:
-        # unblock the manager-side reader so it can exit
         ep.close()
 
 
@@ -158,8 +148,10 @@ def apalm(problem: ProblemDef, config: AlmConfig, engine: EngineConfig,
         run_manager(state, endpoints)
     finally:
         state.stats.queue_time = time.perf_counter() - t0
-        for w in workers:
-            w.join(timeout=30)
+        # Closing first wakes any worker still blocked in recv, so an error
+        # in the manager does not wait out the join timeout.
         for ep in endpoints:
             ep.close()
+        for w in workers:
+            w.join(timeout=30)
     return state

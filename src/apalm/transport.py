@@ -133,6 +133,9 @@ class SocketEndpoint:
     def __init__(self, sock: socket.socket):
         self._sock = sock
 
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
     def send(self, msg: Job | IntervalResult | None) -> None:
         try:
             self._sock.sendall(frame(encode(msg)))

@@ -1,7 +1,7 @@
 import math
-import queue
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +29,28 @@ def pair():
     yield manager, worker
     manager.close()
     worker.close()
+
+
+def scripted_worker(reply=None):
+    """Manager end of a pair whose worker thread takes one job, sends
+    reply(job) if a reply is given, and hangs up."""
+    m_ep, w_ep = endpoint_pair()
+
+    def serve():
+        job = w_ep.recv()
+        if reply is not None:
+            w_ep.send(reply(job))
+        w_ep.close()
+
+    threading.Thread(target=serve, daemon=True).start()
+    return m_ep
+
+
+def gone_worker():
+    """Manager end of a pair whose worker end is closed before any job."""
+    m_ep, w_ep = endpoint_pair()
+    w_ep.close()
+    return m_ep
 
 
 def linear_job(job_id=0):
@@ -133,54 +155,59 @@ class TestRunManager:
         assert state.stats.jobs_failed == 0
 
     def test_worker_disconnect_marks_job_failed(self):
-        class DeadEndpoint:
-            def send(self, msg):
-                pass  # accept the job, then never answer
-
-            def recv(self):
-                raise tp.EndpointClosed("synthetic disconnect")
-
         p, state = fresh_state()
         m_ep, w_ep = endpoint_pair()
         t = threading.Thread(target=run_worker, args=(p, state.config, w_ep),
                              daemon=True)
         t.start()
-        run_manager(state, [DeadEndpoint(), m_ep])
+        hangup = scripted_worker()
+        run_manager(state, [hangup, m_ep])
         t.join(timeout=10)
-        w_ep.close()
-        m_ep.close()
+        for ep in (hangup, w_ep, m_ep):
+            ep.close()
         assert state.stats.jobs_failed >= 1
         assert state.stats.jobs_done == 4
         assert state.stats.warnings
 
     def test_all_workers_lost_raises(self):
-        class DeadEndpoint:
-            def send(self, msg):
-                pass
-
-            def recv(self):
-                raise tp.EndpointClosed("synthetic disconnect")
-
         p, state = fresh_state()
+        hangup = scripted_worker()
         with pytest.raises(tp.EndpointClosed):
-            run_manager(state, [DeadEndpoint()])
+            run_manager(state, [hangup])
+        hangup.close()
 
     def test_reply_for_other_job_rejected(self):
-        class WrongIdEndpoint:
-            def __init__(self):
-                self.replies = queue.Queue()
-
-            def send(self, job):
-                self.replies.put(IntervalResult(
-                    job_id=job.id + 1, distances=[], solutions=[job.w_start],
-                    lower_distance=0.0, closing_distance=0.0))
-
-            def recv(self):
-                return self.replies.get()
-
         p, state = fresh_state()
+        liar = scripted_worker(lambda job: IntervalResult(
+            job_id=job.id + 1, distances=[], solutions=[job.w_start],
+            lower_distance=0.0, closing_distance=0.0))
         with pytest.raises(ProtocolError):
-            run_manager(state, [WrongIdEndpoint()])
+            run_manager(state, [liar])
+        liar.close()
+
+    def test_worker_gone_before_dispatch_costs_no_job(self):
+        p, state = fresh_state()
+        m_ep, w_ep = endpoint_pair()
+        t = threading.Thread(target=run_worker, args=(p, state.config, w_ep),
+                             daemon=True)
+        t.start()
+        gone = gone_worker()
+        run_manager(state, [gone, m_ep])
+        t.join(timeout=10)
+        for ep in (gone, w_ep, m_ep):
+            ep.close()
+        assert state.stats.jobs_failed == 0
+        assert state.stats.jobs_done == 4
+        assert not state.queue
+
+    def test_only_worker_gone_before_dispatch_raises(self):
+        p, state = fresh_state()
+        gone = gone_worker()
+        with pytest.raises(tp.EndpointClosed):
+            run_manager(state, [gone])
+        gone.close()
+        assert state.stats.jobs_failed == 0
+        assert len(state.queue) == 4
 
 
 def rows_equal(a, b):
@@ -227,6 +254,28 @@ class TestApalm:
         parallel = apalm(p, cfg, eng, worker_count=4, transport="thread")
         assert sorted(parallel.maps) == [0, 1]
         assert rows_equal(serial.collect(), parallel.collect())
+
+    @pytest.mark.parametrize("transport", ["thread", "process"])
+    def test_manager_error_propagates_at_once(self, transport, monkeypatch):
+        # workers blocked in recv must not hold the error back until the
+        # join timeout
+        submit = QueueEngine.submit
+        calls = []
+
+        def failing_submit(self, job, result):
+            calls.append(job.id)
+            if len(calls) == 2:
+                raise RuntimeError("synthetic manager error")
+            submit(self, job, result)
+
+        monkeypatch.setattr(QueueEngine, "submit", failing_submit)
+        p = make_builtin("cubic1d")
+        eng = EngineConfig(delta_L=0.4, steps=15, tol_lower=1e-2,
+                           tol_upper=1e-2)
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="synthetic manager error"):
+            apalm(p, crisfield(), eng, worker_count=2, transport=transport)
+        assert time.perf_counter() - t0 < 5.0
 
     def test_bad_arguments(self):
         p = make_builtin("linear1d")
