@@ -6,9 +6,9 @@ parallel via a manager-worker job queue, with multi-branch support through
 bifurcation detection in the serial phase.
 """
 
-from .alm import (AlmConfig, Increment, StepResult, branch_switch,
-                  detect_singular, distance, locate_bifurcation,
-                  point_distance, predictor, select_root, step)
+from .alm import (AlmConfig, StepResult, branch_switch, detect_singular,
+                  distance, locate_bifurcation, point_distance, predictor,
+                  select_root, step)
 from .curvemap import CurveEntry, CurveMap, IntervalDescriptor
 from .engine import (EngineConfig, ErrorTriple, IntervalResult, Job,
                      QueueEngine, aalm, compute_errors, initialize_map,
@@ -17,7 +17,7 @@ from .problems import ProblemDef, SolutionPoint, make_builtin
 from .runtime import apalm, run_manager, run_worker
 
 __all__ = [
-    "AlmConfig", "Increment", "StepResult", "branch_switch",
+    "AlmConfig", "StepResult", "branch_switch",
     "detect_singular", "distance", "locate_bifurcation", "point_distance",
     "predictor", "select_root", "step",
     "CurveEntry", "CurveMap", "IntervalDescriptor",

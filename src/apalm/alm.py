@@ -65,18 +65,6 @@ class AlmConfig:
 
 
 @dataclass(frozen=True)
-class Increment:
-    """An increment Delta w = (Delta u, Delta lambda)."""
-
-    du: np.ndarray
-    dlam: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "du", np.atleast_1d(np.asarray(self.du, dtype=float)))
-        object.__setattr__(self, "dlam", float(self.dlam))
-
-
-@dataclass(frozen=True)
 class StepResult:
     w_new: SolutionPoint
     iterations: int
@@ -108,13 +96,16 @@ def point_distance(w_a: SolutionPoint, w_b: SolutionPoint, psi: float,
     return distance(w_a.u - w_b.u, w_a.lam - w_b.lam, psi, load_norm_sq)
 
 
-def increment_between(w_to: SolutionPoint, w_from: SolutionPoint) -> Increment:
-    return Increment(w_to.u - w_from.u, w_to.lam - w_from.lam)
+def increment_between(w_to: SolutionPoint, w_from: SolutionPoint
+                      ) -> tuple[np.ndarray, float]:
+    """The increment (Delta u, Delta lambda) from w_from to w_to."""
+    return w_to.u - w_from.u, w_to.lam - w_from.lam
 
 
 def predictor(problem: ProblemDef, config: AlmConfig, w: SolutionPoint,
-              delta_w_prev: Increment | None, delta_L: float) -> Increment:
-    """Initial increment of metric length delta_L.
+              delta_w_prev: tuple[np.ndarray, float] | None, delta_L: float
+              ) -> tuple[np.ndarray, float]:
+    """Initial increment (Delta u, Delta lambda) of metric length delta_L.
 
     Warm start rescales the previous increment; cold start uses the tangent
     direction K^{-1} P with the sign giving Delta lambda > 0.
@@ -123,10 +114,11 @@ def predictor(problem: ProblemDef, config: AlmConfig, w: SolutionPoint,
         raise ValueError("delta_L must be positive")
     psi, ptp = config.psi, problem.load_norm_sq
     if delta_w_prev is not None:
-        length = distance(delta_w_prev.du, delta_w_prev.dlam, psi, ptp)
+        du, dlam = delta_w_prev
+        length = distance(du, dlam, psi, ptp)
         if length > 0:
             scale = delta_L / length
-            return Increment(scale * delta_w_prev.du, scale * delta_w_prev.dlam)
+            return scale * du, scale * dlam
     K = problem.jacobian_u(w)
     P = -problem.jacobian_lambda(w)
     try:
@@ -137,7 +129,7 @@ def predictor(problem: ProblemDef, config: AlmConfig, w: SolutionPoint,
     if length == 0.0 or not np.isfinite(length):
         raise PredictorError("degenerate tangent direction at cold start")
     scale = delta_L / length  # positive, so dlam = scale > 0
-    return Increment(scale * du_t, scale)
+    return scale * du_t, scale
 
 
 def select_root(roots: tuple[float, float], delta_u_old: np.ndarray,
@@ -160,14 +152,14 @@ class _NoConvergence(RuntimeError):
 
 
 def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
-               delta_w_prev: Increment | None, delta_L: float
+               delta_w_prev: tuple[np.ndarray, float] | None, delta_L: float
                ) -> tuple[SolutionPoint, int]:
     psi, ptp = config.psi, problem.load_norm_sq
     c = psi**2 * ptp
     n = problem.n_dof
-    dw = predictor(problem, config, w_i, delta_w_prev, delta_L)
-    du, dlam = dw.du.copy(), dw.dlam
-    du0, dlam0 = du.copy(), dlam  # first-iteration increment (Riks plane)
+    riks = config.constraint == RIKS
+    du, dlam = predictor(problem, config, w_i, delta_w_prev, delta_L)
+    du0, dlam0 = du, dlam  # first-iteration increment (Riks plane)
 
     for it in range(config.max_newton_iters + 1):
         w = SolutionPoint(w_i.u + du, w_i.lam + dlam)
@@ -176,66 +168,62 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
             return w, it
         if it == config.max_newton_iters:
             break
-        K = problem.jacobian_u(w)
-        Gl = problem.jacobian_lambda(w)
-        if config.constraint == RIKS:
-            # Bordered system with the (verbatim) plane constraint
+        M = np.zeros((n + 1, n + 1))
+        M[:n, :n] = problem.jacobian_u(w)
+        M[:n, n] = problem.jacobian_lambda(w)
+        if riks:
+            # The (verbatim) plane constraint
             # du0.Du + psi^2 dlam0^2 P.P - dL^2 = 0; constant in dlam.
-            f = float(du0 @ du) + c * dlam0 * dlam0 - delta_L**2
-            M = np.zeros((n + 1, n + 1))
-            M[:n, :n] = K
-            M[:n, n] = Gl
             M[n, :n] = du0
-            rhs = np.concatenate([-G, [-f]])
-            try:
-                sol = np.linalg.solve(M, rhs)
-            except np.linalg.LinAlgError:
-                raise _NoConvergence("singular bordered system")
-            du = du + sol[:n]
-            dlam = dlam + float(sol[n])
+            f = float(du0 @ du) + c * dlam0 * dlam0 - delta_L**2
+            rhs = np.append(-G, -f)
         else:
-            # Crisfield: solve the bordered system twice (linearized-sphere
-            # bottom row keeps it regular at limit points), giving the
-            # one-parameter family of Newton updates of G; intersect with
-            # the sphere to get the per-iteration quadratic.
-            M = np.zeros((n + 1, n + 1))
-            M[:n, :n] = K
-            M[:n, n] = Gl
+            # Crisfield: the linearized-sphere row keeps M regular at limit
+            # points. The columns [-G; 0] and [0; 1] give the one-parameter
+            # family of Newton updates of G; intersect it with the sphere
+            # to get the per-iteration quadratic.
             M[n, :n] = 2.0 * du
             M[n, n] = 2.0 * c * dlam
-            try:
-                sol = np.linalg.solve(M, np.concatenate([-G, [0.0]]))
-                tan = np.linalg.solve(M, np.concatenate([np.zeros(n), [1.0]]))
-            except np.linalg.LinAlgError:
-                raise _NoConvergence("singular bordered system")
-            x, y = sol[:n], float(sol[n])
-            xt, yt = tan[:n], float(tan[n])
-            # (du + x + t xt, dlam + y + t yt) on the sphere of radius dL.
-            au, al = du + x, dlam + y
-            A = float(xt @ xt) + c * yt * yt
-            B = 2.0 * (float(au @ xt) + c * al * yt)
-            C = float(au @ au) + c * al * al - delta_L**2
-            if A == 0.0:
-                if B == 0.0:
-                    raise _NoConvergence("degenerate constraint quadratic")
-                ts = (-C / B, -C / B)
-            else:
-                disc = B * B - 4.0 * A * C
-                if disc < 0.0:
-                    raise ComplexRootsError("complex Crisfield roots")
-                sq = float(np.sqrt(disc))
-                ts = ((-B + sq) / (2.0 * A), (-B - sq) / (2.0 * A))
-            cands_du = (au + ts[0] * xt, au + ts[1] * xt)
-            cands_dlam = (al + ts[0] * yt, al + ts[1] * yt)
-            roots = (cands_dlam[0] - dlam, cands_dlam[1] - dlam)
-            idx = select_root(roots, du, cands_du)
-            du = cands_du[idx]
-            dlam = cands_dlam[idx]
+            rhs = np.zeros((n + 1, 2))
+            rhs[:n, 0] = -G
+            rhs[n, 1] = 1.0
+        try:
+            sol = np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError:
+            raise _NoConvergence("singular bordered system")
+        if riks:
+            du = du + sol[:n]
+            dlam = dlam + float(sol[n])
+            continue
+        x, y = sol[:n, 0], float(sol[n, 0])
+        xt, yt = sol[:n, 1], float(sol[n, 1])
+        # (du + x + t xt, dlam + y + t yt) on the sphere of radius dL.
+        au, al = du + x, dlam + y
+        A = float(xt @ xt) + c * yt * yt
+        B = 2.0 * (float(au @ xt) + c * al * yt)
+        C = float(au @ au) + c * al * al - delta_L**2
+        if A == 0.0:
+            if B == 0.0:
+                raise _NoConvergence("degenerate constraint quadratic")
+            ts = (-C / B, -C / B)
+        else:
+            disc = B * B - 4.0 * A * C
+            if disc < 0.0:
+                raise ComplexRootsError("complex Crisfield roots")
+            sq = float(np.sqrt(disc))
+            ts = ((-B + sq) / (2.0 * A), (-B - sq) / (2.0 * A))
+        cands_du = (au + ts[0] * xt, au + ts[1] * xt)
+        cands_dlam = (al + ts[0] * yt, al + ts[1] * yt)
+        roots = (cands_dlam[0] - dlam, cands_dlam[1] - dlam)
+        idx = select_root(roots, du, cands_du)
+        du = cands_du[idx]
+        dlam = cands_dlam[idx]
     raise _NoConvergence("no convergence within max_newton_iters")
 
 
 def step(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
-         delta_w_prev: Increment | None, delta_L: float) -> StepResult:
+         delta_w_prev: tuple[np.ndarray, float] | None, delta_L: float
+         ) -> StepResult:
     """One arc-length step of nominal length delta_L with step cutting.
 
     On non-convergence (or complex Crisfield roots) the length is halved and
@@ -259,12 +247,16 @@ def step(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
     raise StepError(f"step failed after {config.max_step_cuts} cuts: {last_err}")
 
 
-def detect_singular(problem: ProblemDef, w: SolutionPoint,
-                    zero_tol: float = 0.0) -> StabilityInfo:
-    """Sign of det K and count of non-positive pivots at w.
+def detect_singular(problem: ProblemDef, w: SolutionPoint) -> StabilityInfo:
+    """Sign of det K and count of non-positive eigenvalues of K at w.
 
-    Symmetric K uses the eigenvalue inertia (equal to the LDL^T pivot signs
-    by Sylvester's law); factorization breakdown reports singular.
+    One eigenvalue pass gives both: det K is the product of the eigenvalues,
+    so its sign is (-1)^(number of negative ones). Symmetric K uses
+    eigvalsh, whose count equals the LDL^T pivot signs by Sylvester's law;
+    otherwise the real parts of eigvals are counted, where a complex pair
+    counts twice and contributes +1, as its |lambda|^2 does. An eigenvalue
+    within 1e-14 * max(1, max|eig|) of zero, or a failed factorization,
+    reports singular.
     """
     K = problem.jacobian_u(w)
     try:
@@ -272,15 +264,12 @@ def detect_singular(problem: ProblemDef, w: SolutionPoint,
             eigs = np.linalg.eigvalsh(K)
         else:
             eigs = np.real(np.linalg.eigvals(K))
-        det_sign, logdet = np.linalg.slogdet(K)
     except np.linalg.LinAlgError:
         return StabilityInfo(det_sign=0, n_nonpositive=problem.n_dof)
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    tol = zero_tol if zero_tol > 0 else 1e-14 * scale
-    if np.any(np.abs(eigs) <= tol):
-        det_sign = 0
+    tol = 1e-14 * max(1.0, float(np.max(np.abs(eigs))))
     n_nonpos = int(np.sum(eigs <= tol))
-    return StabilityInfo(det_sign=int(det_sign), n_nonpositive=n_nonpos)
+    det_sign = 0 if np.any(np.abs(eigs) <= tol) else (-1) ** n_nonpos
+    return StabilityInfo(det_sign=det_sign, n_nonpositive=n_nonpos)
 
 
 def locate_bifurcation(problem: ProblemDef, config: AlmConfig,
@@ -323,14 +312,16 @@ def locate_bifurcation(problem: ProblemDef, config: AlmConfig,
     return w_mid
 
 
-def null_vector(problem: ProblemDef, w: SolutionPoint,
-                null_tol: float = 1e-3) -> np.ndarray:
-    """Unit null eigenvector of K(w); raises unless the null space is 1D."""
+def null_vector(problem: ProblemDef, w: SolutionPoint) -> np.ndarray:
+    """Unit null eigenvector of K(w); raises unless the null space is 1D.
+
+    An eigenvalue of sym(K) counts as null within 1e-3 * max(1, max|eig|).
+    """
     K = problem.jacobian_u(w)
     K_sym = 0.5 * (K + K.T)
     eigs, vecs = np.linalg.eigh(K_sym)
     scale = max(1.0, float(np.max(np.abs(eigs))))
-    small = np.abs(eigs) <= null_tol * scale
+    small = np.abs(eigs) <= 1e-3 * scale
     if int(np.sum(small)) != 1:
         raise BranchSwitchError(
             f"null space dimension {int(np.sum(small))} != 1"
@@ -339,15 +330,14 @@ def null_vector(problem: ProblemDef, w: SolutionPoint,
     return phi / np.linalg.norm(phi)
 
 
-def classify_singular(problem: ProblemDef, w: SolutionPoint,
-                      null_tol: float = 1e-3) -> str:
+def classify_singular(problem: ProblemDef, w: SolutionPoint) -> str:
     """Classify a located singular point as 'bifurcation' or 'limit'.
 
     At a limit point the load direction has a component along the null
     eigenvector (the path tangent's lambda-component changes sign there);
     at a bifurcation it is orthogonal to it.
     """
-    phi = null_vector(problem, w, null_tol)
+    phi = null_vector(problem, w)
     Gl = problem.jacobian_lambda(w)
     if abs(float(phi @ Gl)) <= 1e-6 * (float(np.linalg.norm(Gl)) + 1.0):
         return "bifurcation"
@@ -355,9 +345,9 @@ def classify_singular(problem: ProblemDef, w: SolutionPoint,
 
 
 def branch_switch(problem: ProblemDef, w_star: SolutionPoint,
-                  tau: float) -> Increment:
+                  tau: float) -> tuple[np.ndarray, float]:
     """Branch predictor (tau * phi, 0) along the unit null eigenvector."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     phi = null_vector(problem, w_star)
-    return Increment(tau * phi, 0.0)
+    return tau * phi, 0.0

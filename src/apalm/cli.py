@@ -50,17 +50,15 @@ def cmd_compare(args) -> int:
     run_a = apio.run_from_config(cfg, workers=counts[0]).collect()
     run_b = apio.run_from_config(cfg, workers=counts[1]).collect()
     report = apio.compare(run_a, run_b)
-    tolerance = 10.0 * cfg.alm.newton_tol
     print(json.dumps({
         "workers": counts,
         "keys_match": report.keys_match,
         "missing_keys": [list(k) for k in report.missing_keys],
         "extra_keys": [list(k) for k in report.extra_keys],
-        "max_deviation": report.max_deviation,
-        "tolerance": tolerance,
-        "ok": report.ok(tolerance),
+        "mismatched_keys": [list(k) for k in report.mismatched_keys],
+        "ok": report.ok(),
     }, indent=2))
-    return 0 if report.ok(tolerance) else 1
+    return 0 if report.ok() else 1
 
 
 def cmd_scale(args) -> int:

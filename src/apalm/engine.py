@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import alm
-from .alm import AlmConfig, Increment
+from .alm import AlmConfig
 from .curvemap import CurveMap, CurveStructureError, IntervalDescriptor
 from .problems import ProblemDef, SolutionPoint
 
@@ -94,7 +94,6 @@ class BranchData:
     branch: int
     solutions: list[SolutionPoint]
     s_coords: list[float]
-    origin: str = "main"  # "main" or "bifurcation"
     # Virtual predecessor of the branch start (start minus the branch-switch
     # seed); gives warm predictors on the first interval the branch
     # direction instead of a cold start along the parent branch.
@@ -158,14 +157,14 @@ def serial_solve(problem: ProblemDef, config: AlmConfig,
     eigenvector perturbation, each serially solved in turn.
     """
     w0 = SolutionPoint(np.zeros(problem.n_dof), 0.0)
-    pending: deque[tuple[SolutionPoint, Increment | None, float, int, str]] = deque()
-    pending.append((w0, None, engine.delta_L, engine.steps, "main"))
+    # (start, branch-switch seed, step length, step count) per branch
+    pending: deque[tuple] = deque([(w0, None, engine.delta_L, engine.steps)])
     branches: list[BranchData] = []
     while pending:
-        start, seed, dl, n_steps, origin = pending.popleft()
+        start, seed, dl, n_steps = pending.popleft()
         ws = [start]
         ss = [0.0]
-        dw: Increment | None = seed
+        dw = seed
         stab_prev: alm.StabilityInfo | None = None
         for _ in range(n_steps):
             try:
@@ -189,10 +188,10 @@ def serial_solve(problem: ProblemDef, config: AlmConfig,
                 stab_prev = stab
         w_prev0 = None
         if seed is not None:
-            w_prev0 = SolutionPoint(start.u - seed.du, start.lam - seed.dlam)
+            du, dlam = seed
+            w_prev0 = SolutionPoint(start.u - du, start.lam - dlam)
         branches.append(BranchData(branch=len(branches), solutions=ws,
-                                   s_coords=ss, origin=origin,
-                                   w_prev0=w_prev0))
+                                   s_coords=ss, w_prev0=w_prev0))
     return branches
 
 
@@ -214,7 +213,7 @@ def _maybe_spawn_branch(problem, config, engine, w_a, w_b, pending) -> None:
         return
     dl = engine.branch_delta_L or engine.delta_L
     n_steps = engine.branch_steps or engine.steps
-    pending.append((w_star, seed, dl, n_steps, "bifurcation"))
+    pending.append((w_star, seed, dl, n_steps))
     log.info("bifurcation at lambda=%.6g: spawning branch", w_star.lam)
 
 
@@ -262,14 +261,13 @@ class QueueEngine:
         self.maps: dict[int, CurveMap] = {}
         self.queue: deque[IntervalDescriptor] = deque()
         self.stats = EngineStats()
-        self.branches: list[BranchData] = []
         self._descriptors: dict[int, IntervalDescriptor] = {}
         self._next_id = 0
 
     def initialize(self) -> None:
         t0 = time.perf_counter()
-        self.branches = serial_solve(self.problem, self.config, self.engine)
-        self.maps, self.queue = initialize_map(self.branches)
+        self.maps, self.queue = initialize_map(
+            serial_solve(self.problem, self.config, self.engine))
         self.stats.serial_time = time.perf_counter() - t0
 
     def pop(self) -> Job:

@@ -91,26 +91,26 @@ class ComparisonReport:
     keys_match: bool
     missing_keys: list[tuple[int, float]]
     extra_keys: list[tuple[int, float]]
-    max_deviation: float
+    mismatched_keys: list[tuple[int, float]]
 
-    def ok(self, tolerance: float) -> bool:
-        return self.keys_match and self.max_deviation <= tolerance
+    def ok(self) -> bool:
+        return self.keys_match and not self.mismatched_keys
 
 
 def compare(run_a: list[Row], run_b: list[Row]) -> ComparisonReport:
-    """Key-set equality and max componentwise deviation of two runs."""
-    a = {(branch, xi): w for branch, xi, _, _, w in run_a}
-    b = {(branch, xi): w for branch, xi, _, _, w in run_b}
+    """Match rows by (branch, xi); compare s, level, u and lambda bitwise."""
+    def index(rows: list[Row]) -> dict:
+        return {(branch, xi): (level,
+                               np.concatenate(([s, w.lam], w.u)).tobytes())
+                for branch, xi, s, level, w in rows}
+
+    a, b = index(run_a), index(run_b)
     missing = sorted(set(a) - set(b))
     extra = sorted(set(b) - set(a))
-    max_dev = 0.0
-    for key in set(a) & set(b):
-        wa, wb = a[key], b[key]
-        dev = max(float(np.max(np.abs(wa.u - wb.u))), abs(wa.lam - wb.lam))
-        max_dev = max(max_dev, dev)
-    return ComparisonReport(keys_match=not missing and not extra,
-                            missing_keys=missing, extra_keys=extra,
-                            max_deviation=max_dev)
+    return ComparisonReport(
+        keys_match=not missing and not extra, missing_keys=missing,
+        extra_keys=extra,
+        mismatched_keys=sorted(k for k in set(a) & set(b) if a[k] != b[k]))
 
 
 def run_from_config(cfg: RunConfig, workers: int | None = None) -> QueueEngine:

@@ -109,7 +109,8 @@ def _worker_main(problem, config, sock):
         run_worker(problem, config, ep)
     except (tp.EndpointClosed, tp.ProtocolError) as exc:
         log.error("worker exiting on protocol error: %s", exc)
-        raise SystemExit(1)
+        if multiprocessing.parent_process() is not None:
+            raise SystemExit(1)  # the exit code of a forked worker
     finally:
         ep.close()
 

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apalm import alm
-from apalm.alm import (AlmConfig, BranchSwitchError, Increment, branch_switch,
+from apalm.alm import (AlmConfig, BranchSwitchError, branch_switch,
                        classify_singular, detect_singular, distance,
                        locate_bifurcation, point_distance, predictor,
                        select_root, step)
-from apalm.problems import SolutionPoint, make_builtin
+from apalm.problems import ProblemDef, SolutionPoint, make_builtin
 
 
 def pt(u, lam):
@@ -52,26 +52,26 @@ class TestPredictor:
     def test_warm_rescale(self):
         p = make_builtin("linear1d")
         cfg = AlmConfig(psi=1.0)
-        prev = Increment(np.array([1.2]), 1.6)  # length 2
-        dw = predictor(p, cfg, pt(0.0, 0.0), prev, 1.0)
-        assert dw.du[0] == pytest.approx(0.6)
-        assert dw.dlam == pytest.approx(0.8)
+        prev = (np.array([1.2]), 1.6)  # length 2
+        du, dlam = predictor(p, cfg, pt(0.0, 0.0), prev, 1.0)
+        assert du[0] == pytest.approx(0.6)
+        assert dlam == pytest.approx(0.8)
 
     def test_cold_linear1d(self):
         p = make_builtin("linear1d")
         cfg = AlmConfig(psi=1.0)
-        dw = predictor(p, cfg, pt(0.0, 0.0), None, math.sqrt(2.0))
-        assert dw.du[0] == pytest.approx(1.0)
-        assert dw.dlam == pytest.approx(1.0)
+        du, dlam = predictor(p, cfg, pt(0.0, 0.0), None, math.sqrt(2.0))
+        assert du[0] == pytest.approx(1.0)
+        assert dlam == pytest.approx(1.0)
 
     def test_cold_cubic1d_tangent(self):
         # K = -3 at the origin, so du/dlam = -1/3; sign fixed by dlam > 0.
         p = make_builtin("cubic1d")
         cfg = AlmConfig(psi=0.0)
-        dw = predictor(p, cfg, pt(0.0, 0.0), None, 0.1)
-        assert dw.du[0] == pytest.approx(-0.1)
-        assert dw.dlam == pytest.approx(0.3)
-        assert dw.dlam > 0
+        du, dlam = predictor(p, cfg, pt(0.0, 0.0), None, 0.1)
+        assert du[0] == pytest.approx(-0.1)
+        assert dlam == pytest.approx(0.3)
+        assert dlam > 0
 
 
 class TestSelectRoot:
@@ -144,11 +144,11 @@ class TestStep:
         dw = None
         c = cfg.psi**2 * p.load_norm_sq
         for _ in range(8):
-            dw0 = predictor(p, cfg, w, dw, 0.3)  # same as inside the step
+            du0, dlam0 = predictor(p, cfg, w, dw, 0.3)  # as inside the step
             res = step(p, cfg, w, dw, 0.3)
             assert res.cuts_used == 0
             du = res.w_new.u - w.u
-            f = float(dw0.du @ du) + c * dw0.dlam**2 - 0.3**2
+            f = float(du0 @ du) + c * dlam0**2 - 0.3**2
             assert abs(f) <= 1e-10 * 0.3**2
             dw = alm.increment_between(res.w_new, w)
             w = res.w_new
@@ -167,7 +167,7 @@ class TestStep:
     def test_bitwise_deterministic(self):
         p = make_builtin("cubic1d")
         cfg = AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-12)
-        prev = Increment(np.array([-0.3]), 0.7)
+        prev = (np.array([-0.3]), 0.7)
         a = step(p, cfg, pt(-0.5, 1.4), prev, 0.4)
         b = step(p, cfg, pt(-0.5, 1.4), prev, 0.4)
         assert a.w_new.u[0] == b.w_new.u[0]
@@ -190,7 +190,57 @@ class TestStep:
         assert max(lams) > 1.9 and lams[-1] < max(lams)
 
 
+class TestBorderedSolve:
+    @pytest.mark.parametrize("constraint", ["riks", "crisfield"])
+    def test_one_solve_per_newton_iteration(self, constraint, monkeypatch):
+        # a cold step: one solve for the tangent predictor, then one
+        # bordered solve per Newton iteration
+        calls = []
+        solve = np.linalg.solve
+
+        def counting_solve(a, b):
+            calls.append(b.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        p = make_builtin("springchain", n=6)
+        cfg = AlmConfig(constraint=constraint, psi=1.0, newton_tol=1e-11)
+        res = step(p, cfg, SolutionPoint(np.zeros(6), 0.0), None, 0.3)
+        assert res.cuts_used == 0 and res.iterations >= 2
+        assert len(calls) == 1 + res.iterations
+
+
+def fixed_K(K):
+    """A problem whose tangent stiffness is the constant matrix K."""
+    n = K.shape[0]
+    return ProblemDef(n_dof=n, residual_fn=lambda u, lam: K @ u,
+                      jacobian_u_fn=lambda u, lam: K,
+                      jacobian_lambda_fn=lambda u, lam: np.zeros(n),
+                      load_norm_sq=0.0)
+
+
 class TestDetectSingular:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-10.0, -0.1), st.floats(0.1, 10.0)),
+                    min_size=1, max_size=8),
+           st.integers(0, 2**32 - 1))
+    def test_sign_and_count_match_slogdet(self, d, seed):
+        # K = Q diag(d) Q^T: the eigenvalues are d, well away from zero
+        n = len(d)
+        Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+        K = Q @ np.diag(d) @ Q.T
+        info = detect_singular(fixed_K(K), pt(np.zeros(n), 0.0))
+        assert info.det_sign == int(np.linalg.slogdet(K)[0])
+        assert info.n_nonpositive == sum(di < 0 for di in d)
+
+    def test_nonsymmetric_complex_pair(self):
+        # eigenvalues -1 +- 2i and 3: det K = 5 * 3 > 0, and the pair's
+        # negative real parts count twice
+        K = np.array([[-1.0, -2.0, 0.0], [2.0, -1.0, 0.0], [0.0, 0.0, 3.0]])
+        info = detect_singular(fixed_K(K), pt(np.zeros(3), 0.0))
+        assert info.det_sign == 1
+        assert info.n_nonpositive == 2
+
     def test_cubic1d_unstable_at_origin(self):
         p = make_builtin("cubic1d")
         info = detect_singular(p, pt(0.0, 0.0))
@@ -237,9 +287,9 @@ class TestLocateBifurcation:
 class TestBranchSwitch:
     def test_pitchfork_null_vector(self):
         p = make_builtin("pitchfork")
-        dw = branch_switch(p, pt(0.0, 1.0), 1e-4)
-        assert abs(dw.du[0]) == pytest.approx(1e-4)
-        assert dw.dlam == 0.0
+        du, dlam = branch_switch(p, pt(0.0, 1.0), 1e-4)
+        assert abs(du[0]) == pytest.approx(1e-4)
+        assert dlam == 0.0
 
     def test_perturbed_step_lands_on_secondary_branch(self):
         p = make_builtin("pitchfork")

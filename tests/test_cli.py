@@ -156,8 +156,8 @@ class TestCompare:
         rows = small_run().collect()
         report = apio.compare(rows, rows)
         assert report.keys_match
-        assert report.max_deviation == 0.0
-        assert report.ok(0.0)
+        assert report.mismatched_keys == []
+        assert report.ok()
 
     def test_value_deviation(self):
         rows = small_run().collect()
@@ -166,8 +166,28 @@ class TestCompare:
         other[3] = (b, xi, s, lvl, SolutionPoint(w.u + 1e-6, w.lam))
         report = apio.compare(rows, other)
         assert report.keys_match
-        assert report.max_deviation == pytest.approx(1e-6)
-        assert not report.ok(1e-9)
+        assert report.mismatched_keys == [(b, xi)]
+        assert not report.ok()
+
+    def test_one_ulp_in_s(self):
+        rows = small_run().collect()
+        other = list(rows)
+        b, xi, s, lvl, w = other[3]
+        other[3] = (b, xi, float(np.nextafter(s, np.inf)), lvl, w)
+        report = apio.compare(rows, other)
+        assert report.keys_match
+        assert report.mismatched_keys == [(b, xi)]
+        assert not report.ok()
+
+    def test_level_change(self):
+        rows = small_run().collect()
+        other = list(rows)
+        b, xi, s, lvl, w = other[3]
+        other[3] = (b, xi, s, lvl + 1, w)
+        report = apio.compare(rows, other)
+        assert report.keys_match
+        assert report.mismatched_keys == [(b, xi)]
+        assert not report.ok()
 
     def test_key_mismatch(self):
         rows = small_run().collect()
@@ -222,7 +242,7 @@ class TestMain:
         assert main(["compare", cfg, "--workers", "1,4"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
-        assert report["max_deviation"] == 0.0
+        assert report["mismatched_keys"] == []
 
     def test_scale_prints_rows(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, doc(engine={"steps": 6}))

@@ -65,7 +65,9 @@ class TestSerialSolve:
                            branch_steps=4)
         branches = serial_solve(p, cfg, eng)
         assert len(branches) == 2
-        assert branches[1].origin == "bifurcation"
+        # only a spawned branch starts from a branch-switch seed
+        assert branches[0].w_prev0 is None
+        assert branches[1].w_prev0 is not None
         assert branches[1].solutions[0].lam == pytest.approx(1.0, abs=1e-4)
 
     def test_cubic1d_limit_point_spawns_nothing(self):

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import socket
 import threading
 import time
@@ -10,7 +11,7 @@ from apalm import transport as tp
 from apalm.alm import AlmConfig
 from apalm.engine import EngineConfig, IntervalResult, Job, QueueEngine, aalm
 from apalm.problems import SolutionPoint, make_builtin
-from apalm.runtime import apalm, run_manager, run_worker
+from apalm.runtime import _worker_main, apalm, run_manager, run_worker
 from apalm.transport import ProtocolError, SocketEndpoint
 
 
@@ -112,6 +113,35 @@ class TestRunWorker:
             lower_distance=0.0, closing_distance=0.0))
         with pytest.raises(ProtocolError):
             run_worker(make_builtin("linear1d"), crisfield(), worker)
+
+    @pytest.mark.parametrize("transport", ["thread", "process"])
+    def test_worker_main_on_closed_peer(self, transport):
+        # a forked worker reports the lost manager in its exit code; a
+        # thread worker has no exit code and just returns
+        manager, worker = socket.socketpair()
+        manager.close()
+        args = (make_builtin("linear1d"), crisfield(), worker)
+        if transport == "thread":
+            outcome = []
+
+            def target():
+                try:
+                    outcome.append(_worker_main(*args))
+                except SystemExit as exc:
+                    outcome.append(exc)
+
+            t = threading.Thread(target=target)
+            t.start()
+            t.join(timeout=10)
+            assert not t.is_alive()
+            assert outcome == [None]
+        else:
+            proc = multiprocessing.get_context("fork").Process(
+                target=_worker_main, args=args)
+            proc.start()
+            worker.close()
+            proc.join(timeout=10)
+            assert proc.exitcode == 1
 
 
 def fresh_state(problem_name="linear1d", **eng):
