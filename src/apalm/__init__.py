@@ -9,10 +9,10 @@ bifurcation detection in the serial phase.
 from .alm import (AlmConfig, StepResult, branch_switch, detect_singular,
                   distance, locate_bifurcation, point_distance, predictor,
                   select_root, step)
-from .curvemap import CurveEntry, CurveMap, IntervalDescriptor
+from .curvemap import CurveEntry, CurveMap
 from .engine import (EngineConfig, ErrorTriple, IntervalResult, Job,
-                     QueueEngine, aalm, compute_errors, initialize_map,
-                     serial_solve, solve_interval)
+                     QueueEngine, aalm, compute_errors, serial_solve,
+                     solve_interval)
 from .problems import ProblemDef, SolutionPoint, make_builtin
 from .runtime import apalm, run_manager, run_worker
 
@@ -20,10 +20,9 @@ __all__ = [
     "AlmConfig", "StepResult", "branch_switch",
     "detect_singular", "distance", "locate_bifurcation", "point_distance",
     "predictor", "select_root", "step",
-    "CurveEntry", "CurveMap", "IntervalDescriptor",
+    "CurveEntry", "CurveMap",
     "EngineConfig", "ErrorTriple", "IntervalResult", "Job", "QueueEngine",
-    "aalm", "compute_errors", "initialize_map", "serial_solve",
-    "solve_interval",
+    "aalm", "compute_errors", "serial_solve", "solve_interval",
     "ProblemDef", "SolutionPoint", "make_builtin",
     "apalm", "run_manager", "run_worker",
 ]

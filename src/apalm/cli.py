@@ -12,6 +12,16 @@ from . import io as apio
 from .config import ConfigError, load_config
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    return value
+
+
 def _parse_worker_list(text: str) -> list[int]:
     try:
         counts = [int(v) for v in text.split(",") if v.strip()]
@@ -24,8 +34,7 @@ def _parse_worker_list(text: str) -> list[int]:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    workers = args.workers if args.workers else None
-    state = apio.run_from_config(cfg, workers=workers)
+    state = apio.run_from_config(cfg, workers=args.workers)
     out = args.output or cfg.output
     if out:
         apio.write_csv(state.collect(), out,
@@ -83,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a configuration")
     p_run.add_argument("config")
-    p_run.add_argument("--workers", type=int, default=None)
+    p_run.add_argument("--workers", type=_positive_int, default=None)
     p_run.add_argument("--output", default=None)
     p_run.set_defaults(func=cmd_run)
 
@@ -97,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scale = sub.add_parser("scale", help="worker-count timing sweep")
     p_scale.add_argument("config")
     p_scale.add_argument("--workers", type=_parse_worker_list, required=True)
-    p_scale.add_argument("--repeats", type=int, default=3)
+    p_scale.add_argument("--repeats", type=_positive_int, default=3)
     p_scale.add_argument("--output", default=None)
     p_scale.set_defaults(func=cmd_scale)
     return parser

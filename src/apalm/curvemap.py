@@ -34,23 +34,6 @@ class CurveEntry:
     level: int
 
 
-@dataclass(frozen=True)
-class IntervalDescriptor:
-    """One sub-interval work unit reference: [xi_lo, xi_hi) on a branch."""
-
-    branch: int
-    xi_lo: float
-    xi_hi: float
-    delta_L0: float
-    level: int
-
-    def __post_init__(self):
-        if not self.xi_lo < self.xi_hi:
-            raise ValueError("xi_lo must be < xi_hi")
-        if self.delta_L0 <= 0:
-            raise ValueError("delta_L0 must be positive")
-
-
 class CurveMap:
     """Ordered map of CurveEntry keyed by exact xi, for one branch."""
 
@@ -122,21 +105,22 @@ class CurveMap:
 
     # -- insertion ---------------------------------------------------------
 
-    def insert_interior(self, parent: IntervalDescriptor, result) -> None:
-        """Store a converged interval's interior fine points.
+    def insert_interior(self, xi_lo: float, xi_hi: float, level: int,
+                        result) -> None:
+        """Store a converged interval's interior fine points at `level`.
 
         Points k = 1..M-1 get xi by proportional rescaling of their
         distances within the parent's length hi.ds; the fine end-point is
         not stored, and hi.ds becomes what the stored distances leave of it.
         """
-        width = self.lookup(parent.xi_hi).ds
+        width = self.lookup(xi_hi).ds
         dists = result.distances[:-1]
-        self._insert(parent, result.solutions[1:-1], dists, width,
-                     width - sum(dists))
+        self._insert(xi_lo, xi_hi, level, result.solutions[1:-1], dists,
+                     width, width - sum(dists))
 
-    def insert_stretch(self, parent: IntervalDescriptor, result,
+    def insert_stretch(self, xi_lo: float, xi_hi: float, level: int, result,
                        refine_lower: bool, refine_upper: bool
-                       ) -> list[IntervalDescriptor]:
+                       ) -> list[tuple[float, float, float]]:
         """Store all fine points; hi.ds becomes the closing distance.
 
         Fine xi values are assigned chord-length style with the fine length
@@ -144,45 +128,42 @@ class CurveMap:
         strictly inside the parent. A closing distance below 1e-12 of the
         parent's length is degenerate: the fine end-point is then not stored
         and its distance goes to hi.ds. Returns the child intervals to
-        queue: the fine subintervals if refine_lower, the closing
-        subinterval if refine_upper (suppressed when degenerate).
+        queue as (xi_lo, xi_hi, delta_L0): the fine subintervals if
+        refine_lower, the closing subinterval if refine_upper (suppressed
+        when degenerate).
         """
         dists = result.distances
         dl_close = float(result.closing_distance)
         total = sum(dists) + dl_close
-        suppress_closing = dl_close <= 1e-12 * self.lookup(parent.xi_hi).ds
+        suppress_closing = dl_close <= 1e-12 * self.lookup(xi_hi).ds
         if suppress_closing and dists:
             closing = dists[-1] + dl_close
             stored = dists[:-1]
         else:
             closing = dl_close
             stored = dists
-        keys = self._insert(parent, result.solutions[1:len(stored) + 1],
-                            stored, total, closing)
-        child_level = parent.level + 1
+        keys = self._insert(xi_lo, xi_hi, level,
+                            result.solutions[1:len(stored) + 1], stored,
+                            total, closing)
         children = []
         if refine_lower:
-            children = [
-                IntervalDescriptor(branch=self.branch, xi_lo=a, xi_hi=b,
-                                   delta_L0=d, level=child_level)
-                for a, b, d in zip(keys, keys[1:], dists)]
+            children = list(zip(keys, keys[1:], dists))
         if refine_upper and not suppress_closing:
-            children.append(IntervalDescriptor(
-                branch=self.branch, xi_lo=keys[-2], xi_hi=keys[-1],
-                delta_L0=dl_close, level=child_level))
+            children.append((keys[-2], keys[-1], dl_close))
         return children
 
-    def _insert(self, parent: IntervalDescriptor, sols: list[SolutionPoint],
-                dists: list[float], denom: float, closing: float
-                ) -> list[float]:
-        """Store sols between the parent's keys; hi.ds becomes closing.
+    def _insert(self, xi_lo: float, xi_hi: float, level: int,
+                sols: list[SolutionPoint], dists: list[float], denom: float,
+                closing: float) -> list[float]:
+        """Store sols at `level` between the keys xi_lo and xi_hi; hi.ds
+        becomes closing.
 
         Fine xi advance by (hi.xi - lo.xi) * d_k / denom. Every check runs
         before the map changes, so a CurveStructureError leaves it as it
         was. Returns the keys from lo.xi to hi.xi.
         """
-        lo = self.lookup(parent.xi_lo)
-        hi = self.lookup(parent.xi_hi)
+        lo = self.lookup(xi_lo)
+        hi = self.lookup(xi_hi)
         idx = bisect.bisect_right(self._keys, lo.xi)
         if self._keys[idx] != hi.xi:
             raise CurveStructureError(
@@ -201,7 +182,7 @@ class CurveMap:
         w_prev = lo.w
         for xi, d, w in zip(keys[1:], dists, sols):
             self._entries[xi] = CurveEntry(xi=xi, ds=d, w=w, w_prev=w_prev,
-                                           level=parent.level)
+                                           level=level)
             w_prev = w
         self._keys[idx:idx] = keys[1:-1]
         hi.ds = closing

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import alm
 from .alm import AlmConfig
-from .curvemap import CurveMap, CurveStructureError, IntervalDescriptor
+from .curvemap import CurveMap, CurveStructureError
 from .problems import ProblemDef, SolutionPoint
 
 log = logging.getLogger(__name__)
@@ -54,10 +54,16 @@ class EngineConfig:
             raise ValueError("tolerances must be positive")
         if self.max_level < 1:
             raise ValueError("max_level must be >= 1")
+        if self.branch_delta_L is not None and self.branch_delta_L <= 0:
+            raise ValueError("branch_delta_L must be positive")
+        if self.branch_steps is not None and self.branch_steps < 1:
+            raise ValueError("branch_steps must be >= 1")
 
 
 @dataclass(frozen=True)
 class Job:
+    """One queued interval of a branch, with the map data to solve it."""
+
     id: int
     branch: int
     xi_lo: float
@@ -68,6 +74,12 @@ class Job:
     w_ref: SolutionPoint
     level: int
     N: int
+
+    def __post_init__(self):
+        if not self.xi_lo < self.xi_hi:
+            raise ValueError("xi_lo must be < xi_hi")
+        if self.delta_L0 <= 0:
+            raise ValueError("delta_L0 must be positive")
 
 
 @dataclass(frozen=True)
@@ -87,17 +99,6 @@ class ErrorTriple:
     lower: float  # (dL0 - dL_bar) / dL0
     upper: float  # (total - lower) / dL0, with the extra division as printed
     upper_raw: float  # total - lower, without the extra division
-
-
-@dataclass
-class BranchData:
-    branch: int
-    solutions: list[SolutionPoint]
-    s_coords: list[float]
-    # Virtual predecessor of the branch start (start minus the branch-switch
-    # seed); gives warm predictors on the first interval the branch
-    # direction instead of a cold start along the parent branch.
-    w_prev0: SolutionPoint | None = None
 
 
 def compute_errors(delta_L0: float, distances: list[float],
@@ -148,8 +149,8 @@ def solve_interval(problem: ProblemDef, config: AlmConfig, job: Job
 
 
 def serial_solve(problem: ProblemDef, config: AlmConfig,
-                 engine: EngineConfig) -> list[BranchData]:
-    """Coarse serial continuation; level-0 data for every branch.
+                 engine: EngineConfig) -> list[CurveMap]:
+    """Coarse serial continuation; the level-0 map of every branch.
 
     Starts from the trivial point (u = 0, lambda = 0). With bifurcation
     detection enabled, a stability sign change between consecutive points
@@ -159,7 +160,7 @@ def serial_solve(problem: ProblemDef, config: AlmConfig,
     w0 = SolutionPoint(np.zeros(problem.n_dof), 0.0)
     # (start, branch-switch seed, step length, step count) per branch
     pending: deque[tuple] = deque([(w0, None, engine.delta_L, engine.steps)])
-    branches: list[BranchData] = []
+    branches: list[CurveMap] = []
     while pending:
         start, seed, dl, n_steps = pending.popleft()
         ws = [start]
@@ -186,12 +187,14 @@ def serial_solve(problem: ProblemDef, config: AlmConfig,
                     _maybe_spawn_branch(problem, config, engine,
                                         ws[-2], w_new, pending)
                 stab_prev = stab
+        # A spawned branch's start gets a virtual predecessor, so that its
+        # first interval is warm-started along the new branch.
         w_prev0 = None
         if seed is not None:
             du, dlam = seed
             w_prev0 = SolutionPoint(start.u - du, start.lam - dlam)
-        branches.append(BranchData(branch=len(branches), solutions=ws,
-                                   s_coords=ss, w_prev0=w_prev0))
+        branches.append(CurveMap.from_serial(len(branches), ws, ss,
+                                             w_prev0=w_prev0))
     return branches
 
 
@@ -211,27 +214,12 @@ def _maybe_spawn_branch(problem, config, engine, w_a, w_b, pending) -> None:
     except alm.BranchSwitchError as exc:
         log.warning("branch switch refused: %s", exc)
         return
-    dl = engine.branch_delta_L or engine.delta_L
-    n_steps = engine.branch_steps or engine.steps
+    dl = (engine.delta_L if engine.branch_delta_L is None
+          else engine.branch_delta_L)
+    n_steps = (engine.steps if engine.branch_steps is None
+               else engine.branch_steps)
     pending.append((w_star, seed, dl, n_steps))
     log.info("bifurcation at lambda=%.6g: spawning branch", w_star.lam)
-
-
-def initialize_map(branches: list[BranchData]
-                   ) -> tuple[dict[int, CurveMap], deque[IntervalDescriptor]]:
-    """Per-branch maps plus the initial queue of level-1 intervals."""
-    maps: dict[int, CurveMap] = {}
-    queue: deque[IntervalDescriptor] = deque()
-    for b in branches:
-        m = CurveMap.from_serial(b.branch, b.solutions, b.s_coords,
-                                 w_prev0=b.w_prev0)
-        maps[b.branch] = m
-        keys = m.xi_keys()
-        for lo, hi in zip(keys, keys[1:]):
-            queue.append(IntervalDescriptor(
-                branch=b.branch, xi_lo=lo, xi_hi=hi,
-                delta_L0=m.lookup(hi).ds, level=1))
-    return maps, queue
 
 
 @dataclass
@@ -259,50 +247,63 @@ class QueueEngine:
         self.config = config
         self.engine = engine
         self.maps: dict[int, CurveMap] = {}
-        self.queue: deque[IntervalDescriptor] = deque()
+        self.queue: deque[Job] = deque()
         self.stats = EngineStats()
-        self._descriptors: dict[int, IntervalDescriptor] = {}
+        self._outstanding: set[int] = set()  # ids popped, not yet settled
         self._next_id = 0
 
     def initialize(self) -> None:
+        """Serial phase; queues every level-0 interval as a level-1 job."""
         t0 = time.perf_counter()
-        self.maps, self.queue = initialize_map(
-            serial_solve(self.problem, self.config, self.engine))
+        for m in serial_solve(self.problem, self.config, self.engine):
+            self.maps[m.branch] = m
+            keys = m.xi_keys()
+            for lo, hi in zip(keys, keys[1:]):
+                self._enqueue(m, lo, hi, m.lookup(hi).ds, level=1)
         self.stats.serial_time = time.perf_counter() - t0
 
+    def _enqueue(self, m: CurveMap, xi_lo: float, xi_hi: float,
+                 delta_L0: float, level: int) -> None:
+        """Queue [xi_lo, xi_hi] of map m; later insertions never change the
+        w or w_prev read here, only the ds of an interval's end."""
+        lo, hi = m.lookup(xi_lo), m.lookup(xi_hi)
+        self.queue.append(Job(
+            id=self._next_id, branch=m.branch, xi_lo=xi_lo, xi_hi=xi_hi,
+            delta_L0=delta_L0, w_start=lo.w, w_prev=lo.w_prev, w_ref=hi.w,
+            level=level, N=self.engine.subintervals))
+        self._next_id += 1
+
     def pop(self) -> Job:
-        """FIFO removal; payload assembled from the branch map."""
+        """FIFO removal; the job is outstanding until it is settled."""
         if not self.queue:
             raise QueueInvariantError("pop on empty queue")
-        desc = self.queue.popleft()
-        m = self.maps[desc.branch]
-        lo = m.lookup(desc.xi_lo)
-        hi = m.lookup(desc.xi_hi)
-        job = Job(id=self._next_id, branch=desc.branch, xi_lo=desc.xi_lo,
-                  xi_hi=desc.xi_hi, delta_L0=desc.delta_L0, w_start=lo.w,
-                  w_prev=lo.w_prev, w_ref=hi.w, level=desc.level,
-                  N=self.engine.subintervals)
-        self._descriptors[job.id] = desc
-        self._next_id += 1
+        job = self.queue.popleft()
+        self._outstanding.add(job.id)
         return job
 
+    def _settle(self, job: Job) -> None:
+        try:
+            self._outstanding.remove(job.id)
+        except KeyError:
+            raise QueueInvariantError(
+                f"job id {job.id} is not outstanding") from None
+
     def requeue(self, job: Job) -> None:
-        """Undo pop: put the job's interval back at the front of the queue."""
-        self.queue.appendleft(self._descriptors.pop(job.id))
+        """Undo pop: put the job back at the front of the queue."""
+        self._settle(job)
+        self.queue.appendleft(job)
 
     def submit(self, job: Job, result: IntervalResult) -> None:
         """Insert a job's solutions and queue children where errors demand."""
-        desc = self._descriptors.pop(job.id, None)
-        if desc is None:
-            raise QueueInvariantError(f"submit for unknown job id {job.id}")
-        m = self.maps[desc.branch]
+        self._settle(job)
+        m = self.maps[job.branch]
         self.stats.jobs_done += 1
         if not result.success:
             # Retain the coarse data; warn, do not requeue.
-            self._fail(f"job {job.id} on branch {desc.branch} failed: "
+            self._fail(f"job {job.id} on branch {job.branch} failed: "
                        f"{result.message}")
             return
-        errors = compute_errors(desc.delta_L0, result.distances,
+        errors = compute_errors(job.delta_L0, result.distances,
                                 result.lower_distance,
                                 result.closing_distance)
         refine_lower = errors.lower > self.engine.tol_lower
@@ -310,32 +311,32 @@ class QueueEngine:
         children = []
         try:
             if not refine_lower and not refine_upper:
-                m.insert_interior(desc, result)
+                m.insert_interior(job.xi_lo, job.xi_hi, job.level, result)
             else:
-                children = m.insert_stretch(desc, result, refine_lower,
+                children = m.insert_stretch(job.xi_lo, job.xi_hi, job.level,
+                                            result, refine_lower,
                                             refine_upper)
         except CurveStructureError as exc:
             # The map is unchanged: keep the coarse data, as for a failed
             # solve.
-            self._fail(f"job {job.id} on branch {desc.branch} rejected: "
+            self._fail(f"job {job.id} on branch {job.branch} rejected: "
                        f"{exc}")
             return
         self.stats.error_log.append(errors)
         self.stats.interval_log.append(
-            (desc.delta_L0, sum(result.distances), result.lower_distance,
+            (job.delta_L0, sum(result.distances), result.lower_distance,
              result.closing_distance))
-        for child in children:
-            if child.level <= self.engine.max_level:
-                self.queue.append(child)
+        if job.level < self.engine.max_level:
+            for lo, hi, dl0 in children:
+                self._enqueue(m, lo, hi, dl0, job.level + 1)
                 self.stats.children_spawned += 1
-        lvl = desc.level
+        lvl = job.level
         self.stats.level_counts[lvl] = self.stats.level_counts.get(lvl, 0) + 1
         self.stats.submits += 1
-        m.validate_monotone()
 
     def submit_failure(self, job: Job, message: str) -> None:
         """Record a job lost to a worker failure; coarse data is retained."""
-        self._descriptors.pop(job.id, None)
+        self._settle(job)
         self.stats.jobs_done += 1
         self._fail(f"job {job.id} lost: {message}")
 
@@ -344,12 +345,18 @@ class QueueEngine:
         self.stats.warnings.append(warning)
         log.warning(warning)
 
+    def validate_maps(self) -> None:
+        """The one full walk of every map, once the queue has drained."""
+        for m in self.maps.values():
+            m.validate_monotone()
+
     def run_serial_queue(self) -> None:
         t0 = time.perf_counter()
         while self.queue:
             job = self.pop()
             result = solve_interval(self.problem, self.config, job)
             self.submit(job, result)
+        self.validate_maps()
         self.stats.queue_time = time.perf_counter() - t0
 
     def collect(self) -> list[tuple[int, float, float, int, SolutionPoint]]:

@@ -49,7 +49,8 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
     whatever order they arrive. A worker lost mid-job costs that job; a
     worker found gone at dispatch costs none, as its job goes back to the
     front of the queue. Raises EndpointClosed if every worker is lost while
-    work is still queued.
+    work is still queued. Once the workers are stopped, every map is
+    validated.
     """
     idle = list(endpoints)
     inflight: dict = {}  # endpoint -> its job; live = idle + in flight
@@ -101,6 +102,7 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
             ep.send(None)
         except tp.EndpointClosed:
             pass
+    state.validate_maps()
 
 
 def _worker_main(problem, config, sock):

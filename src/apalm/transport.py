@@ -96,9 +96,12 @@ def decode(payload: bytes) -> Job | IntervalResult | None:
         if has_prev:
             w_prev, off = _unpack_point(buf, off)
         w_ref, off = _unpack_point(buf, off)
-        return Job(id=jid, branch=branch, xi_lo=xi_lo, xi_hi=xi_hi,
-                   delta_L0=dl0, w_start=w_start, w_prev=w_prev, w_ref=w_ref,
-                   level=level, N=n)
+        try:
+            return Job(id=jid, branch=branch, xi_lo=xi_lo, xi_hi=xi_hi,
+                       delta_L0=dl0, w_start=w_start, w_prev=w_prev,
+                       w_ref=w_ref, level=level, N=n)
+        except ValueError as exc:
+            raise ProtocolError(f"bad job: {exc}") from None
     if kind == MSG_DATA:
         _, jid, success = struct.unpack_from("<BQB", buf, 0)
         off = struct.calcsize("<BQB")

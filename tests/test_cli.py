@@ -71,6 +71,49 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(json.dumps(d))
 
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.update(alm=None),
+        lambda d: d.update(engine=3),
+        lambda d: d["problem"].update(params=[64]),
+        lambda d: d["problem"].update(name="tightrope"),
+        lambda d: d["engine"].update(steps=3.0),
+        lambda d: d["engine"].update(subintervals=2.5),
+        lambda d: d["engine"].update(max_level=True),
+        lambda d: d["alm"].update(max_newton_iters=25.0),
+        lambda d: d.update(workers=True),
+        lambda d: d.update(observable_index=False),
+        lambda d: d["engine"].update(branch_delta_L=-0.4),
+        lambda d: d["engine"].update(branch_delta_L=0.0),
+        lambda d: d["engine"].update(branch_steps=0),
+        lambda d: d.update(problem={"name": "springchain",
+                                    "params": {"n": 20}},
+                           observable_index=20),
+        lambda d: d["alm"].update(step_delay="0.1"),
+        lambda d: d["alm"].update(bif_tol=None),
+        lambda d: d["alm"].update(psi=float("nan")),
+        lambda d: d["engine"].update(delta_L=float("inf")),
+        lambda d: d.update(output=5),
+    ], ids=["alm-null", "engine-int", "params-list", "unknown-problem",
+            "steps-float", "subintervals-float", "max_level-bool",
+            "newton_iters-float", "workers-bool", "observable-bool",
+            "branch_delta_L-negative", "branch_delta_L-zero",
+            "branch_steps-zero", "observable-past-n_dof",
+            "step_delay-string", "bif_tol-null", "psi-nan", "delta_L-inf",
+            "output-int"])
+    def test_configs_that_cannot_run_rejected(self, mutate, tmp_path,
+                                               capsys):
+        d = doc()
+        mutate(d)
+        with pytest.raises(ConfigError):
+            parse_config(json.dumps(d))
+        assert main(["run", write_cfg(tmp_path, d)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_last_observable_index_accepted(self):
+        d = doc(problem={"name": "springchain", "params": {"n": 20}},
+                observable_index=19)
+        assert parse_config(json.dumps(d)).observable_index == 19
+
     @pytest.mark.parametrize("missing", ["problem", "engine"])
     def test_required_sections(self, missing):
         d = doc()
@@ -257,3 +300,16 @@ class TestMain:
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--workers", "0"],
+        ["run", "--workers", "-2"],
+        ["run", "--workers", "two"],
+        ["scale", "--workers", "1", "--repeats", "0"],
+    ])
+    def test_non_positive_counts_rejected(self, argv, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, doc())
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + [cfg] + argv[1:])
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}" in capsys.readouterr().err

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apalm.curvemap import (CurveMap, CurveStructureError, IntervalDescriptor,
-                            LookupError_)
+from apalm.curvemap import CurveMap, CurveStructureError, LookupError_
 from apalm.problems import SolutionPoint
 
 
@@ -79,9 +78,9 @@ class TestLookup:
 
 
 def parent_2_4(m, level=1):
-    # the [0.2, 0.4] interval of a map with s in {0, 2, 4, ..., 10}
-    return IntervalDescriptor(branch=0, xi_lo=0.2, xi_hi=0.4, delta_L0=2.0,
-                              level=level)
+    # (xi_lo, xi_hi, level) of the [0.2, 0.4] interval of a map with s in
+    # {0, 2, 4, ..., 10}
+    return 0.2, 0.4, level
 
 
 def make_map_0_10():
@@ -93,7 +92,7 @@ class TestInsertInterior:
         m = make_map_0_10()
         res = FakeResult(distances=[0.8, 1.2],
                          solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)])
-        m.insert_interior(parent_2_4(m), res)
+        m.insert_interior(*parent_2_4(m), res)
         keys = m.xi_keys()
         assert 0.28 in [pytest.approx(k) for k in keys]
         e = m.lookup(keys[2])
@@ -105,7 +104,7 @@ class TestInsertInterior:
         m = make_map_0_10()
         res = FakeResult(distances=[1.0, 1.0],
                          solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)])
-        m.insert_interior(parent_2_4(m), res)
+        m.insert_interior(*parent_2_4(m), res)
         e = m.lookup(m.xi_keys()[2])
         assert (s_at(m, e.xi), e.xi) == (pytest.approx(3.0),
                                          pytest.approx(0.3))
@@ -115,7 +114,7 @@ class TestInsertInterior:
         res = FakeResult(distances=[0.5, 0.5, 1.0],
                          solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0),
                                     pt(12.0)])
-        m.insert_interior(parent_2_4(m), res)
+        m.insert_interior(*parent_2_4(m), res)
         keys = m.xi_keys()
         assert s_at(m, keys[2]) == pytest.approx(2.5)
         assert m.lookup(keys[2]).xi == pytest.approx(0.25)
@@ -127,7 +126,7 @@ class TestInsertInterior:
         before = [(k, s_at(m, k)) for k in m.xi_keys()]
         res = FakeResult(distances=[0.8, 1.2],
                          solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)])
-        m.insert_interior(parent_2_4(m), res)
+        m.insert_interior(*parent_2_4(m), res)
         for k, s in before:
             assert s_at(m, k) == s
 
@@ -135,7 +134,7 @@ class TestInsertInterior:
         m = make_map_0_10()
         res = FakeResult(distances=[1.0, 1.0],
                          solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)])
-        m.insert_interior(parent_2_4(m), res)
+        m.insert_interior(*parent_2_4(m), res)
         assert len(m) == 7  # one interior point added, not two
 
 
@@ -145,7 +144,7 @@ class TestInsertStretch:
         res = FakeResult(distances=[1.0, 1.0],
                          solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)],
                          closing_distance=0.3)
-        children = m.insert_stretch(parent_2_4(m), res, refine_lower=True,
+        children = m.insert_stretch(*parent_2_4(m), res, refine_lower=True,
                                     refine_upper=True)
         keys = m.xi_keys()
         # fine points: chord-length xi with the post-stretch total 2.3
@@ -158,17 +157,17 @@ class TestInsertStretch:
         assert s_at(m, 0.4) == pytest.approx(4.3)
         assert s_at(m, 0.6) == pytest.approx(6.3)
         assert s_at(m, 1.0) == pytest.approx(10.3)
-        # both tolerances exceeded with N = 2: three children
+        # both tolerances exceeded with N = 2: three (xi_lo, xi_hi, delta_L0)
+        # children
         assert len(children) == 3
-        assert children[-1].delta_L0 == pytest.approx(0.3)
-        assert all(c.level == 2 for c in children)
+        assert children[-1][2] == pytest.approx(0.3)
 
     def test_zero_closing_distance_suppresses_closing_child(self):
         m = make_map_0_10()
         res = FakeResult(distances=[1.0, 1.0],
                          solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)],
                          closing_distance=0.0)
-        children = m.insert_stretch(parent_2_4(m), res, refine_lower=True,
+        children = m.insert_stretch(*parent_2_4(m), res, refine_lower=True,
                                     refine_upper=True)
         keys = m.xi_keys()
         assert s_at(m, keys[2]) == pytest.approx(3.0)
@@ -176,14 +175,14 @@ class TestInsertStretch:
         assert s_at(m, 0.4) == pytest.approx(4.0)  # no shift
         # the would-be closing child is suppressed; two fine children remain
         assert len(children) == 2
-        assert children[-1].xi_hi == 0.4
+        assert children[-1][1] == 0.4
 
     def test_lower_only_children(self):
         m = make_map_0_10()
         res = FakeResult(distances=[1.0, 1.0],
                          solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)],
                          closing_distance=0.3)
-        children = m.insert_stretch(parent_2_4(m), res, refine_lower=True,
+        children = m.insert_stretch(*parent_2_4(m), res, refine_lower=True,
                                     refine_upper=False)
         assert len(children) == 2
 
@@ -192,17 +191,17 @@ class TestInsertStretch:
         res = FakeResult(distances=[1.0, 1.0],
                          solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)],
                          closing_distance=0.3)
-        children = m.insert_stretch(parent_2_4(m), res, refine_lower=False,
+        children = m.insert_stretch(*parent_2_4(m), res, refine_lower=False,
                                     refine_upper=True)
         assert len(children) == 1
-        assert children[0].delta_L0 == pytest.approx(0.3)
+        assert children[0][2] == pytest.approx(0.3)
 
     def test_branch_end_xi_never_changes(self):
         m = make_map_0_10()
         res = FakeResult(distances=[1.0, 1.0],
                          solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)],
                          closing_distance=0.5)
-        m.insert_stretch(parent_2_4(m), res, True, True)
+        m.insert_stretch(*parent_2_4(m), res, True, True)
         assert m.xi_keys()[-1] == 1.0
 
 
@@ -222,7 +221,7 @@ class TestRejectedInsertion:
                          solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0),
                                     pt(12.0)])
         with pytest.raises(CurveStructureError):
-            m.insert_interior(parent_2_4(m), res)
+            m.insert_interior(*parent_2_4(m), res)
         assert row_bits(m.collect()) == before
 
     def test_stretch_overrun_leaves_map_unchanged(self):
@@ -234,18 +233,18 @@ class TestRejectedInsertion:
                          solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)],
                          closing_distance=3e-12)
         with pytest.raises(CurveStructureError):
-            m.insert_stretch(parent_2_4(m), res, True, True)
+            m.insert_stretch(*parent_2_4(m), res, True, True)
         assert row_bits(m.collect()) == before
 
     def test_parent_spanning_a_key_leaves_map_unchanged(self):
         m = make_map_0_10()
         before = row_bits(m.collect())
         # [0.2, 0.6] holds the key 0.4, so it is no unrefined interval
-        parent = IntervalDescriptor(0, 0.2, 0.6, 4.0, level=1)
+        parent = (0.2, 0.6, 1)
         res = FakeResult(distances=[1.0, 1.0],
                          solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)])
         with pytest.raises(CurveStructureError):
-            m.insert_interior(parent, res)
+            m.insert_interior(*parent, res)
         assert row_bits(m.collect()) == before
 
 
@@ -257,19 +256,19 @@ class TestCollect:
 
     def test_after_interior(self):
         m = make_map([0.0, 1.0, 2.0])
-        parent = IntervalDescriptor(0, 0.0, 0.5, 1.0, level=1)
+        parent = (0.0, 0.5, 1)
         res = FakeResult(distances=[0.5, 0.5],
                          solutions=[m.lookup(0.0).w, pt(10.0), pt(11.0)])
-        m.insert_interior(parent, res)
+        m.insert_interior(*parent, res)
         assert len(m.collect()) == 4
 
     def test_after_stretch(self):
         m = make_map([0.0, 1.0, 2.0])
-        parent = IntervalDescriptor(0, 0.0, 0.5, 1.0, level=1)
+        parent = (0.0, 0.5, 1)
         res = FakeResult(distances=[0.5, 0.5],
                          solutions=[m.lookup(0.0).w, pt(10.0), pt(11.0)],
                          closing_distance=0.2)
-        m.insert_stretch(parent, res, True, True)
+        m.insert_stretch(*parent, res, True, True)
         assert len(m.collect()) == 5
 
     def test_sorted_by_xi(self):
@@ -306,7 +305,7 @@ def test_monotonicity_under_random_insertions(seq):
         lo, hi = keys[i], keys[i + 1]
         width = m.lookup(hi).ds
         level = max(m.lookup(lo).level, m.lookup(hi).level) + 1
-        parent = IntervalDescriptor(0, lo, hi, width, level)
+        parent = (lo, hi, level)
         if is_stretch:
             dists = [f * width for f in fracs]
             res = FakeResult(
@@ -314,7 +313,7 @@ def test_monotonicity_under_random_insertions(seq):
                 solutions=[m.lookup(lo).w] + [pt(counter + k)
                                               for k in range(len(dists))],
                 closing_distance=closing * width)
-            m.insert_stretch(parent, res, True, True)
+            m.insert_stretch(*parent, res, True, True)
         else:
             # interior: fine path must fit strictly inside the parent
             total = sum(fracs) + 0.05
@@ -323,7 +322,7 @@ def test_monotonicity_under_random_insertions(seq):
                 distances=dists,
                 solutions=[m.lookup(lo).w] + [pt(counter + k)
                                               for k in range(len(dists))])
-            m.insert_interior(parent, res)
+            m.insert_interior(*parent, res)
         counter += 10
         m.validate_monotone()
     rows = m.collect()

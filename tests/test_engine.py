@@ -4,11 +4,14 @@ import random
 import numpy as np
 import pytest
 
+from apalm import engine
 from apalm.alm import AlmConfig
-from apalm.engine import (EngineConfig, IntervalResult, QueueEngine,
+from apalm.curvemap import CurveMap
+from apalm.engine import (EngineConfig, IntervalResult, Job, QueueEngine,
                           QueueInvariantError, aalm, compute_errors,
-                          initialize_map, serial_solve, solve_interval)
+                          serial_solve, solve_interval)
 from apalm.problems import SolutionPoint, make_builtin
+from apalm.runtime import apalm
 
 
 def crisfield(psi, tol=1e-12, **kw):
@@ -41,20 +44,20 @@ class TestSerialSolve:
         branches = serial_solve(p, crisfield(1.0),
                                 EngineConfig(delta_L=math.sqrt(2.0), steps=4))
         assert len(branches) == 1
-        b = branches[0]
-        for i, w in enumerate(b.solutions):
+        rows = branches[0].collect()
+        for i, (_, _, _, _, w) in enumerate(rows):
             assert w.u[0] == pytest.approx(i, abs=1e-9)
             assert w.lam == pytest.approx(i, abs=1e-9)
-        assert b.s_coords == pytest.approx(
+        assert [s for _, _, s, _, _ in rows] == pytest.approx(
             [i * math.sqrt(2.0) for i in range(5)])
 
     def test_cubic1d_on_analytic_path(self):
         p = make_builtin("cubic1d")
         branches = serial_solve(p, crisfield(0.0),
                                 EngineConfig(delta_L=0.4, steps=15))
-        b = branches[0]
-        assert len(b.solutions) == 16
-        for w_prev, w in zip(b.solutions, b.solutions[1:]):
+        sols = [w for _, _, _, _, w in branches[0].collect()]
+        assert len(sols) == 16
+        for w_prev, w in zip(sols, sols[1:]):
             assert abs(w.u[0] - w_prev.u[0]) == pytest.approx(0.4, abs=1e-9)
             assert w.lam == pytest.approx(w.u[0] ** 3 - 3 * w.u[0], abs=1e-9)
 
@@ -66,9 +69,9 @@ class TestSerialSolve:
         branches = serial_solve(p, cfg, eng)
         assert len(branches) == 2
         # only a spawned branch starts from a branch-switch seed
-        assert branches[0].w_prev0 is None
-        assert branches[1].w_prev0 is not None
-        assert branches[1].solutions[0].lam == pytest.approx(1.0, abs=1e-4)
+        assert branches[0].lookup(0.0).w_prev is None
+        assert branches[1].lookup(0.0).w_prev is not None
+        assert branches[1].lookup(0.0).w.lam == pytest.approx(1.0, abs=1e-4)
 
     def test_cubic1d_limit_point_spawns_nothing(self):
         p = make_builtin("cubic1d")
@@ -79,33 +82,47 @@ class TestSerialSolve:
 
 
 class TestInitializeMap:
-    def _branches(self, counts):
-        out = []
+    """QueueEngine.initialize queues one level-1 job per serial interval."""
+
+    def _initialize(self, monkeypatch, counts):
+        maps = []
         for b, n in enumerate(counts):
             sols = [SolutionPoint(np.array([float(i)]), 0.0) for i in range(n)]
-            from apalm.engine import BranchData
-            out.append(BranchData(branch=b, solutions=sols,
-                                  s_coords=[float(i) for i in range(n)]))
-        return out
+            maps.append(CurveMap.from_serial(
+                b, sols, [float(i) for i in range(n)]))
+        monkeypatch.setattr(engine, "serial_solve", lambda *args: maps)
+        state = QueueEngine(make_builtin("linear1d"), crisfield(1.0),
+                            EngineConfig(delta_L=1.0, steps=1))
+        state.initialize()
+        return state.maps, state.queue
 
-    def test_five_points_four_intervals(self):
-        maps, queue = initialize_map(self._branches([5]))
+    def test_five_points_four_intervals(self, monkeypatch):
+        maps, queue = self._initialize(monkeypatch, [5])
         assert len(queue) == 4
         assert all(d.level == 1 for d in queue)
 
-    def test_two_branches(self):
-        maps, queue = initialize_map(self._branches([5, 3]))
+    def test_two_branches(self, monkeypatch):
+        maps, queue = self._initialize(monkeypatch, [5, 3])
         assert len(queue) == 6
         assert sorted({d.branch for d in queue}) == [0, 1]
 
-    def test_degenerate_single_point_branch(self):
-        maps, queue = initialize_map(self._branches([1]))
+    def test_degenerate_single_point_branch(self, monkeypatch):
+        maps, queue = self._initialize(monkeypatch, [1])
         assert len(queue) == 0
         assert len(maps[0]) == 1
 
+    def test_ids_and_payload_from_the_map(self, monkeypatch):
+        maps, queue = self._initialize(monkeypatch, [3, 2])
+        assert [job.id for job in queue] == [0, 1, 2]
+        for job in queue:
+            m = maps[job.branch]
+            assert job.w_start is m.lookup(job.xi_lo).w
+            assert job.w_prev is m.lookup(job.xi_lo).w_prev
+            assert job.w_ref is m.lookup(job.xi_hi).w
+            assert job.delta_L0 == m.lookup(job.xi_hi).ds
+
 
 def make_job(problem, w_start, w_prev, w_ref, delta_L0, N=2, level=1):
-    from apalm.engine import Job
     return Job(id=0, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=delta_L0,
                w_start=w_start, w_prev=w_prev, w_ref=w_ref, level=level, N=N)
 
@@ -208,6 +225,56 @@ class TestQueueEngine:
         assert sum(len(m) for m in state.maps.values()) == n_points
         assert len(state.queue) == 3
 
+    def test_submit_twice_raises(self):
+        p = make_builtin("linear1d")
+        state = QueueEngine(p, crisfield(1.0),
+                            EngineConfig(delta_L=math.sqrt(2.0), steps=4))
+        state.initialize()
+        job = state.pop()
+        res = solve_interval(p, state.config, job)
+        state.submit(job, res)
+        with pytest.raises(QueueInvariantError):
+            state.submit(job, res)
+        with pytest.raises(QueueInvariantError):
+            state.submit(state.queue[0], res)  # queued, never popped
+        assert state.stats.jobs_done == 1
+
+    def test_requeue_returns_the_same_job(self):
+        p = make_builtin("linear1d")
+        state = QueueEngine(p, crisfield(1.0),
+                            EngineConfig(delta_L=math.sqrt(2.0), steps=4))
+        state.initialize()
+        job = state.pop()
+        state.requeue(job)
+        assert len(state.queue) == 4
+        again = state.pop()
+        assert again is job
+        assert again.id == 0 and again.xi_lo == 0.0
+        state.requeue(job)
+        with pytest.raises(QueueInvariantError):
+            state.requeue(job)  # no longer outstanding
+
+    def test_children_one_level_down_with_map_payload(self):
+        p = make_builtin("cubic1d")
+        state = QueueEngine(p, crisfield(1.0),
+                            EngineConfig(delta_L=0.4, steps=15,
+                                         tol_lower=1e-6, tol_upper=1e-6))
+        state.initialize()
+        n_level1 = len(state.queue)
+        while state.stats.children_spawned == 0:
+            job = state.pop()
+            state.submit(job, solve_interval(p, state.config, job))
+        children = list(state.queue)[n_level1 - state.stats.jobs_done:]
+        assert len(children) == state.stats.children_spawned
+        m = state.maps[job.branch]
+        for i, child in enumerate(children):
+            assert child.level == job.level + 1
+            assert child.id == n_level1 + i
+            assert job.xi_lo <= child.xi_lo < child.xi_hi <= job.xi_hi
+            assert child.w_start is m.lookup(child.xi_lo).w
+            assert child.w_prev is m.lookup(child.xi_lo).w_prev
+            assert child.w_ref is m.lookup(child.xi_hi).w
+
     def test_max_level_cap(self):
         p = make_builtin("cubic1d")
         eng = EngineConfig(delta_L=0.4, steps=15, tol_lower=1e-6,
@@ -289,10 +356,48 @@ class TestEngineConfigValidation:
         {"delta_L": 1.0, "steps": 1, "subintervals": 1},
         {"delta_L": 1.0, "steps": 1, "tol_lower": 0.0},
         {"delta_L": 1.0, "steps": 1, "max_level": 0},
+        {"delta_L": 1.0, "steps": 1, "branch_delta_L": 0.0},
+        {"delta_L": 1.0, "steps": 1, "branch_delta_L": -0.4},
+        {"delta_L": 1.0, "steps": 1, "branch_steps": 0},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             EngineConfig(**kw)
+
+
+class TestJob:
+    @pytest.mark.parametrize("xi_lo,xi_hi,delta_L0", [
+        (0.5, 0.5, 1.0), (0.6, 0.5, 1.0), (0.0, 1.0, 0.0), (0.0, 1.0, -1.0),
+    ])
+    def test_rejects_bad_interval(self, xi_lo, xi_hi, delta_L0):
+        w = SolutionPoint(np.zeros(1), 0.0)
+        with pytest.raises(ValueError):
+            Job(id=0, branch=0, xi_lo=xi_lo, xi_hi=xi_hi, delta_L0=delta_L0,
+                w_start=w, w_prev=None, w_ref=w, level=1, N=2)
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_one_map_walk_at_the_end(monkeypatch, workers):
+    """validate_monotone runs twice per map: in from_serial and once after
+    the queue drains, however many jobs are submitted."""
+    calls = []
+    walk = CurveMap.validate_monotone
+
+    def counted(self):
+        calls.append(self.branch)
+        walk(self)
+
+    monkeypatch.setattr(CurveMap, "validate_monotone", counted)
+    p = make_builtin("pitchfork")
+    cfg = crisfield(1.0, bif_tol=1e-4, branch_perturbation=1e-4)
+    eng = EngineConfig(delta_L=0.3, steps=6, bifurcation_enabled=True,
+                       branch_delta_L=0.4, branch_steps=5)
+    if workers is None:
+        state = aalm(p, cfg, eng)
+    else:
+        state = apalm(p, cfg, eng, worker_count=workers, transport="thread")
+    assert state.stats.submits > len(state.maps) == 2
+    assert sorted(calls) == [0, 0, 1, 1]
 
 
 # Configs whose finest intervals reach the Newton noise floor, where some

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from apalm.engine import IntervalResult, Job
 from apalm.problems import SolutionPoint
-from apalm.transport import (MSG_STOP, PROTOCOL_VERSION, EndpointClosed,
-                             ProtocolError, SocketEndpoint, decode, encode,
-                             frame)
+from apalm.transport import (_JOB, MSG_STOP, PROTOCOL_VERSION,
+                             EndpointClosed, ProtocolError, SocketEndpoint,
+                             decode, encode, frame)
 
 
 def pt(*u, lam=0.0):
@@ -147,6 +147,18 @@ class TestDecodeErrors:
         with pytest.raises(ProtocolError):
             encode("not a message")
 
+    @pytest.mark.parametrize("xi_lo,xi_hi,delta_L0", [
+        (0.5, 0.5, 1.0), (0.75, 0.5, 1.0), (0.0, 1.0, 0.0), (0.0, 1.0, -1.0),
+    ])
+    def test_invalid_job_interval(self, xi_lo, xi_hi, delta_L0):
+        # a frame that no valid Job encodes to: rewrite its header fields
+        payload = bytearray(encode(job()))
+        head = list(_JOB.unpack_from(payload, 0))
+        head[3], head[4], head[6] = xi_lo, xi_hi, delta_L0
+        _JOB.pack_into(payload, 0, *head)
+        with pytest.raises(ProtocolError):
+            decode(bytes(payload))
+
 
 class TestChannelEndpoint:
     """A socket-pair endpoint as the in-process channel to a thread worker."""
@@ -255,8 +267,11 @@ def data_messages(draw):
 def jobs(draw):
     n_dof = draw(st.integers(1, 4))
     u64 = st.integers(0, 2**64 - 1)
-    return Job(id=draw(u64), branch=draw(u64), xi_lo=draw(finite),
-               xi_hi=draw(finite), delta_L0=draw(finite),
+    xi_lo, xi_hi = sorted(draw(st.lists(finite, min_size=2, max_size=2,
+                                        unique=True)))
+    return Job(id=draw(u64), branch=draw(u64), xi_lo=xi_lo, xi_hi=xi_hi,
+               delta_L0=draw(st.floats(min_value=0.0, exclude_min=True,
+                                       allow_infinity=False)),
                w_start=draw(points(n_dof)),
                w_prev=draw(st.none() | points(n_dof)),
                w_ref=draw(points(n_dof)), level=draw(u64), N=draw(u64))
