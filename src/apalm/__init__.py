@@ -7,8 +7,8 @@ bifurcation detection in the serial phase.
 """
 
 from .alm import (AlmConfig, StepResult, branch_switch, detect_singular,
-                  distance, locate_bifurcation, point_distance, predictor,
-                  select_root, step)
+                  distance, increment_between, locate_bifurcation,
+                  point_distance, predictor, select_root, step)
 from .curvemap import CurveEntry, CurveMap
 from .engine import (EngineConfig, ErrorTriple, IntervalResult, Job,
                      QueueEngine, aalm, compute_errors, serial_solve,
@@ -17,8 +17,8 @@ from .problems import ProblemDef, SolutionPoint, make_builtin
 from .runtime import apalm, run_manager, run_worker
 
 __all__ = [
-    "AlmConfig", "StepResult", "branch_switch",
-    "detect_singular", "distance", "locate_bifurcation", "point_distance",
+    "AlmConfig", "StepResult", "branch_switch", "detect_singular",
+    "distance", "increment_between", "locate_bifurcation", "point_distance",
     "predictor", "select_root", "step",
     "CurveEntry", "CurveMap",
     "EngineConfig", "ErrorTriple", "IntervalResult", "Job", "QueueEngine",

@@ -70,6 +70,7 @@ class StepResult:
     iterations: int
     cuts_used: int
     achieved_length: float
+    dw: np.ndarray  # w_new - w_i, the warm start of the next step
 
 
 @dataclass(frozen=True)
@@ -78,58 +79,58 @@ class StabilityInfo:
     n_nonpositive: int  # non-positive pivots / eigenvalues of K
 
 
-def distance(delta_u: np.ndarray, delta_lambda: float, psi: float,
-             load_norm_sq: float) -> float:
-    """Metric length sqrt(du.du + psi^2 dlam^2 P.P) of an increment.
+def distance(dw: np.ndarray, psi: float, load_norm_sq: float) -> float:
+    """Metric length sqrt(du.du + psi^2 dlam^2 P.P) of an increment
+    dw = (du, dlam), one array of n + 1 entries.
 
     The square root makes this a weighted Euclidean norm; the Newton
     constraints internally use the squared form.
     """
     if load_norm_sq < 0:
         raise ValueError("load_norm_sq must be non-negative")
-    du = np.asarray(delta_u, dtype=float)
-    return float(np.sqrt(du @ du + psi**2 * delta_lambda**2 * load_norm_sq))
+    dw = np.asarray(dw, dtype=float)
+    du = dw[:-1]
+    return float(np.sqrt(du @ du + psi**2 * dw.item(-1)**2 * load_norm_sq))
+
+
+def increment_between(w_to: SolutionPoint, w_from: SolutionPoint
+                      ) -> np.ndarray:
+    """The increment (Delta u, Delta lambda) from w_from to w_to."""
+    dw = np.empty(w_to.u.shape[0] + 1)
+    np.subtract(w_to.u, w_from.u, out=dw[:-1])
+    dw[-1] = w_to.lam - w_from.lam
+    return dw
 
 
 def point_distance(w_a: SolutionPoint, w_b: SolutionPoint, psi: float,
                    load_norm_sq: float) -> float:
-    return distance(w_a.u - w_b.u, w_a.lam - w_b.lam, psi, load_norm_sq)
-
-
-def increment_between(w_to: SolutionPoint, w_from: SolutionPoint
-                      ) -> tuple[np.ndarray, float]:
-    """The increment (Delta u, Delta lambda) from w_from to w_to."""
-    return w_to.u - w_from.u, w_to.lam - w_from.lam
+    return distance(increment_between(w_a, w_b), psi, load_norm_sq)
 
 
 def predictor(problem: ProblemDef, config: AlmConfig, w: SolutionPoint,
-              delta_w_prev: tuple[np.ndarray, float] | None, delta_L: float
-              ) -> tuple[np.ndarray, float]:
+              delta_w_prev: np.ndarray | None, delta_L: float) -> np.ndarray:
     """Initial increment (Delta u, Delta lambda) of metric length delta_L.
 
-    Warm start rescales the previous increment; cold start uses the tangent
-    direction K^{-1} P with the sign giving Delta lambda > 0.
+    Warm start rescales the previous increment; cold start scales the
+    tangent (K^{-1} P, 1), which gives Delta lambda > 0.
     """
     if delta_L <= 0:
         raise ValueError("delta_L must be positive")
     psi, ptp = config.psi, problem.load_norm_sq
     if delta_w_prev is not None:
-        du, dlam = delta_w_prev
-        length = distance(du, dlam, psi, ptp)
+        length = distance(delta_w_prev, psi, ptp)
         if length > 0:
-            scale = delta_L / length
-            return scale * du, scale * dlam
+            return (delta_L / length) * delta_w_prev
     K = problem.jacobian_u(w)
     P = -problem.jacobian_lambda(w)
     try:
-        du_t = np.linalg.solve(K, P)
+        tangent = np.append(np.linalg.solve(K, P), 1.0)
     except np.linalg.LinAlgError as exc:
         raise PredictorError(f"singular tangent stiffness at cold start: {exc}")
-    length = distance(du_t, 1.0, psi, ptp)
+    length = distance(tangent, psi, ptp)
     if length == 0.0 or not np.isfinite(length):
         raise PredictorError("degenerate tangent direction at cold start")
-    scale = delta_L / length  # positive, so dlam = scale > 0
-    return scale * du_t, scale
+    return (delta_L / length) * tangent
 
 
 def select_root(roots: tuple[float, float], delta_u_old: np.ndarray,
@@ -152,17 +153,24 @@ class _NoConvergence(RuntimeError):
 
 
 def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
-               delta_w_prev: tuple[np.ndarray, float] | None, delta_L: float
+               delta_w_prev: np.ndarray | None, delta_L: float
                ) -> tuple[SolutionPoint, int]:
     psi, ptp = config.psi, problem.load_norm_sq
     c = psi**2 * ptp
     n = problem.n_dof
     riks = config.constraint == RIKS
-    du, dlam = predictor(problem, config, w_i, delta_w_prev, delta_L)
-    du0, dlam0 = du, dlam  # first-iteration increment (Riks plane)
+
+    # item() reads scalars as Python floats: cheaper at small n, same bits
+    def inner(a: np.ndarray, b: np.ndarray) -> float:
+        """The metric inner product a_u.b_u + psi^2 P.P a_lam b_lam."""
+        return float(a[:n] @ b[:n]) + c * a.item(n) * b.item(n)
+
+    dw = predictor(problem, config, w_i, delta_w_prev, delta_L)
+    dw0 = dw  # first-iteration increment (Riks plane)
 
     for it in range(config.max_newton_iters + 1):
-        w = SolutionPoint(w_i.u + du, w_i.lam + dlam)
+        du = dw[:n]
+        w = SolutionPoint(w_i.u + du, w_i.lam + dw.item(n))
         G = problem.residual(w)
         if float(np.linalg.norm(G)) <= config.newton_tol:
             return w, it
@@ -174,8 +182,8 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
         if riks:
             # The (verbatim) plane constraint
             # du0.Du + psi^2 dlam0^2 P.P - dL^2 = 0; constant in dlam.
-            M[n, :n] = du0
-            f = float(du0 @ du) + c * dlam0 * dlam0 - delta_L**2
+            M[n, :n] = dw0[:n]
+            f = float(dw0[:n] @ du) + c * dw0[n] * dw0[n] - delta_L**2
             rhs = np.append(-G, -f)
         else:
             # Crisfield: the linearized-sphere row keeps M regular at limit
@@ -183,7 +191,7 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
             # family of Newton updates of G; intersect it with the sphere
             # to get the per-iteration quadratic.
             M[n, :n] = 2.0 * du
-            M[n, n] = 2.0 * c * dlam
+            M[n, n] = 2.0 * c * dw.item(n)
             rhs = np.zeros((n + 1, 2))
             rhs[:n, 0] = -G
             rhs[n, 1] = 1.0
@@ -192,16 +200,13 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
         except np.linalg.LinAlgError:
             raise _NoConvergence("singular bordered system")
         if riks:
-            du = du + sol[:n]
-            dlam = dlam + float(sol[n])
+            dw = dw + sol
             continue
-        x, y = sol[:n, 0], float(sol[n, 0])
-        xt, yt = sol[:n, 1], float(sol[n, 1])
-        # (du + x + t xt, dlam + y + t yt) on the sphere of radius dL.
-        au, al = du + x, dlam + y
-        A = float(xt @ xt) + c * yt * yt
-        B = 2.0 * (float(au @ xt) + c * al * yt)
-        C = float(au @ au) + c * al * al - delta_L**2
+        # a + t xt on the sphere of radius dL (a = dw + x, sol = [x, xt]).
+        a, xt = dw + sol[:, 0], sol[:, 1]
+        A = inner(xt, xt)
+        B = 2.0 * inner(a, xt)
+        C = inner(a, a) - delta_L**2
         if A == 0.0:
             if B == 0.0:
                 raise _NoConvergence("degenerate constraint quadratic")
@@ -212,17 +217,14 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
                 raise ComplexRootsError("complex Crisfield roots")
             sq = float(np.sqrt(disc))
             ts = ((-B + sq) / (2.0 * A), (-B - sq) / (2.0 * A))
-        cands_du = (au + ts[0] * xt, au + ts[1] * xt)
-        cands_dlam = (al + ts[0] * yt, al + ts[1] * yt)
-        roots = (cands_dlam[0] - dlam, cands_dlam[1] - dlam)
-        idx = select_root(roots, du, cands_du)
-        du = cands_du[idx]
-        dlam = cands_dlam[idx]
+        cands = (a + ts[0] * xt, a + ts[1] * xt)
+        roots = (cands[0].item(n) - dw.item(n), cands[1].item(n) - dw.item(n))
+        dw = cands[select_root(roots, du, (cands[0][:n], cands[1][:n]))]
     raise _NoConvergence("no convergence within max_newton_iters")
 
 
 def step(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
-         delta_w_prev: tuple[np.ndarray, float] | None, delta_L: float
+         delta_w_prev: np.ndarray | None, delta_L: float
          ) -> StepResult:
     """One arc-length step of nominal length delta_L with step cutting.
 
@@ -242,8 +244,9 @@ def step(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
         except (_NoConvergence, ComplexRootsError, PredictorError) as exc:
             last_err = exc
             continue
-        achieved = point_distance(w_new, w_i, config.psi, problem.load_norm_sq)
-        return StepResult(w_new, iters, cut, achieved)
+        dw = increment_between(w_new, w_i)
+        achieved = distance(dw, config.psi, problem.load_norm_sq)
+        return StepResult(w_new, iters, cut, achieved, dw)
     raise StepError(f"step failed after {config.max_step_cuts} cuts: {last_err}")
 
 
@@ -283,10 +286,10 @@ def locate_bifurcation(problem: ProblemDef, config: AlmConfig,
     sign_a = detect_singular(problem, w_a).det_sign
     if sign_a == 0:
         return w_a  # degenerate bracket: already singular
-    total = point_distance(w_b, w_a, psi, ptp)
+    direction = increment_between(w_b, w_a)
+    total = distance(direction, psi, ptp)
     if total <= config.bif_tol:
         return w_b
-    direction = increment_between(w_b, w_a)
     lo, hi = 0.0, total
     w_lo = w_a
     w_mid = w_b
@@ -330,24 +333,19 @@ def null_vector(problem: ProblemDef, w: SolutionPoint) -> np.ndarray:
     return phi / np.linalg.norm(phi)
 
 
-def classify_singular(problem: ProblemDef, w: SolutionPoint) -> str:
-    """Classify a located singular point as 'bifurcation' or 'limit'.
-
-    At a limit point the load direction has a component along the null
-    eigenvector (the path tangent's lambda-component changes sign there);
-    at a bifurcation it is orthogonal to it.
-    """
-    phi = null_vector(problem, w)
-    Gl = problem.jacobian_lambda(w)
-    if abs(float(phi @ Gl)) <= 1e-6 * (float(np.linalg.norm(Gl)) + 1.0):
-        return "bifurcation"
-    return "limit"
-
-
 def branch_switch(problem: ProblemDef, w_star: SolutionPoint,
-                  tau: float) -> tuple[np.ndarray, float]:
-    """Branch predictor (tau * phi, 0) along the unit null eigenvector."""
+                  tau: float) -> np.ndarray | None:
+    """Branch seed (tau * phi, 0) along the unit null eigenvector phi, or
+    None if w_star is a limit point.
+
+    At a limit point the load direction has a component along phi (the
+    path tangent's lambda-component changes sign there); at a bifurcation
+    it is orthogonal to it.
+    """
     if tau <= 0:
         raise ValueError("tau must be positive")
     phi = null_vector(problem, w_star)
-    return tau * phi, 0.0
+    Gl = problem.jacobian_lambda(w_star)
+    if abs(float(phi @ Gl)) <= 1e-6 * (float(np.linalg.norm(Gl)) + 1.0):
+        return np.append(tau * phi, 0.0)
+    return None

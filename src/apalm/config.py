@@ -8,12 +8,11 @@ deterministic.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields
 
 from .alm import AlmConfig
 from .engine import EngineConfig
-from .problems import make_builtin
+from .problems import check_numbers, is_int, make_builtin
 
 
 class ConfigError(ValueError):
@@ -32,42 +31,19 @@ class RunConfig:
     observable_index: int = 0
 
 
-_ALM_KEYS = {f.name for f in fields(AlmConfig)}
-_ENGINE_KEYS = {f.name for f in fields(EngineConfig)}
+_ALM_FIELDS = {f.name: f.type for f in fields(AlmConfig)}
+_ENGINE_FIELDS = {f.name: f.type for f in fields(EngineConfig)}
 _TOP_KEYS = {"problem", "alm", "engine", "workers", "transport", "output",
              "observable_index"}
 _PROBLEM_KEYS = {"name", "params"}
 
 
-def _check_keys(section, allowed: set, where: str) -> None:
+def _check_keys(section, allowed, where: str) -> None:
     if not isinstance(section, dict):
         raise ConfigError(f"'{where}' must be an object")
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in {where}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_numbers(section: dict, cls, where: str) -> None:
-    """Integer fields of cls must hold integers and float fields finite
-    numbers: 3.0, "0.1", true, NaN and a null where none is allowed are
-    rejected."""
-    for f in fields(cls):
-        kind = f.type.split(" | ")[0]
-        if f.name not in section or kind not in ("int", "float"):
-            continue
-        value = section[f.name]
-        if value is None and f.type.endswith("| None"):
-            continue
-        if kind == "int" and not _is_int(value):
-            raise ConfigError(f"'{where}.{f.name}' must be an integer")
-        if kind == "float" and not ((_is_int(value)
-                                     or isinstance(value, float))
-                                    and math.isfinite(value)):
-            raise ConfigError(f"'{where}.{f.name}' must be a finite number")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -91,12 +67,12 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(params, dict):
         raise ConfigError("'problem.params' must be an object")
     alm_section = doc.get("alm", {})
-    _check_keys(alm_section, _ALM_KEYS, "alm")
-    _check_numbers(alm_section, AlmConfig, "alm")
+    _check_keys(alm_section, _ALM_FIELDS, "alm")
     engine_section = doc["engine"]
-    _check_keys(engine_section, _ENGINE_KEYS, "engine")
-    _check_numbers(engine_section, EngineConfig, "engine")
+    _check_keys(engine_section, _ENGINE_FIELDS, "engine")
     try:
+        check_numbers(alm_section, _ALM_FIELDS, "alm")
+        check_numbers(engine_section, _ENGINE_FIELDS, "engine")
         alm_cfg = AlmConfig(**alm_section)
         engine_cfg = EngineConfig(**engine_section)
         # built only to check the name and params; runs build their own
@@ -104,7 +80,7 @@ def parse_config(text: str) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
     workers = doc.get("workers", 1)
-    if not _is_int(workers) or workers < 1:
+    if not is_int(workers) or workers < 1:
         raise ConfigError("'workers' must be a positive integer")
     transport = doc.get("transport", "thread")
     if transport not in ("thread", "process"):
@@ -113,7 +89,7 @@ def parse_config(text: str) -> RunConfig:
     if output is not None and not isinstance(output, str):
         raise ConfigError("'output' must be a path string")
     obs = doc.get("observable_index", 0)
-    if not _is_int(obs) or not 0 <= obs < n_dof:
+    if not is_int(obs) or not 0 <= obs < n_dof:
         raise ConfigError(
             f"'observable_index' must be an integer in [0, {n_dof})")
     return RunConfig(

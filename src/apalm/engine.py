@@ -98,7 +98,6 @@ class ErrorTriple:
     total: float  # (dL' - dL0) / dL0
     lower: float  # (dL0 - dL_bar) / dL0
     upper: float  # (total - lower) / dL0, with the extra division as printed
-    upper_raw: float  # total - lower, without the extra division
 
 
 def compute_errors(delta_L0: float, distances: list[float],
@@ -108,9 +107,8 @@ def compute_errors(delta_L0: float, distances: list[float],
     dl_fine = sum(distances) + closing_distance
     total = (dl_fine - delta_L0) / delta_L0
     lower = (delta_L0 - lower_distance) / delta_L0
-    raw = total - lower
-    return ErrorTriple(total=total, lower=lower, upper=raw / delta_L0,
-                       upper_raw=raw)
+    return ErrorTriple(total=total, lower=lower,
+                       upper=(total - lower) / delta_L0)
 
 
 def solve_interval(problem: ProblemDef, config: AlmConfig, job: Job
@@ -136,7 +134,7 @@ def solve_interval(problem: ProblemDef, config: AlmConfig, job: Job
             res = alm.step(problem, config, sols[-1], dw,
                            min(dl_nominal, remaining))
             dists.append(res.achieved_length)
-            dw = alm.increment_between(res.w_new, sols[-1])
+            dw = res.dw
             sols.append(res.w_new)
             remaining -= res.achieved_length
     except alm.StepError as exc:
@@ -176,7 +174,7 @@ def serial_solve(problem: ProblemDef, config: AlmConfig,
                     f"s={ss[-1]:.6g}: {exc}")
             w_new = res.w_new
             ss.append(ss[-1] + res.achieved_length)
-            dw = alm.increment_between(w_new, ws[-1])
+            dw = res.dw
             ws.append(w_new)
             if engine.bifurcation_enabled:
                 stab = alm.detect_singular(problem, w_new)
@@ -189,10 +187,8 @@ def serial_solve(problem: ProblemDef, config: AlmConfig,
                 stab_prev = stab
         # A spawned branch's start gets a virtual predecessor, so that its
         # first interval is warm-started along the new branch.
-        w_prev0 = None
-        if seed is not None:
-            du, dlam = seed
-            w_prev0 = SolutionPoint(start.u - du, start.lam - dlam)
+        w_prev0 = None if seed is None else SolutionPoint(
+            start.u - seed[:-1], start.lam - seed[-1])
         branches.append(CurveMap.from_serial(len(branches), ws, ss,
                                              w_prev0=w_prev0))
     return branches
@@ -201,18 +197,13 @@ def serial_solve(problem: ProblemDef, config: AlmConfig,
 def _maybe_spawn_branch(problem, config, engine, w_a, w_b, pending) -> None:
     try:
         w_star = alm.locate_bifurcation(problem, config, w_a, w_b)
-        kind = alm.classify_singular(problem, w_star)
+        seed = alm.branch_switch(problem, w_star, config.branch_perturbation)
     except (alm.BifurcationNotFoundError, alm.BranchSwitchError) as exc:
         log.warning("singular point unlocatable: %s", exc)
         return
-    if kind != "bifurcation":
+    if seed is None:
         log.info("singular point at lambda=%.6g classified as limit point",
                  w_star.lam)
-        return
-    try:
-        seed = alm.branch_switch(problem, w_star, config.branch_perturbation)
-    except alm.BranchSwitchError as exc:
-        log.warning("branch switch refused: %s", exc)
         return
     dl = (engine.delta_L if engine.branch_delta_L is None
           else engine.branch_delta_L)

@@ -6,6 +6,7 @@ used both as fixtures and as analytic oracles in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -18,6 +19,33 @@ class DimensionError(ValueError):
 
 class UnknownProblemError(ValueError):
     """Requested builtin problem name is not registered."""
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_numbers(values: dict, types: dict, where: str) -> None:
+    """Raise TypeError unless every entry of values typed "int" in types
+    holds an integer and every one typed "float" a finite number: 3.0,
+    "0.1", true, NaN and a null where none is allowed are rejected.
+
+    types maps names to annotation strings, as dataclass fields and the
+    annotations of a function give them under postponed evaluation.
+    """
+    for key, type_ in types.items():
+        kind = type_.split(" | ")[0]
+        if key not in values or kind not in ("int", "float"):
+            continue
+        value = values[key]
+        if value is None and type_.endswith("| None"):
+            continue
+        if kind == "int" and not is_int(value):
+            raise TypeError(f"'{where}.{key}' must be an integer")
+        if kind == "float" and not ((is_int(value)
+                                     or isinstance(value, float))
+                                    and math.isfinite(value)):
+            raise TypeError(f"'{where}.{key}' must be a finite number")
 
 
 @dataclass(frozen=True)
@@ -127,7 +155,6 @@ def _springchain(n: int = 8, c: float = 0.5) -> ProblemDef:
     G_i = u_i^3 - 3 u_i + c (2 u_i - u_{i-1} - u_{i+1}) - lambda,
     with the out-of-range neighbour terms dropped at the chain ends.
     """
-    n = int(n)
     if n < 1:
         raise ValueError("springchain needs n >= 1")
 
@@ -170,10 +197,7 @@ def make_builtin(name: str, **params) -> ProblemDef:
             f"unknown problem {name!r}; available: {sorted(_BUILTINS)}"
         ) from None
     try:
+        check_numbers(params, factory.__annotations__, name)
         return factory(**params)
     except TypeError as exc:
         raise UnknownProblemError(f"bad parameters for {name!r}: {exc}") from None
-
-
-def builtin_names() -> list[str]:
-    return sorted(_BUILTINS)

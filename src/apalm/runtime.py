@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import selectors
 import socket
 import threading
 import time
-from multiprocessing.connection import wait
 
 from . import engine as eng
 from . import transport as tp
@@ -45,15 +45,20 @@ def run_worker(problem: ProblemDef, config: AlmConfig, endpoint) -> int:
 def run_manager(state: QueueEngine, endpoints: list) -> None:
     """Dispatch loop: keep idle workers fed until the queue drains.
 
-    The manager waits on all worker sockets at once and takes replies in
-    whatever order they arrive. A worker lost mid-job costs that job; a
-    worker found gone at dispatch costs none, as its job goes back to the
-    front of the queue. Raises EndpointClosed if every worker is lost while
-    work is still queued. Once the workers are stopped, every map is
-    validated.
+    The manager waits on all worker sockets at once, through one selector
+    that holds exactly the live endpoints, and takes replies in whatever
+    order they arrive. A worker lost mid-job costs that job; a worker found
+    gone at dispatch costs none, as its job goes back to the front of the
+    queue. Raises EndpointClosed if every worker is lost while work is
+    still queued. Once the workers are stopped, every map is validated.
     """
     idle = list(endpoints)
-    inflight: dict = {}  # endpoint -> its job; live = idle + in flight
+    inflight: dict = {}  # endpoint -> its job
+    # Idle endpoints are watched too: a worker lost between jobs is
+    # dropped before a job is sent to it.
+    live = selectors.DefaultSelector()  # the live endpoints, each once
+    for ep in endpoints:
+        live.register(ep, selectors.EVENT_READ)
 
     def dispatch() -> None:
         while state.queue and idle:
@@ -62,38 +67,41 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
             try:
                 ep.send(job)
             except tp.EndpointClosed as exc:
+                live.unregister(ep)
                 state.requeue(job)
                 log.warning("worker %d send failed, job %d requeued: %s",
                             endpoints.index(ep), job.id, exc)
                 continue
             inflight[ep] = job
 
-    dispatch()
-    while inflight:
-        # Idle endpoints are watched too: a worker lost between jobs is
-        # dropped before a job is sent to it.
-        for ep in wait(idle + list(inflight)):
-            try:
-                payload = ep.recv()
-            except (tp.EndpointClosed, tp.ProtocolError) as exc:
-                if ep in idle:
-                    idle.remove(ep)
-                job = inflight.pop(ep, None)
-                if job is not None:
-                    state.submit_failure(
-                        job, f"worker {endpoints.index(ep)} lost: {exc}")
-                continue
-            job = inflight.pop(ep, None)
-            if not isinstance(payload, IntervalResult) or job is None:
-                raise tp.ProtocolError(
-                    f"manager expected data for a job, got "
-                    f"{type(payload).__name__}")
-            if payload.job_id != job.id:
-                raise tp.ProtocolError(
-                    f"job id mismatch: sent {job.id}, got {payload.job_id}")
-            state.submit(job, payload)
-            idle.append(ep)
+    with live:
         dispatch()
+        while inflight:
+            for key, _ in live.select():
+                ep = key.fileobj
+                try:
+                    payload = ep.recv()
+                except (tp.EndpointClosed, tp.ProtocolError) as exc:
+                    live.unregister(ep)
+                    if ep in idle:
+                        idle.remove(ep)
+                    job = inflight.pop(ep, None)
+                    if job is not None:
+                        state.submit_failure(
+                            job, f"worker {endpoints.index(ep)} lost: {exc}")
+                    continue
+                job = inflight.pop(ep, None)
+                if not isinstance(payload, IntervalResult) or job is None:
+                    raise tp.ProtocolError(
+                        f"manager expected data for a job, got "
+                        f"{type(payload).__name__}")
+                if payload.job_id != job.id:
+                    raise tp.ProtocolError(
+                        f"job id mismatch: sent {job.id}, "
+                        f"got {payload.job_id}")
+                state.submit(job, payload)
+                idle.append(ep)
+            dispatch()
     if state.queue:
         raise tp.EndpointClosed("all workers lost with queue pending")
 

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from apalm import alm
 from apalm.alm import (AlmConfig, BranchSwitchError, branch_switch,
-                       classify_singular, detect_singular, distance,
-                       locate_bifurcation, point_distance, predictor,
-                       select_root, step)
+                       detect_singular, distance, locate_bifurcation,
+                       point_distance, predictor, select_root, step)
 from apalm.problems import ProblemDef, SolutionPoint, make_builtin
 
 
@@ -17,34 +16,39 @@ def pt(u, lam):
     return SolutionPoint(np.atleast_1d(np.asarray(u, dtype=float)), lam)
 
 
+def inc(du, dlam):
+    """The (n+1) increment (du, dlam)."""
+    return np.append(du, dlam)
+
+
 class TestDistance:
     def test_euclidean_when_psi_zero(self):
-        assert distance(np.array([3.0, 4.0]), 17.0, 0.0, 5.0) == pytest.approx(5.0)
+        assert distance(inc([3.0, 4.0], 17.0), 0.0, 5.0) == pytest.approx(5.0)
 
     def test_pure_load_increment(self):
-        assert distance(np.zeros(2), 2.0, 1.0, 9.0) == pytest.approx(6.0)
+        assert distance(inc([0.0, 0.0], 2.0), 1.0, 9.0) == pytest.approx(6.0)
 
     def test_mixed(self):
-        d = distance(np.array([1.0, 1.0]), 1.0, 1.0, 1.0)
+        d = distance(inc([1.0, 1.0], 1.0), 1.0, 1.0)
         assert d == pytest.approx(math.sqrt(3.0), abs=1e-12)
 
     def test_negative_load_norm_rejected(self):
         with pytest.raises(ValueError):
-            distance(np.zeros(1), 0.0, 1.0, -1.0)
+            distance(inc(0.0, 0.0), 1.0, -1.0)
 
     @given(st.floats(-100, 100), st.floats(-10, 10), st.floats(-10, 10),
            st.floats(0, 4), st.floats(0, 25))
     def test_absolute_homogeneity(self, a, du, dlam, psi, ptp):
-        d1 = distance(np.array([du]), dlam, psi, ptp)
-        d2 = distance(np.array([a * du]), a * dlam, psi, ptp)
+        d1 = distance(inc(du, dlam), psi, ptp)
+        d2 = distance(a * inc(du, dlam), psi, ptp)
         assert d2 == pytest.approx(abs(a) * d1, rel=1e-9, abs=1e-9)
 
     @given(st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10),
            st.floats(-10, 10), st.floats(0, 4), st.floats(0, 25))
     def test_triangle_inequality(self, du1, dl1, du2, dl2, psi, ptp):
-        lhs = distance(np.array([du1 + du2]), dl1 + dl2, psi, ptp)
-        rhs = (distance(np.array([du1]), dl1, psi, ptp)
-               + distance(np.array([du2]), dl2, psi, ptp))
+        lhs = distance(inc(du1, dl1) + inc(du2, dl2), psi, ptp)
+        rhs = (distance(inc(du1, dl1), psi, ptp)
+               + distance(inc(du2, dl2), psi, ptp))
         assert lhs <= rhs + 1e-9
 
 
@@ -52,26 +56,23 @@ class TestPredictor:
     def test_warm_rescale(self):
         p = make_builtin("linear1d")
         cfg = AlmConfig(psi=1.0)
-        prev = (np.array([1.2]), 1.6)  # length 2
-        du, dlam = predictor(p, cfg, pt(0.0, 0.0), prev, 1.0)
-        assert du[0] == pytest.approx(0.6)
-        assert dlam == pytest.approx(0.8)
+        prev = inc(1.2, 1.6)  # length 2
+        dw = predictor(p, cfg, pt(0.0, 0.0), prev, 1.0)
+        assert dw == pytest.approx([0.6, 0.8])
 
     def test_cold_linear1d(self):
         p = make_builtin("linear1d")
         cfg = AlmConfig(psi=1.0)
-        du, dlam = predictor(p, cfg, pt(0.0, 0.0), None, math.sqrt(2.0))
-        assert du[0] == pytest.approx(1.0)
-        assert dlam == pytest.approx(1.0)
+        dw = predictor(p, cfg, pt(0.0, 0.0), None, math.sqrt(2.0))
+        assert dw == pytest.approx([1.0, 1.0])
 
     def test_cold_cubic1d_tangent(self):
         # K = -3 at the origin, so du/dlam = -1/3; sign fixed by dlam > 0.
         p = make_builtin("cubic1d")
         cfg = AlmConfig(psi=0.0)
-        du, dlam = predictor(p, cfg, pt(0.0, 0.0), None, 0.1)
-        assert du[0] == pytest.approx(-0.1)
-        assert dlam == pytest.approx(0.3)
-        assert dlam > 0
+        dw = predictor(p, cfg, pt(0.0, 0.0), None, 0.1)
+        assert dw == pytest.approx([-0.1, 0.3])
+        assert dw[-1] > 0
 
 
 class TestSelectRoot:
@@ -134,7 +135,8 @@ class TestStep:
             assert res.cuts_used == 0
             d2 = point_distance(res.w_new, w, cfg.psi, p.load_norm_sq) ** 2
             assert abs(d2 - 0.4**2) <= 1e-10 * 0.4**2
-            dw = alm.increment_between(res.w_new, w)
+            assert np.array_equal(res.dw, alm.increment_between(res.w_new, w))
+            dw = res.dw
             w = res.w_new
 
     def test_riks_plane_condition_satisfied(self):
@@ -144,13 +146,12 @@ class TestStep:
         dw = None
         c = cfg.psi**2 * p.load_norm_sq
         for _ in range(8):
-            du0, dlam0 = predictor(p, cfg, w, dw, 0.3)  # as inside the step
+            dw0 = predictor(p, cfg, w, dw, 0.3)  # as inside the step
             res = step(p, cfg, w, dw, 0.3)
             assert res.cuts_used == 0
-            du = res.w_new.u - w.u
-            f = float(du0 @ du) + c * dlam0**2 - 0.3**2
+            f = float(dw0[:-1] @ res.dw[:-1]) + c * dw0[-1]**2 - 0.3**2
             assert abs(f) <= 1e-10 * 0.3**2
-            dw = alm.increment_between(res.w_new, w)
+            dw = res.dw
             w = res.w_new
 
     def test_residual_contract(self):
@@ -161,18 +162,19 @@ class TestStep:
         for _ in range(10):
             res = step(p, cfg, w, dw, 0.3)
             assert np.linalg.norm(p.residual(res.w_new)) <= cfg.newton_tol
-            dw = alm.increment_between(res.w_new, w)
+            dw = res.dw
             w = res.w_new
 
     def test_bitwise_deterministic(self):
         p = make_builtin("cubic1d")
         cfg = AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-12)
-        prev = (np.array([-0.3]), 0.7)
+        prev = inc(-0.3, 0.7)
         a = step(p, cfg, pt(-0.5, 1.4), prev, 0.4)
         b = step(p, cfg, pt(-0.5, 1.4), prev, 0.4)
         assert a.w_new.u[0] == b.w_new.u[0]
         assert a.w_new.lam == b.w_new.lam
         assert a.achieved_length == b.achieved_length
+        assert np.array_equal(a.dw, b.dw)
 
     def test_traverses_limit_point(self):
         # The load factor must rise and then fall past (u, lambda) = (-1, 2).
@@ -183,7 +185,7 @@ class TestStep:
         lams = [0.0]
         for _ in range(20):
             res = step(p, cfg, w, dw, 0.4)
-            dw = alm.increment_between(res.w_new, w)
+            dw = res.dw
             w = res.w_new
             lams.append(w.lam)
             assert abs(w.lam - (w.u[0] ** 3 - 3 * w.u[0])) < 1e-9
@@ -275,7 +277,7 @@ class TestLocateBifurcation:
         w_star = locate_bifurcation(p, cfg, w_a, w_b)
         assert w_star.u[0] == pytest.approx(-1.0, abs=0.01)
         assert w_star.lam == pytest.approx(2.0, abs=0.01)
-        assert classify_singular(p, w_star) == "limit"
+        assert branch_switch(p, w_star, 1e-4) is None  # a limit point
 
     def test_degenerate_bracket_returns_left_endpoint(self):
         p = make_builtin("pitchfork")
@@ -287,9 +289,9 @@ class TestLocateBifurcation:
 class TestBranchSwitch:
     def test_pitchfork_null_vector(self):
         p = make_builtin("pitchfork")
-        du, dlam = branch_switch(p, pt(0.0, 1.0), 1e-4)
-        assert abs(du[0]) == pytest.approx(1e-4)
-        assert dlam == 0.0
+        seed = branch_switch(p, pt(0.0, 1.0), 1e-4)
+        assert abs(seed[0]) == pytest.approx(1e-4)
+        assert seed[-1] == 0.0
 
     def test_perturbed_step_lands_on_secondary_branch(self):
         p = make_builtin("pitchfork")
@@ -308,7 +310,7 @@ class TestBranchSwitch:
 
     def test_classify_bifurcation(self):
         p = make_builtin("pitchfork")
-        assert classify_singular(p, pt(0.0, 1.0)) == "bifurcation"
+        assert branch_switch(p, pt(0.0, 1.0), 1e-4) is not None
 
 
 class TestConfigValidation:

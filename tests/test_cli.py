@@ -93,13 +93,20 @@ class TestParseConfig:
         lambda d: d["alm"].update(psi=float("nan")),
         lambda d: d["engine"].update(delta_L=float("inf")),
         lambda d: d.update(output=5),
+        lambda d: d.update(problem={"name": "springchain",
+                                    "params": {"n": 2.5}}),
+        lambda d: d.update(problem={"name": "springchain",
+                                    "params": {"n": True}}),
+        lambda d: d.update(problem={"name": "springchain",
+                                    "params": {"c": "x"}}),
     ], ids=["alm-null", "engine-int", "params-list", "unknown-problem",
             "steps-float", "subintervals-float", "max_level-bool",
             "newton_iters-float", "workers-bool", "observable-bool",
             "branch_delta_L-negative", "branch_delta_L-zero",
             "branch_steps-zero", "observable-past-n_dof",
             "step_delay-string", "bif_tol-null", "psi-nan", "delta_L-inf",
-            "output-int"])
+            "output-int", "param-n-float", "param-n-bool",
+            "param-c-string"])
     def test_configs_that_cannot_run_rejected(self, mutate, tmp_path,
                                                capsys):
         d = doc()
@@ -108,6 +115,11 @@ class TestParseConfig:
             parse_config(json.dumps(d))
         assert main(["run", write_cfg(tmp_path, d)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_integer_for_float_param_accepted(self, tmp_path):
+        d = doc(problem={"name": "springchain", "params": {"n": 4, "c": 1}})
+        assert parse_config(json.dumps(d)).problem_params == {"n": 4, "c": 1}
+        assert main(["run", write_cfg(tmp_path, d)]) == 0
 
     def test_last_observable_index_accepted(self):
         d = doc(problem={"name": "springchain", "params": {"n": 20}},

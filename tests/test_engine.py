@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from apalm import engine
+from apalm import alm, engine
 from apalm.alm import AlmConfig
 from apalm.curvemap import CurveMap
 from apalm.engine import (EngineConfig, IntervalResult, Job, QueueEngine,
@@ -28,14 +28,12 @@ class TestComputeErrors:
         assert e.total == pytest.approx(0.05)
         assert e.lower == pytest.approx(0.1)
         assert e.upper == pytest.approx(-0.05)
-        assert e.upper_raw == pytest.approx(-0.05)
 
     def test_scaled_interval(self):
         e = compute_errors(2.0, [1.0, 1.0], 1.8, 0.4)
         assert e.total == pytest.approx(0.2)
         assert e.lower == pytest.approx(0.1)
         assert e.upper == pytest.approx(0.05)
-        assert e.upper_raw == pytest.approx(0.1)
 
 
 class TestSerialSolve:
@@ -72,6 +70,25 @@ class TestSerialSolve:
         assert branches[0].lookup(0.0).w_prev is None
         assert branches[1].lookup(0.0).w_prev is not None
         assert branches[1].lookup(0.0).w.lam == pytest.approx(1.0, abs=1e-4)
+
+    def test_one_null_vector_pass_per_spawned_branch(self, monkeypatch):
+        # criterion 6's config: classifying the located point and seeding
+        # its branch share one eigendecomposition of K(w*)
+        calls = []
+        null_vector = alm.null_vector
+
+        def counted(problem, w):
+            calls.append(w.lam)
+            return null_vector(problem, w)
+
+        monkeypatch.setattr(alm, "null_vector", counted)
+        state = aalm(make_builtin("pitchfork"),
+                     crisfield(1.0, bif_tol=1e-4, branch_perturbation=1e-4),
+                     EngineConfig(delta_L=0.3, steps=6,
+                                  bifurcation_enabled=True,
+                                  branch_delta_L=0.4, branch_steps=5))
+        assert sorted(state.maps) == [0, 1]
+        assert len(calls) == len(state.maps) - 1
 
     def test_cubic1d_limit_point_spawns_nothing(self):
         p = make_builtin("cubic1d")

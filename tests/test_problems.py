@@ -63,6 +63,13 @@ class TestMakeBuiltin:
         with pytest.raises(UnknownProblemError):
             make_builtin("cubic1d", bogus=3)
 
+    @pytest.mark.parametrize("params", [{"n": 2.5}, {"n": True},
+                                        {"c": "x"}, {"c": float("nan")}],
+                             ids=["n-float", "n-bool", "c-string", "c-nan"])
+    def test_param_types_checked(self, params):
+        with pytest.raises(UnknownProblemError, match="springchain"):
+            make_builtin("springchain", **params)
+
     def test_linear1d_path_is_identity(self):
         p = make_builtin("linear1d", k=1.0, P=1.0)
         for u in np.linspace(-3, 3, 7):

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import selectors
 import socket
 import threading
 import time
@@ -284,6 +285,24 @@ class TestApalm:
         parallel = apalm(p, cfg, eng, worker_count=4, transport="thread")
         assert sorted(parallel.maps) == [0, 1]
         assert rows_equal(serial.collect(), parallel.collect())
+
+    def test_one_selector_registration_per_worker(self, monkeypatch):
+        # the manager keeps one selector for the run: each endpoint is
+        # registered once, not once per wait
+        registered = []
+
+        class CountingSelector(selectors.DefaultSelector):
+            def register(self, fileobj, events, data=None):
+                registered.append(fileobj)
+                return super().register(fileobj, events, data)
+
+        monkeypatch.setattr(selectors, "DefaultSelector", CountingSelector)
+        eng = EngineConfig(delta_L=0.12, steps=50, tol_lower=1e-4,
+                           tol_upper=1e-4, max_level=3)
+        state = apalm(make_builtin("cubic1d"), crisfield(), eng,
+                      worker_count=3, transport="thread")
+        assert state.stats.jobs_done > 50
+        assert len(registered) == len(set(registered)) == 3
 
     @pytest.mark.parametrize("transport", ["thread", "process"])
     def test_manager_error_propagates_at_once(self, transport, monkeypatch):
