@@ -213,20 +213,39 @@ def _maybe_spawn_branch(problem, config, engine, w_a, w_b, pending) -> None:
     log.info("bifurcation at lambda=%.6g: spawning branch", w_star.lam)
 
 
+OUTCOMES = ("accepted", "refined", "failed", "rejected", "lost")
+ACCEPTED, REFINED, FAILED, REJECTED, LOST = OUTCOMES
+
+
+@dataclass(frozen=True)
+class JobRecord:
+    """One settled job; measured is (sum d_k, lower_distance,
+    closing_distance) for a solved one."""
+
+    job: Job
+    outcome: str
+    measured: tuple[float, float, float] | None = None
+    children: int = 0  # jobs queued from this one
+    message: str = ""  # the warning for a job whose data was not kept
+
+
 @dataclass
 class EngineStats:
-    jobs_done: int = 0
-    jobs_failed: int = 0
-    submits: int = 0
-    level_counts: dict[int, int] = field(default_factory=dict)
-    # (delta_L0, sum d_k, lower_distance, closing_distance) per job
-    interval_log: list[tuple[float, float, float, float]] = field(
-        default_factory=list)
-    error_log: list[ErrorTriple] = field(default_factory=list)
-    children_spawned: int = 0
+    records: list[JobRecord] = field(default_factory=list)  # one per job
     serial_time: float = 0.0
     queue_time: float = 0.0
-    warnings: list[str] = field(default_factory=list)
+
+    @property
+    def jobs_done(self) -> int:
+        return len(self.records)
+
+    @property
+    def jobs_failed(self) -> int:
+        return sum(r.outcome not in (ACCEPTED, REFINED) for r in self.records)
+
+    @property
+    def children_spawned(self) -> int:
+        return sum(r.children for r in self.records)
 
 
 class QueueEngine:
@@ -288,12 +307,12 @@ class QueueEngine:
         """Insert a job's solutions and queue children where errors demand."""
         self._settle(job)
         m = self.maps[job.branch]
-        self.stats.jobs_done += 1
         if not result.success:
             # Retain the coarse data; warn, do not requeue.
-            self._fail(f"job {job.id} on branch {job.branch} failed: "
-                       f"{result.message}")
+            self._record(job, FAILED, message=result.message)
             return
+        measured = (sum(result.distances), result.lower_distance,
+                    result.closing_distance)
         errors = compute_errors(job.delta_L0, result.distances,
                                 result.lower_distance,
                                 result.closing_distance)
@@ -310,31 +329,29 @@ class QueueEngine:
         except CurveStructureError as exc:
             # The map is unchanged: keep the coarse data, as for a failed
             # solve.
-            self._fail(f"job {job.id} on branch {job.branch} rejected: "
-                       f"{exc}")
+            self._record(job, REJECTED, measured, message=str(exc))
             return
-        self.stats.error_log.append(errors)
-        self.stats.interval_log.append(
-            (job.delta_L0, sum(result.distances), result.lower_distance,
-             result.closing_distance))
-        if job.level < self.engine.max_level:
-            for lo, hi, dl0 in children:
-                self._enqueue(m, lo, hi, dl0, job.level + 1)
-                self.stats.children_spawned += 1
-        lvl = job.level
-        self.stats.level_counts[lvl] = self.stats.level_counts.get(lvl, 0) + 1
-        self.stats.submits += 1
+        if job.level >= self.engine.max_level:
+            children = []
+        for lo, hi, dl0 in children:
+            self._enqueue(m, lo, hi, dl0, job.level + 1)
+        self._record(job, REFINED if refine_lower or refine_upper
+                     else ACCEPTED, measured, len(children))
 
     def submit_failure(self, job: Job, message: str) -> None:
         """Record a job lost to a worker failure; coarse data is retained."""
         self._settle(job)
-        self.stats.jobs_done += 1
-        self._fail(f"job {job.id} lost: {message}")
+        self._record(job, LOST, message=message)
 
-    def _fail(self, warning: str) -> None:
-        self.stats.jobs_failed += 1
-        self.stats.warnings.append(warning)
-        log.warning(warning)
+    def _record(self, job: Job, outcome: str, measured=None, children=0,
+                message="") -> None:
+        """The one write per settled job; warnings name the job's interval."""
+        if outcome not in (ACCEPTED, REFINED):
+            message = (f"branch {job.branch} [{job.xi_lo!r}, {job.xi_hi!r}]"
+                       f" {outcome}: {message}")
+            log.warning(message)
+        self.stats.records.append(
+            JobRecord(job, outcome, measured, children, message))
 
     def validate_maps(self) -> None:
         """The one full walk of every map, once the queue has drained."""

@@ -6,12 +6,13 @@ import csv
 import json
 import statistics
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RunConfig
-from .engine import QueueEngine
+from .engine import ACCEPTED, REFINED, QueueEngine
 from .problems import SolutionPoint, make_builtin
 from .runtime import apalm
 
@@ -67,19 +68,22 @@ def read_csv(path: str) -> list[Row]:
 
 
 def write_summary(state: QueueEngine, path: str) -> None:
+    records = sorted(state.stats.records,
+                     key=lambda r: (r.job.branch, r.job.xi_lo, r.job.xi_hi))
+    levels = Counter(r.job.level for r in records
+                     if r.outcome in (ACCEPTED, REFINED))
     summary = {
         "branches": len(state.maps),
         "points": sum(len(m) for m in state.maps.values()),
         "jobs_done": state.stats.jobs_done,
         "jobs_failed": state.stats.jobs_failed,
         "children_spawned": state.stats.children_spawned,
-        "jobs_per_level": {str(k): v
-                           for k, v in sorted(state.stats.level_counts.items())},
+        "jobs_per_level": {str(k): v for k, v in sorted(levels.items())},
         "max_level": max((e[3] for m in state.maps.values()
                           for e in m.collect()), default=0),
         "serial_time_s": state.stats.serial_time,
         "queue_time_s": state.stats.queue_time,
-        "warnings": state.stats.warnings,
+        "warnings": [r.message for r in records if r.message],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)

@@ -143,22 +143,26 @@ def apalm(problem: ProblemDef, config: AlmConfig, engine: EngineConfig,
                   else multiprocessing.get_context("fork").Process)
     endpoints = []
     workers = []
-    for _ in range(worker_count):
-        parent_sock, child_sock = socket.socketpair()
-        w = worker_cls(target=_worker_main,
-                       args=(problem, config, child_sock), daemon=True)
-        w.start()
-        if transport == PROCESS:
-            # Only the raw fd: the child shares this socket, and
-            # SocketEndpoint.close() would shut it down under the child.
-            child_sock.close()
-        endpoints.append(tp.SocketEndpoint(parent_sock))
-        workers.append(w)
-    t0 = time.perf_counter()
     try:
+        for _ in range(worker_count):
+            parent_sock, child_sock = socket.socketpair()
+            endpoints.append(tp.SocketEndpoint(parent_sock))
+            w = worker_cls(target=_worker_main,
+                           args=(problem, config, child_sock), daemon=True)
+            try:
+                w.start()
+            except BaseException:
+                child_sock.close()  # no worker took it
+                raise
+            if transport == PROCESS:
+                # Only the raw fd: the child shares this socket, and
+                # SocketEndpoint.close() would shut it down under the child.
+                child_sock.close()
+            workers.append(w)
+        t0 = time.perf_counter()
         run_manager(state, endpoints)
-    finally:
         state.stats.queue_time = time.perf_counter() - t0
+    finally:
         # Closing first wakes any worker still blocked in recv, so an error
         # in the manager does not wait out the join timeout.
         for ep in endpoints:

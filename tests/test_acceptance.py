@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from apalm.alm import AlmConfig
-from apalm.engine import EngineConfig, QueueEngine, aalm, serial_solve
+from apalm.engine import (ACCEPTED, OUTCOMES, REFINED, EngineConfig,
+                          QueueEngine, aalm, compute_errors, serial_solve)
 from apalm.problems import make_builtin
 from apalm.runtime import apalm
 
@@ -31,31 +32,25 @@ def cfg(psi, **kw):
 
 @pytest.fixture(scope="module")
 def runs():
-    """All benchmark runs, timed, with a pooled per-job interval log."""
+    """All benchmark runs, timed."""
     data = {}
-    pooled_log = []
-
-    def record(state):
-        pooled_log.extend(state.stats.interval_log)
-        return state
-
     cubic = make_builtin("cubic1d")
     eng_cubic = EngineConfig(delta_L=0.4, steps=15, subintervals=2,
                              tol_lower=1e-2, tol_upper=1e-2)
 
     t0 = time.perf_counter()
-    data["cubic_psi0"] = record(aalm(cubic, cfg(0.0), eng_cubic))
+    data["cubic_psi0"] = aalm(cubic, cfg(0.0), eng_cubic)
     data["cubic_psi0_time"] = time.perf_counter() - t0
 
-    data["cubic_psi1"] = record(aalm(cubic, cfg(1.0), eng_cubic))
-    data["cubic_psi1_tight"] = record(aalm(
+    data["cubic_psi1"] = aalm(cubic, cfg(1.0), eng_cubic)
+    data["cubic_psi1_tight"] = aalm(
         cubic, cfg(1.0),
-        EngineConfig(delta_L=0.4, steps=15, tol_lower=1e-4, tol_upper=1e-4)))
+        EngineConfig(delta_L=0.4, steps=15, tol_lower=1e-4, tol_upper=1e-4))
 
     for psi in (0.0, 1.0):
-        data[f"linear_psi{int(psi)}"] = record(aalm(
+        data[f"linear_psi{int(psi)}"] = aalm(
             make_builtin("linear1d"), cfg(psi),
-            EngineConfig(delta_L=1.0, steps=5)))
+            EngineConfig(delta_L=1.0, steps=5))
 
     # dense serial reference for the adaptivity-localization criterion
     data["cubic_dense"] = serial_solve(
@@ -63,18 +58,18 @@ def runs():
 
     t0 = time.perf_counter()
     data["cubic_parallel"] = {
-        n: record(apalm(cubic, cfg(1.0), eng_cubic, worker_count=n,
-                        transport="thread"))
+        n: apalm(cubic, cfg(1.0), eng_cubic, worker_count=n,
+                 transport="thread")
         for n in (1, 2, 4, 8)
     }
     data["parallel_time"] = time.perf_counter() - t0
 
     pitch = make_builtin("pitchfork")
-    data["pitchfork"] = record(aalm(
+    data["pitchfork"] = aalm(
         pitch, cfg(1.0, newton_tol=1e-12, bif_tol=1e-4,
                    branch_perturbation=1e-4),
         EngineConfig(delta_L=0.3, steps=6, bifurcation_enabled=True,
-                     branch_delta_L=0.4, branch_steps=5)))
+                     branch_delta_L=0.4, branch_steps=5))
 
     # scaling study: 64 initial intervals with >= 5 ms synthetic work/step;
     # the wrapped pop counts the jobs outstanding at once per worker count
@@ -97,8 +92,8 @@ def runs():
         for count in (1, 4, 64, 96):
             times = []
             for _ in range(3):
-                state = record(apalm(chain, chain_cfg, chain_eng,
-                                     worker_count=count, transport="thread"))
+                state = apalm(chain, chain_cfg, chain_eng,
+                              worker_count=count, transport="thread")
                 times.append(state.stats.queue_time)
                 data.setdefault("scaling_states", []).append(state)
             scaling[count] = sum(times) / len(times)
@@ -106,13 +101,18 @@ def runs():
     data["scaling_peak"] = peak
     data["scaling_time"] = time.perf_counter() - t0
 
-    data["pooled_log"] = pooled_log
     data["all_states"] = ([data["cubic_psi0"], data["cubic_psi1"],
                            data["cubic_psi1_tight"], data["linear_psi0"],
                            data["linear_psi1"], data["pitchfork"]]
                           + list(data["cubic_parallel"].values())
                           + data["scaling_states"])
     return data
+
+
+def kept_records(state):
+    """Records of the jobs whose fine points went into the map."""
+    return [r for r in state.stats.records
+            if r.outcome in (ACCEPTED, REFINED)]
 
 
 def path_violation(state):
@@ -161,18 +161,21 @@ def test_criterion_3_zero_refinement_control(runs):
     for key in ("linear_psi0", "linear_psi1"):
         state = runs[key]
         children += state.stats.children_spawned
-        for e in state.stats.error_log:
+        for r in kept_records(state):
+            sum_d, lower, closing = r.measured
+            e = compute_errors(r.job.delta_L0, [sum_d], lower, closing)
             worst = max(worst, abs(e.total), abs(e.lower), abs(e.upper))
     report(3, "zero-refinement control", worst <= 1e-12 and children == 0,
            f"max |error| {worst:.2e}, {children} children")
 
 
 def test_criterion_4_triangle_inequality_suite(runs):
-    log = runs["pooled_log"]
-    bad = sum(1 for dl0, sum_d, lower, closing in log
+    measured = [r.measured for state in runs["all_states"]
+                for r in kept_records(state)]
+    bad = sum(1 for sum_d, lower, closing in measured
               if closing < 0.0 or lower > sum_d + 1e-12)
-    report(4, "triangle-inequality suite", len(log) >= 500 and bad == 0,
-           f"{len(log)} jobs checked, {bad} violations")
+    report(4, "triangle-inequality suite", len(measured) >= 500 and bad == 0,
+           f"{len(measured)} jobs checked, {bad} violations")
 
 
 def test_criterion_5_worker_count_independence(runs):
@@ -246,13 +249,14 @@ def test_criterion_8_scaling_property(runs):
 def test_criterion_9_monotone_parameterization(runs):
     # every submit checks the span it inserts into before it writes, and
     # each driver walks every map once after the queue drains, raising on a
-    # violation; here we confirm every run actually submitted work and that
-    # the final maps are strictly increasing in both coordinates
+    # violation; here we confirm every run actually inserted work, that
+    # every settled job has one of the five outcomes, and that the final
+    # maps are strictly increasing in both coordinates
     ok = True
     submits = 0
     for state in runs["all_states"]:
-        submits += state.stats.submits
-        if state.stats.submits != state.stats.jobs_done - state.stats.jobs_failed:
+        submits += len(kept_records(state))
+        if any(r.outcome not in OUTCOMES for r in state.stats.records):
             ok = False
         for m in state.maps.values():
             rows = m.collect()

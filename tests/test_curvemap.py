@@ -2,7 +2,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apalm.curvemap import CurveMap, CurveStructureError, LookupError_
@@ -290,7 +290,13 @@ def insertion_sequences(draw):
     return gaps, ops
 
 
+# The two reasons _insert refuses an insertion; either leaves the map as is.
+REFUSALS = ("fine xi not strictly inside", "non-positive arc length")
+
+
 @given(insertion_sequences())
+@example(seq=([1.0, 1.0], [(True, 0, [1.0, 1.0], 1e-10),
+                           (True, 2, [1.0], 1e-06)]))  # refused: xi rounds
 @settings(max_examples=60, deadline=None)
 def test_monotonicity_under_random_insertions(seq):
     gaps, ops = seq
@@ -306,23 +312,29 @@ def test_monotonicity_under_random_insertions(seq):
         width = m.lookup(hi).ds
         level = max(m.lookup(lo).level, m.lookup(hi).level) + 1
         parent = (lo, hi, level)
-        if is_stretch:
-            dists = [f * width for f in fracs]
-            res = FakeResult(
-                distances=dists,
-                solutions=[m.lookup(lo).w] + [pt(counter + k)
-                                              for k in range(len(dists))],
-                closing_distance=closing * width)
-            m.insert_stretch(*parent, res, True, True)
-        else:
-            # interior: fine path must fit strictly inside the parent
-            total = sum(fracs) + 0.05
-            dists = [f / total * width for f in fracs]
-            res = FakeResult(
-                distances=dists,
-                solutions=[m.lookup(lo).w] + [pt(counter + k)
-                                              for k in range(len(dists))])
-            m.insert_interior(*parent, res)
+        before = row_bits(m.collect())
+        try:
+            if is_stretch:
+                dists = [f * width for f in fracs]
+                res = FakeResult(
+                    distances=dists,
+                    solutions=[m.lookup(lo).w] + [pt(counter + k)
+                                                  for k in range(len(dists))],
+                    closing_distance=closing * width)
+                m.insert_stretch(*parent, res, True, True)
+            else:
+                # interior: fine path must fit strictly inside the parent
+                total = sum(fracs) + 0.05
+                dists = [f / total * width for f in fracs]
+                res = FakeResult(
+                    distances=dists,
+                    solutions=[m.lookup(lo).w] + [pt(counter + k)
+                                                  for k in range(len(dists))])
+                m.insert_interior(*parent, res)
+        except CurveStructureError as exc:
+            # a nested interval can fall below the xi resolution
+            assert str(exc).startswith(REFUSALS)
+            assert row_bits(m.collect()) == before
         counter += 10
         m.validate_monotone()
     rows = m.collect()

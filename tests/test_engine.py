@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -5,9 +6,11 @@ import numpy as np
 import pytest
 
 from apalm import alm, engine
+from apalm import io as apio
 from apalm.alm import AlmConfig
 from apalm.curvemap import CurveMap
-from apalm.engine import (EngineConfig, IntervalResult, Job, QueueEngine,
+from apalm.engine import (ACCEPTED, FAILED, OUTCOMES, REFINED, REJECTED,
+                          EngineConfig, IntervalResult, Job, QueueEngine,
                           QueueInvariantError, aalm, compute_errors,
                           serial_solve, solve_interval)
 from apalm.problems import SolutionPoint, make_builtin
@@ -225,7 +228,7 @@ class TestQueueEngine:
         assert len(state.queue) == n_before
         assert state.stats.children_spawned == 0
 
-    def test_failed_job_keeps_coarse_data_and_warns(self):
+    def test_failed_job_keeps_coarse_data_and_warns(self, caplog):
         p = make_builtin("linear1d")
         state = QueueEngine(p, crisfield(1.0),
                             EngineConfig(delta_L=math.sqrt(2.0), steps=4))
@@ -238,7 +241,11 @@ class TestQueueEngine:
                              success=False, message="synthetic failure")
         state.submit(job, res)
         assert state.stats.jobs_failed == 1
-        assert state.stats.warnings
+        [record] = state.stats.records
+        assert record.outcome == FAILED and record.measured is None
+        assert record.message == (
+            f"branch 0 [0.0, {job.xi_hi!r}] failed: synthetic failure")
+        assert caplog.messages == [record.message]
         assert sum(len(m) for m in state.maps.values()) == n_points
         assert len(state.queue) == 3
 
@@ -316,7 +323,9 @@ class TestAalm:
             p = make_builtin("linear1d")
             state = aalm(p, crisfield(psi),
                          EngineConfig(delta_L=1.0, steps=5))
-            for e in state.stats.error_log:
+            for r in state.stats.records:
+                sum_d, lower, closing = r.measured
+                e = compute_errors(r.job.delta_L0, [sum_d], lower, closing)
                 assert abs(e.total) <= 1e-12
                 assert abs(e.lower) <= 1e-12
                 assert abs(e.upper) <= 1e-12
@@ -360,8 +369,9 @@ class TestAalm:
         state = aalm(p, crisfield(1.0),
                      EngineConfig(delta_L=0.4, steps=15, tol_lower=1e-3,
                                   tol_upper=1e-3))
-        assert state.stats.interval_log
-        for dl0, sum_d, lower, closing in state.stats.interval_log:
+        solved = [r.measured for r in state.stats.records if r.measured]
+        assert solved
+        for sum_d, lower, closing in solved:
             assert closing >= 0.0
             assert lower <= sum_d + 1e-12
 
@@ -413,7 +423,9 @@ def test_one_map_walk_at_the_end(monkeypatch, workers):
         state = aalm(p, cfg, eng)
     else:
         state = apalm(p, cfg, eng, worker_count=workers, transport="thread")
-    assert state.stats.submits > len(state.maps) == 2
+    kept = [r for r in state.stats.records
+            if r.outcome in (ACCEPTED, REFINED)]
+    assert len(kept) > len(state.maps) == 2
     assert sorted(calls) == [0, 0, 1, 1]
 
 
@@ -427,22 +439,55 @@ NOISE_FLOOR_CONFIGS = [  # (steps, delta_L, tol, max_level)
 ]
 
 
+def noise_floor_engine(steps, delta_L, tol, max_level):
+    return EngineConfig(delta_L=delta_L, steps=steps, tol_lower=tol,
+                        tol_upper=tol, max_level=max_level)
+
+
 @pytest.mark.parametrize("steps,delta_L,tol,max_level", NOISE_FLOOR_CONFIGS)
 def test_rejected_insertion_costs_one_job(steps, delta_L, tol, max_level):
     state = aalm(make_builtin("cubic1d"), crisfield(1.0, tol=1e-10),
-                 EngineConfig(delta_L=delta_L, steps=steps, tol_lower=tol,
-                              tol_upper=tol, max_level=max_level))
+                 noise_floor_engine(steps, delta_L, tol, max_level))
     for m in state.maps.values():
         m.validate_monotone()
     stats = state.stats
     assert stats.jobs_failed >= 1
-    assert len(stats.warnings) == stats.jobs_failed
-    assert stats.submits == stats.jobs_done - stats.jobs_failed
+    assert all(r.outcome in OUTCOMES for r in stats.records)
+    rejected = [r for r in stats.records if r.outcome == REJECTED]
+    assert len(rejected) == stats.jobs_failed
+    for r in rejected:
+        assert r.measured is not None and r.children == 0
+        assert r.message.startswith(f"branch 0 [{r.job.xi_lo!r}, ")
 
 
 def row_bits(rows):
     return [(b, xi.hex(), s.hex(), level, w.u.tobytes(), w.lam.hex())
             for b, xi, s, level, w in rows]
+
+
+def record_bits(state):
+    """Every record but its job id, bitwise, in (branch, xi_lo, xi_hi)
+    order; that key is unique among a run's settled jobs."""
+    def point(w):
+        return None if w is None else (w.u.tobytes(), float(w.lam).hex())
+
+    out = []
+    for r in sorted(state.stats.records, key=lambda r: (
+            r.job.branch, r.job.xi_lo, r.job.xi_hi)):
+        j = r.job
+        out.append((j.branch, j.xi_lo.hex(), j.xi_hi.hex(),
+                    j.delta_L0.hex(), j.level, j.N, point(j.w_start),
+                    point(j.w_prev), point(j.w_ref), r.outcome,
+                    r.measured and [float(x).hex() for x in r.measured],
+                    r.children, r.message))
+    return out
+
+
+def summary_without_timings(state, path):
+    apio.write_summary(state, str(path))
+    summary = json.loads(path.read_text())
+    del summary["serial_time_s"], summary["queue_time_s"]
+    return summary
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -460,4 +505,33 @@ def test_shuffled_arrival_matches_aalm_bitwise(seed):
             job = state.pop()
             pending.append((job, solve_interval(p, cfg, job)))
         state.submit(*pending.pop(rng.randrange(len(pending))))
-    assert row_bits(state.collect()) == row_bits(aalm(p, cfg, eng).collect())
+    ref = aalm(p, cfg, eng)
+    assert row_bits(state.collect()) == row_bits(ref.collect())
+    assert record_bits(state) == record_bits(ref)
+
+
+# cubic1d at the Newton noise floor (32 of 1387 jobs rejected) and a Riks
+# chain that loses 2 of 68 jobs the same way
+PARITY_RUNS = {
+    "noise-floor": (make_builtin("cubic1d"), crisfield(1.0, tol=1e-10),
+                    noise_floor_engine(*NOISE_FLOOR_CONFIGS[3])),
+    "riks-chain": (make_builtin("springchain", n=16),
+                   AlmConfig(constraint="riks", psi=1.0, newton_tol=1e-10),
+                   EngineConfig(delta_L=0.4, steps=32, max_level=3)),
+}
+
+
+@pytest.mark.parametrize("run", sorted(PARITY_RUNS))
+def test_records_and_summary_match_aalm_bitwise(run, tmp_path):
+    """Records and .summary.json (timings aside) are a function of the
+    config: 3 thread or process workers give aalm's, bit for bit."""
+    p, cfg, eng = PARITY_RUNS[run]
+    ref = aalm(p, cfg, eng)
+    assert ref.stats.jobs_failed >= 1
+    ref_summary = summary_without_timings(ref, tmp_path / "aalm.json")
+    for transport in ("thread", "process"):
+        state = apalm(p, cfg, eng, worker_count=3, transport=transport)
+        assert row_bits(state.collect()) == row_bits(ref.collect())
+        assert record_bits(state) == record_bits(ref)
+        assert summary_without_timings(
+            state, tmp_path / f"{transport}.json") == ref_summary

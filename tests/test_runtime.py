@@ -10,7 +10,8 @@ import pytest
 
 from apalm import transport as tp
 from apalm.alm import AlmConfig
-from apalm.engine import EngineConfig, IntervalResult, Job, QueueEngine, aalm
+from apalm.engine import (LOST, EngineConfig, IntervalResult, Job,
+                          QueueEngine, aalm)
 from apalm.problems import SolutionPoint, make_builtin
 from apalm.runtime import _worker_main, apalm, run_manager, run_worker
 from apalm.transport import ProtocolError, SocketEndpoint
@@ -198,7 +199,9 @@ class TestRunManager:
             ep.close()
         assert state.stats.jobs_failed >= 1
         assert state.stats.jobs_done == 4
-        assert state.stats.warnings
+        lost = [r for r in state.stats.records if r.outcome == LOST]
+        assert len(lost) == state.stats.jobs_failed
+        assert all("worker 0 lost" in r.message for r in lost)
 
     def test_all_workers_lost_raises(self):
         p, state = fresh_state()
@@ -325,6 +328,35 @@ class TestApalm:
         with pytest.raises(RuntimeError, match="synthetic manager error"):
             apalm(p, crisfield(), eng, worker_count=2, transport=transport)
         assert time.perf_counter() - t0 < 5.0
+
+    def test_failed_worker_start_closes_every_socket(self, monkeypatch):
+        # a worker that cannot start (thread limit, fork EAGAIN) must not
+        # leave the sockets or threads of the workers before it behind
+        socks = []
+        started = []
+        socketpair = socket.socketpair
+
+        def recording_socketpair(*args):
+            pair = socketpair(*args)
+            socks.extend(pair)
+            return pair
+
+        class SecondStartFails(threading.Thread):
+            def start(self):
+                if len(started) == 1:
+                    raise RuntimeError("can't start new thread")
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(socket, "socketpair", recording_socketpair)
+        monkeypatch.setattr(threading, "Thread", SecondStartFails)
+        eng = EngineConfig(delta_L=1.0, steps=2)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            apalm(make_builtin("linear1d"), crisfield(), eng,
+                  worker_count=3, transport="thread")
+        assert len(socks) == 4 and len(started) == 1
+        assert all(s.fileno() == -1 for s in socks)
+        assert not started[0].is_alive()
 
     def test_bad_arguments(self):
         p = make_builtin("linear1d")
