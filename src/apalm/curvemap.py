@@ -109,13 +109,13 @@ class CurveMap:
                         result) -> None:
         """Store a converged interval's interior fine points at `level`.
 
-        Points k = 1..M-1 get xi by proportional rescaling of their
-        distances within the parent's length hi.ds; the fine end-point is
+        Every fine point but the last gets xi by proportional rescaling of
+        its distance within the parent's length hi.ds; the fine end-point is
         not stored, and hi.ds becomes what the stored distances leave of it.
         """
         width = self.lookup(xi_hi).ds
         dists = result.distances[:-1]
-        self._insert(xi_lo, xi_hi, level, result.solutions[1:-1], dists,
+        self._insert(xi_lo, xi_hi, level, result.solutions[:-1], dists,
                      width, width - sum(dists))
 
     def insert_stretch(self, xi_lo: float, xi_hi: float, level: int, result,
@@ -143,7 +143,7 @@ class CurveMap:
             closing = dl_close
             stored = dists
         keys = self._insert(xi_lo, xi_hi, level,
-                            result.solutions[1:len(stored) + 1], stored,
+                            result.solutions[:len(stored)], stored,
                             total, closing)
         children = []
         if refine_lower:

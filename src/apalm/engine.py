@@ -80,10 +80,14 @@ class Job:
             raise ValueError("xi_lo must be < xi_hi")
         if self.delta_L0 <= 0:
             raise ValueError("delta_L0 must be positive")
+        if self.N < 1:
+            raise ValueError("N must be >= 1")
 
 
 @dataclass(frozen=True)
 class IntervalResult:
+    """solutions[k] ends fine step k, of length distances[k]."""
+
     job_id: int
     distances: list[float]
     solutions: list[SolutionPoint]
@@ -91,6 +95,10 @@ class IntervalResult:
     closing_distance: float
     success: bool = True
     message: str = ""
+
+    def __post_init__(self):
+        if len(self.solutions) != len(self.distances):
+            raise ValueError("one solution per distance")
 
 
 @dataclass(frozen=True)
@@ -121,28 +129,28 @@ def solve_interval(problem: ProblemDef, config: AlmConfig, job: Job
     """
     dl_nominal = job.delta_L0 / job.N
     psi, ptp = config.psi, problem.load_norm_sq
-    dw = None
-    if job.w_prev is not None:
-        dw = alm.increment_between(job.w_start, job.w_prev)
-    sols = [job.w_start]
+    w = job.w_start
+    dw = (None if job.w_prev is None
+          else alm.increment_between(w, job.w_prev))
+    sols: list[SolutionPoint] = []
     dists: list[float] = []
     remaining = job.delta_L0
     budget = 10 * job.N + 20  # safety against pathological step cutting
     failure: str | None = None
     try:
         while remaining > 1e-12 * job.delta_L0 and len(dists) < budget:
-            res = alm.step(problem, config, sols[-1], dw,
+            res = alm.step(problem, config, w, dw,
                            min(dl_nominal, remaining))
+            w, dw = res.w_new, res.dw
             dists.append(res.achieved_length)
-            dw = res.dw
-            sols.append(res.w_new)
+            sols.append(w)
             remaining -= res.achieved_length
     except alm.StepError as exc:
         failure = str(exc)
     return IntervalResult(
         job_id=job.id, distances=dists, solutions=sols,
-        lower_distance=alm.point_distance(sols[-1], sols[0], psi, ptp),
-        closing_distance=alm.point_distance(job.w_ref, sols[-1], psi, ptp),
+        lower_distance=alm.point_distance(w, job.w_start, psi, ptp),
+        closing_distance=alm.point_distance(job.w_ref, w, psi, ptp),
         success=failure is None, message=failure or "")
 
 
@@ -297,11 +305,6 @@ class QueueEngine:
         except KeyError:
             raise QueueInvariantError(
                 f"job id {job.id} is not outstanding") from None
-
-    def requeue(self, job: Job) -> None:
-        """Undo pop: put the job back at the front of the queue."""
-        self._settle(job)
-        self.queue.appendleft(job)
 
     def submit(self, job: Job, result: IntervalResult) -> None:
         """Insert a job's solutions and queue children where errors demand."""

@@ -140,6 +140,8 @@ def scale_harness(cfg: RunConfig, worker_counts: list[int],
     """Wall times per worker count, repeated; serial and parallel separated."""
     if not worker_counts:
         raise ValueError("worker_counts must be nonempty")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     samples = []
     for count in worker_counts:
         serial_times = []

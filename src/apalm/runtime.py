@@ -47,10 +47,10 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
 
     The manager waits on all worker sockets at once, through one selector
     that holds exactly the live endpoints, and takes replies in whatever
-    order they arrive. A worker lost mid-job costs that job; a worker found
-    gone at dispatch costs none, as its job goes back to the front of the
-    queue. Raises EndpointClosed if every worker is lost while work is
-    still queued. Once the workers are stopped, every map is validated.
+    order they arrive. A job leaves the queue only once a worker has it: a
+    worker lost mid-job costs that job, one found gone at dispatch none.
+    Raises EndpointClosed if every worker is lost while work is still
+    queued. Once the workers are stopped, every map is validated.
     """
     idle = list(endpoints)
     inflight: dict = {}  # endpoint -> its job
@@ -63,16 +63,14 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
     def dispatch() -> None:
         while state.queue and idle:
             ep = idle.pop(0)
-            job = state.pop()
             try:
-                ep.send(job)
+                ep.send(state.queue[0])
             except tp.EndpointClosed as exc:
                 live.unregister(ep)
-                state.requeue(job)
-                log.warning("worker %d send failed, job %d requeued: %s",
-                            endpoints.index(ep), job.id, exc)
+                log.warning("worker %d send failed, job %d stays queued: %s",
+                            endpoints.index(ep), state.queue[0].id, exc)
                 continue
-            inflight[ep] = job
+            inflight[ep] = state.pop()
 
     with live:
         dispatch()

@@ -1,10 +1,12 @@
 """Wire format and socket endpoint for the manager-worker runtime.
 
-Frames are [u8 version][u64 length][payload], little-endian, fixed-width
-floats. A payload is one engine message: a `Job` (manager to worker), an
-`IntervalResult` (worker to manager) or `None`, the one-byte stop. Thread
-and process workers use the same endpoint over a socket pair, so both carry
-the same encoded bytes and runs replay bit-exactly across them.
+Frames are [u8 version][u64 length][payload], little-endian (protocol 3).
+A payload is the one-byte stop or one engine message: a header struct,
+then, for an `IntervalResult`, its UTF-8 note and distances, then one
+float64 block of (u, lambda) rows. A `Job` sends w_start, w_prev if any
+and w_ref; a reply sends the point that ends each fine step, not the start.
+Thread and process workers use the same endpoint over a socket pair, so
+both carry the same encoded bytes and runs replay bit-exactly across them.
 """
 
 from __future__ import annotations
@@ -17,14 +19,17 @@ import numpy as np
 from .engine import IntervalResult, Job
 from .problems import SolutionPoint
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 MSG_STOP = 0
 MSG_JOB = 1
 MSG_DATA = 2
 
 _HEADER = struct.Struct("<BQ")
-_JOB = struct.Struct("<BQQddQdQB")
+# kind, id, branch, xi_lo, xi_hi, level, delta_L0, N, has w_prev, n_dof
+_JOB = struct.Struct("<BQQddQdQBQ")
+# kind, job_id, success, lower, closing, steps, n_dof, note length
+_DATA = struct.Struct("<BQBddQQQ")
 
 # The benchmark tracer (perfbench/tracing.py) matches messages on these names.
 JobMessage = Job
@@ -39,90 +44,80 @@ class EndpointClosed(RuntimeError):
     """Peer endpoint is gone."""
 
 
-def _pack_point(w: SolutionPoint) -> bytes:
-    u = np.ascontiguousarray(w.u, dtype="<f8")
-    return struct.pack("<Q", u.shape[0]) + u.tobytes() + struct.pack("<d", w.lam)
+def _block(points: list[SolutionPoint], n: int) -> bytes:
+    rows = np.empty((len(points), n + 1), dtype="<f8")
+    for row, w in zip(rows, points):
+        row[:n], row[n] = w.u, w.lam
+    return rows.tobytes()
 
 
-def _unpack_point(buf: memoryview, off: int) -> tuple[SolutionPoint, int]:
-    (n,) = struct.unpack_from("<Q", buf, off)
-    off += 8
-    u = np.frombuffer(buf, dtype="<f8", count=n, offset=off).copy()
-    off += 8 * n
-    (lam,) = struct.unpack_from("<d", buf, off)
-    return SolutionPoint(u, lam), off + 8
+def _points(buf: memoryview, off: int, count: int, n: int
+            ) -> list[SolutionPoint]:
+    flat = np.frombuffer(buf, dtype="<f8", count=count * (n + 1), offset=off)
+    return [SolutionPoint(flat[i:i + n].copy(), flat[i + n])
+            for i in range(0, flat.size, n + 1)]
+
+
+def _expect(buf: memoryview, size: int) -> None:
+    if len(buf) != size:
+        raise ProtocolError(f"{len(buf)}-byte payload, header gives {size}")
 
 
 def encode(msg: Job | IntervalResult | None) -> bytes:
     if msg is None:
         return bytes([MSG_STOP])
     if isinstance(msg, Job):
-        parts = [_JOB.pack(MSG_JOB, msg.id, msg.branch, msg.xi_lo, msg.xi_hi,
-                           msg.level, msg.delta_L0, msg.N,
-                           msg.w_prev is not None),
-                 _pack_point(msg.w_start)]
-        if msg.w_prev is not None:
-            parts.append(_pack_point(msg.w_prev))
-        parts.append(_pack_point(msg.w_ref))
-        return b"".join(parts)
+        points = [w for w in (msg.w_start, msg.w_prev, msg.w_ref)
+                  if w is not None]
+        n = msg.w_start.n_dof
+        return _JOB.pack(MSG_JOB, msg.id, msg.branch, msg.xi_lo, msg.xi_hi,
+                         msg.level, msg.delta_L0, msg.N,
+                         msg.w_prev is not None, n) + _block(points, n)
     if isinstance(msg, IntervalResult):
-        d = np.ascontiguousarray(msg.distances, dtype="<f8")
+        n = msg.solutions[0].n_dof if msg.solutions else 0
         note = msg.message.encode("utf-8")
-        parts = [struct.pack("<BQB", MSG_DATA, msg.job_id, int(msg.success)),
-                 struct.pack("<Q", d.shape[0]), d.tobytes(),
-                 struct.pack("<Q", len(msg.solutions))]
-        parts.extend(_pack_point(w) for w in msg.solutions)
-        parts.append(struct.pack("<dd", msg.lower_distance,
-                                 msg.closing_distance))
-        parts.append(struct.pack("<Q", len(note)) + note)
-        return b"".join(parts)
+        return b"".join((
+            _DATA.pack(MSG_DATA, msg.job_id, msg.success, msg.lower_distance,
+                       msg.closing_distance, len(msg.distances), n,
+                       len(note)),
+            note, np.asarray(msg.distances, dtype="<f8").tobytes(),
+            _block(msg.solutions, n)))
     raise ProtocolError(f"cannot encode {type(msg).__name__}")
 
 
 def decode(payload: bytes) -> Job | IntervalResult | None:
+    """The message in payload. Raises ProtocolError, and only that, if the
+    payload is malformed or not exactly the size its header gives."""
     buf = memoryview(payload)
-    if len(buf) < 1:
-        raise ProtocolError("empty payload")
-    kind = buf[0]
-    if kind == MSG_STOP:
-        if len(buf) != 1:
-            raise ProtocolError("bad stop message size")
-        return None
-    if kind == MSG_JOB:
-        (_, jid, branch, xi_lo, xi_hi, level, dl0, n,
-         has_prev) = _JOB.unpack_from(buf, 0)
-        w_start, off = _unpack_point(buf, _JOB.size)
-        w_prev = None
-        if has_prev:
-            w_prev, off = _unpack_point(buf, off)
-        w_ref, off = _unpack_point(buf, off)
-        try:
+    try:
+        kind = buf[0]
+        if kind == MSG_STOP:
+            _expect(buf, 1)
+            return None
+        if kind == MSG_JOB:
+            (_, jid, branch, xi_lo, xi_hi, level, dl0, steps, has_prev,
+             n) = _JOB.unpack_from(buf)
+            count = 3 if has_prev else 2
+            _expect(buf, _JOB.size + 8 * count * (n + 1))
+            w = _points(buf, _JOB.size, count, n)
             return Job(id=jid, branch=branch, xi_lo=xi_lo, xi_hi=xi_hi,
-                       delta_L0=dl0, w_start=w_start, w_prev=w_prev,
-                       w_ref=w_ref, level=level, N=n)
-        except ValueError as exc:
-            raise ProtocolError(f"bad job: {exc}") from None
-    if kind == MSG_DATA:
-        _, jid, success = struct.unpack_from("<BQB", buf, 0)
-        off = struct.calcsize("<BQB")
-        (nd,) = struct.unpack_from("<Q", buf, off)
-        off += 8
-        dists = np.frombuffer(buf, dtype="<f8", count=nd, offset=off).tolist()
-        off += 8 * nd
-        (ns,) = struct.unpack_from("<Q", buf, off)
-        off += 8
-        sols = []
-        for _ in range(ns):
-            w, off = _unpack_point(buf, off)
-            sols.append(w)
-        lower, closing = struct.unpack_from("<dd", buf, off)
-        off += 16
-        (nmsg,) = struct.unpack_from("<Q", buf, off)
-        off += 8
-        note = bytes(buf[off:off + nmsg]).decode("utf-8")
-        return IntervalResult(job_id=jid, distances=dists, solutions=sols,
-                              lower_distance=lower, closing_distance=closing,
-                              success=bool(success), message=note)
+                       delta_L0=dl0, w_start=w[0],
+                       w_prev=w[1] if has_prev else None, w_ref=w[-1],
+                       level=level, N=steps)
+        if kind == MSG_DATA:
+            (_, jid, success, lower, closing, count, n,
+             n_note) = _DATA.unpack_from(buf)
+            off = _DATA.size + n_note
+            _expect(buf, off + 8 * count * (n + 2))
+            dists = np.frombuffer(buf, "<f8", count, off).tolist()
+            return IntervalResult(
+                job_id=jid, distances=dists,
+                solutions=_points(buf, off + 8 * count, count, n),
+                lower_distance=lower, closing_distance=closing,
+                success=bool(success),
+                message=bytes(buf[_DATA.size:off]).decode("utf-8"))
+    except (IndexError, struct.error, ValueError) as exc:  # and Job's checks
+        raise ProtocolError(f"bad payload: {exc}") from None
     raise ProtocolError(f"unknown message kind {kind}")
 
 
@@ -149,7 +144,8 @@ class SocketEndpoint:
         chunks = []
         while n > 0:
             try:
-                chunk = self._sock.recv(n)
+                # bounded, as recv(n) allocates n bytes before reading
+                chunk = self._sock.recv(min(n, 1 << 16))
             except OSError as exc:
                 raise EndpointClosed(str(exc))
             if not chunk:

@@ -269,6 +269,12 @@ class TestScaleHarness:
         with pytest.raises(ValueError):
             apio.scale_harness(cfg, [])
 
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_no_repeats_rejected(self, repeats):
+        cfg = parse_config(json.dumps(doc()))
+        with pytest.raises(ValueError):
+            apio.scale_harness(cfg, [1], repeats=repeats)
+
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name

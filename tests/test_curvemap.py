@@ -15,6 +15,8 @@ def pt(u, lam=0.0):
 
 @dataclass
 class FakeResult:
+    """An IntervalResult's map-facing fields: solutions[k] ends step k."""
+
     distances: list
     solutions: list
     closing_distance: float = 0.0
@@ -91,7 +93,7 @@ class TestInsertInterior:
     def test_hand_example(self):
         m = make_map_0_10()
         res = FakeResult(distances=[0.8, 1.2],
-                         solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)])
+                         solutions=[pt(10.0), pt(11.0)])
         m.insert_interior(*parent_2_4(m), res)
         keys = m.xi_keys()
         assert 0.28 in [pytest.approx(k) for k in keys]
@@ -99,33 +101,36 @@ class TestInsertInterior:
         assert s_at(m, keys[2]) == pytest.approx(2.8)
         assert e.xi == pytest.approx(0.28)
         assert e.level == 1
+        assert e.w is res.solutions[0]  # the point that ends step 0
 
     def test_midpoint_symmetry(self):
         m = make_map_0_10()
         res = FakeResult(distances=[1.0, 1.0],
-                         solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)])
+                         solutions=[pt(10.0), pt(11.0)])
         m.insert_interior(*parent_2_4(m), res)
         e = m.lookup(m.xi_keys()[2])
         assert (s_at(m, e.xi), e.xi) == (pytest.approx(3.0),
                                          pytest.approx(0.3))
+        assert e.w is res.solutions[0]
 
     def test_cumulative_three_steps(self):
         m = make_map_0_10()
         res = FakeResult(distances=[0.5, 0.5, 1.0],
-                         solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0),
-                                    pt(12.0)])
+                         solutions=[pt(10.0), pt(11.0), pt(12.0)])
         m.insert_interior(*parent_2_4(m), res)
         keys = m.xi_keys()
         assert s_at(m, keys[2]) == pytest.approx(2.5)
         assert m.lookup(keys[2]).xi == pytest.approx(0.25)
         assert s_at(m, keys[3]) == pytest.approx(3.0)
         assert m.lookup(keys[3]).xi == pytest.approx(0.30)
+        assert all(m.lookup(k).w is w
+                   for k, w in zip(keys[2:4], res.solutions[:2], strict=True))
 
     def test_no_existing_coordinate_changes(self):
         m = make_map_0_10()
         before = [(k, s_at(m, k)) for k in m.xi_keys()]
         res = FakeResult(distances=[0.8, 1.2],
-                         solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)])
+                         solutions=[pt(10.0), pt(11.0)])
         m.insert_interior(*parent_2_4(m), res)
         for k, s in before:
             assert s_at(m, k) == s
@@ -133,7 +138,7 @@ class TestInsertInterior:
     def test_fine_endpoint_not_stored(self):
         m = make_map_0_10()
         res = FakeResult(distances=[1.0, 1.0],
-                         solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)])
+                         solutions=[pt(10.0), pt(11.0)])
         m.insert_interior(*parent_2_4(m), res)
         assert len(m) == 7  # one interior point added, not two
 
@@ -142,7 +147,7 @@ class TestInsertStretch:
     def test_hand_example_with_downstream_shift(self):
         m = make_map_0_10()
         res = FakeResult(distances=[1.0, 1.0],
-                         solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)],
+                         solutions=[pt(10.0), pt(11.0)],
                          closing_distance=0.3)
         children = m.insert_stretch(*parent_2_4(m), res, refine_lower=True,
                                     refine_upper=True)
@@ -152,6 +157,9 @@ class TestInsertStretch:
         assert m.lookup(keys[2]).xi == pytest.approx(0.2 + 0.2 * 1.0 / 2.3)
         assert s_at(m, keys[3]) == pytest.approx(4.0)
         assert m.lookup(keys[3]).xi == pytest.approx(0.2 + 0.2 * 2.0 / 2.3)
+        # every fine point is stored at the key that ends its step
+        assert all(m.lookup(k).w is w
+                   for k, w in zip(keys[2:4], res.solutions, strict=True))
         # old end keeps xi = 0.4; its ds becomes the closing 0.3, so s = 4.3
         # there and every later s grows by 0.3 too
         assert s_at(m, 0.4) == pytest.approx(4.3)
@@ -165,13 +173,15 @@ class TestInsertStretch:
     def test_zero_closing_distance_suppresses_closing_child(self):
         m = make_map_0_10()
         res = FakeResult(distances=[1.0, 1.0],
-                         solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)],
+                         solutions=[pt(10.0), pt(11.0)],
                          closing_distance=0.0)
         children = m.insert_stretch(*parent_2_4(m), res, refine_lower=True,
                                     refine_upper=True)
         keys = m.xi_keys()
         assert s_at(m, keys[2]) == pytest.approx(3.0)
         assert m.lookup(keys[2]).xi == pytest.approx(0.3)
+        assert m.lookup(keys[2]).w is res.solutions[0]
+        assert keys[3] == 0.4  # the fine end-point is not stored
         assert s_at(m, 0.4) == pytest.approx(4.0)  # no shift
         # the would-be closing child is suppressed; two fine children remain
         assert len(children) == 2
@@ -180,7 +190,7 @@ class TestInsertStretch:
     def test_lower_only_children(self):
         m = make_map_0_10()
         res = FakeResult(distances=[1.0, 1.0],
-                         solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)],
+                         solutions=[pt(10.0), pt(11.0)],
                          closing_distance=0.3)
         children = m.insert_stretch(*parent_2_4(m), res, refine_lower=True,
                                     refine_upper=False)
@@ -189,7 +199,7 @@ class TestInsertStretch:
     def test_upper_only_children(self):
         m = make_map_0_10()
         res = FakeResult(distances=[1.0, 1.0],
-                         solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)],
+                         solutions=[pt(10.0), pt(11.0)],
                          closing_distance=0.3)
         children = m.insert_stretch(*parent_2_4(m), res, refine_lower=False,
                                     refine_upper=True)
@@ -199,7 +209,7 @@ class TestInsertStretch:
     def test_branch_end_xi_never_changes(self):
         m = make_map_0_10()
         res = FakeResult(distances=[1.0, 1.0],
-                         solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)],
+                         solutions=[pt(10.0), pt(11.0)],
                          closing_distance=0.5)
         m.insert_stretch(*parent_2_4(m), res, True, True)
         assert m.xi_keys()[-1] == 1.0
@@ -218,8 +228,7 @@ class TestRejectedInsertion:
         before = row_bits(m.collect())
         # the stored distances 1.5 + 1.0 exceed the parent's length 2.0
         res = FakeResult(distances=[1.5, 1.0, 0.5],
-                         solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0),
-                                    pt(12.0)])
+                         solutions=[pt(10.0), pt(11.0), pt(12.0)])
         with pytest.raises(CurveStructureError):
             m.insert_interior(*parent_2_4(m), res)
         assert row_bits(m.collect()) == before
@@ -230,7 +239,7 @@ class TestRejectedInsertion:
         # the closing distance is 3e-12 of the fine length 2e5, below the xi
         # resolution: the last fine xi rounds onto the parent's end 0.4
         res = FakeResult(distances=[1e5, 1e5],
-                         solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)],
+                         solutions=[pt(10.0), pt(11.0)],
                          closing_distance=3e-12)
         with pytest.raises(CurveStructureError):
             m.insert_stretch(*parent_2_4(m), res, True, True)
@@ -242,7 +251,7 @@ class TestRejectedInsertion:
         # [0.2, 0.6] holds the key 0.4, so it is no unrefined interval
         parent = (0.2, 0.6, 1)
         res = FakeResult(distances=[1.0, 1.0],
-                         solutions=[m.lookup(0.2).w, pt(10.0), pt(11.0)])
+                         solutions=[pt(10.0), pt(11.0)])
         with pytest.raises(CurveStructureError):
             m.insert_interior(*parent, res)
         assert row_bits(m.collect()) == before
@@ -258,7 +267,7 @@ class TestCollect:
         m = make_map([0.0, 1.0, 2.0])
         parent = (0.0, 0.5, 1)
         res = FakeResult(distances=[0.5, 0.5],
-                         solutions=[m.lookup(0.0).w, pt(10.0), pt(11.0)])
+                         solutions=[pt(10.0), pt(11.0)])
         m.insert_interior(*parent, res)
         assert len(m.collect()) == 4
 
@@ -266,7 +275,7 @@ class TestCollect:
         m = make_map([0.0, 1.0, 2.0])
         parent = (0.0, 0.5, 1)
         res = FakeResult(distances=[0.5, 0.5],
-                         solutions=[m.lookup(0.0).w, pt(10.0), pt(11.0)],
+                         solutions=[pt(10.0), pt(11.0)],
                          closing_distance=0.2)
         m.insert_stretch(*parent, res, True, True)
         assert len(m.collect()) == 5
@@ -318,8 +327,7 @@ def test_monotonicity_under_random_insertions(seq):
                 dists = [f * width for f in fracs]
                 res = FakeResult(
                     distances=dists,
-                    solutions=[m.lookup(lo).w] + [pt(counter + k)
-                                                  for k in range(len(dists))],
+                    solutions=[pt(counter + k) for k in range(len(dists))],
                     closing_distance=closing * width)
                 m.insert_stretch(*parent, res, True, True)
             else:
@@ -328,8 +336,7 @@ def test_monotonicity_under_random_insertions(seq):
                 dists = [f / total * width for f in fracs]
                 res = FakeResult(
                     distances=dists,
-                    solutions=[m.lookup(lo).w] + [pt(counter + k)
-                                                  for k in range(len(dists))])
+                    solutions=[pt(counter + k) for k in range(len(dists))])
                 m.insert_interior(*parent, res)
         except CurveStructureError as exc:
             # a nested interval can fall below the xi resolution

@@ -158,6 +158,8 @@ class TestSolveInterval:
         res = solve_interval(p, cfg, job)
         assert res.success
         assert res.distances == pytest.approx([sq2 / 2, sq2 / 2])
+        # solutions[k] ends step k; the start point is not sent back
+        assert [w.u[0] for w in res.solutions] == pytest.approx([0.5, 1.0])
         assert res.lower_distance == pytest.approx(sq2)
         assert res.closing_distance == pytest.approx(0.0, abs=1e-10)
 
@@ -235,8 +237,7 @@ class TestQueueEngine:
         state.initialize()
         n_points = sum(len(m) for m in state.maps.values())
         job = state.pop()
-        res = IntervalResult(job_id=job.id, distances=[],
-                             solutions=[job.w_start],
+        res = IntervalResult(job_id=job.id, distances=[], solutions=[],
                              lower_distance=0.0, closing_distance=0.0,
                              success=False, message="synthetic failure")
         state.submit(job, res)
@@ -262,21 +263,6 @@ class TestQueueEngine:
         with pytest.raises(QueueInvariantError):
             state.submit(state.queue[0], res)  # queued, never popped
         assert state.stats.jobs_done == 1
-
-    def test_requeue_returns_the_same_job(self):
-        p = make_builtin("linear1d")
-        state = QueueEngine(p, crisfield(1.0),
-                            EngineConfig(delta_L=math.sqrt(2.0), steps=4))
-        state.initialize()
-        job = state.pop()
-        state.requeue(job)
-        assert len(state.queue) == 4
-        again = state.pop()
-        assert again is job
-        assert again.id == 0 and again.xi_lo == 0.0
-        state.requeue(job)
-        with pytest.raises(QueueInvariantError):
-            state.requeue(job)  # no longer outstanding
 
     def test_children_one_level_down_with_map_payload(self):
         p = make_builtin("cubic1d")
@@ -393,14 +379,23 @@ class TestEngineConfigValidation:
 
 
 class TestJob:
-    @pytest.mark.parametrize("xi_lo,xi_hi,delta_L0", [
-        (0.5, 0.5, 1.0), (0.6, 0.5, 1.0), (0.0, 1.0, 0.0), (0.0, 1.0, -1.0),
-    ])
-    def test_rejects_bad_interval(self, xi_lo, xi_hi, delta_L0):
+    @pytest.mark.parametrize("xi_lo,xi_hi,delta_L0,N", [
+        (0.5, 0.5, 1.0, 2), (0.6, 0.5, 1.0, 2), (0.0, 1.0, 0.0, 2),
+        (0.0, 1.0, -1.0, 2), (0.0, 1.0, 1.0, 0),
+    ], ids=["0.5-0.5-1.0", "0.6-0.5-1.0", "0.0-1.0-0.0", "0.0-1.0--1.0",
+            "N-0"])
+    def test_rejects_bad_interval(self, xi_lo, xi_hi, delta_L0, N):
         w = SolutionPoint(np.zeros(1), 0.0)
         with pytest.raises(ValueError):
             Job(id=0, branch=0, xi_lo=xi_lo, xi_hi=xi_hi, delta_L0=delta_L0,
-                w_start=w, w_prev=None, w_ref=w, level=1, N=2)
+                w_start=w, w_prev=None, w_ref=w, level=1, N=N)
+
+
+def test_interval_result_pairs_solutions_with_distances():
+    w = SolutionPoint(np.zeros(1), 0.0)
+    with pytest.raises(ValueError):
+        IntervalResult(job_id=0, distances=[0.5], solutions=[w, w],
+                       lower_distance=0.5, closing_distance=0.0)
 
 
 @pytest.mark.parametrize("workers", [None, 2])

@@ -110,8 +110,7 @@ class TestRunWorker:
     def test_non_job_frame_rejected(self, pair):
         manager, worker = pair
         manager.send(IntervalResult(
-            job_id=0, distances=[],
-            solutions=[SolutionPoint(np.zeros(1), 0.0)],
+            job_id=0, distances=[], solutions=[],
             lower_distance=0.0, closing_distance=0.0))
         with pytest.raises(ProtocolError):
             run_worker(make_builtin("linear1d"), crisfield(), worker)
@@ -213,7 +212,7 @@ class TestRunManager:
     def test_reply_for_other_job_rejected(self):
         p, state = fresh_state()
         liar = scripted_worker(lambda job: IntervalResult(
-            job_id=job.id + 1, distances=[], solutions=[job.w_start],
+            job_id=job.id + 1, distances=[], solutions=[],
             lower_distance=0.0, closing_distance=0.0))
         with pytest.raises(ProtocolError):
             run_manager(state, [liar])
@@ -242,6 +241,8 @@ class TestRunManager:
         gone.close()
         assert state.stats.jobs_failed == 0
         assert len(state.queue) == 4
+        assert state.queue[0].id == 0  # the job whose send failed
+        assert not state._outstanding
 
 
 def rows_equal(a, b):

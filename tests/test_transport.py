@@ -67,14 +67,14 @@ class TestRoundTrip:
 
     def test_data(self):
         msg = IntervalResult(job_id=3, distances=[0.5, 0.25],
-                             solutions=[pt(0.0), pt(0.5, lam=0.5),
+                             solutions=[pt(0.5, lam=0.5),
                                         pt(0.75, lam=0.75)],
                              lower_distance=0.74, closing_distance=0.01,
                              success=True, message="")
         out = decode(encode(msg))
         assert out.job_id == 3
         assert out.distances == [0.5, 0.25]
-        assert len(out.solutions) == 3
+        assert len(out.solutions) == 2
         assert all(points_equal(a, b)
                    for a, b in zip(out.solutions, msg.solutions))
         assert out.lower_distance == 0.74
@@ -82,7 +82,7 @@ class TestRoundTrip:
         assert out.success
 
     def test_data_failure_with_note(self):
-        msg = IntervalResult(job_id=9, distances=[], solutions=[pt(0.0)],
+        msg = IntervalResult(job_id=9, distances=[], solutions=[],
                              lower_distance=0.0, closing_distance=0.0,
                              success=False, message="newton diverged: état")
         out = decode(encode(msg))
@@ -120,6 +120,32 @@ class TestFrame:
         s1.close()
         s2.close()
 
+    def test_version_2_rejected(self):
+        # v2 framed every point separately and echoed the start point
+        assert PROTOCOL_VERSION == 3
+        s1, s2 = socket.socketpair()
+        s1.sendall(bytes([2]) + frame(encode(job()))[1:])
+        with pytest.raises(ProtocolError):
+            SocketEndpoint(s2).recv()
+        s1.close()
+        s2.close()
+
+    def test_one_block_per_payload(self):
+        # a job is its header and one float64 block of (u, lambda) rows
+        msg = job(w_prev=pt(-1.0, lam=-0.5))
+        rows = np.array([[0.0, 0.0], [-1.0, -0.5], [1.0, 0.0]], dtype="<f8")
+        assert encode(msg) == encode(msg)[:_JOB.size] + rows.tobytes()
+
+    def test_huge_length_is_not_allocated_up_front(self):
+        # a peer that claims 2**62 bytes and hangs up is a lost peer, not a
+        # MemoryError the manager does not catch
+        s1, s2 = socket.socketpair()
+        s1.sendall(bytes([PROTOCOL_VERSION]) + (2**62).to_bytes(8, "little"))
+        s1.close()
+        with pytest.raises(EndpointClosed):
+            SocketEndpoint(s2).recv()
+        s2.close()
+
     def test_length_mismatch_rejected(self):
         # a frame cut short by the peer closing is a lost peer
         s1, s2 = socket.socketpair()
@@ -147,17 +173,43 @@ class TestDecodeErrors:
         with pytest.raises(ProtocolError):
             encode("not a message")
 
-    @pytest.mark.parametrize("xi_lo,xi_hi,delta_L0", [
-        (0.5, 0.5, 1.0), (0.75, 0.5, 1.0), (0.0, 1.0, 0.0), (0.0, 1.0, -1.0),
-    ])
-    def test_invalid_job_interval(self, xi_lo, xi_hi, delta_L0):
+    @pytest.mark.parametrize("xi_lo,xi_hi,delta_L0,N", [
+        (0.5, 0.5, 1.0, 2), (0.75, 0.5, 1.0, 2), (0.0, 1.0, 0.0, 2),
+        (0.0, 1.0, -1.0, 2), (0.0, 1.0, 1.0, 0),
+    ], ids=["0.5-0.5-1.0", "0.75-0.5-1.0", "0.0-1.0-0.0", "0.0-1.0--1.0",
+            "N-0"])
+    def test_invalid_job_interval(self, xi_lo, xi_hi, delta_L0, N):
         # a frame that no valid Job encodes to: rewrite its header fields
         payload = bytearray(encode(job()))
         head = list(_JOB.unpack_from(payload, 0))
-        head[3], head[4], head[6] = xi_lo, xi_hi, delta_L0
+        head[3], head[4], head[6], head[7] = xi_lo, xi_hi, delta_L0, N
         _JOB.pack_into(payload, 0, *head)
         with pytest.raises(ProtocolError):
             decode(bytes(payload))
+
+    @pytest.mark.parametrize("msg", [
+        job(w_prev=pt(-1.0, lam=-0.5)),
+        IntervalResult(job_id=4, distances=[0.5, 0.5],
+                       solutions=[pt(0.5, lam=0.5), pt(1.0, lam=1.0)],
+                       lower_distance=1.0, closing_distance=0.0,
+                       success=False, message="état"),
+    ], ids=["job", "reply"])
+    def test_every_truncation_and_trailing_byte_rejected(self, msg):
+        # decode checks the exact size, so a cut payload never reaches
+        # struct or numpy, whose errors the manager would not catch
+        payload = encode(msg)
+        for cut in range(len(payload)):
+            with pytest.raises(ProtocolError):
+                decode(payload[:cut])
+        with pytest.raises(ProtocolError):
+            decode(payload + b"\0")
+
+    def test_bad_utf8_note_rejected(self):
+        payload = encode(IntervalResult(
+            job_id=0, distances=[], solutions=[], lower_distance=0.0,
+            closing_distance=0.0, success=False, message="é"))
+        with pytest.raises(ProtocolError):
+            decode(payload[:-1] + b"\xff")
 
 
 class TestChannelEndpoint:
@@ -201,7 +253,7 @@ class TestSocketEndpoint:
         a, b = endpoint_pair()
         a.send(job(job_id=0))
         assert b.recv().id == 0
-        b.send(IntervalResult(job_id=0, distances=[], solutions=[pt(0.0)],
+        b.send(IntervalResult(job_id=0, distances=[], solutions=[],
                               lower_distance=0.0, closing_distance=0.0,
                               success=True))
         assert a.recv().job_id == 0
@@ -225,7 +277,7 @@ class TestSocketEndpoint:
 
     def test_wire_bytes_are_framed_encoding(self):
         msg = IntervalResult(job_id=5, distances=[0.25, 0.25],
-                             solutions=[pt(0.0), pt(0.25), pt(0.5)],
+                             solutions=[pt(0.25), pt(0.5)],
                              lower_distance=0.5, closing_distance=0.0,
                              success=True)
         a, b = endpoint_pair()
@@ -252,10 +304,10 @@ def points(draw, n_dof):
 @st.composite
 def data_messages(draw):
     n_dof = draw(st.integers(1, 4))
-    n_sol = draw(st.integers(1, 5))
+    n_sol = draw(st.integers(0, 5))
     return IntervalResult(
         job_id=draw(st.integers(0, 2**64 - 1)),
-        distances=draw(st.lists(finite, max_size=6)),
+        distances=draw(st.lists(finite, min_size=n_sol, max_size=n_sol)),
         solutions=[draw(points(n_dof)) for _ in range(n_sol)],
         lower_distance=draw(finite),
         closing_distance=draw(finite),
@@ -274,7 +326,8 @@ def jobs(draw):
                                        allow_infinity=False)),
                w_start=draw(points(n_dof)),
                w_prev=draw(st.none() | points(n_dof)),
-               w_ref=draw(points(n_dof)), level=draw(u64), N=draw(u64))
+               w_ref=draw(points(n_dof)), level=draw(u64),
+               N=draw(st.integers(1, 2**64 - 1)))
 
 
 def same_bits(x, y):
