@@ -16,6 +16,10 @@ from .problems import ProblemDef, SolutionPoint
 
 RIKS = "riks"
 CRISFIELD = "crisfield"
+MAX_NEWTON_ITERS = 25  # corrector iterations before a step is cut
+MAX_STEP_CUTS = 5  # halvings of a step before it fails
+BIF_TOL = 1e-4  # metric length of the final bisection bracket
+BRANCH_PERTURBATION = 1e-4  # tau of the branch-switch seed (tau phi, 0)
 
 
 class StepError(RuntimeError):
@@ -43,10 +47,6 @@ class AlmConfig:
     constraint: str = CRISFIELD
     psi: float = 1.0
     newton_tol: float = 1e-10
-    max_newton_iters: int = 25
-    max_step_cuts: int = 5
-    bif_tol: float = 1e-4
-    branch_perturbation: float = 1e-4
     step_delay: float = 0.0  # synthetic per-step work, for scaling studies
 
     def __post_init__(self):
@@ -54,14 +54,8 @@ class AlmConfig:
             raise ValueError(f"unknown constraint {self.constraint!r}")
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be >= 1")
-        if self.max_step_cuts < 0:
-            raise ValueError("max_step_cuts must be >= 0")
         if self.psi < 0:
             raise ValueError("psi must be >= 0")
-        if self.branch_perturbation <= 0:
-            raise ValueError("branch_perturbation must be positive")
 
 
 @dataclass(frozen=True)
@@ -168,13 +162,13 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
     dw = predictor(problem, config, w_i, delta_w_prev, delta_L)
     dw0 = dw  # first-iteration increment (Riks plane)
 
-    for it in range(config.max_newton_iters + 1):
+    for it in range(MAX_NEWTON_ITERS + 1):
         du = dw[:n]
         w = SolutionPoint(w_i.u + du, w_i.lam + dw.item(n))
         G = problem.residual(w)
         if float(np.linalg.norm(G)) <= config.newton_tol:
             return w, it
-        if it == config.max_newton_iters:
+        if it == MAX_NEWTON_ITERS:
             break
         M = np.zeros((n + 1, n + 1))
         M[:n, :n] = problem.jacobian_u(w)
@@ -229,15 +223,15 @@ def step(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
     """One arc-length step of nominal length delta_L with step cutting.
 
     On non-convergence (or complex Crisfield roots) the length is halved and
-    the step retried, up to max_step_cuts; the result reports the achieved
-    (possibly shorter) length.
+    the step retried, up to MAX_STEP_CUTS times; the result reports the
+    achieved (possibly shorter) length.
     """
     if delta_L <= 0:
         raise ValueError("delta_L must be positive")
     if config.step_delay > 0:
         time.sleep(config.step_delay)
     last_err: Exception | None = None
-    for cut in range(config.max_step_cuts + 1):
+    for cut in range(MAX_STEP_CUTS + 1):
         dl = delta_L / 2.0**cut
         try:
             w_new, iters = _corrector(problem, config, w_i, delta_w_prev, dl)
@@ -247,7 +241,7 @@ def step(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
         dw = increment_between(w_new, w_i)
         achieved = distance(dw, config.psi, problem.load_norm_sq)
         return StepResult(w_new, iters, cut, achieved, dw)
-    raise StepError(f"step failed after {config.max_step_cuts} cuts: {last_err}")
+    raise StepError(f"step failed after {MAX_STEP_CUTS} cuts: {last_err}")
 
 
 def detect_singular(problem: ProblemDef, w: SolutionPoint) -> StabilityInfo:
@@ -280,7 +274,7 @@ def locate_bifurcation(problem: ProblemDef, config: AlmConfig,
     """Bisect on arc-length between two points with opposite stability signs.
 
     Re-steps from the stable-side endpoint with shrinking length until the
-    bracketing interval's metric length is below bif_tol.
+    bracketing interval's metric length is below BIF_TOL.
     """
     psi, ptp = config.psi, problem.load_norm_sq
     sign_a = detect_singular(problem, w_a).det_sign
@@ -288,12 +282,12 @@ def locate_bifurcation(problem: ProblemDef, config: AlmConfig,
         return w_a  # degenerate bracket: already singular
     direction = increment_between(w_b, w_a)
     total = distance(direction, psi, ptp)
-    if total <= config.bif_tol:
+    if total <= BIF_TOL:
         return w_b
     lo, hi = 0.0, total
     w_lo = w_a
     w_mid = w_b
-    while hi - lo > config.bif_tol:
+    while hi - lo > BIF_TOL:
         target = (lo + hi) / 2.0 - lo
         try:
             res = step(problem, config, w_lo, direction, target)
@@ -333,19 +327,17 @@ def null_vector(problem: ProblemDef, w: SolutionPoint) -> np.ndarray:
     return phi / np.linalg.norm(phi)
 
 
-def branch_switch(problem: ProblemDef, w_star: SolutionPoint,
-                  tau: float) -> np.ndarray | None:
-    """Branch seed (tau * phi, 0) along the unit null eigenvector phi, or
-    None if w_star is a limit point.
+def branch_switch(problem: ProblemDef, w_star: SolutionPoint
+                  ) -> np.ndarray | None:
+    """Branch seed (tau * phi, 0), tau = BRANCH_PERTURBATION, along the unit
+    null eigenvector phi, or None if w_star is a limit point.
 
     At a limit point the load direction has a component along phi (the
     path tangent's lambda-component changes sign there); at a bifurcation
     it is orthogonal to it.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     phi = null_vector(problem, w_star)
     Gl = problem.jacobian_lambda(w_star)
     if abs(float(phi @ Gl)) <= 1e-6 * (float(np.linalg.norm(Gl)) + 1.0):
-        return np.append(tau * phi, 0.0)
+        return np.append(BRANCH_PERTURBATION * phi, 0.0)
     return None

@@ -12,6 +12,7 @@ in which intervals are inserted.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 from .problems import SolutionPoint
@@ -41,6 +42,7 @@ class CurveMap:
         self.branch = branch
         self._entries: dict[float, CurveEntry] = {}
         self._keys: list[float] = []
+        self.ds_floor = 0.0  # an insertion stores no ds at or below it
 
     # -- construction ------------------------------------------------------
 
@@ -52,7 +54,10 @@ class CurveMap:
 
         w_prev0 optionally sets a virtual predecessor for the branch start
         (used by branches spawned at a bifurcation, whose predictor must
-        point along the new branch).
+        point along the new branch). ds_floor becomes 4 ulps of s_I: a ds
+        above it advances s in collect() while s stays below 8 s_I, and it
+        is fixed before any job runs, so a refusal does not depend on the
+        order in which intervals are inserted.
         """
         if len(solutions) != len(s_coords):
             raise CurveStructureError("solutions and s_coords length mismatch")
@@ -62,6 +67,7 @@ class CurveMap:
             raise CurveStructureError("s_coords must start at 0")
         m = cls(branch)
         s_total = s_coords[-1]
+        m.ds_floor = 4.0 * math.ulp(s_total)
         for i, (w, s) in enumerate(zip(solutions, s_coords)):
             xi = s / s_total if s_total > 0 else 0.0
             ds = s - s_coords[i - 1] if i > 0 else 0.0
@@ -176,9 +182,10 @@ class CurveMap:
         if not all(a < b for a, b in zip(keys, keys[1:])):
             raise CurveStructureError(
                 f"fine xi not strictly inside [{lo.xi!r}, {hi.xi!r}]")
-        if not (all(d > 0 for d in dists) and closing > 0):
+        if min([*dists, closing]) <= self.ds_floor:
             raise CurveStructureError(
-                f"non-positive arc length inside [{lo.xi!r}, {hi.xi!r}]")
+                f"arc length at or below ds_floor inside "
+                f"[{lo.xi!r}, {hi.xi!r}]")
         w_prev = lo.w
         for xi, d, w in zip(keys[1:], dists, sols):
             self._entries[xi] = CurveEntry(xi=xi, ds=d, w=w, w_prev=w_prev,

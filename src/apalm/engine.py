@@ -21,6 +21,8 @@ from .problems import ProblemDef, SolutionPoint
 
 log = logging.getLogger(__name__)
 
+MAX_BRANCHES = 8  # branches per run, the primary one included
+
 
 class SerialSolveError(RuntimeError):
     """A step failed during the serial phase (no fallback exists there)."""
@@ -39,9 +41,6 @@ class EngineConfig:
     tol_upper: float = 1e-2
     max_level: int = 5
     bifurcation_enabled: bool = False
-    branch_delta_L: float | None = None  # step length on spawned branches
-    branch_steps: int | None = None  # serial step count on spawned branches
-    max_branches: int = 8
 
     def __post_init__(self):
         if self.delta_L <= 0:
@@ -54,10 +53,6 @@ class EngineConfig:
             raise ValueError("tolerances must be positive")
         if self.max_level < 1:
             raise ValueError("max_level must be >= 1")
-        if self.branch_delta_L is not None and self.branch_delta_L <= 0:
-            raise ValueError("branch_delta_L must be positive")
-        if self.branch_steps is not None and self.branch_steps < 1:
-            raise ValueError("branch_steps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -161,25 +156,32 @@ def serial_solve(problem: ProblemDef, config: AlmConfig,
     Starts from the trivial point (u = 0, lambda = 0). With bifurcation
     detection enabled, a stability sign change between consecutive points
     triggers bisection; located bifurcation points spawn new branches via an
-    eigenvector perturbation, each serially solved in turn.
+    eigenvector perturbation, each serially solved in turn with the run's
+    delta_L and steps. A failed step raises on the primary branch; a spawned
+    branch keeps the points it has, with a warning, and one left with fewer
+    than 2 points is dropped, so branch ids stay consecutive.
     """
     w0 = SolutionPoint(np.zeros(problem.n_dof), 0.0)
-    # (start, branch-switch seed, step length, step count) per branch
-    pending: deque[tuple] = deque([(w0, None, engine.delta_L, engine.steps)])
+    # (start, branch-switch seed) per branch
+    pending: deque[tuple] = deque([(w0, None)])
     branches: list[CurveMap] = []
     while pending:
-        start, seed, dl, n_steps = pending.popleft()
+        start, seed = pending.popleft()
         ws = [start]
         ss = [0.0]
         dw = seed
         stab_prev: alm.StabilityInfo | None = None
-        for _ in range(n_steps):
+        for _ in range(engine.steps):
             try:
-                res = alm.step(problem, config, ws[-1], dw, dl)
+                res = alm.step(problem, config, ws[-1], dw, engine.delta_L)
             except alm.StepError as exc:
-                raise SerialSolveError(
-                    f"serial solve failed on branch {len(branches)} at "
-                    f"s={ss[-1]:.6g}: {exc}")
+                message = (f"serial solve failed on branch {len(branches)} "
+                           f"at s={ss[-1]:.6g}: {exc}")
+                if not branches:
+                    raise SerialSolveError(message)
+                log.warning("%s; %s", message, "branch kept" if len(ws) > 1
+                            else "branch dropped")
+                break
             w_new = res.w_new
             ss.append(ss[-1] + res.achieved_length)
             dw = res.dw
@@ -189,10 +191,12 @@ def serial_solve(problem: ProblemDef, config: AlmConfig,
                 if (stab_prev is not None
                         and stab_prev.det_sign * stab.det_sign < 0
                         and len(branches) + len(pending) + 1
-                        < engine.max_branches):
-                    _maybe_spawn_branch(problem, config, engine,
-                                        ws[-2], w_new, pending)
+                        < MAX_BRANCHES):
+                    _maybe_spawn_branch(problem, config, ws[-2], w_new,
+                                        pending)
                 stab_prev = stab
+        if len(ws) < 2:
+            continue
         # A spawned branch's start gets a virtual predecessor, so that its
         # first interval is warm-started along the new branch.
         w_prev0 = None if seed is None else SolutionPoint(
@@ -202,10 +206,10 @@ def serial_solve(problem: ProblemDef, config: AlmConfig,
     return branches
 
 
-def _maybe_spawn_branch(problem, config, engine, w_a, w_b, pending) -> None:
+def _maybe_spawn_branch(problem, config, w_a, w_b, pending) -> None:
     try:
         w_star = alm.locate_bifurcation(problem, config, w_a, w_b)
-        seed = alm.branch_switch(problem, w_star, config.branch_perturbation)
+        seed = alm.branch_switch(problem, w_star)
     except (alm.BifurcationNotFoundError, alm.BranchSwitchError) as exc:
         log.warning("singular point unlocatable: %s", exc)
         return
@@ -213,11 +217,7 @@ def _maybe_spawn_branch(problem, config, engine, w_a, w_b, pending) -> None:
         log.info("singular point at lambda=%.6g classified as limit point",
                  w_star.lam)
         return
-    dl = (engine.delta_L if engine.branch_delta_L is None
-          else engine.branch_delta_L)
-    n_steps = (engine.steps if engine.branch_steps is None
-               else engine.branch_steps)
-    pending.append((w_star, seed, dl, n_steps))
+    pending.append((w_star, seed))
     log.info("bifurcation at lambda=%.6g: spawning branch", w_star.lam)
 
 

@@ -28,18 +28,15 @@ def is_int(value) -> bool:
 def check_numbers(values: dict, types: dict, where: str) -> None:
     """Raise TypeError unless every entry of values typed "int" in types
     holds an integer and every one typed "float" a finite number: 3.0,
-    "0.1", true, NaN and a null where none is allowed are rejected.
+    "0.1", true, NaN and null are rejected.
 
     types maps names to annotation strings, as dataclass fields and the
     annotations of a function give them under postponed evaluation.
     """
-    for key, type_ in types.items():
-        kind = type_.split(" | ")[0]
+    for key, kind in types.items():
         if key not in values or kind not in ("int", "float"):
             continue
         value = values[key]
-        if value is None and type_.endswith("| None"):
-            continue
         if kind == "int" and not is_int(value):
             raise TypeError(f"'{where}.{key}' must be an integer")
         if kind == "float" and not ((is_int(value)

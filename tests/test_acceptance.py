@@ -66,10 +66,8 @@ def runs():
 
     pitch = make_builtin("pitchfork")
     data["pitchfork"] = aalm(
-        pitch, cfg(1.0, newton_tol=1e-12, bif_tol=1e-4,
-                   branch_perturbation=1e-4),
-        EngineConfig(delta_L=0.3, steps=6, bifurcation_enabled=True,
-                     branch_delta_L=0.4, branch_steps=5))
+        pitch, cfg(1.0, newton_tol=1e-12),
+        EngineConfig(delta_L=0.3, steps=6, bifurcation_enabled=True))
 
     # scaling study: 64 initial intervals with >= 5 ms synthetic work/step;
     # the wrapped pop counts the jobs outstanding at once per worker count

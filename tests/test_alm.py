@@ -264,24 +264,24 @@ class TestDetectSingular:
 class TestLocateBifurcation:
     def test_pitchfork_lambda_one(self):
         p = make_builtin("pitchfork")
-        cfg = AlmConfig(psi=1.0, newton_tol=1e-12, bif_tol=1e-4)
+        cfg = AlmConfig(psi=1.0, newton_tol=1e-12)
         w_star = locate_bifurcation(p, cfg, pt(0.0, 0.9), pt(0.0, 1.1))
         assert abs(w_star.lam - 1.0) <= 1e-4
         assert abs(w_star.u[0]) <= 1e-10
 
     def test_cubic1d_limit_point_located_and_classified(self):
         p = make_builtin("cubic1d")
-        cfg = AlmConfig(psi=1.0, newton_tol=1e-12, bif_tol=1e-4)
+        cfg = AlmConfig(psi=1.0, newton_tol=1e-12)
         w_a = pt(-0.8, -0.8**3 + 3 * 0.8)
         w_b = pt(-1.2, -1.2**3 + 3 * 1.2)
         w_star = locate_bifurcation(p, cfg, w_a, w_b)
         assert w_star.u[0] == pytest.approx(-1.0, abs=0.01)
         assert w_star.lam == pytest.approx(2.0, abs=0.01)
-        assert branch_switch(p, w_star, 1e-4) is None  # a limit point
+        assert branch_switch(p, w_star) is None  # a limit point
 
     def test_degenerate_bracket_returns_left_endpoint(self):
         p = make_builtin("pitchfork")
-        cfg = AlmConfig(psi=1.0, newton_tol=1e-12, bif_tol=1e-4)
+        cfg = AlmConfig(psi=1.0, newton_tol=1e-12)
         w_a = pt(0.0, 1.0)  # already singular
         assert locate_bifurcation(p, cfg, w_a, pt(0.0, 1.5)) is w_a
 
@@ -289,7 +289,7 @@ class TestLocateBifurcation:
 class TestBranchSwitch:
     def test_pitchfork_null_vector(self):
         p = make_builtin("pitchfork")
-        seed = branch_switch(p, pt(0.0, 1.0), 1e-4)
+        seed = branch_switch(p, pt(0.0, 1.0))
         assert abs(seed[0]) == pytest.approx(1e-4)
         assert seed[-1] == 0.0
 
@@ -297,7 +297,7 @@ class TestBranchSwitch:
         p = make_builtin("pitchfork")
         cfg = AlmConfig(psi=1.0, newton_tol=1e-12)
         w_star = pt(0.0, 1.0)
-        seed = branch_switch(p, w_star, 1e-4)
+        seed = branch_switch(p, w_star)
         res = step(p, cfg, w_star, seed, 0.4)
         u, lam = res.w_new.u[0], res.w_new.lam
         assert abs(u) > 0.1
@@ -306,11 +306,11 @@ class TestBranchSwitch:
     def test_regular_point_refused(self):
         p = make_builtin("pitchfork")
         with pytest.raises(BranchSwitchError):
-            branch_switch(p, pt(0.0, 0.2), 1e-4)
+            branch_switch(p, pt(0.0, 0.2))
 
     def test_classify_bifurcation(self):
         p = make_builtin("pitchfork")
-        assert branch_switch(p, pt(0.0, 1.0), 1e-4) is not None
+        assert branch_switch(p, pt(0.0, 1.0)) is not None
 
 
 class TestConfigValidation:
@@ -321,10 +321,6 @@ class TestConfigValidation:
     def test_bad_newton_tol(self):
         with pytest.raises(ValueError):
             AlmConfig(newton_tol=0.0)
-
-    def test_bad_iters(self):
-        with pytest.raises(ValueError):
-            AlmConfig(max_newton_iters=0)
 
     def test_negative_psi(self):
         with pytest.raises(ValueError):

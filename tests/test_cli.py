@@ -56,6 +56,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=needle):
             parse_config(json.dumps(d))
 
+    @pytest.mark.parametrize("section,key", [
+        ("alm", "max_newton_iters"), ("alm", "max_step_cuts"),
+        ("alm", "bif_tol"), ("alm", "branch_perturbation"),
+        ("engine", "max_branches"), ("engine", "branch_delta_L"),
+        ("engine", "branch_steps"),
+    ])
+    def test_removed_key_rejected_by_name(self, section, key):
+        d = doc()
+        d[section][key] = 1
+        with pytest.raises(ConfigError,
+                           match=f"unknown key '{key}' in {section}"):
+            parse_config(json.dumps(d))
+
     @pytest.mark.parametrize("mutate", [
         lambda d: d["engine"].update(delta_L=-1.0),
         lambda d: d["engine"].update(steps=0),
@@ -90,6 +103,7 @@ class TestParseConfig:
                            observable_index=20),
         lambda d: d["alm"].update(step_delay="0.1"),
         lambda d: d["alm"].update(bif_tol=None),
+        lambda d: d["alm"].update(psi=None),
         lambda d: d["alm"].update(psi=float("nan")),
         lambda d: d["engine"].update(delta_L=float("inf")),
         lambda d: d.update(output=5),
@@ -104,8 +118,8 @@ class TestParseConfig:
             "newton_iters-float", "workers-bool", "observable-bool",
             "branch_delta_L-negative", "branch_delta_L-zero",
             "branch_steps-zero", "observable-past-n_dof",
-            "step_delay-string", "bif_tol-null", "psi-nan", "delta_L-inf",
-            "output-int", "param-n-float", "param-n-bool",
+            "step_delay-string", "bif_tol-null", "psi-null", "psi-nan",
+            "delta_L-inf", "output-int", "param-n-float", "param-n-bool",
             "param-c-string"])
     def test_configs_that_cannot_run_rejected(self, mutate, tmp_path,
                                                capsys):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,6 +246,18 @@ class TestRejectedInsertion:
             m.insert_stretch(*parent_2_4(m), res, True, True)
         assert row_bits(m.collect()) == before
 
+    def test_segment_at_ds_floor_leaves_map_unchanged(self):
+        m = make_map_0_10()
+        assert m.ds_floor == 4 * math.ulp(10.0)
+        before = row_bits(m.collect())
+        # a first fine step of ds_floor: its xi fits, but at s = 10 it
+        # would not advance s in collect()
+        res = FakeResult(distances=[m.ds_floor, 1.0],
+                         solutions=[pt(10.0), pt(11.0)])
+        with pytest.raises(CurveStructureError, match="ds_floor"):
+            m.insert_interior(*parent_2_4(m), res)
+        assert row_bits(m.collect()) == before
+
     def test_parent_spanning_a_key_leaves_map_unchanged(self):
         m = make_map_0_10()
         before = row_bits(m.collect())
@@ -300,12 +313,15 @@ def insertion_sequences(draw):
 
 
 # The two reasons _insert refuses an insertion; either leaves the map as is.
-REFUSALS = ("fine xi not strictly inside", "non-positive arc length")
+REFUSALS = ("fine xi not strictly inside", "arc length at or below ds_floor")
 
 
 @given(insertion_sequences())
 @example(seq=([1.0, 1.0], [(True, 0, [1.0, 1.0], 1e-10),
                            (True, 2, [1.0], 1e-06)]))  # refused: xi rounds
+@example(seq=([1.0, 1.0], [(False, 0, [1.0], 0.0),
+                           (True, 0, [0.5, 0.5, 0.5], 1e-06),
+                           (True, 128, [1.0], 1e-10)]))  # refused: ds floor
 @settings(max_examples=60, deadline=None)
 def test_monotonicity_under_random_insertions(seq):
     gaps, ops = seq

@@ -11,9 +11,9 @@ from apalm.alm import AlmConfig
 from apalm.curvemap import CurveMap
 from apalm.engine import (ACCEPTED, FAILED, OUTCOMES, REFINED, REJECTED,
                           EngineConfig, IntervalResult, Job, QueueEngine,
-                          QueueInvariantError, aalm, compute_errors,
-                          serial_solve, solve_interval)
-from apalm.problems import SolutionPoint, make_builtin
+                          QueueInvariantError, SerialSolveError, aalm,
+                          compute_errors, serial_solve, solve_interval)
+from apalm.problems import ProblemDef, SolutionPoint, make_builtin
 from apalm.runtime import apalm
 
 
@@ -64,9 +64,8 @@ class TestSerialSolve:
 
     def test_pitchfork_spawns_branch(self):
         p = make_builtin("pitchfork")
-        cfg = crisfield(1.0, bif_tol=1e-4, branch_perturbation=1e-4)
-        eng = EngineConfig(delta_L=0.3, steps=6, bifurcation_enabled=True,
-                           branch_steps=4)
+        cfg = crisfield(1.0)
+        eng = EngineConfig(delta_L=0.3, steps=6, bifurcation_enabled=True)
         branches = serial_solve(p, cfg, eng)
         assert len(branches) == 2
         # only a spawned branch starts from a branch-switch seed
@@ -86,16 +85,42 @@ class TestSerialSolve:
 
         monkeypatch.setattr(alm, "null_vector", counted)
         state = aalm(make_builtin("pitchfork"),
-                     crisfield(1.0, bif_tol=1e-4, branch_perturbation=1e-4),
+                     crisfield(1.0),
                      EngineConfig(delta_L=0.3, steps=6,
-                                  bifurcation_enabled=True,
-                                  branch_delta_L=0.4, branch_steps=5))
+                                  bifurcation_enabled=True))
         assert sorted(state.maps) == [0, 1]
         assert len(calls) == len(state.maps) - 1
 
+    def test_failed_primary_branch_raises(self, monkeypatch):
+        def fail(*args):
+            raise alm.StepError("forced")
+
+        monkeypatch.setattr(alm, "step", fail)
+        with pytest.raises(SerialSolveError, match="branch 0 at s=0: forced"):
+            serial_solve(make_builtin("linear1d"), crisfield(1.0),
+                         EngineConfig(delta_L=1.0, steps=3))
+
+    def test_spawned_branch_without_a_step_is_dropped(self, monkeypatch,
+                                                      caplog):
+        step = alm.step
+
+        def fail_from_seed(problem, config, w, dw, delta_L):
+            # only a spawned branch's first step starts from its seed,
+            # whose lambda entry is 0
+            if dw is not None and dw[-1] == 0.0:
+                raise alm.StepError("forced")
+            return step(problem, config, w, dw, delta_L)
+
+        monkeypatch.setattr(alm, "step", fail_from_seed)
+        branches = serial_solve(
+            make_builtin("pitchfork"), crisfield(1.0),
+            EngineConfig(delta_L=0.3, steps=6, bifurcation_enabled=True))
+        assert len(branches) == 1
+        assert "branch 1 at s=0: forced; branch dropped" in caplog.text
+
     def test_cubic1d_limit_point_spawns_nothing(self):
         p = make_builtin("cubic1d")
-        cfg = crisfield(1.0, bif_tol=1e-4)
+        cfg = crisfield(1.0)
         eng = EngineConfig(delta_L=0.4, steps=8, bifurcation_enabled=True)
         branches = serial_solve(p, cfg, eng)
         assert len(branches) == 1
@@ -341,9 +366,8 @@ class TestAalm:
 
     def test_pitchfork_branch_outputs_ordered(self):
         p = make_builtin("pitchfork")
-        cfg = crisfield(1.0, bif_tol=1e-4, branch_perturbation=1e-4)
-        eng = EngineConfig(delta_L=0.3, steps=6, bifurcation_enabled=True,
-                           branch_delta_L=0.4, branch_steps=5)
+        cfg = crisfield(1.0)
+        eng = EngineConfig(delta_L=0.3, steps=6, bifurcation_enabled=True)
         state = aalm(p, cfg, eng)
         assert sorted(state.maps) == [0, 1]
         for m in state.maps.values():
@@ -369,9 +393,6 @@ class TestEngineConfigValidation:
         {"delta_L": 1.0, "steps": 1, "subintervals": 1},
         {"delta_L": 1.0, "steps": 1, "tol_lower": 0.0},
         {"delta_L": 1.0, "steps": 1, "max_level": 0},
-        {"delta_L": 1.0, "steps": 1, "branch_delta_L": 0.0},
-        {"delta_L": 1.0, "steps": 1, "branch_delta_L": -0.4},
-        {"delta_L": 1.0, "steps": 1, "branch_steps": 0},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
@@ -411,9 +432,8 @@ def test_one_map_walk_at_the_end(monkeypatch, workers):
 
     monkeypatch.setattr(CurveMap, "validate_monotone", counted)
     p = make_builtin("pitchfork")
-    cfg = crisfield(1.0, bif_tol=1e-4, branch_perturbation=1e-4)
-    eng = EngineConfig(delta_L=0.3, steps=6, bifurcation_enabled=True,
-                       branch_delta_L=0.4, branch_steps=5)
+    cfg = crisfield(1.0)
+    eng = EngineConfig(delta_L=0.3, steps=6, bifurcation_enabled=True)
     if workers is None:
         state = aalm(p, cfg, eng)
     else:
@@ -445,6 +465,8 @@ def test_rejected_insertion_costs_one_job(steps, delta_L, tol, max_level):
                  noise_floor_engine(steps, delta_L, tol, max_level))
     for m in state.maps.values():
         m.validate_monotone()
+        ss = [s for _, _, s, _, _ in m.collect()]
+        assert all(a < b for a, b in zip(ss, ss[1:]))
     stats = state.stats
     assert stats.jobs_failed >= 1
     assert all(r.outcome in OUTCOMES for r in stats.records)
@@ -530,3 +552,35 @@ def test_records_and_summary_match_aalm_bitwise(run, tmp_path):
         assert record_bits(state) == record_bits(ref)
         assert summary_without_timings(
             state, tmp_path / f"{transport}.json") == ref_summary
+
+
+def twin_problem():
+    """G = u^3 + (lam - 1)(lam - 1.1) u: the trivial path u = 0, and a
+    closed loop u^2 = (lam - 1)(1.1 - lam) that joins bifurcations at
+    lam = 1 and 1.1."""
+    return ProblemDef(
+        n_dof=1,
+        residual_fn=lambda u, lam: u**3 + (lam - 1.0) * (lam - 1.1) * u,
+        jacobian_u_fn=lambda u, lam: np.array(
+            [[3.0 * u[0]**2 + (lam - 1.0) * (lam - 1.1)]]),
+        jacobian_lambda_fn=lambda u, lam: (2.0 * lam - 2.1) * u,
+        load_norm_sq=1.0, name="twin")
+
+
+def test_failed_spawned_branch_costs_that_branch(caplog):
+    """Both spawned loop branches fail a serial step at s = 0.076875; each
+    keeps its points and the run completes, in aalm and in apalm alike."""
+    p, cfg = twin_problem(), crisfield(1.0, tol=1e-10)
+    eng = EngineConfig(delta_L=0.03, steps=70, bifurcation_enabled=True,
+                       tol_lower=1e-2, tol_upper=1e-2, max_level=3)
+    ref = aalm(p, cfg, eng)
+    assert "failed on branch 1 at s=0.076875" in caplog.text
+    assert "branch kept" in caplog.text
+    assert sorted(ref.maps) == [0, 1, 2]
+    for m in ref.maps.values():
+        ss = [s for _, _, s, _, _ in m.collect()]
+        assert len(ss) >= 2
+        assert all(a < b for a, b in zip(ss, ss[1:]))
+    state = apalm(p, cfg, eng, worker_count=3, transport="thread")
+    assert row_bits(state.collect()) == row_bits(ref.collect())
+    assert record_bits(state) == record_bits(ref)

@@ -281,10 +281,8 @@ class TestApalm:
 
     def test_multibranch_parallel(self):
         p = make_builtin("pitchfork")
-        cfg = AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-12,
-                        bif_tol=1e-4, branch_perturbation=1e-4)
-        eng = EngineConfig(delta_L=0.3, steps=6, bifurcation_enabled=True,
-                           branch_delta_L=0.4, branch_steps=5)
+        cfg = AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-12)
+        eng = EngineConfig(delta_L=0.3, steps=6, bifurcation_enabled=True)
         serial = aalm(p, cfg, eng)
         parallel = apalm(p, cfg, eng, worker_count=4, transport="thread")
         assert sorted(parallel.maps) == [0, 1]
