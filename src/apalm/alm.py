@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tridiagonal
 from .problems import ProblemDef, SolutionPoint
 
 RIKS = "riks"
@@ -115,10 +116,9 @@ def predictor(problem: ProblemDef, config: AlmConfig, w: SolutionPoint,
         length = distance(delta_w_prev, psi, ptp)
         if length > 0:
             return (delta_L / length) * delta_w_prev
-    K = problem.jacobian_u(w)
     P = -problem.jacobian_lambda(w)
     try:
-        tangent = np.append(np.linalg.solve(K, P), 1.0)
+        tangent = np.append(_bordered_solve(problem, w, P), 1.0)
     except np.linalg.LinAlgError as exc:
         raise PredictorError(f"singular tangent stiffness at cold start: {exc}")
     length = distance(tangent, psi, ptp)
@@ -146,6 +146,68 @@ class _NoConvergence(RuntimeError):
     pass
 
 
+def _bordered_solve(problem: ProblemDef, w: SolutionPoint, rhs: np.ndarray,
+                    row: np.ndarray | None = None, corner: float = 0.0
+                    ) -> np.ndarray:
+    """The solution of K x = rhs or, given a border row, of the bordered
+    system [[K, dG/dlam], [row, corner]] x = rhs (n + 1 rows, one or two
+    columns), with K and dG/dlam at w. Raises np.linalg.LinAlgError where
+    the system is singular.
+
+    A dense K goes through np.linalg.solve. A tridiagonal K is factored
+    once, in O(n), and the border row is eliminated (Keller 1977): with
+    K [y, y_g] = [b, dG/dlam] and the Schur complement
+    s = corner - row.y_g, a column [b; beta] has the solution
+    (y - xi y_g, xi), xi = (beta - row.y) / s. Where K is nearly singular,
+    y and xi y_g are large and nearly cancel, which costs that difference
+    digits in proportion to K's condition number; one refinement step with
+    the same factor wins them back (Govaerts 2000). A column with b = 0 has
+    no such cancellation and needs neither its K-solve nor the refinement.
+    """
+    tri = problem.tridiagonal(w)
+    if tri is None:
+        K = problem.jacobian_u(w)
+        if row is None:
+            return np.linalg.solve(K, rhs)
+        n = problem.n_dof
+        M = np.zeros((n + 1, n + 1))
+        M[:n, :n] = K
+        M[:n, n] = problem.jacobian_lambda(w)
+        M[n, :n] = row
+        M[n, n] = corner
+        return np.linalg.solve(M, rhs)
+    lu = tridiagonal.factor(*tri)
+    if row is None:
+        return tridiagonal.solve(lu, rhs)
+    g = problem.jacobian_lambda(w)
+    y_g = tridiagonal.solve(lu, g)
+    s = corner - float(row @ y_g)
+    if s == 0.0:
+        raise np.linalg.LinAlgError("zero Schur complement")
+
+    def eliminate(col: np.ndarray) -> np.ndarray:
+        b, beta = col[:-1], col.item(-1)
+        y = tridiagonal.solve(lu, b) if b.any() else np.zeros_like(b)
+        xi = (beta - float(row @ y)) / s
+        return np.append(y - xi * y_g, xi)
+
+    def residual(col: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """col - [[K, dG/dlam], [row, corner]] x."""
+        r = np.empty_like(col)
+        r[:-1] = col[:-1] - tridiagonal.matvec(*tri, x[:-1]) - g * x.item(-1)
+        r[-1] = col.item(-1) - float(row @ x[:-1]) - corner * x.item(-1)
+        return r
+
+    cols = rhs.reshape(rhs.shape[0], -1)
+    x = np.empty_like(cols)
+    for j in range(cols.shape[1]):
+        col = cols[:, j]
+        x[:, j] = eliminate(col)
+        if col[:-1].any():
+            x[:, j] += eliminate(residual(col, x[:, j]))
+    return x.reshape(rhs.shape)
+
+
 def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
                delta_w_prev: np.ndarray | None, delta_L: float
                ) -> tuple[SolutionPoint, int]:
@@ -170,27 +232,24 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
             return w, it
         if it == MAX_NEWTON_ITERS:
             break
-        M = np.zeros((n + 1, n + 1))
-        M[:n, :n] = problem.jacobian_u(w)
-        M[:n, n] = problem.jacobian_lambda(w)
         if riks:
             # The (verbatim) plane constraint
             # du0.Du + psi^2 dlam0^2 P.P - dL^2 = 0; constant in dlam.
-            M[n, :n] = dw0[:n]
+            row, corner = dw0[:n], 0.0
             f = float(dw0[:n] @ du) + c * dw0[n] * dw0[n] - delta_L**2
             rhs = np.append(-G, -f)
         else:
-            # Crisfield: the linearized-sphere row keeps M regular at limit
-            # points. The columns [-G; 0] and [0; 1] give the one-parameter
-            # family of Newton updates of G; intersect it with the sphere
-            # to get the per-iteration quadratic.
-            M[n, :n] = 2.0 * du
-            M[n, n] = 2.0 * c * dw.item(n)
+            # Crisfield: the linearized-sphere row keeps the bordered
+            # matrix regular at limit points. The columns [-G; 0] and
+            # [0; 1] give the one-parameter family of Newton updates of G;
+            # intersect it with the sphere to get the per-iteration
+            # quadratic.
+            row, corner = 2.0 * du, 2.0 * c * dw.item(n)
             rhs = np.zeros((n + 1, 2))
             rhs[:n, 0] = -G
             rhs[n, 1] = 1.0
         try:
-            sol = np.linalg.solve(M, rhs)
+            sol = _bordered_solve(problem, w, rhs, row, corner)
         except np.linalg.LinAlgError:
             raise _NoConvergence("singular bordered system")
         if riks:
@@ -247,14 +306,21 @@ def step(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
 def detect_singular(problem: ProblemDef, w: SolutionPoint) -> StabilityInfo:
     """Sign of det K and count of non-positive eigenvalues of K at w.
 
-    One eigenvalue pass gives both: det K is the product of the eigenvalues,
-    so its sign is (-1)^(number of negative ones). Symmetric K uses
-    eigvalsh, whose count equals the LDL^T pivot signs by Sylvester's law;
-    otherwise the real parts of eigvals are counted, where a complex pair
-    counts twice and contributes +1, as its |lambda|^2 does. An eigenvalue
-    within 1e-14 * max(1, max|eig|) of zero, or a failed factorization,
-    reports singular.
+    A symmetric tridiagonal K is counted from its LDL^T pivots in O(n)
+    (tridiagonal.ldl_inertia): by Sylvester's law of inertia they have the
+    signs of the eigenvalues, and a pivot within 1e-14 * max(1, g) of zero,
+    g the Gershgorin bound on the eigenvalues, reports singular.
+
+    Any other K takes one eigenvalue pass, which gives both: det K is the
+    product of the eigenvalues, so its sign is (-1)^(number of negative
+    ones). Symmetric K uses eigvalsh; otherwise the real parts of eigvals
+    are counted, where a complex pair counts twice and contributes +1, as
+    its |lambda|^2 does. An eigenvalue within 1e-14 * max(1, max|eig|) of
+    zero, or a failed factorization, reports singular.
     """
+    tri = problem.tridiagonal(w)
+    if tri is not None and np.array_equal(tri[0], tri[2]):
+        return StabilityInfo(*tridiagonal.ldl_inertia(tri[0], tri[1]))
     K = problem.jacobian_u(w)
     try:
         if np.allclose(K, K.T, rtol=1e-10, atol=1e-12):
@@ -313,6 +379,9 @@ def null_vector(problem: ProblemDef, w: SolutionPoint) -> np.ndarray:
     """Unit null eigenvector of K(w); raises unless the null space is 1D.
 
     An eigenvalue of sym(K) counts as null within 1e-3 * max(1, max|eig|).
+    The sign is fixed by a rule, not left to LAPACK: the first component
+    with |phi_i| > 1e-8 is positive, so a rounding change in K cannot
+    mirror the branch that phi seeds.
     """
     K = problem.jacobian_u(w)
     K_sym = 0.5 * (K + K.T)
@@ -324,7 +393,8 @@ def null_vector(problem: ProblemDef, w: SolutionPoint) -> np.ndarray:
             f"null space dimension {int(np.sum(small))} != 1"
         )
     phi = vecs[:, int(np.argmax(small))]
-    return phi / np.linalg.norm(phi)
+    phi = phi / np.linalg.norm(phi)
+    return -phi if phi[np.argmax(np.abs(phi) > 1e-8)] < 0.0 else phi
 
 
 def branch_switch(problem: ProblemDef, w_star: SolutionPoint

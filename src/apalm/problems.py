@@ -69,20 +69,31 @@ class ProblemDef:
     constant and load_norm_sq = P^T P. Problems that are not of proportional
     form supply d/dlambda G and load_norm_sq explicitly; the arc-length
     algebra only needs K, dG/dlambda and P^T P.
+
+    K = dG/du comes either as a dense matrix from jacobian_u_fn or, for a
+    tridiagonal K, as its three diagonals (sub, diag, sup), of lengths
+    n - 1, n and n - 1, from tridiagonal_fn; exactly one of the two is
+    given. The arc-length algebra solves and factors a tridiagonal K in
+    O(n) (`apalm.tridiagonal`); jacobian_u assembles the dense matrix from
+    the diagonals for the callers that need one.
     """
 
     n_dof: int
     residual_fn: Callable[[np.ndarray, float], np.ndarray]
-    jacobian_u_fn: Callable[[np.ndarray, float], np.ndarray]
+    jacobian_u_fn: Callable[[np.ndarray, float], np.ndarray] | None
     jacobian_lambda_fn: Callable[[np.ndarray, float], np.ndarray]
     load_norm_sq: float
     name: str = "custom"
+    tridiagonal_fn: Callable[[np.ndarray, float], tuple] | None = None
 
     def __post_init__(self):
         if self.n_dof < 1:
             raise ValueError("n_dof must be positive")
         if self.load_norm_sq < 0:
             raise ValueError("load_norm_sq must be non-negative")
+        if (self.jacobian_u_fn is None) == (self.tridiagonal_fn is None):
+            raise ValueError(
+                "give exactly one of jacobian_u_fn and tridiagonal_fn")
 
     def _check(self, w: SolutionPoint) -> None:
         if w.n_dof != self.n_dof:
@@ -96,10 +107,27 @@ class ProblemDef:
         return np.asarray(self.residual_fn(w.u, w.lam), dtype=float).reshape(self.n_dof)
 
     def jacobian_u(self, w: SolutionPoint) -> np.ndarray:
-        """Evaluate the tangent stiffness K = dG/du."""
+        """Evaluate the tangent stiffness K = dG/du as a dense matrix."""
+        n = self.n_dof
+        if self.jacobian_u_fn is None:
+            sub, diag, sup = self.tridiagonal(w)
+            K = np.diag(diag)
+            K.flat[n::n + 1] = sub
+            K.flat[1::n + 1] = sup
+            return K
         self._check(w)
-        K = np.asarray(self.jacobian_u_fn(w.u, w.lam), dtype=float)
-        return K.reshape(self.n_dof, self.n_dof)
+        return np.asarray(self.jacobian_u_fn(w.u, w.lam),
+                          dtype=float).reshape(n, n)
+
+    def tridiagonal(self, w: SolutionPoint
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """K's diagonals (sub, diag, sup), or None if K is given dense."""
+        if self.tridiagonal_fn is None:
+            return None
+        self._check(w)
+        n = self.n_dof
+        return tuple(np.asarray(a, dtype=float).reshape(m) for a, m in zip(
+            self.tridiagonal_fn(w.u, w.lam), (n - 1, n, n - 1)))
 
     def jacobian_lambda(self, w: SolutionPoint) -> np.ndarray:
         """Evaluate dG/dlambda (equals -P for proportional loading)."""
@@ -161,19 +189,19 @@ def _springchain(n: int = 8, c: float = 0.5) -> ProblemDef:
         g[1:] -= c * u[:-1]
         return g
 
-    def jacobian_u(u, lam):
-        K = np.diag(3.0 * u**2 - 3.0 + 2.0 * c)
-        off = -c * np.ones(n - 1)
-        K += np.diag(off, 1) + np.diag(off, -1)
-        return K
+    off = np.full(n - 1, -c)
+
+    def tridiagonal(u, lam):
+        return off, 3.0 * u**2 - 3.0 + 2.0 * c, off
 
     return ProblemDef(
         n_dof=n,
         residual_fn=residual,
-        jacobian_u_fn=jacobian_u,
+        jacobian_u_fn=None,
         jacobian_lambda_fn=lambda u, lam: -np.ones(n),
         load_norm_sq=float(n),
         name=f"springchain({n})",
+        tridiagonal_fn=tridiagonal,
     )
 
 

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apalm import alm
+from apalm import alm, tridiagonal
 from apalm.alm import (AlmConfig, BranchSwitchError, branch_switch,
                        detect_singular, distance, locate_bifurcation,
                        point_distance, predictor, select_root, step)
@@ -192,24 +193,40 @@ class TestStep:
         assert max(lams) > 1.9 and lams[-1] < max(lams)
 
 
+def as_dense(p):
+    """p with K given as the dense matrix that p.jacobian_u assembles."""
+    return replace(p, tridiagonal_fn=None, jacobian_u_fn=lambda u, lam:
+                   p.jacobian_u(SolutionPoint(u, lam)))
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that appends to the returned list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestBorderedSolve:
     @pytest.mark.parametrize("constraint", ["riks", "crisfield"])
     def test_one_solve_per_newton_iteration(self, constraint, monkeypatch):
-        # a cold step: one solve for the tangent predictor, then one
-        # bordered solve per Newton iteration
-        calls = []
-        solve = np.linalg.solve
-
-        def counting_solve(a, b):
-            calls.append(b.shape)
-            return solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
-        p = make_builtin("springchain", n=6)
+        # a cold step: one K-solve for the tangent predictor, then one
+        # bordered solve per Newton iteration; counted as factorizations of
+        # springchain's tridiagonal K, and as LAPACK solves of its dense K
+        tri = make_builtin("springchain", n=6)
+        factors = counting(monkeypatch, tridiagonal, "factor")
+        solves = counting(monkeypatch, np.linalg, "solve")
         cfg = AlmConfig(constraint=constraint, psi=1.0, newton_tol=1e-11)
-        res = step(p, cfg, SolutionPoint(np.zeros(6), 0.0), None, 0.3)
-        assert res.cuts_used == 0 and res.iterations >= 2
-        assert len(calls) == 1 + res.iterations
+        for p, calls in ((tri, factors), (as_dense(tri), solves)):
+            res = step(p, cfg, SolutionPoint(np.zeros(6), 0.0), None, 0.3)
+            assert res.cuts_used == 0 and res.iterations >= 2
+            assert len(calls) == 1 + res.iterations
+        assert len(factors) == len(solves)
 
 
 def fixed_K(K):
@@ -221,17 +238,42 @@ def fixed_K(K):
                       load_norm_sq=0.0)
 
 
+def fixed_tridiagonal(off, diag):
+    """A problem whose tangent stiffness is the constant symmetric
+    tridiagonal matrix with diagonal diag and off-diagonal off."""
+    n = len(diag)
+    return ProblemDef(n_dof=n, residual_fn=lambda u, lam: np.zeros(n),
+                      jacobian_u_fn=None,
+                      jacobian_lambda_fn=lambda u, lam: np.zeros(n),
+                      load_norm_sq=0.0,
+                      tridiagonal_fn=lambda u, lam: (off, diag, off))
+
+
 class TestDetectSingular:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.one_of(st.floats(-10.0, -0.1), st.floats(0.1, 10.0)),
                     min_size=1, max_size=8),
-           st.integers(0, 2**32 - 1))
-    def test_sign_and_count_match_slogdet(self, d, seed):
-        # K = Q diag(d) Q^T: the eigenvalues are d, well away from zero
+           st.integers(0, 2**32 - 1), st.booleans())
+    def test_sign_and_count_match_slogdet(self, d, seed, tri):
+        rng = np.random.default_rng(seed)
         n = len(d)
-        Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
-        K = Q @ np.diag(d) @ Q.T
-        info = detect_singular(fixed_K(K), pt(np.zeros(n), 0.0))
+        if tri:
+            # K = L diag(d) L^T, L unit lower bidiagonal with |l_i| <= 1/2:
+            # symmetric tridiagonal with LDL^T pivots d, so by Sylvester's
+            # law the eigenvalue signs are those of d; as L^-1 has norm
+            # <= 2, the eigenvalues stay at least 0.1 / 4 away from zero
+            l = rng.uniform(-0.5, 0.5, n - 1)
+            off = l * np.asarray(d[:-1])
+            diag = np.asarray(d) + np.append(0.0, l * off)
+            p = fixed_tridiagonal(off, diag)
+            K = p.jacobian_u(pt(np.zeros(n), 0.0))
+            assert np.min(np.abs(np.linalg.eigvalsh(K))) >= 0.1 / 4
+        else:
+            # K = Q diag(d) Q^T: the eigenvalues are d, well away from zero
+            Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            K = Q @ np.diag(d) @ Q.T
+            p = fixed_K(K)
+        info = detect_singular(p, pt(np.zeros(n), 0.0))
         assert info.det_sign == int(np.linalg.slogdet(K)[0])
         assert info.n_nonpositive == sum(di < 0 for di in d)
 
@@ -242,6 +284,18 @@ class TestDetectSingular:
         info = detect_singular(fixed_K(K), pt(np.zeros(3), 0.0))
         assert info.det_sign == 1
         assert info.n_nonpositive == 2
+
+    def test_nonsymmetric_tridiagonal_complex_pair(self):
+        # the same K given by its diagonals: not symmetric, so no LDL^T
+        # pivot count; the eigenvalue pass counts it as above
+        p = ProblemDef(n_dof=3, residual_fn=lambda u, lam: np.zeros(3),
+                       jacobian_u_fn=None,
+                       jacobian_lambda_fn=lambda u, lam: np.zeros(3),
+                       load_norm_sq=0.0,
+                       tridiagonal_fn=lambda u, lam: (
+                           [2.0, 0.0], [-1.0, -1.0, 3.0], [-2.0, 0.0]))
+        info = detect_singular(p, pt(np.zeros(3), 0.0))
+        assert (info.det_sign, info.n_nonpositive) == (1, 2)
 
     def test_cubic1d_unstable_at_origin(self):
         p = make_builtin("cubic1d")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from apalm.problems import (DimensionError, SolutionPoint, UnknownProblemError,
-                            make_builtin)
+from apalm.problems import (DimensionError, ProblemDef, SolutionPoint,
+                            UnknownProblemError, make_builtin)
 
 
 def pt(u, lam):
@@ -52,6 +52,38 @@ class TestJacobians:
     def test_pitchfork_load_vanishes_on_primary(self):
         p = make_builtin("pitchfork")
         assert p.jacobian_lambda(pt(0.0, 0.5))[0] == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("dense,tri", [(False, False), (True, True)])
+    def test_k_given_exactly_once(self, dense, tri):
+        with pytest.raises(ValueError, match="exactly one"):
+            ProblemDef(n_dof=2, residual_fn=lambda u, lam: u,
+                       jacobian_u_fn=(lambda u, lam: np.eye(2)) if dense
+                       else None,
+                       jacobian_lambda_fn=lambda u, lam: -np.ones(2),
+                       load_norm_sq=2.0,
+                       tridiagonal_fn=(lambda u, lam: ([0.0], [1.0, 1.0],
+                                                       [0.0])) if tri
+                       else None)
+
+    def test_tridiagonal_lengths_checked(self):
+        p = ProblemDef(n_dof=3, residual_fn=lambda u, lam: u,
+                       jacobian_u_fn=None,
+                       jacobian_lambda_fn=lambda u, lam: -np.ones(3),
+                       load_norm_sq=3.0,
+                       tridiagonal_fn=lambda u, lam: ([1.0], [1.0] * 3,
+                                                      [1.0, 2.0]))
+        with pytest.raises(ValueError):
+            p.tridiagonal(SolutionPoint(np.zeros(3), 0.0))
+
+    def test_springchain_dense_k_assembled_from_diagonals(self):
+        p = make_builtin("springchain", n=4, c=0.5)
+        w = SolutionPoint(np.array([0.1, -0.2, 0.3, 1.0]), 0.0)
+        sub, diag, sup = p.tridiagonal(w)
+        K = p.jacobian_u(w)
+        assert np.array_equal(K, np.diag(diag) + np.diag(sup, 1)
+                              + np.diag(sub, -1))
+        assert np.allclose(diag, 3.0 * w.u**2 - 2.0, rtol=0, atol=1e-15)
+        assert np.array_equal(sub, [-0.5] * 3)
 
 
 class TestMakeBuiltin:
