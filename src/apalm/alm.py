@@ -107,7 +107,8 @@ def predictor(problem: ProblemDef, config: AlmConfig, w: SolutionPoint,
     """Initial increment (Delta u, Delta lambda) of metric length delta_L.
 
     Warm start rescales the previous increment; cold start scales the
-    tangent (K^{-1} P, 1), which gives Delta lambda > 0.
+    tangent t = (K^{-1} P, 1), the solution of the bordered system
+    [[K, dG/dlam], [0, 1]] t = e_{n+1}, which gives Delta lambda > 0.
     """
     if delta_L <= 0:
         raise ValueError("delta_L must be positive")
@@ -116,9 +117,10 @@ def predictor(problem: ProblemDef, config: AlmConfig, w: SolutionPoint,
         length = distance(delta_w_prev, psi, ptp)
         if length > 0:
             return (delta_L / length) * delta_w_prev
-    P = -problem.jacobian_lambda(w)
+    n = problem.n_dof
+    unit = np.append(np.zeros(n), 1.0)
     try:
-        tangent = np.append(_bordered_solve(problem, w, P), 1.0)
+        tangent = _bordered_solve(problem, w, unit, np.zeros(n), 1.0)
     except np.linalg.LinAlgError as exc:
         raise PredictorError(f"singular tangent stiffness at cold start: {exc}")
     length = distance(tangent, psi, ptp)
@@ -147,12 +149,10 @@ class _NoConvergence(RuntimeError):
 
 
 def _bordered_solve(problem: ProblemDef, w: SolutionPoint, rhs: np.ndarray,
-                    row: np.ndarray | None = None, corner: float = 0.0
-                    ) -> np.ndarray:
-    """The solution of K x = rhs or, given a border row, of the bordered
-    system [[K, dG/dlam], [row, corner]] x = rhs (n + 1 rows, one or two
-    columns), with K and dG/dlam at w. Raises np.linalg.LinAlgError where
-    the system is singular.
+                    row: np.ndarray, corner: float) -> np.ndarray:
+    """The solution of the bordered system [[K, dG/dlam], [row, corner]]
+    x = rhs (n + 1 rows, one or two columns), with K and dG/dlam at w.
+    Raises np.linalg.LinAlgError where the system is singular.
 
     A dense K goes through np.linalg.solve. A tridiagonal K is factored
     once, in O(n), and the border row is eliminated (Keller 1977): with
@@ -167,8 +167,6 @@ def _bordered_solve(problem: ProblemDef, w: SolutionPoint, rhs: np.ndarray,
     tri = problem.tridiagonal(w)
     if tri is None:
         K = problem.jacobian_u(w)
-        if row is None:
-            return np.linalg.solve(K, rhs)
         n = problem.n_dof
         M = np.zeros((n + 1, n + 1))
         M[:n, :n] = K
@@ -177,8 +175,6 @@ def _bordered_solve(problem: ProblemDef, w: SolutionPoint, rhs: np.ndarray,
         M[n, n] = corner
         return np.linalg.solve(M, rhs)
     lu = tridiagonal.factor(*tri)
-    if row is None:
-        return tridiagonal.solve(lu, rhs)
     g = problem.jacobian_lambda(w)
     y_g = tridiagonal.solve(lu, g)
     s = corner - float(row @ y_g)

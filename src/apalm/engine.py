@@ -116,11 +116,13 @@ def compute_errors(delta_L0: float, distances: list[float],
 
 def solve_interval(problem: ProblemDef, config: AlmConfig, job: Job
                    ) -> IntervalResult:
-    """Re-solve one interval with N fine steps of nominal length dL0/N.
+    """Re-solve one interval with at most N fine steps of nominal length
+    dL0/N.
 
-    Warm-started from w_start - w_prev when a predecessor is known. Step
-    cuts shorten individual steps; extra steps are then appended until the
-    nominal length budget is used, so more than N points may result.
+    Warm-started from w_start - w_prev when a predecessor is known. The
+    last step takes what remains of dL0, and a step that overshoots ends
+    the job early. A step cut shortens the fine path; the closing segment
+    to w_ref covers the rest, and its error decides refinement.
     """
     dl_nominal = job.delta_L0 / job.N
     psi, ptp = config.psi, problem.load_norm_sq
@@ -130,10 +132,9 @@ def solve_interval(problem: ProblemDef, config: AlmConfig, job: Job
     sols: list[SolutionPoint] = []
     dists: list[float] = []
     remaining = job.delta_L0
-    budget = 10 * job.N + 20  # safety against pathological step cutting
     failure: str | None = None
     try:
-        while remaining > 1e-12 * job.delta_L0 and len(dists) < budget:
+        while remaining > 1e-12 * job.delta_L0 and len(dists) < job.N:
             res = alm.step(problem, config, w, dw,
                            min(dl_nominal, remaining))
             w, dw = res.w_new, res.dw

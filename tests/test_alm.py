@@ -215,8 +215,8 @@ def counting(monkeypatch, module, name):
 class TestBorderedSolve:
     @pytest.mark.parametrize("constraint", ["riks", "crisfield"])
     def test_one_solve_per_newton_iteration(self, constraint, monkeypatch):
-        # a cold step: one K-solve for the tangent predictor, then one
-        # bordered solve per Newton iteration; counted as factorizations of
+        # a cold step: one bordered solve for the tangent predictor, then
+        # one per Newton iteration; counted as factorizations of
         # springchain's tridiagonal K, and as LAPACK solves of its dense K
         tri = make_builtin("springchain", n=6)
         factors = counting(monkeypatch, tridiagonal, "factor")

@@ -275,6 +275,39 @@ class TestQueueEngine:
         assert sum(len(m) for m in state.maps.values()) == n_points
         assert len(state.queue) == 3
 
+    @pytest.mark.parametrize("reason", [
+        "fine xi not strictly inside", "arc length at or below ds_floor inside"])
+    def test_rejected_result_leaves_the_map_as_it_was(self, reason, caplog):
+        p = make_builtin("linear1d")
+        state = QueueEngine(p, crisfield(1.0),
+                            EngineConfig(delta_L=math.sqrt(2.0), steps=4))
+        state.initialize()
+        rows = row_bits(state.collect())
+        job = state.pop()
+        dl0 = job.delta_L0
+        if reason.startswith("fine xi"):
+            # errors within tolerance, but the first fine step covers the
+            # whole interval, so its xi rounds onto xi_hi
+            dists, closing = [dl0, 0.0], 0.0
+        else:
+            # a stretch that would queue its closing interval, with a fine
+            # step of exactly ds_floor
+            dists, closing = [dl0, state.maps[0].ds_floor], 0.5 * dl0
+        res = IntervalResult(job_id=job.id, distances=dists,
+                             solutions=[job.w_ref, job.w_ref],
+                             lower_distance=dl0, closing_distance=closing)
+        state.submit(job, res)
+        assert state.stats.jobs_failed == 1
+        [record] = state.stats.records
+        assert record.outcome == REJECTED and record.children == 0
+        assert record.measured == (sum(dists), dl0, closing)
+        interval = f"[{job.xi_lo!r}, {job.xi_hi!r}]"
+        assert record.message == (
+            f"branch 0 {interval} rejected: {reason} {interval}")
+        assert caplog.messages == [record.message]
+        assert len(state.queue) == 3
+        assert row_bits(state.collect()) == rows
+
     def test_submit_twice_raises(self):
         p = make_builtin("linear1d")
         state = QueueEngine(p, crisfield(1.0),
@@ -468,13 +501,46 @@ def test_rejected_insertion_costs_one_job(steps, delta_L, tol, max_level):
         ss = [s for _, _, s, _, _ in m.collect()]
         assert all(a < b for a, b in zip(ss, ss[1:]))
     stats = state.stats
-    assert stats.jobs_failed >= 1
     assert all(r.outcome in OUTCOMES for r in stats.records)
+    if (steps, delta_L, tol, max_level) != NOISE_FLOOR_CONFIGS[3]:
+        # with at most N steps per job, no fine path runs past its parent
+        assert stats.jobs_failed == 0
+        return
+    # what config 3 still rejects are intervals with dL0 below newton_tol
+    assert stats.jobs_failed >= 1
     rejected = [r for r in stats.records if r.outcome == REJECTED]
     assert len(rejected) == stats.jobs_failed
     for r in rejected:
         assert r.measured is not None and r.children == 0
         assert r.message.startswith(f"branch 0 [{r.job.xi_lo!r}, ")
+
+
+@pytest.mark.parametrize("run", ["noise-floor", "riks-chain"])
+def test_a_job_makes_at_most_n_steps(run, monkeypatch):
+    """Neither a noise-floor run nor a Riks run, whose steps come out
+    slightly short, adds steps past N to use up a job's length."""
+    p, cfg, eng = {
+        "noise-floor": (make_builtin("cubic1d"), crisfield(1.0, tol=1e-10),
+                        noise_floor_engine(*NOISE_FLOOR_CONFIGS[1])),
+        "riks-chain": PARITY_RUNS["riks-chain"]}[run]
+    steps, per_job = [], []
+    step, solve = alm.step, engine.solve_interval
+
+    def counted_step(*args):
+        steps.append(args)
+        return step(*args)
+
+    def counted_solve(*args):
+        before = len(steps)
+        result = solve(*args)
+        per_job.append(len(steps) - before)
+        return result
+
+    monkeypatch.setattr(alm, "step", counted_step)
+    monkeypatch.setattr(engine, "solve_interval", counted_solve)
+    state = aalm(p, cfg, eng)
+    assert len(per_job) == state.stats.jobs_done > 0
+    assert max(per_job) <= eng.subintervals
 
 
 def row_bits(rows):
@@ -527,8 +593,8 @@ def test_shuffled_arrival_matches_aalm_bitwise(seed):
     assert record_bits(state) == record_bits(ref)
 
 
-# cubic1d at the Newton noise floor (32 of 1387 jobs rejected) and a Riks
-# chain that loses 2 of 68 jobs the same way
+# cubic1d at the Newton noise floor (25 of 1484 jobs rejected) and a Riks
+# chain that loses none of its 113 jobs
 PARITY_RUNS = {
     "noise-floor": (make_builtin("cubic1d"), crisfield(1.0, tol=1e-10),
                     noise_floor_engine(*NOISE_FLOOR_CONFIGS[3])),
@@ -544,7 +610,8 @@ def test_records_and_summary_match_aalm_bitwise(run, tmp_path):
     config: 3 thread or process workers give aalm's, bit for bit."""
     p, cfg, eng = PARITY_RUNS[run]
     ref = aalm(p, cfg, eng)
-    assert ref.stats.jobs_failed >= 1
+    if run == "noise-floor":
+        assert ref.stats.jobs_failed >= 1
     ref_summary = summary_without_timings(ref, tmp_path / "aalm.json")
     for transport in ("thread", "process"):
         state = apalm(p, cfg, eng, worker_count=3, transport=transport)

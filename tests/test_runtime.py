@@ -40,10 +40,12 @@ def scripted_worker(reply=None):
     m_ep, w_ep = endpoint_pair()
 
     def serve():
-        job = w_ep.recv()
-        if reply is not None:
-            w_ep.send(reply(job))
-        w_ep.close()
+        try:
+            job = w_ep.recv()
+            if reply is not None:
+                w_ep.send(reply(job))
+        finally:
+            w_ep.close()  # an error in reply must not leave the manager waiting
 
     threading.Thread(target=serve, daemon=True).start()
     return m_ep
