@@ -22,9 +22,9 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     problem_name: str
+    engine: EngineConfig
     problem_params: dict = field(default_factory=dict)
     alm: AlmConfig = field(default_factory=AlmConfig)
-    engine: EngineConfig | None = None
     workers: int = 1
     transport: str = "thread"
     output: str | None = None

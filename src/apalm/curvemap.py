@@ -125,9 +125,11 @@ class CurveMap:
                      width, width - sum(dists))
 
     def insert_stretch(self, xi_lo: float, xi_hi: float, level: int, result,
-                       refine_lower: bool, refine_upper: bool
+                       dl_close: float, refine_lower: bool,
+                       refine_upper: bool
                        ) -> list[tuple[float, float, float]]:
-        """Store all fine points; hi.ds becomes the closing distance.
+        """Store all fine points; hi.ds becomes dl_close, the distance from
+        the last fine point to hi.
 
         Fine xi values are assigned chord-length style with the fine length
         sum d_k + delta_L as denominator, so the last fine point stays
@@ -139,7 +141,6 @@ class CurveMap:
         when degenerate).
         """
         dists = result.distances
-        dl_close = float(result.closing_distance)
         total = sum(dists) + dl_close
         suppress_closing = dl_close <= 1e-12 * self.lookup(xi_hi).ds
         if suppress_closing and dists:

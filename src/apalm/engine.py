@@ -66,7 +66,6 @@ class Job:
     delta_L0: float
     w_start: SolutionPoint
     w_prev: SolutionPoint | None
-    w_ref: SolutionPoint
     level: int
     N: int
 
@@ -81,19 +80,19 @@ class Job:
 
 @dataclass(frozen=True)
 class IntervalResult:
-    """solutions[k] ends fine step k, of length distances[k]."""
+    """solutions[k] ends fine step k, of length distances[k]; a failed
+    solve carries only its error."""
 
     job_id: int
     distances: list[float]
     solutions: list[SolutionPoint]
-    lower_distance: float
-    closing_distance: float
-    success: bool = True
-    message: str = ""
+    error: str = ""
 
     def __post_init__(self):
         if len(self.solutions) != len(self.distances):
             raise ValueError("one solution per distance")
+        if bool(self.solutions) == bool(self.error):
+            raise ValueError("a result carries solutions or an error")
 
 
 @dataclass(frozen=True)
@@ -103,12 +102,12 @@ class ErrorTriple:
     upper: float  # (total - lower) / dL0, with the extra division as printed
 
 
-def compute_errors(delta_L0: float, distances: list[float],
-                   lower_distance: float, closing_distance: float
+def compute_errors(delta_L0: float, measured: tuple[float, float, float]
                    ) -> ErrorTriple:
-    """Refinement-marking errors of a computed interval."""
-    dl_fine = sum(distances) + closing_distance
-    total = (dl_fine - delta_L0) / delta_L0
+    """Refinement-marking errors of a computed interval, from its measured
+    (sum d_k, lower distance, closing distance)."""
+    sum_d, lower_distance, closing_distance = measured
+    total = (sum_d + closing_distance - delta_L0) / delta_L0
     lower = (delta_L0 - lower_distance) / delta_L0
     return ErrorTriple(total=total, lower=lower,
                        upper=(total - lower) / delta_L0)
@@ -122,17 +121,16 @@ def solve_interval(problem: ProblemDef, config: AlmConfig, job: Job
     Warm-started from w_start - w_prev when a predecessor is known. The
     last step takes what remains of dL0, and a step that overshoots ends
     the job early. A step cut shortens the fine path; the closing segment
-    to w_ref covers the rest, and its error decides refinement.
+    to the interval's end covers the rest, and the manager measures it.
+    A failed step fails the job, and its points are dropped.
     """
     dl_nominal = job.delta_L0 / job.N
-    psi, ptp = config.psi, problem.load_norm_sq
     w = job.w_start
     dw = (None if job.w_prev is None
           else alm.increment_between(w, job.w_prev))
     sols: list[SolutionPoint] = []
     dists: list[float] = []
     remaining = job.delta_L0
-    failure: str | None = None
     try:
         while remaining > 1e-12 * job.delta_L0 and len(dists) < job.N:
             res = alm.step(problem, config, w, dw,
@@ -142,12 +140,8 @@ def solve_interval(problem: ProblemDef, config: AlmConfig, job: Job
             sols.append(w)
             remaining -= res.achieved_length
     except alm.StepError as exc:
-        failure = str(exc)
-    return IntervalResult(
-        job_id=job.id, distances=dists, solutions=sols,
-        lower_distance=alm.point_distance(w, job.w_start, psi, ptp),
-        closing_distance=alm.point_distance(job.w_ref, w, psi, ptp),
-        success=failure is None, message=failure or "")
+        return IntervalResult(job.id, [], [], error=str(exc))
+    return IntervalResult(job.id, dists, sols)
 
 
 def serial_solve(problem: ProblemDef, config: AlmConfig,
@@ -228,8 +222,8 @@ ACCEPTED, REFINED, FAILED, REJECTED, LOST = OUTCOMES
 
 @dataclass(frozen=True)
 class JobRecord:
-    """One settled job; measured is (sum d_k, lower_distance,
-    closing_distance) for a solved one."""
+    """One settled job; measured is (sum d_k, lower distance, closing
+    distance) for a solved one."""
 
     job: Job
     outcome: str
@@ -283,13 +277,14 @@ class QueueEngine:
 
     def _enqueue(self, m: CurveMap, xi_lo: float, xi_hi: float,
                  delta_L0: float, level: int) -> None:
-        """Queue [xi_lo, xi_hi] of map m; later insertions never change the
-        w or w_prev read here, only the ds of an interval's end."""
-        lo, hi = m.lookup(xi_lo), m.lookup(xi_hi)
+        """Queue [xi_lo, xi_hi] of map m; later insertions never change an
+        entry's w or w_prev, only the ds of an interval's end, so the w of
+        xi_hi that submit measures against is the one current now."""
+        lo = m.lookup(xi_lo)
         self.queue.append(Job(
             id=self._next_id, branch=m.branch, xi_lo=xi_lo, xi_hi=xi_hi,
-            delta_L0=delta_L0, w_start=lo.w, w_prev=lo.w_prev, w_ref=hi.w,
-            level=level, N=self.engine.subintervals))
+            delta_L0=delta_L0, w_start=lo.w, w_prev=lo.w_prev, level=level,
+            N=self.engine.subintervals))
         self._next_id += 1
 
     def pop(self) -> Job:
@@ -308,18 +303,20 @@ class QueueEngine:
                 f"job id {job.id} is not outstanding") from None
 
     def submit(self, job: Job, result: IntervalResult) -> None:
-        """Insert a job's solutions and queue children where errors demand."""
+        """Measure a job's fine path against the map, insert its solutions
+        and queue children where errors demand."""
         self._settle(job)
         m = self.maps[job.branch]
-        if not result.success:
+        if result.error:
             # Retain the coarse data; warn, do not requeue.
-            self._record(job, FAILED, message=result.message)
+            self._record(job, FAILED, message=result.error)
             return
-        measured = (sum(result.distances), result.lower_distance,
-                    result.closing_distance)
-        errors = compute_errors(job.delta_L0, result.distances,
-                                result.lower_distance,
-                                result.closing_distance)
+        psi, ptp = self.config.psi, self.problem.load_norm_sq
+        w_end = result.solutions[-1]
+        closing = alm.point_distance(m.lookup(job.xi_hi).w, w_end, psi, ptp)
+        measured = (sum(result.distances),
+                    alm.point_distance(w_end, job.w_start, psi, ptp), closing)
+        errors = compute_errors(job.delta_L0, measured)
         refine_lower = errors.lower > self.engine.tol_lower
         refine_upper = errors.upper > self.engine.tol_upper
         children = []
@@ -328,7 +325,7 @@ class QueueEngine:
                 m.insert_interior(job.xi_lo, job.xi_hi, job.level, result)
             else:
                 children = m.insert_stretch(job.xi_lo, job.xi_hi, job.level,
-                                            result, refine_lower,
+                                            result, closing, refine_lower,
                                             refine_upper)
         except CurveStructureError as exc:
             # The map is unchanged: keep the coarse data, as for a failed

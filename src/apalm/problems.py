@@ -27,14 +27,15 @@ def is_int(value) -> bool:
 
 def check_numbers(values: dict, types: dict, where: str) -> None:
     """Raise TypeError unless every entry of values typed "int" in types
-    holds an integer and every one typed "float" a finite number: 3.0,
-    "0.1", true, NaN and null are rejected.
+    holds an integer, every one typed "float" a finite number (3.0, "0.1",
+    true, NaN and null are rejected) and every one typed "bool" true or
+    false (not "false", 0 or null).
 
     types maps names to annotation strings, as dataclass fields and the
     annotations of a function give them under postponed evaluation.
     """
     for key, kind in types.items():
-        if key not in values or kind not in ("int", "float"):
+        if key not in values:
             continue
         value = values[key]
         if kind == "int" and not is_int(value):
@@ -43,6 +44,8 @@ def check_numbers(values: dict, types: dict, where: str) -> None:
                                      or isinstance(value, float))
                                     and math.isfinite(value)):
             raise TypeError(f"'{where}.{key}' must be a finite number")
+        if kind == "bool" and not isinstance(value, bool):
+            raise TypeError(f"'{where}.{key}' must be true or false")
 
 
 @dataclass(frozen=True)

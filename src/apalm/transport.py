@@ -1,10 +1,11 @@
 """Wire format and socket endpoint for the manager-worker runtime.
 
-Frames are [u8 version][u64 length][payload], little-endian (protocol 3).
+Frames are [u8 version][u64 length][payload], little-endian (protocol 4).
 A payload is the one-byte stop or one engine message: a header struct,
-then, for an `IntervalResult`, its UTF-8 note and distances, then one
-float64 block of (u, lambda) rows. A `Job` sends w_start, w_prev if any
-and w_ref; a reply sends the point that ends each fine step, not the start.
+then, for an `IntervalResult`, its UTF-8 error and distances, then one
+float64 block of (u, lambda) rows. A `Job` sends w_start and w_prev if
+any; a reply sends the point that ends each fine step, or only the error
+of a failed solve, and decode refuses one with both or neither.
 Thread and process workers use the same endpoint over a socket pair, so
 both carry the same encoded bytes and runs replay bit-exactly across them.
 """
@@ -19,7 +20,7 @@ import numpy as np
 from .engine import IntervalResult, Job
 from .problems import SolutionPoint
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 MSG_STOP = 0
 MSG_JOB = 1
@@ -28,8 +29,8 @@ MSG_DATA = 2
 _HEADER = struct.Struct("<BQ")
 # kind, id, branch, xi_lo, xi_hi, level, delta_L0, N, has w_prev, n_dof
 _JOB = struct.Struct("<BQQddQdQBQ")
-# kind, job_id, success, lower, closing, steps, n_dof, note length
-_DATA = struct.Struct("<BQBddQQQ")
+# kind, job_id, steps, n_dof, error length
+_DATA = struct.Struct("<BQQQQ")
 
 # The benchmark tracer (perfbench/tracing.py) matches messages on these names.
 JobMessage = Job
@@ -67,20 +68,18 @@ def encode(msg: Job | IntervalResult | None) -> bytes:
     if msg is None:
         return bytes([MSG_STOP])
     if isinstance(msg, Job):
-        points = [w for w in (msg.w_start, msg.w_prev, msg.w_ref)
-                  if w is not None]
+        points = [w for w in (msg.w_start, msg.w_prev) if w is not None]
         n = msg.w_start.n_dof
         return _JOB.pack(MSG_JOB, msg.id, msg.branch, msg.xi_lo, msg.xi_hi,
                          msg.level, msg.delta_L0, msg.N,
                          msg.w_prev is not None, n) + _block(points, n)
     if isinstance(msg, IntervalResult):
         n = msg.solutions[0].n_dof if msg.solutions else 0
-        note = msg.message.encode("utf-8")
+        error = msg.error.encode("utf-8")
         return b"".join((
-            _DATA.pack(MSG_DATA, msg.job_id, msg.success, msg.lower_distance,
-                       msg.closing_distance, len(msg.distances), n,
-                       len(note)),
-            note, np.asarray(msg.distances, dtype="<f8").tobytes(),
+            _DATA.pack(MSG_DATA, msg.job_id, len(msg.distances), n,
+                       len(error)),
+            error, np.asarray(msg.distances, dtype="<f8").tobytes(),
             _block(msg.solutions, n)))
     raise ProtocolError(f"cannot encode {type(msg).__name__}")
 
@@ -97,26 +96,24 @@ def decode(payload: bytes) -> Job | IntervalResult | None:
         if kind == MSG_JOB:
             (_, jid, branch, xi_lo, xi_hi, level, dl0, steps, has_prev,
              n) = _JOB.unpack_from(buf)
-            count = 3 if has_prev else 2
+            count = 2 if has_prev else 1
             _expect(buf, _JOB.size + 8 * count * (n + 1))
             w = _points(buf, _JOB.size, count, n)
             return Job(id=jid, branch=branch, xi_lo=xi_lo, xi_hi=xi_hi,
                        delta_L0=dl0, w_start=w[0],
-                       w_prev=w[1] if has_prev else None, w_ref=w[-1],
-                       level=level, N=steps)
+                       w_prev=w[1] if has_prev else None, level=level,
+                       N=steps)
         if kind == MSG_DATA:
-            (_, jid, success, lower, closing, count, n,
-             n_note) = _DATA.unpack_from(buf)
-            off = _DATA.size + n_note
+            _, jid, count, n, n_error = _DATA.unpack_from(buf)
+            off = _DATA.size + n_error
             _expect(buf, off + 8 * count * (n + 2))
             dists = np.frombuffer(buf, "<f8", count, off).tolist()
             return IntervalResult(
                 job_id=jid, distances=dists,
                 solutions=_points(buf, off + 8 * count, count, n),
-                lower_distance=lower, closing_distance=closing,
-                success=bool(success),
-                message=bytes(buf[_DATA.size:off]).decode("utf-8"))
-    except (IndexError, struct.error, ValueError) as exc:  # and Job's checks
+                error=bytes(buf[_DATA.size:off]).decode("utf-8"))
+    except (IndexError, struct.error, ValueError) as exc:
+        # ValueError also covers the checks of Job and IntervalResult
         raise ProtocolError(f"bad payload: {exc}") from None
     raise ProtocolError(f"unknown message kind {kind}")
 

@@ -160,8 +160,7 @@ def test_criterion_3_zero_refinement_control(runs):
         state = runs[key]
         children += state.stats.children_spawned
         for r in kept_records(state):
-            sum_d, lower, closing = r.measured
-            e = compute_errors(r.job.delta_L0, [sum_d], lower, closing)
+            e = compute_errors(r.job.delta_L0, r.measured)
             worst = max(worst, abs(e.total), abs(e.lower), abs(e.upper))
     report(3, "zero-refinement control", worst <= 1e-12 and children == 0,
            f"max |error| {worst:.2e}, {children} children")

@@ -113,6 +113,9 @@ class TestParseConfig:
                                     "params": {"n": True}}),
         lambda d: d.update(problem={"name": "springchain",
                                     "params": {"c": "x"}}),
+        lambda d: d["engine"].update(bifurcation_enabled="false"),
+        lambda d: d["engine"].update(bifurcation_enabled=1),
+        lambda d: d["engine"].update(bifurcation_enabled=None),
     ], ids=["alm-null", "engine-int", "params-list", "unknown-problem",
             "steps-float", "subintervals-float", "max_level-bool",
             "newton_iters-float", "workers-bool", "observable-bool",
@@ -120,7 +123,8 @@ class TestParseConfig:
             "branch_steps-zero", "observable-past-n_dof",
             "step_delay-string", "bif_tol-null", "psi-null", "psi-nan",
             "delta_L-inf", "output-int", "param-n-float", "param-n-bool",
-            "param-c-string"])
+            "param-c-string", "bifurcation_enabled-string",
+            "bifurcation_enabled-int", "bifurcation_enabled-null"])
     def test_configs_that_cannot_run_rejected(self, mutate, tmp_path,
                                                capsys):
         d = doc()

@@ -20,7 +20,6 @@ class FakeResult:
 
     distances: list
     solutions: list
-    closing_distance: float = 0.0
 
 
 def s_at(m, xi):
@@ -148,10 +147,9 @@ class TestInsertStretch:
     def test_hand_example_with_downstream_shift(self):
         m = make_map_0_10()
         res = FakeResult(distances=[1.0, 1.0],
-                         solutions=[pt(10.0), pt(11.0)],
-                         closing_distance=0.3)
-        children = m.insert_stretch(*parent_2_4(m), res, refine_lower=True,
-                                    refine_upper=True)
+                         solutions=[pt(10.0), pt(11.0)])
+        children = m.insert_stretch(*parent_2_4(m), res, 0.3,
+                                    refine_lower=True, refine_upper=True)
         keys = m.xi_keys()
         # fine points: chord-length xi with the post-stretch total 2.3
         assert s_at(m, keys[2]) == pytest.approx(3.0)
@@ -174,10 +172,9 @@ class TestInsertStretch:
     def test_zero_closing_distance_suppresses_closing_child(self):
         m = make_map_0_10()
         res = FakeResult(distances=[1.0, 1.0],
-                         solutions=[pt(10.0), pt(11.0)],
-                         closing_distance=0.0)
-        children = m.insert_stretch(*parent_2_4(m), res, refine_lower=True,
-                                    refine_upper=True)
+                         solutions=[pt(10.0), pt(11.0)])
+        children = m.insert_stretch(*parent_2_4(m), res, 0.0,
+                                    refine_lower=True, refine_upper=True)
         keys = m.xi_keys()
         assert s_at(m, keys[2]) == pytest.approx(3.0)
         assert m.lookup(keys[2]).xi == pytest.approx(0.3)
@@ -191,28 +188,25 @@ class TestInsertStretch:
     def test_lower_only_children(self):
         m = make_map_0_10()
         res = FakeResult(distances=[1.0, 1.0],
-                         solutions=[pt(10.0), pt(11.0)],
-                         closing_distance=0.3)
-        children = m.insert_stretch(*parent_2_4(m), res, refine_lower=True,
-                                    refine_upper=False)
+                         solutions=[pt(10.0), pt(11.0)])
+        children = m.insert_stretch(*parent_2_4(m), res, 0.3,
+                                    refine_lower=True, refine_upper=False)
         assert len(children) == 2
 
     def test_upper_only_children(self):
         m = make_map_0_10()
         res = FakeResult(distances=[1.0, 1.0],
-                         solutions=[pt(10.0), pt(11.0)],
-                         closing_distance=0.3)
-        children = m.insert_stretch(*parent_2_4(m), res, refine_lower=False,
-                                    refine_upper=True)
+                         solutions=[pt(10.0), pt(11.0)])
+        children = m.insert_stretch(*parent_2_4(m), res, 0.3,
+                                    refine_lower=False, refine_upper=True)
         assert len(children) == 1
         assert children[0][2] == pytest.approx(0.3)
 
     def test_branch_end_xi_never_changes(self):
         m = make_map_0_10()
         res = FakeResult(distances=[1.0, 1.0],
-                         solutions=[pt(10.0), pt(11.0)],
-                         closing_distance=0.5)
-        m.insert_stretch(*parent_2_4(m), res, True, True)
+                         solutions=[pt(10.0), pt(11.0)])
+        m.insert_stretch(*parent_2_4(m), res, 0.5, True, True)
         assert m.xi_keys()[-1] == 1.0
 
 
@@ -240,10 +234,9 @@ class TestRejectedInsertion:
         # the closing distance is 3e-12 of the fine length 2e5, below the xi
         # resolution: the last fine xi rounds onto the parent's end 0.4
         res = FakeResult(distances=[1e5, 1e5],
-                         solutions=[pt(10.0), pt(11.0)],
-                         closing_distance=3e-12)
+                         solutions=[pt(10.0), pt(11.0)])
         with pytest.raises(CurveStructureError):
-            m.insert_stretch(*parent_2_4(m), res, True, True)
+            m.insert_stretch(*parent_2_4(m), res, 3e-12, True, True)
         assert row_bits(m.collect()) == before
 
     def test_segment_at_ds_floor_leaves_map_unchanged(self):
@@ -288,9 +281,8 @@ class TestCollect:
         m = make_map([0.0, 1.0, 2.0])
         parent = (0.0, 0.5, 1)
         res = FakeResult(distances=[0.5, 0.5],
-                         solutions=[pt(10.0), pt(11.0)],
-                         closing_distance=0.2)
-        m.insert_stretch(*parent, res, True, True)
+                         solutions=[pt(10.0), pt(11.0)])
+        m.insert_stretch(*parent, res, 0.2, True, True)
         assert len(m.collect()) == 5
 
     def test_sorted_by_xi(self):
@@ -343,9 +335,8 @@ def test_monotonicity_under_random_insertions(seq):
                 dists = [f * width for f in fracs]
                 res = FakeResult(
                     distances=dists,
-                    solutions=[pt(counter + k) for k in range(len(dists))],
-                    closing_distance=closing * width)
-                m.insert_stretch(*parent, res, True, True)
+                    solutions=[pt(counter + k) for k in range(len(dists))])
+                m.insert_stretch(*parent, res, closing * width, True, True)
             else:
                 # interior: fine path must fit strictly inside the parent
                 total = sum(fracs) + 0.05

@@ -23,17 +23,17 @@ def crisfield(psi, tol=1e-12, **kw):
 
 class TestComputeErrors:
     def test_straight_interval(self):
-        e = compute_errors(1.0, [0.5, 0.5], 1.0, 0.0)
+        e = compute_errors(1.0, (1.0, 1.0, 0.0))
         assert (e.total, e.lower, e.upper) == (0.0, 0.0, 0.0)
 
     def test_curved_interval(self):
-        e = compute_errors(1.0, [0.5, 0.5], 0.9, 0.05)
+        e = compute_errors(1.0, (1.0, 0.9, 0.05))
         assert e.total == pytest.approx(0.05)
         assert e.lower == pytest.approx(0.1)
         assert e.upper == pytest.approx(-0.05)
 
     def test_scaled_interval(self):
-        e = compute_errors(2.0, [1.0, 1.0], 1.8, 0.4)
+        e = compute_errors(2.0, (2.0, 1.8, 0.4))
         assert e.total == pytest.approx(0.2)
         assert e.lower == pytest.approx(0.1)
         assert e.upper == pytest.approx(0.05)
@@ -163,13 +163,12 @@ class TestInitializeMap:
             m = maps[job.branch]
             assert job.w_start is m.lookup(job.xi_lo).w
             assert job.w_prev is m.lookup(job.xi_lo).w_prev
-            assert job.w_ref is m.lookup(job.xi_hi).w
             assert job.delta_L0 == m.lookup(job.xi_hi).ds
 
 
-def make_job(problem, w_start, w_prev, w_ref, delta_L0, N=2, level=1):
+def make_job(problem, w_start, w_prev, delta_L0, N=2, level=1):
     return Job(id=0, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=delta_L0,
-               w_start=w_start, w_prev=w_prev, w_ref=w_ref, level=level, N=N)
+               w_start=w_start, w_prev=w_prev, level=level, N=N)
 
 
 class TestSolveInterval:
@@ -179,14 +178,16 @@ class TestSolveInterval:
         sq2 = math.sqrt(2.0)
         w0 = SolutionPoint(np.zeros(1), 0.0)
         w1 = SolutionPoint(np.ones(1), 1.0)
-        job = make_job(p, w0, None, w1, sq2)
+        job = make_job(p, w0, None, sq2)
         res = solve_interval(p, cfg, job)
-        assert res.success
+        assert res.error == ""
         assert res.distances == pytest.approx([sq2 / 2, sq2 / 2])
         # solutions[k] ends step k; the start point is not sent back
         assert [w.u[0] for w in res.solutions] == pytest.approx([0.5, 1.0])
-        assert res.lower_distance == pytest.approx(sq2)
-        assert res.closing_distance == pytest.approx(0.0, abs=1e-10)
+        w_end = res.solutions[-1]
+        assert alm.point_distance(w_end, w0, 1.0, 1.0) == pytest.approx(sq2)
+        assert alm.point_distance(w1, w_end, 1.0, 1.0) == pytest.approx(
+            0.0, abs=1e-10)
 
     def test_cubic1d_curved_across_limit_point(self):
         # With psi = 1 the metric sees the load turning at u = -1, so the
@@ -196,13 +197,14 @@ class TestSolveInterval:
         path = lambda u: u**3 - 3 * u
         w_a = SolutionPoint(np.array([-0.6]), path(-0.6))
         w_b = SolutionPoint(np.array([-1.4]), path(-1.4))
-        from apalm.alm import point_distance
-        dl0 = point_distance(w_b, w_a, 1.0, p.load_norm_sq)
+        dl0 = alm.point_distance(w_b, w_a, 1.0, p.load_norm_sq)
         w_prev = SolutionPoint(np.array([-0.3]), path(-0.3))
-        res = solve_interval(p, cfg, make_job(p, w_a, w_prev, w_b, dl0))
-        assert res.success
-        assert res.closing_distance > 1e-3
-        assert res.lower_distance <= sum(res.distances) + 1e-12
+        res = solve_interval(p, cfg, make_job(p, w_a, w_prev, dl0))
+        assert res.error == ""
+        w_end = res.solutions[-1]
+        assert alm.point_distance(w_b, w_end, 1.0, p.load_norm_sq) > 1e-3
+        assert alm.point_distance(w_end, w_a, 1.0, p.load_norm_sq) <= (
+            sum(res.distances) + 1e-12)
 
     def test_cold_start_matches_warm_on_linear(self):
         p = make_builtin("linear1d")
@@ -211,11 +213,29 @@ class TestSolveInterval:
         w0 = SolutionPoint(np.zeros(1), 0.0)
         w1 = SolutionPoint(np.ones(1), 1.0)
         w_prev = SolutionPoint(-np.ones(1), -1.0)
-        cold = solve_interval(p, cfg, make_job(p, w0, None, w1, sq2))
-        warm = solve_interval(p, cfg, make_job(p, w0, w_prev, w1, sq2))
+        cold = solve_interval(p, cfg, make_job(p, w0, None, sq2))
+        warm = solve_interval(p, cfg, make_job(p, w0, w_prev, sq2))
         for a, b in zip(cold.solutions, warm.solutions):
             assert a.u[0] == pytest.approx(b.u[0], abs=1e-10)
             assert a.lam == pytest.approx(b.lam, abs=1e-10)
+        assert cold.solutions[-1].u[0] == pytest.approx(w1.u[0], abs=1e-10)
+
+    def test_failed_step_returns_only_its_error(self, monkeypatch):
+        # the second step fails: the first step's point is not sent back
+        step, calls = alm.step, []
+
+        def fail_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise alm.StepError("forced")
+            return step(*args)
+
+        monkeypatch.setattr(alm, "step", fail_second)
+        p = make_builtin("linear1d")
+        res = solve_interval(p, crisfield(1.0), make_job(
+            p, SolutionPoint(np.zeros(1), 0.0), None, math.sqrt(2.0)))
+        assert len(calls) == 2
+        assert (res.distances, res.solutions, res.error) == ([], [], "forced")
 
 
 class TestQueueEngine:
@@ -229,7 +249,8 @@ class TestQueueEngine:
         assert job.xi_lo == 0.0
         assert job.w_prev is None  # branch start
         assert job.w_start.u[0] == pytest.approx(0.0)
-        assert job.w_ref.u[0] == pytest.approx(1.0, abs=1e-9)
+        assert state.maps[0].lookup(job.xi_hi).w.u[0] == pytest.approx(
+            1.0, abs=1e-9)
         job2 = state.pop()
         assert job2.xi_lo == job.xi_hi
         assert job2.w_prev is not None
@@ -263,8 +284,7 @@ class TestQueueEngine:
         n_points = sum(len(m) for m in state.maps.values())
         job = state.pop()
         res = IntervalResult(job_id=job.id, distances=[], solutions=[],
-                             lower_distance=0.0, closing_distance=0.0,
-                             success=False, message="synthetic failure")
+                             error="synthetic failure")
         state.submit(job, res)
         assert state.stats.jobs_failed == 1
         [record] = state.stats.records
@@ -285,22 +305,26 @@ class TestQueueEngine:
         rows = row_bits(state.collect())
         job = state.pop()
         dl0 = job.delta_L0
+        w_hi = state.maps[0].lookup(job.xi_hi).w
         if reason.startswith("fine xi"):
             # errors within tolerance, but the first fine step covers the
             # whole interval, so its xi rounds onto xi_hi
-            dists, closing = [dl0, 0.0], 0.0
+            dists, w_end = [dl0, 0.0], w_hi
         else:
-            # a stretch that would queue its closing interval, with a fine
-            # step of exactly ds_floor
-            dists, closing = [dl0, state.maps[0].ds_floor], 0.5 * dl0
+            # a stretch that would queue its closing interval, half of the
+            # interval, with a fine step of exactly ds_floor
+            dists = [dl0, state.maps[0].ds_floor]
+            w_end = SolutionPoint((job.w_start.u + w_hi.u) / 2,
+                                  (job.w_start.lam + w_hi.lam) / 2)
         res = IntervalResult(job_id=job.id, distances=dists,
-                             solutions=[job.w_ref, job.w_ref],
-                             lower_distance=dl0, closing_distance=closing)
+                             solutions=[w_end, w_end])
         state.submit(job, res)
         assert state.stats.jobs_failed == 1
         [record] = state.stats.records
         assert record.outcome == REJECTED and record.children == 0
-        assert record.measured == (sum(dists), dl0, closing)
+        assert record.measured == (
+            sum(dists), alm.point_distance(w_end, job.w_start, 1.0, 1.0),
+            alm.point_distance(w_hi, w_end, 1.0, 1.0))
         interval = f"[{job.xi_lo!r}, {job.xi_hi!r}]"
         assert record.message == (
             f"branch 0 {interval} rejected: {reason} {interval}")
@@ -341,7 +365,7 @@ class TestQueueEngine:
             assert job.xi_lo <= child.xi_lo < child.xi_hi <= job.xi_hi
             assert child.w_start is m.lookup(child.xi_lo).w
             assert child.w_prev is m.lookup(child.xi_lo).w_prev
-            assert child.w_ref is m.lookup(child.xi_hi).w
+            assert child.xi_hi in m.xi_keys()
 
     def test_max_level_cap(self):
         p = make_builtin("cubic1d")
@@ -368,8 +392,7 @@ class TestAalm:
             state = aalm(p, crisfield(psi),
                          EngineConfig(delta_L=1.0, steps=5))
             for r in state.stats.records:
-                sum_d, lower, closing = r.measured
-                e = compute_errors(r.job.delta_L0, [sum_d], lower, closing)
+                e = compute_errors(r.job.delta_L0, r.measured)
                 assert abs(e.total) <= 1e-12
                 assert abs(e.lower) <= 1e-12
                 assert abs(e.upper) <= 1e-12
@@ -442,14 +465,22 @@ class TestJob:
         w = SolutionPoint(np.zeros(1), 0.0)
         with pytest.raises(ValueError):
             Job(id=0, branch=0, xi_lo=xi_lo, xi_hi=xi_hi, delta_L0=delta_L0,
-                w_start=w, w_prev=None, w_ref=w, level=1, N=N)
+                w_start=w, w_prev=None, level=1, N=N)
 
 
 def test_interval_result_pairs_solutions_with_distances():
     w = SolutionPoint(np.zeros(1), 0.0)
     with pytest.raises(ValueError):
-        IntervalResult(job_id=0, distances=[0.5], solutions=[w, w],
-                       lower_distance=0.5, closing_distance=0.0)
+        IntervalResult(job_id=0, distances=[0.5], solutions=[w, w])
+
+
+@pytest.mark.parametrize("points,error", [(1, "forced"), (0, "")],
+                         ids=["both", "neither"])
+def test_interval_result_carries_points_or_an_error(points, error):
+    w = SolutionPoint(np.zeros(1), 0.0)
+    with pytest.raises(ValueError, match="solutions or an error"):
+        IntervalResult(job_id=0, distances=[0.5] * points,
+                       solutions=[w] * points, error=error)
 
 
 @pytest.mark.parametrize("workers", [None, 2])
@@ -560,7 +591,7 @@ def record_bits(state):
         j = r.job
         out.append((j.branch, j.xi_lo.hex(), j.xi_hi.hex(),
                     j.delta_L0.hex(), j.level, j.N, point(j.w_start),
-                    point(j.w_prev), point(j.w_ref), r.outcome,
+                    point(j.w_prev), r.outcome,
                     r.measured and [float(x).hex() for x in r.measured],
                     r.children, r.message))
     return out
@@ -619,6 +650,39 @@ def test_records_and_summary_match_aalm_bitwise(run, tmp_path):
         assert record_bits(state) == record_bits(ref)
         assert summary_without_timings(
             state, tmp_path / f"{transport}.json") == ref_summary
+
+
+@pytest.mark.parametrize("run", ["cubic1d", "riks-chain"])
+def test_submit_measures_against_the_map(run, monkeypatch):
+    """submit measures each solved job from its last fine point w_end:
+    measured is (sum d_k, |w_end - w_start|, |map[xi_hi].w - w_end|), bit
+    for bit."""
+    p, cfg, eng = {
+        "cubic1d": (make_builtin("cubic1d"), crisfield(1.0, tol=1e-10),
+                    EngineConfig(delta_L=0.4, steps=15, tol_lower=1e-4,
+                                 tol_upper=1e-4)),
+        "riks-chain": PARITY_RUNS["riks-chain"]}[run]
+    results = {}
+    submit = QueueEngine.submit
+
+    def kept(self, job, result):
+        results[job.id] = result
+        submit(self, job, result)
+
+    monkeypatch.setattr(QueueEngine, "submit", kept)
+    state = aalm(p, cfg, eng)
+    solved = [r for r in state.stats.records if r.measured is not None]
+    assert any(r.outcome == REFINED for r in solved)
+    psi, ptp = cfg.psi, p.load_norm_sq
+    for r in solved:
+        res = results[r.job.id]
+        w_end = res.solutions[-1]
+        w_hi = state.maps[r.job.branch].lookup(r.job.xi_hi).w
+        expected = (sum(res.distances),
+                    alm.point_distance(w_end, r.job.w_start, psi, ptp),
+                    alm.point_distance(w_hi, w_end, psi, ptp))
+        assert ([float(x).hex() for x in r.measured]
+                == [x.hex() for x in expected])
 
 
 def twin_problem():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from apalm import transport as tp
-from apalm.alm import AlmConfig
+from apalm.alm import AlmConfig, point_distance
 from apalm.engine import (LOST, EngineConfig, IntervalResult, Job,
                           QueueEngine, aalm)
 from apalm.problems import SolutionPoint, make_builtin
@@ -62,7 +62,7 @@ def linear_job(job_id=0):
     return Job(id=job_id, branch=0, xi_lo=0.0, xi_hi=1.0,
                delta_L0=math.sqrt(2.0),
                w_start=SolutionPoint(np.zeros(1), 0.0), w_prev=None,
-               w_ref=SolutionPoint(np.ones(1), 1.0), level=1, N=2)
+               level=1, N=2)
 
 
 class TestRunWorker:
@@ -80,8 +80,10 @@ class TestRunWorker:
         data = manager.recv()
         assert isinstance(data, IntervalResult)
         assert data.job_id == 5
-        assert data.success
-        assert data.closing_distance <= 1e-10
+        assert data.error == ""
+        # the fine path ends on the interval's end, (1, 1)
+        assert point_distance(SolutionPoint(np.ones(1), 1.0),
+                              data.solutions[-1], 1.0, 1.0) <= 1e-10
         assert data.distances == pytest.approx([math.sqrt(2) / 2] * 2)
 
     def test_two_jobs_ids_match(self, pair):
@@ -112,8 +114,7 @@ class TestRunWorker:
     def test_non_job_frame_rejected(self, pair):
         manager, worker = pair
         manager.send(IntervalResult(
-            job_id=0, distances=[], solutions=[],
-            lower_distance=0.0, closing_distance=0.0))
+            job_id=0, distances=[], solutions=[], error="not a job"))
         with pytest.raises(ProtocolError):
             run_worker(make_builtin("linear1d"), crisfield(), worker)
 
@@ -214,8 +215,7 @@ class TestRunManager:
     def test_reply_for_other_job_rejected(self):
         p, state = fresh_state()
         liar = scripted_worker(lambda job: IntervalResult(
-            job_id=job.id + 1, distances=[], solutions=[],
-            lower_distance=0.0, closing_distance=0.0))
+            job_id=job.id + 1, distances=[], solutions=[], error="liar"))
         with pytest.raises(ProtocolError):
             run_manager(state, [liar])
         liar.close()

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from apalm.engine import IntervalResult, Job
 from apalm.problems import SolutionPoint
-from apalm.transport import (_JOB, MSG_STOP, PROTOCOL_VERSION,
-                             EndpointClosed, ProtocolError, SocketEndpoint,
-                             decode, encode, frame)
+from apalm.transport import (_DATA, _JOB, MSG_DATA, MSG_STOP,
+                             PROTOCOL_VERSION, EndpointClosed, ProtocolError,
+                             SocketEndpoint, decode, encode, frame)
 
 
 def pt(*u, lam=0.0):
@@ -29,7 +29,7 @@ def endpoint_pair():
 
 def job(job_id=0, w_prev=None):
     return Job(id=job_id, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=1.0,
-               w_start=pt(0.0), w_prev=w_prev, w_ref=pt(1.0), level=1, N=2)
+               w_start=pt(0.0), w_prev=w_prev, level=1, N=2)
 
 
 class TestRoundTrip:
@@ -48,51 +48,42 @@ class TestRoundTrip:
     def test_job_with_prev(self):
         msg = Job(id=7, branch=1, xi_lo=0.25, xi_hi=0.5, delta_L0=0.25,
                   w_start=pt(1.0, 2.0, lam=0.5),
-                  w_prev=pt(0.5, 1.5, lam=0.25),
-                  w_ref=pt(2.0, 3.0, lam=1.0), level=3, N=2)
+                  w_prev=pt(0.5, 1.5, lam=0.25), level=3, N=2)
         out = decode(encode(msg))
         assert (out.id, out.branch, out.xi_lo, out.xi_hi, out.delta_L0,
                 out.level, out.N) == (7, 1, 0.25, 0.5, 0.25, 3, 2)
         assert points_equal(out.w_start, msg.w_start)
         assert points_equal(out.w_prev, msg.w_prev)
-        assert points_equal(out.w_ref, msg.w_ref)
 
     def test_job_without_prev(self):
         msg = Job(id=0, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=1.0,
-                  w_start=pt(0.0), w_prev=None, w_ref=pt(1.0, lam=1.0),
-                  level=1, N=3)
+                  w_start=pt(0.5, lam=1.0), w_prev=None, level=1, N=3)
         out = decode(encode(msg))
         assert out.w_prev is None
-        assert points_equal(out.w_ref, msg.w_ref)
+        assert points_equal(out.w_start, msg.w_start)
+        assert out.N == 3
 
     def test_data(self):
         msg = IntervalResult(job_id=3, distances=[0.5, 0.25],
                              solutions=[pt(0.5, lam=0.5),
-                                        pt(0.75, lam=0.75)],
-                             lower_distance=0.74, closing_distance=0.01,
-                             success=True, message="")
+                                        pt(0.75, lam=0.75)])
         out = decode(encode(msg))
         assert out.job_id == 3
         assert out.distances == [0.5, 0.25]
         assert len(out.solutions) == 2
         assert all(points_equal(a, b)
                    for a, b in zip(out.solutions, msg.solutions))
-        assert out.lower_distance == 0.74
-        assert out.closing_distance == 0.01
-        assert out.success
+        assert out.error == ""
 
     def test_data_failure_with_note(self):
         msg = IntervalResult(job_id=9, distances=[], solutions=[],
-                             lower_distance=0.0, closing_distance=0.0,
-                             success=False, message="newton diverged: état")
+                             error="newton diverged: état")
         out = decode(encode(msg))
-        assert not out.success
-        assert out.message == "newton diverged: état"
+        assert (out.distances, out.solutions) == ([], [])
+        assert out.error == "newton diverged: état"
 
     def test_encoding_is_deterministic(self):
-        msg = IntervalResult(job_id=1, distances=[0.1], solutions=[pt(1.0)],
-                             lower_distance=0.1, closing_distance=0.0,
-                             success=True)
+        msg = IntervalResult(job_id=1, distances=[0.1], solutions=[pt(1.0)])
         assert encode(msg) == encode(msg)
 
 
@@ -122,9 +113,18 @@ class TestFrame:
 
     def test_version_2_rejected(self):
         # v2 framed every point separately and echoed the start point
-        assert PROTOCOL_VERSION == 3
         s1, s2 = socket.socketpair()
         s1.sendall(bytes([2]) + frame(encode(job()))[1:])
+        with pytest.raises(ProtocolError):
+            SocketEndpoint(s2).recv()
+        s1.close()
+        s2.close()
+
+    def test_version_3_rejected(self):
+        # v3 sent each job's closing point and each reply's distances
+        assert PROTOCOL_VERSION == 4
+        s1, s2 = socket.socketpair()
+        s1.sendall(bytes([3]) + frame(encode(job()))[1:])
         with pytest.raises(ProtocolError):
             SocketEndpoint(s2).recv()
         s1.close()
@@ -133,8 +133,18 @@ class TestFrame:
     def test_one_block_per_payload(self):
         # a job is its header and one float64 block of (u, lambda) rows
         msg = job(w_prev=pt(-1.0, lam=-0.5))
-        rows = np.array([[0.0, 0.0], [-1.0, -0.5], [1.0, 0.0]], dtype="<f8")
+        rows = np.array([[0.0, 0.0], [-1.0, -0.5]], dtype="<f8")
         assert encode(msg) == encode(msg)[:_JOB.size] + rows.tobytes()
+
+    @pytest.mark.parametrize("has_prev", [True, False])
+    def test_job_carries_start_and_predecessor_only(self, has_prev):
+        n = 3
+        msg = Job(id=1, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=1.0,
+                  w_start=pt(1.0, 2.0, 3.0),
+                  w_prev=pt(0.0, 1.0, 2.0) if has_prev else None,
+                  level=1, N=2)
+        k = 2 if has_prev else 1
+        assert len(encode(msg)) == _JOB.size + 8 * (n + 1) * k
 
     def test_huge_length_is_not_allocated_up_front(self):
         # a peer that claims 2**62 bytes and hangs up is a lost peer, not a
@@ -187,13 +197,24 @@ class TestDecodeErrors:
         with pytest.raises(ProtocolError):
             decode(bytes(payload))
 
+    @pytest.mark.parametrize("steps,error", [(1, "état"), (0, "")],
+                             ids=["both", "neither"])
+    def test_reply_with_points_and_error_or_neither(self, steps, error):
+        # a reply carries its fine steps or its error, never both or none
+        note = error.encode("utf-8")
+        rows = np.zeros((steps, 3), dtype="<f8")  # n_dof 1: (d, u, lambda)
+        payload = (_DATA.pack(MSG_DATA, 4, steps, 1, len(note)) + note
+                   + rows[:, 0].tobytes() + rows[:, 1:].tobytes())
+        with pytest.raises(ProtocolError, match="solutions or an error"):
+            decode(payload)
+
     @pytest.mark.parametrize("msg", [
         job(w_prev=pt(-1.0, lam=-0.5)),
+        job(),
         IntervalResult(job_id=4, distances=[0.5, 0.5],
-                       solutions=[pt(0.5, lam=0.5), pt(1.0, lam=1.0)],
-                       lower_distance=1.0, closing_distance=0.0,
-                       success=False, message="état"),
-    ], ids=["job", "reply"])
+                       solutions=[pt(0.5, lam=0.5), pt(1.0, lam=1.0)]),
+        IntervalResult(job_id=4, distances=[], solutions=[], error="état"),
+    ], ids=["job", "job-without-prev", "reply", "reply-error"])
     def test_every_truncation_and_trailing_byte_rejected(self, msg):
         # decode checks the exact size, so a cut payload never reaches
         # struct or numpy, whose errors the manager would not catch
@@ -206,8 +227,7 @@ class TestDecodeErrors:
 
     def test_bad_utf8_note_rejected(self):
         payload = encode(IntervalResult(
-            job_id=0, distances=[], solutions=[], lower_distance=0.0,
-            closing_distance=0.0, success=False, message="é"))
+            job_id=0, distances=[], solutions=[], error="é"))
         with pytest.raises(ProtocolError):
             decode(payload[:-1] + b"\xff")
 
@@ -240,8 +260,7 @@ class TestSocketEndpoint:
     def test_round_trip_over_socketpair(self):
         a, b = endpoint_pair()
         msg = Job(id=42, branch=0, xi_lo=0.5, xi_hi=0.75, delta_L0=0.5,
-                  w_start=pt(1.0, lam=1.0), w_prev=pt(0.0),
-                  w_ref=pt(2.0, lam=2.0), level=2, N=2)
+                  w_start=pt(1.0, lam=1.0), w_prev=pt(0.0), level=2, N=2)
         a.send(msg)
         out = b.recv()
         assert out.id == 42
@@ -253,9 +272,8 @@ class TestSocketEndpoint:
         a, b = endpoint_pair()
         a.send(job(job_id=0))
         assert b.recv().id == 0
-        b.send(IntervalResult(job_id=0, distances=[], solutions=[],
-                              lower_distance=0.0, closing_distance=0.0,
-                              success=True))
+        b.send(IntervalResult(job_id=0, distances=[0.5],
+                              solutions=[pt(0.5)]))
         assert a.recv().job_id == 0
         a.close()
         b.close()
@@ -277,9 +295,7 @@ class TestSocketEndpoint:
 
     def test_wire_bytes_are_framed_encoding(self):
         msg = IntervalResult(job_id=5, distances=[0.25, 0.25],
-                             solutions=[pt(0.25), pt(0.5)],
-                             lower_distance=0.5, closing_distance=0.0,
-                             success=True)
+                             solutions=[pt(0.25), pt(0.5)])
         a, b = endpoint_pair()
         a.send(msg)
         raw = b._read_exact(9)
@@ -309,10 +325,7 @@ def data_messages(draw):
         job_id=draw(st.integers(0, 2**64 - 1)),
         distances=draw(st.lists(finite, min_size=n_sol, max_size=n_sol)),
         solutions=[draw(points(n_dof)) for _ in range(n_sol)],
-        lower_distance=draw(finite),
-        closing_distance=draw(finite),
-        success=draw(st.booleans()),
-        message=draw(st.text(max_size=40)))
+        error=draw(st.text(min_size=1, max_size=40)) if n_sol == 0 else "")
 
 
 @st.composite
@@ -325,8 +338,7 @@ def jobs(draw):
                delta_L0=draw(st.floats(min_value=0.0, exclude_min=True,
                                        allow_infinity=False)),
                w_start=draw(points(n_dof)),
-               w_prev=draw(st.none() | points(n_dof)),
-               w_ref=draw(points(n_dof)), level=draw(u64),
+               w_prev=draw(st.none() | points(n_dof)), level=draw(u64),
                N=draw(st.integers(1, 2**64 - 1)))
 
 
@@ -344,8 +356,7 @@ def test_data_round_trip_property(msg):
     out = decode(encode(msg))
     assert out.job_id == msg.job_id
     assert out.distances == msg.distances
-    assert out.message == msg.message
-    assert out.success == msg.success
+    assert out.error == msg.error
     assert len(out.solutions) == len(msg.solutions)
     for a, b in zip(out.solutions, msg.solutions):
         assert np.array_equal(a.u, b.u)
@@ -362,7 +373,6 @@ def test_job_round_trip_property(msg):
     for field in ("xi_lo", "xi_hi", "delta_L0"):
         assert same_bits(getattr(out, field), getattr(msg, field))
     assert same_point_bits(out.w_start, msg.w_start)
-    assert same_point_bits(out.w_ref, msg.w_ref)
     if msg.w_prev is None:
         assert out.w_prev is None
     else:
