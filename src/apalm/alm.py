@@ -7,6 +7,7 @@ on disjoint data.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -53,10 +54,13 @@ class AlmConfig:
     def __post_init__(self):
         if self.constraint not in (RIKS, CRISFIELD):
             raise ValueError(f"unknown constraint {self.constraint!r}")
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
-        if self.psi < 0:
-            raise ValueError("psi must be >= 0")
+        # every check is written so that NaN fails it
+        if not 0 < self.newton_tol < math.inf:
+            raise ValueError("newton_tol must be positive and finite")
+        if not 0 <= self.psi < math.inf:
+            raise ValueError("psi must be >= 0 and finite")
+        if not 0 <= self.step_delay < math.inf:
+            raise ValueError("step_delay must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ stores ds, the arc length from the previous key (0 at the branch start);
 the curve-length coordinate s is the running sum of ds in xi order, formed
 by `collect`. An insertion into an interval changes only that interval's
 new points and the ds of its end, so neither xi nor s depends on the order
-in which intervals are inserted.
+in which intervals are inserted. The map only stores points and keeps
+their geometry; which sub-intervals to queue is the engine's decision.
 """
 
 from __future__ import annotations
@@ -112,52 +113,37 @@ class CurveMap:
     # -- insertion ---------------------------------------------------------
 
     def insert_interior(self, xi_lo: float, xi_hi: float, level: int,
-                        result) -> None:
-        """Store a converged interval's interior fine points at `level`.
+                        sols: list[SolutionPoint], dists: list[float]
+                        ) -> None:
+        """Store a converged interval's interior fine points at `level`;
+        sols[k] ends fine step k, of length dists[k].
 
         Every fine point but the last gets xi by proportional rescaling of
         its distance within the parent's length hi.ds; the fine end-point is
         not stored, and hi.ds becomes what the stored distances leave of it.
         """
         width = self.lookup(xi_hi).ds
-        dists = result.distances[:-1]
-        self._insert(xi_lo, xi_hi, level, result.solutions[:-1], dists,
-                     width, width - sum(dists))
+        self._insert(xi_lo, xi_hi, level, sols[:-1], dists[:-1], width,
+                     width - sum(dists[:-1]))
 
-    def insert_stretch(self, xi_lo: float, xi_hi: float, level: int, result,
-                       dl_close: float, refine_lower: bool,
-                       refine_upper: bool
-                       ) -> list[tuple[float, float, float]]:
+    def insert_stretch(self, xi_lo: float, xi_hi: float, level: int,
+                       sols: list[SolutionPoint], dists: list[float],
+                       dl_close: float) -> list[float]:
         """Store all fine points; hi.ds becomes dl_close, the distance from
         the last fine point to hi.
 
         Fine xi values are assigned chord-length style with the fine length
-        sum d_k + delta_L as denominator, so the last fine point stays
+        sum d_k + dl_close as denominator, so the last fine point stays
         strictly inside the parent. A closing distance below 1e-12 of the
         parent's length is degenerate: the fine end-point is then not stored
-        and its distance goes to hi.ds. Returns the child intervals to
-        queue as (xi_lo, xi_hi, delta_L0): the fine subintervals if
-        refine_lower, the closing subinterval if refine_upper (suppressed
-        when degenerate).
+        and its distance goes to hi.ds. Returns the keys from lo.xi to
+        hi.xi, so len(dists) + 2 of them if the fine end-point was stored.
         """
-        dists = result.distances
         total = sum(dists) + dl_close
-        suppress_closing = dl_close <= 1e-12 * self.lookup(xi_hi).ds
-        if suppress_closing and dists:
-            closing = dists[-1] + dl_close
-            stored = dists[:-1]
-        else:
-            closing = dl_close
-            stored = dists
-        keys = self._insert(xi_lo, xi_hi, level,
-                            result.solutions[:len(stored)], stored,
-                            total, closing)
-        children = []
-        if refine_lower:
-            children = list(zip(keys, keys[1:], dists))
-        if refine_upper and not suppress_closing:
-            children.append((keys[-2], keys[-1], dl_close))
-        return children
+        if dl_close <= 1e-12 * self.lookup(xi_hi).ds:
+            sols, dists, dl_close = sols[:-1], dists[:-1], dists[-1] + dl_close
+        return self._insert(xi_lo, xi_hi, level, sols, dists, total,
+                            dl_close)
 
     def _insert(self, xi_lo: float, xi_hi: float, level: int,
                 sols: list[SolutionPoint], dists: list[float], denom: float,

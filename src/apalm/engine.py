@@ -8,6 +8,7 @@ only part executed concurrently by the parallel runtime.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -43,15 +44,17 @@ class EngineConfig:
     bifurcation_enabled: bool = False
 
     def __post_init__(self):
-        if self.delta_L <= 0:
-            raise ValueError("delta_L must be positive")
-        if self.steps < 1:
+        # every check is written so that NaN fails it
+        if not 0 < self.delta_L < math.inf:
+            raise ValueError("delta_L must be positive and finite")
+        if not self.steps >= 1:
             raise ValueError("steps must be >= 1")
-        if self.subintervals < 2:
+        if not self.subintervals >= 2:
             raise ValueError("subintervals must be >= 2")
-        if self.tol_lower <= 0 or self.tol_upper <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_level < 1:
+        if not (0 < self.tol_lower < math.inf
+                and 0 < self.tol_upper < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not self.max_level >= 1:
             raise ValueError("max_level must be >= 1")
 
 
@@ -72,9 +75,9 @@ class Job:
     def __post_init__(self):
         if not self.xi_lo < self.xi_hi:
             raise ValueError("xi_lo must be < xi_hi")
-        if self.delta_L0 <= 0:
-            raise ValueError("delta_L0 must be positive")
-        if self.N < 1:
+        if not 0 < self.delta_L0 < math.inf:
+            raise ValueError("delta_L0 must be positive and finite")
+        if not self.N >= 1:
             raise ValueError("N must be >= 1")
 
 
@@ -304,7 +307,9 @@ class QueueEngine:
 
     def submit(self, job: Job, result: IntervalResult) -> None:
         """Measure a job's fine path against the map, insert its solutions
-        and queue children where errors demand."""
+        and, below max_level, queue children where errors demand: the fine
+        subintervals if the lower error exceeds its tolerance, the closing
+        one if the upper error does and the fine end-point was stored."""
         self._settle(job)
         m = self.maps[job.branch]
         if result.error:
@@ -312,28 +317,31 @@ class QueueEngine:
             self._record(job, FAILED, message=result.error)
             return
         psi, ptp = self.config.psi, self.problem.load_norm_sq
-        w_end = result.solutions[-1]
+        sols, dists = result.solutions, result.distances
+        w_end = sols[-1]
         closing = alm.point_distance(m.lookup(job.xi_hi).w, w_end, psi, ptp)
-        measured = (sum(result.distances),
+        measured = (sum(dists),
                     alm.point_distance(w_end, job.w_start, psi, ptp), closing)
         errors = compute_errors(job.delta_L0, measured)
         refine_lower = errors.lower > self.engine.tol_lower
         refine_upper = errors.upper > self.engine.tol_upper
-        children = []
         try:
-            if not refine_lower and not refine_upper:
-                m.insert_interior(job.xi_lo, job.xi_hi, job.level, result)
+            if refine_lower or refine_upper:
+                keys = m.insert_stretch(job.xi_lo, job.xi_hi, job.level,
+                                        sols, dists, closing)
             else:
-                children = m.insert_stretch(job.xi_lo, job.xi_hi, job.level,
-                                            result, closing, refine_lower,
-                                            refine_upper)
+                m.insert_interior(job.xi_lo, job.xi_hi, job.level, sols, dists)
         except CurveStructureError as exc:
             # The map is unchanged: keep the coarse data, as for a failed
             # solve.
             self._record(job, REJECTED, measured, message=str(exc))
             return
-        if job.level >= self.engine.max_level:
-            children = []
+        children = []
+        if job.level < self.engine.max_level:
+            if refine_lower:
+                children = list(zip(keys, keys[1:], dists))
+            if refine_upper and len(keys) == len(dists) + 2:
+                children.append((keys[-2], keys[-1], closing))
         for lo, hi, dl0 in children:
             self._enqueue(m, lo, hi, dl0, job.level + 1)
         self._record(job, REFINED if refine_lower or refine_upper

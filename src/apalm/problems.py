@@ -90,10 +90,10 @@ class ProblemDef:
     tridiagonal_fn: Callable[[np.ndarray, float], tuple] | None = None
 
     def __post_init__(self):
-        if self.n_dof < 1:
+        if not self.n_dof >= 1:
             raise ValueError("n_dof must be positive")
-        if self.load_norm_sq < 0:
-            raise ValueError("load_norm_sq must be non-negative")
+        if not 0 <= self.load_norm_sq < math.inf:
+            raise ValueError("load_norm_sq must be non-negative and finite")
         if (self.jacobian_u_fn is None) == (self.tridiagonal_fn is None):
             raise ValueError(
                 "give exactly one of jacobian_u_fn and tridiagonal_fn")

@@ -96,6 +96,8 @@ def decode(payload: bytes) -> Job | IntervalResult | None:
         if kind == MSG_JOB:
             (_, jid, branch, xi_lo, xi_hi, level, dl0, steps, has_prev,
              n) = _JOB.unpack_from(buf)
+            if has_prev not in (0, 1):
+                raise ProtocolError(f"bad w_prev flag {has_prev}")
             count = 2 if has_prev else 1
             _expect(buf, _JOB.size + 8 * count * (n + 1))
             w = _points(buf, _JOB.size, count, n)

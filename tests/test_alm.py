@@ -379,3 +379,13 @@ class TestConfigValidation:
     def test_negative_psi(self):
         with pytest.raises(ValueError):
             AlmConfig(psi=-1.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("step_delay", -0.1),
+        # a comparison with NaN is false, so each check must fail on it
+        *((field, value) for field in ("newton_tol", "psi", "step_delay")
+          for value in (math.nan, math.inf)),
+    ])
+    def test_out_of_range(self, field, value):
+        with pytest.raises(ValueError):
+            AlmConfig(**{field: value})

@@ -102,6 +102,7 @@ class TestParseConfig:
                                     "params": {"n": 20}},
                            observable_index=20),
         lambda d: d["alm"].update(step_delay="0.1"),
+        lambda d: d["alm"].update(step_delay=-0.1),
         lambda d: d["alm"].update(bif_tol=None),
         lambda d: d["alm"].update(psi=None),
         lambda d: d["alm"].update(psi=float("nan")),
@@ -121,8 +122,9 @@ class TestParseConfig:
             "newton_iters-float", "workers-bool", "observable-bool",
             "branch_delta_L-negative", "branch_delta_L-zero",
             "branch_steps-zero", "observable-past-n_dof",
-            "step_delay-string", "bif_tol-null", "psi-null", "psi-nan",
-            "delta_L-inf", "output-int", "param-n-float", "param-n-bool",
+            "step_delay-string", "step_delay-negative", "bif_tol-null",
+            "psi-null", "psi-nan", "delta_L-inf", "output-int",
+            "param-n-float", "param-n-bool",
             "param-c-string", "bifurcation_enabled-string",
             "bifurcation_enabled-int", "bifurcation_enabled-null"])
     def test_configs_that_cannot_run_rejected(self, mutate, tmp_path,

@@ -1,5 +1,4 @@
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,14 +11,6 @@ from apalm.problems import SolutionPoint
 
 def pt(u, lam=0.0):
     return SolutionPoint(np.array([float(u)]), lam)
-
-
-@dataclass
-class FakeResult:
-    """An IntervalResult's map-facing fields: solutions[k] ends step k."""
-
-    distances: list
-    solutions: list
 
 
 def s_at(m, xi):
@@ -89,67 +80,63 @@ def make_map_0_10():
     return make_map([0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
 
 
+def fine(*us):
+    """Fine points; fine(...)[k] ends fine step k."""
+    return [pt(u) for u in us]
+
+
 class TestInsertInterior:
     def test_hand_example(self):
         m = make_map_0_10()
-        res = FakeResult(distances=[0.8, 1.2],
-                         solutions=[pt(10.0), pt(11.0)])
-        m.insert_interior(*parent_2_4(m), res)
+        sols = fine(10.0, 11.0)
+        m.insert_interior(*parent_2_4(m), sols, [0.8, 1.2])
         keys = m.xi_keys()
         assert 0.28 in [pytest.approx(k) for k in keys]
         e = m.lookup(keys[2])
         assert s_at(m, keys[2]) == pytest.approx(2.8)
         assert e.xi == pytest.approx(0.28)
         assert e.level == 1
-        assert e.w is res.solutions[0]  # the point that ends step 0
+        assert e.w is sols[0]  # the point that ends step 0
 
     def test_midpoint_symmetry(self):
         m = make_map_0_10()
-        res = FakeResult(distances=[1.0, 1.0],
-                         solutions=[pt(10.0), pt(11.0)])
-        m.insert_interior(*parent_2_4(m), res)
+        sols = fine(10.0, 11.0)
+        m.insert_interior(*parent_2_4(m), sols, [1.0, 1.0])
         e = m.lookup(m.xi_keys()[2])
         assert (s_at(m, e.xi), e.xi) == (pytest.approx(3.0),
                                          pytest.approx(0.3))
-        assert e.w is res.solutions[0]
+        assert e.w is sols[0]
 
     def test_cumulative_three_steps(self):
         m = make_map_0_10()
-        res = FakeResult(distances=[0.5, 0.5, 1.0],
-                         solutions=[pt(10.0), pt(11.0), pt(12.0)])
-        m.insert_interior(*parent_2_4(m), res)
+        sols = fine(10.0, 11.0, 12.0)
+        m.insert_interior(*parent_2_4(m), sols, [0.5, 0.5, 1.0])
         keys = m.xi_keys()
         assert s_at(m, keys[2]) == pytest.approx(2.5)
         assert m.lookup(keys[2]).xi == pytest.approx(0.25)
         assert s_at(m, keys[3]) == pytest.approx(3.0)
         assert m.lookup(keys[3]).xi == pytest.approx(0.30)
         assert all(m.lookup(k).w is w
-                   for k, w in zip(keys[2:4], res.solutions[:2], strict=True))
+                   for k, w in zip(keys[2:4], sols[:2], strict=True))
 
     def test_no_existing_coordinate_changes(self):
         m = make_map_0_10()
         before = [(k, s_at(m, k)) for k in m.xi_keys()]
-        res = FakeResult(distances=[0.8, 1.2],
-                         solutions=[pt(10.0), pt(11.0)])
-        m.insert_interior(*parent_2_4(m), res)
+        m.insert_interior(*parent_2_4(m), fine(10.0, 11.0), [0.8, 1.2])
         for k, s in before:
             assert s_at(m, k) == s
 
     def test_fine_endpoint_not_stored(self):
         m = make_map_0_10()
-        res = FakeResult(distances=[1.0, 1.0],
-                         solutions=[pt(10.0), pt(11.0)])
-        m.insert_interior(*parent_2_4(m), res)
+        m.insert_interior(*parent_2_4(m), fine(10.0, 11.0), [1.0, 1.0])
         assert len(m) == 7  # one interior point added, not two
 
 
 class TestInsertStretch:
     def test_hand_example_with_downstream_shift(self):
         m = make_map_0_10()
-        res = FakeResult(distances=[1.0, 1.0],
-                         solutions=[pt(10.0), pt(11.0)])
-        children = m.insert_stretch(*parent_2_4(m), res, 0.3,
-                                    refine_lower=True, refine_upper=True)
+        sols = fine(10.0, 11.0)
+        returned = m.insert_stretch(*parent_2_4(m), sols, [1.0, 1.0], 0.3)
         keys = m.xi_keys()
         # fine points: chord-length xi with the post-stretch total 2.3
         assert s_at(m, keys[2]) == pytest.approx(3.0)
@@ -158,55 +145,33 @@ class TestInsertStretch:
         assert m.lookup(keys[3]).xi == pytest.approx(0.2 + 0.2 * 2.0 / 2.3)
         # every fine point is stored at the key that ends its step
         assert all(m.lookup(k).w is w
-                   for k, w in zip(keys[2:4], res.solutions, strict=True))
+                   for k, w in zip(keys[2:4], sols, strict=True))
         # old end keeps xi = 0.4; its ds becomes the closing 0.3, so s = 4.3
         # there and every later s grows by 0.3 too
         assert s_at(m, 0.4) == pytest.approx(4.3)
         assert s_at(m, 0.6) == pytest.approx(6.3)
         assert s_at(m, 1.0) == pytest.approx(10.3)
-        # both tolerances exceeded with N = 2: three (xi_lo, xi_hi, delta_L0)
-        # children
-        assert len(children) == 3
-        assert children[-1][2] == pytest.approx(0.3)
+        # the keys it stored from lo to hi: both fine points, len(dists) + 2
+        assert returned == keys[1:5]
+        assert m.lookup(returned[-1]).ds == pytest.approx(0.3)
 
     def test_zero_closing_distance_suppresses_closing_child(self):
         m = make_map_0_10()
-        res = FakeResult(distances=[1.0, 1.0],
-                         solutions=[pt(10.0), pt(11.0)])
-        children = m.insert_stretch(*parent_2_4(m), res, 0.0,
-                                    refine_lower=True, refine_upper=True)
+        sols = fine(10.0, 11.0)
+        returned = m.insert_stretch(*parent_2_4(m), sols, [1.0, 1.0], 0.0)
         keys = m.xi_keys()
         assert s_at(m, keys[2]) == pytest.approx(3.0)
         assert m.lookup(keys[2]).xi == pytest.approx(0.3)
-        assert m.lookup(keys[2]).w is res.solutions[0]
+        assert m.lookup(keys[2]).w is sols[0]
         assert keys[3] == 0.4  # the fine end-point is not stored
         assert s_at(m, 0.4) == pytest.approx(4.0)  # no shift
-        # the would-be closing child is suppressed; two fine children remain
-        assert len(children) == 2
-        assert children[-1][1] == 0.4
-
-    def test_lower_only_children(self):
-        m = make_map_0_10()
-        res = FakeResult(distances=[1.0, 1.0],
-                         solutions=[pt(10.0), pt(11.0)])
-        children = m.insert_stretch(*parent_2_4(m), res, 0.3,
-                                    refine_lower=True, refine_upper=False)
-        assert len(children) == 2
-
-    def test_upper_only_children(self):
-        m = make_map_0_10()
-        res = FakeResult(distances=[1.0, 1.0],
-                         solutions=[pt(10.0), pt(11.0)])
-        children = m.insert_stretch(*parent_2_4(m), res, 0.3,
-                                    refine_lower=False, refine_upper=True)
-        assert len(children) == 1
-        assert children[0][2] == pytest.approx(0.3)
+        # one key short of len(dists) + 2, so the engine queues no closing
+        # child; the last fine step ends on hi
+        assert returned == [0.2, keys[2], 0.4]
 
     def test_branch_end_xi_never_changes(self):
         m = make_map_0_10()
-        res = FakeResult(distances=[1.0, 1.0],
-                         solutions=[pt(10.0), pt(11.0)])
-        m.insert_stretch(*parent_2_4(m), res, 0.5, True, True)
+        m.insert_stretch(*parent_2_4(m), fine(10.0, 11.0), [1.0, 1.0], 0.5)
         assert m.xi_keys()[-1] == 1.0
 
 
@@ -222,10 +187,9 @@ class TestRejectedInsertion:
         m = make_map_0_10()
         before = row_bits(m.collect())
         # the stored distances 1.5 + 1.0 exceed the parent's length 2.0
-        res = FakeResult(distances=[1.5, 1.0, 0.5],
-                         solutions=[pt(10.0), pt(11.0), pt(12.0)])
         with pytest.raises(CurveStructureError):
-            m.insert_interior(*parent_2_4(m), res)
+            m.insert_interior(*parent_2_4(m), fine(10.0, 11.0, 12.0),
+                              [1.5, 1.0, 0.5])
         assert row_bits(m.collect()) == before
 
     def test_stretch_overrun_leaves_map_unchanged(self):
@@ -233,10 +197,9 @@ class TestRejectedInsertion:
         before = row_bits(m.collect())
         # the closing distance is 3e-12 of the fine length 2e5, below the xi
         # resolution: the last fine xi rounds onto the parent's end 0.4
-        res = FakeResult(distances=[1e5, 1e5],
-                         solutions=[pt(10.0), pt(11.0)])
         with pytest.raises(CurveStructureError):
-            m.insert_stretch(*parent_2_4(m), res, 3e-12, True, True)
+            m.insert_stretch(*parent_2_4(m), fine(10.0, 11.0), [1e5, 1e5],
+                             3e-12)
         assert row_bits(m.collect()) == before
 
     def test_segment_at_ds_floor_leaves_map_unchanged(self):
@@ -245,10 +208,9 @@ class TestRejectedInsertion:
         before = row_bits(m.collect())
         # a first fine step of ds_floor: its xi fits, but at s = 10 it
         # would not advance s in collect()
-        res = FakeResult(distances=[m.ds_floor, 1.0],
-                         solutions=[pt(10.0), pt(11.0)])
         with pytest.raises(CurveStructureError, match="ds_floor"):
-            m.insert_interior(*parent_2_4(m), res)
+            m.insert_interior(*parent_2_4(m), fine(10.0, 11.0),
+                              [m.ds_floor, 1.0])
         assert row_bits(m.collect()) == before
 
     def test_parent_spanning_a_key_leaves_map_unchanged(self):
@@ -256,10 +218,8 @@ class TestRejectedInsertion:
         before = row_bits(m.collect())
         # [0.2, 0.6] holds the key 0.4, so it is no unrefined interval
         parent = (0.2, 0.6, 1)
-        res = FakeResult(distances=[1.0, 1.0],
-                         solutions=[pt(10.0), pt(11.0)])
         with pytest.raises(CurveStructureError):
-            m.insert_interior(*parent, res)
+            m.insert_interior(*parent, fine(10.0, 11.0), [1.0, 1.0])
         assert row_bits(m.collect()) == before
 
 
@@ -272,17 +232,13 @@ class TestCollect:
     def test_after_interior(self):
         m = make_map([0.0, 1.0, 2.0])
         parent = (0.0, 0.5, 1)
-        res = FakeResult(distances=[0.5, 0.5],
-                         solutions=[pt(10.0), pt(11.0)])
-        m.insert_interior(*parent, res)
+        m.insert_interior(*parent, fine(10.0, 11.0), [0.5, 0.5])
         assert len(m.collect()) == 4
 
     def test_after_stretch(self):
         m = make_map([0.0, 1.0, 2.0])
         parent = (0.0, 0.5, 1)
-        res = FakeResult(distances=[0.5, 0.5],
-                         solutions=[pt(10.0), pt(11.0)])
-        m.insert_stretch(*parent, res, 0.2, True, True)
+        m.insert_stretch(*parent, fine(10.0, 11.0), [0.5, 0.5], 0.2)
         assert len(m.collect()) == 5
 
     def test_sorted_by_xi(self):
@@ -333,18 +289,18 @@ def test_monotonicity_under_random_insertions(seq):
         try:
             if is_stretch:
                 dists = [f * width for f in fracs]
-                res = FakeResult(
-                    distances=dists,
-                    solutions=[pt(counter + k) for k in range(len(dists))])
-                m.insert_stretch(*parent, res, closing * width, True, True)
+                sols = [pt(counter + k) for k in range(len(dists))]
+                keys = m.insert_stretch(*parent, sols, dists, closing * width)
+                # the keys it returns are the map's keys from lo to hi
+                i_lo = m.xi_keys().index(lo)
+                assert keys == m.xi_keys()[i_lo:i_lo + len(keys)]
+                assert keys[-1] == hi
             else:
                 # interior: fine path must fit strictly inside the parent
                 total = sum(fracs) + 0.05
                 dists = [f / total * width for f in fracs]
-                res = FakeResult(
-                    distances=dists,
-                    solutions=[pt(counter + k) for k in range(len(dists))])
-                m.insert_interior(*parent, res)
+                sols = [pt(counter + k) for k in range(len(dists))]
+                m.insert_interior(*parent, sols, dists)
         except CurveStructureError as exc:
             # a nested interval can fall below the xi resolution
             assert str(exc).startswith(REFUSALS)

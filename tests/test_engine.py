@@ -377,6 +377,71 @@ class TestQueueEngine:
         assert max(levels) <= 2
 
 
+class TestSubmitChildren:
+    """submit alone picks a refined job's children, one level down: the
+    fine subintervals if the lower error exceeds its tolerance, the closing
+    one if the upper error does and the fine end-point was stored, and
+    none at max_level."""
+
+    W_END = SolutionPoint(np.array([1.0]), 0.3)  # 0.3 off the map's w(0.2)
+
+    def _submit(self, monkeypatch, w_end=W_END, **eng):
+        # linear1d at lambda = 0, with each stored point 1 apart but 2
+        # along the map: the first job runs from u = 0 to u = 1, dL0 = 2
+        sols = [SolutionPoint(np.array([float(i)]), 0.0) for i in range(6)]
+        m = CurveMap.from_serial(0, sols, [2.0 * i for i in range(6)])
+        monkeypatch.setattr(engine, "serial_solve", lambda *args: [m])
+        state = QueueEngine(make_builtin("linear1d"), crisfield(1.0),
+                            EngineConfig(delta_L=1.0, steps=1, **eng))
+        state.initialize()
+        job = state.pop()
+        assert (job.xi_lo, job.xi_hi, job.delta_L0) == (0.0, 0.2, 2.0)
+        n_queued = len(state.queue)
+        mid = SolutionPoint(np.array([0.5]), 0.1)
+        state.submit(job, IntervalResult(job.id, [2.0, 2.0], [mid, w_end]))
+        [record] = state.stats.records
+        children = list(state.queue)[n_queued:]
+        assert record.outcome == REFINED
+        assert record.children == len(children)
+        assert all(c.level == 2 for c in children)
+        return m, record, [(c.xi_lo, c.xi_hi, c.delta_L0) for c in children]
+
+    def test_fine_and_closing_children(self, monkeypatch):
+        # measured (4, |(1, 0.3)|, 0.3): lower error 0.48, upper 0.34
+        m, record, children = self._submit(monkeypatch)
+        closing = record.measured[2]
+        assert closing == pytest.approx(0.3)
+        lo, k1, k2, hi = m.xi_keys()[:4]
+        assert k1 == pytest.approx(0.2 * 2.0 / 4.3)
+        assert children == [(lo, k1, 2.0), (k1, k2, 2.0), (k2, hi, closing)]
+
+    def test_zero_closing_distance_suppresses_closing_child(self,
+                                                            monkeypatch):
+        # w_end is the map's point at 0.2: both errors refine, but the fine
+        # end-point is not stored, so only the fine subintervals are queued
+        m, record, children = self._submit(
+            monkeypatch, w_end=SolutionPoint(np.array([1.0]), 0.0))
+        assert record.measured == (4.0, 1.0, 0.0)
+        assert m.xi_keys()[:3] == [0.0, 0.1, 0.2]
+        assert children == [(0.0, 0.1, 2.0), (0.1, 0.2, 2.0)]
+
+    def test_lower_only_children(self, monkeypatch):
+        m, record, children = self._submit(monkeypatch, tol_upper=1e9)
+        lo, k1, k2 = m.xi_keys()[:3]
+        assert children == [(lo, k1, 2.0), (k1, k2, 2.0)]
+
+    def test_upper_only_children(self, monkeypatch):
+        m, record, children = self._submit(monkeypatch, tol_lower=1e9)
+        assert children == [(m.xi_keys()[2], 0.2, record.measured[2])]
+        assert children[0][2] == pytest.approx(0.3)
+
+    def test_no_children_at_max_level(self, monkeypatch):
+        # the stretch is still stored, both fine points with it
+        m, record, children = self._submit(monkeypatch, max_level=1)
+        assert children == [] and record.children == 0
+        assert len(m) == 8
+
+
 class TestAalm:
     def test_linear1d_point_count(self):
         # 5 serial points + one interior point per initial interval.
@@ -449,6 +514,10 @@ class TestEngineConfigValidation:
         {"delta_L": 1.0, "steps": 1, "subintervals": 1},
         {"delta_L": 1.0, "steps": 1, "tol_lower": 0.0},
         {"delta_L": 1.0, "steps": 1, "max_level": 0},
+        # a comparison with NaN is false, so each check must fail on it
+        *({"delta_L": 1.0, "steps": 1, field: value}
+          for field in ("delta_L", "tol_lower", "tol_upper")
+          for value in (math.nan, math.inf)),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
@@ -458,9 +527,10 @@ class TestEngineConfigValidation:
 class TestJob:
     @pytest.mark.parametrize("xi_lo,xi_hi,delta_L0,N", [
         (0.5, 0.5, 1.0, 2), (0.6, 0.5, 1.0, 2), (0.0, 1.0, 0.0, 2),
-        (0.0, 1.0, -1.0, 2), (0.0, 1.0, 1.0, 0),
+        (0.0, 1.0, -1.0, 2), (0.0, 1.0, 1.0, 0), (0.0, 1.0, math.nan, 2),
+        (0.0, 1.0, math.inf, 2),
     ], ids=["0.5-0.5-1.0", "0.6-0.5-1.0", "0.0-1.0-0.0", "0.0-1.0--1.0",
-            "N-0"])
+            "N-0", "0.0-1.0-nan", "0.0-1.0-inf"])
     def test_rejects_bad_interval(self, xi_lo, xi_hi, delta_L0, N):
         w = SolutionPoint(np.zeros(1), 0.0)
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,14 @@ class TestJacobians:
                        tridiagonal_fn=(lambda u, lam: ([0.0], [1.0, 1.0],
                                                        [0.0])) if tri
                        else None)
+
+    @pytest.mark.parametrize("load_norm_sq", [-1.0, math.nan, math.inf])
+    def test_load_norm_sq_non_negative_and_finite(self, load_norm_sq):
+        with pytest.raises(ValueError, match="load_norm_sq"):
+            ProblemDef(n_dof=1, residual_fn=lambda u, lam: u,
+                       jacobian_u_fn=lambda u, lam: np.eye(1),
+                       jacobian_lambda_fn=lambda u, lam: -np.ones(1),
+                       load_norm_sq=load_norm_sq)
 
     def test_tridiagonal_lengths_checked(self):
         p = ProblemDef(n_dof=3, residual_fn=lambda u, lam: u,

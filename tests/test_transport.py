@@ -197,6 +197,16 @@ class TestDecodeErrors:
         with pytest.raises(ProtocolError):
             decode(bytes(payload))
 
+    @pytest.mark.parametrize("flag", [2, 7, 255])
+    def test_w_prev_flag_other_than_0_or_1(self, flag):
+        # with a predecessor in the frame, the size fits any non-zero flag
+        payload = bytearray(encode(job(w_prev=pt(-1.0, lam=-0.5))))
+        head = list(_JOB.unpack_from(payload, 0))
+        head[8] = flag
+        _JOB.pack_into(payload, 0, *head)
+        with pytest.raises(ProtocolError, match="w_prev flag"):
+            decode(bytes(payload))
+
     @pytest.mark.parametrize("steps,error", [(1, "état"), (0, "")],
                              ids=["both", "neither"])
     def test_reply_with_points_and_error_or_neither(self, steps, error):

@@ -114,6 +114,31 @@ def test_near_singular_bordered_solve_matches_dense(constraint, seed):
     assert np.all(err <= 1e-8)
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("constraint", ["riks", "crisfield"])
+@pytest.mark.parametrize("seed", range(10))
+def test_near_singular_step_matches_dense(constraint, warm, seed):
+    """On the linear G = K u - lam 1 with near_singular's K, a step through
+    the tridiagonal path makes the dense path's Newton iterations and cuts
+    and lands on its point. The refinement step is what keeps it there:
+    without it, 16 of these 40 steps take a second Newton iteration and
+    the points differ by up to 1.5e-9 of max(|u|, |lam|)."""
+    p0, rng = near_singular(seed)
+    n = p0.n_dof
+    tri = p0.tridiagonal(SolutionPoint(np.zeros(n), 0.0))
+    p = replace(p0, residual_fn=lambda u, lam:
+                tridiagonal.matvec(*tri, u) - lam)
+    w0 = SolutionPoint(1e-3 * rng.normal(size=n), 0.0)
+    dw0 = 0.1 * rng.normal(size=n + 1) if warm else None
+    cfg = AlmConfig(constraint=constraint, psi=1.0, newton_tol=1e-10)
+    a = alm.step(p, cfg, w0, dw0, 0.05)
+    b = alm.step(as_dense(p), cfg, w0, dw0, 0.05)
+    assert (a.iterations, a.cuts_used) == (b.iterations, b.cuts_used)
+    scale = max(np.max(np.abs(b.w_new.u)), abs(b.w_new.lam))
+    assert np.max(np.abs(a.w_new.u - b.w_new.u)) <= 1e-10 * scale
+    assert abs(a.w_new.lam - b.w_new.lam) <= 1e-10 * scale
+
+
 CRISFIELD = AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-10)
 RUNS = {
     "n16": (16, EngineConfig(delta_L=0.4, steps=32, tol_lower=1e-3,
