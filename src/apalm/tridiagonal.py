@@ -1,47 +1,81 @@
-"""O(n) linear algebra for a tridiagonal K, on Python floats.
+"""O(n) linear algebra for a tridiagonal K.
 
 A problem may give its tangent stiffness K by its three diagonals (sub,
 diag, sup) instead of as a dense matrix; `alm` then factors, solves and
 counts inertia here instead of calling LAPACK on the assembled matrix.
-`factor` and `solve` are the Gaussian elimination with partial pivoting of
-LAPACK's dgtsv, which is backward stable for any nonsingular tridiagonal
-matrix; `ldl_inertia` counts signs of the LDL^T pivots of a symmetric one.
-The loops run over Python lists: a float in a list costs a fraction of a
-numpy scalar to combine, and numpy has no tridiagonal solver.
+`factor` and `solve` are LAPACK's dgttrf and dgttrs, Gaussian elimination
+with partial pivoting, which is backward stable for any nonsingular
+tridiagonal matrix; `ldl_inertia` counts signs of the LDL^T pivots of a
+symmetric one.
+
+The OpenBLAS that numpy's linalg extension links exports dgttrf and
+dgttrs, as the ILP64 symbols scipy_dgttrf_64_ and scipy_dgttrs_64_;
+`factor` and `solve` call them through ctypes, and scipy is never
+imported. Where that library exports no such symbols (Windows, Accelerate
+or MKL builds of numpy), `factor` and `solve` are `reference_factor` and
+`reference_solve`: the same elimination, operation for operation, on
+Python floats, which returns the same bits. The tests compare the two
+paths bitwise.
 """
 
 from __future__ import annotations
 
+import ctypes
 from typing import NamedTuple
 
 import numpy as np
 
 
 class Factor(NamedTuple):
-    """P K = L U from `factor`: U's diagonal d, first and second
-    superdiagonals du and du2 (du2 is the fill-in of row interchanges), and
-    for each elimination step i its multiplier and whether rows i and i+1
-    were interchanged."""
+    """P K = L U from `factor`, as dgttrf documents it: dl holds the n - 1
+    multipliers of L, d, du and du2 the diagonal and the first and second
+    superdiagonals of U (du2, of length n - 2, is the fill-in of row
+    interchanges), and ipiv[i] (int64, 1-based) the pivot row of step i:
+    i + 1 where row i kept its place, i + 2 where rows i and i + 1 were
+    interchanged."""
 
-    d: list
-    du: list
-    du2: list
-    mult: list
-    swap: list
+    dl: np.ndarray
+    d: np.ndarray
+    du: np.ndarray
+    du2: np.ndarray
+    ipiv: np.ndarray
 
 
-def factor(sub, diag, sup) -> Factor:
+def _diagonals(sub, diag, sup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float64 copies of the three diagonals, checked for lengths n - 1, n
+    and n - 1 with n >= 1; dgttrf overwrites what it is given, and a caller
+    may pass one array as both sub and sup."""
+    dl = np.array(sub, dtype=float)
+    d = np.array(diag, dtype=float)
+    du = np.array(sup, dtype=float)
+    n = d.size
+    if d.shape != (n,) or n == 0 or dl.shape != (n - 1,) \
+            or du.shape != (n - 1,):
+        raise ValueError("tridiagonal K needs diagonals of lengths "
+                         "n - 1, n and n - 1, n >= 1")
+    return dl, d, du
+
+
+def _rhs(lu: Factor, b) -> np.ndarray:
+    """A float64 copy of b, checked to have K's n entries."""
+    x = np.array(b, dtype=float)
+    if x.shape != lu.d.shape:
+        raise ValueError(f"right-hand side of shape {x.shape}, "
+                         f"expected {lu.d.shape}")
+    return x
+
+
+def reference_factor(sub, diag, sup) -> Factor:
     """Factor the tridiagonal matrix with diagonals sub, diag and sup
     (lengths n - 1, n, n - 1); raises np.linalg.LinAlgError on a zero
-    pivot, where the matrix is exactly singular."""
-    d = np.asarray(diag, dtype=float).tolist()
-    dl = np.asarray(sub, dtype=float).tolist()
-    du = np.asarray(sup, dtype=float).tolist()
-    du.append(0.0)
+    pivot, where the matrix is exactly singular. This is dgttrf step for
+    step on Python floats, where a float in a list costs a fraction of a
+    numpy scalar to combine."""
+    dl, d, du = (a.tolist() for a in _diagonals(sub, diag, sup))
     n = len(d)
+    du.append(0.0)
     du2 = [0.0] * n
-    mult = [0.0] * n
-    swap = [False] * n
+    ipiv = list(range(1, n + 1))
     for i in range(n - 1):
         di, li = d[i], dl[i]
         if abs(di) >= abs(li):
@@ -52,39 +86,106 @@ def factor(sub, diag, sup) -> Factor:
         else:
             # interchange rows i and i+1; row i gains the entry du2[i]
             f = di / li
-            swap[i] = True
+            ipiv[i] = i + 2
             d[i] = li
             t = d[i + 1]
             d[i + 1] = du[i] - f * t
             du2[i] = du[i + 1]
             du[i + 1] = -f * du2[i]
             du[i] = t
-        mult[i] = f
+        dl[i] = f
     if d[n - 1] == 0.0:
         raise np.linalg.LinAlgError("zero pivot")
-    return Factor(d, du, du2, mult, swap)
+    return Factor(np.array(dl, dtype=float), np.array(d, dtype=float),
+                  np.array(du[:-1], dtype=float),
+                  np.array(du2[:max(n - 2, 0)], dtype=float),
+                  np.array(ipiv, dtype=np.int64))
 
 
-def solve(lu: Factor, b) -> np.ndarray:
-    """The solution x of K x = b, for K factored by `factor`."""
-    d, du, du2, mult, swap = lu
+def reference_solve(lu: Factor, b) -> np.ndarray:
+    """The solution x of K x = b, for K factored by `factor`: dgttrs with
+    one right-hand side, step for step on Python floats."""
+    x = _rhs(lu, b).tolist()
+    dl, d, du, du2, ipiv = (a.tolist() for a in lu)
     n = len(d)
-    x = np.asarray(b, dtype=float).tolist()
-    for i in range(n - 1):  # L^-1 P b
-        if swap[i]:
-            xi = x[i]
-            x[i] = x[i + 1]
-            x[i + 1] = xi - mult[i] * x[i + 1]
+    xi = x[0]  # L^-1 P b: step i - 1 settles row i - 1 and updates row i
+    for i, l, p in zip(range(1, n), dl, ipiv):
+        xn = x[i]
+        if p == i:
+            x[i - 1] = xi
+            xi = xn - l * xi
         else:
-            x[i + 1] -= mult[i] * x[i]
-    x1 = x[n - 1] / d[n - 1]  # U^-1, carrying x[i+1] and x[i+2]
-    x[n - 1] = x1
-    x2 = 0.0
-    for i in range(n - 2, -1, -1):
+            x[i - 1] = xn
+            xi = xi - l * xn
+    x1 = x[n - 1] = xi / d[n - 1]  # U^-1, carrying x[i+1] and x[i+2]
+    if n > 1:
+        x2, x1 = x1, (x[n - 2] - du[n - 2] * x1) / d[n - 2]
+        x[n - 2] = x1
+    for i in range(n - 3, -1, -1):
         xi = (x[i] - du[i] * x1 - du2[i] * x2) / d[i]
         x[i] = xi
         x2, x1 = x1, xi
-    return np.array(x)
+    return np.array(x, dtype=float)
+
+
+def _load_lapack():
+    """(dgttrf, dgttrs) from the LAPACK that numpy's linalg extension
+    links, or None where it exports no ILP64 scipy-openblas symbols."""
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        dgttrf, dgttrs = lib.scipy_dgttrf_64_, lib.scipy_dgttrs_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    ptr = ctypes.c_void_p
+    # N, DL, D, DU, DU2, IPIV, INFO
+    dgttrf.argtypes = [ptr] * 7
+    dgttrf.restype = None
+    # TRANS, N, NRHS, DL, D, DU, DU2, IPIV, B, LDB, INFO, and the hidden
+    # length of the character argument TRANS
+    dgttrs.argtypes = [ptr] * 11 + [ctypes.c_size_t]
+    dgttrs.restype = None
+    return dgttrf, dgttrs
+
+
+_DGTTRF, _DGTTRS = _load_lapack() or (None, None)
+# the address of an array's data, also for an empty one; ctypes keeps the
+# array alive for the call, and is given only arrays made here, which are
+# writable, C-contiguous and of the dtype LAPACK expects
+_data = (ctypes.c_char * 0).from_buffer
+
+
+def _int(value: int = 0):
+    """A reference to a LAPACK INTEGER, an int64 in the ILP64 interface."""
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+def lapack_factor(sub, diag, sup) -> Factor:
+    """`reference_factor` through LAPACK's dgttrf, on copies of the
+    diagonals."""
+    dl, d, du = _diagonals(sub, diag, sup)
+    n = d.size
+    du2 = np.empty(max(n - 2, 0))
+    ipiv = np.empty(n, dtype=np.int64)
+    info = ctypes.c_int64()
+    _DGTTRF(_int(n), _data(dl), _data(d), _data(du), _data(du2),
+            _data(ipiv), ctypes.byref(info))
+    if info.value:
+        raise np.linalg.LinAlgError("zero pivot")
+    return Factor(dl, d, du, du2, ipiv)
+
+
+def lapack_solve(lu: Factor, b) -> np.ndarray:
+    """`reference_solve` through LAPACK's dgttrs."""
+    x = _rhs(lu, b)
+    n = _int(x.size)
+    # Factor's fields are dgttrs' DL, D, DU, DU2 and IPIV, in that order
+    _DGTTRS(b"N", n, _int(1), *map(_data, lu), _data(x), n, _int(), 1)
+    return x
+
+
+factor, solve = ((reference_factor, reference_solve) if _DGTTRF is None
+                 else (lapack_factor, lapack_solve))
 
 
 def matvec(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from apalm import alm, engine
+from apalm import alm, engine, tridiagonal
 from apalm import io as apio
 from apalm.alm import AlmConfig
 from apalm.curvemap import CurveMap
@@ -720,6 +720,32 @@ def test_records_and_summary_match_aalm_bitwise(run, tmp_path):
         assert record_bits(state) == record_bits(ref)
         assert summary_without_timings(
             state, tmp_path / f"{transport}.json") == ref_summary
+
+
+KERNEL_RUNS = {
+    # the acceptance suite's scaling chain, without its synthetic delay
+    "chain-n64": (make_builtin("springchain", n=64), crisfield(1.0, tol=1e-10),
+                  EngineConfig(delta_L=0.4, steps=64, tol_lower=1e-2,
+                               tol_upper=1e-2, max_level=3)),
+    "riks-chain": PARITY_RUNS["riks-chain"],
+}
+
+
+@pytest.mark.skipif(tridiagonal.factor is tridiagonal.reference_factor,
+                    reason="numpy's LAPACK exports no dgttrf/dgttrs")
+@pytest.mark.parametrize("run", sorted(KERNEL_RUNS))
+def test_tridiagonal_kernels_move_no_bit(run, monkeypatch):
+    """A run through LAPACK's dgttrf/dgttrs and one through the Python
+    reference elimination give the same rows and records, bit for bit, so
+    which path a platform's numpy allows never moves an output bit."""
+    p, cfg, eng = KERNEL_RUNS[run]
+    state = aalm(p, cfg, eng)
+    monkeypatch.setattr(tridiagonal, "factor", tridiagonal.reference_factor)
+    monkeypatch.setattr(tridiagonal, "solve", tridiagonal.reference_solve)
+    ref = aalm(p, cfg, eng)
+    assert state.stats.jobs_done == ref.stats.jobs_done > 0
+    assert row_bits(state.collect()) == row_bits(ref.collect())
+    assert record_bits(state) == record_bits(ref)
 
 
 @pytest.mark.parametrize("run", ["cubic1d", "riks-chain"])

@@ -1,7 +1,9 @@
 """The tridiagonal path of the arc-length layer: the O(n) kernels against
-numpy's dense LAPACK calls, the bordered solve near a singular K, and whole
-runs of springchain against the same problem with a dense K."""
+numpy's dense LAPACK calls, and LAPACK's dgttrf/dgttrs against the Python
+reference elimination, bit for bit; the bordered solve near a singular K;
+and whole runs of springchain against the same problem with a dense K."""
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -29,15 +31,36 @@ def dense(sub, diag, sup):
     return np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
 
 
+def random_tridiagonal(seed):
+    """(sub, diag, sup, b) with n in [1, 40); a small diagonal forces row
+    interchanges in about half the steps."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    sub, sup = rng.normal(size=n - 1), rng.normal(size=n - 1)
+    diag = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3])
+    return sub, diag, sup, rng.normal(size=n)
+
+
+def small_tridiagonal(n):
+    """An n x n case with an interchange at every step: |sub| > |diag|."""
+    sub = np.arange(1.0, n) + 2.0
+    sup = -0.5 * np.arange(1.0, n)
+    diag = 0.25 * np.arange(1.0, n + 1)
+    return sub, diag, sup, np.linspace(-1.0, 1.0, n)
+
+
+LAPACK = pytest.mark.skipif(tridiagonal.factor is tridiagonal.reference_factor,
+                            reason="numpy's LAPACK exports no dgttrf/dgttrs")
+PATHS = [pytest.param((tridiagonal.lapack_factor, tridiagonal.lapack_solve),
+                      id="lapack", marks=LAPACK),
+         pytest.param((tridiagonal.reference_factor,
+                       tridiagonal.reference_solve), id="reference")]
+
+
 class TestKernels:
     @pytest.mark.parametrize("seed", range(20))
     def test_solve_matches_lapack(self, seed):
-        # a small diagonal forces row interchanges in about half the steps
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 40))
-        sub, sup = rng.normal(size=n - 1), rng.normal(size=n - 1)
-        diag = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3])
-        b = rng.normal(size=n)
+        sub, diag, sup, b = random_tridiagonal(seed)
         x = tridiagonal.solve(tridiagonal.factor(sub, diag, sup), b)
         K = dense(sub, diag, sup)
         ref = np.linalg.solve(K, b)
@@ -45,19 +68,106 @@ class TestKernels:
         assert np.max(np.abs(x - ref)) <= 1e-14 * cond * np.max(np.abs(ref))
         assert np.allclose(tridiagonal.matvec(sub, diag, sup, x), K @ x)
 
+    @LAPACK
+    @pytest.mark.parametrize("case", [f"seed{s}" for s in range(20)]
+                             + ["n1", "n2", "n3"])
+    def test_lapack_and_reference_agree_bitwise(self, case):
+        """dgttrf/dgttrs and the Python elimination give the same five
+        factor arrays and the same solution, bit for bit, and each path
+        solves with the other's factor."""
+        if case.startswith("seed"):
+            sub, diag, sup, b = random_tridiagonal(int(case[4:]))
+        else:
+            sub, diag, sup, b = small_tridiagonal(int(case[1:]))
+        lu = tridiagonal.lapack_factor(sub, diag, sup)
+        ref = tridiagonal.reference_factor(sub, diag, sup)
+        n = len(diag)
+        assert [a.shape for a in ref] == [(n - 1,), (n,), (n - 1,),
+                                          (max(n - 2, 0),), (n,)]
+        for a, r in zip(lu, ref):
+            assert (a.dtype, a.shape, a.tobytes()) == \
+                (r.dtype, r.shape, r.tobytes())
+        x = tridiagonal.lapack_solve(lu, b)
+        assert x.tobytes() == tridiagonal.reference_solve(ref, b).tobytes()
+        assert x.tobytes() == tridiagonal.reference_solve(lu, b).tobytes()
+        assert x.tobytes() == tridiagonal.lapack_solve(ref, b).tobytes()
+
+    def test_cases_take_both_branches(self):
+        """The parity cases interchange rows at some steps and not at
+        others."""
+        swaps, steps = 0, 0
+        for seed in range(20):
+            sub, diag, sup, _ = random_tridiagonal(seed)
+            ipiv = tridiagonal.reference_factor(sub, diag, sup).ipiv[:-1]
+            swaps += int(np.sum(ipiv != np.arange(1, len(ipiv) + 1)))
+            steps += len(ipiv)
+        assert 0.2 * steps < swaps < 0.8 * steps
+        lu = tridiagonal.reference_factor(*small_tridiagonal(3)[:3])
+        assert lu.ipiv.tolist() == [2, 3, 3]
+
     @pytest.mark.parametrize("sub,diag,sup", [
         ([], [0.0], []),
         ([1.0], [1.0, 1.0], [1.0]),
         ([0.0, 0.0], [1.0, 0.0, 2.0], [0.0, 0.0]),
     ])
     def test_zero_pivot_raises(self, sub, diag, sup):
-        with pytest.raises(np.linalg.LinAlgError):
-            tridiagonal.factor(sub, diag, sup)
+        for factor in {tridiagonal.factor, tridiagonal.reference_factor}:
+            with pytest.raises(np.linalg.LinAlgError):
+                factor(sub, diag, sup)
+
+    @pytest.mark.parametrize("kernels", PATHS)
+    def test_diagonals_left_unchanged(self, kernels):
+        # springchain passes one off-diagonal array as both sub and sup
+        n = 8
+        off = np.full(n - 1, -0.5)
+        diag = np.linspace(-2.0, 2.0, n) + 0.1
+        keep = off.copy(), diag.copy()
+        lu = kernels[0](off, diag, off)
+        assert off.tobytes() == keep[0].tobytes()
+        assert diag.tobytes() == keep[1].tobytes()
+        b = np.ones(n)
+        x = kernels[1](lu, b)
+        assert b.tobytes() == np.ones(n).tobytes()
+        assert np.allclose(tridiagonal.matvec(off, diag, off, x), b)
+
+    @pytest.mark.parametrize("kernels", PATHS)
+    def test_bad_lengths_refused(self, kernels):
+        factor, solve = kernels
+        with pytest.raises(ValueError):
+            factor([1.0], [1.0, 2.0], [])
+        with pytest.raises(ValueError):
+            factor([], [], [])
+        lu = factor([1.0], [3.0, 2.0], [1.0])
+        with pytest.raises(ValueError):
+            solve(lu, [1.0, 2.0, 3.0])
 
     def test_zero_pivot_reads_singular(self):
         # eigenvalues +-1, but the first LDL^T pivot is 0
         assert tridiagonal.ldl_inertia(np.array([1.0]),
                                        np.array([0.0, 0.0])) == (0, 1)
+
+
+def test_lapack_kernels_found_where_numpy_links_ilp64_openblas():
+    """Where numpy links the ILP64 scipy-openblas (the manylinux wheels),
+    factor and solve are LAPACK's: a numpy that renamed the symbols would
+    otherwise leave every chain run on the reference path, about 2.4x
+    slower, and no other test would fail."""
+    lapack = np.show_config(mode="dicts")["Build Dependencies"].get(
+        "lapack", {})
+    if lapack.get("name") != "scipy-openblas" or "USE64BITINT" not in \
+            lapack.get("openblas configuration", ""):
+        pytest.skip("numpy does not link the ILP64 scipy-openblas")
+    assert tridiagonal.factor is tridiagonal.lapack_factor
+    assert tridiagonal.solve is tridiagonal.lapack_solve
+
+
+def test_library_without_symbols_leaves_the_reference_path(monkeypatch):
+    class NoSymbols:
+        def __init__(self, path):
+            pass
+
+    monkeypatch.setattr(ctypes, "CDLL", NoSymbols)
+    assert tridiagonal._load_lapack() is None
 
 
 def near_singular(seed, n=24):
