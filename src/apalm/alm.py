@@ -167,6 +167,8 @@ def _bordered_solve(problem: ProblemDef, w: SolutionPoint, rhs: np.ndarray,
     digits in proportion to K's condition number; one refinement step with
     the same factor wins them back (Govaerts 2000). A column with b = 0 has
     no such cancellation and needs neither its K-solve nor the refinement.
+    The K-solves share two calls: dG/dlam with every column whose b is not
+    0, then the refinement residuals of those columns.
     """
     tri = problem.tridiagonal(w)
     if tri is None:
@@ -180,32 +182,48 @@ def _bordered_solve(problem: ProblemDef, w: SolutionPoint, rhs: np.ndarray,
         return np.linalg.solve(M, rhs)
     lu = tridiagonal.factor(*tri)
     g = problem.jacobian_lambda(w)
-    y_g = tridiagonal.solve(lu, g)
+    cols = rhs.reshape(rhs.shape[0], -1)
+    loaded = [j for j in range(cols.shape[1]) if cols[:-1, j].any()]
+    y = tridiagonal.solve(lu, [g, *(cols[:-1, j] for j in loaded)])
+    y_g = y[0]
     s = corner - float(row @ y_g)
     if s == 0.0:
         raise np.linalg.LinAlgError("zero Schur complement")
-
-    def eliminate(col: np.ndarray) -> np.ndarray:
-        b, beta = col[:-1], col.item(-1)
-        y = tridiagonal.solve(lu, b) if b.any() else np.zeros_like(b)
-        xi = (beta - float(row @ y)) / s
-        return np.append(y - xi * y_g, xi)
-
-    def residual(col: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """col - [[K, dG/dlam], [row, corner]] x."""
-        r = np.empty_like(col)
-        r[:-1] = col[:-1] - tridiagonal.matvec(*tri, x[:-1]) - g * x.item(-1)
-        r[-1] = col.item(-1) - float(row @ x[:-1]) - corner * x.item(-1)
-        return r
-
-    cols = rhs.reshape(rhs.shape[0], -1)
     x = np.empty_like(cols)
-    for j in range(cols.shape[1]):
-        col = cols[:, j]
-        x[:, j] = eliminate(col)
-        if col[:-1].any():
-            x[:, j] += eliminate(residual(col, x[:, j]))
+    _eliminate(x, cols, dict(zip(loaded, y[1:])), row, y_g, s)
+    if loaded:
+        # col - [[K, dG/dlam], [row, corner]] x, for the loaded columns
+        r = np.empty((cols.shape[0], len(loaded)))
+        for i, j in enumerate(loaded):
+            xj = x[:, j]
+            r[:-1, i] = (cols[:-1, j] - tridiagonal.matvec(*tri, xj[:-1])
+                         - g * xj.item(-1))
+            r[-1, i] = (cols.item(-1, j) - float(row @ xj[:-1])
+                        - corner * xj.item(-1))
+        again = [i for i in range(len(loaded)) if r[:-1, i].any()]
+        z = tridiagonal.solve(lu, [r[:-1, i] for i in again]) if again else ()
+        dx = np.empty_like(r)
+        _eliminate(dx, r, dict(zip(again, z)), row, y_g, s)
+        for i, j in enumerate(loaded):
+            x[:, j] += dx[:, i]
     return x.reshape(rhs.shape)
+
+
+def _eliminate(out: np.ndarray, cols: np.ndarray, y: dict, row: np.ndarray,
+               y_g: np.ndarray, s: float) -> None:
+    """Write into each column j of out the solution (y_j - xi y_g, xi),
+    xi = (beta - row.y_j) / s, of the bordered column [b; beta] of cols,
+    where y maps each j with b != 0 to y_j = K^-1 b; y_j = 0 for the rest,
+    whose row.y_j is 0."""
+    for j in range(cols.shape[1]):
+        beta = cols.item(-1, j)
+        yj = y.get(j)
+        if yj is None:
+            yj, xi = 0.0, beta / s
+        else:
+            xi = (beta - float(row @ yj)) / s
+        np.subtract(yj, xi * y_g, out=out[:-1, j])
+        out[-1, j] = xi
 
 
 def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,

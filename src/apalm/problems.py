@@ -187,12 +187,18 @@ def _springchain(n: int = 8, c: float = 0.5) -> ProblemDef:
         raise ValueError("springchain needs n >= 1")
 
     def residual(u, lam):
-        g = u**3 - 3.0 * u + 2.0 * c * u - lam
+        # u * u * u, not u**3: numpy computes u**3 through libm's pow,
+        # element by element, at about ten times the cost
+        g = u * u * u - 3.0 * u + 2.0 * c * u - lam
         g[:-1] -= c * u[1:]
         g[1:] -= c * u[:-1]
         return g
 
     off = np.full(n - 1, -c)
+    # dG/dlam, the same for every point: one shared array, read-only so no
+    # caller can change it for the others
+    load = np.full(n, -1.0)
+    load.flags.writeable = False
 
     def tridiagonal(u, lam):
         return off, 3.0 * u**2 - 3.0 + 2.0 * c, off
@@ -201,7 +207,7 @@ def _springchain(n: int = 8, c: float = 0.5) -> ProblemDef:
         n_dof=n,
         residual_fn=residual,
         jacobian_u_fn=None,
-        jacobian_lambda_fn=lambda u, lam: -np.ones(n),
+        jacobian_lambda_fn=lambda u, lam: load,
         load_norm_sq=float(n),
         name=f"springchain({n})",
         tridiagonal_fn=tridiagonal,

@@ -57,11 +57,13 @@ def _diagonals(sub, diag, sup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _rhs(lu: Factor, b) -> np.ndarray:
-    """A float64 copy of b, checked to have K's n entries."""
-    x = np.array(b, dtype=float)
-    if x.shape != lu.d.shape:
+    """A C-ordered float64 copy of b, checked to be K's n entries or k
+    right-hand sides of n entries each, as the rows of a (k, n) array."""
+    x = np.array(b, dtype=float, order="C")
+    n = lu.d.size
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
         raise ValueError(f"right-hand side of shape {x.shape}, "
-                         f"expected {lu.d.shape}")
+                         f"expected ({n},) or (k, {n})")
     return x
 
 
@@ -103,29 +105,32 @@ def reference_factor(sub, diag, sup) -> Factor:
 
 
 def reference_solve(lu: Factor, b) -> np.ndarray:
-    """The solution x of K x = b, for K factored by `factor`: dgttrs with
-    one right-hand side, step for step on Python floats."""
-    x = _rhs(lu, b).tolist()
+    """The solution x of K x = b, for K factored by `factor` and b one
+    right-hand side or k of them as the rows of a (k, n) array: dgttrs,
+    step for step on Python floats."""
+    xs = _rhs(lu, b)
     dl, d, du, du2, ipiv = (a.tolist() for a in lu)
     n = len(d)
-    xi = x[0]  # L^-1 P b: step i - 1 settles row i - 1 and updates row i
-    for i, l, p in zip(range(1, n), dl, ipiv):
-        xn = x[i]
-        if p == i:
-            x[i - 1] = xi
-            xi = xn - l * xi
-        else:
-            x[i - 1] = xn
-            xi = xi - l * xn
-    x1 = x[n - 1] = xi / d[n - 1]  # U^-1, carrying x[i+1] and x[i+2]
-    if n > 1:
-        x2, x1 = x1, (x[n - 2] - du[n - 2] * x1) / d[n - 2]
-        x[n - 2] = x1
-    for i in range(n - 3, -1, -1):
-        xi = (x[i] - du[i] * x1 - du2[i] * x2) / d[i]
-        x[i] = xi
-        x2, x1 = x1, xi
-    return np.array(x, dtype=float)
+    rows = xs.reshape(-1, n).tolist()
+    for x in rows:
+        xi = x[0]  # L^-1 P b: step i - 1 settles row i - 1 and updates row i
+        for i, l, p in zip(range(1, n), dl, ipiv):
+            xn = x[i]
+            if p == i:
+                x[i - 1] = xi
+                xi = xn - l * xi
+            else:
+                x[i - 1] = xn
+                xi = xi - l * xn
+        x1 = x[n - 1] = xi / d[n - 1]  # U^-1, carrying x[i+1] and x[i+2]
+        if n > 1:
+            x2, x1 = x1, (x[n - 2] - du[n - 2] * x1) / d[n - 2]
+            x[n - 2] = x1
+        for i in range(n - 3, -1, -1):
+            xi = (x[i] - du[i] * x1 - du2[i] * x2) / d[i]
+            x[i] = xi
+            x2, x1 = x1, xi
+    return np.array(rows, dtype=float).reshape(xs.shape)
 
 
 def _load_lapack():
@@ -176,11 +181,14 @@ def lapack_factor(sub, diag, sup) -> Factor:
 
 
 def lapack_solve(lu: Factor, b) -> np.ndarray:
-    """`reference_solve` through LAPACK's dgttrs."""
+    """`reference_solve` through LAPACK's dgttrs, in one call for all the
+    right-hand sides: the rows of a C-ordered (k, n) array are the columns
+    of dgttrs' B with LDB = n."""
     x = _rhs(lu, b)
-    n = _int(x.size)
+    n = _int(lu.d.size)
+    nrhs = 1 if x.ndim == 1 else x.shape[0]
     # Factor's fields are dgttrs' DL, D, DU, DU2 and IPIV, in that order
-    _DGTTRS(b"N", n, _int(1), *map(_data, lu), _data(x), n, _int(), 1)
+    _DGTTRS(b"N", n, _int(nrhs), *map(_data, lu), _data(x), n, _int(), 1)
     return x
 
 

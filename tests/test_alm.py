@@ -217,15 +217,21 @@ class TestBorderedSolve:
     def test_one_solve_per_newton_iteration(self, constraint, monkeypatch):
         # a cold step: one bordered solve for the tangent predictor, then
         # one per Newton iteration; counted as factorizations of
-        # springchain's tridiagonal K, and as LAPACK solves of its dense K
+        # springchain's tridiagonal K, and as LAPACK solves of its dense K.
+        # A tridiagonal factor is solved with once for the predictor (dG/dlam
+        # alone) and twice per iteration: dG/dlam with -G, then -G's
+        # refinement residual
         tri = make_builtin("springchain", n=6)
         factors = counting(monkeypatch, tridiagonal, "factor")
+        tri_solves = counting(monkeypatch, tridiagonal, "solve")
         solves = counting(monkeypatch, np.linalg, "solve")
         cfg = AlmConfig(constraint=constraint, psi=1.0, newton_tol=1e-11)
         for p, calls in ((tri, factors), (as_dense(tri), solves)):
             res = step(p, cfg, SolutionPoint(np.zeros(6), 0.0), None, 0.3)
             assert res.cuts_used == 0 and res.iterations >= 2
             assert len(calls) == 1 + res.iterations
+            if p is tri:
+                assert len(tri_solves) == 1 + 2 * res.iterations
         assert len(factors) == len(solves)
 
 

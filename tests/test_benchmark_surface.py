@@ -1,7 +1,8 @@
 """What the benchmark in perfbench/ uses of the program: every workload's
 configuration parses, and the tracer finds every name it wraps. A change
 that removes a config key or a traced name fails here, not only in a
-benchmark run. These tests read perfbench/ and change nothing in it."""
+benchmark run. The work of one chain-serial run is pinned as exact counts.
+These tests read perfbench/ and change nothing in it."""
 
 import json
 import os
@@ -11,12 +12,15 @@ import sys
 
 import pytest
 
+from apalm import alm, tridiagonal
 from apalm.config import parse_config
+from apalm.engine import aalm
+from apalm.problems import make_builtin
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
-WORKLOADS = runpy.run_path(os.path.join(PERFBENCH, "workloads.py"))[
-    "WORKLOADS"]
+_workloads = runpy.run_path(os.path.join(PERFBENCH, "workloads.py"))
+WORKLOADS, seeded_config = _workloads["WORKLOADS"], _workloads["seeded_config"]
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -33,3 +37,35 @@ def test_tracer_installs(tmp_path):
         [sys.executable, "-c", code, str(tmp_path / "spool")], env=env,
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_chain_serial_work_counts(monkeypatch):
+    """The work of chain-serial seed 1, as exact counts that, unlike its
+    timings, do not depend on the host: Newton iterations, jobs, and the
+    factors and solves of springchain's tridiagonal K (one factor per
+    iteration and per cold predictor; two solves per iteration, one per
+    predictor)."""
+    cfg = parse_config(json.dumps(
+        seeded_config("chain-serial", 1)))
+    counts = {"iterations": 0, "factor": 0, "solve": 0}
+    step = alm.step
+
+    def counted_step(*args):
+        result = step(*args)
+        counts["iterations"] += result.iterations
+        return result
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(alm, "step", counted_step)
+    for name in ("factor", "solve"):
+        monkeypatch.setattr(tridiagonal, name,
+                            counted(name, getattr(tridiagonal, name)))
+    state = aalm(make_builtin(cfg.problem_name, **cfg.problem_params),
+                 cfg.alm, cfg.engine)
+    assert (counts["iterations"], state.stats.jobs_done, counts["factor"],
+            counts["solve"]) == (882, 140, 884, 1766)

@@ -144,6 +144,16 @@ class TestMakeBuiltin:
         # tridiagonal: anything further off the diagonal is zero
         assert K[0, 2] == 0.0 and K[4, 1] == 0.0
 
+    def test_springchain_load_is_one_shared_read_only_array(self):
+        p = make_builtin("springchain", n=5)
+        a = p.jacobian_lambda(SolutionPoint(np.zeros(5), 0.0))
+        b = p.jacobian_lambda(SolutionPoint(np.ones(5), 2.0))
+        assert a.tolist() == [-1.0] * 5
+        assert np.shares_memory(a, b)
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+        assert b.tolist() == [-1.0] * 5
+
 
 def _fd_residual_u(p, w, h=1e-6):
     """Central-difference d/du of the residual: the independent oracle."""

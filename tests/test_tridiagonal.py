@@ -92,6 +92,29 @@ class TestKernels:
         assert x.tobytes() == tridiagonal.reference_solve(lu, b).tobytes()
         assert x.tobytes() == tridiagonal.lapack_solve(ref, b).tobytes()
 
+    @pytest.mark.parametrize("kernels", PATHS)
+    @pytest.mark.parametrize("case", [f"seed{s}" for s in range(20)]
+                             + ["n1", "n2", "n3"])
+    def test_rows_solve_as_one_row_each(self, kernels, case):
+        """k right-hand sides as the rows of a (k, n) array, solved in one
+        call, give the k one-row solutions bit for bit."""
+        factor, solve = kernels
+        if case.startswith("seed"):
+            sub, diag, sup, b = random_tridiagonal(int(case[4:]))
+        else:
+            sub, diag, sup, b = small_tridiagonal(int(case[1:]))
+        lu = factor(sub, diag, sup)
+        rows = np.vstack([b, np.random.default_rng(len(b)).normal(
+            size=(2, len(b)))])
+        for k in (1, 2, 3):
+            x = solve(lu, rows[:k])
+            assert x.shape == (k, len(diag))
+            for xi, bi in zip(x, rows[:k]):
+                assert xi.tobytes() == solve(lu, bi).tobytes()
+        # a transposed (Fortran-ordered) view holds the same rows
+        assert solve(lu, rows.T.copy().T).tobytes() == \
+            solve(lu, rows).tobytes()
+
     def test_cases_take_both_branches(self):
         """The parity cases interchange rows at some steps and not at
         others."""
@@ -131,15 +154,19 @@ class TestKernels:
         assert np.allclose(tridiagonal.matvec(off, diag, off, x), b)
 
     @pytest.mark.parametrize("kernels", PATHS)
-    def test_bad_lengths_refused(self, kernels):
+    def test_bad_lengths_refused(self, kernels, monkeypatch):
         factor, solve = kernels
         with pytest.raises(ValueError):
             factor([1.0], [1.0, 2.0], [])
         with pytest.raises(ValueError):
             factor([], [], [])
         lu = factor([1.0], [3.0, 2.0], [1.0])
-        with pytest.raises(ValueError):
-            solve(lu, [1.0, 2.0, 3.0])
+        # refused before dgttrs is reached: calling None raises TypeError
+        monkeypatch.setattr(tridiagonal, "_DGTTRS", None)
+        for b in ([1.0, 2.0, 3.0], np.ones((2, 3)), np.ones((1, 2, 2)),
+                  np.ones((2, 1))):
+            with pytest.raises(ValueError):
+                solve(lu, b)
 
     def test_zero_pivot_reads_singular(self):
         # eigenvalues +-1, but the first LDL^T pivot is 0
