@@ -1,5 +1,5 @@
 """Serial initialization, interval solving, error marking, and the queue
-driver for adaptive arc-length continuation.
+bookkeeping for adaptive arc-length continuation.
 
 The manager owns all maps and the queue; solve_interval is pure and is the
 only part executed concurrently by the parallel runtime.
@@ -367,15 +367,6 @@ class QueueEngine:
         for m in self.maps.values():
             m.validate_monotone()
 
-    def run_serial_queue(self) -> None:
-        t0 = time.perf_counter()
-        while self.queue:
-            job = self.pop()
-            result = solve_interval(self.problem, self.config, job)
-            self.submit(job, result)
-        self.validate_maps()
-        self.stats.queue_time = time.perf_counter() - t0
-
     def collect(self) -> list[tuple[int, float, float, int, SolutionPoint]]:
         rows = []
         for branch in sorted(self.maps):
@@ -385,8 +376,10 @@ class QueueEngine:
 
 def aalm(problem: ProblemDef, config: AlmConfig, engine: EngineConfig
          ) -> QueueEngine:
-    """Serial adaptive arc-length method: serial solve, then queue draining."""
+    """Serial adaptive arc-length method: the manager with no workers."""
+    # Imported here: runtime imports engine, and perfbench calls engine.aalm.
+    from .runtime import run_manager
     state = QueueEngine(problem, config, engine)
     state.initialize()
-    state.run_serial_queue()
+    run_manager(state, [])
     return state

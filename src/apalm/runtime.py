@@ -48,10 +48,13 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
     The manager waits on all worker sockets at once, through one selector
     that holds exactly the live endpoints, and takes replies in whatever
     order they arrive. A job leaves the queue only once a worker has it: a
-    worker lost mid-job costs that job, one found gone at dispatch none.
-    Raises EndpointClosed if every worker is lost while work is still
-    queued. Once the workers are stopped, every map is validated.
+    worker lost mid-job, or one whose reply is not a result for its job,
+    costs that job, one found gone at dispatch none. With no job in flight
+    the manager solves the head job itself: with no endpoints this is
+    `aalm`, and a run that loses every worker finishes its queue. Once the
+    workers are stopped, every map is validated; all of it is queue_time.
     """
+    t0 = time.perf_counter()
     idle = list(endpoints)
     inflight: dict = {}  # endpoint -> its job
     # Idle endpoints are watched too: a worker lost between jobs is
@@ -74,34 +77,36 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
 
     with live:
         dispatch()
-        while inflight:
+        while inflight or state.queue:
+            if not inflight:  # no live worker is left
+                job = state.pop()
+                state.submit(job, eng.solve_interval(
+                    state.problem, state.config, job))
+                continue
             for key, _ in live.select():
                 ep = key.fileobj
+                job = inflight.pop(ep, None)
                 try:
                     payload = ep.recv()
+                    if not isinstance(payload, IntervalResult) or job is None:
+                        raise tp.ProtocolError(
+                            f"manager expected data for a job, got "
+                            f"{type(payload).__name__}")
+                    if payload.job_id != job.id:
+                        raise tp.ProtocolError(
+                            f"job id mismatch: sent {job.id}, "
+                            f"got {payload.job_id}")
                 except (tp.EndpointClosed, tp.ProtocolError) as exc:
                     live.unregister(ep)
                     if ep in idle:
                         idle.remove(ep)
-                    job = inflight.pop(ep, None)
                     if job is not None:
                         state.submit_failure(
                             job, f"worker {endpoints.index(ep)} lost: {exc}")
                     continue
-                job = inflight.pop(ep, None)
-                if not isinstance(payload, IntervalResult) or job is None:
-                    raise tp.ProtocolError(
-                        f"manager expected data for a job, got "
-                        f"{type(payload).__name__}")
-                if payload.job_id != job.id:
-                    raise tp.ProtocolError(
-                        f"job id mismatch: sent {job.id}, "
-                        f"got {payload.job_id}")
                 state.submit(job, payload)
                 idle.append(ep)
             dispatch()
-    if state.queue:
-        raise tp.EndpointClosed("all workers lost with queue pending")
 
     for ep in idle:
         try:
@@ -109,6 +114,7 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
         except tp.EndpointClosed:
             pass
     state.validate_maps()
+    state.stats.queue_time = time.perf_counter() - t0
 
 
 def _worker_main(problem, config, sock):
@@ -157,9 +163,7 @@ def apalm(problem: ProblemDef, config: AlmConfig, engine: EngineConfig,
                 # SocketEndpoint.close() would shut it down under the child.
                 child_sock.close()
             workers.append(w)
-        t0 = time.perf_counter()
         run_manager(state, endpoints)
-        state.stats.queue_time = time.perf_counter() - t0
     finally:
         # Closing first wakes any worker still blocked in recv, so an error
         # in the manager does not wait out the join timeout.

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import os
 import selectors
 import socket
 import threading
@@ -8,13 +9,15 @@ import time
 import numpy as np
 import pytest
 
+from apalm import engine, runtime
 from apalm import transport as tp
 from apalm.alm import AlmConfig, point_distance
-from apalm.engine import (LOST, EngineConfig, IntervalResult, Job,
-                          QueueEngine, aalm)
+from apalm.engine import (ACCEPTED, LOST, REFINED, EngineConfig,
+                          IntervalResult, Job, QueueEngine, aalm)
 from apalm.problems import SolutionPoint, make_builtin
 from apalm.runtime import _worker_main, apalm, run_manager, run_worker
 from apalm.transport import ProtocolError, SocketEndpoint
+from test_engine import record_bits, row_bits
 
 
 def crisfield(psi=1.0):
@@ -205,20 +208,34 @@ class TestRunManager:
         assert len(lost) == state.stats.jobs_failed
         assert all("worker 0 lost" in r.message for r in lost)
 
-    def test_all_workers_lost_raises(self):
+    def test_all_workers_lost_finishes_on_manager(self):
+        # the only worker hangs up holding job 0; the manager solves the rest
         p, state = fresh_state()
         hangup = scripted_worker()
-        with pytest.raises(tp.EndpointClosed):
-            run_manager(state, [hangup])
+        run_manager(state, [hangup])
         hangup.close()
+        assert state.stats.jobs_done == 4
+        outcomes = {r.job.id: r.outcome for r in state.stats.records}
+        assert outcomes.pop(0) == LOST
+        assert sorted(outcomes) == [1, 2, 3]
+        assert set(outcomes.values()) <= {ACCEPTED, REFINED}
+        assert not state.queue and not state._outstanding
 
     def test_reply_for_other_job_rejected(self):
+        # a reply for another job costs its worker and that worker's job,
+        # not the run
         p, state = fresh_state()
         liar = scripted_worker(lambda job: IntervalResult(
             job_id=job.id + 1, distances=[], solutions=[], error="liar"))
-        with pytest.raises(ProtocolError):
-            run_manager(state, [liar])
+        run_manager(state, [liar])
         liar.close()
+        assert state.stats.jobs_done == 4
+        lost = [r for r in state.stats.records if r.outcome == LOST]
+        assert [r.job.id for r in lost] == [0]
+        assert "job id mismatch: sent 0, got 1" in lost[0].message
+        assert all(r.outcome in (ACCEPTED, REFINED)
+                   for r in state.stats.records if r.job.id != 0)
+        assert not state.queue and not state._outstanding
 
     def test_worker_gone_before_dispatch_costs_no_job(self):
         p, state = fresh_state()
@@ -235,16 +252,35 @@ class TestRunManager:
         assert state.stats.jobs_done == 4
         assert not state.queue
 
-    def test_only_worker_gone_before_dispatch_raises(self):
+    def test_only_worker_gone_before_dispatch_finishes_on_manager(self):
+        # the send fails, so no job is lost, and the manager's own drain is
+        # aalm's, bit for bit
         p, state = fresh_state()
         gone = gone_worker()
-        with pytest.raises(tp.EndpointClosed):
-            run_manager(state, [gone])
+        run_manager(state, [gone])
         gone.close()
         assert state.stats.jobs_failed == 0
-        assert len(state.queue) == 4
-        assert state.queue[0].id == 0  # the job whose send failed
-        assert not state._outstanding
+        assert state.stats.jobs_done == 4
+        assert not state.queue and not state._outstanding
+        ref = aalm(p, state.config, state.engine)
+        assert row_bits(state.collect()) == row_bits(ref.collect())
+        assert record_bits(state) == record_bits(ref)
+
+
+def test_aalm_is_the_manager_with_no_workers(monkeypatch):
+    calls = []
+    manager = runtime.run_manager
+
+    def counting_manager(state, endpoints):
+        calls.append(list(endpoints))
+        manager(state, endpoints)
+
+    monkeypatch.setattr(runtime, "run_manager", counting_manager)
+    state = aalm(make_builtin("cubic1d"), crisfield(),
+                 EngineConfig(delta_L=0.4, steps=15))
+    assert calls == [[]]
+    assert state.stats.jobs_done > 15 and not state.queue
+    assert not hasattr(QueueEngine, "run_serial_queue")
 
 
 def rows_equal(a, b):
@@ -358,6 +394,36 @@ class TestApalm:
         assert len(socks) == 4 and len(started) == 1
         assert all(s.fileno() == -1 for s in socks)
         assert not started[0].is_alive()
+
+    def test_lost_process_worker_finishes_on_manager(self, monkeypatch):
+        # the only worker exits on its second job: that job is lost and the
+        # manager solves every job after it
+        manager_pid = os.getpid()
+        solve = engine.solve_interval
+        worker_jobs, manager_jobs = [], []
+
+        def exits_on_second_job(problem, config, job):
+            if os.getpid() == manager_pid:
+                manager_jobs.append(job.id)
+            else:
+                worker_jobs.append(job.id)
+                if len(worker_jobs) == 2:
+                    os._exit(1)
+            return solve(problem, config, job)
+
+        monkeypatch.setattr(engine, "solve_interval", exits_on_second_job)
+        eng = EngineConfig(delta_L=0.4, steps=15, tol_lower=1e-4,
+                           tol_upper=1e-4)
+        state = apalm(make_builtin("cubic1d"), crisfield(), eng,
+                      worker_count=1, transport="process")
+        lost = [r for r in state.stats.records if r.outcome == LOST]
+        assert [r.job.id for r in lost] == [1]
+        assert "worker 0 lost" in lost[0].message
+        assert state.stats.jobs_failed == 1
+        assert sorted(manager_jobs) == list(range(2, state.stats.jobs_done))
+        assert not state.queue and not state._outstanding
+        for m in state.maps.values():
+            m.validate_monotone()
 
     def test_bad_arguments(self):
         p = make_builtin("linear1d")
