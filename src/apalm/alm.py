@@ -8,7 +8,6 @@ on disjoint data.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,6 @@ class AlmConfig:
     constraint: str = CRISFIELD
     psi: float = 1.0
     newton_tol: float = 1e-10
-    step_delay: float = 0.0  # synthetic per-step work, for scaling studies
 
     def __post_init__(self):
         if self.constraint not in (RIKS, CRISFIELD):
@@ -59,8 +57,6 @@ class AlmConfig:
             raise ValueError("newton_tol must be positive and finite")
         if not 0 <= self.psi < math.inf:
             raise ValueError("psi must be >= 0 and finite")
-        if not 0 <= self.step_delay < math.inf:
-            raise ValueError("step_delay must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -305,8 +301,6 @@ def step(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
     """
     if delta_L <= 0:
         raise ValueError("delta_L must be positive")
-    if config.step_delay > 0:
-        time.sleep(config.step_delay)
     last_err: Exception | None = None
     for cut in range(MAX_STEP_CUTS + 1):
         dl = delta_L / 2.0**cut

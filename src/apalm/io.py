@@ -5,9 +5,8 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -92,10 +91,13 @@ def write_summary(state: QueueEngine, path: str) -> None:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    keys_match: bool
     missing_keys: list[tuple[int, float]]
     extra_keys: list[tuple[int, float]]
     mismatched_keys: list[tuple[int, float]]
+
+    @property
+    def keys_match(self) -> bool:
+        return not self.missing_keys and not self.extra_keys
 
     def ok(self) -> bool:
         return self.keys_match and not self.mismatched_keys
@@ -109,11 +111,9 @@ def compare(run_a: list[Row], run_b: list[Row]) -> ComparisonReport:
                 for branch, xi, s, level, w in rows}
 
     a, b = index(run_a), index(run_b)
-    missing = sorted(set(a) - set(b))
-    extra = sorted(set(b) - set(a))
     return ComparisonReport(
-        keys_match=not missing and not extra, missing_keys=missing,
-        extra_keys=extra,
+        missing_keys=sorted(set(a) - set(b)),
+        extra_keys=sorted(set(b) - set(a)),
         mismatched_keys=sorted(k for k in set(a) & set(b) if a[k] != b[k]))
 
 
@@ -165,12 +165,7 @@ def scale_harness(cfg: RunConfig, worker_counts: list[int],
 def write_scale_csv(samples: list[ScaleSample], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["workers", "serial_mean", "serial_min", "serial_max",
-                         "parallel_mean", "parallel_min", "parallel_max"])
+        writer.writerow([f.name for f in fields(ScaleSample)])
         for s in samples:
-            writer.writerow([s.workers,
-                             f"{s.serial_mean:.17g}", f"{s.serial_min:.17g}",
-                             f"{s.serial_max:.17g}",
-                             f"{s.parallel_mean:.17g}",
-                             f"{s.parallel_min:.17g}",
-                             f"{s.parallel_max:.17g}"])
+            writer.writerow([s.workers]
+                            + [f"{v:.17g}" for v in astuple(s)[1:]])

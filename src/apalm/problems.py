@@ -1,7 +1,7 @@
 """Nonlinear systems G(u, lambda) = 0 with derivatives, plus built-in benchmarks.
 
-The built-in problems are small stand-ins with closed-form solution paths,
-used both as fixtures and as analytic oracles in the test suite.
+The built-in problems are small test fixtures; all but springchain have
+closed-form solution paths and serve as analytic oracles in the test suite.
 """
 
 from __future__ import annotations

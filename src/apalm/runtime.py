@@ -48,13 +48,14 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
     The manager waits on all worker sockets at once, through one selector
     that holds exactly the live endpoints, and takes replies in whatever
     order they arrive. A job leaves the queue only once a worker has it: a
-    worker lost mid-job, or one whose reply is not a result for its job,
-    costs that job, one found gone at dispatch none. With no job in flight
-    the manager solves the head job itself: with no endpoints this is
-    `aalm`, and a run that loses every worker finishes its queue. Once the
-    workers are stopped, every map is validated; all of it is queue_time.
+    worker lost mid-job, or one whose reply does not fit its job (type, id,
+    step count, point size), costs that job, one found gone at dispatch
+    none. With no job in flight the manager solves the head job itself: with
+    no endpoints this is `aalm`, and a run that loses every worker finishes
+    its queue. Stopping the workers and validating the maps is queue_time too.
     """
     t0 = time.perf_counter()
+    n_dof = state.problem.n_dof
     idle = list(endpoints)
     inflight: dict = {}  # endpoint -> its job
     # Idle endpoints are watched too: a worker lost between jobs is
@@ -96,6 +97,12 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
                         raise tp.ProtocolError(
                             f"job id mismatch: sent {job.id}, "
                             f"got {payload.job_id}")
+                    sizes = {w.n_dof for w in payload.solutions}
+                    if len(payload.distances) > job.N or sizes - {n_dof}:
+                        raise tp.ProtocolError(
+                            f"reply does not fit job {job.id}: "
+                            f"{len(payload.distances)} steps for N = {job.N}, "
+                            f"points of {sorted(sizes)} DOF for {n_dof}")
                 except (tp.EndpointClosed, tp.ProtocolError) as exc:
                     live.unregister(ep)
                     if ep in idle:

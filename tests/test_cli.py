@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,8 +60,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("section,key", [
         ("alm", "max_newton_iters"), ("alm", "max_step_cuts"),
         ("alm", "bif_tol"), ("alm", "branch_perturbation"),
-        ("engine", "max_branches"), ("engine", "branch_delta_L"),
-        ("engine", "branch_steps"),
+        ("alm", "step_delay"), ("engine", "max_branches"),
+        ("engine", "branch_delta_L"), ("engine", "branch_steps"),
     ])
     def test_removed_key_rejected_by_name(self, section, key):
         d = doc()
@@ -156,6 +157,19 @@ class TestParseConfig:
     def test_invalid_json(self):
         with pytest.raises(ConfigError):
             parse_config("{not json")
+
+    def test_readme_example_parses(self):
+        # the first json block of README.md is the documented config
+        text = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        block = text.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(block)
+        assert cfg.problem_name == "springchain"
+        assert cfg.problem_params == {"n": 64}
+        assert cfg.alm == AlmConfig(constraint="crisfield", psi=1.0,
+                                    newton_tol=1e-10)
+        assert (cfg.workers, cfg.transport, cfg.output) == (
+            4, "thread", "curve.csv")
 
     @pytest.mark.parametrize("payload", [
         # structural sweep over step length, metric weight, tolerances
@@ -281,8 +295,15 @@ class TestScaleHarness:
         assert s.parallel_min <= s.parallel_mean <= s.parallel_max
         out = tmp_path / "scale.csv"
         apio.write_scale_csv(samples, str(out))
-        header = out.read_text().splitlines()[0].split(",")
-        assert header[0] == "workers" and len(header) == 7
+        lines = out.read_text().splitlines()
+        assert lines[0].split(",") == [
+            "workers", "serial_mean", "serial_min", "serial_max",
+            "parallel_mean", "parallel_min", "parallel_max"]
+        row = lines[1].split(",")
+        assert row[0] == "1"
+        assert [float(v) for v in row[1:]] == [
+            s.serial_mean, s.serial_min, s.serial_max,
+            s.parallel_mean, s.parallel_min, s.parallel_max]
 
     def test_empty_counts_rejected(self):
         cfg = parse_config(json.dumps(doc()))
@@ -338,6 +359,26 @@ class TestMain:
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
+
+    def test_directory_as_config_exit_code(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_directory_as_output_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, doc())
+        assert main(["run", cfg, "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        text = json.dumps(doc(output="kurve-ä.csv"), ensure_ascii=False)
+        path.write_bytes(text.encode("latin-1"))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert "not UTF-8" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["run", "--workers", "0"],

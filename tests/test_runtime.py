@@ -237,6 +237,35 @@ class TestRunManager:
                    for r in state.stats.records if r.job.id != 0)
         assert not state.queue and not state._outstanding
 
+    @pytest.mark.parametrize("reply,needle", [
+        # one 3-DOF point for a 1-DOF problem
+        (lambda job: IntervalResult(
+            job_id=job.id, distances=[1.0],
+            solutions=[SolutionPoint(np.ones(3), 1.0)]),
+         "points of [3] DOF for 1"),
+        # N + 3 steps for a job of N = 2
+        (lambda job: IntervalResult(
+            job_id=job.id, distances=[0.1] * (job.N + 3),
+            solutions=[SolutionPoint(np.full(1, 0.1 * k), 0.1 * k)
+                       for k in range(1, job.N + 4)]),
+         "5 steps for N = 2"),
+    ], ids=["wrong-dof", "too-many-steps"])
+    def test_reply_that_does_not_fit_its_job_rejected(self, reply, needle):
+        # a reply of the wrong shape costs its worker and that worker's job,
+        # not the run
+        p, state = fresh_state()
+        bad = scripted_worker(reply)
+        run_manager(state, [bad])
+        bad.close()
+        assert state.stats.jobs_done == 4
+        lost = [r for r in state.stats.records if r.outcome == LOST]
+        assert [r.job.id for r in lost] == [0]
+        assert "reply does not fit job 0" in lost[0].message
+        assert needle in lost[0].message
+        assert all(r.outcome in (ACCEPTED, REFINED)
+                   for r in state.stats.records if r.job.id != 0)
+        assert not state.queue and not state._outstanding
+
     def test_worker_gone_before_dispatch_costs_no_job(self):
         p, state = fresh_state()
         m_ep, w_ep = endpoint_pair()
