@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -32,14 +33,35 @@ def _parse_worker_list(text: str) -> list[int]:
     return counts
 
 
+def _unwritable(path: Path) -> str | None:
+    """Why path cannot be written as an output file, or None if it can;
+    creates nothing."""
+    if path.is_dir():
+        return "it is a directory"
+    if not path.parent.is_dir():
+        return f"{path.parent} is not a directory"
+    if not os.access(path.parent, os.W_OK | os.X_OK) or (
+            path.exists() and not os.access(path, os.W_OK)):
+        return "permission denied"
+    return None
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    state = apio.run_from_config(cfg, workers=args.workers)
     out = args.output or cfg.output
+    if out:  # refused before the run, not after it
+        summary = Path(out).with_suffix(".summary.json")
+        for path in (Path(out), summary):
+            reason = _unwritable(path)
+            if reason:
+                print(f"error: cannot write {path}: {reason}",
+                      file=sys.stderr)
+                return 2
+    state = apio.run_from_config(cfg, workers=args.workers)
     if out:
         apio.write_csv(state.collect(), out,
                        observable_index=cfg.observable_index)
-        apio.write_summary(state, str(Path(out).with_suffix(".summary.json")))
+        apio.write_summary(state, str(summary))
         print(f"wrote {out}")
     else:
         points = sum(len(m) for m in state.maps.values())

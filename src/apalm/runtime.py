@@ -14,6 +14,7 @@ import selectors
 import socket
 import threading
 import time
+from collections import deque
 
 from . import engine as eng
 from . import transport as tp
@@ -25,6 +26,8 @@ log = logging.getLogger(__name__)
 
 THREAD = "thread"
 PROCESS = "process"
+# the most jobs sent to one worker and not yet answered
+DEPTH = 2
 
 
 def run_worker(problem: ProblemDef, config: AlmConfig, endpoint) -> int:
@@ -43,38 +46,70 @@ def run_worker(problem: ProblemDef, config: AlmConfig, endpoint) -> int:
 
 
 def run_manager(state: QueueEngine, endpoints: list) -> None:
-    """Dispatch loop: keep idle workers fed until the queue drains.
+    """Dispatch loop: keep every worker fed until the queue drains.
 
     The manager waits on all worker sockets at once, through one selector
     that holds exactly the live endpoints, and takes replies in whatever
-    order they arrive. A job leaves the queue only once a worker has it: a
-    worker lost mid-job, or one whose reply does not fit its job (type, id,
-    step count, point size), costs that job, one found gone at dispatch
-    none. With no job in flight the manager solves the head job itself: with
-    no endpoints this is `aalm`, and a run that loses every worker finishes
-    its queue. Stopping the workers and validating the maps is queue_time too.
+    order they arrive. It keeps up to `DEPTH` jobs sent to each worker, so
+    a worker has its next job in its socket while the manager settles its
+    last reply. The worker loop is unchanged: it reads one job at a time,
+    and a stream socket returns its replies in the order of its jobs, so a
+    reply belongs to the oldest job its worker holds and must carry that
+    job's id. Three rules keep this safe:
+
+    - Fill order: `dispatch` gives a job to every worker holding none
+      before it gives any worker a second one.
+    - A job leaves the queue only once a worker has it, and never comes
+      back: a worker lost mid-job, or one whose reply does not fit its
+      job (type, id, step count, point size), costs every job it holds,
+      each recorded as `lost`; one found gone at dispatch costs none.
+    - A failed send costs no job, as the job stays at the head of the
+      queue. It ends the sends to that worker, not the reads: the endpoint
+      stays in the selector until the worker hangs up, so each job it
+      holds is settled, by a reply it already sent or as `lost`.
+
+    `sendall` cannot deadlock at this depth. The manager blocks in it,
+    sending a second job while the worker is still on its first, only if
+    that frame does not fit the socket's buffer, and the worker blocks in
+    its reply only if the reply does not fit the manager's. A socket pair
+    buffers about 200 KB each way, while a job or reply frame carries two
+    or N points: about 4 KB for springchain n = 256 with N = 2.
+
+    With no job in flight the manager solves the head job itself: with no
+    endpoints this is `aalm`, and a run that loses every worker finishes
+    its queue. Stopping the workers and validating the maps is queue_time
+    too.
     """
     t0 = time.perf_counter()
     n_dof = state.problem.n_dof
-    idle = list(endpoints)
-    inflight: dict = {}  # endpoint -> its job
-    # Idle endpoints are watched too: a worker lost between jobs is
-    # dropped before a job is sent to it.
+    inflight = 0  # jobs sent and not yet settled
+    # the endpoints that are still sent jobs, each with the jobs it holds,
+    # oldest first; the same deque is the data of its selector key
+    sendable = {ep: deque() for ep in endpoints}
+    # Workers holding no job are watched too: a worker lost between jobs
+    # is dropped before a job is sent to it.
     live = selectors.DefaultSelector()  # the live endpoints, each once
-    for ep in endpoints:
-        live.register(ep, selectors.EVENT_READ)
+    for ep, held in sendable.items():
+        live.register(ep, selectors.EVENT_READ, held)
 
     def dispatch() -> None:
-        while state.queue and idle:
-            ep = idle.pop(0)
-            try:
-                ep.send(state.queue[0])
-            except tp.EndpointClosed as exc:
-                live.unregister(ep)
-                log.warning("worker %d send failed, job %d stays queued: %s",
-                            endpoints.index(ep), state.queue[0].id, exc)
-                continue
-            inflight[ep] = state.pop()
+        nonlocal inflight
+        for depth in range(DEPTH):  # every first job before any second
+            for ep, held in list(sendable.items()):
+                if not state.queue:
+                    return
+                if len(held) != depth:
+                    continue
+                try:
+                    ep.send(state.queue[0])
+                except tp.EndpointClosed as exc:
+                    log.warning("worker %d send failed, job %d stays "
+                                "queued: %s", endpoints.index(ep),
+                                state.queue[0].id, exc)
+                    del sendable[ep]  # its replies are still read
+                    continue
+                held.append(state.pop())
+                inflight += 1
 
     with live:
         dispatch()
@@ -85,8 +120,8 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
                     state.problem, state.config, job))
                 continue
             for key, _ in live.select():
-                ep = key.fileobj
-                job = inflight.pop(ep, None)
+                ep, held = key.fileobj, key.data
+                job = held[0] if held else None
                 try:
                     payload = ep.recv()
                     if not isinstance(payload, IntervalResult) or job is None:
@@ -105,17 +140,18 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
                             f"points of {sorted(sizes)} DOF for {n_dof}")
                 except (tp.EndpointClosed, tp.ProtocolError) as exc:
                     live.unregister(ep)
-                    if ep in idle:
-                        idle.remove(ep)
-                    if job is not None:
+                    sendable.pop(ep, None)
+                    inflight -= len(held)
+                    for lost in held:
                         state.submit_failure(
-                            job, f"worker {endpoints.index(ep)} lost: {exc}")
+                            lost, f"worker {endpoints.index(ep)} lost: {exc}")
                     continue
+                held.popleft()
+                inflight -= 1
                 state.submit(job, payload)
-                idle.append(ep)
             dispatch()
 
-    for ep in idle:
+    for ep in sendable:
         try:
             ep.send(None)
         except tp.EndpointClosed:

@@ -165,30 +165,44 @@ def _int(value: int = 0):
     return ctypes.byref(ctypes.c_int64(value))
 
 
-def lapack_factor(sub, diag, sup) -> Factor:
+class LapackFactor(Factor):
+    """A `Factor` that also holds, as `args`, the LAPACK arguments its
+    arrays fix, built once: N, then DL, D, DU, DU2 and IPIV, which dgttrf
+    factors in place and every dgttrs call reads. The pointers keep their
+    arrays alive."""
+
+    def __new__(cls, *fields):
+        self = super().__new__(cls, *fields)
+        # Factor's fields are dgttrf's and dgttrs' DL, D, DU, DU2 and IPIV,
+        # in that order
+        self.args = (_int(self.d.size), *map(_data, self))
+        return self
+
+
+def lapack_factor(sub, diag, sup) -> LapackFactor:
     """`reference_factor` through LAPACK's dgttrf, on copies of the
     diagonals."""
     dl, d, du = _diagonals(sub, diag, sup)
     n = d.size
-    du2 = np.empty(max(n - 2, 0))
-    ipiv = np.empty(n, dtype=np.int64)
+    lu = LapackFactor(dl, d, du, np.empty(max(n - 2, 0)),
+                      np.empty(n, dtype=np.int64))
     info = ctypes.c_int64()
-    _DGTTRF(_int(n), _data(dl), _data(d), _data(du), _data(du2),
-            _data(ipiv), ctypes.byref(info))
+    _DGTTRF(*lu.args, ctypes.byref(info))
     if info.value:
         raise np.linalg.LinAlgError("zero pivot")
-    return Factor(dl, d, du, du2, ipiv)
+    return lu
 
 
 def lapack_solve(lu: Factor, b) -> np.ndarray:
     """`reference_solve` through LAPACK's dgttrs, in one call for all the
     right-hand sides: the rows of a C-ordered (k, n) array are the columns
-    of dgttrs' B with LDB = n."""
+    of dgttrs' B with LDB = n. Any `Factor` will do; one from
+    `lapack_factor` brings its arguments built."""
     x = _rhs(lu, b)
-    n = _int(lu.d.size)
+    n, *arrays = (lu if isinstance(lu, LapackFactor)
+                  else LapackFactor(*lu)).args
     nrhs = 1 if x.ndim == 1 else x.shape[0]
-    # Factor's fields are dgttrs' DL, D, DU, DU2 and IPIV, in that order
-    _DGTTRS(b"N", n, _int(nrhs), *map(_data, lu), _data(x), n, _int(), 1)
+    _DGTTRS(b"N", n, _int(nrhs), *arrays, _data(x), n, _int(), 1)
     return x
 
 

@@ -365,11 +365,45 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_directory_as_output_exit_code(self, tmp_path, capsys):
+    def test_directory_as_output_exit_code(self, tmp_path, capsys,
+                                           monkeypatch):
+        # refused before the run: nothing is computed and no file made
         cfg = write_cfg(tmp_path, doc())
+        before = sorted(tmp_path.rglob("*"))
+        runs = []
+        monkeypatch.setattr(apio, "run_from_config",
+                            lambda *a, **k: runs.append(a))
         assert main(["run", cfg, "--output", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert runs == [] and sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("where", ["option", "config"])
+    def test_output_in_missing_directory_refused_before_run(
+            self, tmp_path, capsys, monkeypatch, where):
+        out = str(tmp_path / "missing" / "curve.csv")
+        cfg = write_cfg(tmp_path, doc(output=out) if where == "config"
+                        else doc())
+        before = sorted(tmp_path.rglob("*"))
+        runs = []
+        monkeypatch.setattr(apio, "run_from_config",
+                            lambda *a, **k: runs.append(a))
+        argv = ["run", cfg] + (["--output", out] if where == "option" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ")
+        assert "is not a directory" in err and err.count("\n") == 1
+        assert runs == [] and sorted(tmp_path.rglob("*")) == before
+
+    def test_summary_path_that_is_a_directory_refused(self, tmp_path,
+                                                      capsys):
+        cfg = write_cfg(tmp_path, doc())
+        (tmp_path / "curve.summary.json").mkdir()
+        out = tmp_path / "curve.csv"
+        assert main(["run", cfg, "--output", str(out)]) == 2
+        assert "curve.summary.json: it is a directory" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_utf8_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"

@@ -37,16 +37,20 @@ def pair():
     worker.close()
 
 
-def scripted_worker(reply=None):
-    """Manager end of a pair whose worker thread takes one job, sends
-    reply(job) if a reply is given, and hangs up."""
-    m_ep, w_ep = endpoint_pair()
+def scripted_worker(reply=None, takes=1, endpoint=SocketEndpoint):
+    """Manager end (of class endpoint) of a pair whose worker thread takes
+    `takes` jobs, sends reply(first job) if a reply is given, and hangs
+    up. A worker that takes runtime.DEPTH jobs before it acts holds both
+    of the jobs the manager sends it first, whatever the thread timing."""
+    s1, s2 = socket.socketpair()
+    s2.settimeout(10.0)  # a job that never comes ends in a hang-up
+    m_ep, w_ep = endpoint(s1), SocketEndpoint(s2)
 
     def serve():
         try:
-            job = w_ep.recv()
+            jobs = [w_ep.recv() for _ in range(takes)]
             if reply is not None:
-                w_ep.send(reply(job))
+                w_ep.send(reply(jobs[0]))
         finally:
             w_ep.close()  # an error in reply must not leave the manager waiting
 
@@ -59,6 +63,71 @@ def gone_worker():
     m_ep, w_ep = endpoint_pair()
     w_ep.close()
     return m_ep
+
+
+class SendsOnce(SocketEndpoint):
+    """A manager endpoint whose every send after the first fails."""
+
+    def __init__(self, sock):
+        super().__init__(sock)
+        self.sends = 0
+
+    def send(self, msg):
+        self.sends += 1
+        if self.sends > 1:
+            raise tp.EndpointClosed("synthetic send failure")
+        super().send(msg)
+
+
+def run_bounded(state, endpoints, timeout=20.0, drive=None):
+    """run_manager in a thread joined with a timeout, so that a manager
+    left waiting with no reply to come fails the test instead of hanging
+    it; drive(), if given, runs meanwhile in the calling thread, and the
+    manager's own error is raised here."""
+    errors = []
+
+    def target():
+        try:
+            run_manager(state, endpoints)
+        except BaseException as exc:  # re-raised below, in the test
+            errors.append(exc)
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    if drive is not None:
+        drive()
+    t.join(timeout=timeout)
+    assert not t.is_alive(), "run_manager did not return"
+    if errors:
+        raise errors[0]
+
+
+def record_sends(monkeypatch):
+    """Patch SocketEndpoint so that each job sent is logged as (endpoint,
+    the jobs every endpoint held just before the send), where an endpoint
+    holds the jobs sent to it that it has not answered. Only the manager
+    sends jobs and receives replies, so only its thread writes here."""
+    held, log = {}, []
+    send, recv = SocketEndpoint.send, SocketEndpoint.recv
+
+    def logging_send(self, msg):
+        if isinstance(msg, Job):
+            before = dict(held)
+            send(self, msg)
+            log.append((self, before))
+            held[self] = held.get(self, 0) + 1
+        else:
+            send(self, msg)
+
+    def logging_recv(self):
+        msg = recv(self)
+        if isinstance(msg, IntervalResult):
+            held[self] -= 1
+        return msg
+
+    monkeypatch.setattr(SocketEndpoint, "send", logging_send)
+    monkeypatch.setattr(SocketEndpoint, "recv", logging_recv)
+    return log
 
 
 def linear_job(job_id=0):
@@ -209,32 +278,36 @@ class TestRunManager:
         assert all("worker 0 lost" in r.message for r in lost)
 
     def test_all_workers_lost_finishes_on_manager(self):
-        # the only worker hangs up holding job 0; the manager solves the rest
+        # the only worker hangs up holding jobs 0 and 1: both are lost, each
+        # with its own record, and the manager solves the rest
         p, state = fresh_state()
-        hangup = scripted_worker()
+        hangup = scripted_worker(takes=runtime.DEPTH)
         run_manager(state, [hangup])
         hangup.close()
         assert state.stats.jobs_done == 4
-        outcomes = {r.job.id: r.outcome for r in state.stats.records}
-        assert outcomes.pop(0) == LOST
-        assert sorted(outcomes) == [1, 2, 3]
-        assert set(outcomes.values()) <= {ACCEPTED, REFINED}
+        lost = [r for r in state.stats.records if r.outcome == LOST]
+        assert [r.job.id for r in lost] == [0, 1]
+        assert all("worker 0 lost" in r.message for r in lost)
+        assert sorted(r.job.id for r in state.stats.records
+                      if r.outcome in (ACCEPTED, REFINED)) == [2, 3]
         assert not state.queue and not state._outstanding
 
     def test_reply_for_other_job_rejected(self):
-        # a reply for another job costs its worker and that worker's job,
-        # not the run
+        # a reply for another job, here the second one its worker holds,
+        # costs its worker and the jobs that worker holds, not the run
         p, state = fresh_state()
         liar = scripted_worker(lambda job: IntervalResult(
-            job_id=job.id + 1, distances=[], solutions=[], error="liar"))
+            job_id=job.id + 1, distances=[], solutions=[], error="liar"),
+            takes=runtime.DEPTH)
         run_manager(state, [liar])
         liar.close()
         assert state.stats.jobs_done == 4
         lost = [r for r in state.stats.records if r.outcome == LOST]
-        assert [r.job.id for r in lost] == [0]
-        assert "job id mismatch: sent 0, got 1" in lost[0].message
+        assert [r.job.id for r in lost] == [0, 1]
+        assert all("job id mismatch: sent 0, got 1" in r.message
+                   for r in lost)
         assert all(r.outcome in (ACCEPTED, REFINED)
-                   for r in state.stats.records if r.job.id != 0)
+                   for r in state.stats.records if r.job.id > 1)
         assert not state.queue and not state._outstanding
 
     @pytest.mark.parametrize("reply,needle", [
@@ -251,19 +324,20 @@ class TestRunManager:
          "5 steps for N = 2"),
     ], ids=["wrong-dof", "too-many-steps"])
     def test_reply_that_does_not_fit_its_job_rejected(self, reply, needle):
-        # a reply of the wrong shape costs its worker and that worker's job,
-        # not the run
+        # a reply of the wrong shape costs its worker and the jobs that
+        # worker holds, not the run
         p, state = fresh_state()
-        bad = scripted_worker(reply)
+        bad = scripted_worker(reply, takes=runtime.DEPTH)
         run_manager(state, [bad])
         bad.close()
         assert state.stats.jobs_done == 4
         lost = [r for r in state.stats.records if r.outcome == LOST]
-        assert [r.job.id for r in lost] == [0]
-        assert "reply does not fit job 0" in lost[0].message
-        assert needle in lost[0].message
+        assert [r.job.id for r in lost] == [0, 1]
+        for r in lost:
+            assert "reply does not fit job 0" in r.message
+            assert needle in r.message
         assert all(r.outcome in (ACCEPTED, REFINED)
-                   for r in state.stats.records if r.job.id != 0)
+                   for r in state.stats.records if r.job.id > 1)
         assert not state.queue and not state._outstanding
 
     def test_worker_gone_before_dispatch_costs_no_job(self):
@@ -294,6 +368,110 @@ class TestRunManager:
         ref = aalm(p, state.config, state.engine)
         assert row_bits(state.collect()) == row_bits(ref.collect())
         assert record_bits(state) == record_bits(ref)
+
+    def test_idle_worker_served_before_any_second_job(self, monkeypatch):
+        # with 4 workers, a job goes to a worker's second slot only while
+        # every worker holds one
+        log = record_sends(monkeypatch)
+        p = make_builtin("cubic1d")
+        state = QueueEngine(p, crisfield(), EngineConfig(
+            delta_L=0.12, steps=50, tol_lower=1e-4, tol_upper=1e-4,
+            max_level=3))
+        state.initialize()
+        pairs = [endpoint_pair() for _ in range(4)]
+        threads = [threading.Thread(target=run_worker,
+                                    args=(p, state.config, w_ep), daemon=True)
+                   for _, w_ep in pairs]
+        for t in threads:
+            t.start()
+        run_bounded(state, [m_ep for m_ep, _ in pairs])
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        for m_ep, w_ep in pairs:
+            w_ep.close()
+            m_ep.close()
+        assert state.stats.jobs_done > 50 and not state.queue
+        assert len(log) == state.stats.jobs_done
+        seconds = [before for ep, before in log if before.get(ep, 0) == 1]
+        assert seconds  # the first dispatch alone fills 8 slots
+        assert all(before.get(m_ep, 0) >= 1
+                   for before in seconds for m_ep, _ in pairs)
+
+    def test_worker_gone_idle_served_before_a_second_job(self, monkeypatch):
+        # A holds jobs 0 and 2, B job 1, and the queue is empty. B answers,
+        # then A answers both, and jobs 3-7 are queued on A's last answer:
+        # A and B each get one before either gets a second, though B went
+        # idle first
+        log = record_sends(monkeypatch)
+        p, state = fresh_state(steps=8)
+        later = [state.queue.pop() for _ in range(5)][::-1]
+        submit = state.submit
+
+        def queue_later_jobs(job, result):
+            submit(job, result)
+            if job.id == 2:
+                state.queue.extend(later)
+
+        monkeypatch.setattr(state, "submit", queue_later_jobs)
+        (a_m, a_w), (b_m, b_w) = endpoint_pair(), endpoint_pair()
+        for w_ep in (a_w, b_w):
+            w_ep._sock.settimeout(10.0)  # a job that never comes fails
+        rest = [threading.Thread(target=run_worker, daemon=True,
+                                 args=(p, state.config, w_ep))
+                for w_ep in (a_w, b_w)]  # real workers take the rest
+
+        def drive():
+            def answer(w_ep, job):
+                settled = len(state.stats.records)
+                w_ep.send(engine.solve_interval(p, state.config, job))
+                deadline = time.monotonic() + 10.0
+                while len(state.stats.records) == settled:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+
+            jobs = {0: a_w.recv(), 2: a_w.recv(), 1: b_w.recv()}
+            assert [jobs[i].id for i in range(3)] == [0, 1, 2]
+            answer(b_w, jobs[1])
+            answer(a_w, jobs[0])
+            answer(a_w, jobs[2])
+            for t in rest:
+                t.start()
+
+        run_bounded(state, [a_m, b_m], drive=drive)
+        for t in rest:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        for ep in (a_m, a_w, b_m, b_w):
+            ep.close()
+        assert state.stats.jobs_done == 8 and state.stats.jobs_failed == 0
+        assert [(ep, before.get(ep, 0)) for ep, before in log[3:7]] == \
+            [(a_m, 0), (b_m, 0), (a_m, 1), (b_m, 1)]
+
+    @pytest.mark.parametrize("replies", [True, False],
+                             ids=["replies", "hangs-up"])
+    def test_failed_send_settles_the_job_held(self, replies):
+        # the second send to a worker holding job 0 fails, and so does every
+        # send after it: job 1 stays queued, and job 0 is settled by the
+        # worker's reply, or is lost when the worker hangs up, before the
+        # manager finishes the queue itself
+        p, state = fresh_state()
+        reply = (lambda job: engine.solve_interval(p, state.config, job)) \
+            if replies else None
+        worker = scripted_worker(reply, endpoint=SendsOnce)
+        run_bounded(state, [worker])
+        worker.close()
+        assert worker.sends >= 2
+        assert state.stats.jobs_done == 4
+        assert not state.queue and not state._outstanding
+        outcomes = {r.job.id: r.outcome for r in state.stats.records}
+        assert outcomes.pop(0) in ((ACCEPTED, REFINED) if replies
+                                   else (LOST,))
+        assert set(outcomes.values()) <= {ACCEPTED, REFINED}
+        if replies:
+            ref = aalm(p, state.config, state.engine)
+            assert row_bits(state.collect()) == row_bits(ref.collect())
+            assert record_bits(state) == record_bits(ref)
 
 
 def test_aalm_is_the_manager_with_no_workers(monkeypatch):
@@ -425,8 +603,11 @@ class TestApalm:
         assert not started[0].is_alive()
 
     def test_lost_process_worker_finishes_on_manager(self, monkeypatch):
-        # the only worker exits on its second job: that job is lost and the
-        # manager solves every job after it
+        # the only worker exits on its second job, after replying to its
+        # first: every job it holds then is lost, each with its own record,
+        # and the manager solves every job after them. It holds job 1, and
+        # job 2 too if the manager's send of job 2 came before the exit; a
+        # send that fails leaves job 2 queued.
         manager_pid = os.getpid()
         solve = engine.solve_interval
         worker_jobs, manager_jobs = [], []
@@ -445,14 +626,26 @@ class TestApalm:
                            tol_upper=1e-4)
         state = apalm(make_builtin("cubic1d"), crisfield(), eng,
                       worker_count=1, transport="process")
-        lost = [r for r in state.stats.records if r.outcome == LOST]
-        assert [r.job.id for r in lost] == [1]
-        assert "worker 0 lost" in lost[0].message
-        assert state.stats.jobs_failed == 1
-        assert sorted(manager_jobs) == list(range(2, state.stats.jobs_done))
+        lost = [r.job.id for r in state.stats.records if r.outcome == LOST]
+        assert lost in ([1], [1, 2])
+        assert all("worker 0 lost" in r.message
+                   for r in state.stats.records if r.outcome == LOST)
+        assert state.stats.jobs_failed == len(lost)
+        assert sorted(manager_jobs) == list(range(1 + len(lost),
+                                                  state.stats.jobs_done))
         assert not state.queue and not state._outstanding
         for m in state.maps.values():
             m.validate_monotone()
+
+    def test_no_worker_holds_more_than_depth(self, monkeypatch):
+        log = record_sends(monkeypatch)
+        eng = EngineConfig(delta_L=0.12, steps=50, tol_lower=1e-4,
+                           tol_upper=1e-4, max_level=3)
+        state = apalm(make_builtin("cubic1d"), crisfield(), eng,
+                      worker_count=3, transport="thread")
+        assert len(log) == state.stats.jobs_done > 50
+        most = max(before.get(ep, 0) + 1 for ep, before in log)
+        assert most == runtime.DEPTH == 2
 
     def test_bad_arguments(self):
         p = make_builtin("linear1d")

@@ -188,6 +188,22 @@ def test_lapack_kernels_found_where_numpy_links_ilp64_openblas():
     assert tridiagonal.solve is tridiagonal.lapack_solve
 
 
+@LAPACK
+def test_solve_wraps_only_its_right_hand_sides(monkeypatch):
+    """dgttrs' arguments that a factor fixes are built once, by
+    lapack_factor; a solve wraps only its own right-hand sides."""
+    sub, diag, sup, b = random_tridiagonal(0)
+    lu = tridiagonal.lapack_factor(sub, diag, sup)
+    x = tridiagonal.lapack_solve(lu, [b, -b])
+    wrapped = []
+    data = tridiagonal._data
+    monkeypatch.setattr(tridiagonal, "_data",
+                        lambda a: wrapped.append(a) or data(a))
+    for _ in range(3):
+        assert tridiagonal.lapack_solve(lu, [b, -b]).tobytes() == x.tobytes()
+    assert len(wrapped) == 3
+
+
 def test_library_without_symbols_leaves_the_reference_path(monkeypatch):
     class NoSymbols:
         def __init__(self, path):
