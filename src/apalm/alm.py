@@ -151,20 +151,22 @@ class _NoConvergence(RuntimeError):
 def _bordered_solve(problem: ProblemDef, w: SolutionPoint, rhs: np.ndarray,
                     row: np.ndarray, corner: float) -> np.ndarray:
     """The solution of the bordered system [[K, dG/dlam], [row, corner]]
-    x = rhs (n + 1 rows, one or two columns), with K and dG/dlam at w.
-    Raises np.linalg.LinAlgError where the system is singular.
+    x = rhs, with K and dG/dlam at w, for rhs one column [b; beta] or two
+    columns [b; beta] and [0; 1]. Raises np.linalg.LinAlgError where the
+    system is singular.
 
     A dense K goes through np.linalg.solve. A tridiagonal K is factored
     once, in O(n), and the border row is eliminated (Keller 1977): with
     K [y, y_g] = [b, dG/dlam] and the Schur complement
-    s = corner - row.y_g, a column [b; beta] has the solution
-    (y - xi y_g, xi), xi = (beta - row.y) / s. Where K is nearly singular,
-    y and xi y_g are large and nearly cancel, which costs that difference
-    digits in proportion to K's condition number; one refinement step with
-    the same factor wins them back (Govaerts 2000). A column with b = 0 has
-    no such cancellation and needs neither its K-solve nor the refinement.
-    The K-solves share two calls: dG/dlam with every column whose b is not
-    0, then the refinement residuals of those columns.
+    s = corner - row.y_g, [b; beta] has the solution (y - xi y_g, xi),
+    xi = (beta - row.y) / s. Where K is nearly singular, y and xi y_g are
+    large and nearly cancel, which costs that difference digits in
+    proportion to K's condition number; one refinement step with the same
+    factor wins them back (Govaerts 2000). With b = 0, as in [0; 1] and
+    the cold predictor's [0; beta], y = 0 and nothing cancels, so that
+    column needs neither its K-solve nor the refinement. A Newton
+    iteration makes one factor and two K-solves: dG/dlam with b, then the
+    refinement residual.
     """
     tri = problem.tridiagonal(w)
     if tri is None:
@@ -178,48 +180,33 @@ def _bordered_solve(problem: ProblemDef, w: SolutionPoint, rhs: np.ndarray,
         return np.linalg.solve(M, rhs)
     lu = tridiagonal.factor(*tri)
     g = problem.jacobian_lambda(w)
-    cols = rhs.reshape(rhs.shape[0], -1)
-    loaded = [j for j in range(cols.shape[1]) if cols[:-1, j].any()]
-    y = tridiagonal.solve(lu, [g, *(cols[:-1, j] for j in loaded)])
-    y_g = y[0]
+    x = np.empty_like(rhs)
+    col, xc = (rhs, x) if rhs.ndim == 1 else (rhs[:, 0], x[:, 0])
+    b, beta = col[:-1], col.item(-1)
+    y_g, *y = tridiagonal.solve(lu, [g, b] if b.any() else [g])
     s = corner - float(row @ y_g)
     if s == 0.0:
         raise np.linalg.LinAlgError("zero Schur complement")
-    x = np.empty_like(cols)
-    _eliminate(x, cols, dict(zip(loaded, y[1:])), row, y_g, s)
-    if loaded:
-        # col - [[K, dG/dlam], [row, corner]] x, for the loaded columns
-        r = np.empty((cols.shape[0], len(loaded)))
-        for i, j in enumerate(loaded):
-            xj = x[:, j]
-            r[:-1, i] = (cols[:-1, j] - tridiagonal.matvec(*tri, xj[:-1])
-                         - g * xj.item(-1))
-            r[-1, i] = (cols.item(-1, j) - float(row @ xj[:-1])
-                        - corner * xj.item(-1))
-        again = [i for i in range(len(loaded)) if r[:-1, i].any()]
-        z = tridiagonal.solve(lu, [r[:-1, i] for i in again]) if again else ()
-        dx = np.empty_like(r)
-        _eliminate(dx, r, dict(zip(again, z)), row, y_g, s)
-        for i, j in enumerate(loaded):
-            x[:, j] += dx[:, i]
-    return x.reshape(rhs.shape)
-
-
-def _eliminate(out: np.ndarray, cols: np.ndarray, y: dict, row: np.ndarray,
-               y_g: np.ndarray, s: float) -> None:
-    """Write into each column j of out the solution (y_j - xi y_g, xi),
-    xi = (beta - row.y_j) / s, of the bordered column [b; beta] of cols,
-    where y maps each j with b != 0 to y_j = K^-1 b; y_j = 0 for the rest,
-    whose row.y_j is 0."""
-    for j in range(cols.shape[1]):
-        beta = cols.item(-1, j)
-        yj = y.get(j)
-        if yj is None:
-            yj, xi = 0.0, beta / s
-        else:
-            xi = (beta - float(row @ yj)) / s
-        np.subtract(yj, xi * y_g, out=out[:-1, j])
-        out[-1, j] = xi
+    if rhs.ndim == 2:
+        xi = rhs.item(-1, 1) / s
+        np.subtract(0.0, xi * y_g, out=x[:-1, 1])
+        x[-1, 1] = xi
+    if not y:
+        xi = beta / s
+        np.subtract(0.0, xi * y_g, out=xc[:-1])
+        xc[-1] = xi
+        return x
+    xi = (beta - float(row @ y[0])) / s
+    np.subtract(y[0], xi * y_g, out=xc[:-1])
+    xc[-1] = xi
+    # [b; beta] - [[K, dG/dlam], [row, corner]] x, and its correction
+    r = b - tridiagonal.matvec(*tri, xc[:-1]) - g * xc.item(-1)
+    r_beta = beta - float(row @ xc[:-1]) - corner * xc.item(-1)
+    [z] = tridiagonal.solve(lu, [r])
+    xi = (r_beta - float(row @ z)) / s
+    xc[:-1] += z - xi * y_g
+    xc[-1] += xi
+    return x
 
 
 def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,

@@ -33,30 +33,30 @@ def _parse_worker_list(text: str) -> list[int]:
     return counts
 
 
-def _unwritable(path: Path) -> str | None:
-    """Why path cannot be written as an output file, or None if it can;
-    creates nothing."""
+def _unwritable(path: Path) -> bool:
+    """Whether path cannot be written as an output file, said in one line
+    on stderr if so; creates nothing."""
     if path.is_dir():
-        return "it is a directory"
-    if not path.parent.is_dir():
-        return f"{path.parent} is not a directory"
-    if not os.access(path.parent, os.W_OK | os.X_OK) or (
+        reason = "it is a directory"
+    elif not path.parent.is_dir():
+        reason = f"{path.parent} is not a directory"
+    elif not os.access(path.parent, os.W_OK | os.X_OK) or (
             path.exists() and not os.access(path, os.W_OK)):
-        return "permission denied"
-    return None
+        reason = "permission denied"
+    else:
+        return False
+    print(f"error: cannot write {path}: {reason}", file=sys.stderr)
+    return True
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     out = args.output or cfg.output
-    if out:  # refused before the run, not after it
-        summary = Path(out).with_suffix(".summary.json")
-        for path in (Path(out), summary):
-            reason = _unwritable(path)
-            if reason:
-                print(f"error: cannot write {path}: {reason}",
-                      file=sys.stderr)
-                return 2
+    # refused before the run, not after it; Path(out) first, as "." or "/"
+    # has no name that with_suffix could extend
+    if out and (_unwritable(Path(out)) or _unwritable(
+            summary := Path(out).with_suffix(".summary.json"))):
+        return 2
     state = apio.run_from_config(cfg, workers=args.workers)
     if out:
         apio.write_csv(state.collect(), out,
@@ -94,6 +94,8 @@ def cmd_compare(args) -> int:
 
 def cmd_scale(args) -> int:
     cfg = load_config(args.config)
+    if args.output and _unwritable(Path(args.output)):
+        return 2  # refused before the sweep, not after it
     samples = apio.scale_harness(cfg, args.workers, repeats=args.repeats)
     if args.output:
         apio.write_scale_csv(samples, args.output)

@@ -83,17 +83,14 @@ class Job:
 
 @dataclass(frozen=True)
 class IntervalResult:
-    """solutions[k] ends fine step k, of length distances[k]; a failed
-    solve carries only its error."""
+    """solutions[k] ends fine step k; a failed solve carries only its
+    error. The manager measures each step's length from these points."""
 
     job_id: int
-    distances: list[float]
     solutions: list[SolutionPoint]
     error: str = ""
 
     def __post_init__(self):
-        if len(self.solutions) != len(self.distances):
-            raise ValueError("one solution per distance")
         if bool(self.solutions) == bool(self.error):
             raise ValueError("a result carries solutions or an error")
 
@@ -124,27 +121,26 @@ def solve_interval(problem: ProblemDef, config: AlmConfig, job: Job
     Warm-started from w_start - w_prev when a predecessor is known. The
     last step takes what remains of dL0, and a step that overshoots ends
     the job early. A step cut shortens the fine path; the closing segment
-    to the interval's end covers the rest, and the manager measures it.
-    A failed step fails the job, and its points are dropped.
+    to the interval's end covers the rest. The manager measures the steps
+    and that segment from the points. A failed step fails the job, and its
+    points are dropped.
     """
     dl_nominal = job.delta_L0 / job.N
     w = job.w_start
     dw = (None if job.w_prev is None
           else alm.increment_between(w, job.w_prev))
     sols: list[SolutionPoint] = []
-    dists: list[float] = []
     remaining = job.delta_L0
     try:
-        while remaining > 1e-12 * job.delta_L0 and len(dists) < job.N:
+        while remaining > 1e-12 * job.delta_L0 and len(sols) < job.N:
             res = alm.step(problem, config, w, dw,
                            min(dl_nominal, remaining))
             w, dw = res.w_new, res.dw
-            dists.append(res.achieved_length)
             sols.append(w)
             remaining -= res.achieved_length
     except alm.StepError as exc:
-        return IntervalResult(job.id, [], [], error=str(exc))
-    return IntervalResult(job.id, dists, sols)
+        return IntervalResult(job.id, [], error=str(exc))
+    return IntervalResult(job.id, sols)
 
 
 def serial_solve(problem: ProblemDef, config: AlmConfig,
@@ -317,7 +313,10 @@ class QueueEngine:
             self._record(job, FAILED, message=result.error)
             return
         psi, ptp = self.config.psi, self.problem.load_norm_sq
-        sols, dists = result.solutions, result.distances
+        sols = result.solutions
+        # step k's length as alm.step measured it, on the same bits
+        dists = [alm.point_distance(w, w_from, psi, ptp)
+                 for w, w_from in zip(sols, [job.w_start, *sols])]
         w_end = sols[-1]
         closing = alm.point_distance(m.lookup(job.xi_hi).w, w_end, psi, ptp)
         measured = (sum(dists),

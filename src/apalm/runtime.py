@@ -133,10 +133,10 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
                             f"job id mismatch: sent {job.id}, "
                             f"got {payload.job_id}")
                     sizes = {w.n_dof for w in payload.solutions}
-                    if len(payload.distances) > job.N or sizes - {n_dof}:
+                    if len(payload.solutions) > job.N or sizes - {n_dof}:
                         raise tp.ProtocolError(
                             f"reply does not fit job {job.id}: "
-                            f"{len(payload.distances)} steps for N = {job.N}, "
+                            f"{len(payload.solutions)} steps for N = {job.N}, "
                             f"points of {sorted(sizes)} DOF for {n_dof}")
                 except (tp.EndpointClosed, tp.ProtocolError) as exc:
                     live.unregister(ep)

@@ -1,11 +1,12 @@
 """Wire format and socket endpoint for the manager-worker runtime.
 
-Frames are [u8 version][u64 length][payload], little-endian (protocol 4).
+Frames are [u8 version][u64 length][payload], little-endian (protocol 5).
 A payload is the one-byte stop or one engine message: a header struct,
-then, for an `IntervalResult`, its UTF-8 error and distances, then one
-float64 block of (u, lambda) rows. A `Job` sends w_start and w_prev if
-any; a reply sends the point that ends each fine step, or only the error
-of a failed solve, and decode refuses one with both or neither.
+then, for an `IntervalResult`, its UTF-8 error, then one float64 block of
+(u, lambda) rows. A `Job` sends w_start and w_prev if any; a reply sends
+the point that ends each fine step and no step length, which the manager
+measures from the points, or only the error of a failed solve, and decode
+refuses one with both or neither.
 Thread and process workers use the same endpoint over a socket pair, so
 both carry the same encoded bytes and runs replay bit-exactly across them.
 """
@@ -20,7 +21,7 @@ import numpy as np
 from .engine import IntervalResult, Job
 from .problems import SolutionPoint
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 MSG_STOP = 0
 MSG_JOB = 1
@@ -77,10 +78,9 @@ def encode(msg: Job | IntervalResult | None) -> bytes:
         n = msg.solutions[0].n_dof if msg.solutions else 0
         error = msg.error.encode("utf-8")
         return b"".join((
-            _DATA.pack(MSG_DATA, msg.job_id, len(msg.distances), n,
+            _DATA.pack(MSG_DATA, msg.job_id, len(msg.solutions), n,
                        len(error)),
-            error, np.asarray(msg.distances, dtype="<f8").tobytes(),
-            _block(msg.solutions, n)))
+            error, _block(msg.solutions, n)))
     raise ProtocolError(f"cannot encode {type(msg).__name__}")
 
 
@@ -108,11 +108,9 @@ def decode(payload: bytes) -> Job | IntervalResult | None:
         if kind == MSG_DATA:
             _, jid, count, n, n_error = _DATA.unpack_from(buf)
             off = _DATA.size + n_error
-            _expect(buf, off + 8 * count * (n + 2))
-            dists = np.frombuffer(buf, "<f8", count, off).tolist()
+            _expect(buf, off + 8 * count * (n + 1))
             return IntervalResult(
-                job_id=jid, distances=dists,
-                solutions=_points(buf, off + 8 * count, count, n),
+                job_id=jid, solutions=_points(buf, off, count, n),
                 error=bytes(buf[_DATA.size:off]).decode("utf-8"))
     except (IndexError, struct.error, ValueError) as exc:
         # ValueError also covers the checks of Job and IntervalResult

@@ -365,18 +365,48 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("target,where", [
+        ("tmp", "option"), (".", "option"), ("/", "option"),
+        (".", "config")], ids=["tmp-dir", "dot", "root", "dot-in-config"])
     def test_directory_as_output_exit_code(self, tmp_path, capsys,
-                                           monkeypatch):
-        # refused before the run: nothing is computed and no file made
-        cfg = write_cfg(tmp_path, doc())
+                                           monkeypatch, target, where):
+        # refused before the run: nothing is computed and no file made;
+        # "." and "/" have no name that a suffix could be given to
+        monkeypatch.chdir(tmp_path)
+        out = str(tmp_path) if target == "tmp" else target
+        cfg = write_cfg(tmp_path, doc(output=out) if where == "config"
+                        else doc())
         before = sorted(tmp_path.rglob("*"))
         runs = []
         monkeypatch.setattr(apio, "run_from_config",
                             lambda *a, **k: runs.append(a))
-        assert main(["run", cfg, "--output", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        argv = ["run", cfg] + (["--output", out] if where == "option" else [])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {Path(out)}: it is a directory\n")
         assert runs == [] and sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("target", ["dir", "missing-dir", "file"])
+    def test_scale_output_refused_before_the_sweep(self, tmp_path, capsys,
+                                                   monkeypatch, target):
+        # an unwritable path is refused before any run, as for `run`; a
+        # writable one gets the sweep and the file
+        cfg = write_cfg(tmp_path, doc())
+        out = {"dir": tmp_path, "missing-dir": tmp_path / "no" / "s.csv",
+               "file": tmp_path / "scale.csv"}[target]
+        sweeps = []
+        monkeypatch.setattr(apio, "scale_harness",
+                            lambda *a, **k: sweeps.append(a) or [])
+        code = main(["scale", cfg, "--workers", "1", "--output", str(out)])
+        err = capsys.readouterr().err
+        if target == "file":
+            assert (code, err, len(sweeps)) == (0, "", 1)
+            assert out.read_text().startswith("workers,")
+            return
+        assert code == 2 and sweeps == []
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json"]
 
     @pytest.mark.parametrize("where", ["option", "config"])
     def test_output_in_missing_directory_refused_before_run(

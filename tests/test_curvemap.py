@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from apalm.curvemap import CurveMap, CurveStructureError, LookupError_
 from apalm.problems import SolutionPoint
+from bits import row_bits
 
 
 def pt(u, lam=0.0):
@@ -173,11 +174,6 @@ class TestInsertStretch:
         m = make_map_0_10()
         m.insert_stretch(*parent_2_4(m), fine(10.0, 11.0), [1.0, 1.0], 0.5)
         assert m.xi_keys()[-1] == 1.0
-
-
-def row_bits(rows):
-    return [(b, xi.hex(), s.hex(), level, w.u.tobytes(), w.lam.hex())
-            for b, xi, s, level, w in rows]
 
 
 class TestRejectedInsertion:

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 
@@ -6,15 +5,16 @@ import numpy as np
 import pytest
 
 from apalm import alm, engine, tridiagonal
-from apalm import io as apio
 from apalm.alm import AlmConfig
 from apalm.curvemap import CurveMap
 from apalm.engine import (ACCEPTED, FAILED, OUTCOMES, REFINED, REJECTED,
                           EngineConfig, IntervalResult, Job, QueueEngine,
                           QueueInvariantError, SerialSolveError, aalm,
                           compute_errors, serial_solve, solve_interval)
-from apalm.problems import ProblemDef, SolutionPoint, make_builtin
+from apalm.problems import SolutionPoint, make_builtin
 from apalm.runtime import apalm
+from bits import (NOISE_FLOOR_CONFIGS, record_bits, row_bits,
+                  summary_without_timings, twin_problem)
 
 
 def crisfield(psi, tol=1e-12, **kw):
@@ -171,6 +171,12 @@ def make_job(problem, w_start, w_prev, delta_L0, N=2, level=1):
                w_start=w_start, w_prev=w_prev, level=level, N=N)
 
 
+def step_lengths(w_start, sols, psi, ptp):
+    """The length of each fine step, from w_start through sols."""
+    return [alm.point_distance(w, w_from, psi, ptp)
+            for w, w_from in zip(sols, [w_start, *sols])]
+
+
 class TestSolveInterval:
     def test_linear1d_straight(self):
         p = make_builtin("linear1d")
@@ -181,7 +187,8 @@ class TestSolveInterval:
         job = make_job(p, w0, None, sq2)
         res = solve_interval(p, cfg, job)
         assert res.error == ""
-        assert res.distances == pytest.approx([sq2 / 2, sq2 / 2])
+        assert step_lengths(w0, res.solutions, 1.0, 1.0) == pytest.approx(
+            [sq2 / 2, sq2 / 2])
         # solutions[k] ends step k; the start point is not sent back
         assert [w.u[0] for w in res.solutions] == pytest.approx([0.5, 1.0])
         w_end = res.solutions[-1]
@@ -204,7 +211,8 @@ class TestSolveInterval:
         w_end = res.solutions[-1]
         assert alm.point_distance(w_b, w_end, 1.0, p.load_norm_sq) > 1e-3
         assert alm.point_distance(w_end, w_a, 1.0, p.load_norm_sq) <= (
-            sum(res.distances) + 1e-12)
+            sum(step_lengths(w_a, res.solutions, 1.0, p.load_norm_sq))
+            + 1e-12)
 
     def test_cold_start_matches_warm_on_linear(self):
         p = make_builtin("linear1d")
@@ -235,7 +243,7 @@ class TestSolveInterval:
         res = solve_interval(p, crisfield(1.0), make_job(
             p, SolutionPoint(np.zeros(1), 0.0), None, math.sqrt(2.0)))
         assert len(calls) == 2
-        assert (res.distances, res.solutions, res.error) == ([], [], "forced")
+        assert (res.solutions, res.error) == ([], "forced")
 
 
 class TestQueueEngine:
@@ -283,7 +291,7 @@ class TestQueueEngine:
         state.initialize()
         n_points = sum(len(m) for m in state.maps.values())
         job = state.pop()
-        res = IntervalResult(job_id=job.id, distances=[], solutions=[],
+        res = IntervalResult(job_id=job.id, solutions=[],
                              error="synthetic failure")
         state.submit(job, res)
         assert state.stats.jobs_failed == 1
@@ -307,18 +315,21 @@ class TestQueueEngine:
         dl0 = job.delta_L0
         w_hi = state.maps[0].lookup(job.xi_hi).w
         if reason.startswith("fine xi"):
-            # errors within tolerance, but the first fine step covers the
-            # whole interval, so its xi rounds onto xi_hi
-            dists, w_end = [dl0, 0.0], w_hi
+            # errors within tolerance, but the first fine step is the serial
+            # step itself and covers the whole interval, so its xi rounds
+            # onto xi_hi
+            sols, dists = [w_hi, w_hi], [dl0, 0.0]
         else:
             # a stretch that would queue its closing interval, half of the
-            # interval, with a fine step of exactly ds_floor
-            dists = [dl0, state.maps[0].ds_floor]
-            w_end = SolutionPoint((job.w_start.u + w_hi.u) / 2,
+            # interval, after a fine step to the midpoint and one of exactly
+            # ds_floor in lambda
+            floor = state.maps[0].ds_floor
+            w_mid = SolutionPoint((job.w_start.u + w_hi.u) / 2,
                                   (job.w_start.lam + w_hi.lam) / 2)
-        res = IntervalResult(job_id=job.id, distances=dists,
-                             solutions=[w_end, w_end])
-        state.submit(job, res)
+            sols = [w_mid, SolutionPoint(w_mid.u, w_mid.lam + floor)]
+            dists = [alm.point_distance(w_mid, job.w_start, 1.0, 1.0), floor]
+        w_end = sols[-1]
+        state.submit(job, IntervalResult(job_id=job.id, solutions=sols))
         assert state.stats.jobs_failed == 1
         [record] = state.stats.records
         assert record.outcome == REJECTED and record.children == 0
@@ -384,6 +395,8 @@ class TestSubmitChildren:
     none at max_level."""
 
     W_END = SolutionPoint(np.array([1.0]), 0.3)  # 0.3 off the map's w(0.2)
+    # the fine path detours through lambda = 2: its first step is 2 long
+    MID = SolutionPoint(np.array([0.0]), 2.0)
 
     def _submit(self, monkeypatch, w_end=W_END, **eng):
         # linear1d at lambda = 0, with each stored point 1 apart but 2
@@ -397,8 +410,7 @@ class TestSubmitChildren:
         job = state.pop()
         assert (job.xi_lo, job.xi_hi, job.delta_L0) == (0.0, 0.2, 2.0)
         n_queued = len(state.queue)
-        mid = SolutionPoint(np.array([0.5]), 0.1)
-        state.submit(job, IntervalResult(job.id, [2.0, 2.0], [mid, w_end]))
+        state.submit(job, IntervalResult(job.id, [self.MID, w_end]))
         [record] = state.stats.records
         children = list(state.queue)[n_queued:]
         assert record.outcome == REFINED
@@ -406,14 +418,19 @@ class TestSubmitChildren:
         assert all(c.level == 2 for c in children)
         return m, record, [(c.xi_lo, c.xi_hi, c.delta_L0) for c in children]
 
+    D1 = math.hypot(1.0, 1.7)  # the second step, from MID to W_END
+
     def test_fine_and_closing_children(self, monkeypatch):
-        # measured (4, |(1, 0.3)|, 0.3): lower error 0.48, upper 0.34
+        # measured (2 + |(1, -1.7)|, |(1, 0.3)|, 0.3): lower error 0.48,
+        # upper 0.33
         m, record, children = self._submit(monkeypatch)
         closing = record.measured[2]
         assert closing == pytest.approx(0.3)
+        assert record.measured[0] == pytest.approx(2.0 + self.D1)
         lo, k1, k2, hi = m.xi_keys()[:4]
-        assert k1 == pytest.approx(0.2 * 2.0 / 4.3)
-        assert children == [(lo, k1, 2.0), (k1, k2, 2.0), (k2, hi, closing)]
+        assert k1 == pytest.approx(0.2 * 2.0 / (2.3 + self.D1))
+        assert children == [(lo, k1, 2.0), (k1, k2, pytest.approx(self.D1)),
+                            (k2, hi, closing)]
 
     def test_zero_closing_distance_suppresses_closing_child(self,
                                                             monkeypatch):
@@ -421,14 +438,17 @@ class TestSubmitChildren:
         # end-point is not stored, so only the fine subintervals are queued
         m, record, children = self._submit(
             monkeypatch, w_end=SolutionPoint(np.array([1.0]), 0.0))
-        assert record.measured == (4.0, 1.0, 0.0)
-        assert m.xi_keys()[:3] == [0.0, 0.1, 0.2]
-        assert children == [(0.0, 0.1, 2.0), (0.1, 0.2, 2.0)]
+        d1 = math.sqrt(5.0)  # from MID to the map's point
+        assert record.measured == (pytest.approx(2.0 + d1), 1.0, 0.0)
+        lo, k1, hi = m.xi_keys()[:3]
+        assert (lo, hi) == (0.0, 0.2)
+        assert k1 == pytest.approx(0.2 * 2.0 / (2.0 + d1))
+        assert children == [(0.0, k1, 2.0), (k1, 0.2, pytest.approx(d1))]
 
     def test_lower_only_children(self, monkeypatch):
         m, record, children = self._submit(monkeypatch, tol_upper=1e9)
         lo, k1, k2 = m.xi_keys()[:3]
-        assert children == [(lo, k1, 2.0), (k1, k2, 2.0)]
+        assert children == [(lo, k1, 2.0), (k1, k2, pytest.approx(self.D1))]
 
     def test_upper_only_children(self, monkeypatch):
         m, record, children = self._submit(monkeypatch, tol_lower=1e9)
@@ -538,19 +558,12 @@ class TestJob:
                 w_start=w, w_prev=None, level=1, N=N)
 
 
-def test_interval_result_pairs_solutions_with_distances():
-    w = SolutionPoint(np.zeros(1), 0.0)
-    with pytest.raises(ValueError):
-        IntervalResult(job_id=0, distances=[0.5], solutions=[w, w])
-
-
 @pytest.mark.parametrize("points,error", [(1, "forced"), (0, "")],
                          ids=["both", "neither"])
 def test_interval_result_carries_points_or_an_error(points, error):
     w = SolutionPoint(np.zeros(1), 0.0)
     with pytest.raises(ValueError, match="solutions or an error"):
-        IntervalResult(job_id=0, distances=[0.5] * points,
-                       solutions=[w] * points, error=error)
+        IntervalResult(job_id=0, solutions=[w] * points, error=error)
 
 
 @pytest.mark.parametrize("workers", [None, 2])
@@ -576,16 +589,6 @@ def test_one_map_walk_at_the_end(monkeypatch, workers):
             if r.outcome in (ACCEPTED, REFINED)]
     assert len(kept) > len(state.maps) == 2
     assert sorted(calls) == [0, 0, 1, 1]
-
-
-# Configs whose finest intervals reach the Newton noise floor, where some
-# fine paths no longer fit their parent (cubic1d, psi = 1, newton_tol 1e-10).
-NOISE_FLOOR_CONFIGS = [  # (steps, delta_L, tol, max_level)
-    (50, 0.12, 1e-4, 5),
-    (15, 0.4, 1e-6, 5),
-    (15, 0.4, 1e-4, 8),
-    (400, 0.015, 1e-6, 5),
-]
 
 
 def noise_floor_engine(steps, delta_L, tol, max_level):
@@ -642,36 +645,6 @@ def test_a_job_makes_at_most_n_steps(run, monkeypatch):
     state = aalm(p, cfg, eng)
     assert len(per_job) == state.stats.jobs_done > 0
     assert max(per_job) <= eng.subintervals
-
-
-def row_bits(rows):
-    return [(b, xi.hex(), s.hex(), level, w.u.tobytes(), w.lam.hex())
-            for b, xi, s, level, w in rows]
-
-
-def record_bits(state):
-    """Every record but its job id, bitwise, in (branch, xi_lo, xi_hi)
-    order; that key is unique among a run's settled jobs."""
-    def point(w):
-        return None if w is None else (w.u.tobytes(), float(w.lam).hex())
-
-    out = []
-    for r in sorted(state.stats.records, key=lambda r: (
-            r.job.branch, r.job.xi_lo, r.job.xi_hi)):
-        j = r.job
-        out.append((j.branch, j.xi_lo.hex(), j.xi_hi.hex(),
-                    j.delta_L0.hex(), j.level, j.N, point(j.w_start),
-                    point(j.w_prev), r.outcome,
-                    r.measured and [float(x).hex() for x in r.measured],
-                    r.children, r.message))
-    return out
-
-
-def summary_without_timings(state, path):
-    apio.write_summary(state, str(path))
-    summary = json.loads(path.read_text())
-    del summary["serial_time_s"], summary["queue_time_s"]
-    return summary
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -750,48 +723,69 @@ def test_tridiagonal_kernels_move_no_bit(run, monkeypatch):
 
 @pytest.mark.parametrize("run", ["cubic1d", "riks-chain"])
 def test_submit_measures_against_the_map(run, monkeypatch):
-    """submit measures each solved job from its last fine point w_end:
-    measured is (sum d_k, |w_end - w_start|, |map[xi_hi].w - w_end|), bit
-    for bit."""
+    """submit measures each solved job from its fine points: measured is
+    (sum d_k, |w_end - w_start|, |map[xi_hi].w - w_end|), and each d_k,
+    measured from the step's start point, is the achieved length alm.step
+    returned for that step, bit for bit, in measured and in the map."""
     p, cfg, eng = {
         "cubic1d": (make_builtin("cubic1d"), crisfield(1.0, tol=1e-10),
                     EngineConfig(delta_L=0.4, steps=15, tol_lower=1e-4,
                                  tol_upper=1e-4)),
         "riks-chain": PARITY_RUNS["riks-chain"]}[run]
-    results = {}
-    submit = QueueEngine.submit
+    results, achieved, inserted = {}, {}, {}
+    step, solve, submit = alm.step, engine.solve_interval, QueueEngine.submit
+    job_steps = None  # the lengths of the job being solved, in step order
+
+    def logged_step(*args):
+        res = step(*args)
+        if job_steps is not None:  # not a serial-phase step
+            job_steps.append(res.achieved_length)
+        return res
+
+    def logged_solve(problem, config, job):
+        nonlocal job_steps
+        job_steps = achieved[job.id] = []
+        try:
+            return solve(problem, config, job)
+        finally:
+            job_steps = None
 
     def kept(self, job, result):
         results[job.id] = result
         submit(self, job, result)
 
+    def logged_insert(name):
+        insert = getattr(CurveMap, name)
+
+        def wrapper(self, *args):
+            # (xi_lo, xi_hi, level, sols, dists[, dl_close]); a job's
+            # interval is unique among the jobs of a run
+            inserted[self.branch, args[0], args[1]] = list(args[4])
+            return insert(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(alm, "step", logged_step)
+    monkeypatch.setattr(engine, "solve_interval", logged_solve)
     monkeypatch.setattr(QueueEngine, "submit", kept)
+    for name in ("insert_interior", "insert_stretch"):
+        monkeypatch.setattr(CurveMap, name, logged_insert(name))
     state = aalm(p, cfg, eng)
     solved = [r for r in state.stats.records if r.measured is not None]
     assert any(r.outcome == REFINED for r in solved)
+    assert len(inserted) == len(solved)
     psi, ptp = cfg.psi, p.load_norm_sq
+    hexes = lambda xs: [float(x).hex() for x in xs]  # noqa: E731
     for r in solved:
-        res = results[r.job.id]
+        res, lengths = results[r.job.id], achieved[r.job.id]
+        assert len(lengths) == len(res.solutions)
+        assert hexes(inserted[r.job.branch, r.job.xi_lo, r.job.xi_hi]) == (
+            hexes(lengths))
         w_end = res.solutions[-1]
         w_hi = state.maps[r.job.branch].lookup(r.job.xi_hi).w
-        expected = (sum(res.distances),
+        expected = (sum(lengths),
                     alm.point_distance(w_end, r.job.w_start, psi, ptp),
                     alm.point_distance(w_hi, w_end, psi, ptp))
-        assert ([float(x).hex() for x in r.measured]
-                == [x.hex() for x in expected])
-
-
-def twin_problem():
-    """G = u^3 + (lam - 1)(lam - 1.1) u: the trivial path u = 0, and a
-    closed loop u^2 = (lam - 1)(1.1 - lam) that joins bifurcations at
-    lam = 1 and 1.1."""
-    return ProblemDef(
-        n_dof=1,
-        residual_fn=lambda u, lam: u**3 + (lam - 1.0) * (lam - 1.1) * u,
-        jacobian_u_fn=lambda u, lam: np.array(
-            [[3.0 * u[0]**2 + (lam - 1.0) * (lam - 1.1)]]),
-        jacobian_lambda_fn=lambda u, lam: (2.0 * lam - 2.1) * u,
-        load_norm_sq=1.0, name="twin")
+        assert hexes(r.measured) == hexes(expected)
 
 
 def test_failed_spawned_branch_costs_that_branch(caplog):

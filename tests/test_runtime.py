@@ -17,7 +17,7 @@ from apalm.engine import (ACCEPTED, LOST, REFINED, EngineConfig,
 from apalm.problems import SolutionPoint, make_builtin
 from apalm.runtime import _worker_main, apalm, run_manager, run_worker
 from apalm.transport import ProtocolError, SocketEndpoint
-from test_engine import record_bits, row_bits
+from bits import record_bits, row_bits
 
 
 def crisfield(psi=1.0):
@@ -153,10 +153,14 @@ class TestRunWorker:
         assert isinstance(data, IntervalResult)
         assert data.job_id == 5
         assert data.error == ""
-        # the fine path ends on the interval's end, (1, 1)
+        # the fine path ends on the interval's end, (1, 1), in two steps
+        # of half its length
         assert point_distance(SolutionPoint(np.ones(1), 1.0),
                               data.solutions[-1], 1.0, 1.0) <= 1e-10
-        assert data.distances == pytest.approx([math.sqrt(2) / 2] * 2)
+        start, (mid, end) = SolutionPoint(np.zeros(1), 0.0), data.solutions
+        steps = [point_distance(mid, start, 1.0, 1.0),
+                 point_distance(end, mid, 1.0, 1.0)]
+        assert steps == pytest.approx([math.sqrt(2) / 2] * 2)
 
     def test_two_jobs_ids_match(self, pair):
         manager, worker = pair
@@ -185,8 +189,7 @@ class TestRunWorker:
 
     def test_non_job_frame_rejected(self, pair):
         manager, worker = pair
-        manager.send(IntervalResult(
-            job_id=0, distances=[], solutions=[], error="not a job"))
+        manager.send(IntervalResult(job_id=0, solutions=[], error="not a job"))
         with pytest.raises(ProtocolError):
             run_worker(make_builtin("linear1d"), crisfield(), worker)
 
@@ -297,7 +300,7 @@ class TestRunManager:
         # costs its worker and the jobs that worker holds, not the run
         p, state = fresh_state()
         liar = scripted_worker(lambda job: IntervalResult(
-            job_id=job.id + 1, distances=[], solutions=[], error="liar"),
+            job_id=job.id + 1, solutions=[], error="liar"),
             takes=runtime.DEPTH)
         run_manager(state, [liar])
         liar.close()
@@ -313,12 +316,11 @@ class TestRunManager:
     @pytest.mark.parametrize("reply,needle", [
         # one 3-DOF point for a 1-DOF problem
         (lambda job: IntervalResult(
-            job_id=job.id, distances=[1.0],
-            solutions=[SolutionPoint(np.ones(3), 1.0)]),
+            job_id=job.id, solutions=[SolutionPoint(np.ones(3), 1.0)]),
          "points of [3] DOF for 1"),
         # N + 3 steps for a job of N = 2
         (lambda job: IntervalResult(
-            job_id=job.id, distances=[0.1] * (job.N + 3),
+            job_id=job.id,
             solutions=[SolutionPoint(np.full(1, 0.1 * k), 0.1 * k)
                        for k in range(1, job.N + 4)]),
          "5 steps for N = 2"),

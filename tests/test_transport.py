@@ -64,26 +64,24 @@ class TestRoundTrip:
         assert out.N == 3
 
     def test_data(self):
-        msg = IntervalResult(job_id=3, distances=[0.5, 0.25],
-                             solutions=[pt(0.5, lam=0.5),
-                                        pt(0.75, lam=0.75)])
+        msg = IntervalResult(job_id=3, solutions=[pt(0.5, lam=0.5),
+                                                  pt(0.75, lam=0.75)])
         out = decode(encode(msg))
         assert out.job_id == 3
-        assert out.distances == [0.5, 0.25]
         assert len(out.solutions) == 2
         assert all(points_equal(a, b)
                    for a, b in zip(out.solutions, msg.solutions))
         assert out.error == ""
 
     def test_data_failure_with_note(self):
-        msg = IntervalResult(job_id=9, distances=[], solutions=[],
+        msg = IntervalResult(job_id=9, solutions=[],
                              error="newton diverged: état")
         out = decode(encode(msg))
-        assert (out.distances, out.solutions) == ([], [])
+        assert out.solutions == []
         assert out.error == "newton diverged: état"
 
     def test_encoding_is_deterministic(self):
-        msg = IntervalResult(job_id=1, distances=[0.1], solutions=[pt(1.0)])
+        msg = IntervalResult(job_id=1, solutions=[pt(1.0)])
         assert encode(msg) == encode(msg)
 
 
@@ -95,37 +93,15 @@ class TestFrame:
         assert int.from_bytes(data[1:9], "little") == len(payload)
         assert data[9:] == payload
 
-    def test_bad_version_rejected(self):
+    # v1 had a handshake; v2 framed every point separately and echoed the
+    # start point; v3 sent each job's closing point; v4 sent each reply's
+    # step lengths
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 99])
+    def test_other_version_rejected(self, version):
+        assert PROTOCOL_VERSION == 5
         s1, s2 = socket.socketpair()
-        s1.sendall(bytes([99]) + frame(encode(None))[1:])
-        with pytest.raises(ProtocolError):
-            SocketEndpoint(s2).recv()
-        s1.close()
-        s2.close()
-
-    def test_version_1_rejected(self):
-        s1, s2 = socket.socketpair()
-        s1.sendall(bytes([1]) + frame(encode(job()))[1:])
-        with pytest.raises(ProtocolError):
-            SocketEndpoint(s2).recv()
-        s1.close()
-        s2.close()
-
-    def test_version_2_rejected(self):
-        # v2 framed every point separately and echoed the start point
-        s1, s2 = socket.socketpair()
-        s1.sendall(bytes([2]) + frame(encode(job()))[1:])
-        with pytest.raises(ProtocolError):
-            SocketEndpoint(s2).recv()
-        s1.close()
-        s2.close()
-
-    def test_version_3_rejected(self):
-        # v3 sent each job's closing point and each reply's distances
-        assert PROTOCOL_VERSION == 4
-        s1, s2 = socket.socketpair()
-        s1.sendall(bytes([3]) + frame(encode(job()))[1:])
-        with pytest.raises(ProtocolError):
+        s1.sendall(bytes([version]) + frame(encode(job()))[1:])
+        with pytest.raises(ProtocolError, match=f"version {version}"):
             SocketEndpoint(s2).recv()
         s1.close()
         s2.close()
@@ -145,6 +121,16 @@ class TestFrame:
                   level=1, N=2)
         k = 2 if has_prev else 1
         assert len(encode(msg)) == _JOB.size + 8 * (n + 1) * k
+
+    @pytest.mark.parametrize("k,n,error", [(2, 3, ""), (1, 1, ""),
+                                           (0, 0, "newton diverged: état")],
+                             ids=["points", "one-point", "error"])
+    def test_reply_carries_its_points_only(self, k, n, error):
+        # no step length crosses the wire: the manager measures each step
+        msg = IntervalResult(job_id=1, solutions=[pt(*range(n), lam=0.5)] * k,
+                             error=error)
+        note = len(error.encode("utf-8"))
+        assert len(encode(msg)) == _DATA.size + note + 8 * k * (n + 1)
 
     def test_huge_length_is_not_allocated_up_front(self):
         # a peer that claims 2**62 bytes and hangs up is a lost peer, not a
@@ -212,18 +198,18 @@ class TestDecodeErrors:
     def test_reply_with_points_and_error_or_neither(self, steps, error):
         # a reply carries its fine steps or its error, never both or none
         note = error.encode("utf-8")
-        rows = np.zeros((steps, 3), dtype="<f8")  # n_dof 1: (d, u, lambda)
+        rows = np.zeros((steps, 2), dtype="<f8")  # n_dof 1: (u, lambda)
         payload = (_DATA.pack(MSG_DATA, 4, steps, 1, len(note)) + note
-                   + rows[:, 0].tobytes() + rows[:, 1:].tobytes())
+                   + rows.tobytes())
         with pytest.raises(ProtocolError, match="solutions or an error"):
             decode(payload)
 
     @pytest.mark.parametrize("msg", [
         job(w_prev=pt(-1.0, lam=-0.5)),
         job(),
-        IntervalResult(job_id=4, distances=[0.5, 0.5],
+        IntervalResult(job_id=4,
                        solutions=[pt(0.5, lam=0.5), pt(1.0, lam=1.0)]),
-        IntervalResult(job_id=4, distances=[], solutions=[], error="état"),
+        IntervalResult(job_id=4, solutions=[], error="état"),
     ], ids=["job", "job-without-prev", "reply", "reply-error"])
     def test_every_truncation_and_trailing_byte_rejected(self, msg):
         # decode checks the exact size, so a cut payload never reaches
@@ -236,8 +222,7 @@ class TestDecodeErrors:
             decode(payload + b"\0")
 
     def test_bad_utf8_note_rejected(self):
-        payload = encode(IntervalResult(
-            job_id=0, distances=[], solutions=[], error="é"))
+        payload = encode(IntervalResult(job_id=0, solutions=[], error="é"))
         with pytest.raises(ProtocolError):
             decode(payload[:-1] + b"\xff")
 
@@ -282,8 +267,7 @@ class TestSocketEndpoint:
         a, b = endpoint_pair()
         a.send(job(job_id=0))
         assert b.recv().id == 0
-        b.send(IntervalResult(job_id=0, distances=[0.5],
-                              solutions=[pt(0.5)]))
+        b.send(IntervalResult(job_id=0, solutions=[pt(0.5)]))
         assert a.recv().job_id == 0
         a.close()
         b.close()
@@ -304,8 +288,7 @@ class TestSocketEndpoint:
         b.close()
 
     def test_wire_bytes_are_framed_encoding(self):
-        msg = IntervalResult(job_id=5, distances=[0.25, 0.25],
-                             solutions=[pt(0.25), pt(0.5)])
+        msg = IntervalResult(job_id=5, solutions=[pt(0.25), pt(0.5)])
         a, b = endpoint_pair()
         a.send(msg)
         raw = b._read_exact(9)
@@ -333,7 +316,6 @@ def data_messages(draw):
     n_sol = draw(st.integers(0, 5))
     return IntervalResult(
         job_id=draw(st.integers(0, 2**64 - 1)),
-        distances=draw(st.lists(finite, min_size=n_sol, max_size=n_sol)),
         solutions=[draw(points(n_dof)) for _ in range(n_sol)],
         error=draw(st.text(min_size=1, max_size=40)) if n_sol == 0 else "")
 
@@ -365,7 +347,6 @@ def same_point_bits(a, b):
 def test_data_round_trip_property(msg):
     out = decode(encode(msg))
     assert out.job_id == msg.job_id
-    assert out.distances == msg.distances
     assert out.error == msg.error
     assert len(out.solutions) == len(msg.solutions)
     for a, b in zip(out.solutions, msg.solutions):

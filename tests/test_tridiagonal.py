@@ -17,6 +17,7 @@ from apalm.alm import AlmConfig, null_vector
 from apalm.engine import EngineConfig, aalm
 from apalm.problems import ProblemDef, SolutionPoint, make_builtin
 from apalm.runtime import apalm
+from bits import row_bits
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -371,15 +372,10 @@ def test_null_vector_sign_rule(phi):
 def test_spawned_branch_workers_match_aalm_bitwise():
     n, eng = RUNS["n4-detect"]
     p = make_builtin("springchain", n=n, c=0.5)
-
-    def bits(state):
-        return [(b, xi.hex(), s.hex(), level, w.u.tobytes(), w.lam.hex())
-                for b, xi, s, level, w in state.collect()]
-
-    ref = bits(aalm(p, CRISFIELD, eng))
+    ref = row_bits(aalm(p, CRISFIELD, eng).collect())
     for transport in ("thread", "process"):
-        assert bits(apalm(p, CRISFIELD, eng, worker_count=3,
-                          transport=transport)) == ref
+        assert row_bits(apalm(p, CRISFIELD, eng, worker_count=3,
+                              transport=transport).collect()) == ref
 
 
 def test_springchain_imports_no_scipy():
