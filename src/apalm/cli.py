@@ -33,11 +33,15 @@ def _parse_worker_list(text: str) -> list[int]:
     return counts
 
 
-def _unwritable(path: Path) -> bool:
-    """Whether path cannot be written as an output file, said in one line
-    on stderr if so; creates nothing."""
+def _unwritable(out: str) -> bool:
+    """Whether out cannot be written as an output file, said in one line
+    on stderr if so; creates nothing. A trailing separator is checked on
+    the string, as Path(out) drops it."""
+    path = Path(out)
     if path.is_dir():
         reason = "it is a directory"
+    elif out.endswith((os.sep, os.altsep or os.sep)):
+        reason = "it ends in a path separator"
     elif not path.parent.is_dir():
         reason = f"{path.parent} is not a directory"
     elif not os.access(path.parent, os.W_OK | os.X_OK) or (
@@ -45,23 +49,23 @@ def _unwritable(path: Path) -> bool:
         reason = "permission denied"
     else:
         return False
-    print(f"error: cannot write {path}: {reason}", file=sys.stderr)
+    print(f"error: cannot write {out}: {reason}", file=sys.stderr)
     return True
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     out = args.output or cfg.output
-    # refused before the run, not after it; Path(out) first, as "." or "/"
-    # has no name that with_suffix could extend
-    if out and (_unwritable(Path(out)) or _unwritable(
-            summary := Path(out).with_suffix(".summary.json"))):
+    # refused before the run, not after it; out first, as "." or "/" has
+    # no name that with_suffix could extend
+    if out and (_unwritable(out) or _unwritable(
+            summary := str(Path(out).with_suffix(".summary.json")))):
         return 2
     state = apio.run_from_config(cfg, workers=args.workers)
     if out:
         apio.write_csv(state.collect(), out,
                        observable_index=cfg.observable_index)
-        apio.write_summary(state, str(summary))
+        apio.write_summary(state, summary)
         print(f"wrote {out}")
     else:
         points = sum(len(m) for m in state.maps.values())
@@ -94,7 +98,7 @@ def cmd_compare(args) -> int:
 
 def cmd_scale(args) -> int:
     cfg = load_config(args.config)
-    if args.output and _unwritable(Path(args.output)):
+    if args.output and _unwritable(args.output):
         return 2  # refused before the sweep, not after it
     samples = apio.scale_harness(cfg, args.workers, repeats=args.repeats)
     if args.output:

@@ -286,6 +286,11 @@ class QueueEngine:
             N=self.engine.subintervals))
         self._next_id += 1
 
+    @property
+    def outstanding(self) -> int:
+        """How many jobs are popped and not yet settled."""
+        return len(self._outstanding)
+
     def pop(self) -> Job:
         """FIFO removal; the job is outstanding until it is settled."""
         if not self.queue:

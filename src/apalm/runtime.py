@@ -82,7 +82,6 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
     """
     t0 = time.perf_counter()
     n_dof = state.problem.n_dof
-    inflight = 0  # jobs sent and not yet settled
     # the endpoints that are still sent jobs, each with the jobs it holds,
     # oldest first; the same deque is the data of its selector key
     sendable = {ep: deque() for ep in endpoints}
@@ -93,7 +92,6 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
         live.register(ep, selectors.EVENT_READ, held)
 
     def dispatch() -> None:
-        nonlocal inflight
         for depth in range(DEPTH):  # every first job before any second
             for ep, held in list(sendable.items()):
                 if not state.queue:
@@ -109,12 +107,11 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
                     del sendable[ep]  # its replies are still read
                     continue
                 held.append(state.pop())
-                inflight += 1
 
     with live:
         dispatch()
-        while inflight or state.queue:
-            if not inflight:  # no live worker is left
+        while state.outstanding or state.queue:
+            if not state.outstanding:  # no live worker is left
                 job = state.pop()
                 state.submit(job, eng.solve_interval(
                     state.problem, state.config, job))
@@ -141,13 +138,11 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
                 except (tp.EndpointClosed, tp.ProtocolError) as exc:
                     live.unregister(ep)
                     sendable.pop(ep, None)
-                    inflight -= len(held)
                     for lost in held:
                         state.submit_failure(
                             lost, f"worker {endpoints.index(ep)} lost: {exc}")
                     continue
                 held.popleft()
-                inflight -= 1
                 state.submit(job, payload)
             dispatch()
 

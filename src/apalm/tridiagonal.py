@@ -14,14 +14,15 @@ dgttrs, as the ILP64 symbols scipy_dgttrf_64_ and scipy_dgttrs_64_;
 imported. Where that library exports no such symbols (Windows, Accelerate
 or MKL builds of numpy), `factor` and `solve` are `reference_factor` and
 `reference_solve`: the same elimination, operation for operation, on
-Python floats, which returns the same bits. The tests compare the two
-paths bitwise.
+Python floats, which returns the same bits. Each path keeps its own
+`Factor` form: the reference path Python lists, the LAPACK path arrays and
+the dgttrs arguments they fix. The tests compare the two paths bitwise.
 """
 
 from __future__ import annotations
 
 import ctypes
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,15 +31,19 @@ class Factor(NamedTuple):
     """P K = L U from `factor`, as dgttrf documents it: dl holds the n - 1
     multipliers of L, d, du and du2 the diagonal and the first and second
     superdiagonals of U (du2, of length n - 2, is the fill-in of row
-    interchanges), and ipiv[i] (int64, 1-based) the pivot row of step i:
-    i + 1 where row i kept its place, i + 2 where rows i and i + 1 were
-    interchanged."""
+    interchanges), and ipiv[i] (1-based) the pivot row of step i: i + 1
+    where row i kept its place, i + 2 where rows i and i + 1 were
+    interchanged. `reference_factor` gives the five as lists of Python
+    floats and ints, `lapack_factor` as float64 and int64 arrays and, as
+    `args`, dgttrs' N, DL, D, DU, DU2 and IPIV, whose pointers keep the
+    arrays alive. Each path solves only with its own factors."""
 
-    dl: np.ndarray
-    d: np.ndarray
-    du: np.ndarray
-    du2: np.ndarray
-    ipiv: np.ndarray
+    dl: Sequence
+    d: Sequence
+    du: Sequence
+    du2: Sequence
+    ipiv: Sequence
+    args: tuple = ()
 
 
 def _diagonals(sub, diag, sup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -60,7 +65,7 @@ def _rhs(lu: Factor, b) -> np.ndarray:
     """A C-ordered float64 copy of b, checked to be K's n entries or k
     right-hand sides of n entries each, as the rows of a (k, n) array."""
     x = np.array(b, dtype=float, order="C")
-    n = lu.d.size
+    n = len(lu.d)
     if x.ndim not in (1, 2) or x.shape[-1] != n:
         raise ValueError(f"right-hand side of shape {x.shape}, "
                          f"expected ({n},) or (k, {n})")
@@ -98,10 +103,7 @@ def reference_factor(sub, diag, sup) -> Factor:
         dl[i] = f
     if d[n - 1] == 0.0:
         raise np.linalg.LinAlgError("zero pivot")
-    return Factor(np.array(dl, dtype=float), np.array(d, dtype=float),
-                  np.array(du[:-1], dtype=float),
-                  np.array(du2[:max(n - 2, 0)], dtype=float),
-                  np.array(ipiv, dtype=np.int64))
+    return Factor(dl, d, du[:-1], du2[:max(n - 2, 0)], ipiv)
 
 
 def reference_solve(lu: Factor, b) -> np.ndarray:
@@ -109,7 +111,7 @@ def reference_solve(lu: Factor, b) -> np.ndarray:
     right-hand side or k of them as the rows of a (k, n) array: dgttrs,
     step for step on Python floats."""
     xs = _rhs(lu, b)
-    dl, d, du, du2, ipiv = (a.tolist() for a in lu)
+    dl, d, du, du2, ipiv, _ = lu
     n = len(d)
     rows = xs.reshape(-1, n).tolist()
     for x in rows:
@@ -165,27 +167,15 @@ def _int(value: int = 0):
     return ctypes.byref(ctypes.c_int64(value))
 
 
-class LapackFactor(Factor):
-    """A `Factor` that also holds, as `args`, the LAPACK arguments its
-    arrays fix, built once: N, then DL, D, DU, DU2 and IPIV, which dgttrf
-    factors in place and every dgttrs call reads. The pointers keep their
-    arrays alive."""
-
-    def __new__(cls, *fields):
-        self = super().__new__(cls, *fields)
-        # Factor's fields are dgttrf's and dgttrs' DL, D, DU, DU2 and IPIV,
-        # in that order
-        self.args = (_int(self.d.size), *map(_data, self))
-        return self
-
-
-def lapack_factor(sub, diag, sup) -> LapackFactor:
+def lapack_factor(sub, diag, sup) -> Factor:
     """`reference_factor` through LAPACK's dgttrf, on copies of the
     diagonals."""
     dl, d, du = _diagonals(sub, diag, sup)
     n = d.size
-    lu = LapackFactor(dl, d, du, np.empty(max(n - 2, 0)),
-                      np.empty(n, dtype=np.int64))
+    # Factor's arrays are dgttrf's and dgttrs' DL, D, DU, DU2 and IPIV, in
+    # that order
+    arrays = dl, d, du, np.empty(max(n - 2, 0)), np.empty(n, dtype=np.int64)
+    lu = Factor(*arrays, (_int(n), *map(_data, arrays)))
     info = ctypes.c_int64()
     _DGTTRF(*lu.args, ctypes.byref(info))
     if info.value:
@@ -194,13 +184,11 @@ def lapack_factor(sub, diag, sup) -> LapackFactor:
 
 
 def lapack_solve(lu: Factor, b) -> np.ndarray:
-    """`reference_solve` through LAPACK's dgttrs, in one call for all the
-    right-hand sides: the rows of a C-ordered (k, n) array are the columns
-    of dgttrs' B with LDB = n. Any `Factor` will do; one from
-    `lapack_factor` brings its arguments built."""
+    """`reference_solve` through LAPACK's dgttrs, for a factor from
+    `lapack_factor`, in one call for all the right-hand sides: the rows of
+    a C-ordered (k, n) array are the columns of dgttrs' B with LDB = n."""
     x = _rhs(lu, b)
-    n, *arrays = (lu if isinstance(lu, LapackFactor)
-                  else LapackFactor(*lu)).args
+    n, *arrays = lu.args
     nrhs = 1 if x.ndim == 1 else x.shape[0]
     _DGTTRS(b"N", n, _int(nrhs), *arrays, _data(x), n, _int(), 1)
     return x

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -346,6 +348,35 @@ class TestMain:
         assert report["ok"] is True
         assert report["mismatched_keys"] == []
 
+    @pytest.mark.parametrize("counts", ["1", "1,2,3"])
+    def test_compare_needs_two_counts(self, tmp_path, capsys, monkeypatch,
+                                      counts):
+        cfg = write_cfg(tmp_path, doc())
+        runs = []
+        monkeypatch.setattr(apio, "run_from_config",
+                            lambda *a, **k: runs.append(a))
+        assert main(["compare", cfg, "--workers", counts]) == 2
+        assert capsys.readouterr().err == \
+            "compare needs exactly two worker counts\n"
+        assert runs == []
+
+    def test_compare_names_the_mismatched_point(self, tmp_path, capsys,
+                                                monkeypatch):
+        rows = small_run().collect()
+        b, xi, s, lvl, w = rows[3]
+        other = list(rows)
+        other[3] = (b, xi, s, lvl, SolutionPoint(w.u, w.lam + 1e-12))
+        states = iter([SimpleNamespace(collect=lambda: rows),
+                       SimpleNamespace(collect=lambda: other)])
+        monkeypatch.setattr(apio, "run_from_config",
+                            lambda *a, **k: next(states))
+        cfg = write_cfg(tmp_path, doc())
+        assert main(["compare", cfg, "--workers", "1,2"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"workers": [1, 2], "keys_match": True,
+                          "missing_keys": [], "extra_keys": [],
+                          "mismatched_keys": [[b, xi]], "ok": False}
+
     def test_scale_prints_rows(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, doc(engine={"steps": 6}))
         assert main(["scale", cfg, "--workers", "1,2", "--repeats", "1"]) == 0
@@ -365,13 +396,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("target,where", [
-        ("tmp", "option"), (".", "option"), ("/", "option"),
-        (".", "config")], ids=["tmp-dir", "dot", "root", "dot-in-config"])
+    @pytest.mark.parametrize("target,where,reason", [
+        ("tmp", "option", "it is a directory"),
+        (".", "option", "it is a directory"),
+        ("/", "option", "it is a directory"),
+        (".", "config", "it is a directory"),
+        ("newname" + os.sep, "option", "it ends in a path separator")],
+        ids=["tmp-dir", "dot", "root", "dot-in-config", "trailing-sep"])
     def test_directory_as_output_exit_code(self, tmp_path, capsys,
-                                           monkeypatch, target, where):
+                                           monkeypatch, target, where,
+                                           reason):
         # refused before the run: nothing is computed and no file made;
-        # "." and "/" have no name that a suffix could be given to
+        # "." and "/" have no name that a suffix could be given to, and
+        # Path() drops the trailing separator of "newname/"
         monkeypatch.chdir(tmp_path)
         out = str(tmp_path) if target == "tmp" else target
         cfg = write_cfg(tmp_path, doc(output=out) if where == "config"
@@ -383,17 +420,19 @@ class TestMain:
         argv = ["run", cfg] + (["--output", out] if where == "option" else [])
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            f"error: cannot write {Path(out)}: it is a directory\n")
+            f"error: cannot write {out}: {reason}\n")
         assert runs == [] and sorted(tmp_path.rglob("*")) == before
 
-    @pytest.mark.parametrize("target", ["dir", "missing-dir", "file"])
+    @pytest.mark.parametrize("target", ["dir", "missing-dir", "file",
+                                        "trailing-sep"])
     def test_scale_output_refused_before_the_sweep(self, tmp_path, capsys,
                                                    monkeypatch, target):
         # an unwritable path is refused before any run, as for `run`; a
         # writable one gets the sweep and the file
         cfg = write_cfg(tmp_path, doc())
         out = {"dir": tmp_path, "missing-dir": tmp_path / "no" / "s.csv",
-               "file": tmp_path / "scale.csv"}[target]
+               "file": tmp_path / "scale.csv",
+               "trailing-sep": str(tmp_path / "new") + os.sep}[target]
         sweeps = []
         monkeypatch.setattr(apio, "scale_harness",
                             lambda *a, **k: sweeps.append(a) or [])
