@@ -11,7 +11,9 @@ import logging
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,9 +145,23 @@ def solve_interval(problem: ProblemDef, config: AlmConfig, job: Job
     return IntervalResult(job.id, sols)
 
 
-def serial_solve(problem: ProblemDef, config: AlmConfig,
-                 engine: EngineConfig) -> list[CurveMap]:
-    """Coarse serial continuation; the level-0 map of every branch.
+class SerialStep(NamedTuple):
+    """Level-0 interval `index` of an open branch, known once its serial
+    step is accepted: it runs from w_start, whose predecessor is w_prev, to
+    the point that step reached, delta_L0 = s_index - s_(index - 1) along."""
+
+    branch: int
+    index: int
+    w_start: SolutionPoint
+    w_prev: SolutionPoint | None
+    delta_L0: float
+
+
+def serial_stream(problem: ProblemDef, config: AlmConfig,
+                  engine: EngineConfig) -> Iterator[SerialStep | CurveMap]:
+    """Coarse serial continuation, one accepted step at a time: yields a
+    SerialStep after each accepted step, and the branch's level-0 map when
+    the branch closes.
 
     Starts from the trivial point (u = 0, lambda = 0). With bifurcation
     detection enabled, a stability sign change between consecutive points
@@ -153,14 +169,19 @@ def serial_solve(problem: ProblemDef, config: AlmConfig,
     eigenvector perturbation, each serially solved in turn with the run's
     delta_L and steps. A failed step raises on the primary branch; a spawned
     branch keeps the points it has, with a warning, and one left with fewer
-    than 2 points is dropped, so branch ids stay consecutive.
+    than 2 points is dropped, so branch ids stay consecutive: a branch's id
+    is the number of branches closed before its first accepted step.
     """
     w0 = SolutionPoint(np.zeros(problem.n_dof), 0.0)
     # (start, branch-switch seed) per branch
     pending: deque[tuple] = deque([(w0, None)])
-    branches: list[CurveMap] = []
+    closed = 0  # branches closed so far, so the id of the open one
     while pending:
         start, seed = pending.popleft()
+        # A spawned branch's start gets a virtual predecessor, so that its
+        # first interval is warm-started along the new branch.
+        w_prev0 = None if seed is None else SolutionPoint(
+            start.u - seed[:-1], start.lam - seed[-1])
         ws = [start]
         ss = [0.0]
         dw = seed
@@ -169,9 +190,9 @@ def serial_solve(problem: ProblemDef, config: AlmConfig,
             try:
                 res = alm.step(problem, config, ws[-1], dw, engine.delta_L)
             except alm.StepError as exc:
-                message = (f"serial solve failed on branch {len(branches)} "
+                message = (f"serial solve failed on branch {closed} "
                            f"at s={ss[-1]:.6g}: {exc}")
-                if not branches:
+                if not closed:
                     raise SerialSolveError(message)
                 log.warning("%s; %s", message, "branch kept" if len(ws) > 1
                             else "branch dropped")
@@ -180,24 +201,28 @@ def serial_solve(problem: ProblemDef, config: AlmConfig,
             ss.append(ss[-1] + res.achieved_length)
             dw = res.dw
             ws.append(w_new)
+            yield SerialStep(closed, len(ws) - 1, ws[-2],
+                             ws[-3] if len(ws) > 2 else w_prev0,
+                             ss[-1] - ss[-2])
             if engine.bifurcation_enabled:
                 stab = alm.detect_singular(problem, w_new)
                 if (stab_prev is not None
                         and stab_prev.det_sign * stab.det_sign < 0
-                        and len(branches) + len(pending) + 1
-                        < MAX_BRANCHES):
+                        and closed + len(pending) + 1 < MAX_BRANCHES):
                     _maybe_spawn_branch(problem, config, ws[-2], w_new,
                                         pending)
                 stab_prev = stab
         if len(ws) < 2:
             continue
-        # A spawned branch's start gets a virtual predecessor, so that its
-        # first interval is warm-started along the new branch.
-        w_prev0 = None if seed is None else SolutionPoint(
-            start.u - seed[:-1], start.lam - seed[-1])
-        branches.append(CurveMap.from_serial(len(branches), ws, ss,
-                                             w_prev0=w_prev0))
-    return branches
+        yield CurveMap.from_serial(closed, ws, ss, w_prev0=w_prev0)
+        closed += 1
+
+
+def serial_solve(problem: ProblemDef, config: AlmConfig,
+                 engine: EngineConfig) -> list[CurveMap]:
+    """The level-0 map of every branch: serial_stream run to its end."""
+    return [m for m in serial_stream(problem, config, engine)
+            if isinstance(m, CurveMap)]
 
 
 def _maybe_spawn_branch(problem, config, w_a, w_b, pending) -> None:
@@ -261,47 +286,87 @@ class QueueEngine:
         self.maps: dict[int, CurveMap] = {}
         self.queue: deque[Job] = deque()
         self.stats = EngineStats()
-        self._outstanding: set[int] = set()  # ids popped, not yet settled
+        # popped and not yet answered, by id; a job named by serial indices
+        # takes its map's xi here too when its branch closes
+        self._outstanding: dict[int, Job] = {}
+        # answered while their branch was open: (job, result or loss message)
+        self._parked: list[tuple[Job, IntervalResult | str]] = []
         self._next_id = 0
+        self.serial_phase = self._serial_steps()
 
-    def initialize(self) -> None:
-        """Serial phase; queues every level-0 interval as a level-1 job."""
+    def _serial_steps(self) -> Iterator[None]:
+        """The serial phase, yielding after each step and each branch close.
+
+        A step queues its level-1 job at once, named [index - 1, index] by
+        serial indices, since xi = s / s_total waits for the branch's end.
+        A close stores the branch's map, renames its jobs to the map's xi
+        and submits their parked answers. serial_time runs from the first
+        step to the last close. Created once, so the phase runs only once:
+        by `initialize`, or interleaved with the drain by `run_manager`.
+        """
         t0 = time.perf_counter()
-        for m in serial_solve(self.problem, self.config, self.engine):
-            self.maps[m.branch] = m
-            keys = m.xi_keys()
-            for lo, hi in zip(keys, keys[1:]):
-                self._enqueue(m, lo, hi, m.lookup(hi).ds, level=1)
+        for item in serial_stream(self.problem, self.config, self.engine):
+            if isinstance(item, CurveMap):
+                self._close(item)
+            else:
+                self._enqueue(item.branch, float(item.index - 1),
+                              float(item.index), item.delta_L0, item.w_start,
+                              item.w_prev, level=1)
+            yield
         self.stats.serial_time = time.perf_counter() - t0
 
-    def _enqueue(self, m: CurveMap, xi_lo: float, xi_hi: float,
-                 delta_L0: float, level: int) -> None:
-        """Queue [xi_lo, xi_hi] of map m; later insertions never change an
-        entry's w or w_prev, only the ds of an interval's end, so the w of
-        xi_hi that submit measures against is the one current now."""
-        lo = m.lookup(xi_lo)
+    def initialize(self) -> None:
+        """The serial phase run to its end: every level-0 interval queued
+        as a level-1 job, keyed by its map's xi."""
+        for _ in self.serial_phase:
+            pass
+
+    def _close(self, m: CurveMap) -> None:
+        self.maps[m.branch] = m
+        keys = m.xi_keys()
+
+        def named(job: Job) -> Job:
+            if job.branch != m.branch:
+                return job
+            return replace(job, xi_lo=keys[int(job.xi_lo)],
+                           xi_hi=keys[int(job.xi_hi)])
+
+        queued = [named(job) for job in self.queue]
+        self.queue.clear()
+        self.queue.extend(queued)
+        for job_id, job in self._outstanding.items():
+            self._outstanding[job_id] = named(job)
+        parked, self._parked = self._parked, []
+        for job, answer in parked:
+            self._answer(named(job), answer)
+
+    def _enqueue(self, branch: int, xi_lo: float, xi_hi: float,
+                 delta_L0: float, w_start: SolutionPoint,
+                 w_prev: SolutionPoint | None, level: int) -> None:
         self.queue.append(Job(
-            id=self._next_id, branch=m.branch, xi_lo=xi_lo, xi_hi=xi_hi,
-            delta_L0=delta_L0, w_start=lo.w, w_prev=lo.w_prev, level=level,
+            id=self._next_id, branch=branch, xi_lo=xi_lo, xi_hi=xi_hi,
+            delta_L0=delta_L0, w_start=w_start, w_prev=w_prev, level=level,
             N=self.engine.subintervals))
         self._next_id += 1
 
     @property
     def outstanding(self) -> int:
-        """How many jobs are popped and not yet settled."""
+        """How many jobs are popped and not yet answered."""
         return len(self._outstanding)
 
     def pop(self) -> Job:
-        """FIFO removal; the job is outstanding until it is settled."""
+        """FIFO removal; the job is outstanding until it is answered."""
         if not self.queue:
             raise QueueInvariantError("pop on empty queue")
         job = self.queue.popleft()
-        self._outstanding.add(job.id)
+        self._outstanding[job.id] = job
         return job
 
-    def _settle(self, job: Job) -> None:
+    def _settle(self, job: Job) -> Job:
+        """The answered job as the engine holds it now: with its map's xi
+        if its branch closed after the pop."""
         try:
-            self._outstanding.remove(job.id)
+            return self._outstanding.pop(job.id)
         except KeyError:
             raise QueueInvariantError(
                 f"job id {job.id} is not outstanding") from None
@@ -310,8 +375,27 @@ class QueueEngine:
         """Measure a job's fine path against the map, insert its solutions
         and, below max_level, queue children where errors demand: the fine
         subintervals if the lower error exceeds its tolerance, the closing
-        one if the upper error does and the fine end-point was stored."""
-        self._settle(job)
+        one if the upper error does and the fine end-point was stored.
+
+        The job is matched by id, so it may be the one popped while its
+        branch was open; while it is, the result is parked until the close.
+        """
+        self._answer(self._settle(job), result)
+
+    def submit_failure(self, job: Job, message: str) -> None:
+        """Record a job lost to a worker failure; coarse data is retained.
+        Parked like a result while the job's branch is open."""
+        self._answer(self._settle(job), message)
+
+    def _answer(self, job: Job, answer: IntervalResult | str) -> None:
+        if job.branch not in self.maps:  # its branch is still open
+            self._parked.append((job, answer))
+        elif isinstance(answer, str):
+            self._record(job, LOST, message=answer)
+        else:
+            self._apply(job, answer)
+
+    def _apply(self, job: Job, result: IntervalResult) -> None:
         m = self.maps[job.branch]
         if result.error:
             # Retain the coarse data; warn, do not requeue.
@@ -347,14 +431,14 @@ class QueueEngine:
             if refine_upper and len(keys) == len(dists) + 2:
                 children.append((keys[-2], keys[-1], closing))
         for lo, hi, dl0 in children:
-            self._enqueue(m, lo, hi, dl0, job.level + 1)
+            # later insertions never change an entry's w or w_prev, only the
+            # ds of an interval's end, so the w of hi that submit measures
+            # against is the one current now
+            entry = m.lookup(lo)
+            self._enqueue(m.branch, lo, hi, dl0, entry.w, entry.w_prev,
+                          job.level + 1)
         self._record(job, REFINED if refine_lower or refine_upper
                      else ACCEPTED, measured, len(children))
-
-    def submit_failure(self, job: Job, message: str) -> None:
-        """Record a job lost to a worker failure; coarse data is retained."""
-        self._settle(job)
-        self._record(job, LOST, message=message)
 
     def _record(self, job: Job, outcome: str, measured=None, children=0,
                 message="") -> None:

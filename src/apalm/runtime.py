@@ -75,12 +75,16 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
     buffers about 200 KB each way, while a job or reply frame carries two
     or N points: about 4 KB for springchain n = 256 with N = 2.
 
-    With no job in flight the manager solves the head job itself: with no
+    The serial phase runs here unless `state.initialize()` has run it:
+    after each serial step the manager settles the replies that have
+    arrived, without waiting for any, and dispatches, so workers solve
+    level-1 jobs while the serial steps go on. With no job in flight after
+    the serial phase, the manager solves the head job itself: with no
     endpoints this is `aalm`, and a run that loses every worker finishes
-    its queue. Stopping the workers and validating the maps is queue_time
-    too.
+    its queue. The serial phase is timed as serial_time, and queue_time
+    runs from its end to the end of this loop, stopping the workers and
+    validating the maps included.
     """
-    t0 = time.perf_counter()
     n_dof = state.problem.n_dof
     # the endpoints that are still sent jobs, each with the jobs it holds,
     # oldest first; the same deque is the data of its selector key
@@ -108,7 +112,41 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
                     continue
                 held.append(state.pop())
 
+    def settle(ready) -> None:
+        for key, _ in ready:
+            ep, held = key.fileobj, key.data
+            job = held[0] if held else None
+            try:
+                payload = ep.recv()
+                if not isinstance(payload, IntervalResult) or job is None:
+                    raise tp.ProtocolError(
+                        f"manager expected data for a job, got "
+                        f"{type(payload).__name__}")
+                if payload.job_id != job.id:
+                    raise tp.ProtocolError(
+                        f"job id mismatch: sent {job.id}, "
+                        f"got {payload.job_id}")
+                sizes = {w.n_dof for w in payload.solutions}
+                if len(payload.solutions) > job.N or sizes - {n_dof}:
+                    raise tp.ProtocolError(
+                        f"reply does not fit job {job.id}: "
+                        f"{len(payload.solutions)} steps for N = {job.N}, "
+                        f"points of {sorted(sizes)} DOF for {n_dof}")
+            except (tp.EndpointClosed, tp.ProtocolError) as exc:
+                live.unregister(ep)
+                sendable.pop(ep, None)
+                for lost in held:
+                    state.submit_failure(
+                        lost, f"worker {endpoints.index(ep)} lost: {exc}")
+                continue
+            held.popleft()
+            state.submit(job, payload)
+
     with live:
+        for _ in state.serial_phase:  # the serial phase, unless it has run
+            settle(live.select(0))
+            dispatch()
+        t0 = time.perf_counter()
         dispatch()
         while state.outstanding or state.queue:
             if not state.outstanding:  # no live worker is left
@@ -116,34 +154,7 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
                 state.submit(job, eng.solve_interval(
                     state.problem, state.config, job))
                 continue
-            for key, _ in live.select():
-                ep, held = key.fileobj, key.data
-                job = held[0] if held else None
-                try:
-                    payload = ep.recv()
-                    if not isinstance(payload, IntervalResult) or job is None:
-                        raise tp.ProtocolError(
-                            f"manager expected data for a job, got "
-                            f"{type(payload).__name__}")
-                    if payload.job_id != job.id:
-                        raise tp.ProtocolError(
-                            f"job id mismatch: sent {job.id}, "
-                            f"got {payload.job_id}")
-                    sizes = {w.n_dof for w in payload.solutions}
-                    if len(payload.solutions) > job.N or sizes - {n_dof}:
-                        raise tp.ProtocolError(
-                            f"reply does not fit job {job.id}: "
-                            f"{len(payload.solutions)} steps for N = {job.N}, "
-                            f"points of {sorted(sizes)} DOF for {n_dof}")
-                except (tp.EndpointClosed, tp.ProtocolError) as exc:
-                    live.unregister(ep)
-                    sendable.pop(ep, None)
-                    for lost in held:
-                        state.submit_failure(
-                            lost, f"worker {endpoints.index(ep)} lost: {exc}")
-                    continue
-                held.popleft()
-                state.submit(job, payload)
+            settle(live.select())
             dispatch()
 
     for ep in sendable:
@@ -171,16 +182,16 @@ def apalm(problem: ProblemDef, config: AlmConfig, engine: EngineConfig,
           worker_count: int = 1, transport: str = THREAD) -> QueueEngine:
     """Adaptive parallel arc-length method.
 
-    Serial solve and map initialization run on the manager; queued intervals
-    are executed by worker_count workers, threads or forked processes, each
-    over its own socket pair. Result contract matches the serial aalm run.
+    worker_count workers, threads or forked processes, each over its own
+    socket pair, are started first; the manager then runs the serial phase
+    and feeds them each level-1 job as its serial step lands, and then the
+    rest of the queue. Result contract matches the serial aalm run.
     """
     if worker_count < 1:
         raise ValueError("worker_count must be >= 1")
     if transport not in (THREAD, PROCESS):
         raise ValueError(f"unknown transport {transport!r}")
     state = QueueEngine(problem, config, engine)
-    state.initialize()
     worker_cls = (threading.Thread if transport == THREAD
                   else multiprocessing.get_context("fork").Process)
     endpoints = []

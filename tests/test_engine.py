@@ -9,8 +9,8 @@ from apalm.alm import AlmConfig
 from apalm.curvemap import CurveMap
 from apalm.engine import (ACCEPTED, FAILED, OUTCOMES, REFINED, REJECTED,
                           EngineConfig, IntervalResult, Job, QueueEngine,
-                          QueueInvariantError, SerialSolveError, aalm,
-                          compute_errors, serial_solve, solve_interval)
+                          QueueInvariantError, SerialSolveError, SerialStep,
+                          aalm, compute_errors, serial_solve, solve_interval)
 from apalm.problems import SolutionPoint, make_builtin
 from apalm.runtime import apalm
 from bits import (NOISE_FLOOR_CONFIGS, record_bits, row_bits,
@@ -126,6 +126,19 @@ class TestSerialSolve:
         assert len(branches) == 1
 
 
+def stream_of(maps):
+    """A serial_stream stand-in that yields each map's steps, taken from
+    its entries, and then the map."""
+    def stream(*args):
+        for m in maps:
+            entries = [m.lookup(xi) for xi in m.xi_keys()]
+            for i in range(1, len(entries)):
+                lo = entries[i - 1]
+                yield SerialStep(m.branch, i, lo.w, lo.w_prev, entries[i].ds)
+            yield m
+    return stream
+
+
 class TestInitializeMap:
     """QueueEngine.initialize queues one level-1 job per serial interval."""
 
@@ -135,7 +148,7 @@ class TestInitializeMap:
             sols = [SolutionPoint(np.array([float(i)]), 0.0) for i in range(n)]
             maps.append(CurveMap.from_serial(
                 b, sols, [float(i) for i in range(n)]))
-        monkeypatch.setattr(engine, "serial_solve", lambda *args: maps)
+        monkeypatch.setattr(engine, "serial_stream", stream_of(maps))
         state = QueueEngine(make_builtin("linear1d"), crisfield(1.0),
                             EngineConfig(delta_L=1.0, steps=1))
         state.initialize()
@@ -164,6 +177,17 @@ class TestInitializeMap:
             assert job.w_start is m.lookup(job.xi_lo).w
             assert job.w_prev is m.lookup(job.xi_lo).w_prev
             assert job.delta_L0 == m.lookup(job.xi_hi).ds
+
+    def test_queued_jobs_are_keyed_by_their_maps_xi(self, monkeypatch):
+        # queued by serial indices while a branch steps, every job names
+        # adjacent keys of its map once initialize() returns
+        maps, queue = self._initialize(monkeypatch, [5, 3])
+        for job in queue:
+            keys = maps[job.branch].xi_keys()
+            assert job.xi_lo in keys and job.xi_hi in keys
+            assert keys.index(job.xi_hi) == keys.index(job.xi_lo) + 1
+        assert [(job.xi_lo, job.xi_hi) for job in queue if job.branch == 1] \
+            == [(0.0, 0.5), (0.5, 1.0)]
 
 
 def make_job(problem, w_start, w_prev, delta_L0, N=2, level=1):
@@ -403,7 +427,7 @@ class TestSubmitChildren:
         # along the map: the first job runs from u = 0 to u = 1, dL0 = 2
         sols = [SolutionPoint(np.array([float(i)]), 0.0) for i in range(6)]
         m = CurveMap.from_serial(0, sols, [2.0 * i for i in range(6)])
-        monkeypatch.setattr(engine, "serial_solve", lambda *args: [m])
+        monkeypatch.setattr(engine, "serial_stream", stream_of([m]))
         state = QueueEngine(make_builtin("linear1d"), crisfield(1.0),
                             EngineConfig(delta_L=1.0, steps=1, **eng))
         state.initialize()
@@ -665,6 +689,56 @@ def test_shuffled_arrival_matches_aalm_bitwise(seed):
     ref = aalm(p, cfg, eng)
     assert row_bits(state.collect()) == row_bits(ref.collect())
     assert record_bits(state) == record_bits(ref)
+
+
+# runs whose serial phase spawns branches: pitchfork 2, twin 3
+STREAMED_RUNS = {
+    "pitchfork": (make_builtin("pitchfork"), crisfield(1.0),
+                  EngineConfig(delta_L=0.3, steps=6, bifurcation_enabled=True)),
+    "twin": (twin_problem(), crisfield(1.0, tol=1e-10),
+             EngineConfig(delta_L=0.03, steps=70, bifurcation_enabled=True,
+                          tol_lower=1e-2, tol_upper=1e-2, max_level=3)),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("run", sorted(STREAMED_RUNS))
+def test_streamed_shuffled_arrival_matches_aalm_bitwise(run, seed, tmp_path):
+    """Jobs solved while the serial phase steps and submitted in a random
+    order, some while their branch is open (parked) and some of an earlier
+    branch while a later one steps, give aalm's rows, records and summary,
+    bit for bit."""
+    p, cfg, eng = STREAMED_RUNS[run]
+    state = QueueEngine(p, cfg, eng)
+    rng = random.Random(seed)
+    pending = []
+    parked = crossed = 0
+
+    def exchange(stream_open):
+        nonlocal parked, crossed
+        while state.queue and len(pending) < 4:
+            job = state.pop()
+            pending.append((job, solve_interval(p, cfg, job)))
+        if pending and (not stream_open or rng.random() < 0.5):
+            job, result = pending.pop(rng.randrange(len(pending)))
+            if job.branch not in state.maps:
+                parked += 1
+            elif stream_open:
+                crossed += 1
+            state.submit(job, result)
+
+    for _ in state.serial_phase:
+        exchange(stream_open=True)
+    assert not state._parked
+    while state.queue or pending:
+        exchange(stream_open=False)
+    assert parked > 0 and crossed > 0
+    ref = aalm(p, cfg, eng)
+    assert len(state.maps) == len(ref.maps) >= 2
+    assert row_bits(state.collect()) == row_bits(ref.collect())
+    assert record_bits(state) == record_bits(ref)
+    assert summary_without_timings(state, tmp_path / "streamed.json") == \
+        summary_without_timings(ref, tmp_path / "aalm.json")
 
 
 # cubic1d at the Newton noise floor (25 of 1484 jobs rejected) and a Riks

@@ -9,11 +9,12 @@ import time
 import numpy as np
 import pytest
 
-from apalm import engine, runtime
+from apalm import alm, engine, runtime
 from apalm import transport as tp
 from apalm.alm import AlmConfig, point_distance
 from apalm.engine import (ACCEPTED, LOST, REFINED, EngineConfig,
-                          IntervalResult, Job, QueueEngine, aalm)
+                          IntervalResult, Job, QueueEngine, SerialSolveError,
+                          aalm)
 from apalm.problems import SolutionPoint, make_builtin
 from apalm.runtime import _worker_main, apalm, run_manager, run_worker
 from apalm.transport import ProtocolError, SocketEndpoint
@@ -638,6 +639,124 @@ class TestApalm:
         assert not state.queue and not state._outstanding
         for m in state.maps.values():
             m.validate_monotone()
+
+    def test_first_job_sent_before_the_last_serial_step(self, monkeypatch):
+        # the serial phase streams: job 0 goes to the one worker as soon as
+        # the first serial step lands, not after the last one
+        manager_pid, events = os.getpid(), []
+        step, send = alm.step, SocketEndpoint.send
+
+        def logged_step(*args):
+            if os.getpid() == manager_pid:
+                events.append("step")
+            return step(*args)
+
+        def logged_send(self, msg):
+            if isinstance(msg, Job):
+                events.append("job")
+            send(self, msg)
+
+        monkeypatch.setattr(alm, "step", logged_step)
+        monkeypatch.setattr(SocketEndpoint, "send", logged_send)
+        eng = EngineConfig(delta_L=0.4, steps=15)
+        state = apalm(make_builtin("cubic1d"), crisfield(), eng,
+                      worker_count=1, transport="process")
+        serial = [i for i, e in enumerate(events) if e == "step"][:15]
+        assert len(serial) == 15
+        assert events[:2] == ["step", "job"]
+        assert events.index("job") < serial[-1]
+        assert events.count("job") == state.stats.jobs_done
+
+    @pytest.mark.parametrize("transport", ["thread", "process"])
+    def test_worker_lost_during_the_serial_phase(self, transport,
+                                                 monkeypatch):
+        # The only worker hangs up on its first job, and the manager's
+        # third serial step waits until it is gone. The jobs it held are
+        # lost while branch 0 is still open, so their losses are parked;
+        # each is recorded with the closed map's xi, and the manager solves
+        # the rest once the stream has closed.
+        manager_pid, main = os.getpid(), threading.main_thread()
+        baseline = set(threading.enumerate())
+        solve, step, fail = (engine.solve_interval, alm.step,
+                             QueueEngine.submit_failure)
+        calls, open_at_loss = [], []
+
+        def in_manager():
+            return (os.getpid() == manager_pid
+                    and threading.current_thread() is main)
+
+        def hangs_up(problem, config, job):
+            if not in_manager():
+                raise tp.EndpointClosed("synthetic hang-up")
+            return solve(problem, config, job)
+
+        def waits_for_the_loss(*args):
+            if in_manager():
+                calls.append(args)
+                deadline = time.monotonic() + 10.0
+                while len(calls) == 3 and (
+                        set(threading.enumerate()) - baseline
+                        or multiprocessing.active_children()):
+                    assert time.monotonic() < deadline, "worker still up"
+                    time.sleep(0.001)
+            return step(*args)
+
+        def noted_failure(self, job, message):
+            open_at_loss.append(job.branch not in self.maps)
+            fail(self, job, message)
+
+        monkeypatch.setattr(engine, "solve_interval", hangs_up)
+        monkeypatch.setattr(alm, "step", waits_for_the_loss)
+        monkeypatch.setattr(QueueEngine, "submit_failure", noted_failure)
+        eng = EngineConfig(delta_L=0.4, steps=15, tol_lower=1e-4,
+                           tol_upper=1e-4)
+        state = apalm(make_builtin("cubic1d"), crisfield(), eng,
+                      worker_count=1, transport=transport)
+        lost = [r for r in state.stats.records if r.outcome == LOST]
+        assert [r.job.id for r in lost] in ([0], [0, 1])
+        assert open_at_loss == [True] * len(lost)
+        keys = state.maps[0].xi_keys()
+        for r in lost:
+            i = r.job.id  # level-1 job i covers serial interval i + 1
+            assert (r.job.xi_lo, r.job.xi_hi) == (keys[i], keys[i + 1])
+            assert r.message.startswith(
+                f"branch 0 [{keys[i]!r}, {keys[i + 1]!r}] lost: "
+                f"worker 0 lost")
+        assert state.stats.jobs_failed == len(lost)
+        assert all(r.outcome in (ACCEPTED, REFINED)
+                   for r in state.stats.records if r.outcome != LOST)
+        assert not state.queue and not state._outstanding
+        assert not state._parked
+        assert set(threading.enumerate()) == baseline
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("transport", ["thread", "process"])
+    def test_primary_serial_failure_joins_every_worker(self, transport,
+                                                       monkeypatch):
+        # the primary branch fails its sixth serial step while its first
+        # jobs are with the workers: apalm raises SerialSolveError, and no
+        # worker thread or process is left behind
+        log = record_sends(monkeypatch)
+        manager_pid, main = os.getpid(), threading.main_thread()
+        baseline = set(threading.enumerate())
+        step, calls = alm.step, []
+
+        def fails_sixth(*args):
+            if (os.getpid() == manager_pid
+                    and threading.current_thread() is main):
+                calls.append(args)
+                if len(calls) == 6:
+                    raise alm.StepError("forced")
+            return step(*args)
+
+        monkeypatch.setattr(alm, "step", fails_sixth)
+        eng = EngineConfig(delta_L=0.4, steps=15)
+        with pytest.raises(SerialSolveError, match="branch 0 at s=.*forced"):
+            apalm(make_builtin("cubic1d"), crisfield(), eng, worker_count=2,
+                  transport=transport)
+        assert len(log) >= 2
+        assert set(threading.enumerate()) == baseline
+        assert not multiprocessing.active_children()
 
     def test_no_worker_holds_more_than_depth(self, monkeypatch):
         log = record_sends(monkeypatch)
