@@ -1,4 +1,4 @@
-"""Command-line entry points: run, compare, scale."""
+"""Command-line entry points: run and compare."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from pathlib import Path
 
 from . import io as apio
 from .config import ConfigError, load_config
+from .engine import SerialSolveError
 
 
 def _positive_int(text: str) -> int:
@@ -72,7 +73,7 @@ def cmd_run(args) -> int:
         print(f"{points} points on {len(state.maps)} branch(es), "
               f"{state.stats.jobs_done} jobs "
               f"(serial {state.stats.serial_time:.3f}s, "
-              f"parallel {state.stats.queue_time:.3f}s)")
+              f"queue {state.stats.queue_time:.3f}s)")
     return 0
 
 
@@ -96,22 +97,6 @@ def cmd_compare(args) -> int:
     return 0 if report.ok() else 1
 
 
-def cmd_scale(args) -> int:
-    cfg = load_config(args.config)
-    if args.output and _unwritable(args.output):
-        return 2  # refused before the sweep, not after it
-    samples = apio.scale_harness(cfg, args.workers, repeats=args.repeats)
-    if args.output:
-        apio.write_scale_csv(samples, args.output)
-        print(f"wrote {args.output}")
-    else:
-        for s in samples:
-            print(f"workers={s.workers}: serial {s.serial_mean:.3f}s, "
-                  f"parallel {s.parallel_mean:.3f}s "
-                  f"[{s.parallel_min:.3f}, {s.parallel_max:.3f}]")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apalm",
@@ -131,12 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="two counts, e.g. 1,4")
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_scale = sub.add_parser("scale", help="worker-count timing sweep")
-    p_scale.add_argument("config")
-    p_scale.add_argument("--workers", type=_parse_worker_list, required=True)
-    p_scale.add_argument("--repeats", type=_positive_int, default=3)
-    p_scale.add_argument("--output", default=None)
-    p_scale.set_defaults(func=cmd_scale)
     return parser
 
 
@@ -152,6 +131,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SerialSolveError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

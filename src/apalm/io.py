@@ -1,12 +1,11 @@
-"""CSV/JSON outputs, determinism comparison, and the scaling harness."""
+"""CSV/JSON outputs, determinism comparison, and a run from a config."""
 
 from __future__ import annotations
 
 import csv
 import json
-import statistics
 from collections import Counter
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,50 +121,3 @@ def run_from_config(cfg: RunConfig, workers: int | None = None) -> QueueEngine:
     n = cfg.workers if workers is None else workers
     return apalm(problem, cfg.alm, cfg.engine, worker_count=n,
                  transport=cfg.transport)
-
-
-@dataclass(frozen=True)
-class ScaleSample:
-    workers: int
-    serial_mean: float
-    serial_min: float
-    serial_max: float
-    parallel_mean: float
-    parallel_min: float
-    parallel_max: float
-
-
-def scale_harness(cfg: RunConfig, worker_counts: list[int],
-                  repeats: int = 3) -> list[ScaleSample]:
-    """Wall times per worker count, repeated; serial and parallel separated."""
-    if not worker_counts:
-        raise ValueError("worker_counts must be nonempty")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    samples = []
-    for count in worker_counts:
-        serial_times = []
-        parallel_times = []
-        for _ in range(repeats):
-            state = run_from_config(cfg, workers=count)
-            serial_times.append(state.stats.serial_time)
-            parallel_times.append(state.stats.queue_time)
-        samples.append(ScaleSample(
-            workers=count,
-            serial_mean=statistics.fmean(serial_times),
-            serial_min=min(serial_times),
-            serial_max=max(serial_times),
-            parallel_mean=statistics.fmean(parallel_times),
-            parallel_min=min(parallel_times),
-            parallel_max=max(parallel_times),
-        ))
-    return samples
-
-
-def write_scale_csv(samples: list[ScaleSample], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f.name for f in fields(ScaleSample)])
-        for s in samples:
-            writer.writerow([s.workers]
-                            + [f"{v:.17g}" for v in astuple(s)[1:]])

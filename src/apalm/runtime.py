@@ -142,7 +142,7 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
             held.popleft()
             state.submit(job, payload)
 
-    with live:
+    try:
         for _ in state.serial_phase:  # the serial phase, unless it has run
             settle(live.select(0))
             dispatch()
@@ -156,12 +156,15 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
                 continue
             settle(live.select())
             dispatch()
-
-    for ep in sendable:
-        try:
-            ep.send(None)
-        except tp.EndpointClosed:
-            pass
+    finally:
+        # also when the loop raises: a worker reads its stop after
+        # answering the jobs it holds
+        live.close()
+        for ep in sendable:
+            try:
+                ep.send(None)
+            except tp.EndpointClosed:
+                pass
     state.validate_maps()
     state.stats.queue_time = time.perf_counter() - t0
 
@@ -214,10 +217,12 @@ def apalm(problem: ProblemDef, config: AlmConfig, engine: EngineConfig,
             workers.append(w)
         run_manager(state, endpoints)
     finally:
-        # Closing first wakes any worker still blocked in recv, so an error
-        # in the manager does not wait out the join timeout.
+        # Ending the sends wakes a worker sent no stop; closing after the
+        # join lets a worker still on its jobs send its replies.
         for ep in endpoints:
-            ep.close()
+            ep.end_sends()
         for w in workers:
             w.join(timeout=30)
+        for ep in endpoints:
+            ep.close()
     return state

@@ -158,6 +158,13 @@ class SocketEndpoint:
             raise ProtocolError(f"unsupported protocol version {version}")
         return decode(self._read_exact(length))
 
+    def end_sends(self) -> None:
+        """Send the end of the stream; replies can still be read."""
+        try:
+            self._sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+
     def close(self) -> None:
         try:
             self._sock.shutdown(socket.SHUT_RDWR)

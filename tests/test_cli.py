@@ -287,38 +287,6 @@ class TestCompare:
         assert report.missing_keys
 
 
-class TestScaleHarness:
-    def test_single_count_well_formed(self, tmp_path):
-        cfg = parse_config(json.dumps(doc(engine={"steps": 6})))
-        samples = apio.scale_harness(cfg, [1], repeats=2)
-        assert len(samples) == 1
-        s = samples[0]
-        assert s.workers == 1
-        assert s.parallel_min <= s.parallel_mean <= s.parallel_max
-        out = tmp_path / "scale.csv"
-        apio.write_scale_csv(samples, str(out))
-        lines = out.read_text().splitlines()
-        assert lines[0].split(",") == [
-            "workers", "serial_mean", "serial_min", "serial_max",
-            "parallel_mean", "parallel_min", "parallel_max"]
-        row = lines[1].split(",")
-        assert row[0] == "1"
-        assert [float(v) for v in row[1:]] == [
-            s.serial_mean, s.serial_min, s.serial_max,
-            s.parallel_mean, s.parallel_min, s.parallel_max]
-
-    def test_empty_counts_rejected(self):
-        cfg = parse_config(json.dumps(doc()))
-        with pytest.raises(ValueError):
-            apio.scale_harness(cfg, [])
-
-    @pytest.mark.parametrize("repeats", [0, -1])
-    def test_no_repeats_rejected(self, repeats):
-        cfg = parse_config(json.dumps(doc()))
-        with pytest.raises(ValueError):
-            apio.scale_harness(cfg, [1], repeats=repeats)
-
-
 def write_cfg(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -337,9 +305,42 @@ class TestMain:
         assert summary["points"] == len(apio.read_csv(str(out)))
 
     def test_run_without_output_prints_stats(self, tmp_path, capsys):
+        # queue_time is the tail after the serial phase, not the parallel
+        # part of the run, and the line says so
         cfg = write_cfg(tmp_path, doc())
         assert main(["run", cfg]) == 0
-        assert "points" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "points" in out
+        assert "(serial " in out and ", queue " in out
+        assert "parallel" not in out
+
+    def test_scale_subcommand_is_gone(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, doc())
+        with pytest.raises(SystemExit) as exc:
+            main(["scale", cfg])
+        assert exc.value.code == 2
+        assert "invalid choice: 'scale'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["option", "none"])
+    def test_serial_failure_exit_code(self, tmp_path, capsys, caplog, where):
+        # a serial step of the primary branch fails while the worker holds
+        # level-1 jobs: one line on stderr, no traceback, no file, and the
+        # worker does not report its manager lost
+        cfg = write_cfg(tmp_path, {
+            "problem": {"name": "springchain", "params": {"n": 8}},
+            "alm": {"newton_tol": 1e-14},
+            "engine": {"delta_L": 500, "steps": 4}})
+        out = tmp_path / "curve.csv"
+        argv = ["run", cfg] + (["--output", str(out)] if where == "option"
+                               else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: serial solve failed on branch 0 at s=")
+        assert captured.err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+        assert not caplog.records
 
     def test_compare_identical(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, doc())
@@ -376,12 +377,6 @@ class TestMain:
         assert report == {"workers": [1, 2], "keys_match": True,
                           "missing_keys": [], "extra_keys": [],
                           "mismatched_keys": [[b, xi]], "ok": False}
-
-    def test_scale_prints_rows(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, doc(engine={"steps": 6}))
-        assert main(["scale", cfg, "--workers", "1,2", "--repeats", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "workers=1" in out and "workers=2" in out
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, doc(bogus=1))
@@ -423,30 +418,6 @@ class TestMain:
             f"error: cannot write {out}: {reason}\n")
         assert runs == [] and sorted(tmp_path.rglob("*")) == before
 
-    @pytest.mark.parametrize("target", ["dir", "missing-dir", "file",
-                                        "trailing-sep"])
-    def test_scale_output_refused_before_the_sweep(self, tmp_path, capsys,
-                                                   monkeypatch, target):
-        # an unwritable path is refused before any run, as for `run`; a
-        # writable one gets the sweep and the file
-        cfg = write_cfg(tmp_path, doc())
-        out = {"dir": tmp_path, "missing-dir": tmp_path / "no" / "s.csv",
-               "file": tmp_path / "scale.csv",
-               "trailing-sep": str(tmp_path / "new") + os.sep}[target]
-        sweeps = []
-        monkeypatch.setattr(apio, "scale_harness",
-                            lambda *a, **k: sweeps.append(a) or [])
-        code = main(["scale", cfg, "--workers", "1", "--output", str(out)])
-        err = capsys.readouterr().err
-        if target == "file":
-            assert (code, err, len(sweeps)) == (0, "", 1)
-            assert out.read_text().startswith("workers,")
-            return
-        assert code == 2 and sweeps == []
-        assert err.startswith(f"error: cannot write {out}: ")
-        assert err.count("\n") == 1
-        assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json"]
-
     @pytest.mark.parametrize("where", ["option", "config"])
     def test_output_in_missing_directory_refused_before_run(
             self, tmp_path, capsys, monkeypatch, where):
@@ -487,7 +458,6 @@ class TestMain:
         ["run", "--workers", "0"],
         ["run", "--workers", "-2"],
         ["run", "--workers", "two"],
-        ["scale", "--workers", "1", "--repeats", "0"],
     ])
     def test_non_positive_counts_rejected(self, argv, tmp_path, capsys):
         cfg = write_cfg(tmp_path, doc())

@@ -732,10 +732,11 @@ class TestApalm:
 
     @pytest.mark.parametrize("transport", ["thread", "process"])
     def test_primary_serial_failure_joins_every_worker(self, transport,
-                                                       monkeypatch):
+                                                       monkeypatch, caplog):
         # the primary branch fails its sixth serial step while its first
         # jobs are with the workers: apalm raises SerialSolveError, and no
-        # worker thread or process is left behind
+        # worker thread or process is left behind; each worker answers its
+        # jobs and reads its stop, so a thread worker logs no lost manager
         log = record_sends(monkeypatch)
         manager_pid, main = os.getpid(), threading.main_thread()
         baseline = set(threading.enumerate())
@@ -757,6 +758,7 @@ class TestApalm:
         assert len(log) >= 2
         assert set(threading.enumerate()) == baseline
         assert not multiprocessing.active_children()
+        assert not [r for r in caplog.records if r.name == "apalm.runtime"]
 
     def test_no_worker_holds_more_than_depth(self, monkeypatch):
         log = record_sends(monkeypatch)
