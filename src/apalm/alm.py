@@ -83,7 +83,6 @@ def distance(dw: np.ndarray, psi: float, load_norm_sq: float) -> float:
     """
     if load_norm_sq < 0:
         raise ValueError("load_norm_sq must be non-negative")
-    dw = np.asarray(dw, dtype=float)
     du = dw[:-1]
     return float(np.sqrt(du @ du + psi**2 * dw.item(-1)**2 * load_norm_sq))
 
@@ -118,9 +117,9 @@ def predictor(problem: ProblemDef, config: AlmConfig, w: SolutionPoint,
         if length > 0:
             return (delta_L / length) * delta_w_prev
     n = problem.n_dof
-    unit = np.append(np.zeros(n), 1.0)
     try:
-        tangent = _bordered_solve(problem, w, unit, np.zeros(n), 1.0)
+        tangent = _bordered_solve(problem, w, None, 1.0, np.zeros(n), 1.0,
+                                  _Work(n, 1))
     except np.linalg.LinAlgError as exc:
         raise PredictorError(f"singular tangent stiffness at cold start: {exc}")
     length = distance(tangent, psi, ptp)
@@ -136,8 +135,7 @@ def select_root(roots: tuple[float, float], delta_u_old: np.ndarray,
     Maximizes delta_u_old . delta_u_candidate; on a tie (e.g. first
     iteration from a cold start) the root with larger delta lambda wins.
     """
-    old = np.asarray(delta_u_old, dtype=float)
-    dots = [float(old @ np.asarray(c, dtype=float)) for c in delta_u_candidates]
+    dots = [float(delta_u_old @ c) for c in delta_u_candidates]
     scale = max(1.0, abs(dots[0]), abs(dots[1]))
     if abs(dots[0] - dots[1]) <= 1e-12 * scale:
         return 0 if roots[0] >= roots[1] else 1
@@ -148,26 +146,47 @@ class _NoConvergence(RuntimeError):
     pass
 
 
-def _bordered_solve(problem: ProblemDef, w: SolutionPoint, rhs: np.ndarray,
-                    row: np.ndarray, corner: float) -> np.ndarray:
-    """The solution of the bordered system [[K, dG/dlam], [row, corner]]
-    x = rhs, with K and dG/dlam at w, for rhs one column [b; beta] or two
-    columns [b; beta] and [0; 1]. Raises np.linalg.LinAlgError where the
-    system is singular.
+class _Work:
+    """The arrays that the bordered solves of one step refill on each
+    Newton iteration: x, the solution, of shape (n + 1,) for one column and
+    (n + 1, 2) for two, and for a tridiagonal K the factor `lu` that
+    tridiagonal.factor refills, with its right-hand sides. A step builds
+    its own and shares it with no other, so steps may run at the same time
+    on one problem."""
 
-    A dense K goes through np.linalg.solve. A tridiagonal K is factored
-    once, in O(n), and the border row is eliminated (Keller 1977): with
-    K [y, y_g] = [b, dG/dlam] and the Schur complement
-    s = corner - row.y_g, [b; beta] has the solution (y - xi y_g, xi),
-    xi = (beta - row.y) / s. Where K is nearly singular, y and xi y_g are
-    large and nearly cancel, which costs that difference digits in
-    proportion to K's condition number; one refinement step with the same
-    factor wins them back (Govaerts 2000). With b = 0, as in [0; 1] and
-    the cold predictor's [0; beta], y = 0 and nothing cancels, so that
-    column needs neither its K-solve nor the refinement. A Newton
+    __slots__ = ("x", "lu")
+
+    def __init__(self, n: int, columns: int):
+        self.x = np.empty((n + 1, 2) if columns == 2 else n + 1)
+        self.lu = None
+
+
+def _bordered_solve(problem: ProblemDef, w: SolutionPoint, b, beta: float,
+                    row: np.ndarray, corner: float, work: _Work
+                    ) -> np.ndarray:
+    """The solution of the bordered system [[K, dG/dlam], [row, corner]]
+    x = [b; beta], with K and dG/dlam at w and b None for zero, and, where
+    work.x has two columns, of the same system for [0; 1] in the second.
+    Raises np.linalg.LinAlgError where the system is singular.
+
+    A dense K goes through np.linalg.solve, on the columns packed into one
+    array. A tridiagonal K is factored once, in O(n), and the border row is
+    eliminated (Keller 1977): with K [y, y_g] = [b, dG/dlam] and the Schur
+    complement s = corner - row.y_g, [b; beta] has the solution
+    (y - xi y_g, xi), xi = (beta - row.y) / s. Where K is nearly singular,
+    y and xi y_g are large and nearly cancel, which costs that difference
+    digits in proportion to K's condition number; one refinement step with
+    the same factor wins them back (Govaerts 2000). With b = 0, as in
+    [0; 1] and the cold predictor's [0; beta], y = 0 and nothing cancels,
+    so that column needs neither its K-solve nor the refinement. A Newton
     iteration makes one factor and two K-solves: dG/dlam with b, then the
-    refinement residual.
+    refinement residual. The solves run in the factor's right-hand sides
+    and the solution is written into work.x, so the columns of a
+    two-column x keep the stride of 2 that their dot products were always
+    taken with: OpenBLAS's ddot sums a strided and a contiguous operand in
+    different orders.
     """
+    x = work.x
     tri = problem.tridiagonal(w)
     if tri is None:
         K = problem.jacobian_u(w)
@@ -177,32 +196,43 @@ def _bordered_solve(problem: ProblemDef, w: SolutionPoint, rhs: np.ndarray,
         M[:n, n] = problem.jacobian_lambda(w)
         M[n, :n] = row
         M[n, n] = corner
+        rhs = np.zeros(x.shape)
+        col = rhs if rhs.ndim == 1 else rhs[:, 0]
+        if b is not None:
+            col[:n] = b
+        col[n] = beta
+        if rhs.ndim == 2:
+            rhs[n, 1] = 1.0
         return np.linalg.solve(M, rhs)
-    lu = tridiagonal.factor(*tri)
+    lu = work.lu = tridiagonal.factor(*tri, work.lu)
     g = problem.jacobian_lambda(w)
-    x = np.empty_like(rhs)
-    col, xc = (rhs, x) if rhs.ndim == 1 else (rhs[:, 0], x[:, 0])
-    b, beta = col[:-1], col.item(-1)
-    y_g, *y = tridiagonal.solve(lu, [g, b] if b.any() else [g])
+    rows = lu.b
+    xc = x if x.ndim == 1 else x[:, 0]
+    if b is None:
+        y_g = tridiagonal.solve(lu, g, rows)
+    else:
+        rows[0], rows[1] = b, g
+        y, y_g = tridiagonal.solve(lu, rows, rows)
     s = corner - float(row @ y_g)
     if s == 0.0:
         raise np.linalg.LinAlgError("zero Schur complement")
-    if rhs.ndim == 2:
-        xi = rhs.item(-1, 1) / s
+    if x.ndim == 2:
+        xi = 1.0 / s
         np.subtract(0.0, xi * y_g, out=x[:-1, 1])
         x[-1, 1] = xi
-    if not y:
+    if b is None:
         xi = beta / s
         np.subtract(0.0, xi * y_g, out=xc[:-1])
         xc[-1] = xi
         return x
-    xi = (beta - float(row @ y[0])) / s
-    np.subtract(y[0], xi * y_g, out=xc[:-1])
+    xi = (beta - float(row @ y)) / s
+    np.subtract(y, xi * y_g, out=xc[:-1])
     xc[-1] = xi
-    # [b; beta] - [[K, dG/dlam], [row, corner]] x, and its correction
+    # [b; beta] - [[K, dG/dlam], [row, corner]] x, and its correction,
+    # solved in y's row, which is read no more
     r = b - tridiagonal.matvec(*tri, xc[:-1]) - g * xc.item(-1)
     r_beta = beta - float(row @ xc[:-1]) - corner * xc.item(-1)
-    [z] = tridiagonal.solve(lu, [r])
+    z = tridiagonal.solve(lu, r, rows)
     xi = (r_beta - float(row @ z)) / s
     xc[:-1] += z - xi * y_g
     xc[-1] += xi
@@ -216,6 +246,7 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
     c = psi**2 * ptp
     n = problem.n_dof
     riks = config.constraint == RIKS
+    work = _Work(n, 1 if riks else 2)
 
     # item() reads scalars as Python floats: cheaper at small n, same bits
     def inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -229,7 +260,9 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
         du = dw[:n]
         w = SolutionPoint(w_i.u + du, w_i.lam + dw.item(n))
         G = problem.residual(w)
-        if float(np.linalg.norm(G)) <= config.newton_tol:
+        # the bits of np.linalg.norm(G), which is sqrt(G @ G) for a 1-D
+        # float64 G, without its conversions
+        if math.sqrt(G @ G) <= config.newton_tol:
             return w, it
         if it == MAX_NEWTON_ITERS:
             break
@@ -238,7 +271,7 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
             # du0.Du + psi^2 dlam0^2 P.P - dL^2 = 0; constant in dlam.
             row, corner = dw0[:n], 0.0
             f = float(dw0[:n] @ du) + c * dw0[n] * dw0[n] - delta_L**2
-            rhs = np.append(-G, -f)
+            beta = -f
         else:
             # Crisfield: the linearized-sphere row keeps the bordered
             # matrix regular at limit points. The columns [-G; 0] and
@@ -246,11 +279,9 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
             # intersect it with the sphere to get the per-iteration
             # quadratic.
             row, corner = 2.0 * du, 2.0 * c * dw.item(n)
-            rhs = np.zeros((n + 1, 2))
-            rhs[:n, 0] = -G
-            rhs[n, 1] = 1.0
+            beta = 0.0
         try:
-            sol = _bordered_solve(problem, w, rhs, row, corner)
+            sol = _bordered_solve(problem, w, -G, beta, row, corner, work)
         except np.linalg.LinAlgError:
             raise _NoConvergence("singular bordered system")
         if riks:
@@ -269,7 +300,7 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
             disc = B * B - 4.0 * A * C
             if disc < 0.0:
                 raise ComplexRootsError("complex Crisfield roots")
-            sq = float(np.sqrt(disc))
+            sq = math.sqrt(disc)
             ts = ((-B + sq) / (2.0 * A), (-B - sq) / (2.0 * A))
         cands = (a + ts[0] * xt, a + ts[1] * xt)
         roots = (cands[0].item(n) - dw.item(n), cands[1].item(n) - dw.item(n))

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields
 from .alm import AlmConfig
 from .engine import EngineConfig
 from .problems import check_numbers, is_int, make_builtin
+from .runtime import DEFAULT_TRANSPORT, PROCESS, THREAD
 
 
 class ConfigError(ValueError):
@@ -26,7 +27,7 @@ class RunConfig:
     problem_params: dict = field(default_factory=dict)
     alm: AlmConfig = field(default_factory=AlmConfig)
     workers: int = 1
-    transport: str = "thread"
+    transport: str = DEFAULT_TRANSPORT
     output: str | None = None
     observable_index: int = 0
 
@@ -82,8 +83,8 @@ def parse_config(text: str) -> RunConfig:
     workers = doc.get("workers", 1)
     if not is_int(workers) or workers < 1:
         raise ConfigError("'workers' must be a positive integer")
-    transport = doc.get("transport", "thread")
-    if transport not in ("thread", "process"):
+    transport = doc.get("transport", DEFAULT_TRANSPORT)
+    if transport not in (THREAD, PROCESS):
         raise ConfigError("'transport' must be 'thread' or 'process'")
     output = doc.get("output")
     if output is not None and not isinstance(output, str):

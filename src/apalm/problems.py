@@ -129,8 +129,10 @@ class ProblemDef:
             return None
         self._check(w)
         n = self.n_dof
-        return tuple(np.asarray(a, dtype=float).reshape(m) for a, m in zip(
-            self.tridiagonal_fn(w.u, w.lam), (n - 1, n, n - 1)))
+        sub, diag, sup = self.tridiagonal_fn(w.u, w.lam)
+        return (np.asarray(sub, dtype=float).reshape(n - 1),
+                np.asarray(diag, dtype=float).reshape(n),
+                np.asarray(sup, dtype=float).reshape(n - 1))
 
     def jacobian_lambda(self, w: SolutionPoint) -> np.ndarray:
         """Evaluate dG/dlambda (equals -P for proportional loading)."""

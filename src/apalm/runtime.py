@@ -26,6 +26,12 @@ log = logging.getLogger(__name__)
 
 THREAD = "thread"
 PROCESS = "process"
+# The transport of a run config that names none: forked processes where
+# the platform has fork. A thread worker takes the GIL between the
+# manager's serial steps; with 4 and 64 of them the serial phase ran 49-63 %
+# longer than aalm's on a 2-vCPU host, and processes share no GIL.
+DEFAULT_TRANSPORT = (
+    PROCESS if "fork" in multiprocessing.get_all_start_methods() else THREAD)
 # the most jobs sent to one worker and not yet answered
 DEPTH = 2
 

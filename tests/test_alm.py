@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -176,6 +178,56 @@ class TestStep:
         assert a.w_new.lam == b.w_new.lam
         assert a.achieved_length == b.achieved_length
         assert np.array_equal(a.dw, b.dw)
+
+    @pytest.mark.parametrize("constraint", ["riks", "crisfield"])
+    def test_concurrent_steps_match_serial_bits(self, constraint):
+        """Steps on one ProblemDef in four threads at once, with a short
+        switch interval, give the bits of the same steps run one after
+        another: a step refills only buffers it built itself, none on the
+        module or the problem. The steps are cold and warm springchain
+        steps, so the threads factor different K's at the same time."""
+        p = make_builtin("springchain", n=48)
+        cfg = AlmConfig(constraint=constraint, psi=1.0, newton_tol=1e-10)
+        starts, w, dw = [], SolutionPoint(np.zeros(48), 0.0), None
+        for _ in range(6):
+            starts.append((w, dw))
+            res = step(p, cfg, w, dw, 0.8)
+            w, dw = res.w_new, res.dw
+
+        def bits(res):
+            return (res.w_new.u.tobytes(), res.w_new.lam.hex(),
+                    res.iterations, res.cuts_used,
+                    res.achieved_length.hex(), res.dw.tobytes())
+
+        tasks = [(w, dw, dl) for w, dw in starts for dl in (0.4, 1.6)]
+        ref = [bits(step(p, cfg, *t)) for t in tasks]
+        # most steps factor more than once, into the arrays they built
+        assert sum(r[2] for r in ref) > 1.5 * len(tasks)
+        count = 4
+        barrier = threading.Barrier(count)
+        out = [None] * count
+
+        def run(k):
+            barrier.wait(timeout=60)
+            # each thread runs the tasks from its own offset, 5 times over
+            order = [(k + i) % len(tasks) for i in range(5 * len(tasks))]
+            out[k] = [(i, bits(step(p, cfg, *tasks[i]))) for i in order]
+
+        threads = [threading.Thread(target=run, args=(k,))
+                   for k in range(count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in out:
+            assert got is not None
+            assert all(b == ref[i] for i, b in got)
 
     def test_traverses_limit_point(self):
         # The load factor must rise and then fall past (u, lambda) = (-1, 2).

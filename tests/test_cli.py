@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 from pathlib import Path
 from types import SimpleNamespace
@@ -39,7 +40,10 @@ class TestParseConfig:
         assert cfg.alm.constraint == "crisfield"
         assert cfg.engine.delta_L == 0.4
         assert cfg.workers == 1
-        assert cfg.transport == "thread"
+        # forked process workers wherever the platform can fork
+        assert cfg.transport == ("process" if "fork" in
+                                 multiprocessing.get_all_start_methods()
+                                 else "thread")
 
     def test_defaults_without_alm_section(self):
         d = doc()

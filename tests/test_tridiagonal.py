@@ -163,12 +163,64 @@ class TestKernels:
         with pytest.raises(ValueError):
             factor([], [], [])
         lu = factor([1.0], [3.0, 2.0], [1.0])
+        # with an earlier factor, a scalar that would broadcast is refused,
+        # and LAPACK, which refills the factor's arrays, refuses another n
+        with pytest.raises(ValueError):
+            factor(1.0, [3.0, 2.0], [1.0], lu)
+        if factor is tridiagonal.lapack_factor:
+            with pytest.raises(ValueError):
+                factor([1.0, 1.0], [3.0, 2.0, 1.0], [1.0, 1.0], lu)
         # refused before dgttrs is reached: calling None raises TypeError
         monkeypatch.setattr(tridiagonal, "_DGTTRS", None)
         for b in ([1.0, 2.0, 3.0], np.ones((2, 3)), np.ones((1, 2, 2)),
                   np.ones((2, 1))):
             with pytest.raises(ValueError):
                 solve(lu, b)
+            with pytest.raises(ValueError):
+                solve(lu, b, lu.b)
+        # out must be the factor's own b, with a row for each of one or
+        # more right-hand sides
+        assert lu.b.shape == (2, 2)
+        for b, out in ((np.ones(2), np.empty(2)),
+                       (np.ones(2), np.empty((2, 2))),
+                       (np.ones((2, 2)), lu.b.copy()),
+                       (np.ones((3, 2)), lu.b), (np.ones((0, 2)), lu.b)):
+            with pytest.raises(ValueError):
+                solve(lu, b, out)
+
+    @pytest.mark.parametrize("kernels", PATHS)
+    @pytest.mark.parametrize("order", ["swaps-then-none", "none-then-swaps"])
+    def test_refactor_into_buffers_matches_fresh(self, kernels, order):
+        """K2 factored into the arrays of K1's factor, and solved in that
+        factor's own right-hand sides, gives the bits of a fresh factor and
+        solve of K2, where K2's elimination interchanges rows at every step
+        and where it interchanges none, after a K1 of the other kind."""
+        factor, solve = kernels
+        n = 9
+        swaps = small_tridiagonal(n)
+        rng = np.random.default_rng(3)
+        none = (rng.normal(size=n - 1), 4.0 + rng.uniform(size=n),
+                rng.normal(size=n - 1), rng.normal(size=n))
+        ref = tridiagonal.reference_factor
+        assert list(ref(*swaps[:3]).ipiv[:-1]) == list(range(2, n + 1))
+        assert list(ref(*none[:3]).ipiv) == list(range(1, n + 1))
+        k1, k2 = (swaps, none) if order == "swaps-then-none" else \
+            (none, swaps)
+        lu = factor(*k1[:3])
+        solve(lu, np.vstack([k1[3], k1[3]]), lu.b)
+        lu = factor(*k2[:3], lu)
+        fresh = factor(*k2[:3])
+        for got, want in zip(lu[:5], fresh[:5]):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        b = k2[3]
+        rows = np.vstack([b, -2.0 * b])
+        for rhs in (b, rows):
+            want = solve(fresh, rhs)
+            assert solve(lu, rhs).tobytes() == want.tobytes()
+            assert solve(lu, rhs, lu.b).tobytes() == want.tobytes()
+        lu.b[...] = rows
+        assert solve(lu, lu.b, lu.b) is lu.b
+        assert lu.b.tobytes() == solve(fresh, rows).tobytes()
 
     def test_zero_pivot_reads_singular(self):
         # eigenvalues +-1, but the first LDL^T pivot is 0
@@ -192,8 +244,12 @@ def test_lapack_kernels_found_where_numpy_links_ilp64_openblas():
 
 @LAPACK
 def test_solve_wraps_only_its_right_hand_sides(monkeypatch):
-    """dgttrs' arguments that a factor fixes are built once, by
-    lapack_factor; a solve wraps only its own right-hand sides."""
+    """The LAPACK arguments that a factor fixes, its own right-hand sides'
+    address among them, are built once, by the first lapack_factor: a
+    refactor into its arrays wraps none, a solve in its right-hand sides
+    none, and a solve into a new array that array only. So an arc-length
+    step wraps the six arrays of its one factor, however many Newton
+    iterations it makes."""
     sub, diag, sup, b = random_tridiagonal(0)
     lu = tridiagonal.lapack_factor(sub, diag, sup)
     x = tridiagonal.lapack_solve(lu, [b, -b])
@@ -202,8 +258,26 @@ def test_solve_wraps_only_its_right_hand_sides(monkeypatch):
     monkeypatch.setattr(tridiagonal, "_data",
                         lambda a: wrapped.append(a) or data(a))
     for _ in range(3):
+        assert tridiagonal.lapack_factor(sub, diag, sup, lu) is lu
         assert tridiagonal.lapack_solve(lu, [b, -b]).tobytes() == x.tobytes()
+        lu.b[0], lu.b[1] = b, -b
+        assert tridiagonal.lapack_solve(lu, lu.b, lu.b).tobytes() == \
+            x.tobytes()
+        assert tridiagonal.lapack_solve(lu, -b, lu.b).tobytes() == \
+            x[1].tobytes()
     assert len(wrapped) == 3
+    p = make_builtin("springchain", n=16)
+    cfg = AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-10)
+    first = alm.step(p, cfg, SolutionPoint(np.zeros(16), 0.0), None, 0.4)
+    solves = []
+    monkeypatch.setattr(tridiagonal, "solve",
+                        lambda *args: solves.append(args) or
+                        tridiagonal.lapack_solve(*args))
+    wrapped.clear()
+    res = alm.step(p, cfg, first.w_new, first.dw, 0.8)
+    assert res.cuts_used == 0 and res.iterations >= 2
+    assert len(solves) == 2 * res.iterations
+    assert len(wrapped) == 6
 
 
 def test_library_without_symbols_leaves_the_reference_path(monkeypatch):
@@ -249,14 +323,17 @@ def test_near_singular_bordered_solve_matches_dense(constraint, seed):
     assert np.min(np.abs(eigs)) <= 2e-10 * np.max(np.abs(eigs))
     G = 1e-3 * rng.normal(size=n)
     du, dlam = 0.1 * rng.normal(size=n), 0.1 * rng.normal()
+    # the columns [-G; beta] and, for Crisfield, [0; 1]
     if constraint == "riks":
-        row, corner, rhs = du, 0.0, np.append(-G, -1e-3)
+        row, corner, beta = du, 0.0, -1e-3
+        rhs = np.append(-G, beta)
     else:
-        row, corner = 2.0 * du, 2.0 * n * dlam
+        row, corner, beta = 2.0 * du, 2.0 * n * dlam, 0.0
         rhs = np.zeros((n + 1, 2))
         rhs[:n, 0] = -G
         rhs[n, 1] = 1.0
-    x = alm._bordered_solve(p, w, rhs, row, corner)
+    x = alm._bordered_solve(p, w, -G, beta, row, corner,
+                            alm._Work(n, rhs.ndim))
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = K
     M[:n, n] = -1.0
