@@ -83,6 +83,7 @@ def distance(dw: np.ndarray, psi: float, load_norm_sq: float) -> float:
     """
     if load_norm_sq < 0:
         raise ValueError("load_norm_sq must be non-negative")
+    dw = np.asarray(dw, dtype=float)
     du = dw[:-1]
     return float(np.sqrt(du @ du + psi**2 * dw.item(-1)**2 * load_norm_sq))
 
@@ -135,7 +136,8 @@ def select_root(roots: tuple[float, float], delta_u_old: np.ndarray,
     Maximizes delta_u_old . delta_u_candidate; on a tie (e.g. first
     iteration from a cold start) the root with larger delta lambda wins.
     """
-    dots = [float(delta_u_old @ c) for c in delta_u_candidates]
+    old = np.asarray(delta_u_old, dtype=float)
+    dots = [float(old @ np.asarray(c, dtype=float)) for c in delta_u_candidates]
     scale = max(1.0, abs(dots[0]), abs(dots[1]))
     if abs(dots[0] - dots[1]) <= 1e-12 * scale:
         return 0 if roots[0] >= roots[1] else 1
@@ -180,8 +182,8 @@ def _bordered_solve(problem: ProblemDef, w: SolutionPoint, b, beta: float,
     [0; 1] and the cold predictor's [0; beta], y = 0 and nothing cancels,
     so that column needs neither its K-solve nor the refinement. A Newton
     iteration makes one factor and two K-solves: dG/dlam with b, then the
-    refinement residual. The solves run in the factor's right-hand sides
-    and the solution is written into work.x, so the columns of a
+    refinement residual. The solves run in place in the factor's own rows
+    lu.b, and the solution is written into work.x, so the columns of a
     two-column x keep the stride of 2 that their dot products were always
     taken with: OpenBLAS's ddot sums a strided and a contiguous operand in
     different orders.
@@ -209,10 +211,11 @@ def _bordered_solve(problem: ProblemDef, w: SolutionPoint, b, beta: float,
     rows = lu.b
     xc = x if x.ndim == 1 else x[:, 0]
     if b is None:
-        y_g = tridiagonal.solve(lu, g, rows)
+        rows[0] = g
+        [y_g] = tridiagonal.solve(lu, 1)
     else:
         rows[0], rows[1] = b, g
-        y, y_g = tridiagonal.solve(lu, rows, rows)
+        y, y_g = tridiagonal.solve(lu, 2)
     s = corner - float(row @ y_g)
     if s == 0.0:
         raise np.linalg.LinAlgError("zero Schur complement")
@@ -232,7 +235,8 @@ def _bordered_solve(problem: ProblemDef, w: SolutionPoint, b, beta: float,
     # solved in y's row, which is read no more
     r = b - tridiagonal.matvec(*tri, xc[:-1]) - g * xc.item(-1)
     r_beta = beta - float(row @ xc[:-1]) - corner * xc.item(-1)
-    z = tridiagonal.solve(lu, r, rows)
+    rows[0] = r
+    [z] = tridiagonal.solve(lu, 1)
     xi = (r_beta - float(row @ z)) / s
     xc[:-1] += z - xi * y_g
     xc[-1] += xi

@@ -26,10 +26,13 @@ log = logging.getLogger(__name__)
 
 THREAD = "thread"
 PROCESS = "process"
-# The transport of a run config that names none: forked processes where
-# the platform has fork. A thread worker takes the GIL between the
-# manager's serial steps; with 4 and 64 of them the serial phase ran 49-63 %
-# longer than aalm's on a 2-vCPU host, and processes share no GIL.
+# The transport of `apalm` and of a run config that name none: forked
+# processes where the platform has fork. A thread worker takes the GIL
+# between the manager's serial steps. On a 2-vCPU host, `apalm run` on the
+# 256-unknown springchain took 19-27 % less wall time and 11-14 % less CPU
+# time with 1 and 2 process workers than with threads, for about 25 MiB of
+# summed peak RSS per worker, and with 4 and 64 thread workers the serial
+# phase ran 49-63 % longer than aalm's.
 DEFAULT_TRANSPORT = (
     PROCESS if "fork" in multiprocessing.get_all_start_methods() else THREAD)
 # the most jobs sent to one worker and not yet answered
@@ -188,7 +191,8 @@ def _worker_main(problem, config, sock):
 
 
 def apalm(problem: ProblemDef, config: AlmConfig, engine: EngineConfig,
-          worker_count: int = 1, transport: str = THREAD) -> QueueEngine:
+          worker_count: int = 1, transport: str = DEFAULT_TRANSPORT
+          ) -> QueueEngine:
     """Adaptive parallel arc-length method.
 
     worker_count workers, threads or forked processes, each over its own

@@ -19,12 +19,13 @@ Python floats, which returns the same bits. Each path keeps its own
 the dgttrs arguments they fix. The tests compare the two paths bitwise.
 
 A caller that factors one K after another, as the Newton iterations of an
-arc-length step do, passes its last factor back to `factor` and solves in
-the factor's own right-hand sides `b`: the LAPACK path then refills the
-arrays it has, and wraps each in ctypes once, when the first factor builds
-them. Such buffers belong to one step, which builds them and never shares
-them, so steps that run at the same time in different threads never write
-to each other's arrays.
+arc-length step do, passes its last factor back to `factor`, writes its
+right-hand sides into the factor's own rows `b` and solves them in place
+with `solve(lu, k)`: the LAPACK path then refills the arrays it has, and
+wraps each in ctypes once, when the first factor builds them. Such
+buffers belong to one step, which builds them and never shares them, so
+steps that run at the same time in different threads never write to each
+other's arrays.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ class Factor(NamedTuple):
     interchanged. `reference_factor` gives the five as lists of Python
     floats and ints, `lapack_factor` as float64 and int64 arrays. Both give
     b, room for two right-hand sides as the rows of a (2, n) float64 array,
-    which `solve` solves in place when given it as out. `lapack_factor`
-    also gives, as `args`, what its arrays fix, built once: dgttrf's N, DL,
-    D, DU, DU2 and IPIV, and then dgttrs' whole argument lists for b's
-    first row and for both rows. Their pointers keep the arrays alive.
-    Each path solves only with its own factors."""
+    whose first k rows `solve(lu, k)` solves in place. `lapack_factor` also
+    gives, as `args`, dgttrf's N, DL, D, DU, DU2 and IPIV, and as `calls`,
+    dgttrs' whole argument lists for b's first k rows, keyed by k; all are
+    built once, and their pointers keep the arrays alive. Each path solves
+    only with its own factors."""
 
     dl: Sequence
     d: Sequence
@@ -57,6 +58,7 @@ class Factor(NamedTuple):
     ipiv: Sequence
     b: np.ndarray
     args: tuple = ()
+    calls: dict | None = None
 
 
 def _diagonals(sub, diag, sup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -74,27 +76,15 @@ def _diagonals(sub, diag, sup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return dl, d, du
 
 
-def _rhs(lu: Factor, b, out: np.ndarray | None) -> tuple[np.ndarray, int]:
-    """b as rows that a solve may overwrite, and their count k. b is K's n
-    entries, or k right-hand sides of n entries each as the rows of a
-    (k, n) array. Without out, the rows are a C-ordered float64 copy of b;
-    out must be lu.b, and then they are its first k rows, which take b's
-    entries unless b is out itself."""
-    if b is out and out is lu.b:
-        return out, len(out)
-    shape, n = np.shape(b), len(lu.d)
-    if len(shape) not in (1, 2) or shape[-1] != n:
-        raise ValueError(f"right-hand side of shape {shape}, "
+def _rhs(lu: Factor, b) -> np.ndarray:
+    """A C-ordered float64 copy of b, checked to be K's n entries or k
+    right-hand sides of n entries each, as the rows of a (k, n) array."""
+    x = np.array(b, dtype=float, order="C")
+    n = len(lu.d)
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
+        raise ValueError(f"right-hand side of shape {x.shape}, "
                          f"expected ({n},) or (k, {n})")
-    k = 1 if len(shape) == 1 else shape[0]
-    if out is None:
-        return np.array(b, dtype=float, order="C"), k
-    if out is not lu.b or not 1 <= k <= len(out):
-        raise ValueError("out must be the factor's b, with a row for each "
-                         "of one or more right-hand sides")
-    x = out[0] if len(shape) == 1 else out[:k]
-    x[...] = b
-    return x, k
+    return x
 
 
 def reference_factor(sub, diag, sup, lu: Factor | None = None) -> Factor:
@@ -134,13 +124,12 @@ def reference_factor(sub, diag, sup, lu: Factor | None = None) -> Factor:
                   np.empty((2, n)))
 
 
-def reference_solve(lu: Factor, b, out: np.ndarray | None = None
-                    ) -> np.ndarray:
+def reference_solve(lu: Factor, b) -> np.ndarray:
     """The solution x of K x = b, for K factored by `factor` and b one
     right-hand side or k of them as the rows of a (k, n) array: dgttrs,
-    step for step on Python floats. x is a new array, or where out is
-    given, which must be lu.b, the first rows of out."""
-    xs, _ = _rhs(lu, b, out)
+    step for step on Python floats. x is a new array; for b the int k, x is
+    lu.b's first k rows, solved in place."""
+    xs = lu.b[:b] if isinstance(b, int) else _rhs(lu, b)
     dl, d, du, du2, ipiv = lu[:5]
     n = len(d)
     rows = xs.reshape(-1, n).tolist()
@@ -188,8 +177,8 @@ def _load_lapack():
 
 _DGTTRF, _DGTTRS = _load_lapack() or (None, None)
 # the address of an array's data, also for an empty one; ctypes keeps the
-# array alive for the call, and is given only arrays made here or checked
-# by _rhs, which are writable, C-contiguous and of the dtype LAPACK expects
+# array alive for the call, and is given only arrays made here, which are
+# writable, C-contiguous and of the dtype LAPACK expects
 _data = (ctypes.c_char * 0).from_buffer
 
 
@@ -212,12 +201,12 @@ def lapack_factor(sub, diag, sup, lu: Factor | None = None) -> Factor:
         arrays = (dl, d, du, np.empty(max(n - 2, 0)),
                   np.empty(n, dtype=np.int64))
         b = np.empty((2, n))
-        fixed = (_int(n), *map(_data, arrays))
+        args = (_int(n), *map(_data, arrays))
         # TRANS, N, NRHS, DL, D, DU, DU2, IPIV, B, LDB = N, INFO, len(TRANS)
         b_data, info = _data(b), _int()
-        calls = tuple((b"N", fixed[0], _int(k), *fixed[1:], b_data,
-                       fixed[0], info, 1) for k in (1, 2))
-        lu = Factor(*arrays, b, (fixed, *calls))
+        calls = {k: (b"N", args[0], _int(k), *args[1:], b_data, args[0],
+                     info, 1) for k in (1, 2)}
+        lu = Factor(*arrays, b, args, calls)
     else:
         dl, d, du = lu[:3]
         if (np.shape(sub), np.shape(diag), np.shape(sup)) != \
@@ -227,25 +216,25 @@ def lapack_factor(sub, diag, sup, lu: Factor | None = None) -> Factor:
         # dgttrf sets every entry of du2 and ipiv
         dl[...], d[...], du[...] = sub, diag, sup
     info = ctypes.c_int64()
-    _DGTTRF(*lu.args[0], ctypes.byref(info))
+    _DGTTRF(*lu.args, ctypes.byref(info))
     if info.value:
         raise np.linalg.LinAlgError("zero pivot")
     return lu
 
 
-def lapack_solve(lu: Factor, b, out: np.ndarray | None = None
-                 ) -> np.ndarray:
+def lapack_solve(lu: Factor, b) -> np.ndarray:
     """`reference_solve` through LAPACK's dgttrs, for a factor from
     `lapack_factor`, in one call for all the right-hand sides: the rows of
-    a C-ordered (k, n) array are the columns of dgttrs' B with LDB = n. In
-    lu.b, given as out, they are solved by the call that lu's arguments
-    hold; a new array is wrapped for its one call."""
-    x, k = _rhs(lu, b, out)
-    if out is None:
-        n, *arrays = lu.args[0]
-        _DGTTRS(b"N", n, _int(k), *arrays, _data(x), n, _int(), 1)
-    else:
-        _DGTTRS(*lu.args[k])
+    a C-ordered (k, n) array are the columns of dgttrs' B with LDB = n.
+    lu.b's first k rows are solved by the call that lu.calls holds for k; a
+    new array is wrapped for its one call."""
+    if isinstance(b, int):
+        _DGTTRS(*lu.calls[b])
+        return lu.b[:b]
+    x = _rhs(lu, b)
+    n, *arrays = lu.args
+    nrhs = 1 if x.ndim == 1 else x.shape[0]
+    _DGTTRS(b"N", n, _int(nrhs), *arrays, _data(x), n, _int(), 1)
     return x
 
 

@@ -176,25 +176,14 @@ class TestKernels:
                   np.ones((2, 1))):
             with pytest.raises(ValueError):
                 solve(lu, b)
-            with pytest.raises(ValueError):
-                solve(lu, b, lu.b)
-        # out must be the factor's own b, with a row for each of one or
-        # more right-hand sides
-        assert lu.b.shape == (2, 2)
-        for b, out in ((np.ones(2), np.empty(2)),
-                       (np.ones(2), np.empty((2, 2))),
-                       (np.ones((2, 2)), lu.b.copy()),
-                       (np.ones((3, 2)), lu.b), (np.ones((0, 2)), lu.b)):
-            with pytest.raises(ValueError):
-                solve(lu, b, out)
 
     @pytest.mark.parametrize("kernels", PATHS)
     @pytest.mark.parametrize("order", ["swaps-then-none", "none-then-swaps"])
     def test_refactor_into_buffers_matches_fresh(self, kernels, order):
         """K2 factored into the arrays of K1's factor, and solved in that
-        factor's own right-hand sides, gives the bits of a fresh factor and
-        solve of K2, where K2's elimination interchanges rows at every step
-        and where it interchanges none, after a K1 of the other kind."""
+        factor's own rows b, gives the bits of a fresh factor and solve of
+        K2, where K2's elimination interchanges rows at every step and
+        where it interchanges none, after a K1 of the other kind."""
         factor, solve = kernels
         n = 9
         swaps = small_tridiagonal(n)
@@ -207,7 +196,8 @@ class TestKernels:
         k1, k2 = (swaps, none) if order == "swaps-then-none" else \
             (none, swaps)
         lu = factor(*k1[:3])
-        solve(lu, np.vstack([k1[3], k1[3]]), lu.b)
+        lu.b[...] = k1[3]
+        solve(lu, 2)
         lu = factor(*k2[:3], lu)
         fresh = factor(*k2[:3])
         for got, want in zip(lu[:5], fresh[:5]):
@@ -215,12 +205,17 @@ class TestKernels:
         b = k2[3]
         rows = np.vstack([b, -2.0 * b])
         for rhs in (b, rows):
-            want = solve(fresh, rhs)
-            assert solve(lu, rhs).tobytes() == want.tobytes()
-            assert solve(lu, rhs, lu.b).tobytes() == want.tobytes()
+            assert solve(lu, rhs).tobytes() == solve(fresh, rhs).tobytes()
         lu.b[...] = rows
-        assert solve(lu, lu.b, lu.b) is lu.b
+        x = solve(lu, 2)
+        assert x.base is lu.b and x.shape == lu.b.shape
         assert lu.b.tobytes() == solve(fresh, rows).tobytes()
+        # one row solves that row alone, and leaves the second as it is
+        lu.b[0], lu.b[1] = -b, rows[1]
+        [x] = solve(lu, 1)
+        assert x.base is lu.b
+        assert lu.b[0].tobytes() == solve(fresh, -b).tobytes()
+        assert lu.b[1].tobytes() == rows[1].tobytes()
 
     def test_zero_pivot_reads_singular(self):
         # eigenvalues +-1, but the first LDL^T pivot is 0
@@ -244,10 +239,10 @@ def test_lapack_kernels_found_where_numpy_links_ilp64_openblas():
 
 @LAPACK
 def test_solve_wraps_only_its_right_hand_sides(monkeypatch):
-    """The LAPACK arguments that a factor fixes, its own right-hand sides'
-    address among them, are built once, by the first lapack_factor: a
-    refactor into its arrays wraps none, a solve in its right-hand sides
-    none, and a solve into a new array that array only. So an arc-length
+    """The LAPACK arguments that a factor fixes, its own rows b among them,
+    are built once, by the first lapack_factor: a refactor into its arrays
+    wraps none, a solve of its rows in place none, and a solve into a new
+    array that array only. So an arc-length
     step wraps the six arrays of its one factor, however many Newton
     iterations it makes."""
     sub, diag, sup, b = random_tridiagonal(0)
@@ -261,10 +256,10 @@ def test_solve_wraps_only_its_right_hand_sides(monkeypatch):
         assert tridiagonal.lapack_factor(sub, diag, sup, lu) is lu
         assert tridiagonal.lapack_solve(lu, [b, -b]).tobytes() == x.tobytes()
         lu.b[0], lu.b[1] = b, -b
-        assert tridiagonal.lapack_solve(lu, lu.b, lu.b).tobytes() == \
-            x.tobytes()
-        assert tridiagonal.lapack_solve(lu, -b, lu.b).tobytes() == \
-            x[1].tobytes()
+        assert tridiagonal.lapack_solve(lu, 2).tobytes() == x.tobytes()
+        lu.b[0] = -b
+        assert tridiagonal.lapack_solve(lu, 1).tobytes() == \
+            x[1:].tobytes()
     assert len(wrapped) == 3
     p = make_builtin("springchain", n=16)
     cfg = AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-10)
