@@ -85,7 +85,8 @@ def distance(dw: np.ndarray, psi: float, load_norm_sq: float) -> float:
         raise ValueError("load_norm_sq must be non-negative")
     dw = np.asarray(dw, dtype=float)
     du = dw[:-1]
-    return float(np.sqrt(du @ du + psi**2 * dw.item(-1)**2 * load_norm_sq))
+    # math.sqrt is the IEEE square root that np.sqrt takes of a scalar
+    return math.sqrt(du @ du + psi**2 * dw.item(-1)**2 * load_norm_sq)
 
 
 def increment_between(w_to: SolutionPoint, w_from: SolutionPoint
@@ -138,10 +139,17 @@ def select_root(roots: tuple[float, float], delta_u_old: np.ndarray,
     """
     old = np.asarray(delta_u_old, dtype=float)
     dots = [float(old @ np.asarray(c, dtype=float)) for c in delta_u_candidates]
-    scale = max(1.0, abs(dots[0]), abs(dots[1]))
-    if abs(dots[0] - dots[1]) <= 1e-12 * scale:
+    return _choose_root(roots, *dots)
+
+
+def _choose_root(roots: tuple[float, float], dot0: float, dot1: float
+                 ) -> int:
+    """`select_root` from the dot products dot_i = delta_u_old .
+    delta_u_candidate_i, as floats."""
+    scale = max(1.0, abs(dot0), abs(dot1))
+    if abs(dot0 - dot1) <= 1e-12 * scale:
         return 0 if roots[0] >= roots[1] else 1
-    return 0 if dots[0] > dots[1] else 1
+    return 0 if dot0 > dot1 else 1
 
 
 class _NoConvergence(RuntimeError):
@@ -232,10 +240,11 @@ def _bordered_solve(problem: ProblemDef, w: SolutionPoint, b, beta: float,
     np.subtract(y, xi * y_g, out=xc[:-1])
     xc[-1] = xi
     # [b; beta] - [[K, dG/dlam], [row, corner]] x, and its correction,
-    # solved in y's row, which is read no more
-    r = b - tridiagonal.matvec(*tri, xc[:-1]) - g * xc.item(-1)
+    # written and solved in y's row, which is read no more
+    r = rows[0]
+    np.subtract(b, tridiagonal.matvec(*tri, xc[:-1]), out=r)
+    r -= g * xc.item(-1)
     r_beta = beta - float(row @ xc[:-1]) - corner * xc.item(-1)
-    rows[0] = r
     [z] = tridiagonal.solve(lu, 1)
     xi = (r_beta - float(row @ z)) / s
     xc[:-1] += z - xi * y_g
@@ -251,11 +260,6 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
     n = problem.n_dof
     riks = config.constraint == RIKS
     work = _Work(n, 1 if riks else 2)
-
-    # item() reads scalars as Python floats: cheaper at small n, same bits
-    def inner(a: np.ndarray, b: np.ndarray) -> float:
-        """The metric inner product a_u.b_u + psi^2 P.P a_lam b_lam."""
-        return float(a[:n] @ b[:n]) + c * a.item(n) * b.item(n)
 
     dw = predictor(problem, config, w_i, delta_w_prev, delta_L)
     dw0 = dw  # first-iteration increment (Riks plane)
@@ -291,11 +295,15 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
         if riks:
             dw = dw + sol
             continue
-        # a + t xt on the sphere of radius dL (a = dw + x, sol = [x, xt]).
+        # a + t xt on the sphere of radius dL (a = dw + x, sol = [x, xt]),
+        # with the metric inner product a_u.b_u + psi^2 P.P a_lam b_lam;
+        # item() reads scalars as Python floats: cheaper at small n, same
+        # bits. xt stays sol's column, with its stride, in its products.
         a, xt = dw + sol[:, 0], sol[:, 1]
-        A = inner(xt, xt)
-        B = 2.0 * inner(a, xt)
-        C = inner(a, a) - delta_L**2
+        au, xtu, a_lam, xt_lam = a[:n], xt[:n], a.item(n), xt.item(n)
+        A = float(xtu @ xtu) + c * xt_lam * xt_lam
+        B = 2.0 * (float(au @ xtu) + c * a_lam * xt_lam)
+        C = float(au @ au) + c * a_lam * a_lam - delta_L**2
         if A == 0.0:
             if B == 0.0:
                 raise _NoConvergence("degenerate constraint quadratic")
@@ -307,8 +315,10 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
             sq = math.sqrt(disc)
             ts = ((-B + sq) / (2.0 * A), (-B - sq) / (2.0 * A))
         cands = (a + ts[0] * xt, a + ts[1] * xt)
-        roots = (cands[0].item(n) - dw.item(n), cands[1].item(n) - dw.item(n))
-        dw = cands[select_root(roots, du, (cands[0][:n], cands[1][:n]))]
+        lam = dw.item(n)
+        roots = (cands[0].item(n) - lam, cands[1].item(n) - lam)
+        dw = cands[_choose_root(roots, float(du @ cands[0][:n]),
+                                float(du @ cands[1][:n]))]
     raise _NoConvergence("no convergence within max_newton_iters")
 
 

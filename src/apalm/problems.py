@@ -48,6 +48,17 @@ def check_numbers(values: dict, types: dict, where: str) -> None:
             raise TypeError(f"'{where}.{key}' must be true or false")
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _vector(a, n: int) -> np.ndarray:
+    """a as a float64 array of shape (n,): a itself where it is one, which
+    np.asarray(a, dtype=float).reshape(n) would only wrap anew."""
+    if type(a) is np.ndarray and a.dtype == _FLOAT64 and a.shape == (n,):
+        return a
+    return np.asarray(a, dtype=float).reshape(n)
+
+
 @dataclass(frozen=True)
 class SolutionPoint:
     """One point w = (u, lambda) on a solution branch."""
@@ -56,8 +67,15 @@ class SolutionPoint:
     lam: float
 
     def __post_init__(self):
-        object.__setattr__(self, "u", np.atleast_1d(np.asarray(self.u, dtype=float)))
-        object.__setattr__(self, "lam", float(self.lam))
+        # the corrector's trial points come with a float64 vector and a
+        # Python float, which the conversions would return as they are
+        u = self.u
+        if not (type(u) is np.ndarray and u.dtype == _FLOAT64
+                and u.ndim == 1):
+            object.__setattr__(self, "u",
+                               np.atleast_1d(np.asarray(u, dtype=float)))
+        if type(self.lam) is not float:
+            object.__setattr__(self, "lam", float(self.lam))
 
     @property
     def n_dof(self) -> int:
@@ -107,7 +125,7 @@ class ProblemDef:
     def residual(self, w: SolutionPoint) -> np.ndarray:
         """Evaluate G(u, lambda)."""
         self._check(w)
-        return np.asarray(self.residual_fn(w.u, w.lam), dtype=float).reshape(self.n_dof)
+        return _vector(self.residual_fn(w.u, w.lam), self.n_dof)
 
     def jacobian_u(self, w: SolutionPoint) -> np.ndarray:
         """Evaluate the tangent stiffness K = dG/du as a dense matrix."""
@@ -130,16 +148,12 @@ class ProblemDef:
         self._check(w)
         n = self.n_dof
         sub, diag, sup = self.tridiagonal_fn(w.u, w.lam)
-        return (np.asarray(sub, dtype=float).reshape(n - 1),
-                np.asarray(diag, dtype=float).reshape(n),
-                np.asarray(sup, dtype=float).reshape(n - 1))
+        return _vector(sub, n - 1), _vector(diag, n), _vector(sup, n - 1)
 
     def jacobian_lambda(self, w: SolutionPoint) -> np.ndarray:
         """Evaluate dG/dlambda (equals -P for proportional loading)."""
         self._check(w)
-        return np.asarray(self.jacobian_lambda_fn(w.u, w.lam), dtype=float).reshape(
-            self.n_dof
-        )
+        return _vector(self.jacobian_lambda_fn(w.u, w.lam), self.n_dof)
 
 
 def _linear1d(k: float = 1.0, P: float = 1.0) -> ProblemDef:
@@ -189,11 +203,22 @@ def _springchain(n: int = 8, c: float = 0.5) -> ProblemDef:
         raise ValueError("springchain needs n >= 1")
 
     def residual(u, lam):
+        # u * u * u - 3.0 * u + 2.0 * c * u - lam, minus c times each
+        # neighbour, in that order, in place in g and one scratch array t.
         # u * u * u, not u**3: numpy computes u**3 through libm's pow,
         # element by element, at about ten times the cost
-        g = u * u * u - 3.0 * u + 2.0 * c * u - lam
-        g[:-1] -= c * u[1:]
-        g[1:] -= c * u[:-1]
+        g = u * u
+        g *= u
+        t = 3.0 * u
+        g -= t
+        np.multiply(2.0 * c, u, out=t)
+        g += t
+        g -= lam
+        t = t[1:]
+        np.multiply(c, u[1:], out=t)
+        g[:-1] -= t
+        np.multiply(c, u[:-1], out=t)
+        g[1:] -= t
         return g
 
     off = np.full(n - 1, -c)

@@ -18,6 +18,18 @@ Python floats, which returns the same bits. Each path keeps its own
 `Factor` form: the reference path Python lists, the LAPACK path arrays and
 the dgttrs arguments they fix. The tests compare the two paths bitwise.
 
+dgttrf and dgttrs carry no `argtypes`: with them, ctypes converts each
+argument on every call, about a microsecond a call, and every argument is
+already the ctypes object C needs. Without them nothing is checked or
+converted, so each argument must be one of these, and a bare Python int
+never: a reference (`ctypes.byref`) to a `c_int64` for N, NRHS, LDB and
+INFO, LAPACK's ILP64 INTEGER; a `c_char` array over the data of a
+writable, C-contiguous float64 array for DL, D, DU, DU2 and B, or int64
+for IPIV (`_data`), which ctypes passes as its address; the bytes b"N"
+for TRANS; and the `c_size_t` `_TRANS_LEN` for the hidden length of
+TRANS that gfortran appends, which a bare int would pass as a 32-bit C
+int and leave the upper half of the register undefined.
+
 A caller that factors one K after another, as the Newton iterations of an
 arc-length step do, passes its last factor back to `factor`, writes its
 right-hand sides into the factor's own rows `b` and solves them in place
@@ -46,10 +58,11 @@ class Factor(NamedTuple):
     floats and ints, `lapack_factor` as float64 and int64 arrays. Both give
     b, room for two right-hand sides as the rows of a (2, n) float64 array,
     whose first k rows `solve(lu, k)` solves in place. `lapack_factor` also
-    gives, as `args`, dgttrf's N, DL, D, DU, DU2 and IPIV, and as `calls`,
-    dgttrs' whole argument lists for b's first k rows, keyed by k; all are
-    built once, and their pointers keep the arrays alive. Each path solves
-    only with its own factors."""
+    gives, as `args`, dgttrf's whole argument list N, DL, D, DU, DU2, IPIV
+    and INFO, as `calls`, dgttrs' whole argument lists for b's first k
+    rows, keyed by k, and as `info` the INFO they share; all are built
+    once, and their pointers keep the arrays alive. Each path solves only
+    with its own factors."""
 
     dl: Sequence
     d: Sequence
@@ -59,6 +72,7 @@ class Factor(NamedTuple):
     b: np.ndarray
     args: tuple = ()
     calls: dict | None = None
+    info: ctypes.c_int64 | None = None
 
 
 def _diagonals(sub, diag, sup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,14 +178,8 @@ def _load_lapack():
         dgttrf, dgttrs = lib.scipy_dgttrf_64_, lib.scipy_dgttrs_64_
     except (ImportError, OSError, AttributeError):
         return None
-    ptr = ctypes.c_void_p
-    # N, DL, D, DU, DU2, IPIV, INFO
-    dgttrf.argtypes = [ptr] * 7
-    dgttrf.restype = None
-    # TRANS, N, NRHS, DL, D, DU, DU2, IPIV, B, LDB, INFO, and the hidden
-    # length of the character argument TRANS
-    dgttrs.argtypes = [ptr] * 11 + [ctypes.c_size_t]
-    dgttrs.restype = None
+    # no argtypes: every argument is a prebuilt ctypes object (see above)
+    dgttrf.restype = dgttrs.restype = None
     return dgttrf, dgttrs
 
 
@@ -180,6 +188,10 @@ _DGTTRF, _DGTTRS = _load_lapack() or (None, None)
 # array alive for the call, and is given only arrays made here, which are
 # writable, C-contiguous and of the dtype LAPACK expects
 _data = (ctypes.c_char * 0).from_buffer
+
+
+# the hidden length of dgttrs' character argument TRANS, a size_t
+_TRANS_LEN = ctypes.c_size_t(1)
 
 
 def _int(value: int = 0):
@@ -201,12 +213,14 @@ def lapack_factor(sub, diag, sup, lu: Factor | None = None) -> Factor:
         arrays = (dl, d, du, np.empty(max(n - 2, 0)),
                   np.empty(n, dtype=np.int64))
         b = np.empty((2, n))
-        args = (_int(n), *map(_data, arrays))
+        info = ctypes.c_int64()
+        # N, DL, D, DU, DU2, IPIV, INFO
+        args = (_int(n), *map(_data, arrays), ctypes.byref(info))
         # TRANS, N, NRHS, DL, D, DU, DU2, IPIV, B, LDB = N, INFO, len(TRANS)
-        b_data, info = _data(b), _int()
-        calls = {k: (b"N", args[0], _int(k), *args[1:], b_data, args[0],
-                     info, 1) for k in (1, 2)}
-        lu = Factor(*arrays, b, args, calls)
+        b_data = _data(b)
+        calls = {k: (b"N", args[0], _int(k), *args[1:6], b_data, args[0],
+                     args[6], _TRANS_LEN) for k in (1, 2)}
+        lu = Factor(*arrays, b, args, calls, info)
     else:
         dl, d, du = lu[:3]
         if (np.shape(sub), np.shape(diag), np.shape(sup)) != \
@@ -215,9 +229,8 @@ def lapack_factor(sub, diag, sup, lu: Factor | None = None) -> Factor:
                              "of the factor it is refilled into")
         # dgttrf sets every entry of du2 and ipiv
         dl[...], d[...], du[...] = sub, diag, sup
-    info = ctypes.c_int64()
-    _DGTTRF(*lu.args, ctypes.byref(info))
-    if info.value:
+    _DGTTRF(*lu.args)
+    if lu.info.value:
         raise np.linalg.LinAlgError("zero pivot")
     return lu
 
@@ -232,9 +245,9 @@ def lapack_solve(lu: Factor, b) -> np.ndarray:
         _DGTTRS(*lu.calls[b])
         return lu.b[:b]
     x = _rhs(lu, b)
-    n, *arrays = lu.args
+    n, *arrays = lu.args[:6]
     nrhs = 1 if x.ndim == 1 else x.shape[0]
-    _DGTTRS(b"N", n, _int(nrhs), *arrays, _data(x), n, _int(), 1)
+    _DGTTRS(b"N", n, _int(nrhs), *arrays, _data(x), n, _int(), _TRANS_LEN)
     return x
 
 
@@ -270,12 +283,14 @@ def ldl_inertia(off: np.ndarray, diag: np.ndarray) -> tuple[int, int]:
     g[:-1] += np.abs(off)
     g[1:] += np.abs(off)
     tol = 1e-14 * max(1.0, float(np.max(g)))
-    n_nonpos, singular, p, e = 0, False, 1.0, 0.0
-    for d, e_next in zip(diag.tolist(), off.tolist() + [0.0]):
-        p = d - e * e / p
-        if abs(p) <= tol:
-            singular, p = True, -tol
-        if p < 0.0:
+    n_nonpos, singular, p = 0, False, 1.0
+    # the squares e * e come from numpy, the same IEEE products; a pivot
+    # above tol, the common case, costs one comparison, and a NaN pivot
+    # fails it and is not counted
+    for d, e2 in zip(diag.tolist(), [0.0, *(off * off).tolist()]):
+        p = d - e2 / p
+        if p <= tol:
+            if p >= -tol:
+                singular, p = True, -tol
             n_nonpos += 1
-        e = e_next
     return (0 if singular else (-1) ** n_nonpos), n_nonpos

@@ -8,9 +8,10 @@ workers and 3 process workers, and prints one hash per config and
 transport. A hash covers the `collect()` rows, the records sorted by
 (branch, xi_lo, xi_hi) without job ids, and `.summary.json` without its
 two timings, all bit for bit. With `--base REV` the same configs also run
-against REV, checked out with `git worktree add --detach` in a temporary
-directory outside the checkout and removed afterwards. Exits 1 if any hash
-of a config differs from another, 0 if all are equal.
+against REV, exported with `git archive` into a temporary directory
+outside the checkout and removed afterwards; nothing is written under
+`.git`, so no worktree or lock is left if the run is killed. Exits 1 if
+any hash of a config differs from another, 0 if all are equal.
 
 The tests import `row_bits`, `record_bits`, `summary_without_timings`,
 `twin_problem` and `NOISE_FLOOR_CONFIGS` from here.
@@ -170,19 +171,17 @@ def hashes(runs: dict) -> dict:
 
 def base_hashes(rev: str, names: list[str]) -> dict:
     """hashes(names) at git revision rev, run by this script in a fresh
-    interpreter against a detached worktree of rev."""
-    git = ["git", "-C", str(ROOT)]
+    interpreter against rev's files, exported by `git archive`."""
     with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp) / "base"
-        subprocess.run([*git, "worktree", "add", "--detach", "--quiet",
-                        str(tree), rev], check=True)
-        try:
-            proc = subprocess.run(
-                [sys.executable, __file__, "--json", "--src",
-                 str(tree / "src"), *names], capture_output=True, text=True)
-        finally:
-            subprocess.run([*git, "worktree", "remove", "--force",
-                            str(tree)], check=True)
+        archive, tree = Path(tmp) / "base.tar", Path(tmp) / "base"
+        tree.mkdir()
+        subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
+                        f"--output={archive}", rev], check=True)
+        subprocess.run(["tar", "-xf", str(archive), "-C", str(tree)],
+                       check=True)
+        proc = subprocess.run(
+            [sys.executable, __file__, "--json", "--src", str(tree / "src"),
+             *names], capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise RuntimeError(f"the run at {rev} exited {proc.returncode}")

@@ -66,12 +66,16 @@ def test_base_run_leaves_no_worktree():
     if subprocess.run([*git, "rev-parse", "--verify", "--quiet", "HEAD"],
                       capture_output=True).returncode != 0:
         pytest.skip("not a git checkout with a commit")
-    before = subprocess.run([*git, "worktree", "list"], capture_output=True,
-                            text=True, check=True).stdout
+
+    def git_out(*args):
+        return subprocess.run([*git, *args], capture_output=True, text=True,
+                              check=True).stdout
+
+    before = git_out("worktree", "list"), git_out("status", "--porcelain")
     proc = run_script("--base", "HEAD", FAST[0])
     assert proc.returncode in (0, 1), proc.stderr
     head, here = proc.stdout.splitlines()
     assert head.split()[:2] == ["HEAD", FAST[0]]
     assert here.split()[:2] == ["here", FAST[0]]
-    assert subprocess.run([*git, "worktree", "list"], capture_output=True,
-                          text=True, check=True).stdout == before
+    assert (git_out("worktree", "list"),
+            git_out("status", "--porcelain")) == before

@@ -96,6 +96,87 @@ class TestJacobians:
         assert np.array_equal(sub, [-0.5] * 3)
 
 
+class TestConversions:
+    """A float64 vector of the right shape is taken as it is; anything
+    else is converted as np.asarray(..., dtype=float) converts it."""
+
+    @pytest.mark.parametrize("u", [
+        [1, 2], np.array([1, 2]), np.array([1.5, 2.5], dtype=np.float32),
+        np.array(3.0), 4])
+    @pytest.mark.parametrize("lam", [np.float64(2.5), True, 1])
+    def test_point_converts_other_input(self, u, lam):
+        w = SolutionPoint(u, lam)
+        assert type(w.u) is np.ndarray and w.u.dtype == np.float64
+        assert w.u.ndim == 1 and w.u.tolist() == np.atleast_1d(u).tolist()
+        assert type(w.lam) is float and w.lam == float(lam)
+
+    def test_point_keeps_a_float64_vector(self):
+        u = np.array([1.0, 2.0])
+        w = SolutionPoint(u, 0.5)
+        assert w.u is u and type(w.lam) is float
+
+    @staticmethod
+    def callbacks(n, make):
+        """A problem of n unknowns whose callbacks return make(values)."""
+        return ProblemDef(
+            n_dof=n, residual_fn=lambda u, lam: make(np.arange(n) + 1),
+            jacobian_u_fn=None,
+            jacobian_lambda_fn=lambda u, lam: make(-np.ones(n, dtype=int)),
+            load_norm_sq=float(n),
+            tridiagonal_fn=lambda u, lam: (make(np.ones(n - 1, dtype=int)),
+                                           make(np.arange(n) + 2),
+                                           make(np.ones(n - 1, dtype=int))))
+
+    @pytest.mark.parametrize("make", [
+        lambda a: a.tolist(), lambda a: a, lambda a: a.reshape(-1, 1),
+        lambda a: a.astype(np.float32)], ids=["list", "int", "column",
+                                              "float32"])
+    def test_callbacks_converted(self, make):
+        n = 3
+        p = self.callbacks(n, make)
+        w = SolutionPoint(np.zeros(n), 0.0)
+        sub, diag, sup = p.tridiagonal(w)
+        for got, want in ((p.residual(w), [1, 2, 3]),
+                          (p.jacobian_lambda(w), [-1] * 3), (sub, [1] * 2),
+                          (diag, [2, 3, 4]), (sup, [1] * 2)):
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert got.shape == (len(want),) and got.tolist() == want
+
+    def test_float64_callback_results_kept(self):
+        g = np.arange(3.0)
+        p = self.callbacks(3, lambda a: g)
+        w = SolutionPoint(np.zeros(3), 0.0)
+        assert p.residual(w) is g and p.jacobian_lambda(w) is g
+
+    def test_wrong_size_refused(self):
+        n = 3
+        p = self.callbacks(n, lambda a: np.append(a, 0.0))
+        w = SolutionPoint(np.zeros(n), 0.0)
+        for call in (p.residual, p.jacobian_lambda, p.tridiagonal):
+            with pytest.raises(ValueError):
+                call(w)
+
+
+def test_springchain_residual_matches_its_expression():
+    """springchain's residual, computed in place, has the bits of the
+    expression it evaluates, kept here as it was written."""
+    c = 0.5
+
+    def expression(u, lam):
+        g = u * u * u - 3.0 * u + 2.0 * c * u - lam
+        g[:-1] -= c * u[1:]
+        g[1:] -= c * u[:-1]
+        return g
+
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 256):
+        p = make_builtin("springchain", n=n, c=c)
+        for _ in range(10):
+            u, lam = rng.normal(size=n) * 3.0, float(rng.normal())
+            got = p.residual(SolutionPoint(u, lam))
+            assert got.tobytes() == expression(u, lam).tobytes()
+
+
 class TestMakeBuiltin:
     def test_unknown_name(self):
         with pytest.raises(UnknownProblemError):

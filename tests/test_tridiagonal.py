@@ -223,6 +223,95 @@ class TestKernels:
                                        np.array([0.0, 0.0])) == (0, 1)
 
 
+def loop_ldl_inertia(off, diag):
+    """ldl_inertia as it was before its loop took numpy's squares of off
+    and one comparison per pivot, kept verbatim as the reference."""
+    g = np.abs(diag)
+    g[:-1] += np.abs(off)
+    g[1:] += np.abs(off)
+    tol = 1e-14 * max(1.0, float(np.max(g)))
+    n_nonpos, singular, p, e = 0, False, 1.0, 0.0
+    for d, e_next in zip(diag.tolist(), off.tolist() + [0.0]):
+        p = d - e * e / p
+        if abs(p) <= tol:
+            singular, p = True, -tol
+        if p < 0.0:
+            n_nonpos += 1
+        e = e_next
+    return (0 if singular else (-1) ** n_nonpos), n_nonpos
+
+
+def inertia_cases():
+    """(off, diag): random symmetric tridiagonals at n = 1, 2 and 256,
+    and the edges of the pivot tests."""
+    cases = []
+    for n in (1, 2, 256):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            scale = rng.choice([1e-3, 1.0, 1e3])
+            cases.append((rng.normal(size=n - 1),
+                          rng.normal(size=n) * scale + rng.normal()))
+    cases.append(([1.0], [0.0, 0.0]))  # a zero first pivot
+    # n = 1 and g <= 1: tol = 1e-14; n = 3, g = 2: the middle pivot is the
+    # middle entry and tol = 2e-14; pivots at, inside and just outside
+    # +-tol
+    for tol, make in ((1e-14, lambda p: ([], [p])),
+                      (2e-14, lambda p: ([0.0, 0.0], [2.0, p, 2.0]))):
+        for p in (tol, -tol, 0.5 * tol, -0.5 * tol, 0.0, -0.0,
+                  np.nextafter(tol, 1.0), np.nextafter(-tol, -1.0),
+                  np.nextafter(tol, 0.0), np.nextafter(-tol, 0.0)):
+            cases.append(make(p))
+    for bad in (np.nan, np.inf, -np.inf):
+        cases += [([1.0, bad], [2.0, 3.0, 4.0]), ([0.5, 1.0], [bad, 1.0, 2.0]),
+                  ([0.5, 1.0], [2.0, 1.0, bad]), ([], [bad])]
+    return [(np.array(off, dtype=float), np.array(diag, dtype=float))
+            for off, diag in cases]
+
+
+def test_ldl_inertia_matches_the_loop_it_replaced():
+    cases = inertia_cases()
+    for off, diag in cases:
+        assert tridiagonal.ldl_inertia(off, diag) == \
+            loop_ldl_inertia(off, diag), (off, diag)
+    # the cases reach each outcome: singular, and both signs of det
+    signs = {loop_ldl_inertia(off, diag)[0] for off, diag in cases}
+    assert signs == {-1, 0, 1}
+
+
+@LAPACK
+def test_lapack_arguments_are_ctypes_objects(monkeypatch):
+    """dgttrf and dgttrs carry no argtypes, so ctypes passes each argument
+    as it is: every one must be a ctypes instance, a byref or bytes. A bare
+    int would go out as a 32-bit C int, and dgttrs would read its size_t
+    TRANS length with undefined upper bits."""
+    calls = []
+    byref = type(ctypes.byref(ctypes.c_int64()))
+
+    def checked(fn):
+        # checked before the call: LAPACK would dereference a bare int
+        def call(*args):
+            calls.append(args)
+            for i, arg in enumerate(args):
+                assert isinstance(arg, (ctypes._SimpleCData, ctypes.Array,
+                                        byref, bytes)), (i, arg)
+            return fn(*args)
+        return call
+
+    for name in ("_DGTTRF", "_DGTTRS"):
+        monkeypatch.setattr(tridiagonal, name,
+                            checked(getattr(tridiagonal, name)))
+    sub, diag, sup, b = random_tridiagonal(1)
+    lu = tridiagonal.lapack_factor(sub, diag, sup)
+    lu.b[...] = b
+    tridiagonal.lapack_solve(lu, 1)
+    tridiagonal.lapack_solve(lu, 2)
+    tridiagonal.lapack_solve(lu, b)
+    tridiagonal.lapack_solve(lu, [b, -b])
+    assert [len(args) for args in calls] == [7] + [12] * 4
+    for args in calls[1:]:
+        assert isinstance(args[-1], ctypes.c_size_t)
+
+
 def test_lapack_kernels_found_where_numpy_links_ilp64_openblas():
     """Where numpy links the ILP64 scipy-openblas (the manylinux wheels),
     factor and solve are LAPACK's: a numpy that renamed the symbols would
