@@ -30,14 +30,15 @@ for TRANS; and the `c_size_t` `_TRANS_LEN` for the hidden length of
 TRANS that gfortran appends, which a bare int would pass as a 32-bit C
 int and leave the upper half of the register undefined.
 
-A caller that factors one K after another, as the Newton iterations of an
-arc-length step do, passes its last factor back to `factor`, writes its
-right-hand sides into the factor's own rows `b` and solves them in place
-with `solve(lu, k)`: the LAPACK path then refills the arrays it has, and
-wraps each in ctypes once, when the first factor builds them. Such
-buffers belong to one step, which builds them and never shares them, so
-steps that run at the same time in different threads never write to each
-other's arrays.
+A factor solves only its own rows: a caller writes up to two right-hand
+sides into `lu.b`, and `solve(lu, k)` solves the first k in place and
+returns them, a view of `lu.b`. A caller that factors one K after
+another, as the Newton iterations of an arc-length step do, passes its
+last factor back to `factor`, which keeps its `b` and refuses one of
+another n; the LAPACK path also refills its arrays, which the first
+factor wrapped in ctypes. Such buffers belong to one step, which builds
+them and never shares them, so steps that run at the same time in
+different threads never write to each other's arrays.
 """
 
 from __future__ import annotations
@@ -52,17 +53,17 @@ class Factor(NamedTuple):
     """P K = L U from `factor`, as dgttrf documents it: dl holds the n - 1
     multipliers of L, d, du and du2 the diagonal and the first and second
     superdiagonals of U (du2, of length n - 2, is the fill-in of row
-    interchanges), and ipiv[i] (1-based) the pivot row of step i: i + 1
-    where row i kept its place, i + 2 where rows i and i + 1 were
-    interchanged. `reference_factor` gives the five as lists of Python
-    floats and ints, `lapack_factor` as float64 and int64 arrays. Both give
-    b, room for two right-hand sides as the rows of a (2, n) float64 array,
-    whose first k rows `solve(lu, k)` solves in place. `lapack_factor` also
-    gives, as `args`, dgttrf's whole argument list N, DL, D, DU, DU2, IPIV
-    and INFO, as `calls`, dgttrs' whole argument lists for b's first k
-    rows, keyed by k, and as `info` the INFO they share; all are built
-    once, and their pointers keep the arrays alive. Each path solves only
-    with its own factors."""
+    interchanges), and ipiv[i] (1-based) the pivot row of step i: i + 1 where
+    row i kept its place, i + 2 where rows i and i + 1 were interchanged.
+    `reference_factor` gives the five as lists of Python floats and ints,
+    `lapack_factor` as float64 and int64 arrays. Both give b, the only
+    right-hand sides the factor solves: a (2, n) float64 array whose first k
+    rows `solve(lu, k)` solves in place, kept by a refactor into the factor.
+    `lapack_factor` also gives, as `args`, dgttrf's whole argument list N, DL,
+    D, DU, DU2, IPIV and INFO, as `calls`, dgttrs' whole argument lists for
+    b's first k rows, keyed by k, and as `info` the INFO they share; all are
+    built once, and their pointers keep the arrays alive. Each path solves
+    only with its own factors."""
 
     dl: Sequence
     d: Sequence
@@ -90,27 +91,20 @@ def _diagonals(sub, diag, sup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return dl, d, du
 
 
-def _rhs(lu: Factor, b) -> np.ndarray:
-    """A C-ordered float64 copy of b, checked to be K's n entries or k
-    right-hand sides of n entries each, as the rows of a (k, n) array."""
-    x = np.array(b, dtype=float, order="C")
-    n = len(lu.d)
-    if x.ndim not in (1, 2) or x.shape[-1] != n:
-        raise ValueError(f"right-hand side of shape {x.shape}, "
-                         f"expected ({n},) or (k, {n})")
-    return x
-
-
 def reference_factor(sub, diag, sup, lu: Factor | None = None) -> Factor:
     """Factor the tridiagonal matrix with diagonals sub, diag and sup
     (lengths n - 1, n, n - 1); raises np.linalg.LinAlgError on a zero
     pivot, where the matrix is exactly singular. This is dgttrf step for
     step on Python floats, where a float in a list costs a fraction of a
-    numpy scalar to combine. An earlier factor lu is accepted, as
-    `lapack_factor` takes one, and left unused: lists and b are built
-    anew."""
+    numpy scalar to combine. Given lu, an earlier factor from this
+    function of a K of the same n, the new factor keeps lu's rows b, as
+    `lapack_factor` does; its lists are built anew."""
     dl, d, du = (a.tolist() for a in _diagonals(sub, diag, sup))
     n = len(d)
+    b = np.empty((2, n)) if lu is None else lu.b
+    if b.shape != (2, n):
+        raise ValueError("tridiagonal K needs diagonals of the lengths "
+                         "of the factor it is refilled into")
     du.append(0.0)
     du2 = [0.0] * n
     ipiv = list(range(1, n + 1))
@@ -134,19 +128,17 @@ def reference_factor(sub, diag, sup, lu: Factor | None = None) -> Factor:
         dl[i] = f
     if d[n - 1] == 0.0:
         raise np.linalg.LinAlgError("zero pivot")
-    return Factor(dl, d, du[:-1], du2[:max(n - 2, 0)], ipiv,
-                  np.empty((2, n)))
+    return Factor(dl, d, du[:-1], du2[:max(n - 2, 0)], ipiv, b)
 
 
-def reference_solve(lu: Factor, b) -> np.ndarray:
-    """The solution x of K x = b, for K factored by `factor` and b one
-    right-hand side or k of them as the rows of a (k, n) array: dgttrs,
-    step for step on Python floats. x is a new array; for b the int k, x is
-    lu.b's first k rows, solved in place."""
-    xs = lu.b[:b] if isinstance(b, int) else _rhs(lu, b)
+def reference_solve(lu: Factor, k: int) -> np.ndarray:
+    """lu.b's first k rows, right-hand sides of K x = b for K factored by
+    `reference_factor`, overwritten with their solutions and returned as
+    that view of lu.b: dgttrs, step for step on Python floats."""
+    xs = lu.b[:k]
     dl, d, du, du2, ipiv = lu[:5]
     n = len(d)
-    rows = xs.reshape(-1, n).tolist()
+    rows = xs.tolist()
     for x in rows:
         xi = x[0]  # L^-1 P b: step i - 1 settles row i - 1 and updates row i
         for i, l, p in zip(range(1, n), dl, ipiv):
@@ -165,7 +157,7 @@ def reference_solve(lu: Factor, b) -> np.ndarray:
             xi = (x[i] - du[i] * x1 - du2[i] * x2) / d[i]
             x[i] = xi
             x2, x1 = x1, xi
-    xs.reshape(-1, n)[...] = rows
+    xs[...] = rows
     return xs
 
 
@@ -194,7 +186,7 @@ _data = (ctypes.c_char * 0).from_buffer
 _TRANS_LEN = ctypes.c_size_t(1)
 
 
-def _int(value: int = 0):
+def _int(value: int):
     """A reference to a LAPACK INTEGER, an int64 in the ILP64 interface."""
     return ctypes.byref(ctypes.c_int64(value))
 
@@ -235,20 +227,12 @@ def lapack_factor(sub, diag, sup, lu: Factor | None = None) -> Factor:
     return lu
 
 
-def lapack_solve(lu: Factor, b) -> np.ndarray:
+def lapack_solve(lu: Factor, k: int) -> np.ndarray:
     """`reference_solve` through LAPACK's dgttrs, for a factor from
-    `lapack_factor`, in one call for all the right-hand sides: the rows of
-    a C-ordered (k, n) array are the columns of dgttrs' B with LDB = n.
-    lu.b's first k rows are solved by the call that lu.calls holds for k; a
-    new array is wrapped for its one call."""
-    if isinstance(b, int):
-        _DGTTRS(*lu.calls[b])
-        return lu.b[:b]
-    x = _rhs(lu, b)
-    n, *arrays = lu.args[:6]
-    nrhs = 1 if x.ndim == 1 else x.shape[0]
-    _DGTTRS(b"N", n, _int(nrhs), *arrays, _data(x), n, _int(), _TRANS_LEN)
-    return x
+    `lapack_factor`, in the one call that lu.calls holds for k: lu.b's
+    first k rows are the columns of dgttrs' B, with LDB = n."""
+    _DGTTRS(*lu.calls[k])
+    return lu.b[:k]
 
 
 factor, solve = ((reference_factor, reference_solve) if _DGTTRF is None

@@ -69,3 +69,23 @@ def test_chain_serial_work_counts(monkeypatch):
                  cfg.alm, cfg.engine)
     assert (counts["iterations"], state.stats.jobs_done, counts["factor"],
             counts["solve"]) == (882, 140, 884, 1766)
+
+
+def test_chain_serial_builds_buffers_once_per_step(monkeypatch):
+    """Of chain-serial seed 1's 884 factors of springchain's tridiagonal
+    K, 410 are given no earlier factor and build a step's buffers: the
+    arrays, their rows b and, on the LAPACK path, the ctypes arguments.
+    The other 474 refill the buffers of an earlier factor of their
+    step."""
+    cfg = parse_config(json.dumps(seeded_config("chain-serial", 1)))
+    counts = {"new": 0, "refill": 0}
+    factor = tridiagonal.factor
+
+    def counted(sub, diag, sup, lu=None):
+        counts["new" if lu is None else "refill"] += 1
+        return factor(sub, diag, sup, lu)
+
+    monkeypatch.setattr(tridiagonal, "factor", counted)
+    aalm(make_builtin(cfg.problem_name, **cfg.problem_params), cfg.alm,
+         cfg.engine)
+    assert (counts["new"], counts["refill"]) == (410, 474)
