@@ -252,6 +252,26 @@ def _bordered_solve(problem: ProblemDef, w: SolutionPoint, b, beta: float,
     return x
 
 
+def _sphere_roots(xx: float, ax: float, aa: float, a_lam: float,
+                  xt_lam: float, c: float, delta_L: float
+                  ) -> tuple[float, float]:
+    """The two t that put a + t xt on the sphere of radius delta_L, from
+    the dot products xx = xt_u.xt_u, ax = a_u.xt_u and aa = a_u.a_u, the
+    lambda entries and c = psi^2 P.P; raises where there is no real t."""
+    A = xx + c * xt_lam * xt_lam
+    B = 2.0 * (ax + c * a_lam * xt_lam)
+    C = aa + c * a_lam * a_lam - delta_L**2
+    if A == 0.0:
+        if B == 0.0:
+            raise _NoConvergence("degenerate constraint quadratic")
+        return -C / B, -C / B
+    disc = B * B - 4.0 * A * C
+    if disc < 0.0:
+        raise ComplexRootsError("complex Crisfield roots")
+    sq = math.sqrt(disc)
+    return (-B + sq) / (2.0 * A), (-B - sq) / (2.0 * A)
+
+
 def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
                delta_w_prev: np.ndarray | None, delta_L: float
                ) -> tuple[SolutionPoint, int]:
@@ -300,20 +320,9 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
         # item() reads scalars as Python floats: cheaper at small n, same
         # bits. xt stays sol's column, with its stride, in its products.
         a, xt = dw + sol[:, 0], sol[:, 1]
-        au, xtu, a_lam, xt_lam = a[:n], xt[:n], a.item(n), xt.item(n)
-        A = float(xtu @ xtu) + c * xt_lam * xt_lam
-        B = 2.0 * (float(au @ xtu) + c * a_lam * xt_lam)
-        C = float(au @ au) + c * a_lam * a_lam - delta_L**2
-        if A == 0.0:
-            if B == 0.0:
-                raise _NoConvergence("degenerate constraint quadratic")
-            ts = (-C / B, -C / B)
-        else:
-            disc = B * B - 4.0 * A * C
-            if disc < 0.0:
-                raise ComplexRootsError("complex Crisfield roots")
-            sq = math.sqrt(disc)
-            ts = ((-B + sq) / (2.0 * A), (-B - sq) / (2.0 * A))
+        au, xtu = a[:n], xt[:n]
+        ts = _sphere_roots(float(xtu @ xtu), float(au @ xtu), float(au @ au),
+                           a.item(n), xt.item(n), c, delta_L)
         cands = (a + ts[0] * xt, a + ts[1] * xt)
         lam = dw.item(n)
         roots = (cands[0].item(n) - lam, cands[1].item(n) - lam)
@@ -345,6 +354,228 @@ def step(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
         achieved = distance(dw, config.psi, problem.load_norm_sq)
         return StepResult(w_new, iters, cut, achieved, dw)
     raise StepError(f"step failed after {MAX_STEP_CUTS} cuts: {last_err}")
+
+
+def _lengths(dw: np.ndarray, psi: float, load_norm_sq: float
+             ) -> list[float]:
+    """`distance` of each row of dw, with the same bits: np.vecdot takes
+    each row's du.du as 1-D `du @ du` does, and the rest is Python-float
+    arithmetic, as in `distance`."""
+    dd = np.vecdot(dw[:, :-1], dw[:, :-1]).tolist()
+    return [math.sqrt(d + psi**2 * lam**2 * load_norm_sq)
+            for d, lam in zip(dd, dw[:, -1].tolist())]
+
+
+def _rows(idx, *values) -> list:
+    """Each value at the batch members idx: an array's rows, a list's
+    entries, and a float, which all members share, as it is."""
+    return [v[idx] if isinstance(v, np.ndarray)
+            else [v[k] for k in idx] if isinstance(v, list) else v
+            for v in values]
+
+
+class Batch:
+    """The buffers that a batch's members solve in, kept for all its
+    steps: the member at row k of an iteration's arrays refills
+    factors[k], built the first time a member stands at row k and
+    refilled on every later iteration and step, which solves in place in
+    rows[k]. A factor keeps nothing between iterations that its refill
+    does not write anew, so whichever member stands at row k may take
+    it."""
+
+    __slots__ = ("rows", "factors")
+
+    def __init__(self, size: int, n: int):
+        self.rows = np.empty((size, 2, n))
+        self.factors: list = [None] * size
+
+
+def _bordered_solves(problem: ProblemDef, u: np.ndarray, lam: list[float],
+                     b: np.ndarray, beta, row: np.ndarray, corner,
+                     batch: Batch, two: bool) -> tuple[np.ndarray, list[int]]:
+    """`_bordered_solve` for each member k of a batch: the system at
+    (u[k], lam[k]) with right-hand side [b[k]; beta], border row row[k]
+    and corner corner (beta and corner a float or one per member), and,
+    where two is true, the [0; 1] column as well, in x[k, :, 1]. Returns
+    the solutions of the members whose systems are regular and the indices
+    k of those members. Member k solves with batch.factors[k] in
+    batch.rows[k]. The arithmetic is `_bordered_solve`'s for a tridiagonal
+    K, operation for operation."""
+    m, n = b.shape
+    factors = batch.factors
+    subs, diags, sups = problem.tridiagonals(u, lam)
+    g = problem.jacobians_lambda(u, lam)
+    rows = batch.rows[:m]
+    rows[:, 0] = b
+    rows[:, 1] = g
+    live = []
+    for k, (sub, diag, sup) in enumerate(zip(subs, diags, sups)):
+        try:
+            factors[k] = tridiagonal.factor(sub, diag, sup, factors[k],
+                                            rows[k])
+        except np.linalg.LinAlgError:
+            continue
+        tridiagonal.solve(factors[k], 2)
+        live.append(k)
+    # at: the rows of the members still solving, as a slice, whose rows
+    # are views, while all m are
+    at = slice(None)
+    if len(live) < m:
+        b, beta, row, corner, subs, diags, sups, g = _rows(
+            live, b, beta, row, corner, subs, diags, sups, g)
+        at = live
+        if not live:
+            return b, live
+    y, y_g = rows[at].transpose(1, 0, 2)
+    s = corner - np.vecdot(row, y_g)
+    if not s.all():  # a zero Schur complement: that system is singular
+        regular = np.flatnonzero(s).tolist()
+        at = live = [live[k] for k in regular]
+        b, beta, row, corner, subs, diags, sups, g, y, y_g, s = _rows(
+            regular, b, beta, row, corner, subs, diags, sups, g, y, y_g, s)
+        if not live:
+            return b, live
+    x = np.empty((len(live), n + 1, 2) if two else (len(live), n + 1))
+    xc = x[:, :, 0] if two else x
+    if two:
+        xi = 1.0 / s
+        np.subtract(0.0, xi[:, None] * y_g, out=x[:, :n, 1])
+        x[:, n, 1] = xi
+    xi = (beta - np.vecdot(row, y)) / s
+    np.subtract(y, xi[:, None] * y_g, out=xc[:, :n])
+    xc[:, n] = xi
+    # the refinement of `_bordered_solve`, its residual in y's row
+    r = tridiagonal.matvec(subs, diags, sups, xc[:, :n])
+    np.subtract(b, r, out=r)
+    g *= xc[:, n:]  # g is read no more
+    r -= g
+    r_beta = beta - np.vecdot(row, xc[:, :n]) - corner * xc[:, n]
+    rows[at, 0] = r
+    for k in live:
+        tridiagonal.solve(factors[k], 1)
+    z = rows[at, 0]
+    xi = (r_beta - np.vecdot(row, z)) / s
+    xc[:, :n] += z - xi[:, None] * y_g
+    xc[:, n] += xi
+    return x, live
+
+
+def batch_step(problem: ProblemDef, config: AlmConfig,
+               w_i: list[SolutionPoint], delta_w_prev: list,
+               delta_L: list[float], batch: Batch) -> list:
+    """`step` for each member j, (w_i[j], delta_w_prev[j], delta_L[j]), all
+    in lockstep and without step cuts: the StepResult of each member, or
+    None for one that the batch does not take (no warm start, or one of
+    length 0, or any member of a problem with a dense K) or that fails in
+    it; a caller solves those alone with `step`, whose cuts then run as
+    ever.
+
+    Each Newton iteration is one numpy call per elementwise operation or
+    row-wise dot product over all members that have not converged, and the
+    same bits as `step`'s: np.vecdot rounds each row as 1-D `a @ b` does,
+    also on the stride-2 second column, and the Crisfield and Riks
+    scalars are Python floats, as in `_corrector`. Per member stay the
+    problem's callbacks and the tridiagonal factor and its solves, in the
+    buffers of `batch`, which has a row for each member.
+    """
+    psi, ptp = config.psi, problem.load_norm_sq
+    c = psi**2 * ptp
+    n = problem.n_dof
+    riks = config.constraint == RIKS
+    tol = config.newton_tol
+    results: list = [None] * len(w_i)
+    ids = [j for j, dw in enumerate(delta_w_prev) if dw is not None]
+    if not ids or problem.tridiagonal_fn is None:
+        return results
+    prev = np.array([delta_w_prev[j] for j in ids])
+    lengths = _lengths(prev, psi, ptp)
+    warm = [k for k, length in enumerate(lengths) if length > 0]
+    if not warm:
+        return results
+    # the predictor's warm start, (delta_L / length) * delta_w_prev
+    scale = np.array([delta_L[ids[k]] / lengths[k] for k in warm])
+    dw = scale[:, None] * prev[warm]
+    ids = [ids[k] for k in warm]
+    u0 = np.array([w_i[j].u for j in ids])
+    lam0 = np.array([w_i[j].lam for j in ids])
+    dw0 = dw if riks else None  # first-iteration increments (planes)
+    for it in range(MAX_NEWTON_ITERS + 1):
+        u = u0 + dw[:, :n]
+        lam = lam0 + dw[:, n]
+        lams = lam.tolist()
+        G = problem.residuals(u, lams)
+        # np.sqrt and math.sqrt are both the IEEE square root; a NaN
+        # norm is not done
+        done = np.sqrt(np.vecdot(G, G)) <= tol
+        sel = np.flatnonzero(done)
+        if sel.size:
+            # the result as `step` makes it, from the converged point
+            u_new, lam_new = u[sel], lam[sel]
+            dws = np.empty((sel.size, n + 1))
+            np.subtract(u_new, u0[sel], out=dws[:, :n])
+            np.subtract(lam_new, lam0[sel], out=dws[:, n])
+            for k, uk, lk, d, dwk in zip(
+                    sel.tolist(), u_new, lam_new.tolist(),
+                    _lengths(dws, psi, ptp), dws):
+                results[ids[k]] = StepResult(SolutionPoint(uk, lk), it, 0,
+                                             d, dwk)
+        if it == MAX_NEWTON_ITERS or sel.size == len(ids):
+            break
+        if sel.size:
+            ids, u, lams, u0, lam0, dw, dw0, G = _rows(
+                np.flatnonzero(~done).tolist(), ids, u, lams, u0, lam0, dw,
+                dw0, G)
+        du = dw[:, :n]
+        if riks:
+            # the (verbatim) plane constraint of `_corrector`
+            row, corner = dw0[:, :n], 0.0
+            beta = np.array([
+                -(f + c * d * d - delta_L[j]**2) for f, d, j in zip(
+                    np.vecdot(dw0[:, :n], du).tolist(), dw0[:, n].tolist(),
+                    ids)])
+        else:
+            row, corner, beta = 2.0 * du, 2.0 * c * dw[:, n], 0.0
+        x, live = _bordered_solves(problem, u, lams, np.negative(G, out=G),
+                                   beta, row, corner, batch, not riks)
+        if not live:
+            break
+        if len(live) < len(ids):
+            ids, u0, lam0, dw, dw0 = _rows(live, ids, u0, lam0, dw, dw0)
+        if riks:
+            dw = dw + x
+            continue
+        # a + t xt on the sphere of radius dL, as in `_corrector`
+        a, xt = dw + x[:, :, 0], x[:, :, 1]
+        au, xtu = a[:, :n], xt[:, :n]
+        ts, live = [], []
+        for k, scalars in enumerate(zip(
+                np.vecdot(xtu, xtu).tolist(), np.vecdot(au, xtu).tolist(),
+                np.vecdot(au, au).tolist(), a[:, n].tolist(),
+                xt[:, n].tolist())):
+            try:
+                ts.append(_sphere_roots(*scalars, c, delta_L[ids[k]]))
+            except (_NoConvergence, ComplexRootsError):
+                continue
+            live.append(k)
+        if not live:
+            break
+        if len(live) < len(ids):
+            ids, u0, lam0, dw, dw0, a, xt = _rows(live, ids, u0, lam0, dw,
+                                                  dw0, a, xt)
+        t0, t1 = (np.array(t) for t in zip(*ts))
+        cand0 = a + t0[:, None] * xt
+        cand1 = a + t1[:, None] * xt
+        du = dw[:, :n]
+        pick = [_choose_root((r0 - lam_k, r1 - lam_k), d0, d1)
+                for r0, r1, lam_k, d0, d1 in zip(
+                    cand0[:, n].tolist(), cand1[:, n].tolist(),
+                    dw[:, n].tolist(),
+                    np.vecdot(du, cand0[:, :n]).tolist(),
+                    np.vecdot(du, cand1[:, :n]).tolist())]
+        pick = np.array(pick, dtype=bool)
+        cand0[pick] = cand1[pick]
+        dw = cand0
+    return results
 
 
 def detect_singular(problem: ProblemDef, w: SolutionPoint) -> StabilityInfo:

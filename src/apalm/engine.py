@@ -2,7 +2,9 @@
 bookkeeping for adaptive arc-length continuation.
 
 The manager owns all maps and the queue; solve_interval is pure and is the
-only part executed concurrently by the parallel runtime.
+only part executed concurrently by the parallel runtime. solve_intervals
+solves a wave of jobs at once, with the same bits, where the manager solves
+jobs itself.
 """
 
 from __future__ import annotations
@@ -25,6 +27,12 @@ from .problems import ProblemDef, SolutionPoint
 log = logging.getLogger(__name__)
 
 MAX_BRANCHES = 8  # branches per run, the primary one included
+# the fewest jobs whose steps solve_intervals takes in one alm.batch_step;
+# fewer take alm.step one by one. Per job and Newton iteration (timeit,
+# springchain), a batch of 3 cost 62 us against alm.step's 69 at 256
+# unknowns but 62 against 54 at 64; a batch of 4, 55 against 70 and 49
+# against 52
+MIN_BATCH = 4
 
 
 class SerialSolveError(RuntimeError):
@@ -126,23 +134,79 @@ def solve_interval(problem: ProblemDef, config: AlmConfig, job: Job
     to the interval's end covers the rest. The manager measures the steps
     and that segment from the points. A failed step fails the job, and its
     points are dropped.
+
+    A worker solves its jobs one at a time here, the manager a wave of
+    them at once: this is `solve_intervals` of the one job.
     """
-    dl_nominal = job.delta_L0 / job.N
-    w = job.w_start
-    dw = (None if job.w_prev is None
-          else alm.increment_between(w, job.w_prev))
-    sols: list[SolutionPoint] = []
-    remaining = job.delta_L0
-    try:
-        while remaining > 1e-12 * job.delta_L0 and len(sols) < job.N:
-            res = alm.step(problem, config, w, dw,
-                           min(dl_nominal, remaining))
-            w, dw = res.w_new, res.dw
-            sols.append(w)
-            remaining -= res.achieved_length
-    except alm.StepError as exc:
-        return IntervalResult(job.id, [], error=str(exc))
-    return IntervalResult(job.id, sols)
+    return solve_intervals(problem, config, [job])[0]
+
+
+def solve_intervals(problem: ProblemDef, config: AlmConfig, jobs: list[Job]
+                    ) -> list[IntervalResult]:
+    """Re-solve each job's interval as `solve_interval` describes, the
+    jobs one fine step at a time, in lockstep while at least MIN_BATCH
+    jobs step on: each round is one alm.batch_step over them. A job whose
+    step the batch does not take (a cold predictor) or that fails in it
+    takes that step alone, through alm.step and its step cuts, and so do
+    the steps of the fewer than MIN_BATCH jobs left, job by job; so each
+    job's result has the bits of solving it alone. The wave builds one
+    tridiagonal factor per row of its batch and refills it on all later
+    iterations and steps (`alm.Batch`)."""
+    intervals = [_Interval(job) for job in jobs]
+    live = [s for s in intervals if s.stepping()]
+    if len(live) >= MIN_BATCH:
+        batch = alm.Batch(len(live), problem.n_dof)
+        while len(live) >= MIN_BATCH:
+            for s, res in zip(live, alm.batch_step(
+                    problem, config, [s.w for s in live],
+                    [s.dw for s in live], [s.length() for s in live],
+                    batch)):
+                s.take(problem, config, res)
+            live = [s for s in live if s.stepping()]
+    for s in live:
+        while s.stepping():
+            s.take(problem, config, None)
+    return [IntervalResult(job.id, [], error=s.error) if s.error
+            else IntervalResult(job.id, s.sols)
+            for job, s in zip(jobs, intervals)]
+
+
+class _Interval:
+    """A job being solved: its last point w and increment dw, its points
+    so far, the length it has left and the error that ended it."""
+
+    __slots__ = ("job", "w", "dw", "sols", "remaining", "error")
+
+    def __init__(self, job: Job):
+        self.job, self.w = job, job.w_start
+        self.dw = (None if job.w_prev is None
+                   else alm.increment_between(job.w_start, job.w_prev))
+        self.sols: list[SolutionPoint] = []
+        self.remaining = job.delta_L0
+        self.error = ""
+
+    def stepping(self) -> bool:
+        job = self.job
+        return (not self.error and len(self.sols) < job.N
+                and self.remaining > 1e-12 * job.delta_L0)
+
+    def length(self) -> float:
+        return min(self.job.delta_L0 / self.job.N, self.remaining)
+
+    def take(self, problem: ProblemDef, config: AlmConfig,
+             res: alm.StepResult | None) -> None:
+        """The next step: res, or, where the batch gave none, one taken
+        alone."""
+        if res is None:
+            try:
+                res = alm.step(problem, config, self.w, self.dw,
+                               self.length())
+            except alm.StepError as exc:
+                self.error = str(exc)
+                return
+        self.w, self.dw = res.w_new, res.dw
+        self.sols.append(self.w)
+        self.remaining -= res.achieved_length
 
 
 class SerialStep(NamedTuple):

@@ -155,6 +155,36 @@ class ProblemDef:
         self._check(w)
         return _vector(self.jacobian_lambda_fn(w.u, w.lam), self.n_dof)
 
+    # The same callbacks at many points at once, (u[k], lam[k]) for each
+    # row u[k] of a (points, n) array u and entry lam[k] of a list: each
+    # value as the row k of one float64 array, converted as `_vector`
+    # converts it alone.
+
+    def residuals(self, u: np.ndarray, lam: list[float]) -> np.ndarray:
+        """`residual` at each point, as the rows of a (points, n) array."""
+        return _stacked([self.residual_fn(*w) for w in zip(u, lam)],
+                        self.n_dof)
+
+    def tridiagonals(self, u: np.ndarray, lam: list[float]
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`tridiagonal` at each point: (sub, diag, sup) with the
+        diagonals of K at point k in their rows; for a tridiagonal K."""
+        n = self.n_dof
+        parts = zip(*[self.tridiagonal_fn(*w) for w in zip(u, lam)])
+        return tuple(_stacked(part, m)
+                     for part, m in zip(parts, (n - 1, n, n - 1)))
+
+    def jacobians_lambda(self, u: np.ndarray, lam: list[float]
+                         ) -> np.ndarray:
+        """`jacobian_lambda` at each point, as the rows of an array."""
+        return _stacked([self.jacobian_lambda_fn(*w) for w in zip(u, lam)],
+                        self.n_dof)
+
+
+def _stacked(values, n: int) -> np.ndarray:
+    """Values of n entries each as the rows of one float64 array."""
+    return np.asarray(values, dtype=float).reshape(len(values), n)
+
 
 def _linear1d(k: float = 1.0, P: float = 1.0) -> ProblemDef:
     return ProblemDef(

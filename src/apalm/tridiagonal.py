@@ -91,18 +91,35 @@ def _diagonals(sub, diag, sup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return dl, d, du
 
 
-def reference_factor(sub, diag, sup, lu: Factor | None = None) -> Factor:
+def _new_rows(b: np.ndarray | None, n: int) -> np.ndarray:
+    """The rows of a new factor of n unknowns: b, checked, or a new array."""
+    if b is None:
+        return np.empty((2, n))
+    if b.shape != (2, n) or b.dtype != np.float64 \
+            or not b.flags.c_contiguous or not b.flags.writeable:
+        raise ValueError("a factor's rows must be a writable, C-contiguous "
+                         "(2, n) float64 array")
+    return b
+
+
+def reference_factor(sub, diag, sup, lu: Factor | None = None,
+                     b: np.ndarray | None = None) -> Factor:
     """Factor the tridiagonal matrix with diagonals sub, diag and sup
     (lengths n - 1, n, n - 1); raises np.linalg.LinAlgError on a zero
     pivot, where the matrix is exactly singular. This is dgttrf step for
     step on Python floats, where a float in a list costs a fraction of a
     numpy scalar to combine. Given lu, an earlier factor from this
     function of a K of the same n, the new factor keeps lu's rows b, as
-    `lapack_factor` does; its lists are built anew."""
+    `lapack_factor` does; its lists are built anew. Without lu, the rows
+    are b where given, a C-contiguous (2, n) float64 array, and a new one
+    otherwise."""
     dl, d, du = (a.tolist() for a in _diagonals(sub, diag, sup))
     n = len(d)
-    b = np.empty((2, n)) if lu is None else lu.b
-    if b.shape != (2, n):
+    if lu is None:
+        b = _new_rows(b, n)
+    elif lu.b.shape == (2, n):
+        b = lu.b
+    else:
         raise ValueError("tridiagonal K needs diagonals of the lengths "
                          "of the factor it is refilled into")
     du.append(0.0)
@@ -191,12 +208,14 @@ def _int(value: int):
     return ctypes.byref(ctypes.c_int64(value))
 
 
-def lapack_factor(sub, diag, sup, lu: Factor | None = None) -> Factor:
+def lapack_factor(sub, diag, sup, lu: Factor | None = None,
+                  b: np.ndarray | None = None) -> Factor:
     """`reference_factor` through LAPACK's dgttrf, on copies of the
     diagonals. Given lu, an earlier factor from this function of a K of
     the same n, the copies go into lu's arrays, whose LAPACK arguments were
     built with them, and lu is returned, factored anew: its old factor is
-    lost, so lu must be one that nothing else still solves with."""
+    lost, so lu must be one that nothing else still solves with. A new
+    factor's rows are b where given, as in `reference_factor`."""
     if lu is None:
         dl, d, du = _diagonals(sub, diag, sup)
         n = d.size
@@ -204,7 +223,7 @@ def lapack_factor(sub, diag, sup, lu: Factor | None = None) -> Factor:
         # in that order
         arrays = (dl, d, du, np.empty(max(n - 2, 0)),
                   np.empty(n, dtype=np.int64))
-        b = np.empty((2, n))
+        b = _new_rows(b, n)
         info = ctypes.c_int64()
         # N, DL, D, DU, DU2, IPIV, INFO
         args = (_int(n), *map(_data, arrays), ctypes.byref(info))
@@ -241,10 +260,11 @@ factor, solve = ((reference_factor, reference_solve) if _DGTTRF is None
 
 def matvec(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
            x: np.ndarray) -> np.ndarray:
-    """K x for K given by its three diagonals."""
+    """K x for K given by its three diagonals; with a row of diagonals and
+    one of x per K, each K times its x, row for row with the same bits."""
     y = diag * x
-    y[:-1] += sup * x[1:]
-    y[1:] += sub * x[:-1]
+    y[..., :-1] += sup * x[..., 1:]
+    y[..., 1:] += sub * x[..., :-1]
     return y
 
 

@@ -44,16 +44,23 @@ def test_chain_serial_work_counts(monkeypatch):
     timings, do not depend on the host: Newton iterations, jobs, and the
     factors and solves of springchain's tridiagonal K (one factor per
     iteration and per cold predictor; two solves per iteration, one per
-    predictor)."""
+    predictor). The serial steps and the jobs' steps that the batch does
+    not take run through alm.step, the others through alm.batch_step,
+    whose results count the same iterations."""
     cfg = parse_config(json.dumps(
         seeded_config("chain-serial", 1)))
     counts = {"iterations": 0, "factor": 0, "solve": 0}
-    step = alm.step
+    step, batch_step = alm.step, alm.batch_step
 
     def counted_step(*args):
         result = step(*args)
         counts["iterations"] += result.iterations
         return result
+
+    def counted_batch_step(*args):
+        results = batch_step(*args)
+        counts["iterations"] += sum(r.iterations for r in results if r)
+        return results
 
     def counted(name, fn):
         def wrapper(*args):
@@ -62,6 +69,7 @@ def test_chain_serial_work_counts(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(alm, "step", counted_step)
+    monkeypatch.setattr(alm, "batch_step", counted_batch_step)
     for name in ("factor", "solve"):
         monkeypatch.setattr(tridiagonal, name,
                             counted(name, getattr(tridiagonal, name)))
@@ -73,19 +81,23 @@ def test_chain_serial_work_counts(monkeypatch):
 
 def test_chain_serial_builds_buffers_once_per_step(monkeypatch):
     """Of chain-serial seed 1's 884 factors of springchain's tridiagonal
-    K, 410 are given no earlier factor and build a step's buffers: the
-    arrays, their rows b and, on the LAPACK path, the ctypes arguments.
-    The other 474 refill the buffers of an earlier factor of their
-    step."""
+    K, 271 are given no earlier factor and build buffers: the arrays,
+    their rows b and, on the LAPACK path, the ctypes arguments. 129 are
+    the serial phase's, one per serial step and one for its cold
+    predictor; 140 are the queue's, one per row of each wave's batch, for
+    all the wave's steps, with rows in the batch's array; and 2 are those
+    of the one job step that starts cold and runs alone through alm.step.
+    The other 613 refill the buffers of an earlier factor of their step or
+    wave."""
     cfg = parse_config(json.dumps(seeded_config("chain-serial", 1)))
     counts = {"new": 0, "refill": 0}
     factor = tridiagonal.factor
 
-    def counted(sub, diag, sup, lu=None):
+    def counted(sub, diag, sup, lu=None, b=None):
         counts["new" if lu is None else "refill"] += 1
-        return factor(sub, diag, sup, lu)
+        return factor(sub, diag, sup, lu, b)
 
     monkeypatch.setattr(tridiagonal, "factor", counted)
     aalm(make_builtin(cfg.problem_name, **cfg.problem_params), cfg.alm,
          cfg.engine)
-    assert (counts["new"], counts["refill"]) == (410, 474)
+    assert (counts["new"], counts["refill"]) == (271, 613)

@@ -643,6 +643,51 @@ def test_rejected_insertion_costs_one_job(steps, delta_L, tol, max_level):
         assert r.message.startswith(f"branch 0 [{r.job.xi_lo!r}, ")
 
 
+def steps_by_job(monkeypatch) -> dict:
+    """{job id: its fine steps in order} for the jobs that
+    engine.solve_intervals solves from here on: each step once, as the
+    StepResult of alm.batch_step or alm.step, or None for an alm.step that
+    raised. A step belongs to the job whose last point it starts from."""
+    steps = {}
+    owner = {}  # id of a job's last point -> (the point, the job's id)
+    solve, batch_step, step = (engine.solve_intervals, alm.batch_step,
+                               alm.step)
+
+    def logged_solve(problem, config, jobs):
+        for job in jobs:
+            owner[id(job.w_start)] = (job.w_start, job.id)
+            steps[job.id] = []
+        return solve(problem, config, jobs)
+
+    def note(w, result):
+        if id(w) in owner:
+            job_id = owner.pop(id(w))[1]
+            steps[job_id].append(result)
+            if result is not None:
+                owner[id(result.w_new)] = (result.w_new, job_id)
+
+    def logged_batch_step(problem, config, w_i, *args):
+        results = batch_step(problem, config, w_i, *args)
+        for w, result in zip(w_i, results):
+            if result is not None:  # a None member steps through alm.step
+                note(w, result)
+        return results
+
+    def logged_step(problem, config, w_i, *args):
+        try:
+            result = step(problem, config, w_i, *args)
+        except alm.StepError:
+            note(w_i, None)
+            raise
+        note(w_i, result)
+        return result
+
+    monkeypatch.setattr(engine, "solve_intervals", logged_solve)
+    monkeypatch.setattr(alm, "batch_step", logged_batch_step)
+    monkeypatch.setattr(alm, "step", logged_step)
+    return steps
+
+
 @pytest.mark.parametrize("run", ["noise-floor", "riks-chain"])
 def test_a_job_makes_at_most_n_steps(run, monkeypatch):
     """Neither a noise-floor run nor a Riks run, whose steps come out
@@ -651,24 +696,11 @@ def test_a_job_makes_at_most_n_steps(run, monkeypatch):
         "noise-floor": (make_builtin("cubic1d"), crisfield(1.0, tol=1e-10),
                         noise_floor_engine(*NOISE_FLOOR_CONFIGS[1])),
         "riks-chain": PARITY_RUNS["riks-chain"]}[run]
-    steps, per_job = [], []
-    step, solve = alm.step, engine.solve_interval
-
-    def counted_step(*args):
-        steps.append(args)
-        return step(*args)
-
-    def counted_solve(*args):
-        before = len(steps)
-        result = solve(*args)
-        per_job.append(len(steps) - before)
-        return result
-
-    monkeypatch.setattr(alm, "step", counted_step)
-    monkeypatch.setattr(engine, "solve_interval", counted_solve)
+    steps = steps_by_job(monkeypatch)
     state = aalm(p, cfg, eng)
-    assert len(per_job) == state.stats.jobs_done > 0
-    assert max(per_job) <= eng.subintervals
+    assert len(steps) == state.stats.jobs_done > 0
+    assert sum(map(len, steps.values())) > state.stats.jobs_done
+    assert max(map(len, steps.values())) <= eng.subintervals
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -799,30 +831,17 @@ def test_tridiagonal_kernels_move_no_bit(run, monkeypatch):
 def test_submit_measures_against_the_map(run, monkeypatch):
     """submit measures each solved job from its fine points: measured is
     (sum d_k, |w_end - w_start|, |map[xi_hi].w - w_end|), and each d_k,
-    measured from the step's start point, is the achieved length alm.step
-    returned for that step, bit for bit, in measured and in the map."""
+    measured from the step's start point, is the achieved length that
+    alm.batch_step or alm.step returned for that step, bit for bit, in
+    measured and in the map."""
     p, cfg, eng = {
         "cubic1d": (make_builtin("cubic1d"), crisfield(1.0, tol=1e-10),
                     EngineConfig(delta_L=0.4, steps=15, tol_lower=1e-4,
                                  tol_upper=1e-4)),
         "riks-chain": PARITY_RUNS["riks-chain"]}[run]
-    results, achieved, inserted = {}, {}, {}
-    step, solve, submit = alm.step, engine.solve_interval, QueueEngine.submit
-    job_steps = None  # the lengths of the job being solved, in step order
-
-    def logged_step(*args):
-        res = step(*args)
-        if job_steps is not None:  # not a serial-phase step
-            job_steps.append(res.achieved_length)
-        return res
-
-    def logged_solve(problem, config, job):
-        nonlocal job_steps
-        job_steps = achieved[job.id] = []
-        try:
-            return solve(problem, config, job)
-        finally:
-            job_steps = None
+    results, inserted = {}, {}
+    submit = QueueEngine.submit
+    steps = steps_by_job(monkeypatch)
 
     def kept(self, job, result):
         results[job.id] = result
@@ -838,8 +857,6 @@ def test_submit_measures_against_the_map(run, monkeypatch):
             return insert(self, *args)
         return wrapper
 
-    monkeypatch.setattr(alm, "step", logged_step)
-    monkeypatch.setattr(engine, "solve_interval", logged_solve)
     monkeypatch.setattr(QueueEngine, "submit", kept)
     for name in ("insert_interior", "insert_stretch"):
         monkeypatch.setattr(CurveMap, name, logged_insert(name))
@@ -850,7 +867,8 @@ def test_submit_measures_against_the_map(run, monkeypatch):
     psi, ptp = cfg.psi, p.load_norm_sq
     hexes = lambda xs: [float(x).hex() for x in xs]  # noqa: E731
     for r in solved:
-        res, lengths = results[r.job.id], achieved[r.job.id]
+        res = results[r.job.id]
+        lengths = [step.achieved_length for step in steps[r.job.id]]
         assert len(lengths) == len(res.solutions)
         assert hexes(inserted[r.job.branch, r.job.xi_lo, r.job.xi_hi]) == (
             hexes(lengths))
@@ -879,3 +897,143 @@ def test_failed_spawned_branch_costs_that_branch(caplog):
     state = apalm(p, cfg, eng, worker_count=3, transport="thread")
     assert row_bits(state.collect()) == row_bits(ref.collect())
     assert record_bits(state) == record_bits(ref)
+
+
+def kinked_problem(n, bad):
+    """G_i = u_i^3 + u_i - lam with a tridiagonal K, whose path has every
+    u_i at the real root of u^3 + u = lam; but where lam >= 1.5 the
+    callbacks make the bordered matrix exactly singular: K = 0 for bad
+    "pivot", and dG/dlam = 0 for bad "schur", which with psi = 0 zeroes
+    the Schur complement."""
+    from apalm.problems import ProblemDef
+
+    def diagonal(u, lam):
+        if bad == "pivot" and lam >= 1.5:
+            return np.zeros(n)
+        return 3.0 * u * u + 1.0
+
+    def load(u, lam):
+        if bad == "schur" and lam >= 1.5:
+            return np.zeros(n)
+        return np.full(n, -1.0)
+
+    return ProblemDef(
+        n_dof=n, residual_fn=lambda u, lam: u * u * u + u - lam,
+        jacobian_u_fn=None,
+        tridiagonal_fn=lambda u, lam: (np.zeros(n - 1), diagonal(u, lam),
+                                       np.zeros(n - 1)),
+        jacobian_lambda_fn=load, load_norm_sq=float(n), name="kinked")
+
+
+def tridiagonal_form(p):
+    """p, a problem of one unknown with a dense K, with K given as the
+    diagonal of a tridiagonal one, which the batch takes."""
+    from apalm.problems import ProblemDef
+    return ProblemDef(
+        n_dof=1, residual_fn=p.residual_fn, jacobian_u_fn=None,
+        tridiagonal_fn=lambda u, lam: (
+            np.empty(0), p.jacobian_u_fn(u, lam)[0], np.empty(0)),
+        jacobian_lambda_fn=p.jacobian_lambda_fn,
+        load_norm_sq=p.load_norm_sq, name=p.name)
+
+
+def kinked_jobs(p, lams):
+    """One job per start lam, warm-started along the path from lam - 0.1
+    and 0.5 long."""
+    def point(lam):
+        u = np.roots([1.0, 0.0, 1.0, -lam])
+        return SolutionPoint(np.full(p.n_dof, u[np.isreal(u)].real[0]), lam)
+
+    return [Job(id=k, branch=0, xi_lo=float(k), xi_hi=k + 1.0,
+                delta_L0=0.5, w_start=point(lam), w_prev=point(lam - 0.1),
+                level=1, N=2) for k, lam in enumerate(lams)]
+
+
+def level_one_jobs(p, cfg, eng):
+    state = QueueEngine(p, cfg, eng)
+    state.initialize()
+    return list(state.queue)
+
+
+def equivalence_case(name):
+    """(problem, AlmConfig, jobs, what the batch must meet): "dense" for a
+    dense K, which the batch takes no step of, "cuts" for step cuts and
+    failed steps, "singular" for a member that fails in the batch beside
+    healthy ones. A name ending in "-tridiagonal" gives the problem of
+    one unknown its K as a tridiagonal one."""
+    from dataclasses import replace
+
+    from bits import configs
+    if name.startswith("kinked"):
+        bad = name.split("-")[1]
+        p = kinked_problem(4, bad)
+        cfg = crisfield(0.0 if bad == "schur" else 1.0, tol=1e-10)
+        return p, cfg, kinked_jobs(p, [0.2, 0.5, 0.8, 1.1, 1.4]), "singular"
+    base = name.removesuffix("-tridiagonal")
+    p, cfg, eng = configs()[base]
+    jobs = level_one_jobs(p, cfg, eng)
+    meets = "dense" if p.tridiagonal_fn is None else ""
+    if base != name:
+        p, meets = tridiagonal_form(p), ""
+    if base == "twin":
+        # 16 times longer than the serial steps: cuts, and failed steps
+        jobs, meets = [replace(j, delta_L0=16 * j.delta_L0)
+                       for j in jobs], "cuts"
+    return p, cfg, jobs, meets
+
+
+def result_bits(results):
+    return [(r.job_id, r.error,
+             [(w.u.tobytes(), float(w.lam).hex()) for w in r.solutions])
+            for r in results]
+
+
+@pytest.mark.parametrize("name", [
+    "chain-serial-s1", "riks-chain-n16", "acc-cubic-psi0", "acc-cubic-psi1",
+    "acc-cubic-psi0-tridiagonal", "acc-cubic-psi1-tridiagonal",
+    "twin-tridiagonal", "kinked-pivot", "kinked-schur"])
+def test_solve_intervals_matches_solve_interval(name, monkeypatch):
+    """A wave through solve_intervals gives each job the results of
+    solving it alone with solve_interval, whose one job steps through
+    alm.step, bit for bit: the points' u bytes and lambda, and the error
+    text. A member the batch does not take or that fails in it moves no
+    bit of the others."""
+    p, cfg, jobs, meets = equivalence_case(name)
+    expected = [solve_interval(p, cfg, job) for job in jobs]
+    seen = {"batched": 0, "alone": 0, "cuts": 0, "failed": 0}
+    alone_from = []  # the lambda of each step taken alone
+    batch_step, step = alm.batch_step, alm.step
+
+    def noted_batch_step(*args):
+        results = batch_step(*args)
+        seen["batched"] += sum(r is not None for r in results)
+        return results
+
+    def noted_step(problem, config, w_i, *args):
+        seen["alone"] += 1
+        alone_from.append(w_i.lam)
+        try:
+            result = step(problem, config, w_i, *args)
+        except alm.StepError:
+            seen["failed"] += 1
+            raise
+        seen["cuts"] += result.cuts_used
+        return result
+
+    monkeypatch.setattr(alm, "batch_step", noted_batch_step)
+    monkeypatch.setattr(alm, "step", noted_step)
+    assert result_bits(engine.solve_intervals(p, cfg, jobs)) == \
+        result_bits(expected)
+    assert len(jobs) >= engine.MIN_BATCH
+    assert (seen["batched"] == 0) == (meets == "dense")
+    if any(job.w_prev is None for job in jobs):  # a cold predictor
+        assert seen["alone"] > 0
+    if meets == "cuts":
+        assert seen["cuts"] > 0 and seen["failed"] > 0
+        assert any(r.error for r in expected)
+    if meets == "singular":
+        # the job that starts at 1.4 steps past 1.5 and fails there, and
+        # takes its steps alone; the three jobs from 0.2 to 0.8 take every
+        # step in the batch, beside it
+        assert seen["alone"] > 0 and min(alone_from) >= 1.1
+        assert not any(r.error for r in expected[:3])

@@ -148,11 +148,45 @@ class TestConversions:
         w = SolutionPoint(np.zeros(3), 0.0)
         assert p.residual(w) is g and p.jacobian_lambda(w) is g
 
+    @pytest.mark.parametrize("make", [
+        lambda a: a.tolist(), lambda a: a, lambda a: a.reshape(-1, 1),
+        lambda a: a.astype(np.float32), lambda a: a.astype(float)],
+        ids=["list", "int", "column", "float32", "float64"])
+    def test_callbacks_at_many_points_stack_the_rows(self, make):
+        """residuals, tridiagonals and jacobians_lambda give, in row k, the
+        bits that residual, tridiagonal and jacobian_lambda give at point
+        k; the callbacks see each point's own u row and lambda."""
+        n, lams = 3, [0.5, -1.0]
+        seen = []
+        p = self.callbacks(n, make)
+        p = ProblemDef(
+            n_dof=n, residual_fn=lambda u, lam: (
+                seen.append((u.tolist(), lam))
+                or make(np.arange(n) + int(2 * lam))),
+            jacobian_u_fn=None, jacobian_lambda_fn=p.jacobian_lambda_fn,
+            load_norm_sq=p.load_norm_sq, tridiagonal_fn=p.tridiagonal_fn)
+        u = np.arange(2.0 * n).reshape(2, n)
+        points = [SolutionPoint(uk, lk) for uk, lk in zip(u, lams)]
+        stacks = [p.residuals(u, lams), p.jacobians_lambda(u, lams),
+                  *p.tridiagonals(u, lams)]
+        singles = [[f(w) for w in points] for f in (
+            p.residual, p.jacobian_lambda,
+            lambda w: p.tridiagonal(w)[0], lambda w: p.tridiagonal(w)[1],
+            lambda w: p.tridiagonal(w)[2])]
+        for got, want in zip(stacks, singles):
+            assert got.dtype == np.float64 and got.shape == (2, len(want[0]))
+            assert got.tobytes() == np.array(want).tobytes()
+        assert seen[:2] == [(u[0].tolist(), 0.5), (u[1].tolist(), -1.0)]
+
     def test_wrong_size_refused(self):
         n = 3
         p = self.callbacks(n, lambda a: np.append(a, 0.0))
         w = SolutionPoint(np.zeros(n), 0.0)
-        for call in (p.residual, p.jacobian_lambda, p.tridiagonal):
+        u = np.zeros((2, n))
+        for call in (p.residual, p.jacobian_lambda, p.tridiagonal,
+                     lambda w: p.residuals(u, [0.0, 0.0]),
+                     lambda w: p.jacobians_lambda(u, [0.0, 0.0]),
+                     lambda w: p.tridiagonals(u, [0.0, 0.0])):
             with pytest.raises(ValueError):
                 call(w)
 

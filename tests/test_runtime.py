@@ -608,23 +608,29 @@ class TestApalm:
     def test_lost_process_worker_finishes_on_manager(self, monkeypatch):
         # the only worker exits on its second job, after replying to its
         # first: every job it holds then is lost, each with its own record,
-        # and the manager solves every job after them. It holds job 1, and
-        # job 2 too if the manager's send of job 2 came before the exit; a
-        # send that fails leaves job 2 queued.
+        # and the manager solves every job after them, in waves through
+        # engine.solve_intervals. It holds job 1, and job 2 too if the
+        # manager's send of job 2 came before the exit; a send that fails
+        # leaves job 2 queued.
         manager_pid = os.getpid()
-        solve = engine.solve_interval
+        solve, solve_waves = engine.solve_interval, engine.solve_intervals
         worker_jobs, manager_jobs = [], []
 
         def exits_on_second_job(problem, config, job):
-            if os.getpid() == manager_pid:
-                manager_jobs.append(job.id)
-            else:
+            if os.getpid() != manager_pid:
                 worker_jobs.append(job.id)
                 if len(worker_jobs) == 2:
                     os._exit(1)
             return solve(problem, config, job)
 
+        def noted_wave(problem, config, jobs):
+            # a worker's solve_interval calls this too; count the manager's
+            if os.getpid() == manager_pid:
+                manager_jobs.extend(job.id for job in jobs)
+            return solve_waves(problem, config, jobs)
+
         monkeypatch.setattr(engine, "solve_interval", exits_on_second_job)
+        monkeypatch.setattr(engine, "solve_intervals", noted_wave)
         eng = EngineConfig(delta_L=0.4, steps=15, tol_lower=1e-4,
                            tol_upper=1e-4)
         state = apalm(make_builtin("cubic1d"), crisfield(), eng,

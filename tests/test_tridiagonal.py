@@ -218,6 +218,31 @@ class TestKernels:
         assert lu.b[0].tobytes() == solve_rows(solve, fresh, -b).tobytes()
         assert lu.b[1].tobytes() == rows[1].tobytes()
 
+    @pytest.mark.parametrize("kernels", PATHS)
+    def test_new_factor_solves_in_given_rows(self, kernels):
+        """A new factor given rows b, here one slot of a batch's
+        (members, 2, n) array, keeps them, a refactor keeps them too, and
+        they solve to the bits of a factor's own rows; the rows of another
+        shape, dtype or layout, or read-only ones, are refused."""
+        factor, solve = kernels
+        n = 9
+        sub, diag, sup, b = small_tridiagonal(n)
+        slots = np.full((3, 2, n), np.nan)
+        lu = factor(sub, diag, sup, None, slots[1])
+        assert lu.b.base is slots and np.shares_memory(lu.b, slots[1])
+        assert factor(sub, diag, sup, lu, slots[2]).b is lu.b
+        want = solve_rows(solve, factor(sub, diag, sup), b, -b)
+        assert solve_rows(solve, lu, b, -b).tobytes() == want.tobytes()
+        assert slots[1].tobytes() == want.tobytes()
+        assert np.isnan(slots[[0, 2]]).all()
+        read_only = np.empty((2, n))
+        read_only.flags.writeable = False
+        for rows in (np.empty((2, n + 1)), np.empty((1, n)),
+                     np.empty((2, n), dtype=np.float32),
+                     np.empty((n, 2)).T, read_only):
+            with pytest.raises(ValueError):
+                factor(sub, diag, sup, None, rows)
+
     def test_zero_pivot_reads_singular(self):
         # eigenvalues +-1, but the first LDL^T pivot is 0
         assert tridiagonal.ldl_inertia(np.array([1.0]),
