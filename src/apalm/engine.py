@@ -1,10 +1,10 @@
 """Serial initialization, interval solving, error marking, and the queue
 bookkeeping for adaptive arc-length continuation.
 
-The manager owns all maps and the queue; solve_interval is pure and is the
-only part executed concurrently by the parallel runtime. solve_intervals
-solves a wave of jobs at once, with the same bits, where the manager solves
-jobs itself.
+The manager owns all maps and the queue; solve_intervals is pure and is
+the only part executed concurrently by the parallel runtime: a worker
+solves each wave of jobs it is sent with it, and the manager each wave it
+solves itself. solve_interval is the wave of one job, with the same bits.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ def solve_interval(problem: ProblemDef, config: AlmConfig, job: Job
     and that segment from the points. A failed step fails the job, and its
     points are dropped.
 
-    A worker solves its jobs one at a time here, the manager a wave of
-    them at once: this is `solve_intervals` of the one job.
+    Workers and the manager solve waves of jobs at once, with
+    `solve_intervals`; this is `solve_intervals` of the one job.
     """
     return solve_intervals(problem, config, [job])[0]
 

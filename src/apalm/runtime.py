@@ -15,6 +15,7 @@ import socket
 import threading
 import time
 from collections import deque
+from itertools import islice
 
 from . import engine as eng
 from . import transport as tp
@@ -35,28 +36,43 @@ PROCESS = "process"
 # phase ran 49-63 % longer than aalm's.
 DEFAULT_TRANSPORT = (
     PROCESS if "fork" in multiprocessing.get_all_start_methods() else THREAD)
-# the most jobs sent to one worker and not yet answered
+# the most job frames sent to one worker and not yet answered
 DEPTH = 2
-# the most jobs times unknowns in a wave that the manager solves itself:
-# 16 jobs of springchain n = 256. A wave holds each job's factor, points
-# and (jobs, n) arrays at once: on chain-serial, a run on its own peaked
-# 1.1 MiB above one-job-at-a-time solving with waves of 16, 2.2 MiB with
-# waves of 32 at the same speed, and ran 5 % slower with waves of 8
+# the most jobs times unknowns in a wave, solved by the manager itself or
+# sent to a worker in one frame: 16 jobs of springchain n = 256. A wave
+# holds each job's factor, points and (jobs, n) arrays at once: on
+# chain-serial, a run on its own peaked 1.1 MiB above one-job-at-a-time
+# solving with waves of 16, 2.2 MiB with waves of 32 at the same speed, and
+# ran 5 % slower with waves of 8
 WAVE_VALUES = 1 << 12
+# the most bytes of jobs in one job frame, so that DEPTH full job frames fit
+# the 208 KiB (212992 B) that a fresh Linux socket pair buffers each way;
+# it binds only below 10 unknowns, where a job's 57 header bytes count
+# most: WAVE_VALUES jobs of n = 1 would take 364 KB
+FRAME_BYTES = 96 << 10
+
+
+def frame_jobs(n_dof: int) -> int:
+    """The most jobs in one job frame: WAVE_VALUES // n_dof, no more than
+    FRAME_BYTES hold, and at least one."""
+    return max(1, min(WAVE_VALUES // n_dof,
+                      FRAME_BYTES // tp.job_bytes(n_dof)))
 
 
 def run_worker(problem: ProblemDef, config: AlmConfig, endpoint) -> int:
-    """Worker loop: receive a job, solve it, send its result; exit on stop.
+    """Worker loop: receive a wave of jobs, solve it with one
+    `engine.solve_intervals` call, send its replies as one wave, in the
+    order of its jobs; exit on stop.
 
     Returns the number of jobs executed.
     """
     done = 0
-    while (job := endpoint.recv()) is not None:
-        if not isinstance(job, Job):
+    while (jobs := endpoint.recv()) is not None:
+        if not isinstance(jobs[0], Job):
             raise tp.ProtocolError(
-                f"expected job message, got {type(job).__name__}")
-        endpoint.send(eng.solve_interval(problem, config, job))
-        done += 1
+                f"expected job message, got {type(jobs[0]).__name__}")
+        endpoint.send(eng.solve_intervals(problem, config, jobs))
+        done += len(jobs)
     return done
 
 
@@ -65,30 +81,37 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
 
     The manager waits on all worker sockets at once, through one selector
     that holds exactly the live endpoints, and takes replies in whatever
-    order they arrive. It keeps up to `DEPTH` jobs sent to each worker, so
-    a worker has its next job in its socket while the manager settles its
-    last reply. The worker loop is unchanged: it reads one job at a time,
-    and a stream socket returns its replies in the order of its jobs, so a
-    reply belongs to the oldest job its worker holds and must carry that
-    job's id. Three rules keep this safe:
+    order they arrive. It sends each worker a wave of jobs per frame, from
+    the head of the queue: min(frame_jobs(n_dof), ceil(len(queue) /
+    workers still sent jobs)) jobs, so that no worker holds a wave while
+    another idles, and always at least one. It keeps up to `DEPTH` frames
+    sent to each worker, so a worker has its next wave in its socket while
+    the manager settles its last replies. A worker reads one frame at a time
+    and answers it with one reply frame, a wave of one reply per job in the
+    order of its jobs, and a stream socket returns its replies in the order
+    of its frames; so a reply frame belongs to the oldest frame its worker
+    holds, and its k-th member must carry the id of that frame's k-th job.
+    Three rules keep this safe:
 
-    - Fill order: `dispatch` gives a job to every worker holding none
+    - Fill order: `dispatch` gives a frame to every worker holding none
       before it gives any worker a second one.
     - A job leaves the queue only once a worker has it, and never comes
-      back: a worker lost mid-job, or one whose reply does not fit its
-      job (type, id, step count, point size), costs every job it holds,
-      each recorded as `lost`; one found gone at dispatch costs none.
-    - A failed send costs no job, as the job stays at the head of the
-      queue. It ends the sends to that worker, not the reads: the endpoint
-      stays in the selector until the worker hangs up, so each job it
-      holds is settled, by a reply it already sent or as `lost`.
+      back: a worker lost mid-frame, or one whose reply frame does not fit
+      its frame (a member count other than its jobs', or a member that does
+      not fit its job: type, id, step count, point size), costs every job
+      of every frame it holds, each recorded as `lost`; one found gone at
+      dispatch costs none.
+    - A failed send costs no job, as the frame's jobs stay at the head of
+      the queue. It ends the sends to that worker, not the reads: the
+      endpoint stays in the selector until the worker hangs up, so each
+      job it holds is settled, by a reply it already sent or as `lost`.
 
-    `sendall` cannot deadlock at this depth. The manager blocks in it,
-    sending a second job while the worker is still on its first, only if
-    that frame does not fit the socket's buffer, and the worker blocks in
-    its reply only if the reply does not fit the manager's. A socket pair
-    buffers about 200 KB each way, while a job or reply frame carries two
-    or N points: about 4 KB for springchain n = 256 with N = 2.
+    `sendall` cannot deadlock. A worker holds at most DEPTH frames, so at
+    most DEPTH job frames wait in its socket, and DEPTH full job frames fit
+    a socket pair's buffer (FRAME_BYTES): the manager's send never blocks.
+    So it always comes back to its selector and reads, and a reply frame
+    may be of any size, as the manager reads while the worker writes it
+    (about 260 KB for 16 springchain jobs of n = 256 with N = 8).
 
     The serial phase runs here unless `state.initialize()` has run it:
     after each serial step the manager settles the replies that have
@@ -106,61 +129,76 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
     """
     n_dof = state.problem.n_dof
     wave = max(1, WAVE_VALUES // n_dof)
-    # the endpoints that are still sent jobs, each with the jobs it holds,
-    # oldest first; the same deque is the data of its selector key
+    cap = frame_jobs(n_dof)
+    # the endpoints that are still sent jobs, each with the frames it holds,
+    # oldest first, each the list of its jobs; the same deque is the data
+    # of its selector key
     sendable = {ep: deque() for ep in endpoints}
-    # Workers holding no job are watched too: a worker lost between jobs
-    # is dropped before a job is sent to it.
+    # Workers holding no frame are watched too: a worker lost between
+    # frames is dropped before a frame is sent to it.
     live = selectors.DefaultSelector()  # the live endpoints, each once
     for ep, held in sendable.items():
         live.register(ep, selectors.EVENT_READ, held)
 
     def dispatch() -> None:
-        for depth in range(DEPTH):  # every first job before any second
+        for depth in range(DEPTH):  # every first frame before any second
             for ep, held in list(sendable.items()):
                 if not state.queue:
                     return
                 if len(held) != depth:
                     continue
+                k = min(cap, -(-len(state.queue) // len(sendable)))
+                jobs = list(islice(state.queue, k))
                 try:
-                    ep.send(state.queue[0])
+                    ep.send(jobs)
                 except tp.EndpointClosed as exc:
-                    log.warning("worker %d send failed, job %d stays "
+                    log.warning("worker %d send failed, jobs %d-%d stay "
                                 "queued: %s", endpoints.index(ep),
-                                state.queue[0].id, exc)
+                                jobs[0].id, jobs[-1].id, exc)
                     del sendable[ep]  # its replies are still read
                     continue
-                held.append(state.pop())
+                held.append([state.pop() for _ in jobs])
 
     def settle(ready) -> None:
         for key, _ in ready:
             ep, held = key.fileobj, key.data
-            job = held[0] if held else None
+            jobs = held[0] if held else []
             try:
-                payload = ep.recv()
-                if not isinstance(payload, IntervalResult) or job is None:
+                replies = ep.recv()
+                if replies is None or not jobs:
                     raise tp.ProtocolError(
-                        f"manager expected data for a job, got "
-                        f"{type(payload).__name__}")
-                if payload.job_id != job.id:
+                        "manager expected data for a job, got "
+                        + ("a stop" if replies is None else "a frame"))
+                if len(replies) != len(jobs):
                     raise tp.ProtocolError(
-                        f"job id mismatch: sent {job.id}, "
-                        f"got {payload.job_id}")
-                sizes = {w.n_dof for w in payload.solutions}
-                if len(payload.solutions) > job.N or sizes - {n_dof}:
-                    raise tp.ProtocolError(
-                        f"reply does not fit job {job.id}: "
-                        f"{len(payload.solutions)} steps for N = {job.N}, "
-                        f"points of {sorted(sizes)} DOF for {n_dof}")
+                        f"{len(replies)} replies to a frame of "
+                        f"{len(jobs)} jobs")
+                for job, reply in zip(jobs, replies):
+                    if not isinstance(reply, IntervalResult):
+                        raise tp.ProtocolError(
+                            f"manager expected data for job {job.id}, got "
+                            f"{type(reply).__name__}")
+                    if reply.job_id != job.id:
+                        raise tp.ProtocolError(
+                            f"job id mismatch: sent {job.id}, "
+                            f"got {reply.job_id}")
+                    sizes = {w.n_dof for w in reply.solutions}
+                    if len(reply.solutions) > job.N or sizes - {n_dof}:
+                        raise tp.ProtocolError(
+                            f"reply does not fit job {job.id}: "
+                            f"{len(reply.solutions)} steps for N = {job.N}, "
+                            f"points of {sorted(sizes)} DOF for {n_dof}")
             except (tp.EndpointClosed, tp.ProtocolError) as exc:
                 live.unregister(ep)
                 sendable.pop(ep, None)
-                for lost in held:
-                    state.submit_failure(
-                        lost, f"worker {endpoints.index(ep)} lost: {exc}")
+                for frame in held:
+                    for lost in frame:
+                        state.submit_failure(
+                            lost, f"worker {endpoints.index(ep)} lost: {exc}")
                 continue
             held.popleft()
-            state.submit(job, payload)
+            for job, reply in zip(jobs, replies):
+                state.submit(job, reply)
 
     try:
         for _ in state.serial_phase:  # the serial phase, unless it has run
@@ -210,8 +248,9 @@ def apalm(problem: ProblemDef, config: AlmConfig, engine: EngineConfig,
 
     worker_count workers, threads or forked processes, each over its own
     socket pair, are started first; the manager then runs the serial phase
-    and feeds them each level-1 job as its serial step lands, and then the
-    rest of the queue. Result contract matches the serial aalm run.
+    and sends them the level-1 jobs as their serial steps land, and then
+    the rest of the queue, a wave of jobs per frame. Result contract
+    matches the serial aalm run.
     """
     if worker_count < 1:
         raise ValueError("worker_count must be >= 1")

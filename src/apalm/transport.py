@@ -1,12 +1,15 @@
 """Wire format and socket endpoint for the manager-worker runtime.
 
-Frames are [u8 version][u64 length][payload], little-endian (protocol 5).
-A payload is the one-byte stop or one engine message: a header struct,
-then, for an `IntervalResult`, its UTF-8 error, then one float64 block of
-(u, lambda) rows. A `Job` sends w_start and w_prev if any; a reply sends
-the point that ends each fine step and no step length, which the manager
-measures from the points, or only the error of a failed solve, and decode
-refuses one with both or neither.
+Frames are [u8 version][u64 length][payload], little-endian (protocol 6).
+A payload is the one-byte stop or one wave: a job wave out, a reply wave
+back. A wave is its header (kind, member count, n_dof), then one header
+struct per member, then, in a reply wave, the members' UTF-8 errors, then
+one float64 block of (u, lambda) rows for all its members. A job sends
+w_start and w_prev if any; a reply sends the point that ends each fine
+step and no step length, which the manager measures from the points, or
+only the error of a failed solve, and decode refuses one with both or
+neither. A wave holds at least one member, and all of one kind and one
+n_dof; a single job is a wave of one.
 Thread and process workers use the same endpoint over a socket pair, so
 both carry the same encoded bytes and runs replay bit-exactly across them.
 """
@@ -21,17 +24,19 @@ import numpy as np
 from .engine import IntervalResult, Job
 from .problems import SolutionPoint
 
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 MSG_STOP = 0
 MSG_JOB = 1
 MSG_DATA = 2
 
 _HEADER = struct.Struct("<BQ")
-# kind, id, branch, xi_lo, xi_hi, level, delta_L0, N, has w_prev, n_dof
-_JOB = struct.Struct("<BQQddQdQBQ")
-# kind, job_id, steps, n_dof, error length
-_DATA = struct.Struct("<BQQQQ")
+# kind, members, n_dof
+_WAVE = struct.Struct("<BQQ")
+# per job: id, branch, xi_lo, xi_hi, level, delta_L0, N, has w_prev
+_JOB = struct.Struct("<QQddQdQB")
+# per reply: job_id, steps, error length
+_DATA = struct.Struct("<QQQ")
 
 # The benchmark tracer (perfbench/tracing.py) matches messages on these names.
 JobMessage = Job
@@ -44,6 +49,12 @@ class ProtocolError(RuntimeError):
 
 class EndpointClosed(RuntimeError):
     """Peer endpoint is gone."""
+
+
+def job_bytes(n: int) -> int:
+    """The most bytes one job of n unknowns adds to a job wave: its header
+    and two points."""
+    return _JOB.size + 2 * 8 * (n + 1)
 
 
 def _block(points: list[SolutionPoint], n: int) -> bytes:
@@ -65,57 +76,87 @@ def _expect(buf: memoryview, size: int) -> None:
         raise ProtocolError(f"{len(buf)}-byte payload, header gives {size}")
 
 
-def encode(msg: Job | IntervalResult | None) -> bytes:
+def encode(msg: list[Job] | list[IntervalResult] | None) -> bytes:
     if msg is None:
         return bytes([MSG_STOP])
-    if isinstance(msg, Job):
-        points = [w for w in (msg.w_start, msg.w_prev) if w is not None]
-        n = msg.w_start.n_dof
-        return _JOB.pack(MSG_JOB, msg.id, msg.branch, msg.xi_lo, msg.xi_hi,
-                         msg.level, msg.delta_L0, msg.N,
-                         msg.w_prev is not None, n) + _block(points, n)
-    if isinstance(msg, IntervalResult):
-        n = msg.solutions[0].n_dof if msg.solutions else 0
-        error = msg.error.encode("utf-8")
-        return b"".join((
-            _DATA.pack(MSG_DATA, msg.job_id, len(msg.solutions), n,
-                       len(error)),
-            error, _block(msg.solutions, n)))
-    raise ProtocolError(f"cannot encode {type(msg).__name__}")
+    if not isinstance(msg, list) or not msg:
+        raise ProtocolError("a message is a stop or a non-empty wave")
+    if all(isinstance(m, Job) for m in msg):
+        kind, notes = MSG_JOB, b""
+        heads = b"".join(
+            _JOB.pack(job.id, job.branch, job.xi_lo, job.xi_hi, job.level,
+                      job.delta_L0, job.N, job.w_prev is not None)
+            for job in msg)
+        points = [w for job in msg for w in (job.w_start, job.w_prev)
+                  if w is not None]
+    elif all(isinstance(m, IntervalResult) for m in msg):
+        kind = MSG_DATA
+        errors = [r.error.encode("utf-8") for r in msg]
+        heads = b"".join(_DATA.pack(r.job_id, len(r.solutions), len(e))
+                         for r, e in zip(msg, errors))
+        notes = b"".join(errors)
+        points = [w for r in msg for w in r.solutions]
+    else:
+        raise ProtocolError("cannot encode a wave of " + ", ".join(
+            sorted({type(m).__name__ for m in msg})))
+    sizes = {w.n_dof for w in points}
+    if len(sizes) > 1:
+        raise ProtocolError(f"wave members of mixed n_dof {sorted(sizes)}")
+    n = sizes.pop() if sizes else 0
+    return b"".join((_WAVE.pack(kind, len(msg), n), heads, notes,
+                     _block(points, n)))
 
 
-def decode(payload: bytes) -> Job | IntervalResult | None:
-    """The message in payload. Raises ProtocolError, and only that, if the
-    payload is malformed or not exactly the size its header gives."""
+def decode(payload: bytes) -> list[Job] | list[IntervalResult] | None:
+    """The stop (None) or the wave in payload. Raises ProtocolError, and
+    only that, if the payload is malformed or not exactly the size its
+    headers give."""
     buf = memoryview(payload)
     try:
         kind = buf[0]
         if kind == MSG_STOP:
             _expect(buf, 1)
             return None
+        if kind not in (MSG_JOB, MSG_DATA):
+            raise ProtocolError(f"unknown message kind {kind}")
+        _, count, n = _WAVE.unpack_from(buf)
+        if count == 0:
+            raise ProtocolError("empty wave")
+        member = _JOB if kind == MSG_JOB else _DATA
+        off = _WAVE.size + count * member.size
+        if len(buf) < off:
+            raise ProtocolError(f"{len(buf)}-byte payload for {count} "
+                                f"member headers")
+        heads = list(member.iter_unpack(buf[_WAVE.size:off]))
         if kind == MSG_JOB:
-            (_, jid, branch, xi_lo, xi_hi, level, dl0, steps, has_prev,
-             n) = _JOB.unpack_from(buf)
-            if has_prev not in (0, 1):
-                raise ProtocolError(f"bad w_prev flag {has_prev}")
-            count = 2 if has_prev else 1
-            _expect(buf, _JOB.size + 8 * count * (n + 1))
-            w = _points(buf, _JOB.size, count, n)
-            return Job(id=jid, branch=branch, xi_lo=xi_lo, xi_hi=xi_hi,
-                       delta_L0=dl0, w_start=w[0],
-                       w_prev=w[1] if has_prev else None, level=level,
-                       N=steps)
-        if kind == MSG_DATA:
-            _, jid, count, n, n_error = _DATA.unpack_from(buf)
-            off = _DATA.size + n_error
-            _expect(buf, off + 8 * count * (n + 1))
-            return IntervalResult(
-                job_id=jid, solutions=_points(buf, off, count, n),
-                error=bytes(buf[_DATA.size:off]).decode("utf-8"))
+            if any(head[7] not in (0, 1) for head in heads):
+                raise ProtocolError("bad w_prev flag")
+            rows = count + sum(head[7] for head in heads)
+            _expect(buf, off + 8 * rows * (n + 1))
+            w = iter(_points(buf, off, rows, n))
+            return [Job(id=jid, branch=branch, xi_lo=xi_lo, xi_hi=xi_hi,
+                        delta_L0=dl0, w_start=next(w),
+                        w_prev=next(w) if has_prev else None, level=level,
+                        N=steps)
+                    for (jid, branch, xi_lo, xi_hi, level, dl0, steps,
+                         has_prev) in heads]
+        # a reply wave: its members' errors, then its rows
+        note = off
+        off += sum(n_error for _, _, n_error in heads)
+        rows = sum(steps for _, steps, _ in heads)
+        _expect(buf, off + 8 * rows * (n + 1))
+        w = iter(_points(buf, off, rows, n))
+        replies = []
+        for jid, steps, n_error in heads:
+            error = bytes(buf[note:note + n_error]).decode("utf-8")
+            note += n_error
+            replies.append(IntervalResult(
+                job_id=jid, solutions=[next(w) for _ in range(steps)],
+                error=error))
+        return replies
     except (IndexError, struct.error, ValueError) as exc:
         # ValueError also covers the checks of Job and IntervalResult
         raise ProtocolError(f"bad payload: {exc}") from None
-    raise ProtocolError(f"unknown message kind {kind}")
 
 
 def frame(payload: bytes) -> bytes:
@@ -131,7 +172,7 @@ class SocketEndpoint:
     def fileno(self) -> int:
         return self._sock.fileno()
 
-    def send(self, msg: Job | IntervalResult | None) -> None:
+    def send(self, msg: list[Job] | list[IntervalResult] | None) -> None:
         try:
             self._sock.sendall(frame(encode(msg)))
         except OSError as exc:
@@ -151,7 +192,7 @@ class SocketEndpoint:
             n -= len(chunk)
         return b"".join(chunks)
 
-    def recv(self) -> Job | IntervalResult | None:
+    def recv(self) -> list[Job] | list[IntervalResult] | None:
         header = self._read_exact(_HEADER.size)
         version, length = _HEADER.unpack(header)
         if version != PROTOCOL_VERSION:

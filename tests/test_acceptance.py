@@ -71,7 +71,8 @@ def runs():
         EngineConfig(delta_L=0.3, steps=6, bifurcation_enabled=True))
 
     # scaling study: 64 initial intervals with 5 ms of synthetic work per
-    # alm.step call, serial phase included, timed as the whole run (serial
+    # fine step, each alm.step call and each job that an alm.batch_step
+    # call steps, serial phase included, timed as the whole run (serial
     # plus queue time), since workers solve jobs during the serial phase;
     # 1 and 4 workers are forked processes, which overlap the sleep without
     # taking the GIL from the manager's serial steps, and 64 and 96 are
@@ -82,7 +83,7 @@ def runs():
                              tol_upper=1e-2, max_level=3)
     peak = {}
     pop = QueueEngine.pop
-    real_step = alm.step
+    real_step, real_batch_step = alm.step, alm.batch_step
 
     def loaded_step(*args, **kwargs):
         # the sleep releases the GIL, so thread workers overlap it; engine
@@ -90,6 +91,13 @@ def runs():
         # see this wrapper, and workers forked inside the context inherit it
         time.sleep(0.005)
         return real_step(*args, **kwargs)
+
+    def loaded_batch_step(*args, **kwargs):
+        # a worker's wave steps its jobs here in lockstep; a job the batch
+        # does not take is stepped, and slept for, by alm.step instead
+        results = real_batch_step(*args, **kwargs)
+        time.sleep(0.005 * sum(r is not None for r in results))
+        return results
 
     def counting_pop(self):
         job = pop(self)
@@ -101,6 +109,7 @@ def runs():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(QueueEngine, "pop", counting_pop)
         mp.setattr(alm, "step", loaded_step)
+        mp.setattr(alm, "batch_step", loaded_batch_step)
         for count, transport in ((1, "process"), (4, "process"),
                                  (64, "thread"), (96, "thread")):
             times = []
