@@ -45,18 +45,22 @@ DEPTH = 2
 # solving with waves of 16, 2.2 MiB with waves of 32 at the same speed, and
 # ran 5 % slower with waves of 8
 WAVE_VALUES = 1 << 12
-# the most bytes of jobs in one job frame, so that DEPTH full job frames fit
-# the 208 KiB (212992 B) that a fresh Linux socket pair buffers each way;
-# it binds only below 10 unknowns, where a job's 57 header bytes count
-# most: WAVE_VALUES jobs of n = 1 would take 364 KB
-FRAME_BYTES = 96 << 10
+# how long, in seconds, the manager waits for its workers to hang up after
+# their stops, and apalm for each worker to end
+STOP_TIMEOUT = 30.0
 
 
-def frame_jobs(n_dof: int) -> int:
+def frame_jobs(n_dof: int, send_buffer: int) -> int:
     """The most jobs in one job frame: WAVE_VALUES // n_dof, no more than
-    FRAME_BYTES hold, and at least one."""
-    return max(1, min(WAVE_VALUES // n_dof,
-                      FRAME_BYTES // tp.job_bytes(n_dof)))
+    the jobs (tp.job_bytes) that a (DEPTH + 1)-th of send_buffer holds, and
+    at least one.
+
+    send_buffer is the manager's socket send buffer (SO_SNDBUF), read from
+    the endpoints: 212992 B on a fresh Linux socket pair, where the share
+    binds only below 52 unknowns (797 jobs at n = 1), and 8 KiB or so on
+    macOS, where a frame holds one job from 81 unknowns up."""
+    share = send_buffer // (DEPTH + 1)
+    return max(1, min(WAVE_VALUES // n_dof, share // tp.job_bytes(n_dof)))
 
 
 def run_worker(problem: ProblemDef, config: AlmConfig, endpoint) -> int:
@@ -82,16 +86,19 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
     The manager waits on all worker sockets at once, through one selector
     that holds exactly the live endpoints, and takes replies in whatever
     order they arrive. It sends each worker a wave of jobs per frame, from
-    the head of the queue: min(frame_jobs(n_dof), ceil(len(queue) /
-    workers still sent jobs)) jobs, so that no worker holds a wave while
-    another idles, and always at least one. It keeps up to `DEPTH` frames
-    sent to each worker, so a worker has its next wave in its socket while
-    the manager settles its last replies. A worker reads one frame at a time
-    and answers it with one reply frame, a wave of one reply per job in the
-    order of its jobs, and a stream socket returns its replies in the order
-    of its frames; so a reply frame belongs to the oldest frame its worker
-    holds, and its k-th member must carry the id of that frame's k-th job.
-    Three rules keep this safe:
+    the head of the queue, and keeps up to `DEPTH` frames sent to each, so
+    a worker has its next wave in its socket while the manager settles its
+    last replies. `dispatch` serves the workers in rounds, first those
+    holding no frame, then those holding one, and each worker served in a
+    round takes min(frame_jobs(...), ceil(Q / W)) jobs, at least one, where
+    Q is the queue's length at the start of the round and W the number of
+    workers still sent jobs: so the workers a round serves get equal
+    frames, and no worker holds a wave while another idles. A worker reads
+    one frame at a time and answers it with one reply frame, a wave of one
+    reply per job in the order of its jobs, and a stream socket returns its
+    replies in the order of its frames; so a reply frame belongs to the
+    oldest frame its worker holds, and its k-th member must carry the id of
+    that frame's k-th job. Three rules keep this safe:
 
     - Fill order: `dispatch` gives a frame to every worker holding none
       before it gives any worker a second one.
@@ -106,12 +113,25 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
       endpoint stays in the selector until the worker hangs up, so each
       job it holds is settled, by a reply it already sent or as `lost`.
 
-    `sendall` cannot deadlock. A worker holds at most DEPTH frames, so at
-    most DEPTH job frames wait in its socket, and DEPTH full job frames fit
-    a socket pair's buffer (FRAME_BYTES): the manager's send never blocks.
-    So it always comes back to its selector and reads, and a reply frame
-    may be of any size, as the manager reads while the worker writes it
-    (about 260 KB for 16 springchain jobs of n = 256 with N = 8).
+    `sendall` cannot deadlock. The manager's send to a worker blocks only
+    while that worker does not read: while it solves, after which it reads
+    again, or while it sends a reply. A worker sends the reply to a frame
+    only once it has read that whole frame, and the manager sends it a
+    frame only while it holds fewer than DEPTH; so at most DEPTH - 1 job
+    frames, and a stop, wait unread in its socket then. A job frame holds
+    no more jobs than a (DEPTH + 1)-th of the smallest SO_SNDBUF of the
+    endpoints holds (`frame_jobs`), so those fit, and the send returns
+    without the worker's help; a frame of one job larger than that share
+    still fits while the job and a stop fit the whole buffer (below about
+    13000 unknowns at Linux's 212992 B). So the manager always comes back
+    to its selector and reads, and a reply frame may be of any size, as
+    the manager reads while the worker writes it (about 260 KB for 16
+    springchain jobs of n = 256 with N = 8). When the loop ends, also by an
+    error, every worker is sent its stop, and each endpoint that still
+    holds frames, whose worker may still be sending replies, is read and
+    its bytes dropped until the worker hangs up (at most STOP_TIMEOUT in
+    all), so that no worker is left blocked in a send the manager no
+    longer reads.
 
     The serial phase runs here unless `state.initialize()` has run it:
     after each serial step the manager settles the replies that have
@@ -129,26 +149,29 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
     """
     n_dof = state.problem.n_dof
     wave = max(1, WAVE_VALUES // n_dof)
-    cap = frame_jobs(n_dof)
-    # the endpoints that are still sent jobs, each with the frames it holds,
-    # oldest first, each the list of its jobs; the same deque is the data
-    # of its selector key
-    sendable = {ep: deque() for ep in endpoints}
+    cap = frame_jobs(n_dof, min((ep.send_buffer() for ep in endpoints),
+                                default=0))
+    # every endpoint with the frames it holds, oldest first, each the list
+    # of its jobs; the same deque is the data of its selector key
+    held_by = {ep: deque() for ep in endpoints}
+    sendable = dict(held_by)  # the endpoints that are still sent jobs
     # Workers holding no frame are watched too: a worker lost between
     # frames is dropped before a frame is sent to it.
     live = selectors.DefaultSelector()  # the live endpoints, each once
-    for ep, held in sendable.items():
+    for ep, held in held_by.items():
         live.register(ep, selectors.EVENT_READ, held)
 
     def dispatch() -> None:
         for depth in range(DEPTH):  # every first frame before any second
+            # each worker served in this round takes the same share of the
+            # queue as it stands at the start of the round
+            share = -(-len(state.queue) // max(1, len(sendable)))
             for ep, held in list(sendable.items()):
                 if not state.queue:
                     return
                 if len(held) != depth:
                     continue
-                k = min(cap, -(-len(state.queue) // len(sendable)))
-                jobs = list(islice(state.queue, k))
+                jobs = list(islice(state.queue, min(cap, share)))
                 try:
                     ep.send(jobs)
                 except tp.EndpointClosed as exc:
@@ -217,14 +240,19 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
             settle(live.select())
             dispatch()
     finally:
-        # also when the loop raises: a worker reads its stop after
-        # answering the jobs it holds
+        # Also when the loop raises: every worker is sent its stop, and one
+        # that may still owe replies, as it holds frames, is read until it
+        # hangs up, so that it is never left blocked sending a reply.
         live.close()
-        for ep in sendable:
+        for ep in endpoints:
             try:
                 ep.send(None)
             except tp.EndpointClosed:
                 pass
+        deadline = time.monotonic() + STOP_TIMEOUT
+        for ep, held in held_by.items():
+            if held:
+                ep.drain(deadline - time.monotonic())
     state.validate_maps()
     state.stats.queue_time = time.perf_counter() - t0
 
@@ -284,7 +312,7 @@ def apalm(problem: ProblemDef, config: AlmConfig, engine: EngineConfig,
         for ep in endpoints:
             ep.end_sends()
         for w in workers:
-            w.join(timeout=30)
+            w.join(timeout=STOP_TIMEOUT)
         for ep in endpoints:
             ep.close()
     return state

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import time
 
 import numpy as np
 
@@ -172,6 +173,10 @@ class SocketEndpoint:
     def fileno(self) -> int:
         return self._sock.fileno()
 
+    def send_buffer(self) -> int:
+        """The bytes this end's socket buffers for sending (SO_SNDBUF)."""
+        return self._sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+
     def send(self, msg: list[Job] | list[IntervalResult] | None) -> None:
         try:
             self._sock.sendall(frame(encode(msg)))
@@ -198,6 +203,21 @@ class SocketEndpoint:
         if version != PROTOCOL_VERSION:
             raise ProtocolError(f"unsupported protocol version {version}")
         return decode(self._read_exact(length))
+
+    def drain(self, timeout: float) -> None:
+        """Read and drop what the peer sends until it hangs up, for at most
+        timeout seconds."""
+        deadline = time.monotonic() + timeout
+        blocking = self._sock.gettimeout()
+        try:
+            while (left := deadline - time.monotonic()) > 0:
+                self._sock.settimeout(left)
+                if not self._sock.recv(1 << 16):
+                    return
+        except OSError:  # the timeout included
+            pass
+        finally:
+            self._sock.settimeout(blocking)
 
     def end_sends(self) -> None:
         """Send the end of the stream; replies can still be read."""

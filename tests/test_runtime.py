@@ -376,23 +376,26 @@ class TestRunManager:
         assert not state.queue and not state._outstanding
 
     @pytest.mark.parametrize("reply,needle", [
-        (lambda jobs: engine.solve_intervals(
-            make_builtin("linear1d"), crisfield(), jobs[:-1]),
-         "3 replies to a frame of 4 jobs"),
-        (lambda jobs: [*engine.solve_intervals(
-            make_builtin("linear1d"), crisfield(), jobs[:2]),
-            IntervalResult(job_id=jobs[2].id + 1, solutions=[], error="x"),
-            *engine.solve_intervals(
-                make_builtin("linear1d"), crisfield(), jobs[3:])],
+        (lambda jobs: [IntervalResult(job_id=job.id, solutions=[], error="x")
+                       for job in jobs[:-1]],
+         "15 replies to a frame of 16 jobs"),
+        (lambda jobs: [IntervalResult(job_id=job.id + (k == 2), solutions=[],
+                                      error="x")
+                       for k, job in enumerate(jobs)],
          "job id mismatch: sent 2, got 3"),
     ], ids=["wrong-length", "third-names-another"])
     def test_bad_reply_wave_costs_both_held_frames(self, reply, needle):
-        # With 8 jobs queued and 2 workers, the first dispatch sends A the
-        # frames [0-3] and [6], B [4, 5] and [7]. A's reply to its first
-        # frame is one reply short, or its third reply names another job:
-        # every job of both frames A holds is lost, each with its own
-        # record, and B's jobs are solved.
-        p, state = fresh_state(steps=8)
+        # With 40 springchain jobs of n = 256 queued, 16 to a frame, and 2
+        # workers, the first dispatch sends A the frames [0-15] and
+        # [32-35], B [16-31] and [36-39]. A's reply to its first frame is
+        # one reply short, or its third reply names another job: every job
+        # of both frames A holds is lost, each with its own record, and
+        # B's jobs are solved.
+        p = make_builtin("springchain", n=256)
+        state = QueueEngine(p, AlmConfig(constraint="crisfield", psi=1.0,
+                                         newton_tol=1e-10),
+                            EngineConfig(delta_L=0.4, steps=40))
+        state.initialize()
         bad = scripted_worker(reply, takes=runtime.DEPTH)
         b_m, b_w = endpoint_pair()
         t = threading.Thread(target=run_worker, args=(p, state.config, b_w),
@@ -403,14 +406,45 @@ class TestRunManager:
         assert not t.is_alive()
         for ep in (bad, b_m, b_w):
             ep.close()
-        assert state.stats.jobs_done == 8
         lost = [r for r in state.stats.records if r.outcome == LOST]
-        assert sorted(r.job.id for r in lost) == [0, 1, 2, 3, 6]
+        assert sorted(r.job.id for r in lost) == [*range(16), *range(32, 36)]
         assert all(r.message.endswith(f"worker 0 lost: {needle}")
                    for r in lost)
         assert sorted(r.job.id for r in state.stats.records
-                      if r.outcome in (ACCEPTED, REFINED)) == [4, 5, 7]
+                      if r.outcome != LOST) == [*range(16, 32),
+                                                *range(36, 40)]
         assert not state.queue and not state._outstanding
+
+    def test_frames_follow_a_small_send_buffer(self, monkeypatch):
+        # Both ends of the socket pair buffer 8 KiB, as a macOS one does, so
+        # a reply of one springchain job of n = 256 with N = 8, about 16 KB,
+        # is sent only as the manager reads it. A frame then holds one job,
+        # 4.2 KB, and the manager's send of a second frame never waits on
+        # the worker: the run completes and matches aalm bit for bit.
+        log = record_sends(monkeypatch)
+        p = make_builtin("springchain", n=256)
+        cfg = AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-10)
+        eng = EngineConfig(delta_L=0.4, steps=64, subintervals=8,
+                           tol_lower=1e-2, tol_upper=1e-2, max_level=3)
+        state = QueueEngine(p, cfg, eng)
+        state.initialize()
+        m_ep, w_ep = endpoint_pair()
+        for ep in (m_ep, w_ep):
+            ep._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        assert m_ep.send_buffer() == 8192
+        t = threading.Thread(target=run_worker, args=(p, cfg, w_ep),
+                             daemon=True)
+        t.start()
+        run_bounded(state, [m_ep])
+        t.join(timeout=10)
+        assert not t.is_alive()
+        m_ep.close()
+        w_ep.close()
+        assert {k for _, _, k in log} == {1}
+        assert len(log) == state.stats.jobs_done
+        ref = aalm(p, cfg, eng)
+        assert row_bits(state.collect()) == row_bits(ref.collect())
+        assert record_bits(state) == record_bits(ref)
 
     def test_worker_gone_before_dispatch_costs_no_job(self):
         p, state = fresh_state()
@@ -442,13 +476,14 @@ class TestRunManager:
         assert record_bits(state) == record_bits(ref)
 
     def test_idle_worker_served_before_any_second_job(self, monkeypatch):
-        # with 4 workers, a job goes to a worker's second slot only while
-        # every worker holds one
+        # with 4 workers, a frame goes to a worker's second slot only while
+        # every worker holds one; 80 springchain jobs of n = 256, 16 to a
+        # frame, are more than 4 first frames hold
         log = record_sends(monkeypatch)
-        p = make_builtin("cubic1d")
-        state = QueueEngine(p, crisfield(), EngineConfig(
-            delta_L=0.12, steps=50, tol_lower=1e-4, tol_upper=1e-4,
-            max_level=3))
+        p = make_builtin("springchain", n=256)
+        state = QueueEngine(p, AlmConfig(constraint="crisfield", psi=1.0,
+                                         newton_tol=1e-10),
+                            EngineConfig(delta_L=0.4, steps=80))
         state.initialize()
         pairs = [endpoint_pair() for _ in range(4)]
         threads = [threading.Thread(target=run_worker,
@@ -463,8 +498,9 @@ class TestRunManager:
         for m_ep, w_ep in pairs:
             w_ep.close()
             m_ep.close()
-        assert state.stats.jobs_done > 50 and not state.queue
+        assert state.stats.jobs_done >= 80 and not state.queue
         assert sum(k for _, _, k in log) == state.stats.jobs_done
+        assert [k for _, _, k in log[:8]] == [16] * 4 + [4] * 4
         seconds = [before for ep, before, _ in log if before.get(ep, 0) == 1]
         assert seconds  # the first dispatch alone fills 8 slots
         assert all(before.get(m_ep, 0) >= 1
@@ -474,8 +510,8 @@ class TestRunManager:
         # A holds the frame [0, 1], B [2], and the queue is empty. B
         # answers, then A, and jobs 3-7 are queued on A's last reply: A and
         # B each get a frame before either gets a second, though B went
-        # idle first, and each frame takes its share of the queue, rounded
-        # up
+        # idle first, and each takes the same share of the 5 jobs queued
+        # when the round began, rounded up, so none is left for a second
         log = record_sends(monkeypatch)
         p, state = fresh_state(steps=8)
         later = [state.queue.pop() for _ in range(5)][::-1]
@@ -519,7 +555,7 @@ class TestRunManager:
             ep.close()
         assert state.stats.jobs_done == 8 and state.stats.jobs_failed == 0
         assert [(ep, before.get(ep, 0), k) for ep, before, k in log] == \
-            [(a_m, 0, 2), (b_m, 0, 1), (a_m, 0, 3), (b_m, 0, 1), (a_m, 1, 1)]
+            [(a_m, 0, 2), (b_m, 0, 1), (a_m, 0, 3), (b_m, 0, 2)]
 
     @pytest.mark.parametrize("replies", [True, False],
                              ids=["replies", "hangs-up"])
@@ -710,7 +746,7 @@ class TestApalm:
         state = apalm(make_builtin("cubic1d"), crisfield(), eng,
                       worker_count=1, transport="process")
         lost = [r.job.id for r in state.stats.records if r.outcome == LOST]
-        assert lost == list(range(1, len(lost) + 1))
+        assert lost[:1] == [1] and lost == list(range(1, len(lost) + 1))
         assert all("worker 0 lost" in r.message
                    for r in state.stats.records if r.outcome == LOST)
         assert state.stats.jobs_failed == len(lost)
@@ -838,6 +874,50 @@ class TestApalm:
             apalm(make_builtin("cubic1d"), crisfield(), eng, worker_count=2,
                   transport=transport)
         assert len(log) >= 2
+        assert set(threading.enumerate()) == baseline
+        assert not multiprocessing.active_children()
+        assert not [r for r in caplog.records if r.name == "apalm.runtime"]
+
+    @pytest.mark.parametrize("transport", ["thread", "process"])
+    def test_manager_error_with_large_replies_joins_every_worker(
+            self, transport, monkeypatch, caplog):
+        # The manager fails on the reply to a 16-job springchain frame of
+        # n = 256 with N = 8 while its worker holds a second such frame,
+        # whose reply is larger than a socket pair buffers. apalm raises at
+        # once, the worker's send of that reply completes as the manager
+        # drains it, and the worker reads its stop: no worker is left
+        # behind, and a thread worker logs no lost manager.
+        frames, send = [], SocketEndpoint.send
+        submit = QueueEngine.submit
+
+        def logged_send(self, msg):
+            if msg and isinstance(msg[0], Job):
+                frames.append(msg)
+            send(self, msg)
+
+        def fails_while_a_large_frame_is_held(self, job, result):
+            # the one worker holds the last frame sent, and replied to the
+            # one before it
+            if (len(frames) >= 2 and job is frames[-2][0]
+                    and len(frames[-2]) == len(frames[-1]) == 16):
+                raise RuntimeError("synthetic manager error")
+            submit(self, job, result)
+
+        monkeypatch.setattr(SocketEndpoint, "send", logged_send)
+        monkeypatch.setattr(QueueEngine, "submit",
+                            fails_while_a_large_frame_is_held)
+        baseline = set(threading.enumerate())
+        p = make_builtin("springchain", n=256)
+        cfg = AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-10)
+        eng = EngineConfig(delta_L=0.4, steps=64, subintervals=8,
+                           tol_lower=1e-2, tol_upper=1e-2, max_level=3)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="synthetic manager error"):
+            apalm(p, cfg, eng, worker_count=1, transport=transport)
+        assert time.monotonic() - t0 < 10.0
+        assert len(frames[-1]) == 16
+        assert len(tp.encode(engine.solve_intervals(p, cfg,
+                                                    frames[-1]))) > 212992
         assert set(threading.enumerate()) == baseline
         assert not multiprocessing.active_children()
         assert not [r for r in caplog.records if r.name == "apalm.runtime"]

@@ -1,6 +1,7 @@
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from apalm.engine import IntervalResult, Job
 from apalm.problems import SolutionPoint
 from apalm.transport import (_DATA, _JOB, _WAVE, MSG_DATA, MSG_JOB, MSG_STOP,
                              PROTOCOL_VERSION, EndpointClosed, ProtocolError,
-                             SocketEndpoint, decode, encode, frame)
+                             SocketEndpoint, decode, encode, frame,
+                             job_bytes)
 
 
 def pt(*u, lam=0.0):
@@ -159,25 +161,40 @@ class TestFrame:
     @pytest.mark.parametrize("n", [1, 64, 256, 4096])
     def test_depth_full_job_frames_fit_a_fresh_socket_pair(self, n):
         # the manager's send never blocks: a worker holds at most DEPTH job
-        # frames, and DEPTH of them at the cap, each job with its
-        # predecessor, go into a fresh socket pair at once
-        k = runtime.frame_jobs(n)
-        # FRAME_BYTES binds only at n = 1: 1104 jobs of 89 bytes
-        assert k == max(1, min(runtime.WAVE_VALUES // n, 1104))
-        jobs = [Job(id=i, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=1.0,
-                    w_start=SolutionPoint(np.full(n, 0.5), 1.0),
-                    w_prev=SolutionPoint(np.zeros(n), 0.0), level=1, N=2)
-                for i in range(k)]
-        data = frame(encode(jobs))
-        assert len(data) <= 9 + _WAVE.size + runtime.FRAME_BYTES
+        # frames, and DEPTH of them at the cap that the socket's own send
+        # buffer gives, each job with its predecessor, go into a fresh
+        # socket pair at once
         s1, s2 = socket.socketpair()
-        s1.setblocking(False)
         try:
+            buffer = SocketEndpoint(s1).send_buffer()
+            k = runtime.frame_jobs(n, buffer)
+            share = buffer // (runtime.DEPTH + 1)
+            assert k == max(1, min(runtime.WAVE_VALUES // n,
+                                   share // job_bytes(n)))
+            jobs = [Job(id=i, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=1.0,
+                        w_start=SolutionPoint(np.full(n, 0.5), 1.0),
+                        w_prev=SolutionPoint(np.zeros(n), 0.0), level=1,
+                        N=2)
+                    for i in range(k)]
+            data = frame(encode(jobs))
+            assert len(data) <= 9 + _WAVE.size + max(share, job_bytes(n))
+            s1.setblocking(False)
             for _ in range(runtime.DEPTH):
                 assert s1.send(data) == len(data)
+            assert s1.send(frame(encode(None))) == 10  # and a stop
         finally:
             s1.close()
             s2.close()
+
+    @pytest.mark.parametrize("buffer,n,k", [
+        (212992, 1, 797), (212992, 51, 79), (212992, 52, 78),
+        (212992, 256, 16), (8192, 64, 2), (8192, 81, 1), (8192, 256, 1),
+        (8192, 4096, 1)])
+    def test_frame_jobs_follow_the_send_buffer(self, buffer, n, k):
+        # at Linux's default buffer, its share binds only below 52
+        # unknowns, and WAVE_VALUES // n from there up; at the 8 KiB or so
+        # of a macOS socket pair the share binds, down to one job a frame
+        assert runtime.frame_jobs(n, buffer) == k
 
     def test_huge_length_is_not_allocated_up_front(self):
         # a peer that claims 2**62 bytes and hangs up is a lost peer, not a
@@ -405,6 +422,37 @@ class TestSocketEndpoint:
         payload = b._read_exact(length)
         assert version == PROTOCOL_VERSION
         assert payload == encode(msg)
+        a.close()
+        b.close()
+
+    def test_drain_reads_until_the_peer_hangs_up(self):
+        # a peer blocked sending more than the socket buffers finishes its
+        # send, and the drain returns as soon as it hangs up
+        a, b = endpoint_pair()
+        sent = []
+
+        def sends_and_hangs_up():
+            b.send([IntervalResult(job_id=0, solutions=[pt(0.5)] * 40000)])
+            sent.append(True)
+            b.close()
+
+        t = threading.Thread(target=sends_and_hangs_up, daemon=True)
+        t.start()
+        t0 = time.monotonic()
+        a.drain(10.0)
+        assert time.monotonic() - t0 < 5.0
+        t.join(timeout=10)
+        assert sent == [True]
+        a.close()
+
+    def test_drain_of_a_silent_peer_ends_at_its_timeout(self):
+        a, b = endpoint_pair()
+        t0 = time.monotonic()
+        a.drain(0.2)
+        assert 0.2 <= time.monotonic() - t0 < 5.0
+        assert a._sock.gettimeout() is None  # blocking again
+        b.send(None)
+        assert a.recv() is None
         a.close()
         b.close()
 
