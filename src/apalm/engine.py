@@ -70,7 +70,9 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class Job:
-    """One queued interval of a branch, with the map data to solve it."""
+    """One queued interval of a branch, with the map data to solve it:
+    its start point, that point's predecessor if any, and its end point,
+    the map's point at xi_hi."""
 
     id: int
     branch: int
@@ -79,6 +81,7 @@ class Job:
     delta_L0: float
     w_start: SolutionPoint
     w_prev: SolutionPoint | None
+    w_end: SolutionPoint
     level: int
     N: int
 
@@ -128,7 +131,10 @@ def solve_interval(problem: ProblemDef, config: AlmConfig, job: Job
     """Re-solve one interval with at most N fine steps of nominal length
     dL0/N.
 
-    Warm-started from w_start - w_prev when a predecessor is known. The
+    The first step is warm-started from w_start - w_prev when a
+    predecessor is known, and each later step from the step before it,
+    but the N-th step aims at the interval's known end point: its
+    predictor rescales w_end - w, w the point the step starts from. The
     last step takes what remains of dL0, and a step that overshoots ends
     the job early. A step cut shortens the fine path; the closing segment
     to the interval's end covers the rest. The manager measures the steps
@@ -159,7 +165,7 @@ def solve_intervals(problem: ProblemDef, config: AlmConfig, jobs: list[Job]
         while len(live) >= MIN_BATCH:
             for s, res in zip(live, alm.batch_step(
                     problem, config, [s.w for s in live],
-                    [s.dw for s in live], [s.length() for s in live],
+                    [s.aim() for s in live], [s.length() for s in live],
                     batch)):
                 s.take(problem, config, res)
             live = [s for s in live if s.stepping()]
@@ -173,7 +179,8 @@ def solve_intervals(problem: ProblemDef, config: AlmConfig, jobs: list[Job]
 
 class _Interval:
     """A job being solved: its last point w and increment dw, its points
-    so far, the length it has left and the error that ended it."""
+    so far, the length it has left and the error that ended it. The next
+    step predicts along `aim()`."""
 
     __slots__ = ("job", "w", "dw", "sols", "remaining", "error")
 
@@ -193,13 +200,21 @@ class _Interval:
     def length(self) -> float:
         return min(self.job.delta_L0 / self.job.N, self.remaining)
 
+    def aim(self) -> np.ndarray | None:
+        """The increment the next step's predictor rescales: the chord to
+        the job's end point for its N-th step, the increment of the step
+        before for any other."""
+        if len(self.sols) == self.job.N - 1:
+            return alm.increment_between(self.job.w_end, self.w)
+        return self.dw
+
     def take(self, problem: ProblemDef, config: AlmConfig,
              res: alm.StepResult | None) -> None:
         """The next step: res, or, where the batch gave none, one taken
         alone."""
         if res is None:
             try:
-                res = alm.step(problem, config, self.w, self.dw,
+                res = alm.step(problem, config, self.w, self.aim(),
                                self.length())
             except alm.StepError as exc:
                 self.error = str(exc)
@@ -212,12 +227,14 @@ class _Interval:
 class SerialStep(NamedTuple):
     """Level-0 interval `index` of an open branch, known once its serial
     step is accepted: it runs from w_start, whose predecessor is w_prev, to
-    the point that step reached, delta_L0 = s_index - s_(index - 1) along."""
+    w_end, the point that step reached, delta_L0 = s_index - s_(index - 1)
+    along."""
 
     branch: int
     index: int
     w_start: SolutionPoint
     w_prev: SolutionPoint | None
+    w_end: SolutionPoint
     delta_L0: float
 
 
@@ -266,7 +283,7 @@ def serial_stream(problem: ProblemDef, config: AlmConfig,
             dw = res.dw
             ws.append(w_new)
             yield SerialStep(closed, len(ws) - 1, ws[-2],
-                             ws[-3] if len(ws) > 2 else w_prev0,
+                             ws[-3] if len(ws) > 2 else w_prev0, w_new,
                              ss[-1] - ss[-2])
             if engine.bifurcation_enabled:
                 stab = alm.detect_singular(problem, w_new)
@@ -375,7 +392,7 @@ class QueueEngine:
             else:
                 self._enqueue(item.branch, float(item.index - 1),
                               float(item.index), item.delta_L0, item.w_start,
-                              item.w_prev, level=1)
+                              item.w_prev, item.w_end, level=1)
             yield
         self.stats.serial_time = time.perf_counter() - t0
 
@@ -406,11 +423,12 @@ class QueueEngine:
 
     def _enqueue(self, branch: int, xi_lo: float, xi_hi: float,
                  delta_L0: float, w_start: SolutionPoint,
-                 w_prev: SolutionPoint | None, level: int) -> None:
+                 w_prev: SolutionPoint | None, w_end: SolutionPoint,
+                 level: int) -> None:
         self.queue.append(Job(
             id=self._next_id, branch=branch, xi_lo=xi_lo, xi_hi=xi_hi,
-            delta_L0=delta_L0, w_start=w_start, w_prev=w_prev, level=level,
-            N=self.engine.subintervals))
+            delta_L0=delta_L0, w_start=w_start, w_prev=w_prev, w_end=w_end,
+            level=level, N=self.engine.subintervals))
         self._next_id += 1
 
     @property
@@ -470,10 +488,11 @@ class QueueEngine:
         # step k's length as alm.step measured it, on the same bits
         dists = [alm.point_distance(w, w_from, psi, ptp)
                  for w, w_from in zip(sols, [job.w_start, *sols])]
-        w_end = sols[-1]
-        closing = alm.point_distance(m.lookup(job.xi_hi).w, w_end, psi, ptp)
+        # job.w_end is the map's point at xi_hi: an entry's w never changes
+        w_last = sols[-1]
+        closing = alm.point_distance(job.w_end, w_last, psi, ptp)
         measured = (sum(dists),
-                    alm.point_distance(w_end, job.w_start, psi, ptp), closing)
+                    alm.point_distance(w_last, job.w_start, psi, ptp), closing)
         errors = compute_errors(job.delta_L0, measured)
         refine_lower = errors.lower > self.engine.tol_lower
         refine_upper = errors.upper > self.engine.tol_upper
@@ -496,11 +515,11 @@ class QueueEngine:
                 children.append((keys[-2], keys[-1], closing))
         for lo, hi, dl0 in children:
             # later insertions never change an entry's w or w_prev, only the
-            # ds of an interval's end, so the w of hi that submit measures
-            # against is the one current now
+            # ds of an interval's end, so the child's w_end stays the map's
+            # point at hi
             entry = m.lookup(lo)
             self._enqueue(m.branch, lo, hi, dl0, entry.w, entry.w_prev,
-                          job.level + 1)
+                          m.lookup(hi).w, job.level + 1)
         self._record(job, REFINED if refine_lower or refine_upper
                      else ACCEPTED, measured, len(children))
 

@@ -39,7 +39,8 @@ DEFAULT_TRANSPORT = (
 # the most job frames sent to one worker and not yet answered
 DEPTH = 2
 # the most jobs times unknowns in a wave, solved by the manager itself or
-# sent to a worker in one frame: 16 jobs of springchain n = 256. A wave
+# sent to a worker in one frame, which `frame_jobs` may cap lower: 16 jobs
+# of springchain n = 256, 11 of them in a frame on Linux. A wave
 # holds each job's factor, points and (jobs, n) arrays at once: on
 # chain-serial, a run on its own peaked 1.1 MiB above one-job-at-a-time
 # solving with waves of 16, 2.2 MiB with waves of 32 at the same speed, and
@@ -57,8 +58,8 @@ def frame_jobs(n_dof: int, send_buffer: int) -> int:
 
     send_buffer is the manager's socket send buffer (SO_SNDBUF), read from
     the endpoints: 212992 B on a fresh Linux socket pair, where the share
-    binds only below 52 unknowns (797 jobs at n = 1), and 8 KiB or so on
-    macOS, where a frame holds one job from 81 unknowns up."""
+    binds at every n (676 jobs at n = 1, 11 at n = 256), and 8 KiB or so
+    on macOS, where a frame holds one job from 54 unknowns up."""
     share = send_buffer // (DEPTH + 1)
     return max(1, min(WAVE_VALUES // n_dof, share // tp.job_bytes(n_dof)))
 
@@ -123,15 +124,15 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
     endpoints holds (`frame_jobs`), so those fit, and the send returns
     without the worker's help; a frame of one job larger than that share
     still fits while the job and a stop fit the whole buffer (below about
-    13000 unknowns at Linux's 212992 B). So the manager always comes back
+    8800 unknowns at Linux's 212992 B). So the manager always comes back
     to its selector and reads, and a reply frame may be of any size, as
-    the manager reads while the worker writes it (about 260 KB for 16
-    springchain jobs of n = 256 with N = 8). When the loop ends, also by an
-    error, every worker is sent its stop, and each endpoint that still
-    holds frames, whose worker may still be sending replies, is read and
-    its bytes dropped until the worker hangs up (at most STOP_TIMEOUT in
-    all), so that no worker is left blocked in a send the manager no
-    longer reads.
+    the manager reads while the worker writes it (about 181 KB for 11
+    springchain jobs of n = 256 with N = 8, 271 KB with N = 12). When the
+    loop ends, also by an error, every worker is sent its stop, and each
+    endpoint that still holds frames, whose worker may still be sending
+    replies, is read and its bytes dropped until the worker hangs up (at
+    most STOP_TIMEOUT in all), so that no worker is left blocked in a send
+    the manager no longer reads.
 
     The serial phase runs here unless `state.initialize()` has run it:
     after each serial step the manager settles the replies that have

@@ -1,14 +1,15 @@
 """Wire format and socket endpoint for the manager-worker runtime.
 
-Frames are [u8 version][u64 length][payload], little-endian (protocol 6).
+Frames are [u8 version][u64 length][payload], little-endian (protocol 7).
 A payload is the one-byte stop or one wave: a job wave out, a reply wave
 back. A wave is its header (kind, member count, n_dof), then one header
 struct per member, then, in a reply wave, the members' UTF-8 errors, then
 one float64 block of (u, lambda) rows for all its members. A job sends
-w_start and w_prev if any; a reply sends the point that ends each fine
-step and no step length, which the manager measures from the points, or
-only the error of a failed solve, and decode refuses one with both or
-neither. A wave holds at least one member, and all of one kind and one
+three points: w_start, w_prev, and w_end, the end point its last fine
+step aims at; or two, without w_prev, where it has none. A reply sends
+the point that ends each fine step and no step length, which the manager
+measures from the points, or only the error of a failed solve, and
+decode refuses one with both or neither. A wave holds at least one member, and all of one kind and one
 n_dof; a single job is a wave of one.
 Thread and process workers use the same endpoint over a socket pair, so
 both carry the same encoded bytes and runs replay bit-exactly across them.
@@ -25,7 +26,7 @@ import numpy as np
 from .engine import IntervalResult, Job
 from .problems import SolutionPoint
 
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 
 MSG_STOP = 0
 MSG_JOB = 1
@@ -54,8 +55,8 @@ class EndpointClosed(RuntimeError):
 
 def job_bytes(n: int) -> int:
     """The most bytes one job of n unknowns adds to a job wave: its header
-    and two points."""
-    return _JOB.size + 2 * 8 * (n + 1)
+    and three points."""
+    return _JOB.size + 3 * 8 * (n + 1)
 
 
 def _block(points: list[SolutionPoint], n: int) -> bytes:
@@ -88,7 +89,8 @@ def encode(msg: list[Job] | list[IntervalResult] | None) -> bytes:
             _JOB.pack(job.id, job.branch, job.xi_lo, job.xi_hi, job.level,
                       job.delta_L0, job.N, job.w_prev is not None)
             for job in msg)
-        points = [w for job in msg for w in (job.w_start, job.w_prev)
+        points = [w for job in msg
+                  for w in (job.w_start, job.w_prev, job.w_end)
                   if w is not None]
     elif all(isinstance(m, IntervalResult) for m in msg):
         kind = MSG_DATA
@@ -132,13 +134,13 @@ def decode(payload: bytes) -> list[Job] | list[IntervalResult] | None:
         if kind == MSG_JOB:
             if any(head[7] not in (0, 1) for head in heads):
                 raise ProtocolError("bad w_prev flag")
-            rows = count + sum(head[7] for head in heads)
+            rows = 2 * count + sum(head[7] for head in heads)
             _expect(buf, off + 8 * rows * (n + 1))
             w = iter(_points(buf, off, rows, n))
             return [Job(id=jid, branch=branch, xi_lo=xi_lo, xi_hi=xi_hi,
                         delta_L0=dl0, w_start=next(w),
-                        w_prev=next(w) if has_prev else None, level=level,
-                        N=steps)
+                        w_prev=next(w) if has_prev else None, w_end=next(w),
+                        level=level, N=steps)
                     for (jid, branch, xi_lo, xi_hi, level, dl0, steps,
                          has_prev) in heads]
         # a reply wave: its members' errors, then its rows

@@ -50,7 +50,8 @@ def row_bits(rows):
 
 def record_bits(state):
     """Every record but its job id, bitwise, in (branch, xi_lo, xi_hi)
-    order; that key is unique among a run's settled jobs."""
+    order; that key is unique among a run's settled jobs. A job of a
+    revision before protocol 7 has no w_end, which hashes as None."""
     def point(w):
         return None if w is None else (w.u.tobytes(), float(w.lam).hex())
 
@@ -60,7 +61,8 @@ def record_bits(state):
         j = r.job
         out.append((j.branch, j.xi_lo.hex(), j.xi_hi.hex(),
                     j.delta_L0.hex(), j.level, j.N, point(j.w_start),
-                    point(j.w_prev), r.outcome,
+                    point(j.w_prev), point(getattr(j, "w_end", None)),
+                    r.outcome,
                     r.measured and [float(x).hex() for x in r.measured],
                     r.children, r.message))
     return out
@@ -172,6 +174,13 @@ def hashes(runs: dict) -> dict:
 def base_hashes(rev: str, names: list[str]) -> dict:
     """hashes(names) at git revision rev, run by this script in a fresh
     interpreter against rev's files, exported by `git archive`."""
+    return run_at(rev, __file__, names)
+
+
+def run_at(rev: str, script: str, names: list[str]) -> dict:
+    """What `script --json` prints for names, run in a fresh interpreter
+    against the source of git revision rev, exported by `git archive`
+    into a temporary directory that is removed afterwards."""
     with tempfile.TemporaryDirectory() as tmp:
         archive, tree = Path(tmp) / "base.tar", Path(tmp) / "base"
         tree.mkdir()
@@ -180,7 +189,7 @@ def base_hashes(rev: str, names: list[str]) -> dict:
         subprocess.run(["tar", "-xf", str(archive), "-C", str(tree)],
                        check=True)
         proc = subprocess.run(
-            [sys.executable, __file__, "--json", "--src", str(tree / "src"),
+            [sys.executable, script, "--json", "--src", str(tree / "src"),
              *names], capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)

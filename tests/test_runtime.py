@@ -30,6 +30,25 @@ def endpoint_pair():
     return SocketEndpoint(s1), SocketEndpoint(s2)
 
 
+def fresh_send_buffer() -> int:
+    """The send buffer (SO_SNDBUF) of a fresh socket pair, as apalm makes
+    for each worker."""
+    a, b = endpoint_pair()
+    try:
+        return a.send_buffer()
+    finally:
+        a.close()
+        b.close()
+
+
+def round_frames(cap, jobs, workers):
+    """The frame sizes of the first two dispatch rounds over `jobs` queued
+    jobs and `workers` idle workers, at most cap jobs to a frame: each
+    worker of a round takes the same share of the queue, rounded up."""
+    first = min(cap, -(-jobs // workers))
+    return first, min(cap, -(-(jobs - workers * first) // workers))
+
+
 @pytest.fixture
 def pair():
     manager, worker = endpoint_pair()
@@ -137,7 +156,7 @@ def linear_job(job_id=0):
     return Job(id=job_id, branch=0, xi_lo=0.0, xi_hi=1.0,
                delta_L0=math.sqrt(2.0),
                w_start=SolutionPoint(np.zeros(1), 0.0), w_prev=None,
-               level=1, N=2)
+               w_end=SolutionPoint(np.ones(1), 1.0), level=1, N=2)
 
 
 class TestRunWorker:
@@ -378,19 +397,24 @@ class TestRunManager:
     @pytest.mark.parametrize("reply,needle", [
         (lambda jobs: [IntervalResult(job_id=job.id, solutions=[], error="x")
                        for job in jobs[:-1]],
-         "15 replies to a frame of 16 jobs"),
+         "{} replies to a frame of {} jobs"),
         (lambda jobs: [IntervalResult(job_id=job.id + (k == 2), solutions=[],
                                       error="x")
                        for k, job in enumerate(jobs)],
          "job id mismatch: sent 2, got 3"),
     ], ids=["wrong-length", "third-names-another"])
     def test_bad_reply_wave_costs_both_held_frames(self, reply, needle):
-        # With 40 springchain jobs of n = 256 queued, 16 to a frame, and 2
-        # workers, the first dispatch sends A the frames [0-15] and
-        # [32-35], B [16-31] and [36-39]. A's reply to its first frame is
-        # one reply short, or its third reply names another job: every job
-        # of both frames A holds is lost, each with its own record, and
-        # B's jobs are solved.
+        # With 40 springchain jobs of n = 256 queued, k to a frame (11 at
+        # Linux's default socket buffer), and 2 workers, the first dispatch
+        # sends A the frames [0, k) and [2k, 2k + j), B [k, 2k) and the
+        # next j, j jobs being the second round's share. A's reply to its
+        # first frame is one reply short, or its third reply names another
+        # job: every job of both frames A holds is lost, each with its own
+        # record, and B's jobs are solved.
+        k, j = round_frames(runtime.frame_jobs(256, fresh_send_buffer()),
+                            40, 2)
+        assert 2 * k < 40 and j >= 1  # A holds two frames
+        needle = needle.format(k - 1, k)
         p = make_builtin("springchain", n=256)
         state = QueueEngine(p, AlmConfig(constraint="crisfield", psi=1.0,
                                          newton_tol=1e-10),
@@ -407,19 +431,20 @@ class TestRunManager:
         for ep in (bad, b_m, b_w):
             ep.close()
         lost = [r for r in state.stats.records if r.outcome == LOST]
-        assert sorted(r.job.id for r in lost) == [*range(16), *range(32, 36)]
+        a_jobs = [*range(k), *range(2 * k, 2 * k + j)]
+        assert sorted(r.job.id for r in lost) == a_jobs
         assert all(r.message.endswith(f"worker 0 lost: {needle}")
                    for r in lost)
         assert sorted(r.job.id for r in state.stats.records
-                      if r.outcome != LOST) == [*range(16, 32),
-                                                *range(36, 40)]
+                      if r.outcome != LOST) == sorted(
+                          set(range(40)) - set(a_jobs))
         assert not state.queue and not state._outstanding
 
     def test_frames_follow_a_small_send_buffer(self, monkeypatch):
         # Both ends of the socket pair buffer 8 KiB, as a macOS one does, so
         # a reply of one springchain job of n = 256 with N = 8, about 16 KB,
         # is sent only as the manager reads it. A frame then holds one job,
-        # 4.2 KB, and the manager's send of a second frame never waits on
+        # 6.2 KB, and the manager's send of a second frame never waits on
         # the worker: the run completes and matches aalm bit for bit.
         log = record_sends(monkeypatch)
         p = make_builtin("springchain", n=256)
@@ -477,8 +502,12 @@ class TestRunManager:
 
     def test_idle_worker_served_before_any_second_job(self, monkeypatch):
         # with 4 workers, a frame goes to a worker's second slot only while
-        # every worker holds one; 80 springchain jobs of n = 256, 16 to a
-        # frame, are more than 4 first frames hold
+        # every worker holds one; 80 springchain jobs of n = 256, k to a
+        # frame (11 at Linux's default socket buffer), are more than 4
+        # first frames hold
+        k, j = round_frames(runtime.frame_jobs(256, fresh_send_buffer()),
+                            80, 4)
+        assert 4 * k < 80 and j >= 1
         log = record_sends(monkeypatch)
         p = make_builtin("springchain", n=256)
         state = QueueEngine(p, AlmConfig(constraint="crisfield", psi=1.0,
@@ -500,7 +529,7 @@ class TestRunManager:
             m_ep.close()
         assert state.stats.jobs_done >= 80 and not state.queue
         assert sum(k for _, _, k in log) == state.stats.jobs_done
-        assert [k for _, _, k in log[:8]] == [16] * 4 + [4] * 4
+        assert [size for _, _, size in log[:8]] == [k] * 4 + [j] * 4
         seconds = [before for ep, before, _ in log if before.get(ep, 0) == 1]
         assert seconds  # the first dispatch alone fills 8 slots
         assert all(before.get(m_ep, 0) >= 1
@@ -881,12 +910,15 @@ class TestApalm:
     @pytest.mark.parametrize("transport", ["thread", "process"])
     def test_manager_error_with_large_replies_joins_every_worker(
             self, transport, monkeypatch, caplog):
-        # The manager fails on the reply to a 16-job springchain frame of
-        # n = 256 with N = 8 while its worker holds a second such frame,
-        # whose reply is larger than a socket pair buffers. apalm raises at
+        # The manager fails on the reply to a full springchain frame of
+        # n = 256 with N = 12, k jobs (11 at Linux's default socket
+        # buffer), while its worker holds a second such frame, whose reply
+        # is larger than a socket pair buffers. apalm raises at
         # once, the worker's send of that reply completes as the manager
         # drains it, and the worker reads its stop: no worker is left
         # behind, and a thread worker logs no lost manager.
+        buffer = fresh_send_buffer()
+        k = runtime.frame_jobs(256, buffer)
         frames, send = [], SocketEndpoint.send
         submit = QueueEngine.submit
 
@@ -899,7 +931,7 @@ class TestApalm:
             # the one worker holds the last frame sent, and replied to the
             # one before it
             if (len(frames) >= 2 and job is frames[-2][0]
-                    and len(frames[-2]) == len(frames[-1]) == 16):
+                    and len(frames[-2]) == len(frames[-1]) == k):
                 raise RuntimeError("synthetic manager error")
             submit(self, job, result)
 
@@ -909,24 +941,25 @@ class TestApalm:
         baseline = set(threading.enumerate())
         p = make_builtin("springchain", n=256)
         cfg = AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-10)
-        eng = EngineConfig(delta_L=0.4, steps=64, subintervals=8,
+        eng = EngineConfig(delta_L=0.4, steps=64, subintervals=12,
                            tol_lower=1e-2, tol_upper=1e-2, max_level=3)
         t0 = time.monotonic()
         with pytest.raises(RuntimeError, match="synthetic manager error"):
             apalm(p, cfg, eng, worker_count=1, transport=transport)
         assert time.monotonic() - t0 < 10.0
-        assert len(frames[-1]) == 16
+        assert len(frames[-1]) == k
         assert len(tp.encode(engine.solve_intervals(p, cfg,
-                                                    frames[-1]))) > 212992
+                                                    frames[-1]))) > buffer
         assert set(threading.enumerate()) == baseline
         assert not multiprocessing.active_children()
         assert not [r for r in caplog.records if r.name == "apalm.runtime"]
 
     def test_one_process_worker_with_large_replies_matches_aalm(
             self, monkeypatch):
-        # 8 fine steps per job: a reply frame of 16 springchain jobs of
-        # n = 256 is about 260 KB, more than a socket pair buffers, and the
-        # worker's send of it completes as the manager reads
+        # 12 fine steps per job: a reply frame of 11 springchain jobs of
+        # n = 256 is about 271 KB, more than a socket pair buffers (at 8,
+        # about 181 KB, it is not), and the worker's send of it completes
+        # as the manager reads
         sizes, decode = [], tp.decode
 
         def sized_decode(payload):
@@ -936,7 +969,7 @@ class TestApalm:
         monkeypatch.setattr(tp, "decode", sized_decode)
         p = make_builtin("springchain", n=256)
         cfg = AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-10)
-        eng = EngineConfig(delta_L=0.4, steps=64, subintervals=8,
+        eng = EngineConfig(delta_L=0.4, steps=64, subintervals=12,
                            tol_lower=1e-2, tol_upper=1e-2, max_level=3)
         ref = aalm(p, cfg, eng)
         out = []
@@ -946,7 +979,7 @@ class TestApalm:
         t.join(timeout=60)
         assert not t.is_alive(), "apalm did not return"
         state, = out
-        assert max(sizes) > 212992
+        assert max(sizes) > fresh_send_buffer()
         assert row_bits(state.collect()) == row_bits(ref.collect())
         assert record_bits(state) == record_bits(ref)
 

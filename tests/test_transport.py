@@ -30,9 +30,11 @@ def endpoint_pair():
     return SocketEndpoint(s1), SocketEndpoint(s2)
 
 
-def job(job_id=0, w_prev=None):
+def job(job_id=0, w_prev=None, w_end=None):
     return Job(id=job_id, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=1.0,
-               w_start=pt(0.0), w_prev=w_prev, level=1, N=2)
+               w_start=pt(0.0), w_prev=w_prev,
+               w_end=pt(1.0, lam=1.0) if w_end is None else w_end, level=1,
+               N=2)
 
 
 class TestRoundTrip:
@@ -51,19 +53,23 @@ class TestRoundTrip:
     def test_job_with_prev(self):
         msg = Job(id=7, branch=1, xi_lo=0.25, xi_hi=0.5, delta_L0=0.25,
                   w_start=pt(1.0, 2.0, lam=0.5),
-                  w_prev=pt(0.5, 1.5, lam=0.25), level=3, N=2)
+                  w_prev=pt(0.5, 1.5, lam=0.25),
+                  w_end=pt(1.5, 2.5, lam=0.75), level=3, N=2)
         out, = decode(encode([msg]))
         assert (out.id, out.branch, out.xi_lo, out.xi_hi, out.delta_L0,
                 out.level, out.N) == (7, 1, 0.25, 0.5, 0.25, 3, 2)
         assert points_equal(out.w_start, msg.w_start)
         assert points_equal(out.w_prev, msg.w_prev)
+        assert points_equal(out.w_end, msg.w_end)
 
     def test_job_without_prev(self):
         msg = Job(id=0, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=1.0,
-                  w_start=pt(0.5, lam=1.0), w_prev=None, level=1, N=3)
+                  w_start=pt(0.5, lam=1.0), w_prev=None,
+                  w_end=pt(1.5, lam=2.0), level=1, N=3)
         out, = decode(encode([msg]))
         assert out.w_prev is None
         assert points_equal(out.w_start, msg.w_start)
+        assert points_equal(out.w_end, msg.w_end)
         assert out.N == 3
 
     def test_data(self):
@@ -88,15 +94,17 @@ class TestRoundTrip:
         assert encode(msg) == encode(msg)
 
     def test_wave_keeps_its_members_in_order(self):
-        # jobs with and without a predecessor, and replies with points and
-        # with an error, interleaved in one wave each
-        jobs = [job(job_id=i, w_prev=pt(-1.0, lam=-i) if i % 2 else None)
-                for i in range(5)]
+        # jobs with and without a predecessor, each with its own end
+        # point, and replies with points and with an error, interleaved in
+        # one wave each
+        jobs = [job(job_id=i, w_prev=pt(-1.0, lam=-i) if i % 2 else None,
+                    w_end=pt(2.0, lam=i)) for i in range(5)]
         out = decode(encode(jobs))
         assert [j.id for j in out] == list(range(5))
         assert [j.w_prev is None for j in out] == [True, False] * 2 + [True]
         assert all(points_equal(a.w_prev, b.w_prev) for a, b in zip(out, jobs)
                    if b.w_prev is not None)
+        assert all(points_equal(a.w_end, b.w_end) for a, b in zip(out, jobs))
         replies = [IntervalResult(job_id=i, solutions=[pt(0.5 * i)] * i)
                    if i else IntervalResult(job_id=i, solutions=[], error="é")
                    for i in range(4)]
@@ -117,10 +125,11 @@ class TestFrame:
 
     # v1 had a handshake; v2 framed every point separately and echoed the
     # start point; v3 sent each job's closing point; v4 sent each reply's
-    # step lengths; v5 sent one job or reply per frame
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 99])
+    # step lengths; v5 sent one job or reply per frame; v6 sent no job's
+    # end point
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 99])
     def test_other_version_rejected(self, version):
-        assert PROTOCOL_VERSION == 6
+        assert PROTOCOL_VERSION == 7
         s1, s2 = socket.socketpair()
         s1.sendall(bytes([version]) + frame(encode([job()]))[1:])
         with pytest.raises(ProtocolError, match=f"version {version}"):
@@ -130,22 +139,28 @@ class TestFrame:
 
     def test_one_block_per_payload(self):
         # a wave is its header, one header per job and one float64 block of
-        # (u, lambda) rows, each job's start and then its predecessor
-        msg = [job(w_prev=pt(-1.0, lam=-0.5)), job(job_id=1)]
-        rows = np.array([[0.0, 0.0], [-1.0, -0.5], [0.0, 0.0]], dtype="<f8")
+        # (u, lambda) rows: each job's start, its predecessor if any, and
+        # its end
+        msg = [job(w_prev=pt(-1.0, lam=-0.5)),
+               job(job_id=1, w_end=pt(2.0, lam=0.5))]
+        rows = np.array([[0.0, 0.0], [-1.0, -0.5], [1.0, 1.0],
+                         [0.0, 0.0], [2.0, 0.5]], dtype="<f8")
         heads = _WAVE.size + 2 * _JOB.size
         assert encode(msg)[:_WAVE.size] == _WAVE.pack(MSG_JOB, 2, 1)
         assert encode(msg) == encode(msg)[:heads] + rows.tobytes()
 
     @pytest.mark.parametrize("has_prev", [True, False])
     def test_job_carries_start_and_predecessor_only(self, has_prev):
+        # and its end point, and nothing else: three points with a
+        # predecessor, two without, as job_bytes counts at most
         n = 3
         msg = Job(id=1, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=1.0,
                   w_start=pt(1.0, 2.0, 3.0),
                   w_prev=pt(0.0, 1.0, 2.0) if has_prev else None,
-                  level=1, N=2)
-        k = 2 if has_prev else 1
+                  w_end=pt(2.0, 3.0, 4.0), level=1, N=2)
+        k = 3 if has_prev else 2
         assert len(encode([msg])) == _WAVE.size + _JOB.size + 8 * (n + 1) * k
+        assert len(encode([msg])) <= _WAVE.size + job_bytes(n)
 
     @pytest.mark.parametrize("k,n,error", [(2, 3, ""), (1, 1, ""),
                                            (0, 0, "newton diverged: état")],
@@ -162,8 +177,8 @@ class TestFrame:
     def test_depth_full_job_frames_fit_a_fresh_socket_pair(self, n):
         # the manager's send never blocks: a worker holds at most DEPTH job
         # frames, and DEPTH of them at the cap that the socket's own send
-        # buffer gives, each job with its predecessor, go into a fresh
-        # socket pair at once
+        # buffer gives, each job with its predecessor and end point, go
+        # into a fresh socket pair at once
         s1, s2 = socket.socketpair()
         try:
             buffer = SocketEndpoint(s1).send_buffer()
@@ -173,8 +188,8 @@ class TestFrame:
                                    share // job_bytes(n)))
             jobs = [Job(id=i, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=1.0,
                         w_start=SolutionPoint(np.full(n, 0.5), 1.0),
-                        w_prev=SolutionPoint(np.zeros(n), 0.0), level=1,
-                        N=2)
+                        w_prev=SolutionPoint(np.zeros(n), 0.0),
+                        w_end=SolutionPoint(np.ones(n), 2.0), level=1, N=2)
                     for i in range(k)]
             data = frame(encode(jobs))
             assert len(data) <= 9 + _WAVE.size + max(share, job_bytes(n))
@@ -187,13 +202,14 @@ class TestFrame:
             s2.close()
 
     @pytest.mark.parametrize("buffer,n,k", [
-        (212992, 1, 797), (212992, 51, 79), (212992, 52, 78),
-        (212992, 256, 16), (8192, 64, 2), (8192, 81, 1), (8192, 256, 1),
-        (8192, 4096, 1)])
+        (212992, 1, 676), (212992, 64, 43), (212992, 256, 11),
+        (212992, 4096, 1), (8192, 53, 2), (8192, 54, 1), (8192, 81, 1),
+        (8192, 256, 1), (8192, 4096, 1)])
     def test_frame_jobs_follow_the_send_buffer(self, buffer, n, k):
-        # at Linux's default buffer, its share binds only below 52
-        # unknowns, and WAVE_VALUES // n from there up; at the 8 KiB or so
-        # of a macOS socket pair the share binds, down to one job a frame
+        # with three points a job, the share of Linux's default buffer
+        # binds at every n, below WAVE_VALUES // n (16 at n = 256); at the
+        # 8 KiB or so of a macOS socket pair a frame holds one job from 54
+        # unknowns up
         assert runtime.frame_jobs(n, buffer) == k
 
     def test_huge_length_is_not_allocated_up_front(self):
@@ -284,7 +300,8 @@ class TestDecodeErrors:
             "reply-wave"])
     def test_every_truncation_and_trailing_byte_rejected(self, msg):
         # decode checks the exact size, so a cut payload never reaches
-        # struct or numpy, whose errors the manager would not catch
+        # struct or numpy, whose errors the manager would not catch; the
+        # cuts of a job wave run through its last job's w_end row
         payload = encode(msg)
         for cut in range(len(payload)):
             with pytest.raises(ProtocolError):
@@ -293,6 +310,17 @@ class TestDecodeErrors:
         for tail in (b"\0", b"\1", b"\xff", bytes(16)):
             with pytest.raises(ProtocolError):
                 decode(payload + tail)
+
+    def test_job_wave_without_end_points_rejected(self):
+        # a job wave as protocol 6 sent it, each job's start and
+        # predecessor and no end point, is short of its size
+        jobs = [job(w_prev=pt(-1.0, lam=-0.5)), job(job_id=1)]
+        payload = encode(jobs)
+        heads = _WAVE.size + 2 * _JOB.size
+        rows = np.frombuffer(payload[heads:], dtype="<f8").reshape(-1, 2)
+        without_ends = payload[:heads] + rows[[0, 1, 3]].tobytes()
+        with pytest.raises(ProtocolError, match="header gives"):
+            decode(without_ends)
 
     def test_bad_utf8_note_rejected(self):
         payload = encode([IntervalResult(job_id=0, solutions=[], error="é")])
@@ -335,12 +363,14 @@ class TestDecodeErrors:
 
     @pytest.mark.parametrize("wave", [
         [job(), Job(id=1, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=1.0,
-                    w_start=pt(0.0, 1.0), w_prev=None, level=1, N=2)],
+                    w_start=pt(0.0, 1.0), w_prev=None, w_end=pt(1.0, 2.0),
+                    level=1, N=2)],
         [job(w_prev=pt(0.0, 1.0))],
+        [job(w_end=pt(0.0, 1.0))],
         [IntervalResult(job_id=0, solutions=[pt(1.0)]),
          IntervalResult(job_id=1, solutions=[pt(1.0, 2.0)])],
         [IntervalResult(job_id=0, solutions=[pt(1.0), pt(1.0, 2.0)])],
-    ], ids=["jobs", "one-job", "replies", "one-reply"])
+    ], ids=["jobs", "one-job", "one-job-end", "replies", "one-reply"])
     def test_members_of_mixed_n_dof(self, wave):
         # one n_dof in the wave header sizes every row of the block
         with pytest.raises(ProtocolError, match="mixed n_dof"):
@@ -380,11 +410,13 @@ class TestSocketEndpoint:
     def test_round_trip_over_socketpair(self):
         a, b = endpoint_pair()
         msg = Job(id=42, branch=0, xi_lo=0.5, xi_hi=0.75, delta_L0=0.5,
-                  w_start=pt(1.0, lam=1.0), w_prev=pt(0.0), level=2, N=2)
+                  w_start=pt(1.0, lam=1.0), w_prev=pt(0.0),
+                  w_end=pt(2.0, lam=1.5), level=2, N=2)
         a.send([msg])
         out, = b.recv()
         assert out.id == 42
         assert points_equal(out.w_start, msg.w_start)
+        assert points_equal(out.w_end, msg.w_end)
         a.close()
         b.close()
 
@@ -485,7 +517,8 @@ def jobs(draw, n_dof):
                delta_L0=draw(st.floats(min_value=0.0, exclude_min=True,
                                        allow_infinity=False)),
                w_start=draw(points(n_dof)),
-               w_prev=draw(st.none() | points(n_dof)), level=draw(u64),
+               w_prev=draw(st.none() | points(n_dof)),
+               w_end=draw(points(n_dof)), level=draw(u64),
                N=draw(st.integers(1, 2**64 - 1)))
 
 
@@ -529,6 +562,7 @@ def test_job_round_trip_property(wave):
         for field in ("xi_lo", "xi_hi", "delta_L0"):
             assert same_bits(getattr(got, field), getattr(msg, field))
         assert same_point_bits(got.w_start, msg.w_start)
+        assert same_point_bits(got.w_end, msg.w_end)
         if msg.w_prev is None:
             assert got.w_prev is None
         else:
