@@ -9,8 +9,8 @@ three points: w_start, w_prev, and w_end, the end point its last fine
 step aims at; or two, without w_prev, where it has none. A reply sends
 the point that ends each fine step and no step length, which the manager
 measures from the points, or only the error of a failed solve, and
-decode refuses one with both or neither. A wave holds at least one member, and all of one kind and one
-n_dof; a single job is a wave of one.
+decode refuses one with both or neither. A wave holds at least one
+member, and all of one kind and one n_dof; a single job is a wave of one.
 Thread and process workers use the same endpoint over a socket pair, so
 both carry the same encoded bytes and runs replay bit-exactly across them.
 """

@@ -132,8 +132,8 @@ def reference(problem, config, start, w_prev, delta_L: float,
 def branch_quality(problem, config, engine, m) -> dict:
     """The distances of one branch's map m to its reference, over the arc
     both cover, and its start point."""
-    psi, ptp = config.psi, problem.load_norm_sq
     from apalm import alm
+    psi, ptp = config.psi, problem.load_norm_sq
     entries = [m.lookup(xi) for xi in m.xi_keys()]
     serial = [e.w for e in entries if e.level == 0]
     # the serial length, less the little by which chords fall short of it
