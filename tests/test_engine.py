@@ -254,6 +254,51 @@ class TestSolveInterval:
             assert a.lam == pytest.approx(b.lam, abs=1e-10)
         assert cold.solutions[-1].u[0] == pytest.approx(w1.u[0], abs=1e-10)
 
+    def test_last_step_aims_at_the_end_point(self, monkeypatch):
+        # each of a job's N fine steps predicts along the increment of the
+        # step before it, the first along w_start - w_prev, but the N-th
+        # along the chord from its start to w_end, which here lies off the
+        # curve, so that no secant could give it
+        p = make_builtin("cubic1d")
+        path = lambda u: u**3 - 3 * u  # noqa: E731
+        w_prev, w_start = (SolutionPoint(np.array([u]), path(u))
+                           for u in (0.1, 0.2))
+        w_end = SolutionPoint(np.array([0.35]), path(0.5))
+        calls, step = [], alm.step
+
+        def logged(problem, config, w_i, dw, length):
+            calls.append((w_i, dw))
+            return step(problem, config, w_i, dw, length)
+
+        monkeypatch.setattr(alm, "step", logged)
+        res = solve_interval(p, crisfield(1.0), make_job(
+            p, w_start, w_prev, w_end, 0.9, N=3))
+        assert res.error == "" and len(calls) == 3
+        expected = [alm.increment_between(w_start, w_prev),
+                    alm.increment_between(res.solutions[0], w_start),
+                    alm.increment_between(w_end, res.solutions[1])]
+        for (w_i, dw), want in zip(calls, expected):
+            assert dw.tobytes() == want.tobytes()
+
+    def test_batched_last_steps_aim_at_their_end_points(self, monkeypatch):
+        # the same in a wave: the round of the jobs' second and last steps
+        # hands alm.batch_step each job's chord to its end point
+        p, cfg, eng = STREAMED_RUNS["twin"]
+        jobs = level_one_jobs(p, cfg, eng)[:8]
+        rounds, batch_step = [], alm.batch_step
+
+        def logged(problem, config, w_i, dws, *args):
+            rounds.append(list(zip(w_i, dws)))
+            return batch_step(problem, config, w_i, dws, *args)
+
+        monkeypatch.setattr(alm, "batch_step", logged)
+        engine.solve_intervals(tridiagonal_form(p), cfg, jobs)
+        assert len(rounds) == 2 and len(rounds[1]) == len(jobs)
+        for job, (w_i, dw) in zip(jobs, rounds[1]):
+            assert w_i is not job.w_start
+            assert dw.tobytes() == alm.increment_between(job.w_end,
+                                                         w_i).tobytes()
+
     def test_failed_step_returns_only_its_error(self, monkeypatch):
         # the second step fails: the first step's point is not sent back
         step, calls = alm.step, []
