@@ -579,23 +579,46 @@ def batch_step(problem: ProblemDef, config: AlmConfig,
 
 
 def detect_singular(problem: ProblemDef, w: SolutionPoint) -> StabilityInfo:
-    """Sign of det K and count of non-positive eigenvalues of K at w.
+    """Sign of det K and count of non-positive eigenvalues of K at w:
+    `detect_singulars` of the one point."""
+    return detect_singulars(problem, [w])[0]
 
-    A symmetric tridiagonal K is counted from its LDL^T pivots in O(n)
-    (tridiagonal.ldl_inertia): by Sylvester's law of inertia they have the
-    signs of the eigenvalues, and a pivot within 1e-14 * max(1, g) of zero,
-    g the Gershgorin bound on the eigenvalues, reports singular.
 
-    Any other K takes one eigenvalue pass, which gives both: det K is the
-    product of the eigenvalues, so its sign is (-1)^(number of negative
-    ones). Symmetric K uses eigvalsh; otherwise the real parts of eigvals
-    are counted, where a complex pair counts twice and contributes +1, as
-    its |lambda|^2 does. An eigenvalue within 1e-14 * max(1, max|eig|) of
-    zero, or a failed factorization, reports singular.
+def detect_singulars(problem: ProblemDef, ws: list[SolutionPoint]
+                     ) -> list[StabilityInfo]:
+    """Sign of det K and count of non-positive eigenvalues of K at each
+    point of ws, in one pass.
+
+    A tridiagonal K's diagonals come stacked, from problem.tridiagonals,
+    and the symmetric ones are counted from their LDL^T pivots in O(n)
+    each (tridiagonal.ldl_inertias, column by column over the stack from
+    tridiagonal.MIN_STACK points on): by Sylvester's law of inertia the
+    pivots have the signs of the eigenvalues, and a pivot within
+    1e-14 * max(1, g) of zero, g the Gershgorin bound on the eigenvalues,
+    reports singular.
+
+    Any other K takes one eigenvalue pass per point, which gives both: det K
+    is the product of the eigenvalues, so its sign is (-1)^(number of
+    negative ones). Symmetric K uses eigvalsh; otherwise the real parts of
+    eigvals are counted, where a complex pair counts twice and contributes
+    +1, as its |lambda|^2 does. An eigenvalue within 1e-14 * max(1, max|eig|)
+    of zero, or a failed factorization, reports singular.
     """
-    tri = problem.tridiagonal(w)
-    if tri is not None and np.array_equal(tri[0], tri[2]):
-        return StabilityInfo(*tridiagonal.ldl_inertia(tri[0], tri[1]))
+    if problem.tridiagonal_fn is None:
+        return [_eigen_stability(problem, w) for w in ws]
+    subs, diags, sups = problem.tridiagonals(np.array([w.u for w in ws]),
+                                             [w.lam for w in ws])
+    symmetric = np.all(subs == sups, axis=1)
+    if not symmetric.all():
+        subs, diags = subs[symmetric], diags[symmetric]
+    counted = iter(tridiagonal.ldl_inertias(subs, diags))
+    return [StabilityInfo(*next(counted)) if sym
+            else _eigen_stability(problem, w)
+            for w, sym in zip(ws, symmetric.tolist())]
+
+
+def _eigen_stability(problem: ProblemDef, w: SolutionPoint) -> StabilityInfo:
+    """`detect_singulars` at w from the eigenvalues of the dense K."""
     K = problem.jacobian_u(w)
     try:
         if np.allclose(K, K.T, rtol=1e-10, atol=1e-12):

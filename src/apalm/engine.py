@@ -245,13 +245,16 @@ def serial_stream(problem: ProblemDef, config: AlmConfig,
     the branch closes.
 
     Starts from the trivial point (u = 0, lambda = 0). With bifurcation
-    detection enabled, a stability sign change between consecutive points
-    triggers bisection; located bifurcation points spawn new branches via an
-    eigenvector perturbation, each serially solved in turn with the run's
-    delta_L and steps. A failed step raises on the primary branch; a spawned
-    branch keeps the points it has, with a warning, and one left with fewer
-    than 2 points is dropped, so branch ids stay consecutive: a branch's id
-    is the number of branches closed before its first accepted step.
+    detection enabled, once a branch's steps end (at its last step or a
+    failed one), the stability of every point its steps reached is counted
+    in one pass (alm.detect_singulars), and each sign change between
+    consecutive points, in step order, triggers bisection; located
+    bifurcation points spawn new branches via an eigenvector perturbation,
+    each serially solved in turn with the run's delta_L and steps. A failed
+    step raises on the primary branch; a spawned branch keeps the points it
+    has, with a warning, and one left with fewer than 2 points is dropped,
+    so branch ids stay consecutive: a branch's id is the number of branches
+    closed before its first accepted step.
     """
     w0 = SolutionPoint(np.zeros(problem.n_dof), 0.0)
     # (start, branch-switch seed) per branch
@@ -266,7 +269,6 @@ def serial_stream(problem: ProblemDef, config: AlmConfig,
         ws = [start]
         ss = [0.0]
         dw = seed
-        stab_prev: alm.StabilityInfo | None = None
         for _ in range(engine.steps):
             try:
                 res = alm.step(problem, config, ws[-1], dw, engine.delta_L)
@@ -285,16 +287,17 @@ def serial_stream(problem: ProblemDef, config: AlmConfig,
             yield SerialStep(closed, len(ws) - 1, ws[-2],
                              ws[-3] if len(ws) > 2 else w_prev0, w_new,
                              ss[-1] - ss[-2])
-            if engine.bifurcation_enabled:
-                stab = alm.detect_singular(problem, w_new)
-                if (stab_prev is not None
-                        and stab_prev.det_sign * stab.det_sign < 0
-                        and closed + len(pending) + 1 < MAX_BRANCHES):
-                    _maybe_spawn_branch(problem, config, ws[-2], w_new,
-                                        pending)
-                stab_prev = stab
         if len(ws) < 2:
             continue
+        if engine.bifurcation_enabled and len(ws) > 2:
+            # the points the steps reached, counted in one pass; each sign
+            # change between consecutive ones, in step order
+            signs = [info.det_sign
+                     for info in alm.detect_singulars(problem, ws[1:])]
+            for k, (a, b) in enumerate(zip(signs, signs[1:]), start=2):
+                if a * b < 0 and closed + len(pending) + 1 < MAX_BRANCHES:
+                    _maybe_spawn_branch(problem, config, ws[k - 1], ws[k],
+                                        pending)
         yield CurveMap.from_serial(closed, ws, ss, w_prev0=w_prev0)
         closed += 1
 

@@ -170,6 +170,8 @@ class ProblemDef:
         """`tridiagonal` at each point: (sub, diag, sup) with the
         diagonals of K at point k in their rows; for a tridiagonal K."""
         n = self.n_dof
+        if u.shape[-1] != n:
+            raise DimensionError(f"expected {n} unknowns, got {u.shape[-1]}")
         parts = zip(*[self.tridiagonal_fn(*w) for w in zip(u, lam)])
         return tuple(_stacked(part, m)
                      for part, m in zip(parts, (n - 1, n, n - 1)))

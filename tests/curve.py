@@ -50,6 +50,23 @@ DISTANCES = ("miss_max", "miss_p99", "off_max")
 # a distance is worse where it grew by more than this share of itself plus
 # this length
 SAME_REL, SAME_ABS = 1e-3, 1e-9
+# _feet's segments per bounding box, and the most points of one run
+BOX, RUN = 32, 64
+
+
+def _pairs(points: np.ndarray, a: np.ndarray, d: np.ndarray,
+           dd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r, t) of each row of points against each segment a[s] -> a[s] +
+    d[s] with dd[s] = d[s].d[s]: the squared distance to the segment and
+    the parameter in [0, 1] of the foot, as (points, segments) arrays. A
+    pair's numbers do not depend on which other rows and segments are
+    given."""
+    p = points[:, None, :] - a  # (points, segments, dim)
+    t = np.einsum("csj,sj->cs", p, d)
+    t = np.divide(t, dd, out=np.zeros_like(t), where=dd > 0)
+    np.clip(t, 0.0, 1.0, out=t)
+    p -= t[..., None] * d
+    return np.einsum("csj,csj->cs", p, p), t
 
 
 def _feet(points: np.ndarray, path: np.ndarray, first: int = 0,
@@ -57,29 +74,60 @@ def _feet(points: np.ndarray, path: np.ndarray, first: int = 0,
     """For each row of points, its distance to the polyline through the
     rows path[first:], the index k of the nearest segment
     path[k] -> path[k + 1] and the parameter t in [0, 1] of the foot on
-    it. A path of one row is a point (k = first, t = 0)."""
+    it; of several nearest segments, the first. A path of one row is a
+    point (k = first, t = 0).
+
+    The result is that of scanning every segment, but only the segments
+    that can be nearest are scanned. The points go in runs of consecutive
+    rows, each run spanning about BOX segments where points and path follow
+    one arc. The squared distances from a run's points to the path's
+    vertices near where the run before it ended bound, from above, those to
+    their nearest segments. The path's segments go in boxes of BOX
+    consecutive ones, and a box whose bounding box lies farther than that
+    bound from the run's bounding box holds no nearest segment: the run
+    scans the segments of every other box, in index order. The bound is
+    widened by 1e-10 of the largest squared norm of a row, far more than
+    the rounding of any of these distances. chunk_values caps the values
+    of one scan's (points, segments, dim) array."""
     path = path[first:]
     if len(path) == 1:
         path = np.vstack([path, path])
     a, d = path[:-1], np.diff(path, axis=0)
     dd = np.einsum("ij,ij->i", d, d)
+    n_seg, dim = a.shape
+    starts = np.arange(0, n_seg, BOX)
+    box_lo = np.minimum.reduceat(np.minimum(path[:-1], path[1:]), starts)
+    box_hi = np.maximum.reduceat(np.maximum(path[:-1], path[1:]), starts)
+    scale = max(float(np.max(np.einsum("ij,ij->i", rows, rows)))
+                for rows in (path, points) if len(rows))
+    run = max(1, min(RUN, BOX * len(points) // n_seg))
+    ahead = -(-run * n_seg // max(1, len(points)))  # segments a run spans
     dist = np.empty(len(points))
     seg = np.empty(len(points), dtype=int)
     feet = np.empty(len(points))
-    step = max(1, chunk_values // a.size)  # rows of points per chunk
-    for i in range(0, len(points), step):
-        p = points[i:i + step, None, :] - a  # (chunk, segments, dim)
-        t = np.einsum("csj,sj->cs", p, d)
-        t = np.divide(t, dd, out=np.zeros_like(t), where=dd > 0)
-        np.clip(t, 0.0, 1.0, out=t)
-        p -= t[..., None] * d
-        r = np.einsum("csj,csj->cs", p, p)
-        k = r.argmin(axis=1)
-        rows = np.arange(len(k))
-        dist[i:i + step] = np.sqrt(r[rows, k])
-        seg[i:i + step] = k + first
-        feet[i:i + step] = t[rows, k]
-    return dist, seg, feet
+    k = 0  # the nearest segment of the last point of the run before
+    for i in range(0, len(points), run):
+        x = points[i:i + run]
+        v = path[max(0, k - BOX):k + ahead + BOX + 1]
+        diff = x[:, None, :] - v
+        bound = float(np.einsum("cvj,cvj->cv", diff, diff).min(axis=1).max())
+        gap = np.maximum(box_lo - x.max(axis=0), x.min(axis=0) - box_hi)
+        np.maximum(gap, 0.0, out=gap)
+        near = np.einsum("bj,bj->b", gap, gap) <= bound + 1e-10 * (scale
+                                                                  + bound)
+        segs = (starts[near, None] + np.arange(BOX)).ravel()
+        segs = segs[segs < n_seg]
+        step = max(1, chunk_values // (len(segs) * dim))
+        for j in range(0, len(x), step):
+            r, t = _pairs(x[j:j + step], a[segs], d[segs], dd[segs])
+            best = r.argmin(axis=1)
+            rows = np.arange(len(best))
+            out = slice(i + j, i + j + len(best))
+            dist[out] = np.sqrt(r[rows, best])
+            seg[out] = segs[best]
+            feet[out] = t[rows, best]
+        k = int(seg[i + len(x) - 1])
+    return dist, seg + first, feet
 
 
 def polyline_distance(points, path) -> np.ndarray:

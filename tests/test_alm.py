@@ -12,7 +12,8 @@ from apalm import alm, tridiagonal
 from apalm.alm import (AlmConfig, BranchSwitchError, branch_switch,
                        detect_singular, distance, locate_bifurcation,
                        point_distance, predictor, select_root, step)
-from apalm.problems import ProblemDef, SolutionPoint, make_builtin
+from apalm.problems import (DimensionError, ProblemDef, SolutionPoint,
+                            make_builtin)
 
 
 def pt(u, lam):
@@ -342,6 +343,13 @@ class TestDetectSingular:
         info = detect_singular(fixed_K(K), pt(np.zeros(3), 0.0))
         assert info.det_sign == 1
         assert info.n_nonpositive == 2
+
+    def test_point_of_another_size_refused(self):
+        # the points' diagonals come stacked, and the stack checks their
+        # size as ProblemDef.tridiagonal checks one point's
+        p = make_builtin("springchain", n=8)
+        with pytest.raises(DimensionError, match="expected 8 unknowns, got 5"):
+            detect_singular(p, pt(np.zeros(5), 0.0))
 
     def test_nonsymmetric_tridiagonal_complex_pair(self):
         # the same K given by its diagonals: not symmetric, so no LDL^T

@@ -104,3 +104,31 @@ def test_chain_serial_builds_buffers_once_per_step(monkeypatch):
     aalm(make_builtin(cfg.problem_name, **cfg.problem_params), cfg.alm,
          cfg.engine)
     assert (counts["new"], counts["refill"]) == (270, 392)
+
+
+def test_chain_serial_counts_stability_in_one_stacked_pass(monkeypatch):
+    """chain-serial seed 1 counts the stability of its one branch's 128
+    serial points in one alm.detect_singulars call, which hands all of
+    them to tridiagonal.ldl_inertias at once, and calls the one-point
+    alm.detect_singular not at all, as it locates no bifurcation."""
+    cfg = parse_config(json.dumps(seeded_config("chain-serial", 1)))
+    passes, stacks, single = [], [], []
+    detect_singulars, ldl_inertias = (alm.detect_singulars,
+                                      tridiagonal.ldl_inertias)
+
+    def logged_pass(problem, ws):
+        passes.append(len(ws))
+        return detect_singulars(problem, ws)
+
+    def logged_stack(off, diag):
+        stacks.append(diag.shape)
+        return ldl_inertias(off, diag)
+
+    monkeypatch.setattr(alm, "detect_singulars", logged_pass)
+    monkeypatch.setattr(tridiagonal, "ldl_inertias", logged_stack)
+    monkeypatch.setattr(alm, "detect_singular",
+                        lambda *args: single.append(args))
+    state = aalm(make_builtin(cfg.problem_name, **cfg.problem_params),
+                 cfg.alm, cfg.engine)
+    assert sorted(state.maps) == [0]
+    assert (passes, stacks, single) == ([128], [(128, 256)], [])

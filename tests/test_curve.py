@@ -45,6 +45,64 @@ def test_polyline_distance_past_the_ends_is_to_the_end_points():
         pytest.approx([5.0])
 
 
+def brute_feet(points, path, first=0):
+    """_feet as every segment is scanned: the whole (points, segments)
+    table and its first minimum in each row."""
+    path = path[first:]
+    if len(path) == 1:
+        path = np.vstack([path, path])
+    d = np.diff(path, axis=0)
+    r, t = curve._pairs(points, path[:-1], d, np.einsum("ij,ij->i", d, d))
+    k = r.argmin(axis=1)
+    rows = np.arange(len(k))
+    return np.sqrt(r[rows, k]), k + first, t[rows, k]
+
+
+def assert_feet_as_brute(points, path, first=0, **kw):
+    for got, want in zip(curve._feet(points, path, first, **kw),
+                         brute_feet(points, path, first)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_feet_match_the_full_scan_on_random_polylines(seed):
+    """Random walks and points scattered along them, in 1 to 40
+    dimensions, with paths of up to 300 rows: 10 times the box, so that
+    most boxes are skipped; also sought from a later row, and with
+    scattered points that lie near no stretch of the path."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.choice([1, 2, 3, 40]))
+    path = np.cumsum(rng.normal(size=(int(rng.integers(1, 300)), dim)),
+                     axis=0)
+    near = np.repeat(path, 3, axis=0) + 1e-2 * rng.normal(
+        size=(3 * len(path), dim))
+    for points in (near, near[::-7], rng.normal(size=(50, dim)) * 5):
+        assert_feet_as_brute(points, path)
+        assert_feet_as_brute(points, path, int(rng.integers(len(path))))
+    assert_feet_as_brute(near, path, chunk_values=1)
+
+
+def test_feet_match_the_full_scan_where_the_path_folds_back():
+    """A path that runs out along a line and back along it, 1e-9 apart,
+    and one that then runs out again: a point's nearest segment may lie on
+    any leg, far along the path from the last one's, and the first of
+    exact ties is taken, as the full scan takes it."""
+    rng = np.random.default_rng(1)
+    out = np.linspace(0.0, 1.0, 200)
+    for legs in ([out, out[::-1]], [out, out[::-1], out]):
+        s = np.concatenate(legs)
+        path = np.column_stack([s, 1e-9 * (np.arange(len(s)) % 3)])
+        points = np.column_stack([rng.uniform(-0.1, 1.1, 500),
+                                  rng.normal(size=500) * 1e-9])
+        assert_feet_as_brute(points, path)
+        assert_feet_as_brute(path, path)
+        assert_feet_as_brute(points[::-1], path, 150)
+    # a square walked twice: each corner is nearest to two segments twice
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]] * 2
+                      + [[0.0, 0.0]])
+    assert_feet_as_brute(np.vstack([square, [[0.5, 0.5]]]), square)
+
+
 def test_chunks_change_no_distance():
     rng = np.random.default_rng(0)
     points, path = rng.normal(size=(50, 5)), rng.normal(size=(20, 5))

@@ -118,6 +118,38 @@ class TestSerialSolve:
         assert len(branches) == 1
         assert "branch 1 at s=0: forced; branch dropped" in caplog.text
 
+    def test_bifurcation_located_once_after_the_branch_steps(self,
+                                                            monkeypatch):
+        """acc-pitchfork's one bifurcation, bracketed by branch 0's steps 3
+        and 4, is located after that branch's last step and before its
+        map, and branch 1 starts from it: w* has the bits it had when each
+        step was checked as it was taken."""
+        from bits import configs
+        events = []
+        locate = alm.locate_bifurcation
+
+        def logged(problem, config, w_a, w_b):
+            w_star = locate(problem, config, w_a, w_b)
+            events.append(("locate", w_a.lam, w_b.lam, w_star))
+            return w_star
+
+        monkeypatch.setattr(alm, "locate_bifurcation", logged)
+        for item in engine.serial_stream(*configs()["acc-pitchfork"]):
+            events.append(("map", item.branch) if isinstance(item, CurveMap)
+                          else ("step", item.branch, item.index))
+        kinds = [e if e[0] != "locate" else "locate" for e in events]
+        assert kinds == [*(("step", 0, i) for i in range(1, 7)), "locate",
+                         ("map", 0), *(("step", 1, i) for i in range(1, 7)),
+                         ("map", 1)]
+        _, lam_a, lam_b, w_star = events[6]
+        assert (lam_a, lam_b) == (0.8999999999999999, 1.2)
+        assert (w_star.u.tobytes(), w_star.lam.hex()) == (
+            bytes(8), "0x1.fffcccccccccbp-1")
+        state = aalm(*configs()["acc-pitchfork"])
+        start = state.maps[1].lookup(0.0).w
+        assert (start.u.tobytes(), start.lam.hex()) == (
+            bytes(8), "0x1.fffcccccccccbp-1")
+
     def test_cubic1d_limit_point_spawns_nothing(self):
         p = make_builtin("cubic1d")
         cfg = crisfield(1.0)

@@ -7,10 +7,14 @@ import ctypes
 import os
 import subprocess
 import sys
+import warnings
+from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apalm import alm, tridiagonal
 from apalm.alm import AlmConfig, null_vector
@@ -289,7 +293,8 @@ def inertia_cases():
             cases.append(make(p))
     for bad in (np.nan, np.inf, -np.inf):
         cases += [([1.0, bad], [2.0, 3.0, 4.0]), ([0.5, 1.0], [bad, 1.0, 2.0]),
-                  ([0.5, 1.0], [2.0, 1.0, bad]), ([], [bad])]
+                  ([0.5, 1.0], [2.0, 1.0, bad]), ([], [bad]),
+                  ([1.0, bad], [-2.0, 3.0, 4.0])]
     return [(np.array(off, dtype=float), np.array(diag, dtype=float))
             for off, diag in cases]
 
@@ -302,6 +307,96 @@ def test_ldl_inertia_matches_the_loop_it_replaced():
     # the cases reach each outcome: singular, and both signs of det
     signs = {loop_ldl_inertia(off, diag)[0] for off, diag in cases}
     assert signs == {-1, 0, 1}
+
+
+def stacks_by_n():
+    """{n: (off, diag)}: inertia_cases() of each n as the rows of one
+    stack, repeated to at least 2 * MIN_STACK rows; for n = 1, 2 and 3
+    clean rows are mixed with the pivots at, inside and outside +-tol, the
+    zero pivots and the NaN and +-inf entries."""
+    by_n = defaultdict(list)
+    for off, diag in inertia_cases():
+        by_n[diag.size].append((off, diag))
+    stacks = {}
+    for n, cases in by_n.items():
+        cases = cases * -(-2 * tridiagonal.MIN_STACK // len(cases))
+        stacks[n] = tuple(np.array(part).reshape(len(cases), -1)
+                          for part in zip(*cases))
+    return stacks
+
+
+def assert_rows_match_the_loop(off, diag):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = tridiagonal.ldl_inertias(off, diag)
+    assert got == [loop_ldl_inertia(o, d) for o, d in zip(off, diag)]
+
+
+def test_stacked_inertia_matches_the_loop_row_by_row(monkeypatch):
+    """Stacks of every n of inertia_cases(), of 1 and 2 rows, below, at
+    and above MIN_STACK rows and whole, count each row as the loop does,
+    with no RuntimeWarning; so do all of them through the column pass,
+    with MIN_STACK = 1."""
+    stacks = stacks_by_n()
+    assert sorted(stacks) == [1, 2, 3, 256]
+    for min_stack in (tridiagonal.MIN_STACK, 1):
+        monkeypatch.setattr(tridiagonal, "MIN_STACK", min_stack)
+        for off, diag in stacks.values():
+            for rows in {1, 2, min_stack - 1, min_stack, min_stack + 1,
+                         len(diag)} - {0}:
+                assert_rows_match_the_loop(off[:rows], diag[:rows])
+
+
+def test_column_pass_recounts_only_rows_with_a_pivot_within_tol(
+        monkeypatch):
+    """The column pass hands ldl_inertia the rows that read singular, where
+    a pivot within tol was replaced by -tol, and counts the others
+    itself."""
+    recounted = []
+    ldl_inertia = tridiagonal.ldl_inertia
+
+    def logged(off, diag):
+        recounted.append((off.tobytes(), diag.tobytes()))
+        return ldl_inertia(off, diag)
+
+    monkeypatch.setattr(tridiagonal, "ldl_inertia", logged)
+    total = 0
+    for off, diag in stacks_by_n().values():
+        assert len(diag) >= tridiagonal.MIN_STACK
+        recounted.clear()
+        counts = tridiagonal.ldl_inertias(off, diag)
+        singular = [(o.tobytes(), d.tobytes())
+                    for o, d, (sign, _) in zip(off, diag, counts)
+                    if sign == 0]
+        assert recounted == singular, diag.shape
+        total += len(singular)
+    assert total > 0
+
+
+entries = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, -0.0, 1e-14, -1e-14, 2e-14, -2e-14, 5e-15,
+                     np.nextafter(1e-14, 1.0), np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def stacks(draw):
+    """(off, diag) of 1 to 40 rows of n = 1 to 6, entries near the pivot
+    tolerance, exactly zero, NaN and +-inf among ordinary values."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 40))
+    values = draw(st.lists(entries, min_size=m * (2 * n - 1),
+                           max_size=m * (2 * n - 1)))
+    flat = np.array(values)
+    return flat[:m * (n - 1)].reshape(m, n - 1), flat[m * (n - 1):] \
+        .reshape(m, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stacks())
+def test_stacked_inertia_property(stack):
+    off, diag = stack
+    assert_rows_match_the_loop(off, diag)
 
 
 @LAPACK
