@@ -104,12 +104,14 @@ def point_distance(w_a: SolutionPoint, w_b: SolutionPoint, psi: float,
 
 
 def predictor(problem: ProblemDef, config: AlmConfig, w: SolutionPoint,
-              delta_w_prev: np.ndarray | None, delta_L: float) -> np.ndarray:
+              delta_w_prev: np.ndarray | None, delta_L: float,
+              work: _Work | None = None) -> np.ndarray:
     """Initial increment (Delta u, Delta lambda) of metric length delta_L.
 
     Warm start rescales the previous increment; cold start scales the
     tangent t = (K^{-1} P, 1), the solution of the bordered system
-    [[K, dG/dlam], [0, 1]] t = e_{n+1}, which gives Delta lambda > 0.
+    [[K, dG/dlam], [0, 1]] t = e_{n+1}, which gives Delta lambda > 0,
+    solved in work's buffers, or in new ones where none is given.
     """
     if delta_L <= 0:
         raise ValueError("delta_L must be positive")
@@ -121,7 +123,7 @@ def predictor(problem: ProblemDef, config: AlmConfig, w: SolutionPoint,
     n = problem.n_dof
     try:
         tangent = _bordered_solve(problem, w, None, 1.0, np.zeros(n), 1.0,
-                                  _Work(n, 1))
+                                  _Work(n) if work is None else work, False)
     except np.linalg.LinAlgError as exc:
         raise PredictorError(f"singular tangent stiffness at cold start: {exc}")
     length = distance(tangent, psi, ptp)
@@ -157,26 +159,31 @@ class _NoConvergence(RuntimeError):
 
 
 class _Work:
-    """The arrays that the bordered solves of one step refill on each
-    Newton iteration: x, the solution, of shape (n + 1,) for one column and
-    (n + 1, 2) for two, and for a tridiagonal K the factor `lu` that
-    tridiagonal.factor refills, with its right-hand sides. A step builds
-    its own and shares it with no other, so steps may run at the same time
-    on one problem."""
+    """The arrays that the bordered solves of a loop of steps refill on
+    each Newton iteration and each step: the solution, x1 of shape (n + 1,)
+    for one column and x2 of shape (n + 1, 2) for two, and for a tridiagonal
+    K the factor `lu` that tridiagonal.factor builds on the loop's first
+    iteration and refills on every later one, with its right-hand sides.
+    No step returns a view of them. A loop builds one and passes it to each
+    of its steps in turn: a branch of `engine.serial_stream`, a call of
+    `engine.solve_intervals` for the steps its jobs take alone, and a
+    `locate_bifurcation`; it is a local of that loop and no other thread
+    sees it, so steps may run at the same time on one problem."""
 
-    __slots__ = ("x", "lu")
+    __slots__ = ("x1", "x2", "lu")
 
-    def __init__(self, n: int, columns: int):
-        self.x = np.empty((n + 1, 2) if columns == 2 else n + 1)
+    def __init__(self, n: int):
+        self.x1 = np.empty(n + 1)
+        self.x2 = np.empty((n + 1, 2))
         self.lu = None
 
 
 def _bordered_solve(problem: ProblemDef, w: SolutionPoint, b, beta: float,
-                    row: np.ndarray, corner: float, work: _Work
+                    row: np.ndarray, corner: float, work: _Work, two: bool
                     ) -> np.ndarray:
     """The solution of the bordered system [[K, dG/dlam], [row, corner]]
     x = [b; beta], with K and dG/dlam at w and b None for zero, and, where
-    work.x has two columns, of the same system for [0; 1] in the second.
+    two is true, of the same system for [0; 1] in a second column.
     Raises np.linalg.LinAlgError where the system is singular.
 
     A dense K goes through np.linalg.solve, on the columns packed into one
@@ -191,12 +198,12 @@ def _bordered_solve(problem: ProblemDef, w: SolutionPoint, b, beta: float,
     so that column needs neither its K-solve nor the refinement. A Newton
     iteration makes one factor and two K-solves: dG/dlam with b, then the
     refinement residual. The solves run in place in the factor's own rows
-    lu.b, and the solution is written into work.x, so the columns of a
-    two-column x keep the stride of 2 that their dot products were always
-    taken with: OpenBLAS's ddot sums a strided and a contiguous operand in
-    different orders.
+    lu.b, and the solution is written into work.x1 or work.x2, so the
+    columns of a two-column x keep the stride of 2 that their dot products
+    were always taken with: OpenBLAS's ddot sums a strided and a
+    contiguous operand in different orders.
     """
-    x = work.x
+    x = work.x2 if two else work.x1
     tri = problem.tridiagonal(w)
     if tri is None:
         K = problem.jacobian_u(w)
@@ -273,15 +280,14 @@ def _sphere_roots(xx: float, ax: float, aa: float, a_lam: float,
 
 
 def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
-               delta_w_prev: np.ndarray | None, delta_L: float
+               delta_w_prev: np.ndarray | None, delta_L: float, work: _Work
                ) -> tuple[SolutionPoint, int]:
     psi, ptp = config.psi, problem.load_norm_sq
     c = psi**2 * ptp
     n = problem.n_dof
     riks = config.constraint == RIKS
-    work = _Work(n, 1 if riks else 2)
 
-    dw = predictor(problem, config, w_i, delta_w_prev, delta_L)
+    dw = predictor(problem, config, w_i, delta_w_prev, delta_L, work)
     dw0 = dw  # first-iteration increment (Riks plane)
 
     for it in range(MAX_NEWTON_ITERS + 1):
@@ -309,7 +315,8 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
             row, corner = 2.0 * du, 2.0 * c * dw.item(n)
             beta = 0.0
         try:
-            sol = _bordered_solve(problem, w, -G, beta, row, corner, work)
+            sol = _bordered_solve(problem, w, -G, beta, row, corner, work,
+                                  not riks)
         except np.linalg.LinAlgError:
             raise _NoConvergence("singular bordered system")
         if riks:
@@ -332,21 +339,28 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
 
 
 def step(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
-         delta_w_prev: np.ndarray | None, delta_L: float
-         ) -> StepResult:
+         delta_w_prev: np.ndarray | None, delta_L: float,
+         work: _Work | None = None) -> StepResult:
     """One arc-length step of nominal length delta_L with step cutting.
 
     On non-convergence (or complex Crisfield roots) the length is halved and
     the step retried, up to MAX_STEP_CUTS times; the result reports the
     achieved (possibly shorter) length.
+
+    The bordered solves of its predictor and of every Newton iteration of
+    every try run in the buffers of work, the `_Work` of the caller's loop
+    of steps, built where none is given; the result holds none of them.
     """
     if delta_L <= 0:
         raise ValueError("delta_L must be positive")
+    if work is None:
+        work = _Work(problem.n_dof)
     last_err: Exception | None = None
     for cut in range(MAX_STEP_CUTS + 1):
         dl = delta_L / 2.0**cut
         try:
-            w_new, iters = _corrector(problem, config, w_i, delta_w_prev, dl)
+            w_new, iters = _corrector(problem, config, w_i, delta_w_prev, dl,
+                                      work)
         except (_NoConvergence, ComplexRootsError, PredictorError) as exc:
             last_err = exc
             continue
@@ -375,13 +389,17 @@ def _rows(idx, *values) -> list:
 
 
 class Batch:
-    """The buffers that a batch's members solve in, kept for all its
-    steps: the member at row k of an iteration's arrays refills
-    factors[k], built the first time a member stands at row k and
-    refilled on every later iteration and step, which solves in place in
-    rows[k]. A factor keeps nothing between iterations that its refill
-    does not write anew, so whichever member stands at row k may take
-    it."""
+    """The buffers that batches' members solve in, kept for all the
+    batches of a loop: the member at row k of an iteration's arrays
+    refills factors[k], built the first time any member stands at row k and
+    refilled on every later iteration, step and batch, which solves in
+    place in rows[k]. A factor keeps nothing between iterations that its
+    refill does not write anew, so whichever member stands at row k may
+    take it. Its size bounds the members of a batch. A loop that solves
+    waves of jobs builds one, of WAVE_VALUES // n rows, and passes it to
+    each wave: `runtime.run_manager` for the waves it solves itself and
+    `runtime.run_worker` for those it is sent; it is a local of that loop,
+    and no other thread sees it."""
 
     __slots__ = ("rows", "factors")
 
@@ -390,7 +408,7 @@ class Batch:
         self.factors: list = [None] * size
 
 
-def _bordered_solves(problem: ProblemDef, u: np.ndarray, lam: list[float],
+def _bordered_solves(problem: ProblemDef, u: np.ndarray, lam: np.ndarray,
                      b: np.ndarray, beta, row: np.ndarray, corner,
                      batch: Batch, two: bool) -> tuple[np.ndarray, list[int]]:
     """`_bordered_solve` for each member k of a batch: the system at
@@ -447,8 +465,7 @@ def _bordered_solves(problem: ProblemDef, u: np.ndarray, lam: list[float],
     # the refinement of `_bordered_solve`, its residual in y's row
     r = tridiagonal.matvec(subs, diags, sups, xc[:, :n])
     np.subtract(b, r, out=r)
-    g *= xc[:, n:]  # g is read no more
-    r -= g
+    r -= g * xc[:, n:]
     r_beta = beta - np.vecdot(row, xc[:, :n]) - corner * xc[:, n]
     rows[at, 0] = r
     for k in live:
@@ -474,9 +491,11 @@ def batch_step(problem: ProblemDef, config: AlmConfig,
     row-wise dot product over all members that have not converged, and the
     same bits as `step`'s: np.vecdot rounds each row as 1-D `a @ b` does,
     also on the stride-2 second column, and the Crisfield and Riks
-    scalars are Python floats, as in `_corrector`. Per member stay the
-    problem's callbacks and the tridiagonal factor and its solves, in the
-    buffers of `batch`, which has a row for each member.
+    scalars are Python floats, as in `_corrector`. The problem's
+    callbacks take all members at once where the problem gives their
+    stacked forms (`ProblemDef`). Per member stay the tridiagonal factor
+    and its solves, in the buffers of `batch`, which has a row for each
+    member.
     """
     psi, ptp = config.psi, problem.load_norm_sq
     c = psi**2 * ptp
@@ -502,8 +521,7 @@ def batch_step(problem: ProblemDef, config: AlmConfig,
     for it in range(MAX_NEWTON_ITERS + 1):
         u = u0 + dw[:, :n]
         lam = lam0 + dw[:, n]
-        lams = lam.tolist()
-        G = problem.residuals(u, lams)
+        G = problem.residuals(u, lam)
         # np.sqrt and math.sqrt are both the IEEE square root; a NaN
         # norm is not done
         done = np.sqrt(np.vecdot(G, G)) <= tol
@@ -522,8 +540,8 @@ def batch_step(problem: ProblemDef, config: AlmConfig,
         if it == MAX_NEWTON_ITERS or sel.size == len(ids):
             break
         if sel.size:
-            ids, u, lams, u0, lam0, dw, dw0, G = _rows(
-                np.flatnonzero(~done).tolist(), ids, u, lams, u0, lam0, dw,
+            ids, u, lam, u0, lam0, dw, dw0, G = _rows(
+                np.flatnonzero(~done).tolist(), ids, u, lam, u0, lam0, dw,
                 dw0, G)
         du = dw[:, :n]
         if riks:
@@ -535,8 +553,8 @@ def batch_step(problem: ProblemDef, config: AlmConfig,
                     ids)])
         else:
             row, corner, beta = 2.0 * du, 2.0 * c * dw[:, n], 0.0
-        x, live = _bordered_solves(problem, u, lams, np.negative(G, out=G),
-                                   beta, row, corner, batch, not riks)
+        x, live = _bordered_solves(problem, u, lam, np.negative(G), beta,
+                                   row, corner, batch, not riks)
         if not live:
             break
         if len(live) < len(ids):
@@ -638,7 +656,8 @@ def locate_bifurcation(problem: ProblemDef, config: AlmConfig,
     """Bisect on arc-length between two points with opposite stability signs.
 
     Re-steps from the stable-side endpoint with shrinking length until the
-    bracketing interval's metric length is below BIF_TOL.
+    bracketing interval's metric length is below BIF_TOL, all its steps in
+    one `_Work`.
     """
     psi, ptp = config.psi, problem.load_norm_sq
     sign_a = detect_singular(problem, w_a).det_sign
@@ -651,10 +670,11 @@ def locate_bifurcation(problem: ProblemDef, config: AlmConfig,
     lo, hi = 0.0, total
     w_lo = w_a
     w_mid = w_b
+    work = _Work(problem.n_dof)
     while hi - lo > BIF_TOL:
         target = (lo + hi) / 2.0 - lo
         try:
-            res = step(problem, config, w_lo, direction, target)
+            res = step(problem, config, w_lo, direction, target, work)
         except StepError as exc:
             raise BifurcationNotFoundError(f"bisection step failed: {exc}")
         w_mid = res.w_new

@@ -147,31 +147,38 @@ def solve_interval(problem: ProblemDef, config: AlmConfig, job: Job
     return solve_intervals(problem, config, [job])[0]
 
 
-def solve_intervals(problem: ProblemDef, config: AlmConfig, jobs: list[Job]
-                    ) -> list[IntervalResult]:
+def solve_intervals(problem: ProblemDef, config: AlmConfig, jobs: list[Job],
+                    batch: alm.Batch | None = None) -> list[IntervalResult]:
     """Re-solve each job's interval as `solve_interval` describes, the
     jobs one fine step at a time, in lockstep while at least MIN_BATCH
     jobs step on: each round is one alm.batch_step over them. A job whose
     step the batch does not take (a cold predictor) or that fails in it
     takes that step alone, through alm.step and its step cuts, and so do
     the steps of the fewer than MIN_BATCH jobs left, job by job; so each
-    job's result has the bits of solving it alone. The wave builds one
-    tridiagonal factor per row of its batch and refills it on all later
-    iterations and steps (`alm.Batch`)."""
+    job's result has the bits of solving it alone.
+
+    The batches solve in the buffers of batch, the `alm.Batch` of the
+    caller's loop of waves, whose factors earlier waves built; a wave
+    given none, or one with fewer rows than its jobs, builds its own. The
+    steps taken alone share one `alm._Work` per call. So a factor is built
+    once per batch row and once per call with a step taken alone, and
+    refilled on every other iteration."""
     intervals = [_Interval(job) for job in jobs]
     live = [s for s in intervals if s.stepping()]
+    work = alm._Work(problem.n_dof)
     if len(live) >= MIN_BATCH:
-        batch = alm.Batch(len(live), problem.n_dof)
+        if batch is None or len(batch.factors) < len(live):
+            batch = alm.Batch(len(live), problem.n_dof)
         while len(live) >= MIN_BATCH:
             for s, res in zip(live, alm.batch_step(
                     problem, config, [s.w for s in live],
                     [s.aim() for s in live], [s.length() for s in live],
                     batch)):
-                s.take(problem, config, res)
+                s.take(problem, config, res, work)
             live = [s for s in live if s.stepping()]
     for s in live:
         while s.stepping():
-            s.take(problem, config, None)
+            s.take(problem, config, None, work)
     return [IntervalResult(job.id, [], error=s.error) if s.error
             else IntervalResult(job.id, s.sols)
             for job, s in zip(jobs, intervals)]
@@ -209,13 +216,13 @@ class _Interval:
         return self.dw
 
     def take(self, problem: ProblemDef, config: AlmConfig,
-             res: alm.StepResult | None) -> None:
+             res: alm.StepResult | None, work: alm._Work) -> None:
         """The next step: res, or, where the batch gave none, one taken
-        alone."""
+        alone in the buffers of work."""
         if res is None:
             try:
                 res = alm.step(problem, config, self.w, self.aim(),
-                               self.length())
+                               self.length(), work)
             except alm.StepError as exc:
                 self.error = str(exc)
                 return
@@ -244,7 +251,8 @@ def serial_stream(problem: ProblemDef, config: AlmConfig,
     SerialStep after each accepted step, and the branch's level-0 map when
     the branch closes.
 
-    Starts from the trivial point (u = 0, lambda = 0). With bifurcation
+    Starts from the trivial point (u = 0, lambda = 0). A branch's steps
+    solve in one `alm._Work`, built for the branch. With bifurcation
     detection enabled, once a branch's steps end (at its last step or a
     failed one), the stability of every point its steps reached is counted
     in one pass (alm.detect_singulars), and each sign change between
@@ -269,9 +277,11 @@ def serial_stream(problem: ProblemDef, config: AlmConfig,
         ws = [start]
         ss = [0.0]
         dw = seed
+        work = alm._Work(problem.n_dof)
         for _ in range(engine.steps):
             try:
-                res = alm.step(problem, config, ws[-1], dw, engine.delta_L)
+                res = alm.step(problem, config, ws[-1], dw, engine.delta_L,
+                               work)
             except alm.StepError as exc:
                 message = (f"serial solve failed on branch {closed} "
                            f"at s={ss[-1]:.6g}: {exc}")
@@ -486,16 +496,11 @@ class QueueEngine:
             # Retain the coarse data; warn, do not requeue.
             self._record(job, FAILED, message=result.error)
             return
-        psi, ptp = self.config.psi, self.problem.load_norm_sq
         sols = result.solutions
-        # step k's length as alm.step measured it, on the same bits
-        dists = [alm.point_distance(w, w_from, psi, ptp)
-                 for w, w_from in zip(sols, [job.w_start, *sols])]
         # job.w_end is the map's point at xi_hi: an entry's w never changes
-        w_last = sols[-1]
-        closing = alm.point_distance(job.w_end, w_last, psi, ptp)
-        measured = (sum(dists),
-                    alm.point_distance(w_last, job.w_start, psi, ptp), closing)
+        dists, lower, closing = _measure(job, sols, self.config.psi,
+                                         self.problem.load_norm_sq)
+        measured = (sum(dists), lower, closing)
         errors = compute_errors(job.delta_L0, measured)
         refine_lower = errors.lower > self.engine.tol_lower
         refine_upper = errors.upper > self.engine.tol_upper
@@ -546,6 +551,25 @@ class QueueEngine:
         for branch in sorted(self.maps):
             rows.extend(self.maps[branch].collect())
         return rows
+
+
+def _measure(job: Job, sols: list[SolutionPoint], psi: float,
+             load_norm_sq: float) -> tuple[list[float], float, float]:
+    """The lengths of a solved job's fine steps, from job.w_start through
+    each point of sols, and its lower and closing distances, from w_start
+    to sols[-1] and from sols[-1] to job.w_end: one alm._lengths pass over
+    the stacked increments, each row written as alm.increment_between
+    writes it, so each length has the bits of alm.point_distance and so of
+    the length alm.step measured."""
+    ends = [*sols, job.w_end, sols[-1]]
+    starts = [job.w_start, *sols, job.w_start]
+    n = job.w_start.n_dof
+    dw = np.empty((len(ends), n + 1))
+    for du, w_to, w_from in zip(dw[:, :n], ends, starts):
+        np.subtract(w_to.u, w_from.u, out=du)
+    dw[:, n] = [w_to.lam - w_from.lam for w_to, w_from in zip(ends, starts)]
+    *dists, closing, lower = alm._lengths(dw, psi, load_norm_sq)
+    return dists, lower, closing
 
 
 def aalm(problem: ProblemDef, config: AlmConfig, engine: EngineConfig

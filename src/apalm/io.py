@@ -35,17 +35,21 @@ def write_csv(solutions: list[Row], path: str,
     else:
         u_cols = ["u_norm", f"u{observable_index}"]
     rows = sorted(solutions, key=lambda r: (r[0], r[1]))
+    if full:
+        u_rows = [w.u.tolist() for *_, w in rows]
+    else:
+        # ||u|| of every row in one stacked pass: np.vecdot takes each
+        # row's u.u as np.linalg.norm's 1-D dot does, with the same bits
+        U = np.array([w.u for *_, w in rows])
+        u_rows = zip(np.sqrt(np.vecdot(U, U)).tolist(),
+                     U[:, observable_index].tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["branch", "xi", "s", "level", "lambda"] + u_cols)
-        for branch, xi, s, level, w in rows:
-            if full:
-                u_vals = [f"{v:.17g}" for v in w.u]
-            else:
-                u_vals = [f"{float(np.linalg.norm(w.u)):.17g}",
-                          f"{w.u[observable_index]:.17g}"]
+        for (branch, xi, s, level, w), u_vals in zip(rows, u_rows):
             writer.writerow([branch, f"{xi:.17g}", f"{s:.17g}", level,
-                             f"{w.lam:.17g}"] + u_vals)
+                             f"{w.lam:.17g}",
+                             *(f"{v:.17g}" for v in u_vals)])
 
 
 def read_csv(path: str) -> list[Row]:

@@ -97,6 +97,18 @@ class ProblemDef:
     given. The arc-length algebra solves and factors a tridiagonal K in
     O(n) (`apalm.tridiagonal`); jacobian_u assembles the dense matrix from
     the diagonals for the callers that need one.
+
+    A problem may also give stacked forms of residual_fn, tridiagonal_fn
+    and jacobian_lambda_fn, which take the points of a batch at once: u of
+    shape (m, n), one point per row, and lam of shape (m,), and return the
+    values of point k in row k of arrays of m rows. `residuals`,
+    `tridiagonals` and `jacobians_lambda` then make one call per batch
+    instead of one per point. A stacked form must give each row the bits
+    that its per-point callback gives at that point, as elementwise IEEE
+    arithmetic written over the last axis does; without one, those
+    methods call the per-point callback row by row. Callers only read the
+    arrays that a callback returns, so a stacked form may return a
+    read-only view, such as np.broadcast_to of a value every point shares.
     """
 
     n_dof: int
@@ -106,6 +118,11 @@ class ProblemDef:
     load_norm_sq: float
     name: str = "custom"
     tridiagonal_fn: Callable[[np.ndarray, float], tuple] | None = None
+    # the stacked forms, of (m, n) u and (m,) lam
+    residuals_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    tridiagonals_fn: Callable[[np.ndarray, np.ndarray], tuple] | None = None
+    jacobians_lambda_fn: Callable[[np.ndarray, np.ndarray],
+                                  np.ndarray] | None = None
 
     def __post_init__(self):
         if not self.n_dof >= 1:
@@ -156,36 +173,56 @@ class ProblemDef:
         return _vector(self.jacobian_lambda_fn(w.u, w.lam), self.n_dof)
 
     # The same callbacks at many points at once, (u[k], lam[k]) for each
-    # row u[k] of a (points, n) array u and entry lam[k] of a list: each
-    # value as the row k of one float64 array, converted as `_vector`
-    # converts it alone.
+    # row u[k] of a (points, n) array u and entry lam[k] of a (points,)
+    # array or list lam: each value as the row k of one float64 array,
+    # converted as `_vector` converts it alone. The stacked form of a
+    # callback, where the problem gives one, makes the one call; otherwise
+    # the per-point callback is called at each point, with lam[k] as a
+    # Python float.
 
-    def residuals(self, u: np.ndarray, lam: list[float]) -> np.ndarray:
+    def _points(self, u: np.ndarray, lam) -> np.ndarray:
+        """lam as a float64 array, once u is checked for n columns."""
+        if u.shape[-1] != self.n_dof:
+            raise DimensionError(
+                f"expected {self.n_dof} unknowns, got {u.shape[-1]}")
+        return np.asarray(lam, dtype=float)
+
+    def residuals(self, u: np.ndarray, lam) -> np.ndarray:
         """`residual` at each point, as the rows of a (points, n) array."""
-        return _stacked([self.residual_fn(*w) for w in zip(u, lam)],
-                        self.n_dof)
+        lam = self._points(u, lam)
+        if self.residuals_fn is not None:
+            return _stacked(self.residuals_fn(u, lam), len(u), self.n_dof)
+        return _stacked([self.residual_fn(*w)
+                         for w in zip(u, lam.tolist())], len(u), self.n_dof)
 
-    def tridiagonals(self, u: np.ndarray, lam: list[float]
+    def tridiagonals(self, u: np.ndarray, lam
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`tridiagonal` at each point: (sub, diag, sup) with the
         diagonals of K at point k in their rows; for a tridiagonal K."""
+        lam = self._points(u, lam)
         n = self.n_dof
-        if u.shape[-1] != n:
-            raise DimensionError(f"expected {n} unknowns, got {u.shape[-1]}")
-        parts = zip(*[self.tridiagonal_fn(*w) for w in zip(u, lam)])
-        return tuple(_stacked(part, m)
+        if self.tridiagonals_fn is not None:
+            parts = self.tridiagonals_fn(u, lam)
+        else:
+            parts = zip(*[self.tridiagonal_fn(*w)
+                          for w in zip(u, lam.tolist())])
+        return tuple(_stacked(part, len(u), m)
                      for part, m in zip(parts, (n - 1, n, n - 1)))
 
-    def jacobians_lambda(self, u: np.ndarray, lam: list[float]
-                         ) -> np.ndarray:
+    def jacobians_lambda(self, u: np.ndarray, lam) -> np.ndarray:
         """`jacobian_lambda` at each point, as the rows of an array."""
-        return _stacked([self.jacobian_lambda_fn(*w) for w in zip(u, lam)],
-                        self.n_dof)
+        lam = self._points(u, lam)
+        if self.jacobians_lambda_fn is not None:
+            return _stacked(self.jacobians_lambda_fn(u, lam), len(u),
+                            self.n_dof)
+        return _stacked([self.jacobian_lambda_fn(*w)
+                         for w in zip(u, lam.tolist())], len(u), self.n_dof)
 
 
-def _stacked(values, n: int) -> np.ndarray:
-    """Values of n entries each as the rows of one float64 array."""
-    return np.asarray(values, dtype=float).reshape(len(values), n)
+def _stacked(values, m: int, n: int) -> np.ndarray:
+    """Values of m points of n entries each as the rows of one float64
+    array: values itself where it is one of that shape."""
+    return np.asarray(values, dtype=float).reshape(m, n)
 
 
 def _linear1d(k: float = 1.0, P: float = 1.0) -> ProblemDef:
@@ -235,10 +272,13 @@ def _springchain(n: int = 8, c: float = 0.5) -> ProblemDef:
         raise ValueError("springchain needs n >= 1")
 
     def residual(u, lam):
-        # u * u * u - 3.0 * u + 2.0 * c * u - lam, minus c times each
-        # neighbour, in that order, in place in g and one scratch array t.
-        # u * u * u, not u**3: numpy computes u**3 through libm's pow,
-        # element by element, at about ten times the cost
+        # G at u, a point or a stack of them in the rows of a (m, n) u,
+        # with lam a float or a (m, 1) column: u * u * u - 3.0 * u +
+        # 2.0 * c * u - lam, minus c times each neighbour, in that order,
+        # in place in g and one scratch array t, elementwise over the last
+        # axis, so a row has the bits of its point alone. u * u * u, not
+        # u**3: numpy computes u**3 through libm's pow, element by
+        # element, at about ten times the cost
         g = u * u
         g *= u
         t = 3.0 * u
@@ -246,12 +286,15 @@ def _springchain(n: int = 8, c: float = 0.5) -> ProblemDef:
         np.multiply(2.0 * c, u, out=t)
         g += t
         g -= lam
-        t = t[1:]
-        np.multiply(c, u[1:], out=t)
-        g[:-1] -= t
-        np.multiply(c, u[:-1], out=t)
-        g[1:] -= t
+        t = t[..., 1:]
+        np.multiply(c, u[..., 1:], out=t)
+        g[..., :-1] -= t
+        np.multiply(c, u[..., :-1], out=t)
+        g[..., 1:] -= t
         return g
+
+    def diagonal(u):
+        return 3.0 * u**2 - 3.0 + 2.0 * c
 
     off = np.full(n - 1, -c)
     # dG/dlam, the same for every point: one shared array, read-only so no
@@ -259,8 +302,9 @@ def _springchain(n: int = 8, c: float = 0.5) -> ProblemDef:
     load = np.full(n, -1.0)
     load.flags.writeable = False
 
-    def tridiagonal(u, lam):
-        return off, 3.0 * u**2 - 3.0 + 2.0 * c, off
+    def tridiagonals(u, lam):
+        offs = np.broadcast_to(off, (len(u), n - 1))
+        return offs, diagonal(u), offs
 
     return ProblemDef(
         n_dof=n,
@@ -269,7 +313,10 @@ def _springchain(n: int = 8, c: float = 0.5) -> ProblemDef:
         jacobian_lambda_fn=lambda u, lam: load,
         load_norm_sq=float(n),
         name=f"springchain({n})",
-        tridiagonal_fn=tridiagonal,
+        tridiagonal_fn=lambda u, lam: (off, diagonal(u), off),
+        residuals_fn=lambda u, lam: residual(u, lam[:, None]),
+        tridiagonals_fn=tridiagonals,
+        jacobians_lambda_fn=lambda u, lam: np.broadcast_to(load, u.shape),
     )
 
 

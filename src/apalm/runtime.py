@@ -19,7 +19,7 @@ from itertools import islice
 
 from . import engine as eng
 from . import transport as tp
-from .alm import AlmConfig
+from .alm import AlmConfig, Batch
 from .engine import EngineConfig, IntervalResult, Job, QueueEngine
 from .problems import ProblemDef
 
@@ -67,16 +67,20 @@ def frame_jobs(n_dof: int, send_buffer: int) -> int:
 def run_worker(problem: ProblemDef, config: AlmConfig, endpoint) -> int:
     """Worker loop: receive a wave of jobs, solve it with one
     `engine.solve_intervals` call, send its replies as one wave, in the
-    order of its jobs; exit on stop.
+    order of its jobs; exit on stop. Every wave solves in the loop's one
+    `alm.Batch`, of WAVE_VALUES // n rows, the most jobs of a frame, so
+    each factor row is built once for all the frames the worker answers.
 
     Returns the number of jobs executed.
     """
+    n_dof = problem.n_dof
+    batch = Batch(max(1, WAVE_VALUES // n_dof), n_dof)
     done = 0
     while (jobs := endpoint.recv()) is not None:
         if not isinstance(jobs[0], Job):
             raise tp.ProtocolError(
                 f"expected job message, got {type(jobs[0]).__name__}")
-        endpoint.send(eng.solve_intervals(problem, config, jobs))
+        endpoint.send(eng.solve_intervals(problem, config, jobs, batch))
         done += len(jobs)
     return done
 
@@ -141,15 +145,17 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
     the serial phase, the manager solves jobs itself: with no endpoints
     this is `aalm`, and a run that loses every worker finishes its queue.
     It pops the whole queue, up to WAVE_VALUES // n_dof jobs, solves them
-    as one wave with `engine.solve_intervals` and submits the results in
-    pop order; the jobs that they queue come after the wave, as they would
-    one job at a time, so job ids, records and rows are those of solving
-    the head job alone. The serial phase is timed as serial_time, and
-    queue_time runs from its end to the end of this loop, stopping the
-    workers and validating the maps included.
+    as one wave with `engine.solve_intervals`, in the one `alm.Batch` of
+    the loop, and submits the results in pop order; the jobs that they
+    queue come after the wave, as they would one job at a time, so job
+    ids, records and rows are those of solving the head job alone. The
+    serial phase is timed as serial_time, and queue_time runs from its end
+    to the end of this loop, stopping the workers and validating the maps
+    included.
     """
     n_dof = state.problem.n_dof
     wave = max(1, WAVE_VALUES // n_dof)
+    batch = Batch(wave, n_dof)  # the buffers of the waves solved here
     cap = frame_jobs(n_dof, min((ep.send_buffer() for ep in endpoints),
                                 default=0))
     # every endpoint with the frames it holds, oldest first, each the list
@@ -235,7 +241,7 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
                 jobs = [state.pop() for _ in range(min(len(state.queue),
                                                        wave))]
                 for job, result in zip(jobs, eng.solve_intervals(
-                        state.problem, state.config, jobs)):
+                        state.problem, state.config, jobs, batch)):
                     state.submit(job, result)
                 continue
             settle(live.select())

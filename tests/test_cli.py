@@ -236,6 +236,24 @@ class TestCsv:
         with pytest.raises(ValueError):
             apio.read_csv(str(path))
 
+    def test_norm_columns_match_the_per_row_formula(self, tmp_path):
+        """Above FULL_COMPONENT_LIMIT unknowns the file's bytes are those
+        of formatting each row on its own, with np.linalg.norm for
+        u_norm: the stacked norms keep every bit."""
+        p = make_builtin("springchain", n=32)
+        rows = aalm(p, AlmConfig(), EngineConfig(delta_L=0.5, steps=12,
+                                                 tol_lower=1e-3)).collect()
+        path = tmp_path / "chain.csv"
+        apio.write_csv(rows, str(path), observable_index=5)
+        lines = ["branch,xi,s,level,lambda,u_norm,u5"]
+        for branch, xi, s, level, w in sorted(rows,
+                                              key=lambda r: (r[0], r[1])):
+            lines.append(
+                f"{branch},{xi:.17g},{s:.17g},{level},{w.lam:.17g},"
+                f"{float(np.linalg.norm(w.u)):.17g},{w.u[5]:.17g}")
+        assert len(rows) > 12
+        assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+
     def test_sorted_by_branch_then_xi(self, tmp_path):
         rows = [(1, 0.0, 0.0, 0, SolutionPoint(np.zeros(1), 0.0)),
                 (0, 0.5, 1.0, 0, SolutionPoint(np.ones(1), 1.0)),

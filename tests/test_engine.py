@@ -7,10 +7,11 @@ import pytest
 from apalm import alm, engine, tridiagonal
 from apalm.alm import AlmConfig
 from apalm.curvemap import CurveMap, CurveStructureError
-from apalm.engine import (ACCEPTED, FAILED, OUTCOMES, REFINED, REJECTED,
-                          EngineConfig, IntervalResult, Job, QueueEngine,
-                          QueueInvariantError, SerialSolveError, SerialStep,
-                          aalm, compute_errors, serial_solve, solve_interval)
+from apalm.engine import (ACCEPTED, FAILED, MIN_BATCH, OUTCOMES, REFINED,
+                          REJECTED, EngineConfig, IntervalResult, Job,
+                          QueueEngine, QueueInvariantError, SerialSolveError,
+                          SerialStep, aalm, compute_errors, serial_solve,
+                          solve_interval)
 from apalm.problems import SolutionPoint, make_builtin
 from apalm.runtime import apalm
 from bits import (NOISE_FLOOR_CONFIGS, record_bits, row_bits,
@@ -104,12 +105,12 @@ class TestSerialSolve:
                                                       caplog):
         step = alm.step
 
-        def fail_from_seed(problem, config, w, dw, delta_L):
+        def fail_from_seed(problem, config, w, dw, delta_L, work):
             # only a spawned branch's first step starts from its seed,
             # whose lambda entry is 0
             if dw is not None and dw[-1] == 0.0:
                 raise alm.StepError("forced")
-            return step(problem, config, w, dw, delta_L)
+            return step(problem, config, w, dw, delta_L, work)
 
         monkeypatch.setattr(alm, "step", fail_from_seed)
         branches = serial_solve(
@@ -298,9 +299,9 @@ class TestSolveInterval:
         w_end = SolutionPoint(np.array([0.35]), path(0.5))
         calls, step = [], alm.step
 
-        def logged(problem, config, w_i, dw, length):
+        def logged(problem, config, w_i, dw, length, work):
             calls.append((w_i, dw))
-            return step(problem, config, w_i, dw, length)
+            return step(problem, config, w_i, dw, length, work)
 
         monkeypatch.setattr(alm, "step", logged)
         res = solve_interval(p, crisfield(1.0), make_job(
@@ -729,11 +730,11 @@ def steps_by_job(monkeypatch) -> dict:
     solve, batch_step, step = (engine.solve_intervals, alm.batch_step,
                                alm.step)
 
-    def logged_solve(problem, config, jobs):
+    def logged_solve(problem, config, jobs, *batch):
         for job in jobs:
             owner[id(job.w_start)] = (job.w_start, job.id)
             steps[job.id] = []
-        return solve(problem, config, jobs)
+        return solve(problem, config, jobs, *batch)
 
     def note(w, result):
         if id(w) in owner:
@@ -928,6 +929,88 @@ def test_tridiagonal_kernels_move_no_bit(run, monkeypatch):
     assert state.stats.jobs_done == ref.stats.jobs_done > 0
     assert row_bits(state.collect()) == row_bits(ref.collect())
     assert record_bits(state) == record_bits(ref)
+
+
+def test_stacked_callbacks_move_no_bit():
+    """springchain's stacked callbacks, which a wave's batch calls once
+    per Newton iteration, and the row loop over its per-point callbacks,
+    which a problem without them takes, give the same rows and records,
+    bit for bit."""
+    from dataclasses import replace
+    p, cfg, eng = KERNEL_RUNS["chain-n64"]
+    assert p.residuals_fn is not None
+    state = aalm(p, cfg, eng)
+    rows = aalm(replace(p, residuals_fn=None, tridiagonals_fn=None,
+                        jacobians_lambda_fn=None), cfg, eng)
+    assert state.stats.jobs_done == rows.stats.jobs_done >= 4 * MIN_BATCH
+    assert row_bits(state.collect()) == row_bits(rows.collect())
+    assert record_bits(state) == record_bits(rows)
+
+
+def test_steps_taken_alone_share_one_workspace(monkeypatch):
+    """Fewer than MIN_BATCH springchain jobs take every step alone through
+    alm.step, in the one alm._Work of their solve_intervals call: one
+    factor is built for all their steps, and each later iteration
+    refills it."""
+    p, cfg, eng = KERNEL_RUNS["chain-n64"]
+    jobs = level_one_jobs(p, cfg, eng)[1:MIN_BATCH]
+    counts = {"new": 0, "refill": 0}
+    factor = tridiagonal.factor
+
+    def counted(sub, diag, sup, lu=None, b=None):
+        counts["new" if lu is None else "refill"] += 1
+        return factor(sub, diag, sup, lu, b)
+
+    monkeypatch.setattr(tridiagonal, "factor", counted)
+    results = engine.solve_intervals(p, cfg, jobs)
+    assert all(len(r.solutions) == job.N for r, job in zip(results, jobs))
+    assert counts["new"] == 1 and counts["refill"] >= len(jobs)
+
+
+def test_a_wave_calls_no_per_point_callback_outside_its_lone_steps(
+        monkeypatch):
+    """A wave of 16 springchain jobs of 256 unknowns calls the per-point
+    residual, tridiagonal and dG/dlambda only inside alm.step, for the
+    steps taken alone (here job 0's cold first step); its batches call
+    the stacked forms, once per Newton iteration."""
+    from dataclasses import replace
+
+    from bits import configs
+    p, cfg, eng = configs()["chain-serial-s1"]
+    jobs = level_one_jobs(p, cfg, eng)[:16]
+    assert jobs[0].w_prev is None
+    calls = {"alone": 0, "outside": 0, "stacked": 0}
+    depth = [0]  # alm.step calls open
+
+    def per_point(fn):
+        def counted(u, lam):
+            calls["alone" if depth[0] else "outside"] += 1
+            return fn(u, lam)
+        return counted
+
+    def stacked(u, lam):
+        calls["stacked"] += 1
+        return p.residuals_fn(u, lam)
+
+    step = alm.step
+
+    def in_step(*args):
+        depth[0] += 1
+        try:
+            return step(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(alm, "step", in_step)
+    counted = replace(p, residual_fn=per_point(p.residual_fn),
+                      tridiagonal_fn=per_point(p.tridiagonal_fn),
+                      jacobian_lambda_fn=per_point(p.jacobian_lambda_fn),
+                      residuals_fn=stacked)
+    results = engine.solve_intervals(counted, cfg, jobs)
+    assert result_bits(results) == result_bits(
+        engine.solve_intervals(p, cfg, jobs))
+    assert calls["outside"] == 0
+    assert calls["alone"] > 0 and calls["stacked"] > 0
 
 
 @pytest.mark.parametrize("run", ["cubic1d", "riks-chain"])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,6 +149,30 @@ class TestConversions:
         w = SolutionPoint(np.zeros(3), 0.0)
         assert p.residual(w) is g and p.jacobian_lambda(w) is g
 
+    @staticmethod
+    def stacked(p, make, seen=None):
+        """p with stacked forms that return make(values) for all points at
+        once, the values of p's callbacks; the residuals note each call's
+        (u, lam) in seen."""
+        n = p.n_dof
+
+        def rows(a, u):
+            return make(np.tile(a, (len(u), 1)))
+
+        def residuals(u, lam):
+            if seen is not None:
+                seen.append((u.tolist(), lam))
+            return make(np.arange(n) + (2 * lam).astype(int)[:, None])
+
+        return replace(
+            p, residuals_fn=residuals,
+            jacobians_lambda_fn=lambda u, lam: rows(
+                -np.ones(n, dtype=int), u),
+            tridiagonals_fn=lambda u, lam: (
+                rows(np.ones(n - 1, dtype=int), u),
+                rows(np.arange(n) + 2, u),
+                rows(np.ones(n - 1, dtype=int), u)))
+
     @pytest.mark.parametrize("make", [
         lambda a: a.tolist(), lambda a: a, lambda a: a.reshape(-1, 1),
         lambda a: a.astype(np.float32), lambda a: a.astype(float)],
@@ -155,7 +180,10 @@ class TestConversions:
     def test_callbacks_at_many_points_stack_the_rows(self, make):
         """residuals, tridiagonals and jacobians_lambda give, in row k, the
         bits that residual, tridiagonal and jacobian_lambda give at point
-        k; the callbacks see each point's own u row and lambda."""
+        k, through the row loop and through stacked forms alike; the
+        per-point callbacks see each point's own u row and lambda, and a
+        stacked form sees all points in one call, with lambda as a float64
+        array."""
         n, lams = 3, [0.5, -1.0]
         seen = []
         p = self.callbacks(n, make)
@@ -167,28 +195,76 @@ class TestConversions:
             load_norm_sq=p.load_norm_sq, tridiagonal_fn=p.tridiagonal_fn)
         u = np.arange(2.0 * n).reshape(2, n)
         points = [SolutionPoint(uk, lk) for uk, lk in zip(u, lams)]
-        stacks = [p.residuals(u, lams), p.jacobians_lambda(u, lams),
-                  *p.tridiagonals(u, lams)]
         singles = [[f(w) for w in points] for f in (
             p.residual, p.jacobian_lambda,
             lambda w: p.tridiagonal(w)[0], lambda w: p.tridiagonal(w)[1],
             lambda w: p.tridiagonal(w)[2])]
-        for got, want in zip(stacks, singles):
-            assert got.dtype == np.float64 and got.shape == (2, len(want[0]))
-            assert got.tobytes() == np.array(want).tobytes()
-        assert seen[:2] == [(u[0].tolist(), 0.5), (u[1].tolist(), -1.0)]
+        assert seen == [(u[0].tolist(), 0.5), (u[1].tolist(), -1.0)]
+        for q in (p, self.stacked(p, make, seen)):
+            seen.clear()
+            stacks = [q.residuals(u, lams), q.jacobians_lambda(u, lams),
+                      *q.tridiagonals(u, lams)]
+            for got, want in zip(stacks, singles):
+                assert got.dtype == np.float64
+                assert got.shape == (2, len(want[0]))
+                assert got.tobytes() == np.array(want).tobytes()
+            if q is p:
+                assert seen == [(u[0].tolist(), 0.5), (u[1].tolist(), -1.0)]
+            else:
+                [(seen_u, seen_lam)] = seen
+                assert seen_u == u.tolist() and type(seen_lam) is np.ndarray
+                assert seen_lam.dtype == np.float64
+                assert seen_lam.tolist() == lams
 
     def test_wrong_size_refused(self):
         n = 3
         p = self.callbacks(n, lambda a: np.append(a, 0.0))
+        stacked = self.stacked(self.callbacks(n, lambda a: a),
+                               lambda a: np.append(a, 0.0))
         w = SolutionPoint(np.zeros(n), 0.0)
         u = np.zeros((2, n))
         for call in (p.residual, p.jacobian_lambda, p.tridiagonal,
-                     lambda w: p.residuals(u, [0.0, 0.0]),
-                     lambda w: p.jacobians_lambda(u, [0.0, 0.0]),
-                     lambda w: p.tridiagonals(u, [0.0, 0.0])):
+                     *(f for q in (p, stacked) for f in (
+                         lambda w, q=q: q.residuals(u, [0.0, 0.0]),
+                         lambda w, q=q: q.jacobians_lambda(u, [0.0, 0.0]),
+                         lambda w, q=q: q.tridiagonals(u, [0.0, 0.0])))):
             with pytest.raises(ValueError):
                 call(w)
+
+    @pytest.mark.parametrize("m", [1, 2, 16])
+    @pytest.mark.parametrize("n", [1, 2, 256])
+    def test_springchain_stacked_rows_match_its_points(self, m, n):
+        """springchain's stacked callbacks give row k the bits of its
+        per-point callbacks at point k, NaN and infinite entries
+        included."""
+        p = make_builtin("springchain", n=n)
+        assert None not in (p.residuals_fn, p.tridiagonals_fn,
+                            p.jacobians_lambda_fn)
+        rng = np.random.default_rng(1000 * m + n)
+        u = rng.normal(size=(m, n)) * 3.0
+        lam = rng.normal(size=m)
+        specials = [np.nan, np.inf, -np.inf]
+        u.flat[rng.choice(u.size, size=min(3, u.size), replace=False)] = \
+            specials[:min(3, u.size)]
+        lam[rng.integers(m)] = specials[m % 3]
+        with np.errstate(all="ignore"):
+            stacks = [p.residuals(u, lam), p.jacobians_lambda(u, lam),
+                      *p.tridiagonals(u, lam)]
+            points = [SolutionPoint(uk, lk) for uk, lk in zip(u, lam)]
+            singles = [[f(w) for w in points] for f in (
+                p.residual, p.jacobian_lambda,
+                lambda w: p.tridiagonal(w)[0], lambda w: p.tridiagonal(w)[1],
+                lambda w: p.tridiagonal(w)[2])]
+        assert not np.isfinite(stacks[0]).all()
+        for got, want in zip(stacks, singles):
+            assert got.dtype == np.float64 and got.shape == (m, len(want[0]))
+            assert got.tobytes() == np.array(want).reshape(got.shape).tobytes()
+
+    def test_stacked_callbacks_check_the_width_of_u(self):
+        p = make_builtin("springchain", n=4)
+        for call in (p.residuals, p.jacobians_lambda, p.tridiagonals):
+            with pytest.raises(DimensionError):
+                call(np.zeros((2, 5)), [0.0, 0.0])
 
 
 def test_springchain_residual_matches_its_expression():

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from apalm import alm, engine, runtime
+from apalm import alm, engine, runtime, tridiagonal
 from apalm import transport as tp
 from apalm.alm import AlmConfig, point_distance
 from apalm.engine import (ACCEPTED, LOST, REFINED, EngineConfig,
@@ -213,6 +213,47 @@ class TestRunWorker:
         for job, reply in zip(jobs, replies):
             alone = engine.solve_interval(p, state.config, job)
             assert reply.error == alone.error == ""
+            assert [(w.u.tobytes(), w.lam.hex()) for w in reply.solutions] \
+                == [(w.u.tobytes(), w.lam.hex()) for w in alone.solutions]
+
+    def test_thread_worker_builds_each_factor_row_once(self, pair,
+                                                       monkeypatch):
+        # three frames of warm-started springchain jobs, of 4, 6 and 5
+        # jobs, to one thread worker: its one alm.Batch builds the factors
+        # of rows 0-3 on the first frame and of rows 4 and 5 on the
+        # second, and refills them on every other iteration, the third
+        # frame's included; every reply has the bits of its job alone
+        manager, worker = pair
+        p = make_builtin("springchain", n=16)
+        state = QueueEngine(p, crisfield(), EngineConfig(
+            delta_L=0.4, steps=16, subintervals=3))
+        state.initialize()
+        jobs = list(state.queue)[1:]  # job 0 starts cold
+        frames = [jobs[:4], jobs[4:10], jobs[10:]]
+        assert [len(f) for f in frames] == [4, 6, 5]
+        counts = {"new": 0, "refill": 0}
+        factor = tridiagonal.factor
+
+        def counted(sub, diag, sup, lu=None, b=None):
+            counts["new" if lu is None else "refill"] += 1
+            return factor(sub, diag, sup, lu, b)
+
+        monkeypatch.setattr(tridiagonal, "factor", counted)
+        t = threading.Thread(target=run_worker,
+                             args=(p, state.config, worker), daemon=True)
+        t.start()
+        built, replies = [], []
+        for frame in frames:
+            manager.send(frame)
+            replies.extend(manager.recv())
+            built.append(counts["new"])
+        manager.send(None)
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert built == [4, 6, 6] and counts["refill"] > 0
+        for job, reply in zip(jobs, replies):
+            alone = engine.solve_interval(p, state.config, job)
+            assert reply.job_id == job.id and reply.error == ""
             assert [(w.u.tobytes(), w.lam.hex()) for w in reply.solutions] \
                 == [(w.u.tobytes(), w.lam.hex()) for w in alone.solutions]
 
@@ -760,14 +801,14 @@ class TestApalm:
         solve_waves = engine.solve_intervals
         worker_frames, manager_jobs = [], []
 
-        def exits_on_second_frame(problem, config, jobs):
+        def exits_on_second_frame(problem, config, jobs, batch):
             if os.getpid() != manager_pid:
                 worker_frames.append([job.id for job in jobs])
                 if len(worker_frames) == 2:
                     os._exit(1)
             else:
                 manager_jobs.extend(job.id for job in jobs)
-            return solve_waves(problem, config, jobs)
+            return solve_waves(problem, config, jobs, batch)
 
         monkeypatch.setattr(engine, "solve_intervals", exits_on_second_frame)
         eng = EngineConfig(delta_L=0.4, steps=15, tol_lower=1e-4,
@@ -832,10 +873,10 @@ class TestApalm:
             return (os.getpid() == manager_pid
                     and threading.current_thread() is main)
 
-        def hangs_up(problem, config, jobs):
+        def hangs_up(problem, config, jobs, batch):
             if not in_manager():
                 raise tp.EndpointClosed("synthetic hang-up")
-            return solve(problem, config, jobs)
+            return solve(problem, config, jobs, batch)
 
         def waits_for_the_loss(*args):
             if in_manager():

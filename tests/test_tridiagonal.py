@@ -533,8 +533,8 @@ def test_near_singular_bordered_solve_matches_dense(constraint, seed):
         rhs = np.zeros((n + 1, 2))
         rhs[:n, 0] = -G
         rhs[n, 1] = 1.0
-    x = alm._bordered_solve(p, w, -G, beta, row, corner,
-                            alm._Work(n, rhs.ndim))
+    x = alm._bordered_solve(p, w, -G, beta, row, corner, alm._Work(n),
+                            rhs.ndim == 2)
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = K
     M[:n, n] = -1.0
