@@ -105,13 +105,13 @@ def point_distance(w_a: SolutionPoint, w_b: SolutionPoint, psi: float,
 
 def predictor(problem: ProblemDef, config: AlmConfig, w: SolutionPoint,
               delta_w_prev: np.ndarray | None, delta_L: float,
-              work: _Work | None = None) -> np.ndarray:
+              batch: Batch | None = None) -> np.ndarray:
     """Initial increment (Delta u, Delta lambda) of metric length delta_L.
 
     Warm start rescales the previous increment; cold start scales the
     tangent t = (K^{-1} P, 1), the solution of the bordered system
     [[K, dG/dlam], [0, 1]] t = e_{n+1}, which gives Delta lambda > 0,
-    solved in work's buffers, or in new ones where none is given.
+    solved in row 0 of batch, or of a new Batch(1, n) where none is given.
     """
     if delta_L <= 0:
         raise ValueError("delta_L must be positive")
@@ -123,7 +123,8 @@ def predictor(problem: ProblemDef, config: AlmConfig, w: SolutionPoint,
     n = problem.n_dof
     try:
         tangent = _bordered_solve(problem, w, None, 1.0, np.zeros(n), 1.0,
-                                  _Work(n) if work is None else work, False)
+                                  Batch(1, n) if batch is None else batch,
+                                  False)
     except np.linalg.LinAlgError as exc:
         raise PredictorError(f"singular tangent stiffness at cold start: {exc}")
     length = distance(tangent, psi, ptp)
@@ -158,28 +159,31 @@ class _NoConvergence(RuntimeError):
     pass
 
 
-class _Work:
-    """The arrays that the bordered solves of a loop of steps refill on
-    each Newton iteration and each step: the solution, x1 of shape (n + 1,)
-    for one column and x2 of shape (n + 1, 2) for two, and for a tridiagonal
-    K the factor `lu` that tridiagonal.factor builds on the loop's first
-    iteration and refills on every later one, with its right-hand sides.
-    No step returns a view of them. A loop builds one and passes it to each
-    of its steps in turn: a branch of `engine.serial_stream`, a call of
-    `engine.solve_intervals` for the steps its jobs take alone, and a
-    `locate_bifurcation`; it is a local of that loop and no other thread
-    sees it, so steps may run at the same time on one problem."""
+class Batch:
+    """The buffers that a loop of steps solves in: for each row k, a
+    factor of K, factors[k], built the first time a solve stands at row k
+    and refilled by every later one, which solves in place in rows[k]. The
+    member at row k of a batch's arrays (`batch_step`) stands at row k, and
+    a step taken alone (`step`) at row 0. A factor keeps nothing between
+    iterations that its refill does not write anew, so whichever member or
+    lone step stands at row k may take it. Its size bounds the members of a
+    batch. Each loop of steps builds one and passes it to each of its steps
+    and batches: a serial branch (`engine.serial_stream`) and a bisection
+    (`locate_bifurcation`) one of 1 row, and a loop of waves one of
+    WAVE_VALUES // n rows, which each `engine.solve_intervals` call takes:
+    `runtime.run_manager` for the waves it solves itself and
+    `runtime.run_worker` for those it is sent. It is a local of its loop,
+    and no other thread sees it."""
 
-    __slots__ = ("x1", "x2", "lu")
+    __slots__ = ("rows", "factors")
 
-    def __init__(self, n: int):
-        self.x1 = np.empty(n + 1)
-        self.x2 = np.empty((n + 1, 2))
-        self.lu = None
+    def __init__(self, size: int, n: int):
+        self.rows = np.empty((size, 2, n))
+        self.factors: list = [None] * size
 
 
 def _bordered_solve(problem: ProblemDef, w: SolutionPoint, b, beta: float,
-                    row: np.ndarray, corner: float, work: _Work, two: bool
+                    row: np.ndarray, corner: float, batch: Batch, two: bool
                     ) -> np.ndarray:
     """The solution of the bordered system [[K, dG/dlam], [row, corner]]
     x = [b; beta], with K and dG/dlam at w and b None for zero, and, where
@@ -197,34 +201,37 @@ def _bordered_solve(problem: ProblemDef, w: SolutionPoint, b, beta: float,
     [0; 1] and the cold predictor's [0; beta], y = 0 and nothing cancels,
     so that column needs neither its K-solve nor the refinement. A Newton
     iteration makes one factor and two K-solves: dG/dlam with b, then the
-    refinement residual. The solves run in place in the factor's own rows
-    lu.b, and the solution is written into work.x1 or work.x2, so the
-    columns of a two-column x keep the stride of 2 that their dot products
-    were always taken with: OpenBLAS's ddot sums a strided and a
-    contiguous operand in different orders.
+    refinement residual. K is factored into batch.factors[0] and solved in
+    place in batch.rows[0], row 0 of the caller's loop, and the solution
+    is a new array of shape (n + 1,) or (n + 1, 2), so the columns of a
+    two-column x keep the stride of 2 that their dot products were always
+    taken with: OpenBLAS's ddot sums a strided and a contiguous operand in
+    different orders.
     """
-    x = work.x2 if two else work.x1
+    n = problem.n_dof
+    shape = (n + 1, 2) if two else (n + 1,)
     tri = problem.tridiagonal(w)
     if tri is None:
         K = problem.jacobian_u(w)
-        n = problem.n_dof
         M = np.zeros((n + 1, n + 1))
         M[:n, :n] = K
         M[:n, n] = problem.jacobian_lambda(w)
         M[n, :n] = row
         M[n, n] = corner
-        rhs = np.zeros(x.shape)
-        col = rhs if rhs.ndim == 1 else rhs[:, 0]
+        rhs = np.zeros(shape)
+        col = rhs[:, 0] if two else rhs
         if b is not None:
             col[:n] = b
         col[n] = beta
-        if rhs.ndim == 2:
+        if two:
             rhs[n, 1] = 1.0
         return np.linalg.solve(M, rhs)
-    lu = work.lu = tridiagonal.factor(*tri, work.lu)
+    lu = batch.factors[0] = tridiagonal.factor(*tri, batch.factors[0],
+                                               batch.rows[0])
     g = problem.jacobian_lambda(w)
     rows = lu.b
-    xc = x if x.ndim == 1 else x[:, 0]
+    x = np.empty(shape)
+    xc = x[:, 0] if two else x
     if b is None:
         rows[0] = g
         [y_g] = tridiagonal.solve(lu, 1)
@@ -234,7 +241,7 @@ def _bordered_solve(problem: ProblemDef, w: SolutionPoint, b, beta: float,
     s = corner - float(row @ y_g)
     if s == 0.0:
         raise np.linalg.LinAlgError("zero Schur complement")
-    if x.ndim == 2:
+    if two:
         xi = 1.0 / s
         np.subtract(0.0, xi * y_g, out=x[:-1, 1])
         x[-1, 1] = xi
@@ -280,14 +287,14 @@ def _sphere_roots(xx: float, ax: float, aa: float, a_lam: float,
 
 
 def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
-               delta_w_prev: np.ndarray | None, delta_L: float, work: _Work
+               delta_w_prev: np.ndarray | None, delta_L: float, batch: Batch
                ) -> tuple[SolutionPoint, int]:
     psi, ptp = config.psi, problem.load_norm_sq
     c = psi**2 * ptp
     n = problem.n_dof
     riks = config.constraint == RIKS
 
-    dw = predictor(problem, config, w_i, delta_w_prev, delta_L, work)
+    dw = predictor(problem, config, w_i, delta_w_prev, delta_L, batch)
     dw0 = dw  # first-iteration increment (Riks plane)
 
     for it in range(MAX_NEWTON_ITERS + 1):
@@ -315,7 +322,7 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
             row, corner = 2.0 * du, 2.0 * c * dw.item(n)
             beta = 0.0
         try:
-            sol = _bordered_solve(problem, w, -G, beta, row, corner, work,
+            sol = _bordered_solve(problem, w, -G, beta, row, corner, batch,
                                   not riks)
         except np.linalg.LinAlgError:
             raise _NoConvergence("singular bordered system")
@@ -340,7 +347,7 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
 
 def step(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
          delta_w_prev: np.ndarray | None, delta_L: float,
-         work: _Work | None = None) -> StepResult:
+         batch: Batch | None = None) -> StepResult:
     """One arc-length step of nominal length delta_L with step cutting.
 
     On non-convergence (or complex Crisfield roots) the length is halved and
@@ -348,19 +355,20 @@ def step(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
     achieved (possibly shorter) length.
 
     The bordered solves of its predictor and of every Newton iteration of
-    every try run in the buffers of work, the `_Work` of the caller's loop
-    of steps, built where none is given; the result holds none of them.
+    every try run in row 0 of batch, the `Batch` of the caller's loop of
+    steps, or of a new Batch(1, n) where none is given; the result holds
+    none of its buffers.
     """
     if delta_L <= 0:
         raise ValueError("delta_L must be positive")
-    if work is None:
-        work = _Work(problem.n_dof)
+    if batch is None:
+        batch = Batch(1, problem.n_dof)
     last_err: Exception | None = None
     for cut in range(MAX_STEP_CUTS + 1):
         dl = delta_L / 2.0**cut
         try:
             w_new, iters = _corrector(problem, config, w_i, delta_w_prev, dl,
-                                      work)
+                                      batch)
         except (_NoConvergence, ComplexRootsError, PredictorError) as exc:
             last_err = exc
             continue
@@ -386,26 +394,6 @@ def _rows(idx, *values) -> list:
     return [v[idx] if isinstance(v, np.ndarray)
             else [v[k] for k in idx] if isinstance(v, list) else v
             for v in values]
-
-
-class Batch:
-    """The buffers that batches' members solve in, kept for all the
-    batches of a loop: the member at row k of an iteration's arrays
-    refills factors[k], built the first time any member stands at row k and
-    refilled on every later iteration, step and batch, which solves in
-    place in rows[k]. A factor keeps nothing between iterations that its
-    refill does not write anew, so whichever member stands at row k may
-    take it. Its size bounds the members of a batch. A loop that solves
-    waves of jobs builds one, of WAVE_VALUES // n rows, and passes it to
-    each wave: `runtime.run_manager` for the waves it solves itself and
-    `runtime.run_worker` for those it is sent; it is a local of that loop,
-    and no other thread sees it."""
-
-    __slots__ = ("rows", "factors")
-
-    def __init__(self, size: int, n: int):
-        self.rows = np.empty((size, 2, n))
-        self.factors: list = [None] * size
 
 
 def _bordered_solves(problem: ProblemDef, u: np.ndarray, lam: np.ndarray,
@@ -657,7 +645,7 @@ def locate_bifurcation(problem: ProblemDef, config: AlmConfig,
 
     Re-steps from the stable-side endpoint with shrinking length until the
     bracketing interval's metric length is below BIF_TOL, all its steps in
-    one `_Work`.
+    row 0 of one `Batch`.
     """
     psi, ptp = config.psi, problem.load_norm_sq
     sign_a = detect_singular(problem, w_a).det_sign
@@ -670,11 +658,11 @@ def locate_bifurcation(problem: ProblemDef, config: AlmConfig,
     lo, hi = 0.0, total
     w_lo = w_a
     w_mid = w_b
-    work = _Work(problem.n_dof)
+    batch = Batch(1, problem.n_dof)
     while hi - lo > BIF_TOL:
         target = (lo + hi) / 2.0 - lo
         try:
-            res = step(problem, config, w_lo, direction, target, work)
+            res = step(problem, config, w_lo, direction, target, batch)
         except StepError as exc:
             raise BifurcationNotFoundError(f"bisection step failed: {exc}")
         w_mid = res.w_new

@@ -157,28 +157,26 @@ def solve_intervals(problem: ProblemDef, config: AlmConfig, jobs: list[Job],
     the steps of the fewer than MIN_BATCH jobs left, job by job; so each
     job's result has the bits of solving it alone.
 
-    The batches solve in the buffers of batch, the `alm.Batch` of the
-    caller's loop of waves, whose factors earlier waves built; a wave
-    given none, or one with fewer rows than its jobs, builds its own. The
-    steps taken alone share one `alm._Work` per call. So a factor is built
-    once per batch row and once per call with a step taken alone, and
-    refilled on every other iteration."""
+    The batches and the steps taken alone solve in batch, the `alm.Batch`
+    of the caller's loop of waves, whose factors earlier waves built: a
+    batch's members in its first rows, a step taken alone in row 0. A wave
+    given none, or one with fewer rows than its batch's jobs, builds its
+    own. So a factor is built once per row of a loop's batch, and refilled
+    on every other iteration."""
     intervals = [_Interval(job) for job in jobs]
     live = [s for s in intervals if s.stepping()]
-    work = alm._Work(problem.n_dof)
-    if len(live) >= MIN_BATCH:
-        if batch is None or len(batch.factors) < len(live):
-            batch = alm.Batch(len(live), problem.n_dof)
-        while len(live) >= MIN_BATCH:
-            for s, res in zip(live, alm.batch_step(
-                    problem, config, [s.w for s in live],
-                    [s.aim() for s in live], [s.length() for s in live],
-                    batch)):
-                s.take(problem, config, res, work)
-            live = [s for s in live if s.stepping()]
+    size = len(live) if len(live) >= MIN_BATCH else 1
+    if batch is None or len(batch.factors) < size:
+        batch = alm.Batch(size, problem.n_dof)
+    while len(live) >= MIN_BATCH:
+        for s, res in zip(live, alm.batch_step(
+                problem, config, [s.w for s in live],
+                [s.aim() for s in live], [s.length() for s in live], batch)):
+            s.take(problem, config, res, batch)
+        live = [s for s in live if s.stepping()]
     for s in live:
         while s.stepping():
-            s.take(problem, config, None, work)
+            s.take(problem, config, None, batch)
     return [IntervalResult(job.id, [], error=s.error) if s.error
             else IntervalResult(job.id, s.sols)
             for job, s in zip(jobs, intervals)]
@@ -216,13 +214,13 @@ class _Interval:
         return self.dw
 
     def take(self, problem: ProblemDef, config: AlmConfig,
-             res: alm.StepResult | None, work: alm._Work) -> None:
+             res: alm.StepResult | None, batch: alm.Batch) -> None:
         """The next step: res, or, where the batch gave none, one taken
-        alone in the buffers of work."""
+        alone in row 0 of batch."""
         if res is None:
             try:
                 res = alm.step(problem, config, self.w, self.aim(),
-                               self.length(), work)
+                               self.length(), batch)
             except alm.StepError as exc:
                 self.error = str(exc)
                 return
@@ -252,11 +250,11 @@ def serial_stream(problem: ProblemDef, config: AlmConfig,
     the branch closes.
 
     Starts from the trivial point (u = 0, lambda = 0). A branch's steps
-    solve in one `alm._Work`, built for the branch. With bifurcation
-    detection enabled, once a branch's steps end (at its last step or a
-    failed one), the stability of every point its steps reached is counted
-    in one pass (alm.detect_singulars), and each sign change between
-    consecutive points, in step order, triggers bisection; located
+    solve in row 0 of one `alm.Batch`, built for the branch. With
+    bifurcation detection enabled, once a branch's steps end (at its last
+    step or a failed one), the stability of every point its steps reached
+    is counted in one pass (alm.detect_singulars), and each sign change
+    between consecutive points, in step order, triggers bisection; located
     bifurcation points spawn new branches via an eigenvector perturbation,
     each serially solved in turn with the run's delta_L and steps. A failed
     step raises on the primary branch; a spawned branch keeps the points it
@@ -277,11 +275,11 @@ def serial_stream(problem: ProblemDef, config: AlmConfig,
         ws = [start]
         ss = [0.0]
         dw = seed
-        work = alm._Work(problem.n_dof)
+        batch = alm.Batch(1, problem.n_dof)
         for _ in range(engine.steps):
             try:
                 res = alm.step(problem, config, ws[-1], dw, engine.delta_L,
-                               work)
+                               batch)
             except alm.StepError as exc:
                 message = (f"serial solve failed on branch {closed} "
                            f"at s={ss[-1]:.6g}: {exc}")

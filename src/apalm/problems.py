@@ -296,9 +296,10 @@ def _springchain(n: int = 8, c: float = 0.5) -> ProblemDef:
     def diagonal(u):
         return 3.0 * u**2 - 3.0 + 2.0 * c
 
+    # the off-diagonals of K and dG/dlam, the same for every point: shared
+    # arrays, read-only so no caller can change them for the others
     off = np.full(n - 1, -c)
-    # dG/dlam, the same for every point: one shared array, read-only so no
-    # caller can change it for the others
+    off.flags.writeable = False
     load = np.full(n, -1.0)
     load.flags.writeable = False
 

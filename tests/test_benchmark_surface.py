@@ -81,15 +81,14 @@ def test_chain_serial_work_counts(monkeypatch):
 
 def test_chain_serial_builds_buffers_once_per_step(monkeypatch):
     """Of chain-serial seed 1's 662 factors of springchain's tridiagonal
-    K, 18 are given no earlier factor and build buffers: the arrays,
+    K, 17 are given no earlier factor and build buffers: the arrays,
     their rows b and, on the LAPACK path, the ctypes arguments. 1 is the
     serial phase's: its one branch solves its cold predictor and all its
-    steps in one alm._Work. 16 are the queue's, one per row of the one
-    alm.Batch that run_manager solves every wave in, with rows in the
-    batch's array: a wave of 16 jobs reaches every row. And 1 is that of
-    the one engine.solve_intervals call with a step taken alone through
-    alm.step, the job step that starts cold, whose predictor and corrector
-    share the call's alm._Work. The other 644 refill the buffers of an
+    steps in row 0 of one alm.Batch. 16 are the queue's, one per row of
+    the one alm.Batch that run_manager solves every wave in, with rows in
+    the batch's array: a wave of 16 jobs reaches every row, and the one
+    job step taken alone through alm.step, the one that starts cold,
+    refills row 0 of that batch. The other 645 refill the buffers of an
     earlier factor of their loop."""
     cfg = parse_config(json.dumps(seeded_config("chain-serial", 1)))
     counts = {"new": 0, "refill": 0}
@@ -102,7 +101,7 @@ def test_chain_serial_builds_buffers_once_per_step(monkeypatch):
     monkeypatch.setattr(tridiagonal, "factor", counted)
     aalm(make_builtin(cfg.problem_name, **cfg.problem_params), cfg.alm,
          cfg.engine)
-    assert (counts["new"], counts["refill"]) == (18, 644)
+    assert (counts["new"], counts["refill"]) == (17, 645)
 
 
 def test_chain_serial_counts_stability_in_one_stacked_pass(monkeypatch):

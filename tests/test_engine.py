@@ -105,12 +105,12 @@ class TestSerialSolve:
                                                       caplog):
         step = alm.step
 
-        def fail_from_seed(problem, config, w, dw, delta_L, work):
+        def fail_from_seed(problem, config, w, dw, delta_L, batch):
             # only a spawned branch's first step starts from its seed,
             # whose lambda entry is 0
             if dw is not None and dw[-1] == 0.0:
                 raise alm.StepError("forced")
-            return step(problem, config, w, dw, delta_L, work)
+            return step(problem, config, w, dw, delta_L, batch)
 
         monkeypatch.setattr(alm, "step", fail_from_seed)
         branches = serial_solve(
@@ -299,9 +299,9 @@ class TestSolveInterval:
         w_end = SolutionPoint(np.array([0.35]), path(0.5))
         calls, step = [], alm.step
 
-        def logged(problem, config, w_i, dw, length, work):
+        def logged(problem, config, w_i, dw, length, batch):
             calls.append((w_i, dw))
-            return step(problem, config, w_i, dw, length, work)
+            return step(problem, config, w_i, dw, length, batch)
 
         monkeypatch.setattr(alm, "step", logged)
         res = solve_interval(p, crisfield(1.0), make_job(
@@ -947,13 +947,9 @@ def test_stacked_callbacks_move_no_bit():
     assert record_bits(state) == record_bits(rows)
 
 
-def test_steps_taken_alone_share_one_workspace(monkeypatch):
-    """Fewer than MIN_BATCH springchain jobs take every step alone through
-    alm.step, in the one alm._Work of their solve_intervals call: one
-    factor is built for all their steps, and each later iteration
-    refills it."""
-    p, cfg, eng = KERNEL_RUNS["chain-n64"]
-    jobs = level_one_jobs(p, cfg, eng)[1:MIN_BATCH]
+def counted_factors(monkeypatch):
+    """Counts of tridiagonal.factor calls from here on: "new" for those
+    given no earlier factor, which build buffers, "refill" for the rest."""
     counts = {"new": 0, "refill": 0}
     factor = tridiagonal.factor
 
@@ -962,9 +958,29 @@ def test_steps_taken_alone_share_one_workspace(monkeypatch):
         return factor(sub, diag, sup, lu, b)
 
     monkeypatch.setattr(tridiagonal, "factor", counted)
-    results = engine.solve_intervals(p, cfg, jobs)
-    assert all(len(r.solutions) == job.N for r, job in zip(results, jobs))
-    assert counts["new"] == 1 and counts["refill"] >= len(jobs)
+    return counts
+
+
+def test_steps_taken_alone_share_one_workspace(monkeypatch):
+    """Fewer than MIN_BATCH springchain jobs take every step alone through
+    alm.step, in row 0 of their solve_intervals call's alm.Batch: given
+    none, the call builds one factor for all their steps, and each later
+    iteration refills it; given a Batch whose row 0 an earlier wave built,
+    it builds no factor at all."""
+    p, cfg, eng = KERNEL_RUNS["chain-n64"]
+    jobs = level_one_jobs(p, cfg, eng)
+    counts = counted_factors(monkeypatch)
+    results = engine.solve_intervals(p, cfg, jobs[1:MIN_BATCH])
+    assert all(len(r.solutions) == job.N
+               for r, job in zip(results, jobs[1:MIN_BATCH]))
+    assert counts["new"] == 1 and counts["refill"] >= MIN_BATCH - 1
+    batch = alm.Batch(MIN_BATCH, p.n_dof)
+    engine.solve_intervals(p, cfg, jobs[MIN_BATCH:2 * MIN_BATCH], batch)
+    assert all(batch.factors)
+    counts.update(new=0, refill=0)
+    again = engine.solve_intervals(p, cfg, jobs[1:MIN_BATCH], batch)
+    assert result_bits(again) == result_bits(results)
+    assert counts["new"] == 0 and counts["refill"] >= MIN_BATCH - 1
 
 
 def test_a_wave_calls_no_per_point_callback_outside_its_lone_steps(
@@ -972,7 +988,9 @@ def test_a_wave_calls_no_per_point_callback_outside_its_lone_steps(
     """A wave of 16 springchain jobs of 256 unknowns calls the per-point
     residual, tridiagonal and dG/dlambda only inside alm.step, for the
     steps taken alone (here job 0's cold first step); its batches call
-    the stacked forms, once per Newton iteration."""
+    the stacked forms, once per Newton iteration. It builds a factor for
+    each row of its alm.Batch that a batch reaches, and none for its step
+    taken alone."""
     from dataclasses import replace
 
     from bits import configs
@@ -1006,7 +1024,12 @@ def test_a_wave_calls_no_per_point_callback_outside_its_lone_steps(
                       tridiagonal_fn=per_point(p.tridiagonal_fn),
                       jacobian_lambda_fn=per_point(p.jacobian_lambda_fn),
                       residuals_fn=stacked)
+    factors = counted_factors(monkeypatch)
     results = engine.solve_intervals(counted, cfg, jobs)
+    # one factor per row of the first batch, of the 15 warm jobs; job 0's
+    # cold step refills row 0, and the second batch, whose members aim at
+    # their end points, solves for fewer members than that
+    assert factors["new"] == len(jobs) - 1
     assert result_bits(results) == result_bits(
         engine.solve_intervals(p, cfg, jobs))
     assert calls["outside"] == 0

@@ -4,8 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from apalm.alm import AlmConfig
+from apalm.engine import EngineConfig, aalm
 from apalm.problems import (DimensionError, ProblemDef, SolutionPoint,
                             UnknownProblemError, make_builtin)
+from bits import row_bits
 
 
 def pt(u, lam):
@@ -344,6 +347,35 @@ class TestMakeBuiltin:
         with pytest.raises(ValueError):
             a[0] = 0.0
         assert b.tolist() == [-1.0] * 5
+
+    def test_springchain_off_diagonals_are_shared_read_only_arrays(self):
+        """K's off-diagonals, the same at every point, come per point as
+        one shared array and stacked as views of it, all read-only, so no
+        caller can change K at another point; a chain run, which writes
+        into none of them, gives the rows of one on writable copies."""
+        p = make_builtin("springchain", n=16)
+        sub, diag, sup = p.tridiagonal(SolutionPoint(np.zeros(16), 0.0))
+        subs, diags, sups = p.tridiagonals(np.ones((3, 16)), [0.0, 1.0, 2.0])
+        assert sub.tolist() == [-0.5] * 15 and np.shares_memory(sub, sup)
+        assert np.shares_memory(sub, subs) and np.shares_memory(sub, sups)
+        for off in (sub, sup, subs, sups):
+            assert not off.flags.writeable
+            with pytest.raises(ValueError):
+                off[..., 0] = 0.0
+        assert sub.tolist() == [-0.5] * 15
+        assert diag.flags.writeable and diags.flags.writeable
+
+        def writable(fn):
+            return lambda u, lam: [np.array(a) for a in fn(u, lam)]
+
+        copies = replace(p, tridiagonal_fn=writable(p.tridiagonal_fn),
+                         tridiagonals_fn=writable(p.tridiagonals_fn))
+        cfg = AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-10)
+        eng = EngineConfig(delta_L=0.4, steps=32, max_level=3)
+        state = aalm(p, cfg, eng)
+        assert state.stats.jobs_done > 32
+        assert row_bits(state.collect()) == row_bits(
+            aalm(copies, cfg, eng).collect())
 
 
 def _fd_residual_u(p, w, h=1e-6):

@@ -22,6 +22,7 @@ from apalm.engine import EngineConfig, aalm
 from apalm.problems import ProblemDef, SolutionPoint, make_builtin
 from apalm.runtime import apalm
 from bits import row_bits
+from test_engine import KERNEL_RUNS, level_one_jobs
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -533,7 +534,7 @@ def test_near_singular_bordered_solve_matches_dense(constraint, seed):
         rhs = np.zeros((n + 1, 2))
         rhs[:n, 0] = -G
         rhs[n, 1] = 1.0
-    x = alm._bordered_solve(p, w, -G, beta, row, corner, alm._Work(n),
+    x = alm._bordered_solve(p, w, -G, beta, row, corner, alm.Batch(1, n),
                             rhs.ndim == 2)
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = K
@@ -570,6 +571,41 @@ def test_near_singular_step_matches_dense(constraint, warm, seed):
     scale = max(np.max(np.abs(b.w_new.u)), abs(b.w_new.lam))
     assert np.max(np.abs(a.w_new.u - b.w_new.u)) <= 1e-10 * scale
     assert abs(a.w_new.lam - b.w_new.lam) <= 1e-10 * scale
+
+
+def step_bits(res):
+    return (res.w_new.u.tobytes(), res.w_new.lam.hex(), res.iterations,
+            res.cuts_used, res.achieved_length.hex(), res.dw.tobytes())
+
+
+@pytest.mark.parametrize("kernels", PATHS)
+@pytest.mark.parametrize("run", sorted(KERNEL_RUNS))
+def test_lone_step_in_a_members_row_moves_no_bit(run, kernels, monkeypatch):
+    """A step taken alone in row 0 of a Batch, whose factor a batch_step
+    member has just refilled and solved in, gives the bits of the same step
+    in a fresh Batch(1, n): the cold first step of job 0 and warm first
+    steps of later jobs, on springchain with Crisfield's and Riks's
+    constraint."""
+    monkeypatch.setattr(tridiagonal, "factor", kernels[0])
+    monkeypatch.setattr(tridiagonal, "solve", kernels[1])
+    p, cfg, eng = KERNEL_RUNS[run]
+    jobs = level_one_jobs(p, cfg, eng)
+    n = p.n_dof
+
+    def first_step(job):
+        dw = (None if job.w_prev is None
+              else alm.increment_between(job.w_start, job.w_prev))
+        return job.w_start, dw, job.delta_L0 / job.N
+
+    members = [first_step(job) for job in jobs[1:9]]
+    batch = alm.Batch(len(members), n)
+    for job in [jobs[0], jobs[1], jobs[-1]]:
+        results = alm.batch_step(p, cfg, *map(list, zip(*members)), batch)
+        assert all(results) and all(batch.factors)
+        alone = alm.step(p, cfg, *first_step(job), batch)
+        assert np.shares_memory(batch.factors[0].b, batch.rows[0])
+        assert step_bits(alone) == step_bits(
+            alm.step(p, cfg, *first_step(job), alm.Batch(1, n)))
 
 
 CRISFIELD = AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-10)
