@@ -133,22 +133,14 @@ def predictor(problem: ProblemDef, config: AlmConfig, w: SolutionPoint,
     return (delta_L / length) * tangent
 
 
-def select_root(roots: tuple[float, float], delta_u_old: np.ndarray,
-                delta_u_candidates: tuple[np.ndarray, np.ndarray]) -> int:
-    """Pick the Crisfield root that keeps moving forward.
+def select_root(roots: tuple[float, float], dot0: float, dot1: float
+                ) -> int:
+    """Pick the Crisfield root that keeps moving forward, from the dot
+    products dot_i = delta_u_old . delta_u_candidate_i, as floats.
 
-    Maximizes delta_u_old . delta_u_candidate; on a tie (e.g. first
-    iteration from a cold start) the root with larger delta lambda wins.
+    Maximizes dot_i; on a tie (e.g. first iteration from a cold start) the
+    root with larger delta lambda wins.
     """
-    old = np.asarray(delta_u_old, dtype=float)
-    dots = [float(old @ np.asarray(c, dtype=float)) for c in delta_u_candidates]
-    return _choose_root(roots, *dots)
-
-
-def _choose_root(roots: tuple[float, float], dot0: float, dot1: float
-                 ) -> int:
-    """`select_root` from the dot products dot_i = delta_u_old .
-    delta_u_candidate_i, as floats."""
     scale = max(1.0, abs(dot0), abs(dot1))
     if abs(dot0 - dot1) <= 1e-12 * scale:
         return 0 if roots[0] >= roots[1] else 1
@@ -340,8 +332,8 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
         cands = (a + ts[0] * xt, a + ts[1] * xt)
         lam = dw.item(n)
         roots = (cands[0].item(n) - lam, cands[1].item(n) - lam)
-        dw = cands[_choose_root(roots, float(du @ cands[0][:n]),
-                                float(du @ cands[1][:n]))]
+        dw = cands[select_root(roots, float(du @ cands[0][:n]),
+                               float(du @ cands[1][:n]))]
     raise _NoConvergence("no convergence within max_newton_iters")
 
 
@@ -572,7 +564,7 @@ def batch_step(problem: ProblemDef, config: AlmConfig,
         cand0 = a + t0[:, None] * xt
         cand1 = a + t1[:, None] * xt
         du = dw[:, :n]
-        pick = [_choose_root((r0 - lam_k, r1 - lam_k), d0, d1)
+        pick = [select_root((r0 - lam_k, r1 - lam_k), d0, d1)
                 for r0, r1, lam_k, d0, d1 in zip(
                     cand0[:, n].tolist(), cand1[:, n].tolist(),
                     dw[:, n].tolist(),

@@ -28,10 +28,11 @@ log = logging.getLogger(__name__)
 
 MAX_BRANCHES = 8  # branches per run, the primary one included
 # the fewest jobs whose steps solve_intervals takes in one alm.batch_step;
-# fewer take alm.step one by one. Per job and Newton iteration (timeit,
-# springchain), a batch of 3 cost 62 us against alm.step's 69 at 256
-# unknowns but 62 against 54 at 64; a batch of 4, 55 against 70 and 49
-# against 52
+# fewer take alm.step one by one. Per job and Newton iteration on the first
+# fine step of warm springchain jobs (timeit, stacked callbacks), against
+# alm.step's 74 us at 256 unknowns and 59 at 64: a batch of 2 cost 86 and
+# 73 us, of 3 69 and 56, of 4 62 and 48, of 5 55 and 41. A batch of 3
+# beats alm.step by 6-7 %, of 4 by 17-20 %
 MIN_BATCH = 4
 
 
@@ -252,8 +253,9 @@ def serial_stream(problem: ProblemDef, config: AlmConfig,
     Starts from the trivial point (u = 0, lambda = 0). A branch's steps
     solve in row 0 of one `alm.Batch`, built for the branch. With
     bifurcation detection enabled, once a branch's steps end (at its last
-    step or a failed one), the stability of every point its steps reached
-    is counted in one pass (alm.detect_singulars), and each sign change
+    step or a failed one), the stability of every point its steps reached,
+    and of the primary branch's start, is counted in one pass
+    (alm.detect_singulars), and each sign change
     between consecutive points, in step order, triggers bisection; located
     bifurcation points spawn new branches via an eigenvector perturbation,
     each serially solved in turn with the run's delta_L and steps. A failed
@@ -297,12 +299,15 @@ def serial_stream(problem: ProblemDef, config: AlmConfig,
                              ss[-1] - ss[-2])
         if len(ws) < 2:
             continue
-        if engine.bifurcation_enabled and len(ws) > 2:
-            # the points the steps reached, counted in one pass; each sign
-            # change between consecutive ones, in step order
+        # the points the steps reached, and the primary branch's start, the
+        # trivial point, counted in one pass; a spawned branch starts at its
+        # located singular point, which is not counted
+        first = 0 if seed is None else 1
+        if engine.bifurcation_enabled and len(ws) - first > 1:
+            # each sign change between consecutive points, in step order
             signs = [info.det_sign
-                     for info in alm.detect_singulars(problem, ws[1:])]
-            for k, (a, b) in enumerate(zip(signs, signs[1:]), start=2):
+                     for info in alm.detect_singulars(problem, ws[first:])]
+            for k, (a, b) in enumerate(zip(signs, signs[1:]), first + 1):
                 if a * b < 0 and closed + len(pending) + 1 < MAX_BRANCHES:
                     _maybe_spawn_branch(problem, config, ws[k - 1], ws[k],
                                         pending)

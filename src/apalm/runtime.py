@@ -14,7 +14,6 @@ import selectors
 import socket
 import threading
 import time
-from collections import deque
 from itertools import islice
 
 from . import engine as eng
@@ -36,11 +35,8 @@ PROCESS = "process"
 # phase ran 49-63 % longer than aalm's.
 DEFAULT_TRANSPORT = (
     PROCESS if "fork" in multiprocessing.get_all_start_methods() else THREAD)
-# the most job frames sent to one worker and not yet answered
-DEPTH = 2
 # the most jobs times unknowns in a wave, solved by the manager itself or
-# sent to a worker in one frame, which `frame_jobs` may cap lower: 16 jobs
-# of springchain n = 256, 11 of them in a frame on Linux. A wave
+# sent to a worker in one frame: 16 jobs of springchain n = 256. A wave
 # holds each job's factor, points and (jobs, n) arrays at once: on
 # chain-serial, a run on its own peaked 1.1 MiB above one-job-at-a-time
 # solving with waves of 16, 2.2 MiB with waves of 32 at the same speed, and
@@ -49,19 +45,6 @@ WAVE_VALUES = 1 << 12
 # how long, in seconds, the manager waits for its workers to hang up after
 # their stops, and apalm for each worker to end
 STOP_TIMEOUT = 30.0
-
-
-def frame_jobs(n_dof: int, send_buffer: int) -> int:
-    """The most jobs in one job frame: WAVE_VALUES // n_dof, no more than
-    the jobs (tp.job_bytes) that a (DEPTH + 1)-th of send_buffer holds, and
-    at least one.
-
-    send_buffer is the manager's socket send buffer (SO_SNDBUF), read from
-    the endpoints: 212992 B on a fresh Linux socket pair, where the share
-    binds at every n (676 jobs at n = 1, 11 at n = 256), and 8 KiB or so
-    on macOS, where a frame holds one job from 54 unknowns up."""
-    share = send_buffer // (DEPTH + 1)
-    return max(1, min(WAVE_VALUES // n_dof, share // tp.job_bytes(n_dof)))
 
 
 def run_worker(problem: ProblemDef, config: AlmConfig, endpoint) -> int:
@@ -90,53 +73,40 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
 
     The manager waits on all worker sockets at once, through one selector
     that holds exactly the live endpoints, and takes replies in whatever
-    order they arrive. It sends each worker a wave of jobs per frame, from
-    the head of the queue, and keeps up to `DEPTH` frames sent to each, so
-    a worker has its next wave in its socket while the manager settles its
-    last replies. `dispatch` serves the workers in rounds, first those
-    holding no frame, then those holding one, and each worker served in a
-    round takes min(frame_jobs(...), ceil(Q / W)) jobs, at least one, where
-    Q is the queue's length at the start of the round and W the number of
-    workers still sent jobs: so the workers a round serves get equal
-    frames, and no worker holds a wave while another idles. A worker reads
-    one frame at a time and answers it with one reply frame, a wave of one
-    reply per job in the order of its jobs, and a stream socket returns its
-    replies in the order of its frames; so a reply frame belongs to the
-    oldest frame its worker holds, and its k-th member must carry the id of
-    that frame's k-th job. Three rules keep this safe:
+    order they arrive. A worker holds at most one frame: a wave of jobs
+    from the head of the queue, min(WAVE_VALUES // n_dof, ceil(Q / W)) of
+    them and at least one, where Q is the queue's length when the frame is
+    sent (when several idle workers are served at once, its length before
+    the first) and W the number of workers still sent jobs. A worker
+    answers its frame with one reply frame, a wave of one reply per job
+    in the order of its jobs, so the k-th member must carry the id of the
+    frame's k-th job. The manager sends a worker its next frame as soon as
+    it has read and checked that worker's reply, and only then submits the
+    replies, so the worker solves while the manager settles. Two rules
+    keep this safe:
 
-    - Fill order: `dispatch` gives a frame to every worker holding none
-      before it gives any worker a second one.
     - A job leaves the queue only once a worker has it, and never comes
       back: a worker lost mid-frame, or one whose reply frame does not fit
       its frame (a member count other than its jobs', or a member that does
       not fit its job: type, id, step count, point size), costs every job
-      of every frame it holds, each recorded as `lost`; one found gone at
-      dispatch costs none.
+      of its frame, each recorded as `lost`; one found gone at dispatch
+      costs none.
     - A failed send costs no job, as the frame's jobs stay at the head of
       the queue. It ends the sends to that worker, not the reads: the
-      endpoint stays in the selector until the worker hangs up, so each
-      job it holds is settled, by a reply it already sent or as `lost`.
+      endpoint stays in the selector until the worker hangs up.
 
-    `sendall` cannot deadlock. The manager's send to a worker blocks only
-    while that worker does not read: while it solves, after which it reads
-    again, or while it sends a reply. A worker sends the reply to a frame
-    only once it has read that whole frame, and the manager sends it a
-    frame only while it holds fewer than DEPTH; so at most DEPTH - 1 job
-    frames, and a stop, wait unread in its socket then. A job frame holds
-    no more jobs than a (DEPTH + 1)-th of the smallest SO_SNDBUF of the
-    endpoints holds (`frame_jobs`), so those fit, and the send returns
-    without the worker's help; a frame of one job larger than that share
-    still fits while the job and a stop fit the whole buffer (below about
-    8800 unknowns at Linux's 212992 B). So the manager always comes back
-    to its selector and reads, and a reply frame may be of any size, as
-    the manager reads while the worker writes it (about 181 KB for 11
-    springchain jobs of n = 256 with N = 8, 271 KB with N = 12). When the
-    loop ends, also by an error, every worker is sent its stop, and each
-    endpoint that still holds frames, whose worker may still be sending
-    replies, is read and its bytes dropped until the worker hangs up (at
-    most STOP_TIMEOUT in all), so that no worker is left blocked in a send
-    the manager no longer reads.
+    `sendall` cannot deadlock. A job frame goes only to a worker that has
+    answered everything it was sent and so is blocked in `recv`, which
+    takes a frame of any size; the only other thing sent is the stop,
+    which fits any buffer. So the manager always comes back to its
+    selector and reads, and a reply frame may be of any size, as the
+    manager reads while the worker writes it (about 395 KB for 16
+    springchain jobs of n = 256 with N = 12). When the loop ends, also by
+    an error, every worker is sent its stop, and each endpoint that still
+    holds a frame, whose worker may still be sending its reply, is read
+    and its bytes dropped until the worker hangs up (at most STOP_TIMEOUT
+    in all), so that no worker is left blocked in a send the manager no
+    longer reads.
 
     The serial phase runs here unless `state.initialize()` has run it:
     after each serial step the manager settles the replies that have
@@ -156,43 +126,36 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
     n_dof = state.problem.n_dof
     wave = max(1, WAVE_VALUES // n_dof)
     batch = Batch(wave, n_dof)  # the buffers of the waves solved here
-    cap = frame_jobs(n_dof, min((ep.send_buffer() for ep in endpoints),
-                                default=0))
-    # every endpoint with the frames it holds, oldest first, each the list
-    # of its jobs; the same deque is the data of its selector key
-    held_by = {ep: deque() for ep in endpoints}
-    sendable = dict(held_by)  # the endpoints that are still sent jobs
+    held = dict.fromkeys(endpoints)  # the jobs of each one's frame, or None
+    sendable = dict(held)  # the endpoints that are still sent jobs
     # Workers holding no frame are watched too: a worker lost between
     # frames is dropped before a frame is sent to it.
     live = selectors.DefaultSelector()  # the live endpoints, each once
-    for ep, held in held_by.items():
-        live.register(ep, selectors.EVENT_READ, held)
+    for ep in endpoints:
+        live.register(ep, selectors.EVENT_READ)
 
     def dispatch() -> None:
-        for depth in range(DEPTH):  # every first frame before any second
-            # each worker served in this round takes the same share of the
-            # queue as it stands at the start of the round
-            share = -(-len(state.queue) // max(1, len(sendable)))
-            for ep, held in list(sendable.items()):
-                if not state.queue:
-                    return
-                if len(held) != depth:
-                    continue
-                jobs = list(islice(state.queue, min(cap, share)))
-                try:
-                    ep.send(jobs)
-                except tp.EndpointClosed as exc:
-                    log.warning("worker %d send failed, jobs %d-%d stay "
-                                "queued: %s", endpoints.index(ep),
-                                jobs[0].id, jobs[-1].id, exc)
-                    del sendable[ep]  # its replies are still read
-                    continue
-                held.append([state.pop() for _ in jobs])
+        # each worker holding no frame takes the same share of the queue as
+        # it stands before the first
+        share = -(-len(state.queue) // max(1, len(sendable)))
+        for ep in [ep for ep in sendable if held[ep] is None]:
+            if not state.queue:
+                return
+            jobs = list(islice(state.queue, min(wave, share)))
+            try:
+                ep.send(jobs)
+            except tp.EndpointClosed as exc:
+                log.warning("worker %d send failed, jobs %d-%d stay "
+                            "queued: %s", endpoints.index(ep),
+                            jobs[0].id, jobs[-1].id, exc)
+                del sendable[ep]  # its replies are still read
+                continue
+            held[ep] = [state.pop() for _ in jobs]
 
     def settle(ready) -> None:
         for key, _ in ready:
-            ep, held = key.fileobj, key.data
-            jobs = held[0] if held else []
+            ep = key.fileobj
+            jobs = held[ep] or []
             try:
                 replies = ep.recv()
                 if replies is None or not jobs:
@@ -221,12 +184,12 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
             except (tp.EndpointClosed, tp.ProtocolError) as exc:
                 live.unregister(ep)
                 sendable.pop(ep, None)
-                for frame in held:
-                    for lost in frame:
-                        state.submit_failure(
-                            lost, f"worker {endpoints.index(ep)} lost: {exc}")
+                for lost in jobs:
+                    state.submit_failure(
+                        lost, f"worker {endpoints.index(ep)} lost: {exc}")
                 continue
-            held.popleft()
+            held[ep] = None
+            dispatch()  # the worker solves while its replies settle
             for job, reply in zip(jobs, replies):
                 state.submit(job, reply)
 
@@ -248,7 +211,7 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
             dispatch()
     finally:
         # Also when the loop raises: every worker is sent its stop, and one
-        # that may still owe replies, as it holds frames, is read until it
+        # that may still owe a reply, as it holds a frame, is read until it
         # hangs up, so that it is never left blocked sending a reply.
         live.close()
         for ep in endpoints:
@@ -257,8 +220,8 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
             except tp.EndpointClosed:
                 pass
         deadline = time.monotonic() + STOP_TIMEOUT
-        for ep, held in held_by.items():
-            if held:
+        for ep, jobs in held.items():
+            if jobs:
                 ep.drain(deadline - time.monotonic())
     state.validate_maps()
     state.stats.queue_time = time.perf_counter() - t0

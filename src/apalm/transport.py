@@ -53,12 +53,6 @@ class EndpointClosed(RuntimeError):
     """Peer endpoint is gone."""
 
 
-def job_bytes(n: int) -> int:
-    """The most bytes one job of n unknowns adds to a job wave: its header
-    and three points."""
-    return _JOB.size + 3 * 8 * (n + 1)
-
-
 def _block(points: list[SolutionPoint], n: int) -> bytes:
     rows = np.empty((len(points), n + 1), dtype="<f8")
     for row, w in zip(rows, points):
@@ -174,10 +168,6 @@ class SocketEndpoint:
 
     def fileno(self) -> int:
         return self._sock.fileno()
-
-    def send_buffer(self) -> int:
-        """The bytes this end's socket buffers for sending (SO_SNDBUF)."""
-        return self._sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
 
     def send(self, msg: list[Job] | list[IntervalResult] | None) -> None:
         try:

@@ -80,26 +80,27 @@ class TestPredictor:
 
 
 class TestSelectRoot:
+    # select_root takes the dot products delta_u_old . delta_u_candidate_i
     def test_forward_alignment(self):
-        idx = select_root((0.7, -0.2), np.array([0.05]),
-                          (np.array([0.1]), np.array([-0.1])))
-        assert idx == 0
+        # delta_u_old 0.05 against candidates 0.1 and -0.1
+        assert select_root((0.7, -0.2), 0.05 * 0.1, 0.05 * -0.1) == 0
 
     def test_tie_break_larger_dlam(self):
-        idx = select_root((1.0, -1.0), np.array([0.0]),
-                          (np.array([0.3]), np.array([-0.3])))
-        assert idx == 0
-        idx = select_root((-1.0, 1.0), np.array([0.0]),
-                          (np.array([0.3]), np.array([-0.3])))
-        assert idx == 1
+        # delta_u_old 0: both dot products vanish
+        assert select_root((1.0, -1.0), 0.0, -0.0) == 0
+        assert select_root((-1.0, 1.0), 0.0, -0.0) == 1
 
     def test_linear1d_first_iteration_hand_solve(self):
         # Crisfield sphere from the origin: (dlam)^2 * (1 + 1) = 2 gives
         # roots +-1; the +1 root lands the step at (1, 1).
         roots = (1.0, -1.0)
-        cands = (np.array([1.0]), np.array([-1.0]))
-        idx = select_root(roots, np.zeros(1), cands)
-        assert roots[idx] == 1.0
+        assert roots[select_root(roots, 0.0, -0.0)] == 1.0
+
+    def test_near_tie_is_a_tie(self):
+        # dot products within 1e-12 of their scale tie, and the larger
+        # delta lambda wins over the larger dot product
+        assert select_root((-1.0, 1.0), 1.0, 1.0 - 1e-13) == 1
+        assert select_root((-1.0, 1.0), 1.0, 1.0 - 1e-11) == 0
 
 
 class TestStep:

@@ -106,8 +106,10 @@ def test_chain_serial_builds_buffers_once_per_step(monkeypatch):
 
 def test_chain_serial_counts_stability_in_one_stacked_pass(monkeypatch):
     """chain-serial seed 1 counts the stability of its one branch's 128
-    serial points in one alm.detect_singulars call, which hands all of
-    them to tridiagonal.ldl_inertias at once, and calls the one-point
+    serial points and of its start, the trivial point, 129 in all (so a
+    sign change within the first serial step is seen), in one
+    alm.detect_singulars call, which hands all of them to
+    tridiagonal.ldl_inertias at once, and calls the one-point
     alm.detect_singular not at all, as it locates no bifurcation."""
     cfg = parse_config(json.dumps(seeded_config("chain-serial", 1)))
     passes, stacks, single = [], [], []
@@ -129,4 +131,4 @@ def test_chain_serial_counts_stability_in_one_stacked_pass(monkeypatch):
     state = aalm(make_builtin(cfg.problem_name, **cfg.problem_params),
                  cfg.alm, cfg.engine)
     assert sorted(state.maps) == [0]
-    assert (passes, stacks, single) == ([128], [(128, 256)], [])
+    assert (passes, stacks, single) == ([129], [(129, 256)], [])

@@ -74,6 +74,30 @@ class TestSerialSolve:
         assert branches[1].lookup(0.0).w_prev is not None
         assert branches[1].lookup(0.0).w.lam == pytest.approx(1.0, abs=1e-4)
 
+    def test_bifurcation_within_the_first_serial_step_spawns_branch(
+            self, monkeypatch):
+        # two steps of 1.5: the first passes lambda* = 1 from the trivial
+        # point, so only counting that start shows the sign change; a
+        # spawned branch starts at its located singular point, which is
+        # not counted
+        passes, detect_singulars = [], alm.detect_singulars
+
+        def logged_pass(problem, ws):
+            passes.append([w.lam for w in ws])
+            return detect_singulars(problem, ws)
+
+        monkeypatch.setattr(alm, "detect_singulars", logged_pass)
+        branches = serial_solve(
+            make_builtin("pitchfork"), crisfield(1.0),
+            EngineConfig(delta_L=1.5, steps=2, bifurcation_enabled=True))
+        assert len(branches) == 2
+        w_star = branches[1].lookup(0.0).w
+        assert w_star.lam == pytest.approx(1.0, abs=1e-4)
+        # the bisection counts one point at a time
+        stacked = [lams for lams in passes if len(lams) > 1]
+        assert [len(lams) for lams in stacked] == [3, 2]
+        assert stacked[0][0] == 0.0 and w_star.lam not in stacked[1]
+
     def test_one_null_vector_pass_per_spawned_branch(self, monkeypatch):
         # criterion 6's config: classifying the located point and seeding
         # its branch share one eigendecomposition of K(w*)

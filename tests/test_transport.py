@@ -13,8 +13,7 @@ from apalm.engine import IntervalResult, Job
 from apalm.problems import SolutionPoint
 from apalm.transport import (_DATA, _JOB, _WAVE, MSG_DATA, MSG_JOB, MSG_STOP,
                              PROTOCOL_VERSION, EndpointClosed, ProtocolError,
-                             SocketEndpoint, decode, encode, frame,
-                             job_bytes)
+                             SocketEndpoint, decode, encode, frame)
 
 
 def pt(*u, lam=0.0):
@@ -152,7 +151,7 @@ class TestFrame:
     @pytest.mark.parametrize("has_prev", [True, False])
     def test_job_carries_start_and_predecessor_only(self, has_prev):
         # and its end point, and nothing else: three points with a
-        # predecessor, two without, as job_bytes counts at most
+        # predecessor, two without
         n = 3
         msg = Job(id=1, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=1.0,
                   w_start=pt(1.0, 2.0, 3.0),
@@ -160,7 +159,6 @@ class TestFrame:
                   w_end=pt(2.0, 3.0, 4.0), level=1, N=2)
         k = 3 if has_prev else 2
         assert len(encode([msg])) == _WAVE.size + _JOB.size + 8 * (n + 1) * k
-        assert len(encode([msg])) <= _WAVE.size + job_bytes(n)
 
     @pytest.mark.parametrize("k,n,error", [(2, 3, ""), (1, 1, ""),
                                            (0, 0, "newton diverged: état")],
@@ -174,43 +172,39 @@ class TestFrame:
                                       + 8 * k * (n + 1))
 
     @pytest.mark.parametrize("n", [1, 64, 256, 4096])
-    def test_depth_full_job_frames_fit_a_fresh_socket_pair(self, n):
-        # the manager's send never blocks: a worker holds at most DEPTH job
-        # frames, and DEPTH of them at the cap that the socket's own send
-        # buffer gives, each job with its predecessor and end point, go
-        # into a fresh socket pair at once
+    def test_full_wave_frame_passes_a_small_buffer_to_a_reading_peer(self,
+                                                                     n):
+        # the manager sends a job frame only to a worker waiting in recv:
+        # a frame of a full wave, WAVE_VALUES // n jobs with their
+        # predecessors and end points, many times the 8 KiB that both ends
+        # buffer here, and a stop after it go through as the peer reads
+        wave = max(1, runtime.WAVE_VALUES // n)
+        jobs = [Job(id=i, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=1.0,
+                    w_start=SolutionPoint(np.full(n, 0.5), 1.0),
+                    w_prev=SolutionPoint(np.zeros(n), 0.0),
+                    w_end=SolutionPoint(np.ones(n), 2.0), level=1, N=2)
+                for i in range(wave)]
         s1, s2 = socket.socketpair()
+        for sock in (s1, s2):
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        buffer = s1.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+        assert len(frame(encode(jobs))) > 10 * buffer
+        sender, reader = SocketEndpoint(s1), SocketEndpoint(s2)
+        got = []
+        t = threading.Thread(target=lambda: got.extend(
+            [reader.recv(), reader.recv()]), daemon=True)
+        t.start()
         try:
-            buffer = SocketEndpoint(s1).send_buffer()
-            k = runtime.frame_jobs(n, buffer)
-            share = buffer // (runtime.DEPTH + 1)
-            assert k == max(1, min(runtime.WAVE_VALUES // n,
-                                   share // job_bytes(n)))
-            jobs = [Job(id=i, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=1.0,
-                        w_start=SolutionPoint(np.full(n, 0.5), 1.0),
-                        w_prev=SolutionPoint(np.zeros(n), 0.0),
-                        w_end=SolutionPoint(np.ones(n), 2.0), level=1, N=2)
-                    for i in range(k)]
-            data = frame(encode(jobs))
-            assert len(data) <= 9 + _WAVE.size + max(share, job_bytes(n))
-            s1.setblocking(False)
-            for _ in range(runtime.DEPTH):
-                assert s1.send(data) == len(data)
-            assert s1.send(frame(encode(None))) == 10  # and a stop
+            sender.send(jobs)
+            sender.send(None)
+            t.join(timeout=10)
+            assert not t.is_alive()
+            wave_got, stop = got
+            assert [job.id for job in wave_got] == list(range(wave))
+            assert stop is None
         finally:
-            s1.close()
-            s2.close()
-
-    @pytest.mark.parametrize("buffer,n,k", [
-        (212992, 1, 676), (212992, 64, 43), (212992, 256, 11),
-        (212992, 4096, 1), (8192, 53, 2), (8192, 54, 1), (8192, 81, 1),
-        (8192, 256, 1), (8192, 4096, 1)])
-    def test_frame_jobs_follow_the_send_buffer(self, buffer, n, k):
-        # with three points a job, the share of Linux's default buffer
-        # binds at every n, below WAVE_VALUES // n (16 at n = 256); at the
-        # 8 KiB or so of a macOS socket pair a frame holds one job from 54
-        # unknowns up
-        assert runtime.frame_jobs(n, buffer) == k
+            sender.close()
+            reader.close()
 
     def test_huge_length_is_not_allocated_up_front(self):
         # a peer that claims 2**62 bytes and hangs up is a lost peer, not a
