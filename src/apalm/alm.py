@@ -2,18 +2,20 @@
 and singular-point tooling for the serial phase.
 
 All routines are pure functions of their inputs and may run concurrently
-on disjoint data.
+on disjoint data: the buffers that their tridiagonal solves write are the
+calling thread's own (`workspace`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tridiagonal
-from .problems import ProblemDef, SolutionPoint
+from .problems import ProblemDef, SolutionPoint, check_numbers
 
 RIKS = "riks"
 CRISFIELD = "crisfield"
@@ -21,6 +23,13 @@ MAX_NEWTON_ITERS = 25  # corrector iterations before a step is cut
 MAX_STEP_CUTS = 5  # halvings of a step before it fails
 BIF_TOL = 1e-4  # metric length of the final bisection bracket
 BRANCH_PERTURBATION = 1e-4  # tau of the branch-switch seed (tau phi, 0)
+# the most jobs times unknowns in a wave, solved by the manager itself or
+# sent to a worker in one frame: 16 jobs of springchain n = 256, and the
+# rows of a thread's `workspace`. A wave holds each job's factor, points and
+# (jobs, n) arrays at once: on chain-serial, a run on its own peaked
+# 1.1 MiB above one-job-at-a-time solving with waves of 16, 2.2 MiB with
+# waves of 32 at the same speed, and ran 5 % slower with waves of 8
+WAVE_VALUES = 1 << 12
 
 
 class StepError(RuntimeError):
@@ -50,6 +59,8 @@ class AlmConfig:
     newton_tol: float = 1e-10
 
     def __post_init__(self):
+        check_numbers(vars(self), {f.name: f.type for f in fields(self)},
+                      "alm")
         if self.constraint not in (RIKS, CRISFIELD):
             raise ValueError(f"unknown constraint {self.constraint!r}")
         # every check is written so that NaN fails it
@@ -104,14 +115,12 @@ def point_distance(w_a: SolutionPoint, w_b: SolutionPoint, psi: float,
 
 
 def predictor(problem: ProblemDef, config: AlmConfig, w: SolutionPoint,
-              delta_w_prev: np.ndarray | None, delta_L: float,
-              batch: Batch | None = None) -> np.ndarray:
+              delta_w_prev: np.ndarray | None, delta_L: float) -> np.ndarray:
     """Initial increment (Delta u, Delta lambda) of metric length delta_L.
 
     Warm start rescales the previous increment; cold start scales the
     tangent t = (K^{-1} P, 1), the solution of the bordered system
-    [[K, dG/dlam], [0, 1]] t = e_{n+1}, which gives Delta lambda > 0,
-    solved in row 0 of batch, or of a new Batch(1, n) where none is given.
+    [[K, dG/dlam], [0, 1]] t = e_{n+1}, which gives Delta lambda > 0.
     """
     if delta_L <= 0:
         raise ValueError("delta_L must be positive")
@@ -123,7 +132,6 @@ def predictor(problem: ProblemDef, config: AlmConfig, w: SolutionPoint,
     n = problem.n_dof
     try:
         tangent = _bordered_solve(problem, w, None, 1.0, np.zeros(n), 1.0,
-                                  Batch(1, n) if batch is None else batch,
                                   False)
     except np.linalg.LinAlgError as exc:
         raise PredictorError(f"singular tangent stiffness at cold start: {exc}")
@@ -152,31 +160,49 @@ class _NoConvergence(RuntimeError):
 
 
 class Batch:
-    """The buffers that a loop of steps solves in: for each row k, a
-    factor of K, factors[k], built the first time a solve stands at row k
-    and refilled by every later one, which solves in place in rows[k]. The
+    """The buffers that tridiagonal solves write: for each row k, a factor
+    of K, factors[k], built the first time a solve stands at row k and
+    refilled by every later one, which solves in place in rows[k]. The
     member at row k of a batch's arrays (`batch_step`) stands at row k, and
     a step taken alone (`step`) at row 0. A factor keeps nothing between
     iterations that its refill does not write anew, so whichever member or
-    lone step stands at row k may take it. Its size bounds the members of a
-    batch. Each loop of steps builds one and passes it to each of its steps
-    and batches: a serial branch (`engine.serial_stream`) and a bisection
-    (`locate_bifurcation`) one of 1 row, and a loop of waves one of
-    WAVE_VALUES // n rows, which each `engine.solve_intervals` call takes:
-    `runtime.run_manager` for the waves it solves itself and
-    `runtime.run_worker` for those it is sent. It is a local of its loop,
-    and no other thread sees it."""
+    lone step stands at row k may take it, and each thread keeps one Batch
+    for all its solves (`workspace`): a serial branch, a bisection, and the
+    waves of the manager or of a worker. Two conditions make that safe:
 
-    __slots__ = ("rows", "factors")
+    - No other thread sees a thread's Batch.
+    - No problem callback runs while a row holds a live factor: a bordered
+      solve calls every callback it needs before it factors, so a callback
+      that runs steps of its own on the thread may refill any row.
+
+    kernel is the tridiagonal.factor that fills factors; each kernel path
+    refills only factors of its own form."""
+
+    __slots__ = ("rows", "factors", "kernel")
 
     def __init__(self, size: int, n: int):
         self.rows = np.empty((size, 2, n))
         self.factors: list = [None] * size
+        self.kernel = tridiagonal.factor
+
+
+_thread = threading.local()
+
+
+def workspace(n: int, rows: int = 1) -> Batch:
+    """The calling thread's Batch, for a K of n unknowns and at least rows
+    members. A new one, of max(rows, WAVE_VALUES // n) rows, replaces the
+    thread's where that one is for another n or kernel path
+    (tridiagonal.factor) or has fewer rows."""
+    ws = getattr(_thread, "batch", None)
+    if (ws is None or ws.rows.shape[2] != n or len(ws.factors) < rows
+            or ws.kernel is not tridiagonal.factor):
+        ws = _thread.batch = Batch(max(rows, WAVE_VALUES // n), n)
+    return ws
 
 
 def _bordered_solve(problem: ProblemDef, w: SolutionPoint, b, beta: float,
-                    row: np.ndarray, corner: float, batch: Batch, two: bool
-                    ) -> np.ndarray:
+                    row: np.ndarray, corner: float, two: bool) -> np.ndarray:
     """The solution of the bordered system [[K, dG/dlam], [row, corner]]
     x = [b; beta], with K and dG/dlam at w and b None for zero, and, where
     two is true, of the same system for [0; 1] in a second column.
@@ -193,12 +219,12 @@ def _bordered_solve(problem: ProblemDef, w: SolutionPoint, b, beta: float,
     [0; 1] and the cold predictor's [0; beta], y = 0 and nothing cancels,
     so that column needs neither its K-solve nor the refinement. A Newton
     iteration makes one factor and two K-solves: dG/dlam with b, then the
-    refinement residual. K is factored into batch.factors[0] and solved in
-    place in batch.rows[0], row 0 of the caller's loop, and the solution
-    is a new array of shape (n + 1,) or (n + 1, 2), so the columns of a
-    two-column x keep the stride of 2 that their dot products were always
-    taken with: OpenBLAS's ddot sums a strided and a contiguous operand in
-    different orders.
+    refinement residual. Once K and dG/dlam are read, K is factored into
+    row 0 of the thread's `workspace` and solved in place there, and the
+    solution is a new array of shape (n + 1,) or (n + 1, 2), so the
+    columns of a two-column x keep the stride of 2 that their dot products
+    were always taken with: OpenBLAS's ddot sums a strided and a
+    contiguous operand in different orders.
     """
     n = problem.n_dof
     shape = (n + 1, 2) if two else (n + 1,)
@@ -218,9 +244,9 @@ def _bordered_solve(problem: ProblemDef, w: SolutionPoint, b, beta: float,
         if two:
             rhs[n, 1] = 1.0
         return np.linalg.solve(M, rhs)
-    lu = batch.factors[0] = tridiagonal.factor(*tri, batch.factors[0],
-                                               batch.rows[0])
     g = problem.jacobian_lambda(w)
+    ws = workspace(n)
+    lu = ws.factors[0] = tridiagonal.factor(*tri, ws.factors[0], ws.rows[0])
     rows = lu.b
     x = np.empty(shape)
     xc = x[:, 0] if two else x
@@ -279,14 +305,14 @@ def _sphere_roots(xx: float, ax: float, aa: float, a_lam: float,
 
 
 def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
-               delta_w_prev: np.ndarray | None, delta_L: float, batch: Batch
+               delta_w_prev: np.ndarray | None, delta_L: float
                ) -> tuple[SolutionPoint, int]:
     psi, ptp = config.psi, problem.load_norm_sq
     c = psi**2 * ptp
     n = problem.n_dof
     riks = config.constraint == RIKS
 
-    dw = predictor(problem, config, w_i, delta_w_prev, delta_L, batch)
+    dw = predictor(problem, config, w_i, delta_w_prev, delta_L)
     dw0 = dw  # first-iteration increment (Riks plane)
 
     for it in range(MAX_NEWTON_ITERS + 1):
@@ -314,8 +340,7 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
             row, corner = 2.0 * du, 2.0 * c * dw.item(n)
             beta = 0.0
         try:
-            sol = _bordered_solve(problem, w, -G, beta, row, corner, batch,
-                                  not riks)
+            sol = _bordered_solve(problem, w, -G, beta, row, corner, not riks)
         except np.linalg.LinAlgError:
             raise _NoConvergence("singular bordered system")
         if riks:
@@ -338,8 +363,7 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
 
 
 def step(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
-         delta_w_prev: np.ndarray | None, delta_L: float,
-         batch: Batch | None = None) -> StepResult:
+         delta_w_prev: np.ndarray | None, delta_L: float) -> StepResult:
     """One arc-length step of nominal length delta_L with step cutting.
 
     On non-convergence (or complex Crisfield roots) the length is halved and
@@ -347,20 +371,16 @@ def step(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
     achieved (possibly shorter) length.
 
     The bordered solves of its predictor and of every Newton iteration of
-    every try run in row 0 of batch, the `Batch` of the caller's loop of
-    steps, or of a new Batch(1, n) where none is given; the result holds
+    every try run in row 0 of the thread's `workspace`; the result holds
     none of its buffers.
     """
     if delta_L <= 0:
         raise ValueError("delta_L must be positive")
-    if batch is None:
-        batch = Batch(1, problem.n_dof)
     last_err: Exception | None = None
     for cut in range(MAX_STEP_CUTS + 1):
         dl = delta_L / 2.0**cut
         try:
-            w_new, iters = _corrector(problem, config, w_i, delta_w_prev, dl,
-                                      batch)
+            w_new, iters = _corrector(problem, config, w_i, delta_w_prev, dl)
         except (_NoConvergence, ComplexRootsError, PredictorError) as exc:
             last_err = exc
             continue
@@ -390,20 +410,21 @@ def _rows(idx, *values) -> list:
 
 def _bordered_solves(problem: ProblemDef, u: np.ndarray, lam: np.ndarray,
                      b: np.ndarray, beta, row: np.ndarray, corner,
-                     batch: Batch, two: bool) -> tuple[np.ndarray, list[int]]:
+                     two: bool) -> tuple[np.ndarray, list[int]]:
     """`_bordered_solve` for each member k of a batch: the system at
     (u[k], lam[k]) with right-hand side [b[k]; beta], border row row[k]
     and corner corner (beta and corner a float or one per member), and,
     where two is true, the [0; 1] column as well, in x[k, :, 1]. Returns
     the solutions of the members whose systems are regular and the indices
-    k of those members. Member k solves with batch.factors[k] in
-    batch.rows[k]. The arithmetic is `_bordered_solve`'s for a tridiagonal
-    K, operation for operation."""
+    k of those members. Once the problem's callbacks are read, member k
+    solves in row k of the thread's `workspace`. The arithmetic is
+    `_bordered_solve`'s for a tridiagonal K, operation for operation."""
     m, n = b.shape
-    factors = batch.factors
     subs, diags, sups = problem.tridiagonals(u, lam)
     g = problem.jacobians_lambda(u, lam)
-    rows = batch.rows[:m]
+    ws = workspace(n, m)
+    factors = ws.factors
+    rows = ws.rows[:m]
     rows[:, 0] = b
     rows[:, 1] = g
     live = []
@@ -459,7 +480,7 @@ def _bordered_solves(problem: ProblemDef, u: np.ndarray, lam: np.ndarray,
 
 def batch_step(problem: ProblemDef, config: AlmConfig,
                w_i: list[SolutionPoint], delta_w_prev: list,
-               delta_L: list[float], batch: Batch) -> list:
+               delta_L: list[float]) -> list:
     """`step` for each member j, (w_i[j], delta_w_prev[j], delta_L[j]), all
     in lockstep and without step cuts: the StepResult of each member, or
     None for one that the batch does not take (no warm start, or one of
@@ -474,8 +495,7 @@ def batch_step(problem: ProblemDef, config: AlmConfig,
     scalars are Python floats, as in `_corrector`. The problem's
     callbacks take all members at once where the problem gives their
     stacked forms (`ProblemDef`). Per member stay the tridiagonal factor
-    and its solves, in the buffers of `batch`, which has a row for each
-    member.
+    and its solves, in the member's row of the thread's `workspace`.
     """
     psi, ptp = config.psi, problem.load_norm_sq
     c = psi**2 * ptp
@@ -534,7 +554,7 @@ def batch_step(problem: ProblemDef, config: AlmConfig,
         else:
             row, corner, beta = 2.0 * du, 2.0 * c * dw[:, n], 0.0
         x, live = _bordered_solves(problem, u, lam, np.negative(G), beta,
-                                   row, corner, batch, not riks)
+                                   row, corner, not riks)
         if not live:
             break
         if len(live) < len(ids):
@@ -636,8 +656,7 @@ def locate_bifurcation(problem: ProblemDef, config: AlmConfig,
     """Bisect on arc-length between two points with opposite stability signs.
 
     Re-steps from the stable-side endpoint with shrinking length until the
-    bracketing interval's metric length is below BIF_TOL, all its steps in
-    row 0 of one `Batch`.
+    bracketing interval's metric length is below BIF_TOL.
     """
     psi, ptp = config.psi, problem.load_norm_sq
     sign_a = detect_singular(problem, w_a).det_sign
@@ -650,11 +669,10 @@ def locate_bifurcation(problem: ProblemDef, config: AlmConfig,
     lo, hi = 0.0, total
     w_lo = w_a
     w_mid = w_b
-    batch = Batch(1, problem.n_dof)
     while hi - lo > BIF_TOL:
         target = (lo + hi) / 2.0 - lo
         try:
-            res = step(problem, config, w_lo, direction, target, batch)
+            res = step(problem, config, w_lo, direction, target)
         except StepError as exc:
             raise BifurcationNotFoundError(f"bisection step failed: {exc}")
         w_mid = res.w_new

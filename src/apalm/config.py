@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 
 from .alm import AlmConfig
 from .engine import EngineConfig
-from .problems import check_numbers, is_int, make_builtin
+from .problems import is_int, make_builtin
 from .runtime import DEFAULT_TRANSPORT, PROCESS, THREAD
 
 
@@ -72,8 +72,6 @@ def parse_config(text: str) -> RunConfig:
     engine_section = doc["engine"]
     _check_keys(engine_section, _ENGINE_FIELDS, "engine")
     try:
-        check_numbers(alm_section, _ALM_FIELDS, "alm")
-        check_numbers(engine_section, _ENGINE_FIELDS, "engine")
         alm_cfg = AlmConfig(**alm_section)
         engine_cfg = EngineConfig(**engine_section)
         # built only to check the name and params; runs build their own

@@ -14,7 +14,7 @@ import math
 import time
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from . import alm
 from .alm import AlmConfig
 from .curvemap import CurveMap, CurveStructureError
-from .problems import ProblemDef, SolutionPoint
+from .problems import ProblemDef, SolutionPoint, check_numbers
 
 log = logging.getLogger(__name__)
 
@@ -32,8 +32,8 @@ MAX_BRANCHES = 8  # branches per run, the primary one included
 # fine step of warm springchain jobs (timeit, stacked callbacks), against
 # alm.step's 74 us at 256 unknowns and 59 at 64: a batch of 2 cost 86 and
 # 73 us, of 3 69 and 56, of 4 62 and 48, of 5 55 and 41. A batch of 3
-# beats alm.step by 6-7 %, of 4 by 17-20 %
-MIN_BATCH = 4
+# beats alm.step by 6-7 %, of 4 by 17-20 %, and one of 2 loses by 17-23 %
+MIN_BATCH = 3
 
 
 class SerialSolveError(RuntimeError):
@@ -55,6 +55,8 @@ class EngineConfig:
     bifurcation_enabled: bool = False
 
     def __post_init__(self):
+        check_numbers(vars(self), {f.name: f.type for f in fields(self)},
+                      "engine")
         # every check is written so that NaN fails it
         if not 0 < self.delta_L < math.inf:
             raise ValueError("delta_L must be positive and finite")
@@ -148,36 +150,27 @@ def solve_interval(problem: ProblemDef, config: AlmConfig, job: Job
     return solve_intervals(problem, config, [job])[0]
 
 
-def solve_intervals(problem: ProblemDef, config: AlmConfig, jobs: list[Job],
-                    batch: alm.Batch | None = None) -> list[IntervalResult]:
+def solve_intervals(problem: ProblemDef, config: AlmConfig, jobs: list[Job]
+                    ) -> list[IntervalResult]:
     """Re-solve each job's interval as `solve_interval` describes, the
     jobs one fine step at a time, in lockstep while at least MIN_BATCH
     jobs step on: each round is one alm.batch_step over them. A job whose
     step the batch does not take (a cold predictor) or that fails in it
     takes that step alone, through alm.step and its step cuts, and so do
     the steps of the fewer than MIN_BATCH jobs left, job by job; so each
-    job's result has the bits of solving it alone.
-
-    The batches and the steps taken alone solve in batch, the `alm.Batch`
-    of the caller's loop of waves, whose factors earlier waves built: a
-    batch's members in its first rows, a step taken alone in row 0. A wave
-    given none, or one with fewer rows than its batch's jobs, builds its
-    own. So a factor is built once per row of a loop's batch, and refilled
-    on every other iteration."""
+    job's result has the bits of solving it alone. Both solve in the
+    thread's `alm.workspace`, whose factors earlier waves built."""
     intervals = [_Interval(job) for job in jobs]
     live = [s for s in intervals if s.stepping()]
-    size = len(live) if len(live) >= MIN_BATCH else 1
-    if batch is None or len(batch.factors) < size:
-        batch = alm.Batch(size, problem.n_dof)
     while len(live) >= MIN_BATCH:
         for s, res in zip(live, alm.batch_step(
                 problem, config, [s.w for s in live],
-                [s.aim() for s in live], [s.length() for s in live], batch)):
-            s.take(problem, config, res, batch)
+                [s.aim() for s in live], [s.length() for s in live])):
+            s.take(problem, config, res)
         live = [s for s in live if s.stepping()]
     for s in live:
         while s.stepping():
-            s.take(problem, config, None, batch)
+            s.take(problem, config, None)
     return [IntervalResult(job.id, [], error=s.error) if s.error
             else IntervalResult(job.id, s.sols)
             for job, s in zip(jobs, intervals)]
@@ -215,13 +208,13 @@ class _Interval:
         return self.dw
 
     def take(self, problem: ProblemDef, config: AlmConfig,
-             res: alm.StepResult | None, batch: alm.Batch) -> None:
+             res: alm.StepResult | None) -> None:
         """The next step: res, or, where the batch gave none, one taken
-        alone in row 0 of batch."""
+        alone."""
         if res is None:
             try:
                 res = alm.step(problem, config, self.w, self.aim(),
-                               self.length(), batch)
+                               self.length())
             except alm.StepError as exc:
                 self.error = str(exc)
                 return
@@ -250,11 +243,10 @@ def serial_stream(problem: ProblemDef, config: AlmConfig,
     SerialStep after each accepted step, and the branch's level-0 map when
     the branch closes.
 
-    Starts from the trivial point (u = 0, lambda = 0). A branch's steps
-    solve in row 0 of one `alm.Batch`, built for the branch. With
-    bifurcation detection enabled, once a branch's steps end (at its last
-    step or a failed one), the stability of every point its steps reached,
-    and of the primary branch's start, is counted in one pass
+    Starts from the trivial point (u = 0, lambda = 0). With bifurcation
+    detection enabled, once a branch's steps end (at its last step or a
+    failed one), the stability of every point its steps reached, and of
+    the primary branch's start, is counted in one pass
     (alm.detect_singulars), and each sign change
     between consecutive points, in step order, triggers bisection; located
     bifurcation points spawn new branches via an eigenvector perturbation,
@@ -277,11 +269,9 @@ def serial_stream(problem: ProblemDef, config: AlmConfig,
         ws = [start]
         ss = [0.0]
         dw = seed
-        batch = alm.Batch(1, problem.n_dof)
         for _ in range(engine.steps):
             try:
-                res = alm.step(problem, config, ws[-1], dw, engine.delta_L,
-                               batch)
+                res = alm.step(problem, config, ws[-1], dw, engine.delta_L)
             except alm.StepError as exc:
                 message = (f"serial solve failed on branch {closed} "
                            f"at s={ss[-1]:.6g}: {exc}")

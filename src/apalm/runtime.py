@@ -18,7 +18,7 @@ from itertools import islice
 
 from . import engine as eng
 from . import transport as tp
-from .alm import AlmConfig, Batch
+from .alm import WAVE_VALUES, AlmConfig
 from .engine import EngineConfig, IntervalResult, Job, QueueEngine
 from .problems import ProblemDef
 
@@ -35,13 +35,6 @@ PROCESS = "process"
 # phase ran 49-63 % longer than aalm's.
 DEFAULT_TRANSPORT = (
     PROCESS if "fork" in multiprocessing.get_all_start_methods() else THREAD)
-# the most jobs times unknowns in a wave, solved by the manager itself or
-# sent to a worker in one frame: 16 jobs of springchain n = 256. A wave
-# holds each job's factor, points and (jobs, n) arrays at once: on
-# chain-serial, a run on its own peaked 1.1 MiB above one-job-at-a-time
-# solving with waves of 16, 2.2 MiB with waves of 32 at the same speed, and
-# ran 5 % slower with waves of 8
-WAVE_VALUES = 1 << 12
 # how long, in seconds, the manager waits for its workers to hang up after
 # their stops, and apalm for each worker to end
 STOP_TIMEOUT = 30.0
@@ -50,20 +43,18 @@ STOP_TIMEOUT = 30.0
 def run_worker(problem: ProblemDef, config: AlmConfig, endpoint) -> int:
     """Worker loop: receive a wave of jobs, solve it with one
     `engine.solve_intervals` call, send its replies as one wave, in the
-    order of its jobs; exit on stop. Every wave solves in the loop's one
-    `alm.Batch`, of WAVE_VALUES // n rows, the most jobs of a frame, so
-    each factor row is built once for all the frames the worker answers.
+    order of its jobs; exit on stop. Every wave solves in the thread's
+    `alm.workspace`, so each factor row is built once for all the frames
+    the worker answers.
 
     Returns the number of jobs executed.
     """
-    n_dof = problem.n_dof
-    batch = Batch(max(1, WAVE_VALUES // n_dof), n_dof)
     done = 0
     while (jobs := endpoint.recv()) is not None:
         if not isinstance(jobs[0], Job):
             raise tp.ProtocolError(
                 f"expected job message, got {type(jobs[0]).__name__}")
-        endpoint.send(eng.solve_intervals(problem, config, jobs, batch))
+        endpoint.send(eng.solve_intervals(problem, config, jobs))
         done += len(jobs)
     return done
 
@@ -115,17 +106,16 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
     the serial phase, the manager solves jobs itself: with no endpoints
     this is `aalm`, and a run that loses every worker finishes its queue.
     It pops the whole queue, up to WAVE_VALUES // n_dof jobs, solves them
-    as one wave with `engine.solve_intervals`, in the one `alm.Batch` of
-    the loop, and submits the results in pop order; the jobs that they
-    queue come after the wave, as they would one job at a time, so job
-    ids, records and rows are those of solving the head job alone. The
+    as one wave with `engine.solve_intervals`, and submits the results in
+    pop order; the jobs that they queue come after the wave, as they would
+    one job at a time, so job ids, records and rows are those of solving
+    the head job alone. The
     serial phase is timed as serial_time, and queue_time runs from its end
     to the end of this loop, stopping the workers and validating the maps
     included.
     """
     n_dof = state.problem.n_dof
     wave = max(1, WAVE_VALUES // n_dof)
-    batch = Batch(wave, n_dof)  # the buffers of the waves solved here
     held = dict.fromkeys(endpoints)  # the jobs of each one's frame, or None
     sendable = dict(held)  # the endpoints that are still sent jobs
     # Workers holding no frame are watched too: a worker lost between
@@ -204,7 +194,7 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
                 jobs = [state.pop() for _ in range(min(len(state.queue),
                                                        wave))]
                 for job, result in zip(jobs, eng.solve_intervals(
-                        state.problem, state.config, jobs, batch)):
+                        state.problem, state.config, jobs)):
                     state.submit(job, result)
                 continue
             settle(live.select())

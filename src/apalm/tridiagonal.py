@@ -39,11 +39,12 @@ returns them, a view of `lu.b`. A caller that factors one K after
 another, as the Newton iterations of arc-length steps do, passes its
 last factor back to `factor`, which keeps its `b` and refuses one of
 another n; the LAPACK path also refills its arrays, which the first
-factor wrapped in ctypes. In `alm` such a factor lives in a row of the
-`alm.Batch` of one loop of steps, refilled by whichever batch member or
-step taken alone stands at that row, and no other thread sees it, so
-steps that run at the same time in different threads never write to
-each other's arrays.
+factor wrapped in ctypes. In `alm` such a factor lives in a row of its
+thread's `alm.workspace`, refilled by whichever batch member or step
+taken alone stands at that row, and no other thread sees it, so steps
+that run at the same time in different threads never write to each
+other's arrays. A workspace holds the factors of one kernel path, so one
+filled by `reference_factor` is not refilled by `lapack_factor`.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ class Factor(NamedTuple):
     rows `solve(lu, k)` solves in place, kept by a refactor into the factor.
     A refactor overwrites everything a solve reads, so a factor may be
     refilled by any caller of the one thread that holds it, as the members
-    and lone steps standing at one row of an `alm.Batch` refill theirs.
+    and lone steps standing at one row of a thread's `alm.workspace`
+    refill theirs.
     `lapack_factor` also gives, as `args`, dgttrf's whole argument list N, DL,
     D, DU, DU2, IPIV and INFO, as `calls`, dgttrs' whole argument lists for
     b's first k rows, keyed by k, and as `info` the INFO they share; all are

@@ -231,6 +231,41 @@ class TestStep:
             assert got is not None
             assert all(b == ref[i] for i, b in got)
 
+    def test_each_thread_has_its_own_workspace(self):
+        """alm.workspace is the calling thread's: the same Batch on every
+        call for one n, and another on another thread. A new one, of
+        WAVE_VALUES // n rows or of the rows asked for where that is more,
+        replaces it for another n or more rows."""
+        main = alm.workspace(16)
+        assert alm.workspace(16) is main
+        barrier = threading.Barrier(2)
+        seen = []
+
+        def hold():
+            seen.append(alm.workspace(16))
+            barrier.wait(timeout=60)  # both threads live at once
+
+        threads = [threading.Thread(target=hold) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert len(seen) == 2 and seen[0] is not seen[1]
+        assert main is not seen[0] and main is not seen[1]
+        assert alm.workspace(16) is main
+
+        def sizes():
+            first = alm.workspace(16)
+            wide = alm.workspace(16, 300)
+            return [len(ws.factors) for ws in (
+                first, wide, alm.workspace(16), alm.workspace(32),
+                alm.workspace(8192))], wide is alm.workspace(16, 2)
+
+        rows, kept = sizes()
+        assert rows == [alm.WAVE_VALUES // 16, 300, 300,
+                        alm.WAVE_VALUES // 32, 1]
+        assert not kept  # the 32- and 8192-unknown ones replaced it
+
     def test_traverses_limit_point(self):
         # The load factor must rise and then fall past (u, lambda) = (-1, 2).
         p = make_builtin("cubic1d")
@@ -457,5 +492,13 @@ class TestConfigValidation:
         for value in (math.nan, math.inf)
     ])
     def test_out_of_range(self, field, value):
-        with pytest.raises(ValueError):
+        # refused by the type check that a config file's "alm" gets
+        with pytest.raises(TypeError,
+                           match=f"'alm.{field}' must be a finite number"):
             AlmConfig(**{field: value})
+
+    def test_bool_newton_tol_rejected(self):
+        # True is an int to Python, and 0 < True < inf would pass
+        with pytest.raises(TypeError,
+                           match="'alm.newton_tol' must be a finite number"):
+            AlmConfig(newton_tol=True)

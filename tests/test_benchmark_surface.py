@@ -81,15 +81,16 @@ def test_chain_serial_work_counts(monkeypatch):
 
 def test_chain_serial_builds_buffers_once_per_step(monkeypatch):
     """Of chain-serial seed 1's 662 factors of springchain's tridiagonal
-    K, 17 are given no earlier factor and build buffers: the arrays,
-    their rows b and, on the LAPACK path, the ctypes arguments. 1 is the
-    serial phase's: its one branch solves its cold predictor and all its
-    steps in row 0 of one alm.Batch. 16 are the queue's, one per row of
-    the one alm.Batch that run_manager solves every wave in, with rows in
-    the batch's array: a wave of 16 jobs reaches every row, and the one
-    job step taken alone through alm.step, the one that starts cold,
-    refills row 0 of that batch. The other 645 refill the buffers of an
-    earlier factor of their loop."""
+    K, 16 are given no earlier factor and build buffers: the arrays,
+    their rows b and, on the LAPACK path, the ctypes arguments, one per
+    row of the thread's alm.workspace (swapping tridiagonal.factor for the
+    count gives the thread a new one), which has WAVE_VALUES // 256 = 16.
+    The serial branch solves its cold predictor and all its steps in row
+    0, and run_manager's waves solve in the same workspace: a wave of 16
+    jobs reaches every row, and builds the other 15, while the one job
+    step taken alone, the one that starts cold, refills row 0. The other
+    646 refill an earlier factor of the workspace. (17 and 645 while the
+    serial branch built a workspace of its own.)"""
     cfg = parse_config(json.dumps(seeded_config("chain-serial", 1)))
     counts = {"new": 0, "refill": 0}
     factor = tridiagonal.factor
@@ -101,7 +102,7 @@ def test_chain_serial_builds_buffers_once_per_step(monkeypatch):
     monkeypatch.setattr(tridiagonal, "factor", counted)
     aalm(make_builtin(cfg.problem_name, **cfg.problem_params), cfg.alm,
          cfg.engine)
-    assert (counts["new"], counts["refill"]) == (17, 645)
+    assert (counts["new"], counts["refill"]) == (16, 646)
 
 
 def test_chain_serial_counts_stability_in_one_stacked_pass(monkeypatch):

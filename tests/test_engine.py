@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -129,12 +130,12 @@ class TestSerialSolve:
                                                       caplog):
         step = alm.step
 
-        def fail_from_seed(problem, config, w, dw, delta_L, batch):
+        def fail_from_seed(problem, config, w, dw, delta_L):
             # only a spawned branch's first step starts from its seed,
             # whose lambda entry is 0
             if dw is not None and dw[-1] == 0.0:
                 raise alm.StepError("forced")
-            return step(problem, config, w, dw, delta_L, batch)
+            return step(problem, config, w, dw, delta_L)
 
         monkeypatch.setattr(alm, "step", fail_from_seed)
         branches = serial_solve(
@@ -323,9 +324,9 @@ class TestSolveInterval:
         w_end = SolutionPoint(np.array([0.35]), path(0.5))
         calls, step = [], alm.step
 
-        def logged(problem, config, w_i, dw, length, batch):
+        def logged(problem, config, w_i, dw, length):
             calls.append((w_i, dw))
-            return step(problem, config, w_i, dw, length, batch)
+            return step(problem, config, w_i, dw, length)
 
         monkeypatch.setattr(alm, "step", logged)
         res = solve_interval(p, crisfield(1.0), make_job(
@@ -670,8 +671,25 @@ class TestEngineConfigValidation:
           for value in (math.nan, math.inf)),
     ])
     def test_rejects_bad_values(self, kw):
-        with pytest.raises(ValueError):
+        # NaN and inf fail the type check that a config file's "engine"
+        # gets, as a TypeError, before any range check
+        finite = all(map(math.isfinite, kw.values()))
+        with pytest.raises(ValueError if finite else TypeError):
             EngineConfig(**kw)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("steps", 3.0, "'engine.steps' must be an integer"),
+        ("subintervals", 2.5, "'engine.subintervals' must be an integer"),
+        ("bifurcation_enabled", "no",
+         "'engine.bifurcation_enabled' must be true or false"),
+    ])
+    def test_rejects_what_a_config_file_may_not_hold(self, field, value,
+                                                     message):
+        # built in code, as a config file's section is checked: steps=3.0
+        # once failed later in serial_stream, subintervals=2.5 ran under
+        # aalm but broke the wire's integer N, and "no" turned detection on
+        with pytest.raises(TypeError, match=message):
+            EngineConfig(**{"delta_L": 1.0, "steps": 3, field: value})
 
 
 class TestJob:
@@ -754,11 +772,11 @@ def steps_by_job(monkeypatch) -> dict:
     solve, batch_step, step = (engine.solve_intervals, alm.batch_step,
                                alm.step)
 
-    def logged_solve(problem, config, jobs, *batch):
+    def logged_solve(problem, config, jobs):
         for job in jobs:
             owner[id(job.w_start)] = (job.w_start, job.id)
             steps[job.id] = []
-        return solve(problem, config, jobs, *batch)
+        return solve(problem, config, jobs)
 
     def note(w, result):
         if id(w) in owner:
@@ -985,26 +1003,38 @@ def counted_factors(monkeypatch):
     return counts
 
 
+def on_new_thread(fn, *args):
+    """fn(*args), run on a thread of its own, whose alm.workspace is new."""
+    out = []
+    t = threading.Thread(target=lambda: out.append(fn(*args)))
+    t.start()
+    t.join(timeout=60)
+    assert out, "the thread raised or is still running"
+    return out[0]
+
+
 def test_steps_taken_alone_share_one_workspace(monkeypatch):
     """Fewer than MIN_BATCH springchain jobs take every step alone through
-    alm.step, in row 0 of their solve_intervals call's alm.Batch: given
-    none, the call builds one factor for all their steps, and each later
-    iteration refills it; given a Batch whose row 0 an earlier wave built,
-    it builds no factor at all."""
+    alm.step, in row 0 of the thread's alm.workspace. A workspace new to
+    the thread (a swapped tridiagonal.factor gets one) builds one factor
+    for all their steps, and each later iteration refills it; after a wave
+    on the same thread has built its rows, they build no factor at all,
+    and keep their bits."""
     p, cfg, eng = KERNEL_RUNS["chain-n64"]
     jobs = level_one_jobs(p, cfg, eng)
+    alone = jobs[1:MIN_BATCH]
     counts = counted_factors(monkeypatch)
-    results = engine.solve_intervals(p, cfg, jobs[1:MIN_BATCH])
-    assert all(len(r.solutions) == job.N
-               for r, job in zip(results, jobs[1:MIN_BATCH]))
-    assert counts["new"] == 1 and counts["refill"] >= MIN_BATCH - 1
-    batch = alm.Batch(MIN_BATCH, p.n_dof)
-    engine.solve_intervals(p, cfg, jobs[MIN_BATCH:2 * MIN_BATCH], batch)
-    assert all(batch.factors)
+    results = engine.solve_intervals(p, cfg, alone)
+    assert all(len(r.solutions) == job.N for r, job in zip(results, alone))
+    factors = counts["new"] + counts["refill"]
+    assert counts["new"] == 1 and factors >= len(alone)
+    wave = jobs[MIN_BATCH:4 * MIN_BATCH]
+    engine.solve_intervals(p, cfg, wave)
+    assert all(alm.workspace(p.n_dof).factors[:len(wave)])
     counts.update(new=0, refill=0)
-    again = engine.solve_intervals(p, cfg, jobs[1:MIN_BATCH], batch)
+    again = engine.solve_intervals(p, cfg, alone)
     assert result_bits(again) == result_bits(results)
-    assert counts["new"] == 0 and counts["refill"] >= MIN_BATCH - 1
+    assert (counts["new"], counts["refill"]) == (0, factors)
 
 
 def test_a_wave_calls_no_per_point_callback_outside_its_lone_steps(
@@ -1013,8 +1043,9 @@ def test_a_wave_calls_no_per_point_callback_outside_its_lone_steps(
     residual, tridiagonal and dG/dlambda only inside alm.step, for the
     steps taken alone (here job 0's cold first step); its batches call
     the stacked forms, once per Newton iteration. It builds a factor for
-    each row of its alm.Batch that a batch reaches, and none for its step
-    taken alone."""
+    each row of its thread's alm.workspace that a batch reaches (the
+    counting tridiagonal.factor gives the thread a new one), and none for
+    its step taken alone."""
     from dataclasses import replace
 
     from bits import configs

@@ -206,7 +206,8 @@ class TestRunWorker:
     def test_thread_worker_builds_each_factor_row_once(self, pair,
                                                        monkeypatch):
         # three frames of warm-started springchain jobs, of 4, 6 and 5
-        # jobs, to one thread worker: its one alm.Batch builds the factors
+        # jobs, to one thread worker: its thread's alm.workspace builds the
+        # factors
         # of rows 0-3 on the first frame and of rows 4 and 5 on the
         # second, and refills them on every other iteration, the third
         # frame's included; every reply has the bits of its job alone
@@ -786,14 +787,14 @@ class TestApalm:
         solve_waves = engine.solve_intervals
         worker_frames, manager_jobs = [], []
 
-        def exits_on_second_frame(problem, config, jobs, batch):
+        def exits_on_second_frame(problem, config, jobs):
             if os.getpid() != manager_pid:
                 worker_frames.append([job.id for job in jobs])
                 if len(worker_frames) == 2:
                     os._exit(1)
             else:
                 manager_jobs.extend(job.id for job in jobs)
-            return solve_waves(problem, config, jobs, batch)
+            return solve_waves(problem, config, jobs)
 
         monkeypatch.setattr(engine, "solve_intervals", exits_on_second_frame)
         eng = EngineConfig(delta_L=0.4, steps=15, tol_lower=1e-4,
@@ -857,10 +858,10 @@ class TestApalm:
             return (os.getpid() == manager_pid
                     and threading.current_thread() is main)
 
-        def hangs_up(problem, config, jobs, batch):
+        def hangs_up(problem, config, jobs):
             if not in_manager():
                 raise tp.EndpointClosed("synthetic hang-up")
-            return solve(problem, config, jobs, batch)
+            return solve(problem, config, jobs)
 
         def waits_for_the_loss(*args):
             if in_manager():

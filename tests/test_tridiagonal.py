@@ -21,8 +21,8 @@ from apalm.alm import AlmConfig, null_vector
 from apalm.engine import EngineConfig, aalm
 from apalm.problems import ProblemDef, SolutionPoint, make_builtin
 from apalm.runtime import apalm
-from bits import row_bits
-from test_engine import KERNEL_RUNS, level_one_jobs
+from bits import record_bits, row_bits
+from test_engine import KERNEL_RUNS, level_one_jobs, on_new_thread
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -450,9 +450,10 @@ def test_lapack_kernels_found_where_numpy_links_ilp64_openblas():
 def test_solve_wraps_only_its_right_hand_sides(monkeypatch):
     """The LAPACK arguments that a factor fixes, its own rows b among them,
     are built once, by the first lapack_factor: a refactor into its arrays
-    wraps none, and a solve of its rows in place none. So an arc-length
-    step wraps the six arrays of its one factor, however many Newton
-    iterations it makes."""
+    wraps none, and a solve of its rows in place none. So the first
+    arc-length step on a thread wraps the six arrays of the one factor it
+    builds, in row 0 of the thread's alm.workspace, and a later step on
+    that thread wraps none, however many Newton iterations it makes."""
     sub, diag, sup, b = random_tridiagonal(0)
     lu = tridiagonal.lapack_factor(sub, diag, sup)
     x = solve_rows(tridiagonal.lapack_solve, lu, b, -b)
@@ -470,16 +471,70 @@ def test_solve_wraps_only_its_right_hand_sides(monkeypatch):
     assert not wrapped
     p = make_builtin("springchain", n=16)
     cfg = AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-10)
-    first = alm.step(p, cfg, SolutionPoint(np.zeros(16), 0.0), None, 0.4)
     solves = []
     monkeypatch.setattr(tridiagonal, "solve",
                         lambda *args: solves.append(args) or
                         tridiagonal.lapack_solve(*args))
-    wrapped.clear()
-    res = alm.step(p, cfg, first.w_new, first.dw, 0.8)
+
+    def two_steps():
+        first = alm.step(p, cfg, SolutionPoint(np.zeros(16), 0.0), None, 0.4)
+        built = len(wrapped)
+        wrapped.clear()
+        solves.clear()
+        return first, built, alm.step(p, cfg, first.w_new, first.dw, 0.8)
+
+    first, built, res = on_new_thread(two_steps)
+    assert first.iterations >= 2 and built == 6
     assert res.cuts_used == 0 and res.iterations >= 2
     assert len(solves) == 2 * res.iterations
-    assert len(wrapped) == 6
+    assert not wrapped
+
+
+def test_a_swapped_factor_gets_a_new_workspace(monkeypatch):
+    """A thread's alm.workspace holds factors of one tridiagonal.factor:
+    swapping it, as a test does to count factors or to take the reference
+    path, gives the thread a new workspace, and swapping it back another,
+    so a LAPACK refill never meets a reference factor's lists, and a step
+    keeps its bits."""
+    p = make_builtin("springchain", n=16)
+    w0 = SolutionPoint(np.zeros(16), 0.0)
+    ref = alm.step(p, CRISFIELD, w0, None, 0.4)
+    ws = alm.workspace(16)
+    assert ws.factors[0] is not None and alm.workspace(16) is ws
+    factor = tridiagonal.factor
+    monkeypatch.setattr(tridiagonal, "factor", lambda *args: factor(*args))
+    fresh = alm.workspace(16)
+    assert fresh is not ws and not any(fresh.factors)
+    monkeypatch.setattr(tridiagonal, "factor", tridiagonal.reference_factor)
+    monkeypatch.setattr(tridiagonal, "solve", tridiagonal.reference_solve)
+    assert step_bits(alm.step(p, CRISFIELD, w0, None, 0.4)) == step_bits(ref)
+    monkeypatch.undo()
+    assert step_bits(alm.step(p, CRISFIELD, w0, None, 0.4)) == step_bits(ref)
+
+
+def test_a_callback_that_steps_moves_no_bit():
+    """A problem callback may take arc-length steps of its own on the
+    thread: a springchain whose dG/dlambda also takes a cold alm.step on
+    another chain of 16 unknowns, in row 0 of the same workspace, traces
+    the rows and records of plain springchain, as a bordered solve reads
+    dG/dlambda before it factors K into that row."""
+    p = make_builtin("springchain", n=16)
+    other = make_builtin("springchain", n=16, c=0.8)
+    w0 = SolutionPoint(np.zeros(16), 0.0)
+    g, nested = p.jacobian_lambda_fn, []
+
+    def stepping(u, lam):
+        nested.append(alm.step(other, CRISFIELD, w0, None, 0.3))
+        return g(u, lam)
+
+    eng = EngineConfig(delta_L=0.4, steps=16, tol_lower=1e-3,
+                       tol_upper=1e-3, max_level=2)
+    state = aalm(replace(p, jacobian_lambda_fn=stepping,
+                         jacobians_lambda_fn=None), CRISFIELD, eng)
+    plain = aalm(p, CRISFIELD, eng)
+    assert nested and state.stats.jobs_done == plain.stats.jobs_done > 0
+    assert row_bits(state.collect()) == row_bits(plain.collect())
+    assert record_bits(state) == record_bits(plain)
 
 
 def test_library_without_symbols_leaves_the_reference_path(monkeypatch):
@@ -534,8 +589,7 @@ def test_near_singular_bordered_solve_matches_dense(constraint, seed):
         rhs = np.zeros((n + 1, 2))
         rhs[:n, 0] = -G
         rhs[n, 1] = 1.0
-    x = alm._bordered_solve(p, w, -G, beta, row, corner, alm.Batch(1, n),
-                            rhs.ndim == 2)
+    x = alm._bordered_solve(p, w, -G, beta, row, corner, rhs.ndim == 2)
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = K
     M[:n, n] = -1.0
@@ -581,10 +635,11 @@ def step_bits(res):
 @pytest.mark.parametrize("kernels", PATHS)
 @pytest.mark.parametrize("run", sorted(KERNEL_RUNS))
 def test_lone_step_in_a_members_row_moves_no_bit(run, kernels, monkeypatch):
-    """A step taken alone in row 0 of a Batch, whose factor a batch_step
-    member has just refilled and solved in, gives the bits of the same step
-    in a fresh Batch(1, n): the cold first step of job 0 and warm first
-    steps of later jobs, on springchain with Crisfield's and Riks's
+    """A step taken alone after a batch_step on the same thread refills
+    row 0 of the thread's alm.workspace, whose factor a member has just
+    refilled and solved in, and gives the bits of the same step on a new
+    thread, whose workspace is new: the cold first step of job 0 and warm
+    first steps of later jobs, on springchain with Crisfield's and Riks's
     constraint."""
     monkeypatch.setattr(tridiagonal, "factor", kernels[0])
     monkeypatch.setattr(tridiagonal, "solve", kernels[1])
@@ -598,14 +653,15 @@ def test_lone_step_in_a_members_row_moves_no_bit(run, kernels, monkeypatch):
         return job.w_start, dw, job.delta_L0 / job.N
 
     members = [first_step(job) for job in jobs[1:9]]
-    batch = alm.Batch(len(members), n)
     for job in [jobs[0], jobs[1], jobs[-1]]:
-        results = alm.batch_step(p, cfg, *map(list, zip(*members)), batch)
-        assert all(results) and all(batch.factors)
-        alone = alm.step(p, cfg, *first_step(job), batch)
-        assert np.shares_memory(batch.factors[0].b, batch.rows[0])
+        results = alm.batch_step(p, cfg, *map(list, zip(*members)))
+        ws = alm.workspace(n)
+        assert all(results) and all(ws.factors[:len(members)])
+        alone = alm.step(p, cfg, *first_step(job))
+        assert alm.workspace(n) is ws
+        assert np.shares_memory(ws.factors[0].b, ws.rows[0])
         assert step_bits(alone) == step_bits(
-            alm.step(p, cfg, *first_step(job), alm.Batch(1, n)))
+            on_new_thread(alm.step, p, cfg, *first_step(job)))
 
 
 CRISFIELD = AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-10)
