@@ -20,7 +20,7 @@ from . import engine as eng
 from . import transport as tp
 from .alm import WAVE_VALUES, AlmConfig
 from .engine import EngineConfig, IntervalResult, Job, QueueEngine
-from .problems import ProblemDef
+from .problems import ProblemDef, is_int
 
 log = logging.getLogger(__name__)
 
@@ -35,8 +35,8 @@ PROCESS = "process"
 # phase ran 49-63 % longer than aalm's.
 DEFAULT_TRANSPORT = (
     PROCESS if "fork" in multiprocessing.get_all_start_methods() else THREAD)
-# how long, in seconds, the manager waits for its workers to hang up after
-# their stops, and apalm for each worker to end
+# how long, in seconds, apalm waits in all for its workers to hang up after
+# their stops, and then for each worker to end
 STOP_TIMEOUT = 30.0
 
 
@@ -45,7 +45,8 @@ def run_worker(problem: ProblemDef, config: AlmConfig, endpoint) -> int:
     `engine.solve_intervals` call, send its replies as one wave, in the
     order of its jobs; exit on stop. Every wave solves in the thread's
     `alm.workspace`, so each factor row is built once for all the frames
-    the worker answers.
+    the worker answers. A frame that is not a job wave, or whose points
+    are not of the problem's size, raises ProtocolError.
 
     Returns the number of jobs executed.
     """
@@ -54,6 +55,10 @@ def run_worker(problem: ProblemDef, config: AlmConfig, endpoint) -> int:
         if not isinstance(jobs[0], Job):
             raise tp.ProtocolError(
                 f"expected job message, got {type(jobs[0]).__name__}")
+        if jobs[0].w_start.n_dof != problem.n_dof:  # one n_dof a wave
+            raise tp.ProtocolError(
+                f"job points of {jobs[0].w_start.n_dof} DOF for "
+                f"{problem.n_dof}")
         endpoint.send(eng.solve_intervals(problem, config, jobs))
         done += len(jobs)
     return done
@@ -86,18 +91,14 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
       the queue. It ends the sends to that worker, not the reads: the
       endpoint stays in the selector until the worker hangs up.
 
-    `sendall` cannot deadlock. A job frame goes only to a worker that has
-    answered everything it was sent and so is blocked in `recv`, which
-    takes a frame of any size; the only other thing sent is the stop,
-    which fits any buffer. So the manager always comes back to its
-    selector and reads, and a reply frame may be of any size, as the
-    manager reads while the worker writes it (about 395 KB for 16
-    springchain jobs of n = 256 with N = 12). When the loop ends, also by
-    an error, every worker is sent its stop, and each endpoint that still
-    holds a frame, whose worker may still be sending its reply, is read
-    and its bytes dropped until the worker hangs up (at most STOP_TIMEOUT
-    in all), so that no worker is left blocked in a send the manager no
-    longer reads.
+    `sendall` cannot deadlock. The manager sends only job frames, and a
+    job frame goes only to a worker that has answered everything it was
+    sent and so is blocked in `recv`, which takes a frame of any size. So
+    the manager always comes back to its selector and reads, and a reply
+    frame may be of any size, as the manager reads while the worker
+    writes it (about 395 KB for 16 springchain jobs of n = 256 with
+    N = 12). The manager sends no stop: whoever started the workers stops
+    them, also when this loop raises, as `apalm` does.
 
     The serial phase runs here unless `state.initialize()` has run it:
     after each serial step the manager settles the replies that have
@@ -111,8 +112,7 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
     one job at a time, so job ids, records and rows are those of solving
     the head job alone. The
     serial phase is timed as serial_time, and queue_time runs from its end
-    to the end of this loop, stopping the workers and validating the maps
-    included.
+    to the end of this loop, validating the maps included.
     """
     n_dof = state.problem.n_dof
     wave = max(1, WAVE_VALUES // n_dof)
@@ -183,7 +183,7 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
             for job, reply in zip(jobs, replies):
                 state.submit(job, reply)
 
-    try:
+    with live:
         for _ in state.serial_phase:  # the serial phase, unless it has run
             settle(live.select(0))
             dispatch()
@@ -199,20 +199,6 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
                 continue
             settle(live.select())
             dispatch()
-    finally:
-        # Also when the loop raises: every worker is sent its stop, and one
-        # that may still owe a reply, as it holds a frame, is read until it
-        # hangs up, so that it is never left blocked sending a reply.
-        live.close()
-        for ep in endpoints:
-            try:
-                ep.send(None)
-            except tp.EndpointClosed:
-                pass
-        deadline = time.monotonic() + STOP_TIMEOUT
-        for ep, jobs in held.items():
-            if jobs:
-                ep.drain(deadline - time.monotonic())
     state.validate_maps()
     state.stats.queue_time = time.perf_counter() - t0
 
@@ -239,9 +225,19 @@ def apalm(problem: ProblemDef, config: AlmConfig, engine: EngineConfig,
     and sends them the level-1 jobs as their serial steps land, and then
     the rest of the queue, a wave of jobs per frame. Result contract
     matches the serial aalm run.
+
+    apalm alone ends its workers' lives. When the run ends, also by an
+    error, every worker is sent its stop, the only thing sent besides job
+    frames: it finds room, as a worker reads its frame whole before it
+    sends a reply, and a worker whose stop cannot be sent is already gone.
+    Each endpoint is then read and its bytes dropped until its worker
+    hangs up, at most STOP_TIMEOUT in all, so that a worker still sending
+    the reply to a frame it holds is never left blocked in a send, and it
+    answers its jobs and reads its stop, not a lost manager. Last, the
+    workers are joined and their sockets closed.
     """
-    if worker_count < 1:
-        raise ValueError("worker_count must be >= 1")
+    if not is_int(worker_count) or worker_count < 1:
+        raise ValueError("worker_count must be a positive integer")
     if transport not in (THREAD, PROCESS):
         raise ValueError(f"unknown transport {transport!r}")
     state = QueueEngine(problem, config, engine)
@@ -267,10 +263,14 @@ def apalm(problem: ProblemDef, config: AlmConfig, engine: EngineConfig,
             workers.append(w)
         run_manager(state, endpoints)
     finally:
-        # Ending the sends wakes a worker sent no stop; closing after the
-        # join lets a worker still on its jobs send its replies.
         for ep in endpoints:
-            ep.end_sends()
+            try:
+                ep.send(None)
+            except tp.EndpointClosed:
+                pass
+        deadline = time.monotonic() + STOP_TIMEOUT
+        for ep in endpoints:
+            ep.drain(deadline - time.monotonic())
         for w in workers:
             w.join(timeout=STOP_TIMEOUT)
         for ep in endpoints:

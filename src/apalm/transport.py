@@ -211,13 +211,6 @@ class SocketEndpoint:
         finally:
             self._sock.settimeout(blocking)
 
-    def end_sends(self) -> None:
-        """Send the end of the stream; replies can still be read."""
-        try:
-            self._sock.shutdown(socket.SHUT_WR)
-        except OSError:
-            pass
-
     def close(self) -> None:
         try:
             self._sock.shutdown(socket.SHUT_RDWR)

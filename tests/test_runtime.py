@@ -87,8 +87,22 @@ class SendsOnce(SocketEndpoint):
         super().send(msg)
 
 
+def run_and_stop(state, endpoints):
+    """run_manager, then each endpoint's stop, as apalm sends it: the
+    manager sends only job frames, and whoever started the workers stops
+    them."""
+    try:
+        run_manager(state, endpoints)
+    finally:
+        for ep in endpoints:
+            try:
+                ep.send(None)
+            except tp.EndpointClosed:
+                pass
+
+
 def run_bounded(state, endpoints, timeout=20.0, drive=None):
-    """run_manager in a thread joined with a timeout, so that a manager
+    """run_and_stop in a thread joined with a timeout, so that a manager
     left waiting with no reply to come fails the test instead of hanging
     it; drive(), if given, runs meanwhile in the calling thread, and the
     manager's own error is raised here."""
@@ -96,7 +110,7 @@ def run_bounded(state, endpoints, timeout=20.0, drive=None):
 
     def target():
         try:
-            run_manager(state, endpoints)
+            run_and_stop(state, endpoints)
         except BaseException as exc:  # re-raised below, in the test
             errors.append(exc)
 
@@ -139,11 +153,11 @@ def record_sends(monkeypatch):
     return log
 
 
-def linear_job(job_id=0):
+def linear_job(job_id=0, n=1):
     return Job(id=job_id, branch=0, xi_lo=0.0, xi_hi=1.0,
                delta_L0=math.sqrt(2.0),
-               w_start=SolutionPoint(np.zeros(1), 0.0), w_prev=None,
-               w_end=SolutionPoint(np.ones(1), 1.0), level=1, N=2)
+               w_start=SolutionPoint(np.zeros(n), 0.0), w_prev=None,
+               w_end=SolutionPoint(np.ones(n), 1.0), level=1, N=2)
 
 
 class TestRunWorker:
@@ -297,6 +311,35 @@ class TestRunWorker:
             proc.join(timeout=10)
             assert proc.exitcode == 1
 
+    @pytest.mark.parametrize("transport", ["thread", "process"])
+    def test_worker_main_refuses_a_job_of_another_size(self, transport,
+                                                        caplog, capfd):
+        # a 3-DOF job for a 1-DOF problem is refused as the manager refuses
+        # a reply of the wrong size: the worker logs it and ends with no
+        # traceback, and a forked one exits 1
+        m_sock, worker = socket.socketpair()
+        manager = SocketEndpoint(m_sock)
+        manager.send([linear_job(n=3)])
+        args = (make_builtin("linear1d"), crisfield(), worker)
+        if transport == "thread":
+            t = threading.Thread(target=_worker_main, args=args)
+            t.start()
+            t.join(timeout=10)
+            assert not t.is_alive()
+            assert [r.getMessage() for r in caplog.records
+                    if r.name == "apalm.runtime"] == [
+                "worker exiting on protocol error: "
+                "job points of 3 DOF for 1"]
+        else:
+            proc = multiprocessing.get_context("fork").Process(
+                target=_worker_main, args=args)
+            proc.start()
+            worker.close()
+            proc.join(timeout=10)
+            assert proc.exitcode == 1
+        assert "Traceback" not in capfd.readouterr().err
+        manager.close()
+
 
 def fresh_state(problem_name="linear1d", streams=False, **eng):
     """A problem and its engine with the serial phase run, or, if streams,
@@ -321,7 +364,7 @@ class TestRunManager:
                                  daemon=True)
             t.start()
             threads.append(t)
-        run_manager(state, [m_ep for m_ep, _ in pairs])
+        run_and_stop(state, [m_ep for m_ep, _ in pairs])
         for t in threads:
             t.join(timeout=10)
         for m_ep, w_ep in pairs:
@@ -342,6 +385,27 @@ class TestRunManager:
         assert state.stats.jobs_done == 4
         assert state.stats.jobs_failed == 0
 
+    def test_sends_no_stop(self):
+        # whoever started the workers stops them: the worker still waits
+        # for a frame when run_manager returns, and ends on the caller's
+        # stop
+        p, state = fresh_state()
+        m_ep, w_ep = endpoint_pair()
+        done = []
+        t = threading.Thread(target=lambda: done.append(
+            run_worker(p, state.config, w_ep)), daemon=True)
+        t.start()
+        run_manager(state, [m_ep])
+        assert state.stats.jobs_done == 4 and not state.queue
+        t.join(timeout=0.2)
+        assert t.is_alive()
+        m_ep.send(None)
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert done == [4]
+        w_ep.close()
+        m_ep.close()
+
     def test_worker_disconnect_marks_job_failed(self):
         p, state = fresh_state()
         m_ep, w_ep = endpoint_pair()
@@ -349,7 +413,7 @@ class TestRunManager:
                              daemon=True)
         t.start()
         hangup = scripted_worker()
-        run_manager(state, [hangup, m_ep])
+        run_and_stop(state, [hangup, m_ep])
         t.join(timeout=10)
         for ep in (hangup, w_ep, m_ep):
             ep.close()
@@ -517,7 +581,7 @@ class TestRunManager:
                              daemon=True)
         t.start()
         gone = gone_worker()
-        run_manager(state, [gone, m_ep])
+        run_and_stop(state, [gone, m_ep])
         t.join(timeout=10)
         for ep in (gone, w_ep, m_ep):
             ep.close()
@@ -748,9 +812,11 @@ class TestApalm:
             apalm(p, crisfield(), eng, worker_count=2, transport=transport)
         assert time.perf_counter() - t0 < 5.0
 
-    def test_failed_worker_start_closes_every_socket(self, monkeypatch):
+    def test_failed_worker_start_closes_every_socket(self, monkeypatch,
+                                                     caplog):
         # a worker that cannot start (thread limit, fork EAGAIN) must not
-        # leave the sockets or threads of the workers before it behind
+        # leave the sockets or threads of the workers before it behind,
+        # and the one started reads its stop, not a lost manager
         socks = []
         started = []
         socketpair = socket.socketpair
@@ -776,6 +842,30 @@ class TestApalm:
         assert len(socks) == 4 and len(started) == 1
         assert all(s.fileno() == -1 for s in socks)
         assert not started[0].is_alive()
+        assert not [r for r in caplog.records if r.name == "apalm.runtime"]
+
+    def test_failed_process_start_stops_the_started_worker(self,
+                                                           monkeypatch):
+        # the second of three forked workers cannot start: the first is
+        # sent its stop and exits 0, as it reports no lost manager
+        fork = multiprocessing.get_context("fork")
+        started = []
+
+        class SecondStartFails(fork.Process):
+            def start(self):
+                if len(started) == 1:
+                    raise OSError("fork failed")
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(fork, "Process", SecondStartFails)
+        eng = EngineConfig(delta_L=1.0, steps=2)
+        with pytest.raises(OSError, match="fork failed"):
+            apalm(make_builtin("linear1d"), crisfield(), eng,
+                  worker_count=3, transport="process")
+        assert len(started) == 1
+        assert started[0].exitcode == 0
+        assert not multiprocessing.active_children()
 
     def test_lost_process_worker_finishes_on_manager(self, monkeypatch):
         # the only worker exits on its second frame, after replying to its
@@ -1023,7 +1113,9 @@ class TestApalm:
     def test_bad_arguments(self):
         p = make_builtin("linear1d")
         eng = EngineConfig(delta_L=1.0, steps=2)
-        with pytest.raises(ValueError):
-            apalm(p, crisfield(), eng, worker_count=0)
+        # as a config file's "workers", worker_count is a positive int
+        for count in (0, True, 2.5, "3"):
+            with pytest.raises(ValueError, match="positive integer"):
+                apalm(p, crisfield(), eng, worker_count=count)
         with pytest.raises(ValueError):
             apalm(p, crisfield(), eng, transport="carrier-pigeon")
