@@ -9,13 +9,13 @@ solves itself. solve_interval is the wave of one job, with the same bits.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -223,25 +223,17 @@ class _Interval:
         self.remaining -= res.achieved_length
 
 
-class SerialStep(NamedTuple):
-    """Level-0 interval `index` of an open branch, known once its serial
-    step is accepted: it runs from w_start, whose predecessor is w_prev, to
-    w_end, the point that step reached, delta_L0 = s_index - s_(index - 1)
-    along."""
-
-    branch: int
-    index: int
-    w_start: SolutionPoint
-    w_prev: SolutionPoint | None
-    w_end: SolutionPoint
-    delta_L0: float
-
-
 def serial_stream(problem: ProblemDef, config: AlmConfig,
-                  engine: EngineConfig) -> Iterator[SerialStep | CurveMap]:
-    """Coarse serial continuation, one accepted step at a time: yields a
-    SerialStep after each accepted step, and the branch's level-0 map when
-    the branch closes.
+                  engine: EngineConfig, ids: Iterator[int] | None = None
+                  ) -> Iterator[Job | CurveMap]:
+    """Coarse serial continuation, one accepted step at a time: yields the
+    level-1 job of the interval each accepted step closes, and the
+    branch's level-0 map when the branch closes.
+
+    Step i's job runs from the point step i - 1 reached, with that point's
+    predecessor, to the point step i reached, delta_L0 = s_i - s_(i-1)
+    along; it is named [i - 1, i] by serial indices, as xi = s / s_total
+    waits for the branch's end, and numbered by ids (a fresh count if None).
 
     Starts from the trivial point (u = 0, lambda = 0). With bifurcation
     detection enabled, once a branch's steps end (at its last step or a
@@ -256,6 +248,7 @@ def serial_stream(problem: ProblemDef, config: AlmConfig,
     so branch ids stay consecutive: a branch's id is the number of branches
     closed before its first accepted step.
     """
+    ids = itertools.count() if ids is None else ids
     w0 = SolutionPoint(np.zeros(problem.n_dof), 0.0)
     # (start, branch-switch seed) per branch
     pending: deque[tuple] = deque([(w0, None)])
@@ -280,13 +273,15 @@ def serial_stream(problem: ProblemDef, config: AlmConfig,
                 log.warning("%s; %s", message, "branch kept" if len(ws) > 1
                             else "branch dropped")
                 break
-            w_new = res.w_new
             ss.append(ss[-1] + res.achieved_length)
             dw = res.dw
-            ws.append(w_new)
-            yield SerialStep(closed, len(ws) - 1, ws[-2],
-                             ws[-3] if len(ws) > 2 else w_prev0, w_new,
-                             ss[-1] - ss[-2])
+            ws.append(res.w_new)
+            i = len(ws) - 1
+            yield Job(id=next(ids), branch=closed, xi_lo=i - 1.0,
+                      xi_hi=float(i), delta_L0=ss[i] - ss[i - 1],
+                      w_start=ws[i - 1],
+                      w_prev=ws[i - 2] if i > 1 else w_prev0, w_end=ws[i],
+                      level=1, N=engine.subintervals)
         if len(ws) < 2:
             continue
         # the points the steps reached, and the primary branch's start, the
@@ -378,27 +373,27 @@ class QueueEngine:
         self._outstanding: dict[int, Job] = {}
         # answered while their branch was open: (job, result or loss message)
         self._parked: list[tuple[Job, IntervalResult | str]] = []
-        self._next_id = 0
+        self._ids = itertools.count()  # every job's id, in queue order
         self.serial_phase = self._serial_steps()
 
     def _serial_steps(self) -> Iterator[None]:
         """The serial phase, yielding after each step and each branch close.
 
-        A step queues its level-1 job at once, named [index - 1, index] by
-        serial indices, since xi = s / s_total waits for the branch's end.
-        A close stores the branch's map, renames its jobs to the map's xi
-        and submits their parked answers. serial_time runs from the first
-        step to the last close. Created once, so the phase runs only once:
-        by `initialize`, or interleaved with the drain by `run_manager`.
+        A step's level-1 job, named by serial indices, joins the queue at
+        once, its id drawn from the counter that numbers every job, so ids
+        follow the order jobs are queued. A close stores the branch's map,
+        renames its jobs to the map's xi and submits their parked answers.
+        serial_time runs from the first step to the last close. Created
+        once, so the phase runs only once: by `initialize`, or interleaved
+        with the drain by `run_manager`.
         """
         t0 = time.perf_counter()
-        for item in serial_stream(self.problem, self.config, self.engine):
+        for item in serial_stream(self.problem, self.config, self.engine,
+                                  self._ids):
             if isinstance(item, CurveMap):
                 self._close(item)
             else:
-                self._enqueue(item.branch, float(item.index - 1),
-                              float(item.index), item.delta_L0, item.w_start,
-                              item.w_prev, item.w_end, level=1)
+                self.queue.append(item)
             yield
         self.stats.serial_time = time.perf_counter() - t0
 
@@ -426,16 +421,6 @@ class QueueEngine:
         parked, self._parked = self._parked, []
         for job, answer in parked:
             self._answer(named(job), answer)
-
-    def _enqueue(self, branch: int, xi_lo: float, xi_hi: float,
-                 delta_L0: float, w_start: SolutionPoint,
-                 w_prev: SolutionPoint | None, w_end: SolutionPoint,
-                 level: int) -> None:
-        self.queue.append(Job(
-            id=self._next_id, branch=branch, xi_lo=xi_lo, xi_hi=xi_hi,
-            delta_L0=delta_L0, w_start=w_start, w_prev=w_prev, w_end=w_end,
-            level=level, N=self.engine.subintervals))
-        self._next_id += 1
 
     @property
     def outstanding(self) -> int:
@@ -519,8 +504,11 @@ class QueueEngine:
             # ds of an interval's end, so the child's w_end stays the map's
             # point at hi
             entry = m.lookup(lo)
-            self._enqueue(m.branch, lo, hi, dl0, entry.w, entry.w_prev,
-                          m.lookup(hi).w, job.level + 1)
+            self.queue.append(Job(
+                id=next(self._ids), branch=m.branch, xi_lo=lo, xi_hi=hi,
+                delta_L0=dl0, w_start=entry.w, w_prev=entry.w_prev,
+                w_end=m.lookup(hi).w, level=job.level + 1,
+                N=self.engine.subintervals))
         self._record(job, REFINED if refine_lower or refine_upper
                      else ACCEPTED, measured, len(children))
 
@@ -567,10 +555,9 @@ def _measure(job: Job, sols: list[SolutionPoint], psi: float,
 
 def aalm(problem: ProblemDef, config: AlmConfig, engine: EngineConfig
          ) -> QueueEngine:
-    """Serial adaptive arc-length method: the manager with no workers."""
+    """Serial adaptive arc-length method: run_manager with no workers."""
     # Imported here: runtime imports engine, and perfbench calls engine.aalm.
     from .runtime import run_manager
     state = QueueEngine(problem, config, engine)
-    state.initialize()
     run_manager(state, [])
     return state

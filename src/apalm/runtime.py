@@ -73,7 +73,7 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
     from the head of the queue, min(WAVE_VALUES // n_dof, ceil(Q / W)) of
     them and at least one, where Q is the queue's length when the frame is
     sent (when several idle workers are served at once, its length before
-    the first) and W the number of workers still sent jobs. A worker
+    the first) and W the number of live workers. A worker
     answers its frame with one reply frame, a wave of one reply per job
     in the order of its jobs, so the k-th member must carry the id of the
     frame's k-th job. The manager sends a worker its next frame as soon as
@@ -88,8 +88,8 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
       of its frame, each recorded as `lost`; one found gone at dispatch
       costs none.
     - A failed send costs no job, as the frame's jobs stay at the head of
-      the queue. It ends the sends to that worker, not the reads: the
-      endpoint stays in the selector until the worker hangs up.
+      the queue, and drops its worker at once, as a failed read does: it
+      held no frame, so nothing is left to read from it.
 
     `sendall` cannot deadlock. The manager sends only job frames, and a
     job frame goes only to a worker that has answered everything it was
@@ -100,11 +100,12 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
     N = 12). The manager sends no stop: whoever started the workers stops
     them, also when this loop raises, as `apalm` does.
 
-    The serial phase runs here unless `state.initialize()` has run it:
-    after each serial step the manager settles the replies that have
-    arrived, without waiting for any, and dispatches, so workers solve
-    level-1 jobs while the serial steps go on. With no job in flight after
-    the serial phase, the manager solves jobs itself: with no endpoints
+    The serial phase runs here, in `apalm` and `aalm` alike, unless
+    `state.initialize()` has run it: after each serial step the manager
+    settles the replies that have arrived, without waiting for any, and
+    dispatches, so workers solve level-1 jobs while the serial steps go
+    on. With no job in flight after the serial phase, the manager solves
+    jobs itself: with no endpoints
     this is `aalm`, and a run that loses every worker finishes its queue.
     It pops the whole queue, up to WAVE_VALUES // n_dof jobs, solves them
     as one wave with `engine.solve_intervals`, and submits the results in
@@ -116,19 +117,18 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
     """
     n_dof = state.problem.n_dof
     wave = max(1, WAVE_VALUES // n_dof)
-    held = dict.fromkeys(endpoints)  # the jobs of each one's frame, or None
-    sendable = dict(held)  # the endpoints that are still sent jobs
+    held = dict.fromkeys(endpoints)  # live ones, to their frame's jobs
     # Workers holding no frame are watched too: a worker lost between
     # frames is dropped before a frame is sent to it.
-    live = selectors.DefaultSelector()  # the live endpoints, each once
+    live = selectors.DefaultSelector()  # the keys of held, each once
     for ep in endpoints:
         live.register(ep, selectors.EVENT_READ)
 
     def dispatch() -> None:
         # each worker holding no frame takes the same share of the queue as
         # it stands before the first
-        share = -(-len(state.queue) // max(1, len(sendable)))
-        for ep in [ep for ep in sendable if held[ep] is None]:
+        share = -(-len(state.queue) // max(1, len(held)))
+        for ep in [ep for ep in held if held[ep] is None]:
             if not state.queue:
                 return
             jobs = list(islice(state.queue, min(wave, share)))
@@ -138,13 +138,16 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
                 log.warning("worker %d send failed, jobs %d-%d stay "
                             "queued: %s", endpoints.index(ep),
                             jobs[0].id, jobs[-1].id, exc)
-                del sendable[ep]  # its replies are still read
+                live.unregister(ep)
+                del held[ep]
                 continue
             held[ep] = [state.pop() for _ in jobs]
 
     def settle(ready) -> None:
         for key, _ in ready:
             ep = key.fileobj
+            if ep not in held:  # dropped by a failed send since the select
+                continue
             jobs = held[ep] or []
             try:
                 replies = ep.recv()
@@ -173,7 +176,7 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
                             f"points of {sorted(sizes)} DOF for {n_dof}")
             except (tp.EndpointClosed, tp.ProtocolError) as exc:
                 live.unregister(ep)
-                sendable.pop(ep, None)
+                del held[ep]
                 for lost in jobs:
                     state.submit_failure(
                         lost, f"worker {endpoints.index(ep)} lost: {exc}")
@@ -203,7 +206,13 @@ def run_manager(state: QueueEngine, endpoints: list) -> None:
     state.stats.queue_time = time.perf_counter() - t0
 
 
-def _worker_main(problem, config, sock):
+def _worker_main(problem, config, sock, inherited=()):
+    """run_worker over sock, once a forked worker has closed `inherited`,
+    its copies of the manager's ends of the socket pairs made so far, so
+    that it reads EOF when the manager dies (not shut down: that would cut
+    the manager's connection)."""
+    for manager_end in inherited:
+        manager_end.close()
     ep = tp.SocketEndpoint(sock)
     try:
         run_worker(problem, config, ep)
@@ -245,12 +254,15 @@ def apalm(problem: ProblemDef, config: AlmConfig, engine: EngineConfig,
                   else multiprocessing.get_context("fork").Process)
     endpoints = []
     workers = []
+    manager_ends = []  # a forked worker closes its copies of these
     try:
         for _ in range(worker_count):
             parent_sock, child_sock = socket.socketpair()
             endpoints.append(tp.SocketEndpoint(parent_sock))
-            w = worker_cls(target=_worker_main,
-                           args=(problem, config, child_sock), daemon=True)
+            manager_ends.append(parent_sock)
+            w = worker_cls(target=_worker_main, daemon=True, args=(
+                problem, config, child_sock,
+                list(manager_ends) if transport == PROCESS else ()))
             try:
                 w.start()
             except BaseException:

@@ -11,8 +11,7 @@ from apalm.curvemap import CurveMap, CurveStructureError
 from apalm.engine import (ACCEPTED, FAILED, MIN_BATCH, OUTCOMES, REFINED,
                           REJECTED, EngineConfig, IntervalResult, Job,
                           QueueEngine, QueueInvariantError, SerialSolveError,
-                          SerialStep, aalm, compute_errors, serial_solve,
-                          solve_interval)
+                          aalm, compute_errors, serial_solve, solve_interval)
 from apalm.problems import SolutionPoint, make_builtin
 from apalm.runtime import apalm
 from bits import (NOISE_FLOOR_CONFIGS, record_bits, row_bits,
@@ -149,9 +148,10 @@ class TestSerialSolve:
         """acc-pitchfork's one bifurcation, bracketed by branch 0's steps 3
         and 4, is located after that branch's last step and before its
         map, and branch 1 starts from it: w* has the bits it had when each
-        step was checked as it was taken."""
+        step was checked as it was taken. Step i yields the level-1 job of
+        serial interval [i - 1, i], numbered across both branches."""
         from bits import configs
-        events = []
+        events, jobs = [], []
         locate = alm.locate_bifurcation
 
         def logged(problem, config, w_a, w_b):
@@ -160,9 +160,17 @@ class TestSerialSolve:
             return w_star
 
         monkeypatch.setattr(alm, "locate_bifurcation", logged)
-        for item in engine.serial_stream(*configs()["acc-pitchfork"]):
-            events.append(("map", item.branch) if isinstance(item, CurveMap)
-                          else ("step", item.branch, item.index))
+        problem, config, eng = configs()["acc-pitchfork"]
+        for item in engine.serial_stream(problem, config, eng):
+            if isinstance(item, CurveMap):
+                events.append(("map", item.branch))
+            else:
+                jobs.append(item)
+                events.append(("step", item.branch, int(item.xi_hi)))
+        assert all(isinstance(job, Job) for job in jobs)
+        assert [(job.id, job.xi_lo, job.xi_hi, job.level, job.N)
+                for job in jobs] == [(k, i - 1.0, float(i), 1, eng.subintervals)
+                                     for k, i in enumerate([*range(1, 7)] * 2)]
         kinds = [e if e[0] != "locate" else "locate" for e in events]
         assert kinds == [*(("step", 0, i) for i in range(1, 7)), "locate",
                          ("map", 0), *(("step", 1, i) for i in range(1, 7)),
@@ -185,15 +193,18 @@ class TestSerialSolve:
 
 
 def stream_of(maps):
-    """A serial_stream stand-in that yields each map's steps, taken from
-    its entries, and then the map."""
-    def stream(*args):
+    """A serial_stream stand-in that yields the level-1 job of each step of
+    each map, taken from its entries and numbered from the ids it is
+    given, and then the map."""
+    def stream(problem, config, eng, ids):
         for m in maps:
             entries = [m.lookup(xi) for xi in m.xi_keys()]
             for i in range(1, len(entries)):
                 lo = entries[i - 1]
-                yield SerialStep(m.branch, i, lo.w, lo.w_prev, entries[i].w,
-                                 entries[i].ds)
+                yield Job(id=next(ids), branch=m.branch, xi_lo=i - 1.0,
+                          xi_hi=float(i), delta_L0=entries[i].ds, w_start=lo.w,
+                          w_prev=lo.w_prev, w_end=entries[i].w, level=1,
+                          N=eng.subintervals)
             yield m
     return stream
 
@@ -248,6 +259,25 @@ class TestInitializeMap:
             assert keys.index(job.xi_hi) == keys.index(job.xi_lo) + 1
         assert [(job.xi_lo, job.xi_hi) for job in queue if job.branch == 1] \
             == [(0.0, 0.5), (0.5, 1.0)]
+
+
+@pytest.mark.parametrize("workers", [0, 3], ids=["aalm", "3-threads"])
+@pytest.mark.parametrize("name,branches,children", [
+    ("acc-pitchfork", 2, 0), ("twin", 3, 12)])
+def test_serial_and_child_jobs_share_one_counter(name, branches, children,
+                                                  workers):
+    """The level-1 jobs that the serial phase yields on every branch and
+    the children that submit queues, in twin's case while later branches
+    still step, draw their ids from one counter: the records carry each id
+    from 0 to jobs_done - 1 once."""
+    from bits import configs
+    args = configs()[name]
+    state = (apalm(*args, worker_count=workers, transport="thread")
+             if workers else aalm(*args))
+    assert len(state.maps) == branches
+    assert state.stats.children_spawned == children
+    assert sorted(r.job.id for r in state.stats.records) == list(
+        range(state.stats.jobs_done))
 
 
 def make_job(problem, w_start, w_prev, w_end, delta_L0, N=2, level=1):

@@ -2,7 +2,10 @@ import math
 import multiprocessing
 import os
 import selectors
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -712,6 +715,65 @@ class TestRunManager:
             assert row_bits(state.collect()) == row_bits(ref.collect())
             assert record_bits(state) == record_bits(ref)
 
+    def test_failed_send_to_a_worker_ready_to_read(self, monkeypatch,
+                                                    caplog):
+        # Y, X and A hold the frames [0], [1] and [2]. A answers and, while
+        # the manager submits job 2, Y and X answer and A hangs up, so one
+        # select finds all three ready, in that order. Y's job 0 queues
+        # jobs 3-5 when submitted, so settling X sends Y [3], X [4] and A
+        # [5]; that send fails, and A, dropped at once, is still in the
+        # ready list being walked: it is skipped, and every job settles.
+        p, state = fresh_state(steps=6)
+        later = [state.queue.pop() for _ in range(3)][::-1]
+        submit, staging, staged = state.submit, threading.Event(), \
+            threading.Event()
+
+        def staged_submit(job, result):
+            if job.id == 2:
+                staging.set()
+                assert staged.wait(10.0)
+            submit(job, result)
+            if job.id == 0:
+                state.queue.extend(later)
+
+        class InRegistrationOrder(selectors.DefaultSelector):
+            def select(self, timeout=None):
+                return sorted(super().select(timeout),
+                              key=lambda ready: eps.index(ready[0].fileobj))
+
+        monkeypatch.setattr(state, "submit", staged_submit)
+        monkeypatch.setattr(selectors, "DefaultSelector", InRegistrationOrder)
+        (y_m, y_w), (x_m, x_w), (a_m, a_w) = pairs = [
+            endpoint_pair() for _ in range(3)]
+        eps = [y_m, x_m, a_m]
+        rest = [threading.Thread(target=run_worker, daemon=True,
+                                 args=(p, state.config, w_ep))
+                for w_ep in (y_w, x_w)]
+
+        def drive():
+            frames = [w_ep.recv() for w_ep in (y_w, x_w, a_w)]
+            assert [[j.id for j in jobs] for jobs in frames] == [[0], [1],
+                                                                 [2]]
+            a_w.send(engine.solve_intervals(p, state.config, frames[2]))
+            assert staging.wait(10.0)
+            for w_ep, jobs in zip((y_w, x_w), frames):
+                w_ep.send(engine.solve_intervals(p, state.config, jobs))
+            a_w.close()
+            staged.set()
+            for t in rest:
+                t.start()
+
+        run_bounded(state, eps, drive=drive)
+        for t in rest:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        for pair in pairs:
+            for ep in pair:
+                ep.close()
+        assert "worker 2 send failed, jobs 5-5 stay queued" in caplog.text
+        assert state.stats.jobs_done == 6 and state.stats.jobs_failed == 0
+        assert not state.queue and not state._outstanding
+
 
 def test_aalm_is_the_manager_with_no_workers(monkeypatch):
     calls = []
@@ -727,6 +789,42 @@ def test_aalm_is_the_manager_with_no_workers(monkeypatch):
     assert calls == [[]]
     assert state.stats.jobs_done > 15 and not state.queue
     assert not hasattr(QueueEngine, "run_serial_queue")
+
+
+# apalm with 2 forked workers whose serial phase stops after its first step,
+# once it has printed the workers' pids
+KILLED_MANAGER = """
+import multiprocessing, time
+from apalm import engine
+from apalm.alm import AlmConfig
+from apalm.engine import EngineConfig
+from apalm.problems import make_builtin
+from apalm.runtime import apalm
+
+stream = engine.serial_stream
+
+def first_step_then_wait(*args):
+    items = stream(*args)
+    yield next(items)
+    print(*[w.pid for w in multiprocessing.active_children()], flush=True)
+    time.sleep(60)
+    yield from items
+
+engine.serial_stream = first_step_then_wait
+apalm(make_builtin("cubic1d"),
+      AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-12),
+      EngineConfig(delta_L=0.4, steps=15), worker_count=2,
+      transport="process")
+"""
+
+
+def exited(pid: int) -> bool:
+    """Whether process pid has ended: reaped, or a zombie not yet reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
 
 
 def rows_equal(a, b):
@@ -1109,6 +1207,40 @@ class TestApalm:
         assert sum(k for _, _, k in log) == state.stats.jobs_done > 50
         assert all(before.get(ep, 0) == 0 for ep, before, _ in log)
         assert len({ep for ep, _, _ in log}) == 3
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads process states under /proc")
+    def test_forked_workers_end_with_a_killed_manager(self, tmp_path):
+        # Each forked worker closes the manager's ends of the socket pairs
+        # it inherits, so when the manager is killed mid-run, holding job 0
+        # in one worker, both workers read EOF and exit.
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        pids = []
+        with open(tmp_path / "stderr", "w+") as err, subprocess.Popen(
+                [sys.executable, "-c", KILLED_MANAGER],
+                env=dict(os.environ, PYTHONPATH=src),
+                stdout=subprocess.PIPE, stderr=err, text=True) as manager:
+            try:
+                ready = selectors.DefaultSelector()
+                with ready:
+                    ready.register(manager.stdout, selectors.EVENT_READ)
+                    assert ready.select(30.0), "no pids printed"
+                pids = [int(pid) for pid in manager.stdout.readline().split()]
+                err.seek(0)
+                assert len(pids) == 2, err.read()
+                manager.send_signal(signal.SIGKILL)
+                manager.wait()
+                deadline = time.monotonic() + 5.0
+                while not all(map(exited, pids)):
+                    assert time.monotonic() < deadline, [
+                        pid for pid in pids if not exited(pid)]
+                    time.sleep(0.01)
+            finally:
+                manager.kill()
+                for pid in pids:
+                    if not exited(pid):
+                        os.kill(pid, signal.SIGKILL)
 
     def test_bad_arguments(self):
         p = make_builtin("linear1d")
