@@ -223,17 +223,40 @@ class _Interval:
         self.remaining -= res.achieved_length
 
 
-def serial_stream(problem: ProblemDef, config: AlmConfig,
-                  engine: EngineConfig, ids: Iterator[int] | None = None
-                  ) -> Iterator[Job | CurveMap]:
-    """Coarse serial continuation, one accepted step at a time: yields the
-    level-1 job of the interval each accepted step closes, and the
-    branch's level-0 map when the branch closes.
+@dataclass(frozen=True)
+class BranchStart:
+    """The point a branch starts at, with its virtual predecessor w_prev0
+    if the branch was spawned."""
 
-    Step i's job runs from the point step i - 1 reached, with that point's
-    predecessor, to the point step i reached, delta_L0 = s_i - s_(i-1)
-    along; it is named [i - 1, i] by serial indices, as xi = s / s_total
-    waits for the branch's end, and numbered by ids (a fresh count if None).
+    w: SolutionPoint
+    w_prev0: SolutionPoint | None = None
+
+
+@dataclass(frozen=True)
+class SerialStep:
+    """The point an accepted serial step reached, s along its branch."""
+
+    w: SolutionPoint
+    s: float
+
+
+@dataclass(frozen=True)
+class BranchEnd:
+    """The end of a branch's serial steps: the branch closes."""
+
+
+SerialItem = BranchStart | SerialStep | BranchEnd | logging.LogRecord
+
+
+def serial_points(problem: ProblemDef, config: AlmConfig,
+                  engine: EngineConfig) -> Iterator[SerialItem]:
+    """Coarse serial continuation, one accepted step at a time, as the
+    points it reaches: a branch's start (BranchStart), yielded with its
+    first accepted step, the point each accepted step reaches (SerialStep)
+    and the branch's end (BranchEnd). Each line it has to log is yielded as
+    a LogRecord in its place, for whoever takes the items to log: the
+    manager, whether it steps the phase itself or takes the items from the
+    worker that steps it. `SerialBuild` makes the jobs and maps of them.
 
     Starts from the trivial point (u = 0, lambda = 0). With bifurcation
     detection enabled, once a branch's steps end (at its last step or a
@@ -244,11 +267,9 @@ def serial_stream(problem: ProblemDef, config: AlmConfig,
     bifurcation points spawn new branches via an eigenvector perturbation,
     each serially solved in turn with the run's delta_L and steps. A failed
     step raises on the primary branch; a spawned branch keeps the points it
-    has, with a warning, and one left with fewer than 2 points is dropped,
-    so branch ids stay consecutive: a branch's id is the number of branches
-    closed before its first accepted step.
+    has, with a warning, and one left with fewer than 2 points is dropped
+    and never started, so every branch started ends.
     """
-    ids = itertools.count() if ids is None else ids
     w0 = SolutionPoint(np.zeros(problem.n_dof), 0.0)
     # (start, branch-switch seed) per branch
     pending: deque[tuple] = deque([(w0, None)])
@@ -260,28 +281,26 @@ def serial_stream(problem: ProblemDef, config: AlmConfig,
         w_prev0 = None if seed is None else SolutionPoint(
             start.u - seed[:-1], start.lam - seed[-1])
         ws = [start]
-        ss = [0.0]
+        s = 0.0
         dw = seed
         for _ in range(engine.steps):
             try:
                 res = alm.step(problem, config, ws[-1], dw, engine.delta_L)
             except alm.StepError as exc:
                 message = (f"serial solve failed on branch {closed} "
-                           f"at s={ss[-1]:.6g}: {exc}")
+                           f"at s={s:.6g}: {exc}")
                 if not closed:
                     raise SerialSolveError(message)
-                log.warning("%s; %s", message, "branch kept" if len(ws) > 1
+                yield _note(logging.WARNING, "%s; %s", message,
+                            "branch kept" if len(ws) > 1
                             else "branch dropped")
                 break
-            ss.append(ss[-1] + res.achieved_length)
+            if len(ws) == 1:
+                yield BranchStart(start, w_prev0)
+            s += res.achieved_length
             dw = res.dw
             ws.append(res.w_new)
-            i = len(ws) - 1
-            yield Job(id=next(ids), branch=closed, xi_lo=i - 1.0,
-                      xi_hi=float(i), delta_L0=ss[i] - ss[i - 1],
-                      w_start=ws[i - 1],
-                      w_prev=ws[i - 2] if i > 1 else w_prev0, w_end=ws[i],
-                      level=1, N=engine.subintervals)
+            yield SerialStep(res.w_new, s)
         if len(ws) < 2:
             continue
         # the points the steps reached, and the primary branch's start, the
@@ -294,10 +313,87 @@ def serial_stream(problem: ProblemDef, config: AlmConfig,
                      for info in alm.detect_singulars(problem, ws[first:])]
             for k, (a, b) in enumerate(zip(signs, signs[1:]), first + 1):
                 if a * b < 0 and closed + len(pending) + 1 < MAX_BRANCHES:
-                    _maybe_spawn_branch(problem, config, ws[k - 1], ws[k],
-                                        pending)
-        yield CurveMap.from_serial(closed, ws, ss, w_prev0=w_prev0)
+                    yield _maybe_spawn_branch(problem, config, ws[k - 1],
+                                              ws[k], pending)
+        yield BranchEnd()
         closed += 1
+
+
+class SerialBuild:
+    """The level-1 jobs and level-0 maps of serial_points' items, taken in
+    order: the job of the interval each accepted step closes, and the
+    branch's map at its end.
+
+    Step i's job runs from the point step i - 1 reached, with that point's
+    predecessor, to the point step i reached, delta_L0 = s_i - s_(i-1)
+    along; it is named [i - 1, i] by serial indices, as xi = s / s_total
+    waits for the branch's end, and numbered by the ids given to `take`. A
+    branch's id is the number of branches closed before it started.
+
+    The items may come from another process, so an item out of order, of
+    another size or whose s does not increase raises CurveStructureError,
+    and so does a map that from_serial refuses, with nothing taken.
+    """
+
+    def __init__(self, n_dof: int, subintervals: int):
+        self.n_dof, self.subintervals = n_dof, subintervals
+        self.closed = 0  # branches closed, so the id of the open one
+        # the open branch's points, their s and its start's predecessor
+        self.ws: list[SolutionPoint] = []
+        self.ss: list[float] = []
+        self.w_prev0: SolutionPoint | None = None
+
+    def take(self, item: BranchStart | SerialStep | BranchEnd,
+             ids: Iterator[int]) -> Job | CurveMap | None:
+        """The job or map that item completes, if any."""
+        if isinstance(item, BranchEnd):
+            if not self.ws:
+                raise CurveStructureError("a branch end with no branch open")
+            m = CurveMap.from_serial(self.closed, self.ws, self.ss,
+                                     w_prev0=self.w_prev0)
+            self.closed += 1
+            self.ws, self.ss, self.w_prev0 = [], [], None
+            return m
+        points = [item.w] + ([item.w_prev0] if isinstance(item, BranchStart)
+                             and item.w_prev0 is not None else [])
+        if any(w.n_dof != self.n_dof for w in points):
+            raise CurveStructureError(
+                f"serial points of another size than {self.n_dof}")
+        if isinstance(item, BranchStart):
+            if self.ws:
+                raise CurveStructureError(
+                    f"a branch start while branch {self.closed} is open")
+            self.ws, self.ss, self.w_prev0 = [item.w], [0.0], item.w_prev0
+            return None
+        if not self.ws:
+            raise CurveStructureError("a serial step with no branch open")
+        if not self.ss[-1] < item.s < math.inf:
+            raise CurveStructureError(
+                f"serial step to s={item.s!r} after s={self.ss[-1]!r}")
+        i = len(self.ws)
+        job = Job(id=next(ids), branch=self.closed, xi_lo=i - 1.0,
+                  xi_hi=float(i), delta_L0=item.s - self.ss[-1],
+                  w_start=self.ws[-1],
+                  w_prev=self.ws[-2] if i > 1 else self.w_prev0,
+                  w_end=item.w, level=1, N=self.subintervals)
+        self.ws.append(item.w)
+        self.ss.append(item.s)
+        return job
+
+
+def serial_stream(problem: ProblemDef, config: AlmConfig,
+                  engine: EngineConfig) -> Iterator[Job | CurveMap]:
+    """Coarse serial continuation, one accepted step at a time: yields the
+    level-1 job of the interval each accepted step closes, numbered from
+    0, and the branch's level-0 map when the branch closes (`SerialBuild`
+    over `serial_points`), and logs the lines of its steps."""
+    ids = itertools.count()
+    build = SerialBuild(problem.n_dof, engine.subintervals)
+    for item in serial_points(problem, config, engine):
+        if isinstance(item, logging.LogRecord):
+            _log(item)
+        elif (made := build.take(item, ids)) is not None:
+            yield made
 
 
 def serial_solve(problem: ProblemDef, config: AlmConfig,
@@ -307,19 +403,31 @@ def serial_solve(problem: ProblemDef, config: AlmConfig,
             if isinstance(m, CurveMap)]
 
 
-def _maybe_spawn_branch(problem, config, w_a, w_b, pending) -> None:
+def _note(level: int, msg: str, *args) -> logging.LogRecord:
+    """A line of the serial phase, as a record of this module's logger."""
+    return log.makeRecord(log.name, level, __file__, 0, msg, args, None)
+
+
+def _log(record: logging.LogRecord) -> None:
+    if log.isEnabledFor(record.levelno):
+        log.handle(record)
+
+
+def _maybe_spawn_branch(problem, config, w_a, w_b, pending
+                        ) -> logging.LogRecord:
+    """Locate the singular point between w_a and w_b and queue the branch
+    it spawns, if any, in pending; the line that says which."""
     try:
         w_star = alm.locate_bifurcation(problem, config, w_a, w_b)
         seed = alm.branch_switch(problem, w_star)
     except (alm.BifurcationNotFoundError, alm.BranchSwitchError) as exc:
-        log.warning("singular point unlocatable: %s", exc)
-        return
+        return _note(logging.WARNING, "singular point unlocatable: %s", exc)
     if seed is None:
-        log.info("singular point at lambda=%.6g classified as limit point",
-                 w_star.lam)
-        return
+        return _note(logging.INFO, "singular point at lambda=%.6g "
+                     "classified as limit point", w_star.lam)
     pending.append((w_star, seed))
-    log.info("bifurcation at lambda=%.6g: spawning branch", w_star.lam)
+    return _note(logging.INFO, "bifurcation at lambda=%.6g: spawning branch",
+                 w_star.lam)
 
 
 OUTCOMES = ("accepted", "refined", "failed", "rejected", "lost")
@@ -374,28 +482,46 @@ class QueueEngine:
         # answered while their branch was open: (job, result or loss message)
         self._parked: list[tuple[Job, IntervalResult | str]] = []
         self._ids = itertools.count()  # every job's id, in queue order
+        # the serial phase's items taken so far, in order, and the jobs and
+        # maps they make
+        self._taken = 0
+        self._build = SerialBuild(problem.n_dof, engine.subintervals)
         self.serial_phase = self._serial_steps()
 
     def _serial_steps(self) -> Iterator[None]:
-        """The serial phase, yielding after each step and each branch close.
+        """The serial phase stepped here (`serial_points`), each item taken
+        (`take`), yielding after each step and each branch close.
+        serial_time runs from the first step to the last close. Created once, so the phase runs only once:
+        by `initialize`, or interleaved with the drain by `run_manager`.
 
-        A step's level-1 job, named by serial indices, joins the queue at
-        once, its id drawn from the counter that numbers every job, so ids
-        follow the order jobs are queued. A close stores the branch's map,
-        renames its jobs to the map's xi and submits their parked answers.
-        serial_time runs from the first step to the last close. Created
-        once, so the phase runs only once: by `initialize`, or interleaved
-        with the drain by `run_manager`.
+        The items that worker 0 streamed before it was lost are stepped
+        again and not taken twice: serial_points is deterministic, so its
+        first items are the ones taken.
         """
         t0 = time.perf_counter()
-        for item in serial_stream(self.problem, self.config, self.engine,
-                                  self._ids):
-            if isinstance(item, CurveMap):
-                self._close(item)
-            else:
-                self.queue.append(item)
-            yield
+        taken = self._taken
+        for k, item in enumerate(serial_points(self.problem, self.config,
+                                               self.engine)):
+            if k >= taken:
+                self.take(item)
+            if isinstance(item, (SerialStep, BranchEnd)):
+                yield
         self.stats.serial_time = time.perf_counter() - t0
+
+    def take(self, item: SerialItem) -> None:
+        """The next item of the serial phase: a step's level-1 job, named
+        by serial indices, joins the queue, its id drawn from the counter
+        that numbers every job, so ids follow the order jobs are queued; a
+        branch's end closes the branch; a line is logged here. Raises
+        CurveStructureError, with nothing taken, if the item does not fit
+        (`SerialBuild`)."""
+        if isinstance(item, logging.LogRecord):
+            _log(item)
+        elif isinstance(made := self._build.take(item, self._ids), Job):
+            self.queue.append(made)
+        elif made is not None:
+            self._close(made)
+        self._taken += 1
 
     def initialize(self) -> None:
         """The serial phase run to its end: every level-0 interval queued
@@ -404,6 +530,8 @@ class QueueEngine:
             pass
 
     def _close(self, m: CurveMap) -> None:
+        """Store the branch's map, rename its jobs to the map's xi and
+        submit their parked answers."""
         self.maps[m.branch] = m
         keys = m.xi_keys()
 

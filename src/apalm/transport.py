@@ -1,36 +1,60 @@
 """Wire format and socket endpoint for the manager-worker runtime.
 
-Frames are [u8 version][u64 length][payload], little-endian (protocol 7).
-A payload is the one-byte stop or one wave: a job wave out, a reply wave
-back. A wave is its header (kind, member count, n_dof), then one header
-struct per member, then, in a reply wave, the members' UTF-8 errors, then
-one float64 block of (u, lambda) rows for all its members. A job sends
-three points: w_start, w_prev, and w_end, the end point its last fine
-step aims at; or two, without w_prev, where it has none. A reply sends
-the point that ends each fine step and no step length, which the manager
-measures from the points, or only the error of a failed solve, and
-decode refuses one with both or neither. A wave holds at least one
-member, and all of one kind and one n_dof; a single job is a wave of one.
+Frames are [u8 version][u64 length][payload], little-endian (protocol 8).
+A payload starts with its kind. It is the one-byte stop, one of the
+serial phase's messages (below), or one wave: a job wave out, a reply
+wave back, or a wave of serial steps to the manager. A wave is its header
+(kind, member count, n_dof), then one header struct per member, then, in
+a reply wave, the members' UTF-8 errors, then one float64 block of
+(u, lambda) rows for all its members. A job sends three points: w_start,
+w_prev, and w_end, the end point its last fine step aims at; or two,
+without w_prev, where it has none. A reply sends the point that ends each
+fine step and no step length, which the manager measures from the
+points, or only the error of a failed solve, and decode refuses one with
+both or neither. A wave holds at least one member, and all of one kind
+and one n_dof; a single job is a wave of one.
+
+Worker 0 steps the serial phase and streams it to the manager, in step
+order, as the points it reaches: a branch's start (n_dof, a w_prev0 flag,
+then the start and its virtual predecessor, if any, as rows), a wave of
+accepted steps (a wave header, the s of each step, then its points), a
+branch's end (its kind alone), a line to log (level, logger name length,
+name and text, UTF-8), a failed primary step (the SerialSolveError's
+UTF-8 text), and a stop when its serial phase ends. The manager makes the
+level-1 jobs and the maps of them, and asks worker 0 for steps with a
+frame of one count: worker 0 sends the steps it has taken once they are
+as many, and the other items at once.
 Thread and process workers use the same endpoint over a socket pair, so
 both carry the same encoded bytes and runs replay bit-exactly across them.
 """
 
 from __future__ import annotations
 
+import logging
 import socket
 import struct
 import time
 
 import numpy as np
 
-from .engine import IntervalResult, Job
-from .problems import SolutionPoint
+from .engine import (BranchEnd, BranchStart, IntervalResult, Job,
+                     SerialSolveError, SerialStep)
+from .problems import SolutionPoint, is_int
 
-PROTOCOL_VERSION = 7
+PROTOCOL_VERSION = 8
 
 MSG_STOP = 0
 MSG_JOB = 1
 MSG_DATA = 2
+MSG_ASK = 3
+MSG_STEPS = 4
+MSG_START = 5
+MSG_END = 6
+MSG_NOTE = 7
+MSG_FAIL = 8
+
+Message = (list[Job] | list[IntervalResult] | list[SerialStep] | BranchStart
+           | BranchEnd | logging.LogRecord | SerialSolveError | int | None)
 
 _HEADER = struct.Struct("<BQ")
 # kind, members, n_dof
@@ -39,6 +63,12 @@ _WAVE = struct.Struct("<BQQ")
 _JOB = struct.Struct("<QQddQdQB")
 # per reply: job_id, steps, error length
 _DATA = struct.Struct("<QQQ")
+# kind, jobs asked
+_ASK = struct.Struct("<BQ")
+# kind, n_dof, has w_prev0
+_START = struct.Struct("<BQB")
+# kind, level, logger name length
+_NOTE = struct.Struct("<BQQ")
 
 # The benchmark tracer (perfbench/tracing.py) matches messages on these names.
 JobMessage = Job
@@ -72,9 +102,23 @@ def _expect(buf: memoryview, size: int) -> None:
         raise ProtocolError(f"{len(buf)}-byte payload, header gives {size}")
 
 
-def encode(msg: list[Job] | list[IntervalResult] | None) -> bytes:
+def encode(msg: Message) -> bytes:
     if msg is None:
         return bytes([MSG_STOP])
+    if is_int(msg) and msg >= 1:
+        return _ASK.pack(MSG_ASK, msg)
+    if isinstance(msg, BranchStart):
+        points = [msg.w] + ([] if msg.w_prev0 is None else [msg.w_prev0])
+        return (_START.pack(MSG_START, msg.w.n_dof, msg.w_prev0 is not None)
+                + _block(points, msg.w.n_dof))
+    if isinstance(msg, BranchEnd):
+        return bytes([MSG_END])
+    if isinstance(msg, logging.LogRecord):
+        name = msg.name.encode("utf-8")
+        return b"".join((_NOTE.pack(MSG_NOTE, msg.levelno, len(name)), name,
+                         msg.getMessage().encode("utf-8")))
+    if isinstance(msg, SerialSolveError):
+        return bytes([MSG_FAIL]) + str(msg).encode("utf-8")
     if not isinstance(msg, list) or not msg:
         raise ProtocolError("a message is a stop or a non-empty wave")
     if all(isinstance(m, Job) for m in msg):
@@ -86,6 +130,10 @@ def encode(msg: list[Job] | list[IntervalResult] | None) -> bytes:
         points = [w for job in msg
                   for w in (job.w_start, job.w_prev, job.w_end)
                   if w is not None]
+    elif all(isinstance(m, SerialStep) for m in msg):
+        kind, notes = MSG_STEPS, b""
+        heads = np.array([step.s for step in msg], dtype="<f8").tobytes()
+        points = [step.w for step in msg]
     elif all(isinstance(m, IntervalResult) for m in msg):
         kind = MSG_DATA
         errors = [r.error.encode("utf-8") for r in msg]
@@ -104,21 +152,53 @@ def encode(msg: list[Job] | list[IntervalResult] | None) -> bytes:
                      _block(points, n)))
 
 
-def decode(payload: bytes) -> list[Job] | list[IntervalResult] | None:
-    """The stop (None) or the wave in payload. Raises ProtocolError, and
-    only that, if the payload is malformed or not exactly the size its
-    headers give."""
+def decode(payload: bytes) -> Message:
+    """The message in payload. Raises ProtocolError, and only that, if the
+    payload is malformed or not exactly the size its headers give."""
     buf = memoryview(payload)
     try:
         kind = buf[0]
         if kind == MSG_STOP:
             _expect(buf, 1)
             return None
-        if kind not in (MSG_JOB, MSG_DATA):
+        if kind == MSG_ASK:
+            _expect(buf, _ASK.size)
+            count = _ASK.unpack(buf)[1]
+            if count < 1:
+                raise ProtocolError("an ask for no job")
+            return count
+        if kind == MSG_START:
+            _, n, has_prev = _START.unpack_from(buf)
+            if has_prev not in (0, 1):
+                raise ProtocolError("bad w_prev0 flag")
+            _expect(buf, _START.size + 8 * (1 + has_prev) * (n + 1))
+            points = _points(buf, _START.size, 1 + has_prev, n)
+            return BranchStart(points[0], points[1] if has_prev else None)
+        if kind == MSG_END:
+            _expect(buf, 1)
+            return BranchEnd()
+        if kind == MSG_NOTE:
+            _, level, n_name = _NOTE.unpack_from(buf)
+            name = bytes(buf[_NOTE.size:_NOTE.size + n_name])
+            if len(name) != n_name:
+                raise ProtocolError("note shorter than its logger name")
+            return logging.makeLogRecord({
+                "name": name.decode("utf-8"), "levelno": level,
+                "levelname": logging.getLevelName(level),
+                "msg": bytes(buf[_NOTE.size + n_name:]).decode("utf-8")})
+        if kind == MSG_FAIL:
+            return SerialSolveError(bytes(buf[1:]).decode("utf-8"))
+        if kind not in (MSG_JOB, MSG_DATA, MSG_STEPS):
             raise ProtocolError(f"unknown message kind {kind}")
         _, count, n = _WAVE.unpack_from(buf)
         if count == 0:
             raise ProtocolError("empty wave")
+        if kind == MSG_STEPS:
+            off = _WAVE.size + 8 * count
+            _expect(buf, off + 8 * count * (n + 1))
+            s = np.frombuffer(buf, dtype="<f8", count=count, offset=_WAVE.size)
+            return [SerialStep(w, float(s_k)) for w, s_k in zip(
+                _points(buf, off, count, n), s)]
         member = _JOB if kind == MSG_JOB else _DATA
         off = _WAVE.size + count * member.size
         if len(buf) < off:
@@ -169,7 +249,7 @@ class SocketEndpoint:
     def fileno(self) -> int:
         return self._sock.fileno()
 
-    def send(self, msg: list[Job] | list[IntervalResult] | None) -> None:
+    def send(self, msg: Message) -> None:
         try:
             self._sock.sendall(frame(encode(msg)))
         except OSError as exc:
@@ -189,7 +269,7 @@ class SocketEndpoint:
             n -= len(chunk)
         return b"".join(chunks)
 
-    def recv(self) -> list[Job] | list[IntervalResult] | None:
+    def recv(self) -> Message:
         header = self._read_exact(_HEADER.size)
         version, length = _HEADER.unpack(header)
         if version != PROTOCOL_VERSION:

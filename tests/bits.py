@@ -4,14 +4,16 @@ revisions.
     python tests/bits.py [CONFIG ...] [--base REV]
 
 Runs each named config (all of them by default) under `aalm`, 3 thread
-workers and 3 process workers, and prints one hash per config and
-transport. A hash covers the `collect()` rows, the records sorted by
-(branch, xi_lo, xi_hi) without job ids, and `.summary.json` without its
-two timings, all bit for bit. With `--base REV` the same configs also run
-against REV, exported with `git archive` into a temporary directory
-outside the checkout and removed afterwards; nothing is written under
-`.git`, so no worktree or lock is left if the run is killed. Exits 1 if
-any hash of a config differs from another, 0 if all are equal.
+workers, 3 process workers and 1 process worker, and prints one hash per
+config and transport; with one worker, the manager is the only solver
+while worker 0 steps the serial phase. A hash covers the `collect()` rows,
+the records sorted by (branch, xi_lo, xi_hi) without job ids, and
+`.summary.json` without its two timings, all bit for bit. With
+`--base REV` the same configs also run against REV, exported with
+`git archive` into a temporary directory outside the checkout and removed
+afterwards; nothing is written under `.git`, so no worktree or lock is
+left if the run is killed. Exits 1 if any hash of a config differs from
+another, 0 if all are equal.
 
 The tests import `row_bits`, `record_bits`, `summary_without_timings`,
 `twin_problem` and `NOISE_FLOOR_CONFIGS` from here.
@@ -31,7 +33,9 @@ from pathlib import Path
 # apalm is imported inside the functions: run as a script, main() first
 # puts the source tree named by --src on sys.path.
 ROOT = Path(__file__).resolve().parents[1]
-TRANSPORTS = ("aalm", "thread3", "process3")
+TRANSPORTS = ("aalm", "thread3", "process3", "process1")
+WORKERS = {"thread3": ("thread", 3), "process3": ("process", 3),
+           "process1": ("process", 1)}
 
 # Configs whose finest intervals reach the Newton noise floor, where some
 # fine paths no longer fit their parent (cubic1d, psi = 1, newton_tol 1e-10).
@@ -162,9 +166,9 @@ def hashes(runs: dict) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for name, (p, cfg, eng) in runs.items():
             states = {"aalm": aalm(p, cfg, eng)}
-            for transport in ("thread", "process"):
-                states[f"{transport}3"] = apalm(
-                    p, cfg, eng, worker_count=3, transport=transport)
+            for label, (transport, count) in WORKERS.items():
+                states[label] = apalm(p, cfg, eng, worker_count=count,
+                                      transport=transport)
             out[name] = {"jobs": states["aalm"].stats.jobs_done}
             out[name].update({t: digest(s, Path(tmp))
                               for t, s in states.items()})

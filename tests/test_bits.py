@@ -23,13 +23,14 @@ def test_two_fast_configs_equal_under_every_transport():
     assert [(r[0], r[1], r[3]) for r in rows] == [
         ("here", "acc-linear-psi0", "5"), ("here", "acc-pitchfork", "12")]
     for r in rows:
-        assert r[4:10:2] == list(bits.TRANSPORTS)
-        assert len(set(r[5:10:2])) == 1 and r[-1] == "equal"
+        assert r[4:12:2] == list(bits.TRANSPORTS)
+        assert len(set(r[5:12:2])) == 1 and r[-1] == "equal"
 
 
 def fake_hashes(names, process="0" * 16, jobs=5):
     return {name: {"jobs": jobs, "aalm": "0" * 16, "thread3": "0" * 16,
-                   "process3": process} for name in names}
+                   "process3": process, "process1": "0" * 16}
+            for name in names}
 
 
 @pytest.mark.parametrize("where", ["transport", "base-hash", "base-jobs"])

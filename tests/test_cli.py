@@ -364,6 +364,25 @@ class TestMain:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
         assert not caplog.records
 
+    @pytest.mark.parametrize("transport", ["thread", "process"])
+    def test_serial_failure_prints_one_line_from_either_worker_kind(
+            self, tmp_path, capfd, caplog, transport):
+        # worker 0 steps the serial phase and sends the failed primary step
+        # to the manager, which raises it: one line on stderr, from the
+        # manager, with 2 workers of either kind, and no line from a worker
+        cfg = write_cfg(tmp_path, {
+            "problem": {"name": "springchain", "params": {"n": 8}},
+            "alm": {"newton_tol": 1e-14},
+            "engine": {"delta_L": 500, "steps": 4},
+            "workers": 2, "transport": transport})
+        assert main(["run", cfg]) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: serial solve failed on branch 0 at s=")
+        assert captured.err.count("\n") == 1
+        assert not caplog.records
+
     def test_compare_identical(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, doc())
         assert main(["compare", cfg, "--workers", "1,4"]) == 0

@@ -9,9 +9,11 @@ from apalm import alm, engine, tridiagonal
 from apalm.alm import AlmConfig
 from apalm.curvemap import CurveMap, CurveStructureError
 from apalm.engine import (ACCEPTED, FAILED, MIN_BATCH, OUTCOMES, REFINED,
-                          REJECTED, EngineConfig, IntervalResult, Job,
-                          QueueEngine, QueueInvariantError, SerialSolveError,
-                          aalm, compute_errors, serial_solve, solve_interval)
+                          REJECTED, BranchEnd, BranchStart, EngineConfig,
+                          IntervalResult, Job, QueueEngine,
+                          QueueInvariantError, SerialBuild, SerialSolveError,
+                          SerialStep, aalm, compute_errors, serial_solve,
+                          solve_interval)
 from apalm.problems import SolutionPoint, make_builtin
 from apalm.runtime import apalm
 from bits import (NOISE_FLOOR_CONFIGS, record_bits, row_bits,
@@ -192,21 +194,69 @@ class TestSerialSolve:
         assert len(branches) == 1
 
 
-def stream_of(maps):
-    """A serial_stream stand-in that yields the level-1 job of each step of
-    each map, taken from its entries and numbered from the ids it is
-    given, and then the map."""
-    def stream(problem, config, eng, ids):
+def points_of(maps):
+    """A serial_points stand-in that yields each map's start, the point of
+    each later entry with its s, formed from the entries' ds, and the
+    branch's end."""
+    def points(problem, config, eng):
         for m in maps:
             entries = [m.lookup(xi) for xi in m.xi_keys()]
-            for i in range(1, len(entries)):
-                lo = entries[i - 1]
-                yield Job(id=next(ids), branch=m.branch, xi_lo=i - 1.0,
-                          xi_hi=float(i), delta_L0=entries[i].ds, w_start=lo.w,
-                          w_prev=lo.w_prev, w_end=entries[i].w, level=1,
-                          N=eng.subintervals)
-            yield m
-    return stream
+            yield BranchStart(entries[0].w, entries[0].w_prev)
+            s = 0.0
+            for e in entries[1:]:
+                s += e.ds
+                yield SerialStep(e.w, s)
+            yield BranchEnd()
+    return points
+
+
+class TestSerialBuild:
+    """SerialBuild makes serial_stream's jobs and maps of serial_points'
+    items, which may come from another process: an item that does not fit
+    is refused with nothing taken and no id drawn."""
+
+    @staticmethod
+    def w(u, n=1):
+        return SolutionPoint(np.full(n, float(u)), 0.0)
+
+    def test_jobs_and_map_of_a_spawned_branch(self):
+        build, ids = SerialBuild(1, 4), iter([7, 8])
+        w_prev0 = self.w(-1)
+        assert build.take(BranchStart(self.w(0), w_prev0), ids) is None
+        first = build.take(SerialStep(self.w(1), 0.5), ids)
+        second = build.take(SerialStep(self.w(2), 1.5), ids)
+        assert [(j.id, j.branch, j.xi_lo, j.xi_hi, j.delta_L0, j.level, j.N)
+                for j in (first, second)] == [(7, 0, 0.0, 1.0, 0.5, 1, 4),
+                                              (8, 0, 1.0, 2.0, 1.0, 1, 4)]
+        assert first.w_prev is w_prev0 and second.w_prev is first.w_start
+        m = build.take(BranchEnd(), ids)
+        assert isinstance(m, CurveMap) and m.branch == 0
+        assert m.xi_keys() == [0.0, 0.5 / 1.5, 1.0]
+        assert m.lookup(0.0).w_prev is w_prev0
+        build.take(BranchStart(self.w(0)), ids)
+        assert build.take(SerialStep(self.w(1), 1.0), iter([9])).branch == 1
+
+    @pytest.mark.parametrize("items,needle", [
+        ([SerialStep(SolutionPoint(np.ones(1), 0.0), 1.0)], "no branch open"),
+        ([BranchEnd()], "no branch open"),
+        ([BranchStart(SolutionPoint(np.zeros(1), 0.0))] * 2, "is open"),
+        ([BranchStart(SolutionPoint(np.zeros(2), 0.0))], "another size"),
+        ([BranchStart(SolutionPoint(np.zeros(1), 0.0)),
+          SerialStep(SolutionPoint(np.ones(1), 0.0), 0.0)], "s=0.0"),
+        ([BranchStart(SolutionPoint(np.zeros(1), 0.0)),
+          SerialStep(SolutionPoint(np.ones(1), 0.0), math.nan)], "s=nan"),
+    ], ids=["step-first", "end-first", "two-starts", "size", "s-repeats",
+            "s-nan"])
+    def test_item_that_does_not_fit_refused(self, items, needle):
+        build, ids = SerialBuild(1, 4), iter(range(10))
+        *fitting, last = items
+        for item in fitting:
+            build.take(item, ids)
+        before = (list(build.ws), list(build.ss), build.closed)
+        with pytest.raises(CurveStructureError, match=needle):
+            build.take(last, ids)
+        assert (list(build.ws), list(build.ss), build.closed) == before
+        assert next(ids) == 0
 
 
 class TestInitializeMap:
@@ -218,7 +268,7 @@ class TestInitializeMap:
             sols = [SolutionPoint(np.array([float(i)]), 0.0) for i in range(n)]
             maps.append(CurveMap.from_serial(
                 b, sols, [float(i) for i in range(n)]))
-        monkeypatch.setattr(engine, "serial_stream", stream_of(maps))
+        monkeypatch.setattr(engine, "serial_points", points_of(maps))
         state = QueueEngine(make_builtin("linear1d"), crisfield(1.0),
                             EngineConfig(delta_L=1.0, steps=1))
         state.initialize()
@@ -261,18 +311,21 @@ class TestInitializeMap:
             == [(0.0, 0.5), (0.5, 1.0)]
 
 
-@pytest.mark.parametrize("workers", [0, 3], ids=["aalm", "3-threads"])
+@pytest.mark.parametrize("workers,transport", [
+    (0, None), (3, "thread"), (3, "process")],
+    ids=["aalm", "3-threads", "3-processes"])
 @pytest.mark.parametrize("name,branches,children", [
     ("acc-pitchfork", 2, 0), ("twin", 3, 12)])
 def test_serial_and_child_jobs_share_one_counter(name, branches, children,
-                                                  workers):
-    """The level-1 jobs that the serial phase yields on every branch and
-    the children that submit queues, in twin's case while later branches
-    still step, draw their ids from one counter: the records carry each id
-    from 0 to jobs_done - 1 once."""
+                                                  workers, transport):
+    """The level-1 jobs that the serial phase yields on every branch, which
+    worker 0 steps when there are workers, and the children that submit
+    queues, in twin's case while later branches still step, draw their ids
+    from the manager's one counter: the records carry each id from 0 to
+    jobs_done - 1 once."""
     from bits import configs
     args = configs()[name]
-    state = (apalm(*args, worker_count=workers, transport="thread")
+    state = (apalm(*args, worker_count=workers, transport=transport)
              if workers else aalm(*args))
     assert len(state.maps) == branches
     assert state.stats.children_spawned == children
@@ -564,7 +617,7 @@ class TestSubmitChildren:
         # along the map: the first job runs from u = 0 to u = 1, dL0 = 2
         sols = [SolutionPoint(np.array([float(i)]), 0.0) for i in range(6)]
         m = CurveMap.from_serial(0, sols, [2.0 * i for i in range(6)])
-        monkeypatch.setattr(engine, "serial_stream", stream_of([m]))
+        monkeypatch.setattr(engine, "serial_points", points_of([m]))
         state = QueueEngine(make_builtin("linear1d"), crisfield(1.0),
                             EngineConfig(delta_L=1.0, steps=1, **eng))
         state.initialize()
@@ -577,7 +630,8 @@ class TestSubmitChildren:
         assert record.outcome == REFINED
         assert record.children == len(children)
         assert all(c.level == 2 for c in children)
-        return m, record, [(c.xi_lo, c.xi_hi, c.delta_L0) for c in children]
+        return (state.maps[0], record,
+                [(c.xi_lo, c.xi_hi, c.delta_L0) for c in children])
 
     D1 = math.hypot(1.0, 1.7)  # the second step, from MID to W_END
 

@@ -1,6 +1,8 @@
+import logging
 import math
 import multiprocessing
 import os
+import select
 import selectors
 import signal
 import socket
@@ -15,13 +17,13 @@ import pytest
 from apalm import alm, engine, runtime, tridiagonal
 from apalm import transport as tp
 from apalm.alm import AlmConfig, point_distance
-from apalm.engine import (ACCEPTED, LOST, REFINED, EngineConfig,
+from apalm.engine import (ACCEPTED, LOST, REFINED, BranchEnd, EngineConfig,
                           IntervalResult, Job, QueueEngine, SerialSolveError,
-                          aalm)
+                          SerialStep, aalm)
 from apalm.problems import SolutionPoint, make_builtin
 from apalm.runtime import _worker_main, apalm, run_manager, run_worker
 from apalm.transport import ProtocolError, SocketEndpoint
-from bits import record_bits, row_bits
+from bits import configs, record_bits, row_bits, summary_without_timings
 
 
 def crisfield(psi=1.0):
@@ -117,7 +119,7 @@ def run_bounded(state, endpoints, timeout=20.0, drive=None):
         except BaseException as exc:  # re-raised below, in the test
             errors.append(exc)
 
-    t = threading.Thread(target=target, daemon=True)
+    t = threading.Thread(target=target, daemon=True, name="manager")
     t.start()
     if drive is not None:
         drive()
@@ -125,6 +127,44 @@ def run_bounded(state, endpoints, timeout=20.0, drive=None):
     assert not t.is_alive(), "run_manager did not return"
     if errors:
         raise errors[0]
+
+
+def streaming_threads(monkeypatch):
+    """The (pid, thread id) of each worker 0 that has begun to stream the
+    serial phase, added as it begins. A forked worker 0 adds itself to its
+    own copy."""
+    streamers = set()
+    stream = runtime._stream_serial
+
+    def marked(*args):
+        streamers.add((os.getpid(), threading.get_ident()))
+        return stream(*args)
+
+    monkeypatch.setattr(runtime, "_stream_serial", marked)
+    return streamers
+
+
+def is_job_frame(msg) -> bool:
+    """Whether msg, being sent, is a job frame: only the manager sends
+    them, as worker 0 streams points."""
+    return isinstance(msg, list) and isinstance(msg[0], Job)
+
+
+def manager_solves(monkeypatch):
+    """The jobs that the manager solves itself, listed as
+    engine.solve_intervals is called with them in the main thread or in
+    run_bounded's manager thread. A worker thread's calls are not listed,
+    and a forked worker lists its own in its own copy."""
+    solve, mine = engine.solve_intervals, []
+
+    def counted(problem, config, jobs):
+        thread = threading.current_thread()
+        if thread is threading.main_thread() or thread.name == "manager":
+            mine.extend(jobs)
+        return solve(problem, config, jobs)
+
+    monkeypatch.setattr(engine, "solve_intervals", counted)
+    return mine
 
 
 def record_sends(monkeypatch):
@@ -137,7 +177,7 @@ def record_sends(monkeypatch):
     send, recv = SocketEndpoint.send, SocketEndpoint.recv
 
     def logging_send(self, msg):
-        if msg and isinstance(msg[0], Job):
+        if is_job_frame(msg):
             before = dict(held)
             send(self, msg)
             log.append((self, before, len(msg)))
@@ -147,7 +187,7 @@ def record_sends(monkeypatch):
 
     def logging_recv(self):
         msg = recv(self)
-        if msg and isinstance(msg[0], IntervalResult):
+        if isinstance(msg, list) and isinstance(msg[0], IntervalResult):
             held[self] -= 1
         return msg
 
@@ -391,7 +431,8 @@ class TestRunManager:
     def test_sends_no_stop(self):
         # whoever started the workers stops them: the worker still waits
         # for a frame when run_manager returns, and ends on the caller's
-        # stop
+        # stop. The manager counts as a solver: of the 4 jobs, the worker
+        # is sent ceil(4 / 2) and the manager solves the other 2.
         p, state = fresh_state()
         m_ep, w_ep = endpoint_pair()
         done = []
@@ -405,7 +446,7 @@ class TestRunManager:
         m_ep.send(None)
         t.join(timeout=10)
         assert not t.is_alive()
-        assert done == [4]
+        assert done == [2]
         w_ep.close()
         m_ep.close()
 
@@ -497,16 +538,17 @@ class TestRunManager:
          "job id mismatch: sent 2, got 3"),
     ], ids=["wrong-length", "third-names-another"])
     def test_bad_reply_wave_costs_its_whole_frame(self, reply, needle):
-        # With 40 springchain jobs of n = 256 queued and 2 workers, the
-        # first dispatch sends A the frame [0, 16) and B [16, 32), a full
-        # wave each. A's reply is one reply short, or its third reply
-        # names another job: every job of A's frame is lost, each with its
-        # own record, and the rest are solved.
+        # With 48 springchain jobs of n = 256 queued, 2 workers and the
+        # manager, the first dispatch sends A the frame [0, 16) and B
+        # [16, 32), and the manager solves [32, 48), a full wave each. A's
+        # reply is one reply short, or its third reply names another job:
+        # every job of A's frame is lost, each with its own record, and the
+        # rest are solved.
         assert runtime.WAVE_VALUES // 256 == 16
         p = make_builtin("springchain", n=256)
         state = QueueEngine(p, AlmConfig(constraint="crisfield", psi=1.0,
                                          newton_tol=1e-10),
-                            EngineConfig(delta_L=0.4, steps=40))
+                            EngineConfig(delta_L=0.4, steps=48))
         state.initialize()
         bad = scripted_worker(reply)
         b_m, b_w = endpoint_pair()
@@ -523,7 +565,7 @@ class TestRunManager:
         assert all(r.message.endswith(f"worker 0 lost: {needle}")
                    for r in lost)
         assert sorted(r.job.id for r in state.stats.records
-                      if r.outcome != LOST) == list(range(16, 40))
+                      if r.outcome != LOST) == list(range(16, 48))
         assert not state.queue and not state._outstanding
 
     @pytest.mark.parametrize("transport", ["thread", "process"])
@@ -535,7 +577,9 @@ class TestRunManager:
         # far larger, yet a frame goes only to a worker waiting in recv,
         # which reads it as it is sent, and the manager reads each reply
         # as it is sent: the run completes and matches aalm bit for bit.
+        # The manager solves a share too.
         log = record_sends(monkeypatch)
+        mine = manager_solves(monkeypatch)
         p = make_builtin("springchain", n=256)
         cfg = AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-10)
         eng = EngineConfig(delta_L=0.4, steps=64, subintervals=8,
@@ -572,7 +616,7 @@ class TestRunManager:
         assert sizes[0] == max(sizes) == runtime.WAVE_VALUES // 256 == 16
         first = [r.job for r in state.stats.records if r.job.id < 16]
         assert len(tp.frame(tp.encode(first))) > 10 * buffer
-        assert sum(sizes) == state.stats.jobs_done
+        assert sum(sizes) + len(mine) == state.stats.jobs_done
         ref = aalm(p, cfg, eng)
         assert row_bits(state.collect()) == row_bits(ref.collect())
         assert record_bits(state) == record_bits(ref)
@@ -609,9 +653,11 @@ class TestRunManager:
     def test_idle_worker_served_before_any_second_job(self, monkeypatch):
         # with 4 idle workers and 80 springchain jobs of n = 256 queued,
         # the first dispatch sends each worker one frame, a full wave of
-        # min(16, ceil(80 / 4)) jobs, before any worker gets a second, and
-        # no worker is sent a frame while it holds one
+        # min(16, ceil(80 / 5)) jobs, the manager counted as a fifth
+        # solver, before any worker gets a second, and no worker is sent a
+        # frame while it holds one
         log = record_sends(monkeypatch)
+        mine = manager_solves(monkeypatch)
         p = make_builtin("springchain", n=256)
         state = QueueEngine(p, AlmConfig(constraint="crisfield", psi=1.0,
                                          newton_tol=1e-10),
@@ -631,19 +677,21 @@ class TestRunManager:
             w_ep.close()
             m_ep.close()
         assert state.stats.jobs_done >= 80 and not state.queue
-        assert sum(k for _, _, k in log) == state.stats.jobs_done
+        assert sum(k for _, _, k in log) + len(mine) == \
+            state.stats.jobs_done
         assert [(ep, k) for ep, _, k in log[:4]] == [
             (m_ep, 16) for m_ep, _ in pairs]
         assert all(before.get(ep, 0) == 0 for ep, before, _ in log)
 
     def test_worker_gone_idle_served_before_a_second_job(self, monkeypatch):
-        # A holds the frame [0, 1], B [2], and the queue is empty. B
-        # answers, then A, and jobs 3-7 are queued on A's last reply: A and
-        # B each get a frame before either gets a second, though B went
-        # idle first, and each takes the same share of the 5 jobs queued
-        # when the round began, rounded up, so none is left for a second
+        # A holds the frame [0, 1], B [2, 3], the manager has solved job 4,
+        # and the queue is empty. B answers, then A, and jobs 5-9 are
+        # queued on A's last reply: A and B each get a frame before either
+        # gets a second, though B went idle first, and each, and the
+        # manager, takes the same share of the 5 jobs queued when the round
+        # began, rounded up, so none is left for a second
         log = record_sends(monkeypatch)
-        p, state = fresh_state(steps=8)
+        p, state = fresh_state(steps=10)
         later = [state.queue.pop() for _ in range(5)][::-1]
         submit = state.submit
 
@@ -671,7 +719,11 @@ class TestRunManager:
 
             a_jobs, b_jobs = a_w.recv(), b_w.recv()
             assert [[j.id for j in a_jobs], [j.id for j in b_jobs]] == \
-                [[0, 1], [2]]
+                [[0, 1], [2, 3]]
+            deadline = time.monotonic() + 10.0
+            while [r.job.id for r in state.stats.records] != [4]:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
             answer(b_w, b_jobs)
             answer(a_w, a_jobs)
             for t in rest:
@@ -683,23 +735,35 @@ class TestRunManager:
             assert not t.is_alive()
         for ep in (a_m, a_w, b_m, b_w):
             ep.close()
-        assert state.stats.jobs_done == 8 and state.stats.jobs_failed == 0
+        assert state.stats.jobs_done == 10 and state.stats.jobs_failed == 0
         assert [(ep, before.get(ep, 0), k) for ep, before, k in log] == \
-            [(a_m, 0, 2), (b_m, 0, 1), (a_m, 0, 3), (b_m, 0, 2)]
+            [(a_m, 0, 2), (b_m, 0, 2), (a_m, 0, 2), (b_m, 0, 2)]
 
     @pytest.mark.parametrize("replies", [True, False],
                              ids=["replies", "hangs-up"])
-    def test_failed_send_settles_the_job_held(self, replies):
+    def test_failed_send_settles_the_job_held(self, replies, monkeypatch):
         # The only worker holds the frame of job 0. It answers it, and the
         # manager's next send to it, of the jobs queued since, fails, and
         # so would every send after it: those jobs stay queued, and job 0
         # is settled by the reply. Or it hangs up without answering: job 0
         # is lost and nothing more is sent to it. Either way the manager
-        # finishes the queue itself.
+        # finishes the queue itself. The manager's second serial step waits
+        # until the worker has answered or hung up, so that this settles
+        # while the serial phase steps.
         p, state = fresh_state(streams=True)
         worker = scripted_worker(
             (lambda jobs: engine.solve_intervals(p, state.config, jobs))
             if replies else None, endpoint=SendsOnce)
+        take, steps = state.take, []
+
+        def waits_for_the_worker(item):
+            if isinstance(item, SerialStep):
+                steps.append(item)
+                if len(steps) == 2:
+                    assert select.select([worker], [], [], 10.0)[0]
+            take(item)
+
+        monkeypatch.setattr(state, "take", waits_for_the_worker)
         run_bounded(state, [worker])
         worker.close()
         # the frames tried, and the stop
@@ -775,6 +839,76 @@ class TestRunManager:
         assert not state.queue and not state._outstanding
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity on this platform")
+class TestWorker0Cpu:
+    """A forked worker 0 steps the serial phase on a CPU the manager may
+    run on other than its own, and then on the manager's CPUs again."""
+
+    @staticmethod
+    def other_cpu(monkeypatch, allowed, own, pid=7):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(allowed))
+        monkeypatch.setattr(runtime, "_current_cpu", lambda: own)
+        monkeypatch.setattr(os, "getpid", lambda: pid)
+        return runtime._other_cpu()
+
+    def test_current_cpu_is_one_allowed(self):
+        assert runtime._current_cpu() in os.sched_getaffinity(0)
+
+    def test_one_cpu_allowed_gives_none(self, monkeypatch):
+        assert self.other_cpu(monkeypatch, {3}, 3) is None
+
+    @pytest.mark.parametrize("own,other", [(0, 1), (1, 0)])
+    @pytest.mark.parametrize("pid", [6, 7])
+    def test_two_cpus_give_the_other_one(self, monkeypatch, own, other,
+                                         pid):
+        assert self.other_cpu(monkeypatch, {0, 1}, own, pid) == other
+
+    def test_the_pid_spreads_runs_over_the_others(self, monkeypatch):
+        # runs side by side do not all pin their worker 0 to one CPU
+        picks = [self.other_cpu(monkeypatch, {0, 1, 2, 3}, 2, pid)
+                 for pid in range(6)]
+        assert picks == [0, 1, 3, 0, 1, 3]
+
+    def test_pinned_restores_the_cpus_allowed(self):
+        allowed = os.sched_getaffinity(0)
+        with runtime._pinned(max(allowed)):
+            assert os.sched_getaffinity(0) == {max(allowed)}
+        assert os.sched_getaffinity(0) == allowed
+        with runtime._pinned(None):
+            assert os.sched_getaffinity(0) == allowed
+
+    def test_forked_worker_0_pinned_for_its_serial_phase_only(
+            self, monkeypatch, tmp_path):
+        # worker 0 notes the CPUs it may run on as its serial phase begins
+        # and as it solves each job frame after it
+        allowed = sorted(os.sched_getaffinity(0))
+        manager_pid, notes = os.getpid(), tmp_path / "cpus"
+        stream, solve = runtime._stream_serial, engine.solve_intervals
+
+        def note(phase):
+            with open(notes, "a") as f:
+                f.write(f"{phase} {sorted(os.sched_getaffinity(0))}\n")
+
+        def noted_stream(*args):
+            note("serial")
+            return stream(*args)
+
+        def noted_solve(problem, config, jobs):
+            if os.getpid() != manager_pid:
+                note("jobs")
+            return solve(problem, config, jobs)
+
+        monkeypatch.setattr(runtime, "_stream_serial", noted_stream)
+        monkeypatch.setattr(engine, "solve_intervals", noted_solve)
+        apalm(*configs()["chain-proc-s1"], worker_count=1,
+              transport="process")
+        serial, *frames = notes.read_text().splitlines()
+        assert serial in ({f"serial {[cpu]}" for cpu in allowed}
+                          if len(allowed) > 1 else {f"serial {allowed}"})
+        assert frames and set(frames) == {f"jobs {allowed}"}
+
+
 def test_aalm_is_the_manager_with_no_workers(monkeypatch):
     calls = []
     manager = runtime.run_manager
@@ -791,26 +925,20 @@ def test_aalm_is_the_manager_with_no_workers(monkeypatch):
     assert not hasattr(QueueEngine, "run_serial_queue")
 
 
-# apalm with 2 forked workers whose serial phase stops after its first step,
-# once it has printed the workers' pids
+# apalm with 2 forked workers whose manager stops at its first submit, once
+# it has printed the workers' pids
 KILLED_MANAGER = """
 import multiprocessing, time
-from apalm import engine
 from apalm.alm import AlmConfig
-from apalm.engine import EngineConfig
+from apalm.engine import EngineConfig, QueueEngine
 from apalm.problems import make_builtin
 from apalm.runtime import apalm
 
-stream = engine.serial_stream
-
-def first_step_then_wait(*args):
-    items = stream(*args)
-    yield next(items)
+def wait_at_first_submit(*args):
     print(*[w.pid for w in multiprocessing.active_children()], flush=True)
     time.sleep(60)
-    yield from items
 
-engine.serial_stream = first_step_then_wait
+QueueEngine.submit = wait_at_first_submit
 apalm(make_builtin("cubic1d"),
       AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-12),
       EngineConfig(delta_L=0.4, steps=15), worker_count=2,
@@ -966,11 +1094,12 @@ class TestApalm:
         assert not multiprocessing.active_children()
 
     def test_lost_process_worker_finishes_on_manager(self, monkeypatch):
-        # the only worker exits on its second frame, after replying to its
-        # first, job 0's: every job of the frame it holds then, job 1 and
-        # those queued with it, is lost, each with its own record, and the
-        # manager solves every job after them, in waves through
-        # engine.solve_intervals.
+        # The only worker streams the serial phase, whose jobs the manager
+        # solves as they come, and then exits on its second frame, after
+        # replying to its first: every job of the frame it holds then is
+        # lost, each with its own record, and the manager solves every job
+        # after them, in waves through engine.solve_intervals. The jobs it
+        # answered were all queued before the lost ones.
         manager_pid = os.getpid()
         solve_waves = engine.solve_intervals
         worker_frames, manager_jobs = [], []
@@ -990,91 +1119,101 @@ class TestApalm:
         state = apalm(make_builtin("cubic1d"), crisfield(), eng,
                       worker_count=1, transport="process")
         lost = [r.job.id for r in state.stats.records if r.outcome == LOST]
-        assert lost[:1] == [1] and lost == list(range(1, len(lost) + 1))
+        assert lost and lost == list(range(lost[0], lost[-1] + 1))
         assert all("worker 0 lost" in r.message
                    for r in state.stats.records if r.outcome == LOST)
         assert state.stats.jobs_failed == len(lost)
-        assert sorted(manager_jobs) == list(range(1 + len(lost),
-                                                  state.stats.jobs_done))
+        assert not set(lost) & set(manager_jobs)
+        assert set(range(lost[-1] + 1, state.stats.jobs_done)) <= set(
+            manager_jobs)
+        answered = (set(range(state.stats.jobs_done)) - set(manager_jobs)
+                    - set(lost))
+        assert answered and max(answered) < lost[0]
         assert not state.queue and not state._outstanding
         for m in state.maps.values():
             m.validate_monotone()
 
     def test_first_job_sent_before_the_last_serial_step(self, monkeypatch):
-        # the serial phase streams: job 0 goes to the one worker as soon as
-        # the first serial step lands, not after the last one
-        manager_pid, events = os.getpid(), []
+        # the serial phase streams: worker 0 steps it and sends its steps
+        # as the manager asks, and the manager sends the other worker its
+        # first frame before worker 0's last serial step, not after it.
+        # Worker 0's serial steps, those of the full delta_L, sleep 2 ms,
+        # which releases the GIL that the two share with the manager.
+        events, eng = [], EngineConfig(delta_L=0.4, steps=15)
         step, send = alm.step, SocketEndpoint.send
 
         def logged_step(*args):
-            if os.getpid() == manager_pid:
+            if args[4] == eng.delta_L:
+                time.sleep(0.002)
                 events.append("step")
             return step(*args)
 
         def logged_send(self, msg):
-            if msg:
+            if is_job_frame(msg):
                 events.append(len(msg))  # a job frame, by its job count
             send(self, msg)
 
         monkeypatch.setattr(alm, "step", logged_step)
         monkeypatch.setattr(SocketEndpoint, "send", logged_send)
-        eng = EngineConfig(delta_L=0.4, steps=15)
+        mine = manager_solves(monkeypatch)
         state = apalm(make_builtin("cubic1d"), crisfield(), eng,
-                      worker_count=1, transport="process")
-        serial = [i for i, e in enumerate(events) if e == "step"][:15]
+                      worker_count=2, transport="thread")
+        serial = [i for i, e in enumerate(events) if e == "step"]
         assert len(serial) == 15
         frames = [i for i, e in enumerate(events) if e != "step"]
-        assert events[:2] == ["step", 1]
         assert frames[0] < serial[-1]
-        assert sum(events[i] for i in frames) == state.stats.jobs_done
+        assert sum(events[i] for i in frames) + len(mine) == \
+            state.stats.jobs_done
 
     @pytest.mark.parametrize("transport", ["thread", "process"])
     def test_worker_lost_during_the_serial_phase(self, transport,
                                                  monkeypatch):
-        # The only worker hangs up on its first frame, and the manager's
-        # third serial step waits until it is gone. The job of the frame it
-        # held, job 0, is lost while branch 0 is still open, so its loss is
-        # parked; it is recorded with the closed map's xi, and the manager
-        # solves the rest once the stream has closed.
+        # Of 2 workers, worker 1 hangs up on its first frame, and worker 0,
+        # once it has sent its first steps, waits until that loss is
+        # recorded. The jobs of the frame worker 1 held, the first level-1
+        # jobs, are lost while branch 0 is still open, so their losses are
+        # parked; each is recorded with the closed map's xi, and the
+        # manager and worker 0 solve the rest.
         manager_pid, main = os.getpid(), threading.main_thread()
         baseline = set(threading.enumerate())
-        solve, step, fail = (engine.solve_intervals, alm.step,
+        streamers = streaming_threads(monkeypatch)
+        loss_seen = multiprocessing.get_context("fork").Event()
+        solve, send, fail = (engine.solve_intervals, SocketEndpoint.send,
                              QueueEngine.submit_failure)
-        calls, open_at_loss = [], []
+        open_at_loss = []
+
+        def this_thread():
+            return os.getpid(), threading.get_ident()
 
         def in_manager():
             return (os.getpid() == manager_pid
                     and threading.current_thread() is main)
 
         def hangs_up(problem, config, jobs):
-            if not in_manager():
+            if not in_manager() and this_thread() not in streamers:
                 raise tp.EndpointClosed("synthetic hang-up")
             return solve(problem, config, jobs)
 
-        def waits_for_the_loss(*args):
-            if in_manager():
-                calls.append(args)
-                deadline = time.monotonic() + 10.0
-                while len(calls) == 3 and (
-                        set(threading.enumerate()) - baseline
-                        or multiprocessing.active_children()):
-                    assert time.monotonic() < deadline, "worker still up"
-                    time.sleep(0.001)
-            return step(*args)
+        def waits_for_the_loss(self, msg):
+            send(self, msg)
+            if (this_thread() in streamers and isinstance(msg, list)
+                    and isinstance(msg[0], SerialStep)):
+                assert loss_seen.wait(10.0), "no loss recorded"
 
         def noted_failure(self, job, message):
             open_at_loss.append(job.branch not in self.maps)
             fail(self, job, message)
+            loss_seen.set()
 
         monkeypatch.setattr(engine, "solve_intervals", hangs_up)
-        monkeypatch.setattr(alm, "step", waits_for_the_loss)
+        monkeypatch.setattr(SocketEndpoint, "send", waits_for_the_loss)
         monkeypatch.setattr(QueueEngine, "submit_failure", noted_failure)
         eng = EngineConfig(delta_L=0.4, steps=15, tol_lower=1e-4,
                            tol_upper=1e-4)
         state = apalm(make_builtin("cubic1d"), crisfield(), eng,
-                      worker_count=1, transport=transport)
+                      worker_count=2, transport=transport)
         lost = [r for r in state.stats.records if r.outcome == LOST]
-        assert [r.job.id for r in lost] == [0]
+        assert lost and [r.job.id for r in lost] == list(range(len(lost)))
         assert open_at_loss == [True] * len(lost)
         keys = state.maps[0].xi_keys()
         for r in lost:
@@ -1082,7 +1221,7 @@ class TestApalm:
             assert (r.job.xi_lo, r.job.xi_hi) == (keys[i], keys[i + 1])
             assert r.message.startswith(
                 f"branch 0 [{keys[i]!r}, {keys[i + 1]!r}] lost: "
-                f"worker 0 lost")
+                f"worker 1 lost")
         assert state.stats.jobs_failed == len(lost)
         assert all(r.outcome in (ACCEPTED, REFINED)
                    for r in state.stats.records if r.outcome != LOST)
@@ -1094,29 +1233,40 @@ class TestApalm:
     @pytest.mark.parametrize("transport", ["thread", "process"])
     def test_primary_serial_failure_joins_every_worker(self, transport,
                                                        monkeypatch, caplog):
-        # the primary branch fails its sixth serial step while its first
-        # jobs are with the workers: apalm raises SerialSolveError, and no
-        # worker thread or process is left behind; each worker answers its
-        # jobs and reads its stop, so a thread worker logs no lost manager
+        # The primary branch fails its first serial step after worker 0
+        # has sent steps, once the manager has sent the other worker a
+        # frame of their jobs: apalm raises SerialSolveError, and no worker
+        # thread or process is left behind; each worker answers its jobs
+        # and reads its stop, so a thread worker logs no lost manager.
+        # Worker 0's serial steps sleep 5 ms, so that the manager's ask
+        # reaches it before its last.
         log = record_sends(monkeypatch)
-        manager_pid, main = os.getpid(), threading.main_thread()
         baseline = set(threading.enumerate())
-        step, calls = alm.step, []
+        step, send, sent = alm.step, SocketEndpoint.send, []
+        dispatched = multiprocessing.get_context("fork").Event()
+        eng = EngineConfig(delta_L=0.4, steps=15)
 
-        def fails_sixth(*args):
-            if (os.getpid() == manager_pid
-                    and threading.current_thread() is main):
-                calls.append(args)
-                if len(calls) == 6:
+        def fails_once_jobs_are_out(*args):
+            if args[4] == eng.delta_L:  # a serial step, in worker 0
+                time.sleep(0.005)
+                if sent:
+                    assert dispatched.wait(10.0), "no frame dispatched"
                     raise alm.StepError("forced")
             return step(*args)
 
-        monkeypatch.setattr(alm, "step", fails_sixth)
-        eng = EngineConfig(delta_L=0.4, steps=15)
+        def noted_send(self, msg):
+            send(self, msg)
+            if is_job_frame(msg):
+                dispatched.set()
+            elif isinstance(msg, list) and isinstance(msg[0], SerialStep):
+                sent.append(msg)
+
+        monkeypatch.setattr(alm, "step", fails_once_jobs_are_out)
+        monkeypatch.setattr(SocketEndpoint, "send", noted_send)
         with pytest.raises(SerialSolveError, match="branch 0 at s=.*forced"):
             apalm(make_builtin("cubic1d"), crisfield(), eng, worker_count=2,
                   transport=transport)
-        assert len(log) >= 2
+        assert len(log) >= 1
         assert set(threading.enumerate()) == baseline
         assert not multiprocessing.active_children()
         assert not [r for r in caplog.records if r.name == "apalm.runtime"]
@@ -1124,31 +1274,40 @@ class TestApalm:
     @pytest.mark.parametrize("transport", ["thread", "process"])
     def test_manager_error_with_large_replies_joins_every_worker(
             self, transport, monkeypatch, caplog):
-        # The manager fails on the reply to a springchain frame of n = 256
-        # with N = 12 while its worker holds the next frame, sent before
-        # that reply settled, whose reply is larger than a socket pair
-        # buffers (more than `need` jobs). apalm raises at once, the
+        # The manager fails on a submit while the one worker holds a
+        # springchain frame of n = 256 with N = 12 whose reply is larger
+        # than a socket pair buffers (more than `need` jobs). The manager's
+        # own waves sleep 50 ms while worker 0 streams, so most level-1 jobs
+        # are still queued when its serial phase ends, and the first frame
+        # it is sent then is a full wave. apalm raises at once, the
         # worker's send of that reply completes as the manager drains it,
         # and the worker reads its stop: no worker is left behind, and a
         # thread worker logs no lost manager.
         buffer = fresh_send_buffer()
         need = buffer // (12 * 257 * 8)
         frames, send = [], SocketEndpoint.send
-        submit = QueueEngine.submit
+        submit, solve = QueueEngine.submit, engine.solve_intervals
+        manager_pid, main = os.getpid(), threading.main_thread()
 
         def logged_send(self, msg):
-            if msg and isinstance(msg[0], Job):
+            if is_job_frame(msg):
                 frames.append(msg)
             send(self, msg)
 
         def fails_while_a_large_frame_is_held(self, job, result):
-            # the one worker holds the last frame sent, and replied to the
-            # one before it
-            if (len(frames) >= 2 and job is frames[-2][0]
-                    and len(frames[-1]) > need):
+            # the one worker holds the last frame sent
+            if (frames and len(frames[-1]) > need and job not in frames[-1]
+                    and frames[-1][0].id in self._outstanding):
                 raise RuntimeError("synthetic manager error")
             submit(self, job, result)
 
+        def slow_while_streaming(problem, config, jobs):
+            if (os.getpid() == manager_pid
+                    and threading.current_thread() is main and not frames):
+                time.sleep(0.05)
+            return solve(problem, config, jobs)
+
+        monkeypatch.setattr(engine, "solve_intervals", slow_while_streaming)
         monkeypatch.setattr(SocketEndpoint, "send", logged_send)
         monkeypatch.setattr(QueueEngine, "submit",
                             fails_while_a_large_frame_is_held)
@@ -1162,8 +1321,7 @@ class TestApalm:
             apalm(p, cfg, eng, worker_count=1, transport=transport)
         assert time.monotonic() - t0 < 10.0
         assert len(frames[-1]) > need
-        assert len(tp.encode(engine.solve_intervals(p, cfg,
-                                                    frames[-1]))) > buffer
+        assert len(tp.encode(solve(p, cfg, frames[-1]))) > buffer
         assert set(threading.enumerate()) == baseline
         assert not multiprocessing.active_children()
         assert not [r for r in caplog.records if r.name == "apalm.runtime"]
@@ -1172,19 +1330,31 @@ class TestApalm:
             self, monkeypatch):
         # 12 fine steps per job: a reply frame of 16 springchain jobs of
         # n = 256 is about 395 KB, more than a socket pair buffers, and the
-        # worker's send of it completes as the manager reads
+        # worker's send of it completes as the manager reads. The manager's
+        # own waves sleep 50 ms until the first reply, so most level-1 jobs
+        # are still queued when worker 0's serial phase ends, and the first
+        # frame it is sent then is a full wave.
         sizes, decode = [], tp.decode
+        solve, manager_pid = engine.solve_intervals, os.getpid()
 
         def sized_decode(payload):
-            sizes.append(len(payload))
-            return decode(payload)
+            msg = decode(payload)
+            if isinstance(msg, list) and isinstance(msg[0], IntervalResult):
+                sizes.append(len(payload))
+            return msg
 
-        monkeypatch.setattr(tp, "decode", sized_decode)
+        def slow_until_a_reply(problem, config, jobs):
+            if os.getpid() == manager_pid and not sizes:
+                time.sleep(0.05)
+            return solve(problem, config, jobs)
+
         p = make_builtin("springchain", n=256)
         cfg = AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-10)
         eng = EngineConfig(delta_L=0.4, steps=64, subintervals=12,
                            tol_lower=1e-2, tol_upper=1e-2, max_level=3)
         ref = aalm(p, cfg, eng)
+        monkeypatch.setattr(tp, "decode", sized_decode)
+        monkeypatch.setattr(engine, "solve_intervals", slow_until_a_reply)
         out = []
         t = threading.Thread(target=lambda: out.append(apalm(
             p, cfg, eng, worker_count=1, transport="process")), daemon=True)
@@ -1196,15 +1366,138 @@ class TestApalm:
         assert row_bits(state.collect()) == row_bits(ref.collect())
         assert record_bits(state) == record_bits(ref)
 
+    def test_worker_0_killed_after_its_first_frame_costs_no_step(
+            self, monkeypatch, caplog, tmp_path):
+        # springchain n = 256 over 1 process worker, which the manager
+        # SIGKILLs as it reads worker 0's first wave of serial steps: the
+        # manager steps the serial phase itself from the start, skips the
+        # items it holds, and gives aalm's rows, records without ids and
+        # summary; only worker 0 is started, and it is reaped
+        p, cfg, eng = configs()["chain-proc-s1"]
+        manager_pid, recv = os.getpid(), SocketEndpoint.recv
+        step, frames, serial_steps = alm.step, [], []
+
+        def kills_worker_0(self):
+            msg = recv(self)
+            if (os.getpid() == manager_pid and isinstance(msg, list)
+                    and isinstance(msg[0], SerialStep)):
+                if not frames:
+                    child, = multiprocessing.active_children()
+                    os.kill(child.pid, signal.SIGKILL)
+                frames.append(len(msg))
+            return msg
+
+        def counted_step(*args):
+            if os.getpid() == manager_pid and args[4] == eng.delta_L:
+                serial_steps.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(SocketEndpoint, "recv", kills_worker_0)
+        monkeypatch.setattr(alm, "step", counted_step)
+        state = apalm(p, cfg, eng, worker_count=1, transport="process")
+        assert len(frames) == 1 and frames[0] >= engine.MIN_BATCH
+        assert len(serial_steps) == eng.steps
+        assert "worker 0 lost in the serial phase" in caplog.text
+        assert not multiprocessing.active_children()
+        ref = aalm(p, cfg, eng)
+        assert state.stats.jobs_done == ref.stats.jobs_done
+        assert row_bits(state.collect()) == row_bits(ref.collect())
+        assert record_bits(state) == record_bits(ref)
+        assert summary_without_timings(state, tmp_path / "a.json") == \
+            summary_without_timings(ref, tmp_path / "b.json")
+
+    def test_malformed_frame_from_worker_0_costs_no_step(self, monkeypatch):
+        # a thread worker 0 sends its first wave of steps, then a frame of
+        # an unknown kind, and hangs up: the manager keeps the jobs it made
+        # of them, steps the serial phase again and gives aalm's bits
+        p, cfg, eng = configs()["acc-chain-n64"]
+        stream = runtime._stream_serial
+
+        def malformed_after_first_jobs(problem, config, engine_, endpoint):
+            send = endpoint.send
+
+            def then_garbage(msg):
+                send(msg)
+                if isinstance(msg, list):
+                    endpoint._sock.sendall(tp.frame(bytes([99])))
+                    raise tp.EndpointClosed("synthetic hang-up")
+
+            endpoint.send = then_garbage
+            return stream(problem, config, engine_, endpoint)
+
+        monkeypatch.setattr(runtime, "_stream_serial",
+                            malformed_after_first_jobs)
+        state = apalm(p, cfg, eng, worker_count=1, transport="thread")
+        ref = aalm(p, cfg, eng)
+        assert row_bits(state.collect()) == row_bits(ref.collect())
+        assert record_bits(state) == record_bits(ref)
+
+    def test_manager_submits_a_wave_before_worker_0_closes(
+            self, monkeypatch, tmp_path):
+        # springchain n = 256 over 1 process worker: the manager solves a
+        # wave of the level-1 jobs of the steps worker 0 streams and
+        # submits it while branch 0 is open, before worker 0 sends the
+        # branch's end (the clock is CLOCK_MONOTONIC, one for both
+        # processes)
+        p, cfg, eng = configs()["chain-proc-s1"]
+        manager_pid, closes = os.getpid(), tmp_path / "closes"
+        send, submit, submits = SocketEndpoint.send, QueueEngine.submit, []
+
+        def timed_send(self, msg):
+            if os.getpid() != manager_pid and isinstance(msg, BranchEnd):
+                with open(closes, "a") as f:
+                    f.write(f"{time.monotonic()!r}\n")
+            send(self, msg)
+
+        def timed_submit(self, job, result):
+            submits.append((time.monotonic(), job.level,
+                            job.branch in self.maps))
+            submit(self, job, result)
+
+        monkeypatch.setattr(SocketEndpoint, "send", timed_send)
+        monkeypatch.setattr(QueueEngine, "submit", timed_submit)
+        apalm(p, cfg, eng, worker_count=1, transport="process")
+        close, = [float(t) for t in closes.read_text().split()]
+        first, level, closed = submits[0]
+        assert level == 1 and not closed
+        assert first < close
+
+    @pytest.mark.parametrize("transport,workers", [
+        ("process", 1), ("thread", 3), ("process", 3)])
+    def test_serial_lines_logged_once_in_step_order(self, transport,
+                                                    workers, caplog):
+        # twin's serial phase locates two bifurcations and fails a step on
+        # each spawned branch: worker 0 steps it, and each line is logged
+        # once, by the manager, in step order, as aalm logs them
+        caplog.set_level(logging.INFO, logger="apalm.engine")
+        p, cfg, eng = configs()["twin"]
+
+        def serial_lines():
+            lines = [r.getMessage() for r in caplog.records
+                     if r.name == "apalm.engine"
+                     and not r.getMessage().startswith("branch ")]
+            caplog.clear()
+            return lines
+
+        aalm(p, cfg, eng)
+        ref = serial_lines()
+        assert sum("bifurcation at" in line for line in ref) == 2
+        assert sum("serial solve failed" in line for line in ref) == 2
+        apalm(p, cfg, eng, worker_count=workers, transport=transport)
+        assert serial_lines() == ref
+
     def test_no_worker_holds_two_frames(self, monkeypatch):
         # a frame goes only to a worker that has answered every frame it
-        # was sent, while the serial phase streams and after it
+        # was sent, while the serial phase streams and after it; the
+        # manager solves its own share of the rest
         log = record_sends(monkeypatch)
+        mine = manager_solves(monkeypatch)
         eng = EngineConfig(delta_L=0.12, steps=50, tol_lower=1e-4,
                            tol_upper=1e-4, max_level=3)
         state = apalm(make_builtin("cubic1d"), crisfield(), eng,
                       worker_count=3, transport="thread")
-        assert sum(k for _, _, k in log) == state.stats.jobs_done > 50
+        assert sum(k for _, _, k in log) + len(mine) == \
+            state.stats.jobs_done > 50
         assert all(before.get(ep, 0) == 0 for ep, before, _ in log)
         assert len({ep for ep, _, _ in log}) == 3
 
@@ -1212,8 +1505,9 @@ class TestApalm:
                         reason="reads process states under /proc")
     def test_forked_workers_end_with_a_killed_manager(self, tmp_path):
         # Each forked worker closes the manager's ends of the socket pairs
-        # it inherits, so when the manager is killed mid-run, holding job 0
-        # in one worker, both workers read EOF and exit.
+        # it inherits, so when the manager is killed mid-run, at its first
+        # submit, both workers read EOF and exit: worker 0 as it streams the
+        # serial phase or waits for a frame, the other as it waits or sends.
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         pids = []

@@ -1,3 +1,4 @@
+import logging
 import socket
 import struct
 import threading
@@ -9,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apalm import runtime
-from apalm.engine import IntervalResult, Job
+from apalm.engine import (BranchEnd, BranchStart, IntervalResult, Job,
+                          SerialSolveError, SerialStep)
 from apalm.problems import SolutionPoint
-from apalm.transport import (_DATA, _JOB, _WAVE, MSG_DATA, MSG_JOB, MSG_STOP,
-                             PROTOCOL_VERSION, EndpointClosed, ProtocolError,
-                             SocketEndpoint, decode, encode, frame)
+from apalm.transport import (_ASK, _DATA, _JOB, _START, _WAVE, MSG_ASK,
+                             MSG_DATA, MSG_END, MSG_JOB, MSG_START,
+                             MSG_STEPS, MSG_STOP, PROTOCOL_VERSION,
+                             EndpointClosed, ProtocolError, SocketEndpoint,
+                             decode, encode, frame)
 
 
 def pt(*u, lam=0.0):
@@ -114,6 +118,90 @@ class TestRoundTrip:
                    for a, b in zip(r.solutions, q.solutions))
 
 
+def point_bits(w):
+    return None if w is None else (w.u.tobytes(), w.lam.hex())
+
+
+class TestSerialMessages:
+    """What worker 0 streams and the asks it is sent (protocol 8)."""
+
+    def test_ask(self):
+        assert encode(16) == _ASK.pack(MSG_ASK, 16)
+        assert decode(encode(16)) == 16
+        for count in (0, -1, True):
+            with pytest.raises(ProtocolError):
+                encode(count)
+        with pytest.raises(ProtocolError, match="no job"):
+            decode(_ASK.pack(MSG_ASK, 0))
+
+    @pytest.mark.parametrize("w_prev0", [None, pt(-0.5, 0.5, lam=-0.1)],
+                             ids=["primary", "spawned"])
+    def test_branch_start(self, w_prev0):
+        msg = BranchStart(pt(0.25, 0.5, lam=0.1), w_prev0)
+        payload = encode(msg)
+        assert payload[:_START.size] == _START.pack(
+            MSG_START, 2, w_prev0 is not None)
+        out = decode(payload)
+        assert isinstance(out, BranchStart)
+        assert point_bits(out.w) == point_bits(msg.w)
+        assert point_bits(out.w_prev0) == point_bits(w_prev0)
+
+    def test_steps_wave_sends_each_point_and_s_once(self):
+        msg = [SerialStep(pt(0.5, 0.25, lam=0.1), 0.1 + 0.2),
+               SerialStep(pt(1.0, 0.75, lam=0.3), 0.7)]
+        payload = encode(msg)
+        assert len(payload) == _WAVE.size + 2 * 8 + 2 * 3 * 8
+        assert payload[:_WAVE.size] == _WAVE.pack(MSG_STEPS, 2, 2)
+        out = decode(payload)
+        assert all(isinstance(step, SerialStep) for step in out)
+        assert [(point_bits(step.w), step.s.hex()) for step in out] == [
+            (point_bits(step.w), step.s.hex()) for step in msg]
+
+    def test_branch_end(self):
+        assert encode(BranchEnd()) == bytes([MSG_END])
+        assert decode(bytes([MSG_END])) == BranchEnd()
+        with pytest.raises(ProtocolError):
+            decode(bytes([MSG_END, 0]))
+
+    @pytest.mark.parametrize("msg", [
+        BranchStart(pt(0.0, 0.0)), BranchStart(pt(0.0), pt(-1.0, lam=1.0)),
+        [SerialStep(pt(0.5), 0.5), SerialStep(pt(1.0), 1.0)]],
+        ids=["start", "spawned-start", "steps"])
+    def test_serial_truncation_and_trailing_byte_rejected(self, msg):
+        payload = encode(msg)
+        for cut in range(len(payload)):
+            with pytest.raises(ProtocolError):
+                decode(payload[:cut])
+        for tail in (b"\0", bytes(24)):
+            with pytest.raises(ProtocolError):
+                decode(payload + tail)
+
+    def test_start_with_a_bad_flag_rejected(self):
+        payload = bytearray(encode(BranchStart(pt(0.0))))
+        payload[_START.size - 1] = 2
+        with pytest.raises(ProtocolError, match="w_prev0 flag"):
+            decode(bytes(payload))
+
+    def test_steps_of_mixed_size_refused(self):
+        with pytest.raises(ProtocolError, match="mixed n_dof"):
+            encode([SerialStep(pt(0.5), 0.5), SerialStep(pt(1.0, 1.0), 1.0)])
+
+    def test_note(self):
+        record = logging.LogRecord("apalm.engine", logging.INFO, __file__, 1,
+                                   "bifurcation at lambda=%.6g: %s",
+                                   (1.25, "état"), None)
+        out = decode(encode(record))
+        assert isinstance(out, logging.LogRecord)
+        assert (out.name, out.levelno, out.levelname, out.getMessage()) == (
+            "apalm.engine", logging.INFO, "INFO",
+            "bifurcation at lambda=1.25: état")
+
+    def test_failed_primary_step(self):
+        out = decode(encode(SerialSolveError("serial solve failed: é")))
+        assert isinstance(out, SerialSolveError)
+        assert str(out) == "serial solve failed: é"
+
+
 class TestFrame:
     def test_header_layout(self):
         payload = encode(None)
@@ -125,10 +213,10 @@ class TestFrame:
     # v1 had a handshake; v2 framed every point separately and echoed the
     # start point; v3 sent each job's closing point; v4 sent each reply's
     # step lengths; v5 sent one job or reply per frame; v6 sent no job's
-    # end point
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 99])
+    # end point; v7 had no worker that streams the serial phase
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 99])
     def test_other_version_rejected(self, version):
-        assert PROTOCOL_VERSION == 7
+        assert PROTOCOL_VERSION == 8
         s1, s2 = socket.socketpair()
         s1.sendall(bytes([version]) + frame(encode([job()]))[1:])
         with pytest.raises(ProtocolError, match=f"version {version}"):
