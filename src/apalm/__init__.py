@@ -12,7 +12,7 @@ from .alm import (AlmConfig, StepResult, branch_switch, detect_singular,
 from .curvemap import CurveEntry, CurveMap
 from .engine import (EngineConfig, ErrorTriple, IntervalResult, Job,
                      QueueEngine, aalm, compute_errors, serial_solve,
-                     serial_stream, solve_interval)
+                     solve_interval)
 from .problems import ProblemDef, SolutionPoint, make_builtin
 from .runtime import apalm, run_manager, run_worker
 
@@ -22,8 +22,7 @@ __all__ = [
     "predictor", "select_root", "step",
     "CurveEntry", "CurveMap",
     "EngineConfig", "ErrorTriple", "IntervalResult", "Job", "QueueEngine",
-    "aalm", "compute_errors", "serial_solve", "serial_stream",
-    "solve_interval",
+    "aalm", "compute_errors", "serial_solve", "solve_interval",
     "ProblemDef", "SolutionPoint", "make_builtin",
     "apalm", "run_manager", "run_worker",
 ]

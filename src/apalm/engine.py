@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import time
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
@@ -256,7 +255,8 @@ def serial_points(problem: ProblemDef, config: AlmConfig,
     and the branch's end (BranchEnd). Each line it has to log is yielded as
     a LogRecord in its place, for whoever takes the items to log: the
     manager, whether it steps the phase itself or takes the items from the
-    worker that steps it. `SerialBuild` makes the jobs and maps of them.
+    worker that steps it. `QueueEngine.take` makes the jobs and maps of
+    them.
 
     Starts from the trivial point (u = 0, lambda = 0). With bifurcation
     detection enabled, once a branch's steps end (at its last step or a
@@ -317,90 +317,6 @@ def serial_points(problem: ProblemDef, config: AlmConfig,
                                               ws[k], pending)
         yield BranchEnd()
         closed += 1
-
-
-class SerialBuild:
-    """The level-1 jobs and level-0 maps of serial_points' items, taken in
-    order: the job of the interval each accepted step closes, and the
-    branch's map at its end.
-
-    Step i's job runs from the point step i - 1 reached, with that point's
-    predecessor, to the point step i reached, delta_L0 = s_i - s_(i-1)
-    along; it is named [i - 1, i] by serial indices, as xi = s / s_total
-    waits for the branch's end, and numbered by the ids given to `take`. A
-    branch's id is the number of branches closed before it started.
-
-    The items may come from another process, so an item out of order, of
-    another size or whose s does not increase raises CurveStructureError,
-    and so does a map that from_serial refuses, with nothing taken.
-    """
-
-    def __init__(self, n_dof: int, subintervals: int):
-        self.n_dof, self.subintervals = n_dof, subintervals
-        self.closed = 0  # branches closed, so the id of the open one
-        # the open branch's points, their s and its start's predecessor
-        self.ws: list[SolutionPoint] = []
-        self.ss: list[float] = []
-        self.w_prev0: SolutionPoint | None = None
-
-    def take(self, item: BranchStart | SerialStep | BranchEnd,
-             ids: Iterator[int]) -> Job | CurveMap | None:
-        """The job or map that item completes, if any."""
-        if isinstance(item, BranchEnd):
-            if not self.ws:
-                raise CurveStructureError("a branch end with no branch open")
-            m = CurveMap.from_serial(self.closed, self.ws, self.ss,
-                                     w_prev0=self.w_prev0)
-            self.closed += 1
-            self.ws, self.ss, self.w_prev0 = [], [], None
-            return m
-        points = [item.w] + ([item.w_prev0] if isinstance(item, BranchStart)
-                             and item.w_prev0 is not None else [])
-        if any(w.n_dof != self.n_dof for w in points):
-            raise CurveStructureError(
-                f"serial points of another size than {self.n_dof}")
-        if isinstance(item, BranchStart):
-            if self.ws:
-                raise CurveStructureError(
-                    f"a branch start while branch {self.closed} is open")
-            self.ws, self.ss, self.w_prev0 = [item.w], [0.0], item.w_prev0
-            return None
-        if not self.ws:
-            raise CurveStructureError("a serial step with no branch open")
-        if not self.ss[-1] < item.s < math.inf:
-            raise CurveStructureError(
-                f"serial step to s={item.s!r} after s={self.ss[-1]!r}")
-        i = len(self.ws)
-        job = Job(id=next(ids), branch=self.closed, xi_lo=i - 1.0,
-                  xi_hi=float(i), delta_L0=item.s - self.ss[-1],
-                  w_start=self.ws[-1],
-                  w_prev=self.ws[-2] if i > 1 else self.w_prev0,
-                  w_end=item.w, level=1, N=self.subintervals)
-        self.ws.append(item.w)
-        self.ss.append(item.s)
-        return job
-
-
-def serial_stream(problem: ProblemDef, config: AlmConfig,
-                  engine: EngineConfig) -> Iterator[Job | CurveMap]:
-    """Coarse serial continuation, one accepted step at a time: yields the
-    level-1 job of the interval each accepted step closes, numbered from
-    0, and the branch's level-0 map when the branch closes (`SerialBuild`
-    over `serial_points`), and logs the lines of its steps."""
-    ids = itertools.count()
-    build = SerialBuild(problem.n_dof, engine.subintervals)
-    for item in serial_points(problem, config, engine):
-        if isinstance(item, logging.LogRecord):
-            _log(item)
-        elif (made := build.take(item, ids)) is not None:
-            yield made
-
-
-def serial_solve(problem: ProblemDef, config: AlmConfig,
-                 engine: EngineConfig) -> list[CurveMap]:
-    """The level-0 map of every branch: serial_stream run to its end."""
-    return [m for m in serial_stream(problem, config, engine)
-            if isinstance(m, CurveMap)]
 
 
 def _note(level: int, msg: str, *args) -> logging.LogRecord:
@@ -482,23 +398,23 @@ class QueueEngine:
         # answered while their branch was open: (job, result or loss message)
         self._parked: list[tuple[Job, IntervalResult | str]] = []
         self._ids = itertools.count()  # every job's id, in queue order
-        # the serial phase's items taken so far, in order, and the jobs and
-        # maps they make
-        self._taken = 0
-        self._build = SerialBuild(problem.n_dof, engine.subintervals)
+        # the open branch's points, their s and its start's predecessor
+        self._ws: list[SolutionPoint] = []
+        self._ss: list[float] = []
+        self._w_prev0: SolutionPoint | None = None
+        self._taken = 0  # the serial phase's items taken so far, in order
         self.serial_phase = self._serial_steps()
 
     def _serial_steps(self) -> Iterator[None]:
         """The serial phase stepped here (`serial_points`), each item taken
-        (`take`), yielding after each step and each branch close.
-        serial_time runs from the first step to the last close. Created once, so the phase runs only once:
-        by `initialize`, or interleaved with the drain by `run_manager`.
+        (`take`), yielding after each step and each branch close. Created
+        once, so the phase runs only once: by `initialize`, or interleaved
+        with the drain by `run_manager`.
 
         The items that worker 0 streamed before it was lost are stepped
         again and not taken twice: serial_points is deterministic, so its
         first items are the ones taken.
         """
-        t0 = time.perf_counter()
         taken = self._taken
         for k, item in enumerate(serial_points(self.problem, self.config,
                                                self.engine)):
@@ -506,21 +422,58 @@ class QueueEngine:
                 self.take(item)
             if isinstance(item, (SerialStep, BranchEnd)):
                 yield
-        self.stats.serial_time = time.perf_counter() - t0
 
     def take(self, item: SerialItem) -> None:
-        """The next item of the serial phase: a step's level-1 job, named
-        by serial indices, joins the queue, its id drawn from the counter
-        that numbers every job, so ids follow the order jobs are queued; a
-        branch's end closes the branch; a line is logged here. Raises
-        CurveStructureError, with nothing taken, if the item does not fit
-        (`SerialBuild`)."""
+        """The next item of the serial phase. A branch's start opens the
+        branch. Step i's level-1 job joins the queue: it runs from the
+        point step i - 1 reached, with that point's predecessor, to the
+        point step i reached, delta_L0 = s_i - s_(i-1) along, and is named
+        [i - 1, i] by serial indices until its branch closes, as
+        xi = s / s_total waits for the branch's end; its id is drawn from
+        the counter that numbers every job, so ids follow the order jobs
+        are queued. A branch's end stores its map (`_close`), whose id is
+        the number of branches closed before it. A line is logged here.
+
+        The items may come from worker 0, another process, so an item out
+        of order, of another size or whose s does not increase raises
+        CurveStructureError, and so does a map that from_serial refuses,
+        with nothing taken and no id drawn.
+        """
+        n = self.problem.n_dof
         if isinstance(item, logging.LogRecord):
             _log(item)
-        elif isinstance(made := self._build.take(item, self._ids), Job):
-            self.queue.append(made)
-        elif made is not None:
-            self._close(made)
+        elif isinstance(item, BranchEnd):
+            if not self._ws:
+                raise CurveStructureError("a branch end with no branch open")
+            m = CurveMap.from_serial(len(self.maps), self._ws, self._ss,
+                                     w_prev0=self._w_prev0)
+            self._ws, self._ss, self._w_prev0 = [], [], None
+            self._close(m)
+        elif any(w is not None and w.n_dof != n for w in (
+                item.w, item.w_prev0 if isinstance(item, BranchStart)
+                else None)):
+            raise CurveStructureError(
+                f"serial points of another size than {n}")
+        elif isinstance(item, BranchStart):
+            if self._ws:
+                raise CurveStructureError(
+                    f"a branch start while branch {len(self.maps)} is open")
+            self._ws, self._ss, self._w_prev0 = [item.w], [0.0], item.w_prev0
+        elif not self._ws:
+            raise CurveStructureError("a serial step with no branch open")
+        elif not self._ss[-1] < item.s < math.inf:
+            raise CurveStructureError(
+                f"serial step to s={item.s!r} after s={self._ss[-1]!r}")
+        else:
+            i = len(self._ws)
+            self.queue.append(Job(
+                id=next(self._ids), branch=len(self.maps), xi_lo=i - 1.0,
+                xi_hi=float(i), delta_L0=item.s - self._ss[-1],
+                w_start=self._ws[-1],
+                w_prev=self._ws[-2] if i > 1 else self._w_prev0,
+                w_end=item.w, level=1, N=self.engine.subintervals))
+            self._ws.append(item.w)
+            self._ss.append(item.s)
         self._taken += 1
 
     def initialize(self) -> None:
@@ -563,30 +516,23 @@ class QueueEngine:
         self._outstanding[job.id] = job
         return job
 
-    def _settle(self, job: Job) -> Job:
-        """The answered job as the engine holds it now: with its map's xi
-        if its branch closed after the pop."""
+    def submit(self, job: Job, result: IntervalResult | str) -> None:
+        """Settle a popped job. A result's fine path is measured against
+        the map, its solutions inserted and, below max_level, children
+        queued where errors demand: the fine subintervals if the lower
+        error exceeds its tolerance, the closing one if the upper error
+        does and the fine end-point was stored. A str is the message of a
+        job lost to a worker failure, whose coarse data is retained.
+
+        The job is matched by id, so it may be the one popped while its
+        branch was open; while it is, the answer is parked until the close.
+        """
         try:
-            return self._outstanding.pop(job.id)
+            job = self._outstanding.pop(job.id)
         except KeyError:
             raise QueueInvariantError(
                 f"job id {job.id} is not outstanding") from None
-
-    def submit(self, job: Job, result: IntervalResult) -> None:
-        """Measure a job's fine path against the map, insert its solutions
-        and, below max_level, queue children where errors demand: the fine
-        subintervals if the lower error exceeds its tolerance, the closing
-        one if the upper error does and the fine end-point was stored.
-
-        The job is matched by id, so it may be the one popped while its
-        branch was open; while it is, the result is parked until the close.
-        """
-        self._answer(self._settle(job), result)
-
-    def submit_failure(self, job: Job, message: str) -> None:
-        """Record a job lost to a worker failure; coarse data is retained.
-        Parked like a result while the job's branch is open."""
-        self._answer(self._settle(job), message)
+        self._answer(job, result)
 
     def _answer(self, job: Job, answer: IntervalResult | str) -> None:
         if job.branch not in self.maps:  # its branch is still open
@@ -689,3 +635,12 @@ def aalm(problem: ProblemDef, config: AlmConfig, engine: EngineConfig
     state = QueueEngine(problem, config, engine)
     run_manager(state, [])
     return state
+
+
+def serial_solve(problem: ProblemDef, config: AlmConfig,
+                 engine: EngineConfig) -> list[CurveMap]:
+    """The level-0 map of every branch, in branch order: the serial phase
+    run to its end (`QueueEngine.initialize`)."""
+    state = QueueEngine(problem, config, engine)
+    state.initialize()
+    return [state.maps[b] for b in sorted(state.maps)]

@@ -7,7 +7,7 @@ closed-form solution paths and serve as analytic oracles in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

@@ -199,9 +199,10 @@ def run_manager(state: QueueEngine, endpoints: list,
     run it: after each serial step the manager settles the replies that
     have arrived, without waiting for any, and serves the free workers,
     so they solve level-1 jobs while the serial steps go on; the
-    manager's own share waits for the end of the phase. The serial phase
-    is timed as serial_time, and queue_time runs from its end to the end
-    of this loop, validating the maps included.
+    manager's own share waits for the end of the phase. serial_time runs
+    from the start of this loop to the end of the serial phase, whoever
+    steps it, and queue_time from there to the end of this loop,
+    validating the maps included.
     """
     n_dof = state.problem.n_dof
     wave = max(1, WAVE_VALUES // n_dof)
@@ -327,7 +328,7 @@ def run_manager(state: QueueEngine, endpoints: list,
             except (tp.EndpointClosed, tp.ProtocolError) as exc:
                 drop(ep)
                 for lost in jobs:
-                    state.submit_failure(
+                    state.submit(
                         lost, f"worker {endpoints.index(ep)} lost: {exc}")
                 continue
             held[ep] = None
@@ -348,14 +349,12 @@ def run_manager(state: QueueEngine, endpoints: list,
 
     with live:
         t0 = time.perf_counter()
-        streamed = streamer is not None
         while streamer is not None:  # worker 0 steps the serial phase
             turn()
         for _ in state.serial_phase:  # stepped here, unless it has run
             settle(live.select(0))
             dispatch()
-        if streamed:
-            state.stats.serial_time = time.perf_counter() - t0
+        state.stats.serial_time = time.perf_counter() - t0
         t0 = time.perf_counter()
         while state.outstanding or state.queue:
             turn()

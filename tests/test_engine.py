@@ -11,9 +11,8 @@ from apalm.curvemap import CurveMap, CurveStructureError
 from apalm.engine import (ACCEPTED, FAILED, MIN_BATCH, OUTCOMES, REFINED,
                           REJECTED, BranchEnd, BranchStart, EngineConfig,
                           IntervalResult, Job, QueueEngine,
-                          QueueInvariantError, SerialBuild, SerialSolveError,
-                          SerialStep, aalm, compute_errors, serial_solve,
-                          solve_interval)
+                          QueueInvariantError, SerialSolveError, SerialStep,
+                          aalm, compute_errors, serial_solve, solve_interval)
 from apalm.problems import SolutionPoint, make_builtin
 from apalm.runtime import apalm
 from bits import (NOISE_FLOOR_CONFIGS, record_bits, row_bits,
@@ -150,7 +149,7 @@ class TestSerialSolve:
         """acc-pitchfork's one bifurcation, bracketed by branch 0's steps 3
         and 4, is located after that branch's last step and before its
         map, and branch 1 starts from it: w* has the bits it had when each
-        step was checked as it was taken. Step i yields the level-1 job of
+        step was checked as it was taken. Step i queues the level-1 job of
         serial interval [i - 1, i], numbered across both branches."""
         from bits import configs
         events, jobs = [], []
@@ -163,13 +162,14 @@ class TestSerialSolve:
 
         monkeypatch.setattr(alm, "locate_bifurcation", logged)
         problem, config, eng = configs()["acc-pitchfork"]
-        for item in engine.serial_stream(problem, config, eng):
-            if isinstance(item, CurveMap):
-                events.append(("map", item.branch))
+        state = QueueEngine(problem, config, eng)
+        for _ in state.serial_phase:  # after each step and each close
+            if len(jobs) < len(state.queue):
+                job = state.queue[-1]
+                jobs.append(job)
+                events.append(("step", job.branch, int(job.xi_hi)))
             else:
-                jobs.append(item)
-                events.append(("step", item.branch, int(item.xi_hi)))
-        assert all(isinstance(job, Job) for job in jobs)
+                events.append(("map", max(state.maps)))
         assert [(job.id, job.xi_lo, job.xi_hi, job.level, job.N)
                 for job in jobs] == [(k, i - 1.0, float(i), 1, eng.subintervals)
                                      for k, i in enumerate([*range(1, 7)] * 2)]
@@ -210,53 +210,72 @@ def points_of(maps):
     return points
 
 
-class TestSerialBuild:
-    """SerialBuild makes serial_stream's jobs and maps of serial_points'
-    items, which may come from another process: an item that does not fit
-    is refused with nothing taken and no id drawn."""
+class TestTake:
+    """QueueEngine.take makes the level-1 jobs and level-0 maps of
+    serial_points' items, which may come from another process: an item
+    that does not fit is refused with nothing taken and no id drawn."""
 
     @staticmethod
     def w(u, n=1):
         return SolutionPoint(np.full(n, float(u)), 0.0)
 
+    @staticmethod
+    def state():
+        return QueueEngine(make_builtin("linear1d"), crisfield(1.0),
+                           EngineConfig(delta_L=1.0, steps=1, subintervals=4))
+
     def test_jobs_and_map_of_a_spawned_branch(self):
-        build, ids = SerialBuild(1, 4), iter([7, 8])
+        state = self.state()
         w_prev0 = self.w(-1)
-        assert build.take(BranchStart(self.w(0), w_prev0), ids) is None
-        first = build.take(SerialStep(self.w(1), 0.5), ids)
-        second = build.take(SerialStep(self.w(2), 1.5), ids)
+        state.take(BranchStart(self.w(0), w_prev0))
+        assert not state.queue
+        state.take(SerialStep(self.w(1), 0.5))
+        state.take(SerialStep(self.w(2), 1.5))
+        first, second = state.queue
         assert [(j.id, j.branch, j.xi_lo, j.xi_hi, j.delta_L0, j.level, j.N)
-                for j in (first, second)] == [(7, 0, 0.0, 1.0, 0.5, 1, 4),
-                                              (8, 0, 1.0, 2.0, 1.0, 1, 4)]
+                for j in (first, second)] == [(0, 0, 0.0, 1.0, 0.5, 1, 4),
+                                              (1, 0, 1.0, 2.0, 1.0, 1, 4)]
         assert first.w_prev is w_prev0 and second.w_prev is first.w_start
-        m = build.take(BranchEnd(), ids)
-        assert isinstance(m, CurveMap) and m.branch == 0
+        state.take(BranchEnd())
+        m = state.maps[0]
         assert m.xi_keys() == [0.0, 0.5 / 1.5, 1.0]
         assert m.lookup(0.0).w_prev is w_prev0
-        build.take(BranchStart(self.w(0)), ids)
-        assert build.take(SerialStep(self.w(1), 1.0), iter([9])).branch == 1
+        assert [(j.id, j.xi_lo, j.xi_hi) for j in state.queue] == [
+            (0, 0.0, 0.5 / 1.5), (1, 0.5 / 1.5, 1.0)]
+        state.take(BranchStart(self.w(0)))
+        state.take(SerialStep(self.w(1), 1.0))
+        assert (state.queue[-1].id, state.queue[-1].branch) == (2, 1)
 
     @pytest.mark.parametrize("items,needle", [
         ([SerialStep(SolutionPoint(np.ones(1), 0.0), 1.0)], "no branch open"),
         ([BranchEnd()], "no branch open"),
         ([BranchStart(SolutionPoint(np.zeros(1), 0.0))] * 2, "is open"),
         ([BranchStart(SolutionPoint(np.zeros(2), 0.0))], "another size"),
+        ([BranchStart(SolutionPoint(np.zeros(1), 0.0),
+                      SolutionPoint(np.zeros(2), 0.0))], "another size"),
+        ([BranchStart(SolutionPoint(np.zeros(1), 0.0)),
+          SerialStep(SolutionPoint(np.ones(2), 0.0), 1.0)], "another size"),
         ([BranchStart(SolutionPoint(np.zeros(1), 0.0)),
           SerialStep(SolutionPoint(np.ones(1), 0.0), 0.0)], "s=0.0"),
         ([BranchStart(SolutionPoint(np.zeros(1), 0.0)),
           SerialStep(SolutionPoint(np.ones(1), 0.0), math.nan)], "s=nan"),
-    ], ids=["step-first", "end-first", "two-starts", "size", "s-repeats",
-            "s-nan"])
+    ], ids=["step-first", "end-first", "two-starts", "size", "w-prev0-size",
+            "step-size", "s-repeats", "s-nan"])
     def test_item_that_does_not_fit_refused(self, items, needle):
-        build, ids = SerialBuild(1, 4), iter(range(10))
+        state = self.state()
         *fitting, last = items
         for item in fitting:
-            build.take(item, ids)
-        before = (list(build.ws), list(build.ss), build.closed)
+            state.take(item)
+
+        def taken():
+            return (list(state._ws), list(state._ss), state._w_prev0,
+                    list(state.queue), dict(state.maps), state._taken)
+
+        before = taken()
         with pytest.raises(CurveStructureError, match=needle):
-            build.take(last, ids)
-        assert (list(build.ws), list(build.ss), build.closed) == before
-        assert next(ids) == 0
+            state.take(last)
+        assert taken() == before
+        assert next(state._ids) == 0
 
 
 class TestInitializeMap:
@@ -770,7 +789,7 @@ class TestEngineConfigValidation:
     def test_rejects_what_a_config_file_may_not_hold(self, field, value,
                                                      message):
         # built in code, as a config file's section is checked: steps=3.0
-        # once failed later in serial_stream, subintervals=2.5 ran under
+        # once failed later in the serial phase, subintervals=2.5 ran under
         # aalm but broke the wire's integer N, and "no" turned detection on
         with pytest.raises(TypeError, match=message):
             EngineConfig(**{"delta_L": 1.0, "steps": 3, field: value})

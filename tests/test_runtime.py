@@ -17,9 +17,9 @@ import pytest
 from apalm import alm, engine, runtime, tridiagonal
 from apalm import transport as tp
 from apalm.alm import AlmConfig, point_distance
-from apalm.engine import (ACCEPTED, LOST, REFINED, BranchEnd, EngineConfig,
-                          IntervalResult, Job, QueueEngine, SerialSolveError,
-                          SerialStep, aalm)
+from apalm.engine import (ACCEPTED, LOST, REFINED, BranchEnd, BranchStart,
+                          EngineConfig, IntervalResult, Job, QueueEngine,
+                          SerialSolveError, SerialStep, aalm)
 from apalm.problems import SolutionPoint, make_builtin
 from apalm.runtime import _worker_main, apalm, run_manager, run_worker
 from apalm.transport import ProtocolError, SocketEndpoint
@@ -1178,8 +1178,8 @@ class TestApalm:
         baseline = set(threading.enumerate())
         streamers = streaming_threads(monkeypatch)
         loss_seen = multiprocessing.get_context("fork").Event()
-        solve, send, fail = (engine.solve_intervals, SocketEndpoint.send,
-                             QueueEngine.submit_failure)
+        solve, send, submit = (engine.solve_intervals, SocketEndpoint.send,
+                               QueueEngine.submit)
         open_at_loss = []
 
         def this_thread():
@@ -1200,14 +1200,17 @@ class TestApalm:
                     and isinstance(msg[0], SerialStep)):
                 assert loss_seen.wait(10.0), "no loss recorded"
 
-        def noted_failure(self, job, message):
-            open_at_loss.append(job.branch not in self.maps)
-            fail(self, job, message)
-            loss_seen.set()
+        def noted_loss(self, job, result):
+            lost = isinstance(result, str)  # a loss message
+            if lost:
+                open_at_loss.append(job.branch not in self.maps)
+            submit(self, job, result)
+            if lost:
+                loss_seen.set()
 
         monkeypatch.setattr(engine, "solve_intervals", hangs_up)
         monkeypatch.setattr(SocketEndpoint, "send", waits_for_the_loss)
-        monkeypatch.setattr(QueueEngine, "submit_failure", noted_failure)
+        monkeypatch.setattr(QueueEngine, "submit", noted_loss)
         eng = EngineConfig(delta_L=0.4, steps=15, tol_lower=1e-4,
                            tol_upper=1e-4)
         state = apalm(make_builtin("cubic1d"), crisfield(), eng,
@@ -1406,10 +1409,26 @@ class TestApalm:
         assert summary_without_timings(state, tmp_path / "a.json") == \
             summary_without_timings(ref, tmp_path / "b.json")
 
-    def test_malformed_frame_from_worker_0_costs_no_step(self, monkeypatch):
-        # a thread worker 0 sends its first wave of steps, then a frame of
-        # an unknown kind, and hangs up: the manager keeps the jobs it made
-        # of them, steps the serial phase again and gives aalm's bits
+    @pytest.mark.parametrize("garbage", [
+        lambda steps: bytes([99]),
+        lambda steps: tp.encode([IntervalResult(0, [steps[0].w])]),
+        lambda steps: tp.encode([Job(
+            id=0, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=1.0,
+            w_start=steps[0].w, w_prev=None, w_end=steps[-1].w, level=1,
+            N=2)]),
+        lambda steps: tp.encode(engine.MIN_BATCH),
+        lambda steps: tp.encode([SerialStep(steps[-1].w, steps[-1].s)]),
+        lambda steps: tp.encode(BranchStart(steps[-1].w)),
+    ], ids=["unknown-kind", "reply-wave", "job-wave", "ask", "s-repeats",
+            "second-start"])
+    def test_malformed_frame_from_worker_0_costs_no_step(
+            self, garbage, monkeypatch, caplog, tmp_path):
+        # a thread worker 0 sends its first wave of steps, then a frame
+        # that is not its stream, and hangs up: a frame of an unknown kind,
+        # one that decodes but is not the serial phase's, or one whose
+        # items do not fit the branch open. The manager loses worker 0
+        # once, keeps the jobs it made of the steps, steps the serial phase
+        # again and gives aalm's bits
         p, cfg, eng = configs()["acc-chain-n64"]
         stream = runtime._stream_serial
 
@@ -1419,7 +1438,7 @@ class TestApalm:
             def then_garbage(msg):
                 send(msg)
                 if isinstance(msg, list):
-                    endpoint._sock.sendall(tp.frame(bytes([99])))
+                    endpoint._sock.sendall(tp.frame(garbage(msg)))
                     raise tp.EndpointClosed("synthetic hang-up")
 
             endpoint.send = then_garbage
@@ -1428,9 +1447,28 @@ class TestApalm:
         monkeypatch.setattr(runtime, "_stream_serial",
                             malformed_after_first_jobs)
         state = apalm(p, cfg, eng, worker_count=1, transport="thread")
+        assert caplog.text.count("worker 0 lost in the serial phase") == 1
         ref = aalm(p, cfg, eng)
         assert row_bits(state.collect()) == row_bits(ref.collect())
         assert record_bits(state) == record_bits(ref)
+        assert summary_without_timings(state, tmp_path / "a.json") == \
+            summary_without_timings(ref, tmp_path / "b.json")
+
+    @pytest.mark.parametrize("workers,transport", [
+        (0, None), (1, "thread"), (1, "process")])
+    def test_serial_and_queue_time_split_the_call(self, workers, transport):
+        # aalm and apalm each time their serial phase and their drain,
+        # which together take no longer than the call
+        p, cfg = make_builtin("cubic1d"), crisfield()
+        eng = EngineConfig(delta_L=0.4, steps=15)
+        t0 = time.perf_counter()
+        state = (apalm(p, cfg, eng, worker_count=workers,
+                       transport=transport) if workers
+                 else aalm(p, cfg, eng))
+        wall = time.perf_counter() - t0
+        stats = state.stats
+        assert stats.serial_time > 0 and stats.queue_time > 0
+        assert stats.serial_time + stats.queue_time <= wall
 
     def test_manager_submits_a_wave_before_worker_0_closes(
             self, monkeypatch, tmp_path):
