@@ -8,7 +8,7 @@ bifurcation detection in the serial phase.
 
 from .alm import (AlmConfig, StepResult, branch_switch, detect_singular,
                   distance, increment_between, locate_bifurcation,
-                  point_distance, predictor, select_root, step)
+                  point_distance, predictor, select_root, step, tangent)
 from .curvemap import CurveEntry, CurveMap
 from .engine import (EngineConfig, ErrorTriple, IntervalResult, Job,
                      QueueEngine, aalm, compute_errors, serial_solve,
@@ -19,7 +19,7 @@ from .runtime import apalm, run_manager, run_worker
 __all__ = [
     "AlmConfig", "StepResult", "branch_switch", "detect_singular",
     "distance", "increment_between", "locate_bifurcation", "point_distance",
-    "predictor", "select_root", "step",
+    "predictor", "select_root", "step", "tangent",
     "CurveEntry", "CurveMap",
     "EngineConfig", "ErrorTriple", "IntervalResult", "Job", "QueueEngine",
     "aalm", "compute_errors", "serial_solve", "solve_interval",

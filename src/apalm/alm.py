@@ -37,7 +37,8 @@ class StepError(RuntimeError):
 
 
 class PredictorError(RuntimeError):
-    """Cold-start predictor failed (singular tangent stiffness)."""
+    """No predictor direction: a singular tangent system (`tangent`), or a
+    direction of zero or non-finite length (`predictor`)."""
 
 
 class ComplexRootsError(RuntimeError):
@@ -114,31 +115,29 @@ def point_distance(w_a: SolutionPoint, w_b: SolutionPoint, psi: float,
     return distance(increment_between(w_a, w_b), psi, load_norm_sq)
 
 
-def predictor(problem: ProblemDef, config: AlmConfig, w: SolutionPoint,
-              delta_w_prev: np.ndarray | None, delta_L: float) -> np.ndarray:
-    """Initial increment (Delta u, Delta lambda) of metric length delta_L.
+def tangent(problem: ProblemDef, w: SolutionPoint) -> np.ndarray:
+    """The tangent t = (-K^{-1} dG/dlam, 1) at w, the solution of the
+    bordered system [[K, dG/dlam], [0, 1]] t = e_{n+1}: the direction, with
+    Delta lambda > 0, that a branch starting at w first steps along.
+    Raises PredictorError where the system is singular."""
+    try:
+        return _bordered_solve(problem, w, None, 1.0,
+                               np.zeros(problem.n_dof), 1.0, False)
+    except np.linalg.LinAlgError as exc:
+        raise PredictorError(f"singular tangent stiffness: {exc}")
 
-    Warm start rescales the previous increment; cold start scales the
-    tangent t = (K^{-1} P, 1), the solution of the bordered system
-    [[K, dG/dlam], [0, 1]] t = e_{n+1}, which gives Delta lambda > 0.
-    """
+
+def predictor(problem: ProblemDef, config: AlmConfig,
+              delta_w_prev: np.ndarray, delta_L: float) -> np.ndarray:
+    """Initial increment (Delta u, Delta lambda) of metric length delta_L:
+    the direction delta_w_prev rescaled. Raises PredictorError where that
+    direction has zero or non-finite length."""
     if delta_L <= 0:
         raise ValueError("delta_L must be positive")
-    psi, ptp = config.psi, problem.load_norm_sq
-    if delta_w_prev is not None:
-        length = distance(delta_w_prev, psi, ptp)
-        if length > 0:
-            return (delta_L / length) * delta_w_prev
-    n = problem.n_dof
-    try:
-        tangent = _bordered_solve(problem, w, None, 1.0, np.zeros(n), 1.0,
-                                  False)
-    except np.linalg.LinAlgError as exc:
-        raise PredictorError(f"singular tangent stiffness at cold start: {exc}")
-    length = distance(tangent, psi, ptp)
-    if length == 0.0 or not np.isfinite(length):
-        raise PredictorError("degenerate tangent direction at cold start")
-    return (delta_L / length) * tangent
+    length = distance(delta_w_prev, config.psi, problem.load_norm_sq)
+    if not 0 < length < math.inf:
+        raise PredictorError(f"predictor direction of length {length!r}")
+    return (delta_L / length) * delta_w_prev
 
 
 def select_root(roots: tuple[float, float], dot0: float, dot1: float
@@ -146,8 +145,8 @@ def select_root(roots: tuple[float, float], dot0: float, dot1: float
     """Pick the Crisfield root that keeps moving forward, from the dot
     products dot_i = delta_u_old . delta_u_candidate_i, as floats.
 
-    Maximizes dot_i; on a tie (e.g. first iteration from a cold start) the
-    root with larger delta lambda wins.
+    Maximizes dot_i; on a tie (e.g. where delta_u_old is 0) the root with
+    larger delta lambda wins.
     """
     scale = max(1.0, abs(dot0), abs(dot1))
     if abs(dot0 - dot1) <= 1e-12 * scale:
@@ -216,7 +215,7 @@ def _bordered_solve(problem: ProblemDef, w: SolutionPoint, b, beta: float,
     y and xi y_g are large and nearly cancel, which costs that difference
     digits in proportion to K's condition number; one refinement step with
     the same factor wins them back (Govaerts 2000). With b = 0, as in
-    [0; 1] and the cold predictor's [0; beta], y = 0 and nothing cancels,
+    [0; 1] and `tangent`'s [0; beta], y = 0 and nothing cancels,
     so that column needs neither its K-solve nor the refinement. A Newton
     iteration makes one factor and two K-solves: dG/dlam with b, then the
     refinement residual. Once K and dG/dlam are read, K is factored into
@@ -305,14 +304,14 @@ def _sphere_roots(xx: float, ax: float, aa: float, a_lam: float,
 
 
 def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
-               delta_w_prev: np.ndarray | None, delta_L: float
+               delta_w_prev: np.ndarray, delta_L: float
                ) -> tuple[SolutionPoint, int]:
     psi, ptp = config.psi, problem.load_norm_sq
     c = psi**2 * ptp
     n = problem.n_dof
     riks = config.constraint == RIKS
 
-    dw = predictor(problem, config, w_i, delta_w_prev, delta_L)
+    dw = predictor(problem, config, delta_w_prev, delta_L)
     dw0 = dw  # first-iteration increment (Riks plane)
 
     for it in range(MAX_NEWTON_ITERS + 1):
@@ -363,16 +362,17 @@ def _corrector(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
 
 
 def step(problem: ProblemDef, config: AlmConfig, w_i: SolutionPoint,
-         delta_w_prev: np.ndarray | None, delta_L: float) -> StepResult:
-    """One arc-length step of nominal length delta_L with step cutting.
+         delta_w_prev: np.ndarray, delta_L: float) -> StepResult:
+    """One arc-length step of nominal length delta_L along the direction
+    delta_w_prev (`predictor`), with step cutting.
 
     On non-convergence (or complex Crisfield roots) the length is halved and
     the step retried, up to MAX_STEP_CUTS times; the result reports the
     achieved (possibly shorter) length.
 
-    The bordered solves of its predictor and of every Newton iteration of
-    every try run in row 0 of the thread's `workspace`; the result holds
-    none of its buffers.
+    The bordered solves of every Newton iteration of every try run in
+    row 0 of the thread's `workspace`; the result holds none of its
+    buffers.
     """
     if delta_L <= 0:
         raise ValueError("delta_L must be positive")
@@ -479,14 +479,14 @@ def _bordered_solves(problem: ProblemDef, u: np.ndarray, lam: np.ndarray,
 
 
 def batch_step(problem: ProblemDef, config: AlmConfig,
-               w_i: list[SolutionPoint], delta_w_prev: list,
+               w_i: list[SolutionPoint], delta_w_prev: list[np.ndarray],
                delta_L: list[float]) -> list:
     """`step` for each member j, (w_i[j], delta_w_prev[j], delta_L[j]), all
     in lockstep and without step cuts: the StepResult of each member, or
-    None for one that the batch does not take (no warm start, or one of
-    length 0, or any member of a problem with a dense K) or that fails in
-    it; a caller solves those alone with `step`, whose cuts then run as
-    ever.
+    None for one that the batch does not take (a direction of zero or
+    non-finite length, whose `predictor` raises, or any member of a problem
+    with a dense K) or that fails in it; a caller solves those alone with
+    `step`, whose cuts then run as ever.
 
     Each Newton iteration is one numpy call per elementwise operation or
     row-wise dot product over all members that have not converged, and the
@@ -503,18 +503,16 @@ def batch_step(problem: ProblemDef, config: AlmConfig,
     riks = config.constraint == RIKS
     tol = config.newton_tol
     results: list = [None] * len(w_i)
-    ids = [j for j, dw in enumerate(delta_w_prev) if dw is not None]
-    if not ids or problem.tridiagonal_fn is None:
+    if not w_i or problem.tridiagonal_fn is None:
         return results
-    prev = np.array([delta_w_prev[j] for j in ids])
+    prev = np.array(delta_w_prev)
     lengths = _lengths(prev, psi, ptp)
-    warm = [k for k, length in enumerate(lengths) if length > 0]
-    if not warm:
+    ids = [j for j, length in enumerate(lengths) if 0 < length < math.inf]
+    if not ids:
         return results
-    # the predictor's warm start, (delta_L / length) * delta_w_prev
-    scale = np.array([delta_L[ids[k]] / lengths[k] for k in warm])
-    dw = scale[:, None] * prev[warm]
-    ids = [ids[k] for k in warm]
+    # the predictor, (delta_L / length) * delta_w_prev
+    scale = np.array([delta_L[j] / lengths[j] for j in ids])
+    dw = scale[:, None] * prev[ids]
     u0 = np.array([w_i[j].u for j in ids])
     lam0 = np.array([w_i[j].lam for j in ids])
     dw0 = dw if riks else None  # first-iteration increments (planes)

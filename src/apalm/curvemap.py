@@ -32,7 +32,7 @@ class CurveEntry:
     xi: float
     ds: float  # arc length from the previous key; 0 at the branch start
     w: SolutionPoint
-    w_prev: SolutionPoint | None
+    w_prev: SolutionPoint
     level: int
 
 
@@ -49,13 +49,13 @@ class CurveMap:
 
     @classmethod
     def from_serial(cls, branch: int, solutions: list[SolutionPoint],
-                    s_coords: list[float],
-                    w_prev0: SolutionPoint | None = None) -> "CurveMap":
+                    s_coords: list[float], w_prev0: SolutionPoint
+                    ) -> "CurveMap":
         """Initialize from the serial solve: xi_i = s_i / s_I, level 0.
 
-        w_prev0 optionally sets a virtual predecessor for the branch start
-        (used by branches spawned at a bifurcation, whose predictor must
-        point along the new branch). ds_floor becomes 4 ulps of s_I: a ds
+        w_prev0 is the branch start's virtual predecessor: the start minus
+        the direction of the branch's first step, which the first
+        interval's predictor follows. ds_floor becomes 4 ulps of s_I: a ds
         above it advances s in collect() while s stays below 8 s_I, and it
         is fixed before any job runs, so a refusal does not depend on the
         order in which intervals are inserted.

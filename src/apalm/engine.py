@@ -73,8 +73,8 @@ class EngineConfig:
 @dataclass(frozen=True)
 class Job:
     """One queued interval of a branch, with the map data to solve it:
-    its start point, that point's predecessor if any, and its end point,
-    the map's point at xi_hi."""
+    its start point, that point's predecessor, and its end point, the
+    map's point at xi_hi."""
 
     id: int
     branch: int
@@ -82,7 +82,7 @@ class Job:
     xi_hi: float
     delta_L0: float
     w_start: SolutionPoint
-    w_prev: SolutionPoint | None
+    w_prev: SolutionPoint
     w_end: SolutionPoint
     level: int
     N: int
@@ -133,15 +133,14 @@ def solve_interval(problem: ProblemDef, config: AlmConfig, job: Job
     """Re-solve one interval with at most N fine steps of nominal length
     dL0/N.
 
-    The first step is warm-started from w_start - w_prev when a
-    predecessor is known, and each later step from the step before it,
-    but the N-th step aims at the interval's known end point: its
-    predictor rescales w_end - w, w the point the step starts from. The
-    last step takes what remains of dL0, and a step that overshoots ends
-    the job early. A step cut shortens the fine path; the closing segment
-    to the interval's end covers the rest. The manager measures the steps
-    and that segment from the points. A failed step fails the job, and its
-    points are dropped.
+    The first step predicts along w_start - w_prev, and each later step
+    along the step before it, but the N-th step aims at the interval's
+    known end point: its predictor rescales w_end - w, w the point the
+    step starts from. The last step takes what remains of dL0, and a step
+    that overshoots ends the job early. A step cut shortens the fine path;
+    the closing segment to the interval's end covers the rest. The manager
+    measures the steps and that segment from the points. A failed step
+    fails the job, and its points are dropped.
 
     Workers and the manager solve waves of jobs at once, with
     `solve_intervals`; this is `solve_intervals` of the one job.
@@ -154,10 +153,10 @@ def solve_intervals(problem: ProblemDef, config: AlmConfig, jobs: list[Job]
     """Re-solve each job's interval as `solve_interval` describes, the
     jobs one fine step at a time, in lockstep while at least MIN_BATCH
     jobs step on: each round is one alm.batch_step over them. A job whose
-    step the batch does not take (a cold predictor) or that fails in it
-    takes that step alone, through alm.step and its step cuts, and so do
-    the steps of the fewer than MIN_BATCH jobs left, job by job; so each
-    job's result has the bits of solving it alone. Both solve in the
+    step the batch does not take or that fails in it takes that step
+    alone, through alm.step and its step cuts, and so do the steps of the
+    fewer than MIN_BATCH jobs left, job by job; so each job's result has
+    the bits of solving it alone. Both solve in the
     thread's `alm.workspace`, whose factors earlier waves built."""
     intervals = [_Interval(job) for job in jobs]
     live = [s for s in intervals if s.stepping()]
@@ -176,16 +175,16 @@ def solve_intervals(problem: ProblemDef, config: AlmConfig, jobs: list[Job]
 
 
 class _Interval:
-    """A job being solved: its last point w and increment dw, its points
-    so far, the length it has left and the error that ended it. The next
-    step predicts along `aim()`."""
+    """A job being solved: its last point w and the increment dw that
+    reached it, w_start - w_prev before its first step, its points so far,
+    the length it has left and the error that ended it. The next step
+    predicts along `aim()`."""
 
     __slots__ = ("job", "w", "dw", "sols", "remaining", "error")
 
     def __init__(self, job: Job):
         self.job, self.w = job, job.w_start
-        self.dw = (None if job.w_prev is None
-                   else alm.increment_between(job.w_start, job.w_prev))
+        self.dw = alm.increment_between(job.w_start, job.w_prev)
         self.sols: list[SolutionPoint] = []
         self.remaining = job.delta_L0
         self.error = ""
@@ -198,7 +197,7 @@ class _Interval:
     def length(self) -> float:
         return min(self.job.delta_L0 / self.job.N, self.remaining)
 
-    def aim(self) -> np.ndarray | None:
+    def aim(self) -> np.ndarray:
         """The increment the next step's predictor rescales: the chord to
         the job's end point for its N-th step, the increment of the step
         before for any other."""
@@ -224,11 +223,11 @@ class _Interval:
 
 @dataclass(frozen=True)
 class BranchStart:
-    """The point a branch starts at, with its virtual predecessor w_prev0
-    if the branch was spawned."""
+    """The point a branch starts at, and its virtual predecessor w_prev0:
+    w - w_prev0 is the direction of the branch's first step."""
 
     w: SolutionPoint
-    w_prev0: SolutionPoint | None = None
+    w_prev0: SolutionPoint
 
 
 @dataclass(frozen=True)
@@ -258,38 +257,44 @@ def serial_points(problem: ProblemDef, config: AlmConfig,
     worker that steps it. `QueueEngine.take` makes the jobs and maps of
     them.
 
-    Starts from the trivial point (u = 0, lambda = 0). With bifurcation
-    detection enabled, once a branch's steps end (at its last step or a
-    failed one), the stability of every point its steps reached, and of
-    the primary branch's start, is counted in one pass
-    (alm.detect_singulars), and each sign change
-    between consecutive points, in step order, triggers bisection; located
-    bifurcation points spawn new branches via an eigenvector perturbation,
-    each serially solved in turn with the run's delta_L and steps. A failed
-    step raises on the primary branch; a spawned branch keeps the points it
-    has, with a warning, and one left with fewer than 2 points is dropped
-    and never started, so every branch started ends.
+    Every branch starts from a point along a direction, and its start's
+    virtual predecessor is the point minus that direction. The primary
+    branch starts from the trivial point (u = 0, lambda = 0) along its
+    tangent (alm.tangent), and raises SerialSolveError where that is
+    singular. With bifurcation detection enabled, once a branch's steps
+    end (at its last step or a failed one), the stability of every point
+    its steps reached, and of the primary branch's start, is counted in
+    one pass (alm.detect_singulars), and each sign change between
+    consecutive points, in step order, triggers bisection; located
+    bifurcation points spawn new branches along an eigenvector
+    perturbation (alm.branch_switch), each serially solved in turn with
+    the run's delta_L and steps. A failed step raises on the primary
+    branch; a spawned branch keeps the points it has, with a warning, and
+    one left with fewer than 2 points is dropped and never started, so
+    every branch started ends.
     """
     w0 = SolutionPoint(np.zeros(problem.n_dof), 0.0)
-    # (start, branch-switch seed) per branch
-    pending: deque[tuple] = deque([(w0, None)])
+    try:
+        t = alm.tangent(problem, w0)
+    except alm.PredictorError as exc:
+        raise SerialSolveError(
+            f"serial solve failed on branch 0 at s=0: {exc}")
+    # (start, direction) per branch
+    pending: deque[tuple] = deque([(w0, t)])
     closed = 0  # branches closed so far, so the id of the open one
     while pending:
-        start, seed = pending.popleft()
-        # A spawned branch's start gets a virtual predecessor, so that its
-        # first interval is warm-started along the new branch.
-        w_prev0 = None if seed is None else SolutionPoint(
-            start.u - seed[:-1], start.lam - seed[-1])
+        start, dw = pending.popleft()
+        primary = not closed  # a dropped branch is never the primary one
+        w_prev0 = SolutionPoint(start.u - dw[:-1], start.lam - dw[-1])
         ws = [start]
         s = 0.0
-        dw = seed
         for _ in range(engine.steps):
             try:
                 res = alm.step(problem, config, ws[-1], dw, engine.delta_L)
             except alm.StepError as exc:
                 message = (f"serial solve failed on branch {closed} "
                            f"at s={s:.6g}: {exc}")
-                if not closed:
+                if primary:
                     raise SerialSolveError(message)
                 yield _note(logging.WARNING, "%s; %s", message,
                             "branch kept" if len(ws) > 1
@@ -306,7 +311,7 @@ def serial_points(problem: ProblemDef, config: AlmConfig,
         # the points the steps reached, and the primary branch's start, the
         # trivial point, counted in one pass; a spawned branch starts at its
         # located singular point, which is not counted
-        first = 0 if seed is None else 1
+        first = 0 if primary else 1
         if engine.bifurcation_enabled and len(ws) - first > 1:
             # each sign change between consecutive points, in step order
             signs = [info.det_sign
@@ -435,11 +440,19 @@ class QueueEngine:
         the number of branches closed before it. A line is logged here.
 
         The items may come from worker 0, another process, so an item out
-        of order, of another size or whose s does not increase raises
-        CurveStructureError, and so does a map that from_serial refuses,
-        with nothing taken and no id drawn.
+        of order, with a point of another size or not finite, or whose s
+        does not increase raises CurveStructureError, and so does a map
+        that from_serial refuses, with nothing taken and no id drawn.
         """
         n = self.problem.n_dof
+        points = ([item.w, item.w_prev0] if isinstance(item, BranchStart)
+                  else [item.w] if isinstance(item, SerialStep) else [])
+        if any(w.n_dof != n for w in points):
+            raise CurveStructureError(
+                f"serial points of another size than {n}")
+        if not all(math.isfinite(w.lam) and np.isfinite(w.u).all()
+                   for w in points):
+            raise CurveStructureError("a serial point that is not finite")
         if isinstance(item, logging.LogRecord):
             _log(item)
         elif isinstance(item, BranchEnd):
@@ -449,11 +462,6 @@ class QueueEngine:
                                      w_prev0=self._w_prev0)
             self._ws, self._ss, self._w_prev0 = [], [], None
             self._close(m)
-        elif any(w is not None and w.n_dof != n for w in (
-                item.w, item.w_prev0 if isinstance(item, BranchStart)
-                else None)):
-            raise CurveStructureError(
-                f"serial points of another size than {n}")
         elif isinstance(item, BranchStart):
             if self._ws:
                 raise CurveStructureError(

@@ -1,26 +1,25 @@
 """Wire format and socket endpoint for the manager-worker runtime.
 
-Frames are [u8 version][u64 length][payload], little-endian (protocol 8).
+Frames are [u8 version][u64 length][payload], little-endian (protocol 9).
 A payload starts with its kind. It is the one-byte stop, one of the
 serial phase's messages (below), or one wave: a job wave out, a reply
 wave back, or a wave of serial steps to the manager. A wave is its header
 (kind, member count, n_dof), then one header struct per member, then, in
 a reply wave, the members' UTF-8 errors, then one float64 block of
 (u, lambda) rows for all its members. A job sends three points: w_start,
-w_prev, and w_end, the end point its last fine step aims at; or two,
-without w_prev, where it has none. A reply sends the point that ends each
-fine step and no step length, which the manager measures from the
-points, or only the error of a failed solve, and decode refuses one with
-both or neither. A wave holds at least one member, and all of one kind
-and one n_dof; a single job is a wave of one.
+w_prev, and w_end, the end point its last fine step aims at. A reply
+sends the point that ends each fine step and no step length, which the
+manager measures from the points, or only the error of a failed solve,
+and decode refuses one with both or neither. A wave holds at least one
+member, and all of one kind and one n_dof; a single job is a wave of one.
 
 Worker 0 steps the serial phase and streams it to the manager, in step
-order, as the points it reaches: a branch's start (n_dof, a w_prev0 flag,
-then the start and its virtual predecessor, if any, as rows), a wave of
-accepted steps (a wave header, the s of each step, then its points), a
-branch's end (its kind alone), a line to log (level, logger name length,
-name and text, UTF-8), a failed primary step (the SerialSolveError's
-UTF-8 text), and a stop when its serial phase ends. The manager makes the
+order, as the points it reaches: a branch's start (n_dof, then the start
+and its virtual predecessor as two rows), a wave of accepted steps (a
+wave header, the s of each step, then its points), a branch's end (its
+kind alone), a line to log (level, logger name length, name and text,
+UTF-8), a failed primary step (the SerialSolveError's UTF-8 text), and a
+stop when its serial phase ends. The manager makes the
 level-1 jobs and the maps of them, and asks worker 0 for steps with a
 frame of one count: worker 0 sends the steps it has taken once they are
 as many, and the other items at once.
@@ -41,7 +40,7 @@ from .engine import (BranchEnd, BranchStart, IntervalResult, Job,
                      SerialSolveError, SerialStep)
 from .problems import SolutionPoint, is_int
 
-PROTOCOL_VERSION = 8
+PROTOCOL_VERSION = 9
 
 MSG_STOP = 0
 MSG_JOB = 1
@@ -59,14 +58,14 @@ Message = (list[Job] | list[IntervalResult] | list[SerialStep] | BranchStart
 _HEADER = struct.Struct("<BQ")
 # kind, members, n_dof
 _WAVE = struct.Struct("<BQQ")
-# per job: id, branch, xi_lo, xi_hi, level, delta_L0, N, has w_prev
-_JOB = struct.Struct("<QQddQdQB")
+# per job: id, branch, xi_lo, xi_hi, level, delta_L0, N
+_JOB = struct.Struct("<QQddQdQ")
 # per reply: job_id, steps, error length
 _DATA = struct.Struct("<QQQ")
 # kind, jobs asked
 _ASK = struct.Struct("<BQ")
-# kind, n_dof, has w_prev0
-_START = struct.Struct("<BQB")
+# kind, n_dof
+_START = struct.Struct("<BQ")
 # kind, level, logger name length
 _NOTE = struct.Struct("<BQQ")
 
@@ -108,9 +107,8 @@ def encode(msg: Message) -> bytes:
     if is_int(msg) and msg >= 1:
         return _ASK.pack(MSG_ASK, msg)
     if isinstance(msg, BranchStart):
-        points = [msg.w] + ([] if msg.w_prev0 is None else [msg.w_prev0])
-        return (_START.pack(MSG_START, msg.w.n_dof, msg.w_prev0 is not None)
-                + _block(points, msg.w.n_dof))
+        return (_START.pack(MSG_START, msg.w.n_dof)
+                + _block([msg.w, msg.w_prev0], msg.w.n_dof))
     if isinstance(msg, BranchEnd):
         return bytes([MSG_END])
     if isinstance(msg, logging.LogRecord):
@@ -125,11 +123,10 @@ def encode(msg: Message) -> bytes:
         kind, notes = MSG_JOB, b""
         heads = b"".join(
             _JOB.pack(job.id, job.branch, job.xi_lo, job.xi_hi, job.level,
-                      job.delta_L0, job.N, job.w_prev is not None)
+                      job.delta_L0, job.N)
             for job in msg)
         points = [w for job in msg
-                  for w in (job.w_start, job.w_prev, job.w_end)
-                  if w is not None]
+                  for w in (job.w_start, job.w_prev, job.w_end)]
     elif all(isinstance(m, SerialStep) for m in msg):
         kind, notes = MSG_STEPS, b""
         heads = np.array([step.s for step in msg], dtype="<f8").tobytes()
@@ -168,12 +165,9 @@ def decode(payload: bytes) -> Message:
                 raise ProtocolError("an ask for no job")
             return count
         if kind == MSG_START:
-            _, n, has_prev = _START.unpack_from(buf)
-            if has_prev not in (0, 1):
-                raise ProtocolError("bad w_prev0 flag")
-            _expect(buf, _START.size + 8 * (1 + has_prev) * (n + 1))
-            points = _points(buf, _START.size, 1 + has_prev, n)
-            return BranchStart(points[0], points[1] if has_prev else None)
+            _, n = _START.unpack_from(buf)
+            _expect(buf, _START.size + 8 * 2 * (n + 1))
+            return BranchStart(*_points(buf, _START.size, 2, n))
         if kind == MSG_END:
             _expect(buf, 1)
             return BranchEnd()
@@ -206,17 +200,12 @@ def decode(payload: bytes) -> Message:
                                 f"member headers")
         heads = list(member.iter_unpack(buf[_WAVE.size:off]))
         if kind == MSG_JOB:
-            if any(head[7] not in (0, 1) for head in heads):
-                raise ProtocolError("bad w_prev flag")
-            rows = 2 * count + sum(head[7] for head in heads)
-            _expect(buf, off + 8 * rows * (n + 1))
-            w = iter(_points(buf, off, rows, n))
+            _expect(buf, off + 8 * 3 * count * (n + 1))
+            w = iter(_points(buf, off, 3 * count, n))
             return [Job(id=jid, branch=branch, xi_lo=xi_lo, xi_hi=xi_hi,
-                        delta_L0=dl0, w_start=next(w),
-                        w_prev=next(w) if has_prev else None, w_end=next(w),
-                        level=level, N=steps)
-                    for (jid, branch, xi_lo, xi_hi, level, dl0, steps,
-                         has_prev) in heads]
+                        delta_L0=dl0, w_start=next(w), w_prev=next(w),
+                        w_end=next(w), level=level, N=steps)
+                    for jid, branch, xi_lo, xi_hi, level, dl0, steps in heads]
         # a reply wave: its members' errors, then its rows
         note = off
         off += sum(n_error for _, _, n_error in heads)

@@ -6,13 +6,16 @@ revisions.
 Runs each named config (all of them by default) under `aalm`, 3 thread
 workers, 3 process workers and 1 process worker, and prints one hash per
 config and transport; with one worker, the manager is the only solver
-while worker 0 steps the serial phase. A hash covers the `collect()` rows,
-the records sorted by (branch, xi_lo, xi_hi) without job ids, and
-`.summary.json` without its two timings, all bit for bit. With
+while worker 0 steps the serial phase. A hash covers three parts: the
+`collect()` rows, the records sorted by (branch, xi_lo, xi_hi) without
+job ids, and `.summary.json` without its two timings, all bit for bit.
+Each part is hashed on its own as well, and where a config's hashes
+differ, a line after its own names each part as equal or differing. With
 `--base REV` the same configs also run against REV, exported with
 `git archive` into a temporary directory outside the checkout and removed
 afterwards; nothing is written under `.git`, so no worktree or lock is
-left if the run is killed. Exits 1 if any hash of a config differs from
+left if the run is killed; the base's run is this script, so both sides
+hash the same parts. Exits 1 if any hash of a config differs from
 another, 0 if all are equal.
 
 The tests import `row_bits`, `record_bits`, `summary_without_timings`,
@@ -147,18 +150,25 @@ def configs() -> dict:
     return out
 
 
-def digest(state, scratch: Path) -> str:
-    h = hashlib.sha256()
-    h.update(repr(row_bits(state.collect())).encode())
-    h.update(repr(record_bits(state)).encode())
-    h.update(json.dumps(summary_without_timings(state, scratch / "run.json"),
-                        sort_keys=True).encode())
-    return h.hexdigest()[:16]
+PARTS = ("rows", "records", "summary")
+
+
+def digests(state, scratch: Path) -> tuple[str, dict]:
+    """The hash of the run's whole output, and {part: hash} of each of
+    PARTS."""
+    parts = dict(zip(PARTS, (
+        repr(row_bits(state.collect())).encode(),
+        repr(record_bits(state)).encode(),
+        json.dumps(summary_without_timings(state, scratch / "run.json"),
+                   sort_keys=True).encode())))
+    return (hashlib.sha256(b"".join(parts.values())).hexdigest()[:16],
+            {k: hashlib.sha256(v).hexdigest()[:16] for k, v in parts.items()})
 
 
 def hashes(runs: dict) -> dict:
-    """{name: {"jobs": aalm's job count, transport: hash}} of each
-    (problem, AlmConfig, EngineConfig) in runs, by name."""
+    """{name: {"jobs": aalm's job count, transport: hash, "parts": {part:
+    {transport: hash}}}} of each (problem, AlmConfig, EngineConfig) in
+    runs, by name."""
     from apalm.engine import aalm
     from apalm.runtime import apalm
 
@@ -169,9 +179,12 @@ def hashes(runs: dict) -> dict:
             for label, (transport, count) in WORKERS.items():
                 states[label] = apalm(p, cfg, eng, worker_count=count,
                                       transport=transport)
-            out[name] = {"jobs": states["aalm"].stats.jobs_done}
-            out[name].update({t: digest(s, Path(tmp))
-                              for t, s in states.items()})
+            row = out[name] = {"jobs": states["aalm"].stats.jobs_done,
+                               "parts": {part: {} for part in PARTS}}
+            for t, s in states.items():
+                row[t], parts = digests(s, Path(tmp))
+                for part, h in parts.items():
+                    row["parts"][part][t] = h
     return out
 
 
@@ -204,6 +217,15 @@ def run_at(rev: str, script: str, names: list[str]) -> dict:
 def line(label: str, name: str, row: dict) -> str:
     return (f"{label:<8} {name:<22} jobs {row['jobs']:>5}  "
             + "  ".join(f"{t} {row[t]}" for t in TRANSPORTS))
+
+
+def parts_line(name: str, rows: list[dict]) -> str:
+    """Which of PARTS differ among rows, across transports and sides."""
+    return f"{'parts':<8} {name:<22} " + "  ".join(
+        f"{part} " + ("equal" if len({h for row in rows for h in
+                                      row["parts"][part].values()}) == 1
+                      else "DIFFER")
+        for part in PARTS)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -240,6 +262,8 @@ def main(argv: list[str] | None = None) -> int:
             print(line(args.base, name, base[name]))
         print(line("here", name, here[name]) + "  "
               + ("equal" if equal else "MISMATCH"))
+        if not equal:
+            print(parts_line(name, rows))
     return 0 if ok else 1
 
 

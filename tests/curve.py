@@ -157,10 +157,12 @@ def metric_rows(points, psi: float, load_norm_sq: float) -> np.ndarray:
 
 def reference(problem, config, start, w_prev, delta_L: float,
               length: float) -> tuple[list, list[float]]:
-    """The points and arc lengths of a serial run from start, warm-started
-    from start - w_prev where w_prev is given, in steps of delta_L until
-    its arc length reaches length, a step fails, or it has taken twice the
-    steps that length needs."""
+    """The points and arc lengths of a serial run from start along
+    start - w_prev, in steps of delta_L until its arc length reaches
+    length, a step fails, or it has taken twice the steps that length
+    needs. A map of a revision before protocol 9 (`--base`) gives its
+    primary branch's start no w_prev, and that revision's alm.step starts
+    cold where it is given None."""
     from apalm import alm
     points, ss = [start], [0.0]
     dw = None if w_prev is None else alm.increment_between(start, w_prev)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from apalm import alm, tridiagonal
 from apalm.alm import (AlmConfig, BranchSwitchError, branch_switch,
                        detect_singular, distance, locate_bifurcation,
-                       point_distance, predictor, select_root, step)
+                       point_distance, predictor, select_root, step,
+                       tangent)
 from apalm.problems import (DimensionError, ProblemDef, SolutionPoint,
                             make_builtin)
 
@@ -61,22 +62,35 @@ class TestPredictor:
         p = make_builtin("linear1d")
         cfg = AlmConfig(psi=1.0)
         prev = inc(1.2, 1.6)  # length 2
-        dw = predictor(p, cfg, pt(0.0, 0.0), prev, 1.0)
+        dw = predictor(p, cfg, prev, 1.0)
         assert dw == pytest.approx([0.6, 0.8])
 
     def test_cold_linear1d(self):
         p = make_builtin("linear1d")
         cfg = AlmConfig(psi=1.0)
-        dw = predictor(p, cfg, pt(0.0, 0.0), None, math.sqrt(2.0))
+        dw = predictor(p, cfg, tangent(p, pt(0.0, 0.0)), math.sqrt(2.0))
         assert dw == pytest.approx([1.0, 1.0])
 
     def test_cold_cubic1d_tangent(self):
         # K = -3 at the origin, so du/dlam = -1/3; sign fixed by dlam > 0.
         p = make_builtin("cubic1d")
         cfg = AlmConfig(psi=0.0)
-        dw = predictor(p, cfg, pt(0.0, 0.0), None, 0.1)
+        dw = predictor(p, cfg, tangent(p, pt(0.0, 0.0)), 0.1)
         assert dw == pytest.approx([-0.1, 0.3])
         assert dw[-1] > 0
+
+    @pytest.mark.parametrize("direction", [
+        inc(0.0, 0.0), inc(math.nan, 1.0), inc(1.0, math.inf)],
+        ids=["zero", "nan", "inf"])
+    def test_direction_without_a_finite_length_raises(self, direction):
+        with pytest.raises(alm.PredictorError, match="length"):
+            predictor(make_builtin("linear1d"), AlmConfig(psi=1.0),
+                      direction, 1.0)
+
+    def test_singular_tangent_raises(self):
+        # K = 0 and dG/dlam = -1: [[0, -1], [0, 1]] is singular
+        with pytest.raises(alm.PredictorError, match="singular tangent"):
+            tangent(make_builtin("linear1d", k=0.0), pt(0.0, 0.0))
 
 
 class TestSelectRoot:
@@ -107,7 +121,8 @@ class TestStep:
     def test_linear1d_crisfield(self):
         p = make_builtin("linear1d")
         cfg = AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-12)
-        res = step(p, cfg, pt(0.0, 0.0), None, math.sqrt(2.0))
+        res = step(p, cfg, pt(0.0, 0.0), tangent(p, pt(0.0, 0.0)),
+                   math.sqrt(2.0))
         assert res.w_new.u[0] == pytest.approx(1.0, abs=1e-10)
         assert res.w_new.lam == pytest.approx(1.0, abs=1e-10)
         assert res.achieved_length == pytest.approx(math.sqrt(2.0), rel=1e-12)
@@ -116,17 +131,18 @@ class TestStep:
     def test_cubic1d_crisfield_cold(self):
         p = make_builtin("cubic1d")
         cfg = AlmConfig(constraint="crisfield", psi=0.0, newton_tol=1e-12)
-        res = step(p, cfg, pt(0.0, 0.0), None, 0.1)
+        res = step(p, cfg, pt(0.0, 0.0), tangent(p, pt(0.0, 0.0)), 0.1)
         assert res.w_new.u[0] == pytest.approx(-0.1, abs=1e-10)
         assert res.w_new.lam == pytest.approx(0.299, abs=1e-10)
 
     def test_cubic1d_riks_matches_crisfield_at_psi_zero(self):
         p = make_builtin("cubic1d")
         tol = 1e-12
+        t = tangent(p, pt(0.0, 0.0))
         r1 = step(p, AlmConfig(constraint="riks", psi=0.0, newton_tol=tol),
-                  pt(0.0, 0.0), None, 0.1)
+                  pt(0.0, 0.0), t, 0.1)
         r2 = step(p, AlmConfig(constraint="crisfield", psi=0.0, newton_tol=tol),
-                  pt(0.0, 0.0), None, 0.1)
+                  pt(0.0, 0.0), t, 0.1)
         assert r1.w_new.u[0] == pytest.approx(r2.w_new.u[0], abs=1e-10)
         assert r1.w_new.lam == pytest.approx(r2.w_new.lam, abs=1e-10)
 
@@ -134,7 +150,7 @@ class TestStep:
         p = make_builtin("cubic1d")
         cfg = AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-13)
         w = pt(0.0, 0.0)
-        dw = None
+        dw = tangent(p, w)
         for _ in range(12):
             res = step(p, cfg, w, dw, 0.4)
             assert res.cuts_used == 0
@@ -148,10 +164,10 @@ class TestStep:
         p = make_builtin("cubic1d")
         cfg = AlmConfig(constraint="riks", psi=1.0, newton_tol=1e-13)
         w = pt(0.0, 0.0)
-        dw = None
+        dw = tangent(p, w)
         c = cfg.psi**2 * p.load_norm_sq
         for _ in range(8):
-            dw0 = predictor(p, cfg, w, dw, 0.3)  # as inside the step
+            dw0 = predictor(p, cfg, dw, 0.3)  # as inside the step
             res = step(p, cfg, w, dw, 0.3)
             assert res.cuts_used == 0
             f = float(dw0[:-1] @ res.dw[:-1]) + c * dw0[-1]**2 - 0.3**2
@@ -163,7 +179,7 @@ class TestStep:
         p = make_builtin("springchain", n=6)
         cfg = AlmConfig(constraint="crisfield", psi=0.0, newton_tol=1e-11)
         w = SolutionPoint(np.zeros(6), 0.0)
-        dw = None
+        dw = tangent(p, w)
         for _ in range(10):
             res = step(p, cfg, w, dw, 0.3)
             assert np.linalg.norm(p.residual(res.w_new)) <= cfg.newton_tol
@@ -186,11 +202,13 @@ class TestStep:
         """Steps on one ProblemDef in four threads at once, with a short
         switch interval, give the bits of the same steps run one after
         another: a step refills only buffers it built itself, none on the
-        module or the problem. The steps are cold and warm springchain
-        steps, so the threads factor different K's at the same time."""
+        module or the problem. The steps are springchain steps from the
+        trivial point along its tangent and from later points, so the
+        threads factor different K's at the same time."""
         p = make_builtin("springchain", n=48)
         cfg = AlmConfig(constraint=constraint, psi=1.0, newton_tol=1e-10)
-        starts, w, dw = [], SolutionPoint(np.zeros(48), 0.0), None
+        w = SolutionPoint(np.zeros(48), 0.0)
+        starts, dw = [], tangent(p, w)
         for _ in range(6):
             starts.append((w, dw))
             res = step(p, cfg, w, dw, 0.8)
@@ -271,7 +289,7 @@ class TestStep:
         p = make_builtin("cubic1d")
         cfg = AlmConfig(constraint="crisfield", psi=1.0, newton_tol=1e-12)
         w = pt(0.0, 0.0)
-        dw = None
+        dw = tangent(p, w)
         lams = [0.0]
         for _ in range(20):
             res = step(p, cfg, w, dw, 0.4)
@@ -304,10 +322,10 @@ def counting(monkeypatch, module, name):
 class TestBorderedSolve:
     @pytest.mark.parametrize("constraint", ["riks", "crisfield"])
     def test_one_solve_per_newton_iteration(self, constraint, monkeypatch):
-        # a cold step: one bordered solve for the tangent predictor, then
+        # a branch's first step: one bordered solve for its tangent, then
         # one per Newton iteration; counted as factorizations of
         # springchain's tridiagonal K, and as LAPACK solves of its dense K.
-        # A tridiagonal factor is solved with once for the predictor (dG/dlam
+        # A tridiagonal factor is solved with once for the tangent (dG/dlam
         # alone) and twice per iteration: dG/dlam with -G, then -G's
         # refinement residual
         tri = make_builtin("springchain", n=6)
@@ -316,7 +334,8 @@ class TestBorderedSolve:
         solves = counting(monkeypatch, np.linalg, "solve")
         cfg = AlmConfig(constraint=constraint, psi=1.0, newton_tol=1e-11)
         for p, calls in ((tri, factors), (as_dense(tri), solves)):
-            res = step(p, cfg, SolutionPoint(np.zeros(6), 0.0), None, 0.3)
+            w0 = SolutionPoint(np.zeros(6), 0.0)
+            res = step(p, cfg, w0, tangent(p, w0), 0.3)
             assert res.cuts_used == 0 and res.iterations >= 2
             assert len(calls) == 1 + res.iterations
             if p is tri:

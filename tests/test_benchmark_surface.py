@@ -43,10 +43,10 @@ def test_chain_serial_work_counts(monkeypatch):
     """The work of chain-serial seed 1, as exact counts that, unlike its
     timings, do not depend on the host: Newton iterations, jobs, and the
     factors and solves of springchain's tridiagonal K (one factor per
-    iteration and per cold predictor; two solves per iteration, one per
-    predictor). The serial steps and the jobs' steps that the batch does
-    not take run through alm.step, the others through alm.batch_step,
-    whose results count the same iterations."""
+    iteration and for the one tangent at the trivial point; two solves per
+    iteration, one for the tangent). The serial steps and the jobs' steps
+    that the batch does not take run through alm.step, the others through
+    alm.batch_step, whose results count the same iterations."""
     cfg = parse_config(json.dumps(
         seeded_config("chain-serial", 1)))
     counts = {"iterations": 0, "factor": 0, "solve": 0}
@@ -76,21 +76,20 @@ def test_chain_serial_work_counts(monkeypatch):
     state = aalm(make_builtin(cfg.problem_name, **cfg.problem_params),
                  cfg.alm, cfg.engine)
     assert (counts["iterations"], state.stats.jobs_done, counts["factor"],
-            counts["solve"]) == (660, 140, 662, 1322)
+            counts["solve"]) == (660, 140, 661, 1321)
 
 
 def test_chain_serial_builds_buffers_once_per_step(monkeypatch):
-    """Of chain-serial seed 1's 662 factors of springchain's tridiagonal
+    """Of chain-serial seed 1's 661 factors of springchain's tridiagonal
     K, 16 are given no earlier factor and build buffers: the arrays,
     their rows b and, on the LAPACK path, the ctypes arguments, one per
     row of the thread's alm.workspace (swapping tridiagonal.factor for the
     count gives the thread a new one), which has WAVE_VALUES // 256 = 16.
-    The serial branch solves its cold predictor and all its steps in row
-    0, and run_manager's waves solve in the same workspace: a wave of 16
-    jobs reaches every row, and builds the other 15, while the one job
-    step taken alone, the one that starts cold, refills row 0. The other
-    646 refill an earlier factor of the workspace. (17 and 645 while the
-    serial branch built a workspace of its own.)"""
+    The serial branch solves its tangent and all its steps in row 0, and
+    run_manager's waves solve in the same workspace: a wave of 16 jobs
+    reaches every row, and builds the other 15. The other 645 refill an
+    earlier factor of the workspace. (17 and 645 while the serial branch
+    built a workspace of its own.)"""
     cfg = parse_config(json.dumps(seeded_config("chain-serial", 1)))
     counts = {"new": 0, "refill": 0}
     factor = tridiagonal.factor
@@ -102,7 +101,7 @@ def test_chain_serial_builds_buffers_once_per_step(monkeypatch):
     monkeypatch.setattr(tridiagonal, "factor", counted)
     aalm(make_builtin(cfg.problem_name, **cfg.problem_params), cfg.alm,
          cfg.engine)
-    assert (counts["new"], counts["refill"]) == (16, 646)
+    assert (counts["new"], counts["refill"]) == (16, 645)
 
 
 def test_chain_serial_counts_stability_in_one_stacked_pass(monkeypatch):

@@ -28,20 +28,33 @@ def test_two_fast_configs_equal_under_every_transport():
 
 
 def fake_hashes(names, process="0" * 16, jobs=5):
+    """Hashes of names whose process3 run hashes as process, and whose
+    records part alone differs from the others' where it does."""
+    def parts(part):
+        return {t: process if t == "process3" and part == "records"
+                else "0" * 16 for t in bits.TRANSPORTS}
+
     return {name: {"jobs": jobs, "aalm": "0" * 16, "thread3": "0" * 16,
-                   "process3": process, "process1": "0" * 16}
+                   "process3": process, "process1": "0" * 16,
+                   "parts": {part: parts(part) for part in bits.PARTS}}
             for name in names}
 
 
 @pytest.mark.parametrize("where", ["transport", "base-hash", "base-jobs"])
 def test_any_mismatch_exits_1(where, monkeypatch, capsys):
+    # and the line after a mismatch names the parts that differ: the
+    # records where a hash differs, none where only the job count does
     monkeypatch.setattr(bits, "hashes", lambda runs: fake_hashes(
         runs, process="1" * 16 if where == "transport" else "0" * 16))
     monkeypatch.setattr(bits, "base_hashes", lambda rev, names: fake_hashes(
         names, process="1" * 16 if where == "base-hash" else "0" * 16,
         jobs=6 if where == "base-jobs" else 5))
     assert bits.main(["--base", "REV", FAST[0]]) == 1
-    assert capsys.readouterr().out.splitlines()[-1].endswith("MISMATCH")
+    *_, verdict, parts = capsys.readouterr().out.splitlines()
+    assert verdict.endswith("MISMATCH")
+    records = "equal" if where == "base-jobs" else "DIFFER"
+    assert parts.split() == ["parts", FAST[0], "rows", "equal", "records",
+                             records, "summary", "equal"]
 
 
 def test_equal_hashes_exit_0(monkeypatch, capsys):
@@ -75,8 +88,11 @@ def test_base_run_leaves_no_worktree():
     before = git_out("worktree", "list"), git_out("status", "--porcelain")
     proc = run_script("--base", "HEAD", FAST[0])
     assert proc.returncode in (0, 1), proc.stderr
-    head, here = proc.stdout.splitlines()
+    head, here, *parts = proc.stdout.splitlines()
     assert head.split()[:2] == ["HEAD", FAST[0]]
     assert here.split()[:2] == ["here", FAST[0]]
+    # the parts that differ, where the tree's output differs from HEAD's
+    assert [line.split()[:2] for line in parts] == (
+        [["parts", FAST[0]]] if here.endswith("MISMATCH") else [])
     assert (git_out("worktree", "list"),
             git_out("status", "--porcelain")) == before

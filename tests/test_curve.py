@@ -146,8 +146,8 @@ def test_reference_covers_the_straight_path():
     assert max(row[k] for k in curve.DISTANCES) < 1e-12
     # steps of 0.25 until the length reaches 0.9: four of them
     points, ss = curve.reference(make_builtin("linear1d"), cfg,
-                                 SolutionPoint(np.zeros(1), 0.0), None,
-                                 0.25, 0.9)
+                                 SolutionPoint(np.zeros(1), 0.0),
+                                 SolutionPoint(-np.ones(1), -1.0), 0.25, 0.9)
     assert len(points) == 5 and ss[-1] == pytest.approx(1.0)
     assert points[-1].u[0] == pytest.approx(math.sqrt(0.5))
 

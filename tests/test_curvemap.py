@@ -19,9 +19,13 @@ def s_at(m, xi):
     return {k: s for _, k, s, _, _ in m.collect()}[xi]
 
 
+# the start's virtual predecessor of every map here
+W_PREV0 = pt(-1.0)
+
+
 def make_map(s_coords, branch=0):
     sols = [pt(float(i)) for i in range(len(s_coords))]
-    return CurveMap.from_serial(branch, sols, list(s_coords))
+    return CurveMap.from_serial(branch, sols, list(s_coords), W_PREV0)
 
 
 class TestInit:
@@ -42,7 +46,7 @@ class TestInit:
         e0 = m.lookup(0.0)
         e1 = m.lookup(0.5)
         assert e0.level == 0 and e1.level == 0
-        assert e0.w_prev is None
+        assert e0.w_prev is W_PREV0
         assert e1.w_prev is e0.w
 
     def test_non_monotone_rejected(self):
@@ -58,12 +62,12 @@ class TestLookup:
     def test_fresh_map(self):
         m = make_map([0.0, 1.0, 2.0])
         e = m.lookup(0.0)
-        assert s_at(m, 0.0) == 0.0 and e.level == 0 and e.w_prev is None
+        assert s_at(m, 0.0) == 0.0 and e.level == 0 and e.w_prev is W_PREV0
 
     def test_mid_entry(self):
         m = make_map([0.0, 1.0, 2.0])
         e = m.lookup(0.5)
-        assert s_at(m, 0.5) == 1.0 and e.w_prev is not None
+        assert s_at(m, 0.5) == 1.0 and e.w_prev is m.lookup(0.0).w
 
     def test_unknown_key(self):
         m = make_map([0.0, 1.0])

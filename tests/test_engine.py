@@ -23,6 +23,17 @@ def crisfield(psi, tol=1e-12, **kw):
     return AlmConfig(constraint="crisfield", psi=psi, newton_tol=tol, **kw)
 
 
+def same_bits(a, b):
+    """The arrays a and b equal bit for bit, the sign of a zero aside
+    (-0.0 + 0.0 is 0.0)."""
+    return (a + 0.0).tobytes() == (b + 0.0).tobytes()
+
+
+# a start of linear1d's one unknown, one unit of u past its predecessor
+START = BranchStart(SolutionPoint(np.zeros(1), 0.0),
+                    SolutionPoint(-np.ones(1), 0.0))
+
+
 class TestComputeErrors:
     def test_straight_interval(self):
         e = compute_errors(1.0, (1.0, 1.0, 0.0))
@@ -70,10 +81,16 @@ class TestSerialSolve:
         eng = EngineConfig(delta_L=0.3, steps=6, bifurcation_enabled=True)
         branches = serial_solve(p, cfg, eng)
         assert len(branches) == 2
-        # only a spawned branch starts from a branch-switch seed
-        assert branches[0].lookup(0.0).w_prev is None
-        assert branches[1].lookup(0.0).w_prev is not None
-        assert branches[1].lookup(0.0).w.lam == pytest.approx(1.0, abs=1e-4)
+        # every branch starts from a point and a direction: the primary
+        # one along the tangent at the trivial point, the spawned one
+        # along its branch-switch seed
+        start, spawned = (m.lookup(0.0) for m in branches)
+        assert same_bits(alm.increment_between(start.w, start.w_prev),
+                         alm.tangent(p, start.w))
+        direction = alm.increment_between(spawned.w, spawned.w_prev)
+        assert direction[-1] == 0.0 and np.linalg.norm(
+            direction) == pytest.approx(alm.BRANCH_PERTURBATION)
+        assert spawned.w.lam == pytest.approx(1.0, abs=1e-4)
 
     def test_bifurcation_within_the_first_serial_step_spawns_branch(
             self, monkeypatch):
@@ -117,6 +134,23 @@ class TestSerialSolve:
         assert sorted(state.maps) == [0, 1]
         assert len(calls) == len(state.maps) - 1
 
+    def test_singular_start_raises_after_one_solve(self, monkeypatch):
+        # K = 0 at the trivial point: the tangent's bordered system is
+        # singular, and the primary branch fails on its one solve
+        solves = []
+        solve = np.linalg.solve
+
+        def counted(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        with pytest.raises(SerialSolveError,
+                           match="branch 0 at s=0: singular tangent"):
+            aalm(make_builtin("linear1d", k=0.0), crisfield(1.0),
+                 EngineConfig(delta_L=1.0, steps=3))
+        assert len(solves) == 1
+
     def test_failed_primary_branch_raises(self, monkeypatch):
         def fail(*args):
             raise alm.StepError("forced")
@@ -133,7 +167,7 @@ class TestSerialSolve:
         def fail_from_seed(problem, config, w, dw, delta_L):
             # only a spawned branch's first step starts from its seed,
             # whose lambda entry is 0
-            if dw is not None and dw[-1] == 0.0:
+            if dw[-1] == 0.0:
                 raise alm.StepError("forced")
             return step(problem, config, w, dw, delta_L)
 
@@ -242,25 +276,32 @@ class TestTake:
         assert m.lookup(0.0).w_prev is w_prev0
         assert [(j.id, j.xi_lo, j.xi_hi) for j in state.queue] == [
             (0, 0.0, 0.5 / 1.5), (1, 0.5 / 1.5, 1.0)]
-        state.take(BranchStart(self.w(0)))
+        state.take(BranchStart(self.w(0), self.w(-1)))
         state.take(SerialStep(self.w(1), 1.0))
         assert (state.queue[-1].id, state.queue[-1].branch) == (2, 1)
 
     @pytest.mark.parametrize("items,needle", [
         ([SerialStep(SolutionPoint(np.ones(1), 0.0), 1.0)], "no branch open"),
         ([BranchEnd()], "no branch open"),
-        ([BranchStart(SolutionPoint(np.zeros(1), 0.0))] * 2, "is open"),
-        ([BranchStart(SolutionPoint(np.zeros(2), 0.0))], "another size"),
-        ([BranchStart(SolutionPoint(np.zeros(1), 0.0),
-                      SolutionPoint(np.zeros(2), 0.0))], "another size"),
-        ([BranchStart(SolutionPoint(np.zeros(1), 0.0)),
-          SerialStep(SolutionPoint(np.ones(2), 0.0), 1.0)], "another size"),
-        ([BranchStart(SolutionPoint(np.zeros(1), 0.0)),
-          SerialStep(SolutionPoint(np.ones(1), 0.0), 0.0)], "s=0.0"),
-        ([BranchStart(SolutionPoint(np.zeros(1), 0.0)),
-          SerialStep(SolutionPoint(np.ones(1), 0.0), math.nan)], "s=nan"),
+        ([START] * 2, "is open"),
+        ([BranchStart(SolutionPoint(np.zeros(2), 0.0), START.w_prev0)],
+         "another size"),
+        ([BranchStart(START.w, SolutionPoint(np.zeros(2), 0.0))],
+         "another size"),
+        ([START, SerialStep(SolutionPoint(np.ones(2), 0.0), 1.0)],
+         "another size"),
+        ([START, SerialStep(SolutionPoint(np.ones(1), 0.0), 0.0)], "s=0.0"),
+        ([START, SerialStep(SolutionPoint(np.ones(1), 0.0), math.nan)],
+         "s=nan"),
+        ([BranchStart(START.w, SolutionPoint(np.zeros(1), math.nan))],
+         "not finite"),
+        ([START, SerialStep(SolutionPoint(np.array([math.nan]), 1.0), 1.0)],
+         "not finite"),
+        ([START, SerialStep(SolutionPoint(np.ones(1), math.inf), 1.0)],
+         "not finite"),
     ], ids=["step-first", "end-first", "two-starts", "size", "w-prev0-size",
-            "step-size", "s-repeats", "s-nan"])
+            "step-size", "s-repeats", "s-nan", "w-prev0-nan", "step-u-nan",
+            "step-lam-inf"])
     def test_item_that_does_not_fit_refused(self, items, needle):
         state = self.state()
         *fitting, last = items
@@ -286,7 +327,8 @@ class TestInitializeMap:
         for b, n in enumerate(counts):
             sols = [SolutionPoint(np.array([float(i)]), 0.0) for i in range(n)]
             maps.append(CurveMap.from_serial(
-                b, sols, [float(i) for i in range(n)]))
+                b, sols, [float(i) for i in range(n)],
+                SolutionPoint(-np.ones(1), 0.0)))
         monkeypatch.setattr(engine, "serial_points", points_of(maps))
         state = QueueEngine(make_builtin("linear1d"), crisfield(1.0),
                             EngineConfig(delta_L=1.0, steps=1))
@@ -370,7 +412,7 @@ class TestSolveInterval:
         sq2 = math.sqrt(2.0)
         w0 = SolutionPoint(np.zeros(1), 0.0)
         w1 = SolutionPoint(np.ones(1), 1.0)
-        job = make_job(p, w0, None, w1, sq2)
+        job = make_job(p, w0, SolutionPoint(-np.ones(1), -1.0), w1, sq2)
         res = solve_interval(p, cfg, job)
         assert res.error == ""
         assert step_lengths(w0, res.solutions, 1.0, 1.0) == pytest.approx(
@@ -401,14 +443,19 @@ class TestSolveInterval:
             + 1e-12)
 
     def test_cold_start_matches_warm_on_linear(self):
+        # a cold start, w_prev one tangent behind w0 as at the primary
+        # branch's start, and a warm one, w_prev a point of the path half
+        # a unit behind: the predictor rescales w0 - w_prev to the step
         p = make_builtin("linear1d")
         cfg = crisfield(1.0)
         sq2 = math.sqrt(2.0)
         w0 = SolutionPoint(np.zeros(1), 0.0)
         w1 = SolutionPoint(np.ones(1), 1.0)
-        w_prev = SolutionPoint(-np.ones(1), -1.0)
-        cold = solve_interval(p, cfg, make_job(p, w0, None, w1, sq2))
-        warm = solve_interval(p, cfg, make_job(p, w0, w_prev, w1, sq2))
+        t = alm.tangent(p, w0)
+        cold = solve_interval(p, cfg, make_job(
+            p, w0, SolutionPoint(-t[:-1], -t[-1]), w1, sq2))
+        warm = solve_interval(p, cfg, make_job(
+            p, w0, SolutionPoint(np.full(1, -0.5), -0.5), w1, sq2))
         for a, b in zip(cold.solutions, warm.solutions):
             assert a.u[0] == pytest.approx(b.u[0], abs=1e-10)
             assert a.lam == pytest.approx(b.lam, abs=1e-10)
@@ -472,7 +519,8 @@ class TestSolveInterval:
         monkeypatch.setattr(alm, "step", fail_second)
         p = make_builtin("linear1d")
         res = solve_interval(p, crisfield(1.0), make_job(
-            p, SolutionPoint(np.zeros(1), 0.0), None,
+            p, SolutionPoint(np.zeros(1), 0.0),
+            SolutionPoint(-np.ones(1), -1.0),
             SolutionPoint(np.ones(1), 1.0), math.sqrt(2.0)))
         assert len(calls) == 2
         assert (res.solutions, res.error) == ([], "forced")
@@ -487,13 +535,15 @@ class TestQueueEngine:
         assert len(state.queue) == 4
         job = state.pop()
         assert job.xi_lo == 0.0
-        assert job.w_prev is None  # branch start
+        # the branch start, one tangent past its virtual predecessor
+        assert same_bits(alm.increment_between(job.w_start, job.w_prev),
+                         alm.tangent(p, job.w_start))
         assert job.w_start.u[0] == pytest.approx(0.0)
         assert state.maps[0].lookup(job.xi_hi).w.u[0] == pytest.approx(
             1.0, abs=1e-9)
         job2 = state.pop()
         assert job2.xi_lo == job.xi_hi
-        assert job2.w_prev is not None
+        assert job2.w_prev is job.w_start
 
     def test_pop_empty_queue(self):
         p = make_builtin("linear1d")
@@ -635,7 +685,8 @@ class TestSubmitChildren:
         # linear1d at lambda = 0, with each stored point 1 apart but 2
         # along the map: the first job runs from u = 0 to u = 1, dL0 = 2
         sols = [SolutionPoint(np.array([float(i)]), 0.0) for i in range(6)]
-        m = CurveMap.from_serial(0, sols, [2.0 * i for i in range(6)])
+        m = CurveMap.from_serial(0, sols, [2.0 * i for i in range(6)],
+                                 SolutionPoint(-np.ones(1), 0.0))
         monkeypatch.setattr(engine, "serial_points", points_of([m]))
         state = QueueEngine(make_builtin("linear1d"), crisfield(1.0),
                             EngineConfig(delta_L=1.0, steps=1, **eng))
@@ -806,7 +857,7 @@ class TestJob:
         w = SolutionPoint(np.zeros(1), 0.0)
         with pytest.raises(ValueError):
             Job(id=0, branch=0, xi_lo=xi_lo, xi_hi=xi_hi, delta_L0=delta_L0,
-                w_start=w, w_prev=None, w_end=w, level=1, N=N)
+                w_start=w, w_prev=w, w_end=w, level=1, N=N)
 
 
 @pytest.mark.parametrize("points,error", [(1, "forced"), (0, "")],
@@ -1144,17 +1195,16 @@ def test_a_wave_calls_no_per_point_callback_outside_its_lone_steps(
         monkeypatch):
     """A wave of 16 springchain jobs of 256 unknowns calls the per-point
     residual, tridiagonal and dG/dlambda only inside alm.step, for the
-    steps taken alone (here job 0's cold first step); its batches call
-    the stacked forms, once per Newton iteration. It builds a factor for
-    each row of its thread's alm.workspace that a batch reaches (the
-    counting tridiagonal.factor gives the thread a new one), and none for
-    its step taken alone."""
+    steps taken alone, of which these 16, job 0 at the trivial point
+    among them, take none; its batches call the stacked forms, once per
+    Newton iteration. It builds a factor for each row of its thread's
+    alm.workspace that a batch reaches (the counting tridiagonal.factor
+    gives the thread a new one)."""
     from dataclasses import replace
 
     from bits import configs
     p, cfg, eng = configs()["chain-serial-s1"]
     jobs = level_one_jobs(p, cfg, eng)[:16]
-    assert jobs[0].w_prev is None
     calls = {"alone": 0, "outside": 0, "stacked": 0}
     depth = [0]  # alm.step calls open
 
@@ -1184,14 +1234,14 @@ def test_a_wave_calls_no_per_point_callback_outside_its_lone_steps(
                       residuals_fn=stacked)
     factors = counted_factors(monkeypatch)
     results = engine.solve_intervals(counted, cfg, jobs)
-    # one factor per row of the first batch, of the 15 warm jobs; job 0's
-    # cold step refills row 0, and the second batch, whose members aim at
-    # their end points, solves for fewer members than that
-    assert factors["new"] == len(jobs) - 1
+    # one factor per row of the first batch, of all 16 jobs; the second
+    # batch, whose members aim at their end points, solves for no more
+    # members than that
+    assert factors["new"] == len(jobs)
     assert result_bits(results) == result_bits(
         engine.solve_intervals(p, cfg, jobs))
-    assert calls["outside"] == 0
-    assert calls["alone"] > 0 and calls["stacked"] > 0
+    assert calls["outside"] == calls["alone"] == 0
+    assert calls["stacked"] > 0
 
 
 @pytest.mark.parametrize("run", ["cubic1d", "riks-chain"])
@@ -1264,6 +1314,28 @@ def test_failed_spawned_branch_costs_that_branch(caplog):
     state = apalm(p, cfg, eng, worker_count=3, transport="thread")
     assert row_bits(state.collect()) == row_bits(ref.collect())
     assert record_bits(state) == record_bits(ref)
+
+
+@pytest.mark.parametrize("workers", [0, 1], ids=["aalm", "process1"])
+@pytest.mark.parametrize("name", ["chain-serial-s1", "acc-pitchfork", "twin",
+                                  "riks-chain-n16"])
+def test_no_step_starts_cold(name, workers):
+    """Every branch starts from a point and a direction, so every job
+    carries its start's predecessor, and level-1 job 0, which starts at
+    the trivial point, first steps along the tangent there, bit for bit
+    (the sign of a zero aside)."""
+    from bits import configs
+    p, cfg, eng = configs()[name]
+    state = (apalm(p, cfg, eng, worker_count=1, transport="process")
+             if workers else aalm(p, cfg, eng))
+    jobs = [r.job for r in state.stats.records]
+    assert jobs and all(isinstance(job.w_prev, SolutionPoint)
+                        for job in jobs)
+    [first] = [job for job in jobs if job.id == 0]
+    assert (first.branch, first.level, first.xi_lo) == (0, 1, 0.0)
+    assert not first.w_start.u.any() and first.w_start.lam == 0.0
+    assert same_bits(alm.increment_between(first.w_start, first.w_prev),
+                     alm.tangent(p, first.w_start))
 
 
 def kinked_problem(n, bad):
@@ -1394,8 +1466,6 @@ def test_solve_intervals_matches_solve_interval(name, monkeypatch):
         result_bits(expected)
     assert len(jobs) >= engine.MIN_BATCH
     assert (seen["batched"] == 0) == (meets == "dense")
-    if any(job.w_prev is None for job in jobs):  # a cold predictor
-        assert seen["alone"] > 0
     if meets == "cuts":
         assert seen["cuts"] > 0 and seen["failed"] > 0
         assert any(r.error for r in expected)

@@ -199,7 +199,8 @@ def record_sends(monkeypatch):
 def linear_job(job_id=0, n=1):
     return Job(id=job_id, branch=0, xi_lo=0.0, xi_hi=1.0,
                delta_L0=math.sqrt(2.0),
-               w_start=SolutionPoint(np.zeros(n), 0.0), w_prev=None,
+               w_start=SolutionPoint(np.zeros(n), 0.0),
+               w_prev=SolutionPoint(-np.ones(n), -1.0),
                w_end=SolutionPoint(np.ones(n), 1.0), level=1, N=2)
 
 
@@ -1414,19 +1415,23 @@ class TestApalm:
         lambda steps: tp.encode([IntervalResult(0, [steps[0].w])]),
         lambda steps: tp.encode([Job(
             id=0, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=1.0,
-            w_start=steps[0].w, w_prev=None, w_end=steps[-1].w, level=1,
-            N=2)]),
+            w_start=steps[0].w, w_prev=steps[0].w, w_end=steps[-1].w,
+            level=1, N=2)]),
         lambda steps: tp.encode(engine.MIN_BATCH),
         lambda steps: tp.encode([SerialStep(steps[-1].w, steps[-1].s)]),
-        lambda steps: tp.encode(BranchStart(steps[-1].w)),
+        lambda steps: tp.encode([SerialStep(SolutionPoint(
+            np.full(steps[-1].w.n_dof, math.nan), steps[-1].w.lam),
+            steps[-1].s + 1.0)]),
+        lambda steps: tp.encode(BranchStart(steps[-1].w, steps[0].w)),
     ], ids=["unknown-kind", "reply-wave", "job-wave", "ask", "s-repeats",
-            "second-start"])
+            "nan-step", "second-start"])
     def test_malformed_frame_from_worker_0_costs_no_step(
             self, garbage, monkeypatch, caplog, tmp_path):
         # a thread worker 0 sends its first wave of steps, then a frame
         # that is not its stream, and hangs up: a frame of an unknown kind,
         # one that decodes but is not the serial phase's, or one whose
-        # items do not fit the branch open. The manager loses worker 0
+        # items do not fit the branch open, a NaN point among them. The
+        # manager loses worker 0
         # once, keeps the jobs it made of the steps, steps the serial phase
         # again and gives aalm's bits
         p, cfg, eng = configs()["acc-chain-n64"]

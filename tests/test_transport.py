@@ -35,7 +35,7 @@ def endpoint_pair():
 
 def job(job_id=0, w_prev=None, w_end=None):
     return Job(id=job_id, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=1.0,
-               w_start=pt(0.0), w_prev=w_prev,
+               w_start=pt(0.0), w_prev=pt(-1.0) if w_prev is None else w_prev,
                w_end=pt(1.0, lam=1.0) if w_end is None else w_end, level=1,
                N=2)
 
@@ -66,14 +66,13 @@ class TestRoundTrip:
         assert points_equal(out.w_end, msg.w_end)
 
     def test_job_without_prev(self):
-        msg = Job(id=0, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=1.0,
-                  w_start=pt(0.5, lam=1.0), w_prev=None,
-                  w_end=pt(1.5, lam=2.0), level=1, N=3)
-        out, = decode(encode([msg]))
-        assert out.w_prev is None
-        assert points_equal(out.w_start, msg.w_start)
-        assert points_equal(out.w_end, msg.w_end)
-        assert out.N == 3
+        # every job carries its start's predecessor: a job of two rows,
+        # its start and end, as protocol 8 sent one without, is short
+        payload = encode([job()])
+        heads = _WAVE.size + _JOB.size
+        rows = np.frombuffer(payload[heads:], dtype="<f8").reshape(-1, 2)
+        with pytest.raises(ProtocolError, match="header gives"):
+            decode(payload[:heads] + rows[[0, 2]].tobytes())
 
     def test_data(self):
         msg = IntervalResult(job_id=3, solutions=[pt(0.5, lam=0.5),
@@ -97,16 +96,14 @@ class TestRoundTrip:
         assert encode(msg) == encode(msg)
 
     def test_wave_keeps_its_members_in_order(self):
-        # jobs with and without a predecessor, each with its own end
-        # point, and replies with points and with an error, interleaved in
-        # one wave each
-        jobs = [job(job_id=i, w_prev=pt(-1.0, lam=-i) if i % 2 else None,
-                    w_end=pt(2.0, lam=i)) for i in range(5)]
+        # jobs, each with its own predecessor and end point, and replies
+        # with points and with an error, interleaved in one wave each
+        jobs = [job(job_id=i, w_prev=pt(-1.0, lam=-i), w_end=pt(2.0, lam=i))
+                for i in range(5)]
         out = decode(encode(jobs))
         assert [j.id for j in out] == list(range(5))
-        assert [j.w_prev is None for j in out] == [True, False] * 2 + [True]
-        assert all(points_equal(a.w_prev, b.w_prev) for a, b in zip(out, jobs)
-                   if b.w_prev is not None)
+        assert all(points_equal(a.w_prev, b.w_prev)
+                   for a, b in zip(out, jobs))
         assert all(points_equal(a.w_end, b.w_end) for a, b in zip(out, jobs))
         replies = [IntervalResult(job_id=i, solutions=[pt(0.5 * i)] * i)
                    if i else IntervalResult(job_id=i, solutions=[], error="é")
@@ -134,13 +131,16 @@ class TestSerialMessages:
         with pytest.raises(ProtocolError, match="no job"):
             decode(_ASK.pack(MSG_ASK, 0))
 
-    @pytest.mark.parametrize("w_prev0", [None, pt(-0.5, 0.5, lam=-0.1)],
+    # the primary branch's start is one tangent, with a lambda entry of 1,
+    # past its predecessor, a spawned one a seed of lambda entry 0
+    @pytest.mark.parametrize("w_prev0", [pt(-0.75, 0.5, lam=-0.9),
+                                         pt(-0.5, 0.5, lam=0.1)],
                              ids=["primary", "spawned"])
     def test_branch_start(self, w_prev0):
         msg = BranchStart(pt(0.25, 0.5, lam=0.1), w_prev0)
         payload = encode(msg)
-        assert payload[:_START.size] == _START.pack(
-            MSG_START, 2, w_prev0 is not None)
+        assert payload[:_START.size] == _START.pack(MSG_START, 2)
+        assert len(payload) == _START.size + 2 * 3 * 8
         out = decode(payload)
         assert isinstance(out, BranchStart)
         assert point_bits(out.w) == point_bits(msg.w)
@@ -164,7 +164,8 @@ class TestSerialMessages:
             decode(bytes([MSG_END, 0]))
 
     @pytest.mark.parametrize("msg", [
-        BranchStart(pt(0.0, 0.0)), BranchStart(pt(0.0), pt(-1.0, lam=1.0)),
+        BranchStart(pt(0.0, 0.0), pt(-1.0, 0.0, lam=-1.0)),
+        BranchStart(pt(0.0), pt(-1.0, lam=1.0)),
         [SerialStep(pt(0.5), 0.5), SerialStep(pt(1.0), 1.0)]],
         ids=["start", "spawned-start", "steps"])
     def test_serial_truncation_and_trailing_byte_rejected(self, msg):
@@ -175,12 +176,6 @@ class TestSerialMessages:
         for tail in (b"\0", bytes(24)):
             with pytest.raises(ProtocolError):
                 decode(payload + tail)
-
-    def test_start_with_a_bad_flag_rejected(self):
-        payload = bytearray(encode(BranchStart(pt(0.0))))
-        payload[_START.size - 1] = 2
-        with pytest.raises(ProtocolError, match="w_prev0 flag"):
-            decode(bytes(payload))
 
     def test_steps_of_mixed_size_refused(self):
         with pytest.raises(ProtocolError, match="mixed n_dof"):
@@ -213,10 +208,11 @@ class TestFrame:
     # v1 had a handshake; v2 framed every point separately and echoed the
     # start point; v3 sent each job's closing point; v4 sent each reply's
     # step lengths; v5 sent one job or reply per frame; v6 sent no job's
-    # end point; v7 had no worker that streams the serial phase
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 99])
+    # end point; v7 had no worker that streams the serial phase; v8 sent
+    # a job or branch start without a predecessor
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 99])
     def test_other_version_rejected(self, version):
-        assert PROTOCOL_VERSION == 8
+        assert PROTOCOL_VERSION == 9
         s1, s2 = socket.socketpair()
         s1.sendall(bytes([version]) + frame(encode([job()]))[1:])
         with pytest.raises(ProtocolError, match=f"version {version}"):
@@ -226,27 +222,27 @@ class TestFrame:
 
     def test_one_block_per_payload(self):
         # a wave is its header, one header per job and one float64 block of
-        # (u, lambda) rows: each job's start, its predecessor if any, and
-        # its end
+        # (u, lambda) rows: each job's start, its predecessor, and its end
         msg = [job(w_prev=pt(-1.0, lam=-0.5)),
                job(job_id=1, w_end=pt(2.0, lam=0.5))]
         rows = np.array([[0.0, 0.0], [-1.0, -0.5], [1.0, 1.0],
-                         [0.0, 0.0], [2.0, 0.5]], dtype="<f8")
+                         [0.0, 0.0], [-1.0, 0.0], [2.0, 0.5]], dtype="<f8")
         heads = _WAVE.size + 2 * _JOB.size
         assert encode(msg)[:_WAVE.size] == _WAVE.pack(MSG_JOB, 2, 1)
         assert encode(msg) == encode(msg)[:heads] + rows.tobytes()
 
-    @pytest.mark.parametrize("has_prev", [True, False])
-    def test_job_carries_start_and_predecessor_only(self, has_prev):
-        # and its end point, and nothing else: three points with a
-        # predecessor, two without
+    @pytest.mark.parametrize("at_start", [True, False])
+    def test_job_carries_start_and_predecessor_only(self, at_start):
+        # and its end point, and nothing else: three points, also for the
+        # job at a branch start, whose predecessor is the start's virtual
+        # one, one tangent behind it
         n = 3
         msg = Job(id=1, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=1.0,
                   w_start=pt(1.0, 2.0, 3.0),
-                  w_prev=pt(0.0, 1.0, 2.0) if has_prev else None,
+                  w_prev=pt(0.5, 1.5, 2.5, lam=-1.0) if at_start
+                  else pt(0.0, 1.0, 2.0),
                   w_end=pt(2.0, 3.0, 4.0), level=1, N=2)
-        k = 3 if has_prev else 2
-        assert len(encode([msg])) == _WAVE.size + _JOB.size + 8 * (n + 1) * k
+        assert len(encode([msg])) == _WAVE.size + _JOB.size + 8 * (n + 1) * 3
 
     @pytest.mark.parametrize("k,n,error", [(2, 3, ""), (1, 1, ""),
                                            (0, 0, "newton diverged: état")],
@@ -347,16 +343,6 @@ class TestDecodeErrors:
         with pytest.raises(ProtocolError):
             decode(bytes(payload))
 
-    @pytest.mark.parametrize("flag", [2, 7, 255])
-    def test_w_prev_flag_other_than_0_or_1(self, flag):
-        # with a predecessor in the frame, the size fits any non-zero flag
-        payload = bytearray(encode([job(w_prev=pt(-1.0, lam=-0.5))]))
-        head = list(_JOB.unpack_from(payload, _WAVE.size))
-        head[7] = flag
-        _JOB.pack_into(payload, _WAVE.size, *head)
-        with pytest.raises(ProtocolError, match="w_prev flag"):
-            decode(bytes(payload))
-
     @pytest.mark.parametrize("steps,error", [(1, "état"), (0, "")],
                              ids=["both", "neither"])
     def test_reply_with_points_and_error_or_neither(self, steps, error):
@@ -370,7 +356,6 @@ class TestDecodeErrors:
 
     @pytest.mark.parametrize("msg", [
         [job(w_prev=pt(-1.0, lam=-0.5))],
-        [job()],
         [IntervalResult(job_id=4,
                         solutions=[pt(0.5, lam=0.5), pt(1.0, lam=1.0)])],
         [IntervalResult(job_id=4, solutions=[], error="état")],
@@ -378,8 +363,7 @@ class TestDecodeErrors:
         [IntervalResult(job_id=4, solutions=[pt(0.5, lam=0.5)]),
          IntervalResult(job_id=5, solutions=[], error="état"),
          IntervalResult(job_id=6, solutions=[pt(1.0, lam=1.0)] * 2)],
-    ], ids=["job", "job-without-prev", "reply", "reply-error", "job-wave",
-            "reply-wave"])
+    ], ids=["job", "reply", "reply-error", "job-wave", "reply-wave"])
     def test_every_truncation_and_trailing_byte_rejected(self, msg):
         # decode checks the exact size, so a cut payload never reaches
         # struct or numpy, whose errors the manager would not catch; the
@@ -400,7 +384,7 @@ class TestDecodeErrors:
         payload = encode(jobs)
         heads = _WAVE.size + 2 * _JOB.size
         rows = np.frombuffer(payload[heads:], dtype="<f8").reshape(-1, 2)
-        without_ends = payload[:heads] + rows[[0, 1, 3]].tobytes()
+        without_ends = payload[:heads] + rows[[0, 1, 3, 4]].tobytes()
         with pytest.raises(ProtocolError, match="header gives"):
             decode(without_ends)
 
@@ -445,7 +429,8 @@ class TestDecodeErrors:
 
     @pytest.mark.parametrize("wave", [
         [job(), Job(id=1, branch=0, xi_lo=0.0, xi_hi=1.0, delta_L0=1.0,
-                    w_start=pt(0.0, 1.0), w_prev=None, w_end=pt(1.0, 2.0),
+                    w_start=pt(0.0, 1.0), w_prev=pt(-1.0, 1.0),
+                    w_end=pt(1.0, 2.0),
                     level=1, N=2)],
         [job(w_prev=pt(0.0, 1.0))],
         [job(w_end=pt(0.0, 1.0))],
@@ -599,7 +584,7 @@ def jobs(draw, n_dof):
                delta_L0=draw(st.floats(min_value=0.0, exclude_min=True,
                                        allow_infinity=False)),
                w_start=draw(points(n_dof)),
-               w_prev=draw(st.none() | points(n_dof)),
+               w_prev=draw(points(n_dof)),
                w_end=draw(points(n_dof)), level=draw(u64),
                N=draw(st.integers(1, 2**64 - 1)))
 
@@ -645,7 +630,4 @@ def test_job_round_trip_property(wave):
             assert same_bits(getattr(got, field), getattr(msg, field))
         assert same_point_bits(got.w_start, msg.w_start)
         assert same_point_bits(got.w_end, msg.w_end)
-        if msg.w_prev is None:
-            assert got.w_prev is None
-        else:
-            assert same_point_bits(got.w_prev, msg.w_prev)
+        assert same_point_bits(got.w_prev, msg.w_prev)

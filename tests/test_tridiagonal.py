@@ -477,7 +477,8 @@ def test_solve_wraps_only_its_right_hand_sides(monkeypatch):
                         tridiagonal.lapack_solve(*args))
 
     def two_steps():
-        first = alm.step(p, cfg, SolutionPoint(np.zeros(16), 0.0), None, 0.4)
+        w0 = SolutionPoint(np.zeros(16), 0.0)
+        first = alm.step(p, cfg, w0, alm.tangent(p, w0), 0.4)
         built = len(wrapped)
         wrapped.clear()
         solves.clear()
@@ -498,7 +499,11 @@ def test_a_swapped_factor_gets_a_new_workspace(monkeypatch):
     keeps its bits."""
     p = make_builtin("springchain", n=16)
     w0 = SolutionPoint(np.zeros(16), 0.0)
-    ref = alm.step(p, CRISFIELD, w0, None, 0.4)
+
+    def first_step():
+        return alm.step(p, CRISFIELD, w0, alm.tangent(p, w0), 0.4)
+
+    ref = first_step()
     ws = alm.workspace(16)
     assert ws.factors[0] is not None and alm.workspace(16) is ws
     factor = tridiagonal.factor
@@ -507,24 +512,26 @@ def test_a_swapped_factor_gets_a_new_workspace(monkeypatch):
     assert fresh is not ws and not any(fresh.factors)
     monkeypatch.setattr(tridiagonal, "factor", tridiagonal.reference_factor)
     monkeypatch.setattr(tridiagonal, "solve", tridiagonal.reference_solve)
-    assert step_bits(alm.step(p, CRISFIELD, w0, None, 0.4)) == step_bits(ref)
+    assert step_bits(first_step()) == step_bits(ref)
     monkeypatch.undo()
-    assert step_bits(alm.step(p, CRISFIELD, w0, None, 0.4)) == step_bits(ref)
+    assert step_bits(first_step()) == step_bits(ref)
 
 
 def test_a_callback_that_steps_moves_no_bit():
     """A problem callback may take arc-length steps of its own on the
-    thread: a springchain whose dG/dlambda also takes a cold alm.step on
-    another chain of 16 unknowns, in row 0 of the same workspace, traces
-    the rows and records of plain springchain, as a bordered solve reads
-    dG/dlambda before it factors K into that row."""
+    thread: a springchain whose dG/dlambda also takes an alm.step from
+    the trivial point along its tangent on another chain of 16 unknowns,
+    in row 0 of the same workspace, traces the rows and records of plain
+    springchain, as a bordered solve reads dG/dlambda before it factors K
+    into that row."""
     p = make_builtin("springchain", n=16)
     other = make_builtin("springchain", n=16, c=0.8)
     w0 = SolutionPoint(np.zeros(16), 0.0)
     g, nested = p.jacobian_lambda_fn, []
 
     def stepping(u, lam):
-        nested.append(alm.step(other, CRISFIELD, w0, None, 0.3))
+        nested.append(alm.step(other, CRISFIELD, w0,
+                               alm.tangent(other, w0), 0.3))
         return g(u, lam)
 
     eng = EngineConfig(delta_L=0.4, steps=16, tol_lower=1e-3,
@@ -617,10 +624,11 @@ def test_near_singular_step_matches_dense(constraint, warm, seed):
     p = replace(p0, residual_fn=lambda u, lam:
                 tridiagonal.matvec(*tri, u) - lam)
     w0 = SolutionPoint(1e-3 * rng.normal(size=n), 0.0)
-    dw0 = 0.1 * rng.normal(size=n + 1) if warm else None
+    dw0 = 0.1 * rng.normal(size=n + 1)
     cfg = AlmConfig(constraint=constraint, psi=1.0, newton_tol=1e-10)
-    a = alm.step(p, cfg, w0, dw0, 0.05)
-    b = alm.step(as_dense(p), cfg, w0, dw0, 0.05)
+    # a cold step starts along the tangent at w0, which each path solves
+    a, b = (alm.step(q, cfg, w0, dw0 if warm else alm.tangent(q, w0), 0.05)
+            for q in (p, as_dense(p)))
     assert (a.iterations, a.cuts_used) == (b.iterations, b.cuts_used)
     scale = max(np.max(np.abs(b.w_new.u)), abs(b.w_new.lam))
     assert np.max(np.abs(a.w_new.u - b.w_new.u)) <= 1e-10 * scale
@@ -638,9 +646,9 @@ def test_lone_step_in_a_members_row_moves_no_bit(run, kernels, monkeypatch):
     """A step taken alone after a batch_step on the same thread refills
     row 0 of the thread's alm.workspace, whose factor a member has just
     refilled and solved in, and gives the bits of the same step on a new
-    thread, whose workspace is new: the cold first step of job 0 and warm
-    first steps of later jobs, on springchain with Crisfield's and Riks's
-    constraint."""
+    thread, whose workspace is new: the first step of job 0, along the
+    tangent at the trivial point, and the first steps of later jobs, on
+    springchain with Crisfield's and Riks's constraint."""
     monkeypatch.setattr(tridiagonal, "factor", kernels[0])
     monkeypatch.setattr(tridiagonal, "solve", kernels[1])
     p, cfg, eng = KERNEL_RUNS[run]
@@ -648,9 +656,8 @@ def test_lone_step_in_a_members_row_moves_no_bit(run, kernels, monkeypatch):
     n = p.n_dof
 
     def first_step(job):
-        dw = (None if job.w_prev is None
-              else alm.increment_between(job.w_start, job.w_prev))
-        return job.w_start, dw, job.delta_L0 / job.N
+        return (job.w_start, alm.increment_between(job.w_start, job.w_prev),
+                job.delta_L0 / job.N)
 
     members = [first_step(job) for job in jobs[1:9]]
     for job in [jobs[0], jobs[1], jobs[-1]]:
@@ -754,11 +761,12 @@ def test_springchain_imports_no_scipy():
     costs about 0.1 s of start-up and a third more peak memory."""
     code = ("import sys\n"
             "import numpy as np\n"
-            "from apalm.alm import AlmConfig, detect_singular, step\n"
+            "from apalm.alm import AlmConfig, detect_singular, step, "
+            "tangent\n"
             "from apalm.problems import SolutionPoint, make_builtin\n"
             "p = make_builtin('springchain', n=8)\n"
-            "res = step(p, AlmConfig(), SolutionPoint(np.zeros(8), 0.0),"
-            " None, 0.3)\n"
+            "w0 = SolutionPoint(np.zeros(8), 0.0)\n"
+            "res = step(p, AlmConfig(), w0, tangent(p, w0), 0.3)\n"
             "detect_singular(p, res.w_new)\n"
             "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
